@@ -4,8 +4,7 @@ Subcommands: rv-forward, rv-inverse, check, thm2, delta, wspace,
 lvalues, roots.  Global flags: --prec <bits>, --tol <dec>, --kmax <int>,
 --format json|text, --out <path>.  Exit codes form a stable contract:
 0 = all checks pass, 1 = a mathematical check failed (or precision was
-unattainable), 2 = input or usage error.  The coefficient cache honors
-the ZETAPOLY_CACHE_DIR environment variable.
+unattainable), 2 = input or usage error.
 """
 
 from __future__ import annotations
@@ -83,21 +82,15 @@ def _read_z_or_r(path: str) -> ZetaPoly:
     return rv_forward(PolyX.from_dict(data))
 
 
-def _emit(cfg: RunConfig, payload, text_lines) -> None:
-    if cfg.format == "json":
+def _emit(cfg: RunConfig, payload, text_lines=None) -> None:
+    """Write a report (JSON with indent 2 or text lines, per --format), or,
+    with no text form, a polynomial file (always JSON with indent 1)."""
+    if text_lines is None:
+        out = json.dumps(payload, indent=1) + "\n"
+    elif cfg.format == "json":
         out = json.dumps(payload, indent=2) + "\n"
     else:
         out = "\n".join(text_lines) + "\n"
-    if cfg.output:
-        with open(cfg.output, "w") as fh:
-            fh.write(out)
-    else:
-        sys.stdout.write(out)
-
-
-def _emit_poly(cfg: RunConfig, payload: dict) -> None:
-    # polynomial outputs are always the documented JSON file format
-    out = json.dumps(payload, indent=1) + "\n"
     if cfg.output:
         with open(cfg.output, "w") as fh:
             fh.write(out)
@@ -112,13 +105,13 @@ def _emit_poly(cfg: RunConfig, payload: dict) -> None:
 
 def _cmd_rv_forward(cfg: RunConfig, args) -> int:
     Z = rv_forward(_read_poly_x(args.input))
-    _emit_poly(cfg, Z.to_dict())
+    _emit(cfg, Z.to_dict())
     return EXIT_OK
 
 
 def _cmd_rv_inverse(cfg: RunConfig, args) -> int:
     R = rv_inverse(_read_zeta(args.input))
-    _emit_poly(cfg, R.to_dict())
+    _emit(cfg, R.to_dict())
     return EXIT_OK
 
 
@@ -213,8 +206,6 @@ def _cmd_delta(cfg: RunConfig, args) -> int:
 
 
 def _cmd_wspace(cfg: RunConfig, args) -> int:
-    if args.w < 2 or args.w % 2:
-        raise InputError(f"w must be an even integer >= 2, got {args.w}")
     basis, dim_plus, dim_minus = wspace_basis(args.w)
     payload = {
         "w": args.w,

@@ -22,7 +22,7 @@ from mpmath import mp
 from zetapoly.errors import InputError
 from zetapoly.lvalues import (
     NumericPoly,
-    build_r,
+    _r_from_lambdas,
     completed_l,
     delta_newform,
     numeric_rv,
@@ -141,7 +141,7 @@ def run_delta(prec: int = 128, root_tol="1e-8") -> DeltaReport:
         lam = dict(lambdas)
         sym_max = max(abs(lam[s] - nf.fricke * lam[12 - s]) for s in range(1, 12))
 
-    rnum = build_r(nf, prec)
+    rnum = _r_from_lambdas(nf.w, [v for _, v in lambdas], prec)
     znum = numeric_rv(rnum)
 
     with mp.workprec(prec + 32):

@@ -1,9 +1,10 @@
 """Exact scalar and series arithmetic over Q and Q(i).
 
 Everything in this module is exact: Gaussian rationals built on
-``fractions.Fraction``, truncated power/Laurent series with explicit
-truncation bookkeeping, and the generalized binomial machinery used by
-the zeta-polynomial transform.  No floating point enters anywhere.
+``fractions.Fraction``, the generalized binomial machinery used by the
+zeta-polynomial transform, the dense degree-<= w polynomial core shared
+by the period and zeta variables, and truncated power/Laurent series
+with explicit truncation bookkeeping.  No floating point enters anywhere.
 All values are immutable and all operations are pure, so they are safe
 for unrestricted concurrent use.
 """
@@ -13,7 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import ClassVar, Sequence, Union
+
+from zetapoly.errors import InputError
 
 Rationalish = Union[int, Fraction, str]
 
@@ -236,6 +239,144 @@ def common_denominator(
 
 
 # ---------------------------------------------------------------------
+# Dense polynomials over Q(i)
+# ---------------------------------------------------------------------
+
+
+def poly_mul(
+    p: Sequence[GaussianRational], q: Sequence[GaussianRational], length: int | None = None
+) -> tuple[GaussianRational, ...]:
+    """Coefficients (ascending) of the product p*q; with ``length`` given,
+    cut or zero-padded to exactly that many terms."""
+    if length is None:
+        length = len(p) + len(q) - 1
+    out = [ZERO] * length
+    for a, ca in enumerate(p[: len(out)]):
+        if ca.is_zero():
+            continue
+        for b, cb in enumerate(q[: len(out) - a]):
+            if not cb.is_zero():
+                out[a + b] = out[a + b] + ca * cb
+    return tuple(out)
+
+
+@dataclass(frozen=True)
+class DensePoly:
+    """A polynomial of degree <= w over Q(i), w even and >= 2.
+
+    ``coeffs`` has exactly w+1 entries in ascending powers; high entries
+    may be zero.  The weight parameter w is metadata and is never
+    inferred from the degree (a polynomial of degree 9 may live in V_10).
+    Subclasses name the variable; equality holds only within one class,
+    and arithmetic refuses to mix classes or weights.
+    """
+
+    VARIABLE: ClassVar[str]
+
+    w: int
+    coeffs: tuple[GaussianRational, ...]
+
+    def __post_init__(self):
+        if self.w < 2 or self.w % 2:
+            raise InputError(f"w must be an even integer >= 2, got {self.w}")
+        coeffs = tuple(GaussianRational.coerce(c) for c in self.coeffs)
+        if len(coeffs) != self.w + 1:
+            raise InputError(
+                f"expected {self.w + 1} coefficients for w={self.w}, got {len(coeffs)}"
+            )
+        object.__setattr__(self, "coeffs", coeffs)
+
+    # -- construction ----------------------------------------------------
+
+    @classmethod
+    def make(cls, w: int, values: Sequence):
+        """Build from any coefficient sequence of length <= w+1 (zero-padded)."""
+        vals = [GaussianRational.coerce(v) for v in values]
+        if len(vals) > w + 1:
+            raise InputError(f"{len(vals)} coefficients exceed degree bound w={w}")
+        vals += [ZERO] * (w + 1 - len(vals))
+        return cls(w, tuple(vals))
+
+    # -- basic queries -----------------------------------------------------
+
+    def degree(self) -> int:
+        """Degree of the polynomial; -1 for the zero polynomial."""
+        for j in range(self.w, -1, -1):
+            if not self.coeffs[j].is_zero():
+                return j
+        return -1
+
+    def is_zero(self) -> bool:
+        return all(c.is_zero() for c in self.coeffs)
+
+    def evaluate(self, x: GaussianRational) -> GaussianRational:
+        acc = ZERO
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    # -- linear structure ---------------------------------------------------
+
+    def __add__(self, other):
+        self._require_same_space(other)
+        return type(self)(self.w, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __sub__(self, other):
+        self._require_same_space(other)
+        return type(self)(self.w, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def scale(self, c):
+        c = GaussianRational.coerce(c)
+        return type(self)(self.w, tuple(c * a for a in self.coeffs))
+
+    def _require_same_space(self, other) -> None:
+        if type(other) is not type(self):
+            raise InputError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
+        if self.w != other.w:
+            raise InputError(f"mixing w={self.w} and w={other.w} polynomials")
+
+    # -- serialization -------------------------------------------------------
+
+    def to_dict(self) -> dict:
+        return {
+            "w": self.w,
+            "variable": self.VARIABLE,
+            "coeffs": [list(c.to_str_pair()) for c in self.coeffs],
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict):
+        """Validate and load the JSON polynomial schema; ``variable`` may be
+        omitted but must otherwise name this class's variable."""
+        if not isinstance(data, dict):
+            raise InputError("polynomial payload must be a JSON object")
+        try:
+            w = data["w"]
+            raw = data["coeffs"]
+        except KeyError as exc:
+            raise InputError(f"polynomial payload missing key {exc}") from exc
+        if not isinstance(w, int):
+            raise InputError(f"'w' must be an integer, got {w!r}")
+        variable = data.get("variable")
+        if variable is not None and variable != cls.VARIABLE:
+            raise InputError(
+                f"expected a polynomial in {cls.VARIABLE!r}, got variable={variable!r}"
+            )
+        if not isinstance(raw, list) or len(raw) != w + 1:
+            raise InputError(f"'coeffs' must list exactly w+1 = {w + 1} entries")
+        coeffs = []
+        for entry in raw:
+            if isinstance(entry, (list, tuple)) and len(entry) == 2:
+                try:
+                    coeffs.append(GaussianRational(str(entry[0]), str(entry[1])))
+                except (ValueError, ZeroDivisionError) as exc:
+                    raise InputError(f"bad coefficient entry {entry!r}: {exc}") from exc
+            else:
+                raise InputError(f"coefficient entries must be [re, im] pairs, got {entry!r}")
+        return cls(w, tuple(coeffs))
+
+
+# ---------------------------------------------------------------------
 # Truncated power / Laurent series over Q(i)
 # ---------------------------------------------------------------------
 
@@ -303,17 +444,10 @@ class PowerSeries:
                     f"product only certain to {limit} terms, {order} requested"
                 )
             limit = min(order, limit) if known else order
-        out = [ZERO] * limit
-        for ta, ca in enumerate(self.coeffs):
-            if ca.is_zero() or ta >= limit:
-                continue
-            top = min(len(other.coeffs), limit - ta)
-            for tb in range(top):
-                cb = other.coeffs[tb]
-                if not cb.is_zero():
-                    out[ta + tb] = out[ta + tb] + ca * cb
         return PowerSeries(
-            self.m0 + other.m0, tuple(out), exact=self.exact and other.exact
+            self.m0 + other.m0,
+            poly_mul(self.coeffs, other.coeffs, limit),
+            exact=self.exact and other.exact,
         )
 
     def inverse(self, order: int) -> "PowerSeries":
@@ -349,14 +483,6 @@ class PowerSeries:
     def shift(self, delta: int) -> "PowerSeries":
         """Multiply by x^delta."""
         return PowerSeries(self.m0 + delta, self.coeffs, exact=self.exact)
-
-
-def series_mul(p: PowerSeries, q: PowerSeries, order: int | None = None) -> PowerSeries:
-    return p.mul(q, order)
-
-
-def series_inverse(p: PowerSeries, order: int) -> PowerSeries:
-    return p.inverse(order)
 
 
 def linear_power(a: GaussianRational, b: GaussianRational, n: int) -> tuple[GaussianRational, ...]:

@@ -17,11 +17,8 @@ ascending t) so results are reproducible bit for bit at fixed precision.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass
-from pathlib import Path
 
 import mpmath
 from mpmath import mp
@@ -30,7 +27,6 @@ from zetapoly.errors import InputError, PrecisionError
 from zetapoly.rv import _basis_coeffs
 
 GUARD_BITS = 16
-CACHE_ENV_VAR = "ZETAPOLY_CACHE_DIR"
 
 
 # ---------------------------------------------------------------------
@@ -105,13 +101,6 @@ class NewformData:
 # ---------------------------------------------------------------------
 
 
-def _cache_dir() -> Path:
-    env = os.environ.get(CACHE_ENV_VAR)
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "zetapoly"
-
-
 def _eta_power_24(nmax: int) -> list[int]:
     """Integer coefficients of prod_{n>=1} (1 - q^n)^24 up to degree nmax-1."""
     L = nmax
@@ -143,33 +132,11 @@ def _eta_power_24(nmax: int) -> list[int]:
     return mul(e12, e12)
 
 
-def delta_coefficients(nmax: int, use_cache: bool = True) -> list[int]:
-    """tau(1), ..., tau(nmax): coefficients of q prod (1-q^n)^24, exact.
-
-    Values are cached on disk (JSON with an nmax header) under the
-    directory named by ZETAPOLY_CACHE_DIR, since the eta-power expansion
-    dominates the cost of high-precision runs.
-    """
+def delta_coefficients(nmax: int) -> list[int]:
+    """tau(1), ..., tau(nmax): coefficients of q prod (1-q^n)^24, exact."""
     if nmax < 1:
         raise InputError(f"nmax must be >= 1, got {nmax}")
-    cache_file = _cache_dir() / "tau.json"
-    if use_cache:
-        try:
-            payload = json.loads(cache_file.read_text())
-            if int(payload["nmax"]) >= nmax:
-                return [int(v) for v in payload["tau"][:nmax]]
-        except (OSError, ValueError, KeyError, TypeError):
-            pass
-    tau = _eta_power_24(nmax)
-    if use_cache:
-        try:
-            cache_file.parent.mkdir(parents=True, exist_ok=True)
-            cache_file.write_text(
-                json.dumps({"nmax": nmax, "tau": [str(v) for v in tau]})
-            )
-        except OSError:
-            pass
-    return tau
+    return _eta_power_24(nmax)
 
 
 def delta_newform(prec: int = 128) -> NewformData:
@@ -336,8 +303,12 @@ def build_r(f: NewformData, prec: int = 128) -> NumericPoly:
     collapses each coefficient to an exact binomial multiple:
     coefficient of X^n is C(w, n) * Lambda(f, w+1-n).
     """
-    w = f.w
     lambdas = [completed_l(f, s, prec) for s in range(1, f.weight)]
+    return _r_from_lambdas(f.w, lambdas, prec)
+
+
+def _r_from_lambdas(w: int, lambdas: list, prec: int) -> NumericPoly:
+    """build_r's assembly step; ``lambdas[s-1]`` is Lambda(f, s)."""
     with mp.workprec(prec + 32):
         err_unit = mpmath.mpf(2) ** (-(prec + 8))
         coeffs = []

@@ -14,143 +14,32 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from zetapoly.errors import ConsistencyError, ExactnessError, InputError
-from zetapoly.exactnum import I, ONE, ZERO, GaussianRational, qi
+from zetapoly.exactnum import I, ONE, ZERO, DensePoly, GaussianRational, poly_mul, qi
 
 # ---------------------------------------------------------------------
 # Dense polynomials in X over Q(i)
 # ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PolyX:
-    """A polynomial of degree <= w in the period variable X.
+class PolyX(DensePoly):
+    """A polynomial of degree <= w in the period variable X (see DensePoly)."""
 
-    ``coeffs`` has exactly w+1 entries in ascending powers; high entries
-    may be zero.  The weight parameter w is metadata and is never
-    inferred from the degree (a polynomial of degree 9 may live in V_10).
-    """
-
-    w: int
-    coeffs: tuple[GaussianRational, ...]
-
-    def __post_init__(self):
-        if self.w < 2 or self.w % 2:
-            raise InputError(f"w must be an even integer >= 2, got {self.w}")
-        coeffs = tuple(GaussianRational.coerce(c) for c in self.coeffs)
-        if len(coeffs) != self.w + 1:
-            raise InputError(
-                f"expected {self.w + 1} coefficients for w={self.w}, got {len(coeffs)}"
-            )
-        object.__setattr__(self, "coeffs", coeffs)
-
-    # -- construction ----------------------------------------------------
-
-    @classmethod
-    def make(cls, w: int, values: Sequence) -> "PolyX":
-        """Build from any coefficient sequence of length <= w+1 (zero-padded)."""
-        vals = [GaussianRational.coerce(v) for v in values]
-        if len(vals) > w + 1:
-            raise InputError(f"{len(vals)} coefficients exceed degree bound w={w}")
-        vals += [ZERO] * (w + 1 - len(vals))
-        return cls(w, tuple(vals))
+    VARIABLE = "X"
 
     @classmethod
     def zero(cls, w: int) -> "PolyX":
         return cls.make(w, [])
 
-    # -- basic queries -----------------------------------------------------
-
-    def degree(self) -> int:
-        """Degree of the polynomial; -1 for the zero polynomial."""
-        for j in range(self.w, -1, -1):
-            if not self.coeffs[j].is_zero():
-                return j
-        return -1
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
-
-    def evaluate(self, x: GaussianRational) -> GaussianRational:
-        acc = ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    # -- linear structure ---------------------------------------------------
-
-    def __add__(self, other: "PolyX") -> "PolyX":
-        self._require_same_space(other)
-        return PolyX(self.w, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "PolyX") -> "PolyX":
-        self._require_same_space(other)
-        return PolyX(self.w, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
     def __neg__(self) -> "PolyX":
         return PolyX(self.w, tuple(-a for a in self.coeffs))
-
-    def scale(self, c) -> "PolyX":
-        c = GaussianRational.coerce(c)
-        return PolyX(self.w, tuple(c * a for a in self.coeffs))
-
-    def _require_same_space(self, other: "PolyX"):
-        if self.w != other.w:
-            raise InputError(f"mixing V_{self.w} and V_{other.w} polynomials")
-
-    # -- parity ------------------------------------------------------------
 
     def parity_split(self) -> tuple["PolyX", "PolyX"]:
         """Return (even part, odd part); they sum to the polynomial."""
         even = [c if j % 2 == 0 else ZERO for j, c in enumerate(self.coeffs)]
         odd = [c if j % 2 == 1 else ZERO for j, c in enumerate(self.coeffs)]
         return PolyX(self.w, tuple(even)), PolyX(self.w, tuple(odd))
-
-    # -- serialization -------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "w": self.w,
-            "variable": "X",
-            "coeffs": [list(c.to_str_pair()) for c in self.coeffs],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PolyX":
-        w, coeffs = _parse_poly_dict(data, expect_variable="X")
-        return cls(w, coeffs)
-
-
-def _parse_poly_dict(data: dict, expect_variable: str) -> tuple[int, tuple]:
-    """Shared JSON-schema validation for PolyX/ZetaPoly payloads."""
-    if not isinstance(data, dict):
-        raise InputError("polynomial payload must be a JSON object")
-    try:
-        w = data["w"]
-        raw = data["coeffs"]
-    except KeyError as exc:
-        raise InputError(f"polynomial payload missing key {exc}") from exc
-    if not isinstance(w, int):
-        raise InputError(f"'w' must be an integer, got {w!r}")
-    variable = data.get("variable")
-    if variable is not None and variable != expect_variable:
-        raise InputError(
-            f"expected a polynomial in {expect_variable!r}, got variable={variable!r}"
-        )
-    if not isinstance(raw, list) or len(raw) != w + 1:
-        raise InputError(f"'coeffs' must list exactly w+1 = {w + 1} entries")
-    coeffs = []
-    for entry in raw:
-        if isinstance(entry, (list, tuple)) and len(entry) == 2:
-            try:
-                coeffs.append(GaussianRational(str(entry[0]), str(entry[1])))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise InputError(f"bad coefficient entry {entry!r}: {exc}") from exc
-        else:
-            raise InputError(f"coefficient entries must be [re, im] pairs, got {entry!r}")
-    return w, tuple(coeffs)
 
 
 # ---------------------------------------------------------------------
@@ -222,7 +111,7 @@ def slash(P: PolyX, g: Mat2) -> PolyX:
     for j, aj in enumerate(P.coeffs):
         if aj.is_zero():
             continue
-        term = _poly_mul(num_pows[j], den_pows[w - j])
+        term = poly_mul(num_pows[j], den_pows[w - j])
         if len(term) > w + 1:
             raise ConsistencyError("slash produced degree above the weight bound")
         for t, c in enumerate(term):
@@ -238,17 +127,6 @@ def _mul_linear(coeffs: tuple, a: GaussianRational, b: GaussianRational) -> tupl
             continue
         out[t] = out[t] + c * b
         out[t + 1] = out[t + 1] + c * a
-    return tuple(out)
-
-
-def _poly_mul(p: tuple, q: tuple) -> tuple:
-    out = [ZERO] * (len(p) + len(q) - 1)
-    for ti, ci in enumerate(p):
-        if ci.is_zero():
-            continue
-        for tj, cj in enumerate(q):
-            if not cj.is_zero():
-                out[ti + tj] = out[ti + tj] + ci * cj
     return tuple(out)
 
 

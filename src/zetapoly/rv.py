@@ -13,80 +13,27 @@ round-trip to the identity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
 
 from zetapoly.errors import ConsistencyError, InputError
 from zetapoly.exactnum import (
-    ZERO,
+    DensePoly,
     GaussianRational,
     binom_poly_in_s,
     binom_poly_in_s_scaled,
     common_denominator,
 )
-from zetapoly.polyspace import PolyX, _parse_poly_dict
+from zetapoly.polyspace import PolyX
 
 
-@dataclass(frozen=True)
-class ZetaPoly:
-    """A polynomial of degree <= w in the zeta variable s.
+class ZetaPoly(DensePoly):
+    """A polynomial of degree <= w in the zeta variable s (see DensePoly)."""
 
-    Mirrors PolyX: exactly w+1 coefficients in ascending powers of s,
-    with w carried as metadata.
-    """
-
-    w: int
-    coeffs: tuple[GaussianRational, ...]
-
-    def __post_init__(self):
-        if self.w < 2 or self.w % 2:
-            raise InputError(f"w must be an even integer >= 2, got {self.w}")
-        coeffs = tuple(GaussianRational.coerce(c) for c in self.coeffs)
-        if len(coeffs) != self.w + 1:
-            raise InputError(
-                f"expected {self.w + 1} coefficients for w={self.w}, got {len(coeffs)}"
-            )
-        object.__setattr__(self, "coeffs", coeffs)
-
-    @classmethod
-    def make(cls, w: int, values: Sequence) -> "ZetaPoly":
-        vals = [GaussianRational.coerce(v) for v in values]
-        if len(vals) > w + 1:
-            raise InputError(f"{len(vals)} coefficients exceed degree bound w={w}")
-        vals += [ZERO] * (w + 1 - len(vals))
-        return cls(w, tuple(vals))
-
-    def degree(self) -> int:
-        for j in range(self.w, -1, -1):
-            if not self.coeffs[j].is_zero():
-                return j
-        return -1
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
-
-    def evaluate(self, s: GaussianRational) -> GaussianRational:
-        acc = ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * s + c
-        return acc
+    VARIABLE = "s"
 
     def at_int(self, n: int) -> GaussianRational:
         return self.evaluate(GaussianRational(n))
-
-    def __add__(self, other: "ZetaPoly") -> "ZetaPoly":
-        if self.w != other.w:
-            raise InputError(f"mixing w={self.w} and w={other.w} zeta-polynomials")
-        return ZetaPoly(self.w, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "ZetaPoly") -> "ZetaPoly":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "ZetaPoly":
-        c = GaussianRational.coerce(c)
-        return ZetaPoly(self.w, tuple(c * a for a in self.coeffs))
 
     def compose_one_minus_s(self) -> "ZetaPoly":
         """The polynomial Z(1 - s), expanded exactly."""
@@ -106,18 +53,6 @@ class ZetaPoly:
                 GaussianRational(Fraction(r, den), Fraction(m, den)) for r, m in acc
             ),
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "w": self.w,
-            "variable": "s",
-            "coeffs": [list(c.to_str_pair()) for c in self.coeffs],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ZetaPoly":
-        w, coeffs = _parse_poly_dict(data, expect_variable="s")
-        return cls(w, coeffs)
 
 
 # ---------------------------------------------------------------------

@@ -17,13 +17,22 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Union
 
 import mpmath
 from mpmath import mp
 
 from zetapoly.errors import ConsistencyError, InputError, PrecisionError
-from zetapoly.exactnum import I, ONE, ZERO, GaussianRational, PowerSeries, linear_power, qi
+from zetapoly.exactnum import (
+    I,
+    ONE,
+    ZERO,
+    GaussianRational,
+    PowerSeries,
+    linear_power,
+    poly_mul,
+    qi,
+)
 from zetapoly.rv import ZetaPoly, series_coeffs
 
 TolLike = Union[str, int, Fraction, Decimal]
@@ -104,7 +113,7 @@ def laurent_coeffs(w: int, n: int, M: int) -> LaurentCoeffs:
         raise InputError(f"truncation order M={M} precedes the pole order {-(n + 1)}")
     terms = M + n + 2
     numerator = PowerSeries.from_polynomial(
-        _poly_product(linear_power(-ONE, ONE, w + 1), linear_power(ONE, I, n))
+        poly_mul(linear_power(-ONE, ONE, w + 1), linear_power(ONE, I, n))
     )
     # denominator = i^(n+1) x^(n+1) ((1-i)x + i)^(w+1); invert the bracket.
     bracket = PowerSeries.from_polynomial(
@@ -117,17 +126,6 @@ def laurent_coeffs(w: int, n: int, M: int) -> LaurentCoeffs:
     if lead != -(I ** (-w)):
         raise ConsistencyError("Laurent leading coefficient differs from -i^(-w)")
     return LaurentCoeffs(w, n, M, coeffs)
-
-
-def _poly_product(p: Sequence[GaussianRational], q: Sequence[GaussianRational]) -> tuple:
-    out = [ZERO] * (len(p) + len(q) - 1)
-    for a, ca in enumerate(p):
-        if ca.is_zero():
-            continue
-        for b, cb in enumerate(q):
-            if not cb.is_zero():
-                out[a + b] = out[a + b] + ca * cb
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------

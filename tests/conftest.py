@@ -1,22 +1,13 @@
 import math
-import os
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import strategies as st
 
 from zetapoly.exactnum import ZERO, GaussianRational, I
-from zetapoly.lvalues import CACHE_ENV_VAR
 from zetapoly.polyspace import PolyX
 from zetapoly.rv import rv_forward, series_coeffs
 from zetapoly.zeta import laurent_coeffs
-
-
-@pytest.fixture(autouse=True, scope="session")
-def _isolated_cache(tmp_path_factory):
-    os.environ[CACHE_ENV_VAR] = str(tmp_path_factory.mktemp("zetapoly-cache"))
-    yield
 
 
 # -- seeded-random helpers (bulk tests) --------------------------------

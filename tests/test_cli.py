@@ -1,4 +1,5 @@
 import json
+from importlib import resources
 
 import pytest
 
@@ -190,3 +191,58 @@ class TestDeltaCommand:
 
     def test_low_precision_rejected(self):
         assert main(["--prec", "32", "delta"]) == EXIT_INPUT
+
+
+def _data(name):
+    return resources.files("zetapoly.data").joinpath(name)
+
+
+# Exact basis of W_10 in the order wspace emits it.
+WSPACE10_BASIS = (
+    (0, 0, 1, 0, -3, 0, 3, 0, -1, 0, 0),
+    (0, 4, 0, -25, 0, 42, 0, -25, 0, 4, 0),
+    (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1),
+)
+
+
+class TestOutputBytes:
+    """The exact bytes written, not just their parsed content."""
+
+    def test_rv_forward_writes_the_golden_zeta_file(self, tmp_path, capsys):
+        golden = json.loads(_data("z_delta_minus.json").read_text())
+        del golden["source"]
+        expected = json.dumps(golden, indent=1) + "\n"
+        r_minus = str(_data("r_delta_minus.json"))
+        assert main(["rv-forward", r_minus]) == EXIT_OK
+        assert capsys.readouterr().out == expected
+        out = tmp_path / "z.json"
+        assert main(["rv-forward", r_minus, "--out", str(out)]) == EXIT_OK
+        assert out.read_text() == expected
+
+    def test_wspace_text(self, capsys):
+        assert main(["wspace", "10"]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "w=10: dim W = 3, dim W+ = 2, dim W- = 1\n"
+            "  basis: 0 0 1 0 -3 0 3 0 -1 0 0\n"
+            "  basis: 0 4 0 -25 0 42 0 -25 0 4 0\n"
+            "  basis: 1 0 0 0 0 0 0 0 0 0 -1\n"
+        )
+
+    def test_wspace_json(self, capsys):
+        assert main(["--format", "json", "wspace", "10"]) == EXIT_OK
+        payload = {
+            "w": 10,
+            "dim": 3,
+            "dim_plus": 2,
+            "dim_minus": 1,
+            "basis": [[[f"{v}/1", "0/1"] for v in vec] for vec in WSPACE10_BASIS],
+        }
+        assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+
+    def test_check_es2_on_odd_part_text(self, capsys):
+        r_minus = str(_data("r_delta_minus.json"))
+        assert main(["check", "es2", r_minus]) == EXIT_CHECK_FAILED
+        assert capsys.readouterr().out == (
+            "relation es2: FAILS\n"
+            "residual: 100 -500 1200 -1800 2100 -2100 2100 -1800 1200 -500 100\n"
+        )

@@ -12,6 +12,7 @@ from zetapoly.delta import (
     run_delta,
 )
 from zetapoly.errors import InputError
+from zetapoly.lvalues import build_r, completed_l, delta_newform
 from zetapoly.polyspace import fricke_residual
 from zetapoly.rv import rv_forward
 
@@ -71,6 +72,13 @@ class TestRunDelta:
     def test_precision_floor(self):
         with pytest.raises(InputError):
             run_delta(32)
+
+    def test_period_polynomial_matches_build_r(self, report128):
+        rnum = build_r(delta_newform(128), 128)
+        assert report128.r_numeric == rnum
+        assert tuple(v for _, v in report128.lambdas) == tuple(
+            completed_l(delta_newform(128), s, 128) for s in range(1, 12)
+        )
 
     def test_deterministic_serialization(self, report128):
         again = run_delta(128)

@@ -1,4 +1,3 @@
-import json
 import math
 
 import mpmath
@@ -7,7 +6,6 @@ from mpmath import mp
 
 from zetapoly.errors import InputError, PrecisionError
 from zetapoly.lvalues import (
-    CACHE_ENV_VAR,
     NewformData,
     NumericPoly,
     build_r,
@@ -43,10 +41,10 @@ def eta24_oracle(order: int) -> list[int]:
 
 class TestTau:
     def test_against_literal_product_oracle(self):
-        assert delta_coefficients(8, use_cache=False) == eta24_oracle(8)
+        assert delta_coefficients(8) == eta24_oracle(8)
 
     def test_known_values(self):
-        tau = delta_coefficients(6, use_cache=False)
+        tau = delta_coefficients(6)
         assert tau[0] == 1
         assert tau[1] == -24
         assert tau[4] == 4830
@@ -54,7 +52,7 @@ class TestTau:
 
     def test_multiplicativity_on_coprime_pairs(self):
         nmax = 144
-        tau = delta_coefficients(nmax, use_cache=False)
+        tau = delta_coefficients(nmax)
 
         def t(n):
             return tau[n - 1]
@@ -68,20 +66,6 @@ class TestTau:
     def test_nmax_validated(self):
         with pytest.raises(InputError):
             delta_coefficients(0)
-
-    def test_cache_roundtrip(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
-        first = delta_coefficients(12)
-        assert (tmp_path / "tau.json").exists()
-        again = delta_coefficients(10)
-        assert again == first[:10]
-        payload = json.loads((tmp_path / "tau.json").read_text())
-        assert payload["nmax"] == 12
-
-    def test_corrupt_cache_is_ignored(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
-        (tmp_path / "tau.json").write_text("{not json")
-        assert delta_coefficients(3) == [1, -24, 252]
 
 
 class TestNewformData:

@@ -189,3 +189,17 @@ class TestZetaPolySerialization:
         W = Z2.compose_one_minus_s()
         for s0 in (-3, -1, 0, 2, 5):
             assert W.at_int(s0) == Z2.at_int(1 - s0)
+
+
+class TestPolyTypesStayApart:
+    def test_sum_and_difference_refuse_mixed_types(self):
+        p, z = PolyX.make(2, [1]), ZetaPoly.make(2, [1])
+        for a, b in ((p, z), (z, p)):
+            with pytest.raises(InputError):
+                a + b
+            with pytest.raises(InputError):
+                a - b
+
+    def test_equal_coefficients_in_different_variables_differ(self):
+        assert PolyX.make(2, [1]) != ZetaPoly.make(2, [1])
+        assert ZetaPoly.make(2, [1]) != PolyX.make(2, [1])
