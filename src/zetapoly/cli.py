@@ -115,30 +115,31 @@ def _cmd_rv_inverse(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
+# Names are looked up at call time, so a rebound module attribute takes effect.
+_RESIDUALS = {
+    "fricke": lambda poly, eps: fricke_residual(poly, eps),
+    "res1": lambda poly, eps: rescaled_es1_residual(poly),
+    "res2": lambda poly, eps: rescaled_es2_residual(poly),
+    "es1": lambda poly, eps: es_residuals(poly)[0],
+    "es2": lambda poly, eps: es_residuals(poly)[1],
+}
+
+
 def _cmd_check(cfg: RunConfig, args) -> int:
     relation = args.relation
     poly = _read_poly_x(args.input)
-    if relation == "fricke":
-        if args.eps is None:
-            raise InputError("relation 'fricke' requires --eps +1 or -1")
-        residuals = [fricke_residual(poly, args.eps)]
-    elif relation == "res1":
-        residuals = [rescaled_es1_residual(poly)]
-    elif relation == "res2":
-        residuals = [rescaled_es2_residual(poly)]
-    elif relation == "es1":
-        residuals = [es_residuals(poly)[0]]
-    else:
-        residuals = [es_residuals(poly)[1]]
-    holds = all(r.is_zero() for r in residuals)
+    if relation == "fricke" and args.eps is None:
+        raise InputError("relation 'fricke' requires --eps +1 or -1")
+    residual = _RESIDUALS[relation](poly, args.eps)
+    holds = residual.is_zero()
     payload = {
         "relation": relation,
         "holds": holds,
-        "residual": [list(c.to_str_pair()) for c in residuals[0].coeffs],
+        "residual": [list(c.to_str_pair()) for c in residual.coeffs],
     }
     lines = [
         f"relation {relation}: {'holds' if holds else 'FAILS'}",
-        "residual: " + " ".join(str(c) for c in residuals[0].coeffs),
+        "residual: " + " ".join(str(c) for c in residual.coeffs),
     ]
     _emit(cfg, payload, lines)
     return EXIT_OK if holds else EXIT_CHECK_FAILED

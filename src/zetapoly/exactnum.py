@@ -21,6 +21,12 @@ from zetapoly.errors import InputError
 Rationalish = Union[int, Fraction, str]
 
 
+def require_even_w(w: int) -> None:
+    """Raise InputError unless the weight parameter w is an even integer >= 2."""
+    if w < 2 or w % 2:
+        raise InputError(f"w must be an even integer >= 2, got {w}")
+
+
 def as_fraction(x: Rationalish) -> Fraction:
     """Coerce an int, Fraction, or fraction string ("36/691", "-5") to Fraction."""
     if isinstance(x, Fraction):
@@ -277,8 +283,7 @@ class DensePoly:
     coeffs: tuple[GaussianRational, ...]
 
     def __post_init__(self):
-        if self.w < 2 or self.w % 2:
-            raise InputError(f"w must be an even integer >= 2, got {self.w}")
+        require_even_w(self.w)
         coeffs = tuple(GaussianRational.coerce(c) for c in self.coeffs)
         if len(coeffs) != self.w + 1:
             raise InputError(

@@ -16,7 +16,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from zetapoly.errors import ConsistencyError, ExactnessError, InputError
-from zetapoly.exactnum import I, ONE, ZERO, DensePoly, GaussianRational, poly_mul, qi
+from zetapoly.exactnum import (
+    I,
+    ZERO,
+    DensePoly,
+    GaussianRational,
+    common_denominator,
+    qi,
+    require_even_w,
+)
 
 # ---------------------------------------------------------------------
 # Dense polynomials in X over Q(i)
@@ -98,36 +106,40 @@ def slash(P: PolyX, g: Mat2) -> PolyX:
 
     Exact over Q(i): since w is even, det(g)^(-w/2) is an integer power
     of the determinant and no square root is ever taken.
+
+    Scaling g by a common denominator e of its entries multiplies
+    sum_j a_j (aX+b)^j (cX+d)^(w-j) by e^w and det(g)^(-w/2) by e^(-w),
+    so it is harmless: the sum runs by Horner's rule in (aX+b) on
+    Gaussian-integer (re, im) pairs, and det(g)^(-w/2) / (den * e^w)
+    is applied once at the end.
     """
     w = P.w
-    factor = g.det() ** (-(w // 2))
-    num_pows = [(ONE,)]
+    den, pairs = common_denominator(P.coeffs)
+    e, (a, b, c, d) = common_denominator((g.a, g.b, g.c, g.d))
+    den_pows = [[(1, 0)]]  # den_pows[t] = (cX+d)^t
     for _ in range(w):
-        num_pows.append(_mul_linear(num_pows[-1], g.a, g.b))
-    den_pows = [(ONE,)]
-    for _ in range(w):
-        den_pows.append(_mul_linear(den_pows[-1], g.c, g.d))
-    out = [ZERO] * (w + 1)
-    for j, aj in enumerate(P.coeffs):
-        if aj.is_zero():
-            continue
-        term = poly_mul(num_pows[j], den_pows[w - j])
-        if len(term) > w + 1:
-            raise ConsistencyError("slash produced degree above the weight bound")
-        for t, c in enumerate(term):
-            out[t] = out[t] + aj * c
-    return PolyX(w, tuple(GaussianRational.coerce(factor) * c for c in out))
+        den_pows.append(_mul_linear(den_pows[-1], c, d))
+    acc: list[tuple[int, int]] = []
+    for j in range(w, -1, -1):
+        acc = _mul_linear(acc, a, b)
+        pr, pm = pairs[j]
+        if pr or pm:
+            acc = [
+                (r + pr * qr - pm * qm, m + pr * qm + pm * qr)
+                for (r, m), (qr, qm) in zip(acc, den_pows[w - j])
+            ]
+    factor = g.det() ** (-(w // 2)) * Fraction(1, den * e**w)
+    return PolyX(w, tuple(factor * GaussianRational(r, m) for r, m in acc))
 
 
-def _mul_linear(coeffs: tuple, a: GaussianRational, b: GaussianRational) -> tuple:
-    """Multiply a dense coefficient tuple by (a*X + b)."""
-    out = [ZERO] * (len(coeffs) + 1)
-    for t, c in enumerate(coeffs):
-        if c.is_zero():
-            continue
-        out[t] = out[t] + c * b
-        out[t + 1] = out[t + 1] + c * a
-    return tuple(out)
+def _mul_linear(coeffs: list, a: tuple[int, int], b: tuple[int, int]) -> list:
+    """Multiply a dense list of Gaussian-integer (re, im) pairs by (a*X + b)."""
+    (ar, am), (br, bm) = a, b
+    out = [(cr * br - cm * bm, cr * bm + cm * br) for cr, cm in coeffs] + [(0, 0)]
+    for t, (cr, cm) in enumerate(coeffs, 1):
+        r, m = out[t]
+        out[t] = (r + cr * ar - cm * am, m + cr * am + cm * ar)
+    return out
 
 
 # ---------------------------------------------------------------------
@@ -235,26 +247,22 @@ def wspace_basis(w: int) -> tuple[list[PolyX], int, int]:
     with pivots chosen at the lowest available column index, so the
     emitted basis is deterministic.
     """
-    if w < 2 or w % 2:
-        raise InputError(f"w must be an even integer >= 2, got {w}")
+    require_even_w(w)
+    rows = _relation_rows(w)
     cols = list(range(w + 1))
-    rows = _relation_rows(w, cols)
-    basis_vecs = _rational_nullspace(rows, len(cols))
     basis = [
-        PolyX(w, tuple(GaussianRational(v) for v in vec)) for vec in basis_vecs
+        PolyX(w, tuple(GaussianRational(v) for v in vec))
+        for vec in _rational_nullspace(rows, cols)
     ]
-    dim_plus = len(_rational_nullspace(_relation_rows(w, cols[0::2]), len(cols[0::2])))
-    dim_minus = len(_rational_nullspace(_relation_rows(w, cols[1::2]), len(cols[1::2])))
+    dim_plus = len(_rational_nullspace(rows, cols[0::2]))
+    dim_minus = len(_rational_nullspace(rows, cols[1::2]))
     return basis, dim_plus, dim_minus
 
 
-def _relation_rows(w: int, monomials: list[int]) -> list[list[Fraction]]:
-    """Rows of the stacked (1+S, 1+U+U^2) system on the given monomials."""
-    images = []
-    for j in monomials:
-        e = PolyX.make(w, [0] * j + [1])
-        res_s, res_u = es_residuals(e)
-        images.append((res_s, res_u))
+def _relation_rows(w: int) -> list[list[Fraction]]:
+    """Rows of the stacked (1+S, 1+U+U^2) system; column j is the image
+    of the monomial X^j."""
+    images = [es_residuals(PolyX.make(w, [0] * j + [1])) for j in range(w + 1)]
     rows = []
     for res_index in range(2):
         for t in range(w + 1):
@@ -268,13 +276,15 @@ def _relation_rows(w: int, monomials: list[int]) -> list[list[Fraction]]:
     return rows
 
 
-def _rational_nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Nullspace basis of a rational matrix via reduced row echelon form.
+def _rational_nullspace(rows: list[list[Fraction]], cols: list[int]) -> list[list[Fraction]]:
+    """Nullspace basis of the columns ``cols`` of a rational matrix via
+    reduced row echelon form.
 
     Basis vectors are scaled to primitive integer form with a positive
     first nonzero entry, one per free column in ascending order.
     """
-    matrix = [list(row) for row in rows]
+    matrix = [[row[c] for c in cols] for row in rows]
+    ncols = len(cols)
     pivots: list[int] = []
     rank = 0
     for col in range(ncols):

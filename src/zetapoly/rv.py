@@ -23,6 +23,7 @@ from zetapoly.exactnum import (
     binom_poly_in_s,
     binom_poly_in_s_scaled,
     common_denominator,
+    require_even_w,
 )
 from zetapoly.polyspace import PolyX
 
@@ -77,8 +78,7 @@ def binomial_in_s(w: int, j: int) -> ZetaPoly:
     This is the basis polynomial of the forward transform; its leading
     coefficient is 1/w! for every j.
     """
-    if w < 2 or w % 2:
-        raise InputError(f"w must be an even integer >= 2, got {w}")
+    require_even_w(w)
     if not 0 <= j <= w:
         raise InputError(f"j must lie in [0, {w}], got {j}")
     return ZetaPoly(w, tuple(GaussianRational(c) for c in _basis_coeffs(w, j)))
@@ -150,22 +150,16 @@ def rv_inverse(Z: ZetaPoly) -> PolyX:
     den, zvals = _series_values_int(Z, 2 * w + 3)
     signed = [(-1) ** j * math.comb(w + 1, j) for j in range(w + 2)]
     out = []
-    for m in range(w + 1):
+    for m in range(2 * w + 3):
         r = 0
         im = 0
         for j in range(min(m, w + 1) + 1):
             zr, zm = zvals[m - j]
             r += zr * signed[j]
             im += zm * signed[j]
-        out.append(GaussianRational(Fraction(r, den), Fraction(im, den)))
-    for m in range(w + 1, 2 * w + 3):
-        r = 0
-        im = 0
-        for j in range(min(m, w + 1) + 1):
-            zr, zm = zvals[m - j]
-            r += zr * signed[j]
-            im += zm * signed[j]
-        if r or im:
+        if m <= w:
+            out.append(GaussianRational(Fraction(r, den), Fraction(im, den)))
+        elif r or im:
             raise ConsistencyError(
                 f"convolution coefficient at X^{m} is nonzero; input has degree > w"
             )

@@ -32,8 +32,9 @@ from zetapoly.exactnum import (
     linear_power,
     poly_mul,
     qi,
+    require_even_w,
 )
-from zetapoly.rv import ZetaPoly, series_coeffs
+from zetapoly.rv import ZetaPoly, rv_inverse, series_coeffs
 
 TolLike = Union[str, int, Fraction, Decimal]
 
@@ -105,8 +106,7 @@ class LaurentCoeffs:
 def laurent_coeffs(w: int, n: int, M: int) -> LaurentCoeffs:
     """Expand the kernel exactly to order M (M >= -(n+1) is allowed to be
     negative: only part of the principal part is then produced)."""
-    if w < 2 or w % 2:
-        raise InputError(f"w must be an even integer >= 2, got {w}")
+    require_even_w(w)
     if n < 1:
         raise InputError(f"n must be a positive integer, got {n}")
     if M < -(n + 1):
@@ -191,14 +191,15 @@ def thm2_residual(
 ) -> Thm2Report:
     """Evaluate the three-part identity value at n, with exact per-k terms.
 
-    t_k = C(k+n, n) (-i)^k sum_{m=0}^{k+n} sum_{j=0}^{k+n-m} C(m+w, w)
-          C(w+1, j) (-1)^(j+1) (1-i)^(-(m+w+1)) Z(m+j-k-n)
+    The identity is stated as a triple sum over k, m and j of Z at the
+    non-positive integers m+j-k-n.  With K = k+n, its j-sum is
+    sum_{j=0}^{min(K-m, w+1)} (-1)^(j+1) C(w+1, j) Z(-(K-m-j)) = -r_{K-m},
+    where r_q is the coefficient of X^q of R = rv_inverse(Z): the series
+    sum_t Z(-t) X^t times (1 - X)^(w+1).  Since r_q = 0 for q > w, only
+    m >= K-w contributes, and substituting q = K-m gives
 
-    Every Z-argument is a non-positive integer (checked structurally), so
-    only the series values Z(0), Z(-1), ... enter.  Terms with
-    k+n-m >= w+1 vanish identically (their j-sum is an order-(w+1)
-    finite difference of a polynomial of degree <= w) and are skipped;
-    the exact value of each t_k is unchanged.
+    t_k = -C(K, n) (-i)^k sum_{q=0}^{min(K, w)} C(K-q+w, w)
+          (1-i)^(-(K-q+w+1)) r_q.
 
     Summation stops at the first k >= k_min where the magnitudes of the
     last three terms all fall below tol*(1-RHO)/RHO, or at k_max with
@@ -211,21 +212,16 @@ def thm2_residual(
     tol_frac = as_tolerance(tol)
     theta2 = (tol_frac * (1 - RHO) / RHO) ** 2
 
-    zvals = series_coeffs(Z, max(w, n) + 1)  # zvals[t] = Z(-t)
+    zvals = series_coeffs(Z, n + 1)  # zvals[t] = Z(-t)
     principal = laurent_coeffs(w, n, -1)
     phase_w = (-I) ** w
     exact_part = zvals[n] + phase_w * sum(
         (principal.coeff(-m) * zvals[m - 1] for m in range(1, n + 2)), ZERO
     )
+    r_nonzero = [(q, c) for q, c in enumerate(rv_inverse(Z).coeffs) if not c.is_zero()]
 
     inv_one_minus_i = qi(1, -1).inverse()
     invpow = [ONE]  # invpow[e] = (1-i)^(-e)
-
-    def inv_power(e: int) -> GaussianRational:
-        while len(invpow) <= e:
-            invpow.append(invpow[-1] * inv_one_minus_i)
-        return invpow[e]
-
     minus_i_cycle = (ONE, -I, -ONE, I)  # (-i)^k by k mod 4
 
     terms: list[GaussianRational] = []
@@ -235,23 +231,15 @@ def thm2_residual(
     converged = False
     for k in range(k_max + 1):
         K = k + n
+        while len(invpow) <= K + w + 1:
+            invpow.append(invpow[-1] * inv_one_minus_i)
         inner = ZERO
-        for m in range(max(0, K - w), K + 1):
-            jtop = min(K - m, w + 1)
-            jsum = ZERO
-            for j in range(jtop + 1):
-                t_index = K - m - j  # -(argument) of Z
-                if t_index < 0:
-                    raise ConsistencyError("positive argument reached the series values")
-                zc = zvals[t_index]
-                if zc.is_zero():
-                    continue
-                sign = -1 if j % 2 == 0 else 1  # (-1)^(j+1)
-                jsum = jsum + zc * (sign * math.comb(w + 1, j))
-            if jsum.is_zero():
-                continue
-            inner = inner + jsum * (inv_power(m + w + 1) * math.comb(m + w, w))
-        t_k = inner * (minus_i_cycle[k % 4] * math.comb(K, n))
+        for q, rq in r_nonzero:
+            if q > K:
+                break
+            e = K - q + w
+            inner = inner + rq * (invpow[e + 1] * math.comb(e, w))
+        t_k = inner * (minus_i_cycle[k % 4] * -math.comb(K, n))
         terms.append(t_k)
         total = total + t_k
         norms.append(t_k.norm2())

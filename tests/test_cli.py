@@ -205,6 +205,40 @@ WSPACE10_BASIS = (
 )
 
 
+# `zetapoly --format json thm2 r_delta_minus.json --n 1,2`, pinned byte for byte.
+THM2_ODD_N12 = {
+    "passed": True,
+    "reports": [
+        {
+            "w": 10,
+            "n": 1,
+            "k_stop": 200,
+            "converged": True,
+            "abs_total": "1.88088656692e-11",
+            "residual_bound": "9.58515967862e-11",
+            "total": [
+                "-378735488024939202869/20282409603651670423947251286016",
+                "45753437254207496069/20282409603651670423947251286016",
+            ],
+            "tol": "1/10000000000",
+        },
+        {
+            "w": 10,
+            "n": 2,
+            "k_stop": 215,
+            "converged": True,
+            "abs_total": "1.84992431175e-11",
+            "residual_bound": "9.41120002765e-11",
+            "total": [
+                "-12524455867797678352893/5192296858534827628530496329220096",
+                "-95233527517955955038217/5192296858534827628530496329220096",
+            ],
+            "tol": "1/10000000000",
+        },
+    ],
+}
+
+
 class TestOutputBytes:
     """The exact bytes written, not just their parsed content."""
 
@@ -246,3 +280,14 @@ class TestOutputBytes:
             "relation es2: FAILS\n"
             "residual: 100 -500 1200 -1800 2100 -2100 2100 -1800 1200 -500 100\n"
         )
+
+    def test_thm2_on_odd_part(self, capsys):
+        r_minus = str(_data("r_delta_minus.json"))
+        assert main(["thm2", r_minus, "--n", "1,2"]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "n=1: |total|=1.88089e-11 k_stop=200 converged=True residual_bound=9.58516e-11 [ok]\n"
+            "n=2: |total|=1.84992e-11 k_stop=215 converged=True residual_bound=9.4112e-11 [ok]\n"
+            "overall: pass\n"
+        )
+        assert main(["--format", "json", "thm2", r_minus, "--n", "1,2"]) == EXIT_OK
+        assert capsys.readouterr().out == json.dumps(THM2_ODD_N12, indent=2) + "\n"

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from conftest import polyx_values, rand_polyx, symmetric_polyx
+from conftest import polyx_values, rand_polyx, rand_qi, symmetric_polyx
 from zetapoly.errors import ExactnessError, InputError
 from zetapoly.exactnum import GaussianRational, I, ONE, qi
 from zetapoly.polyspace import (
@@ -131,6 +131,23 @@ class TestSlash:
     def test_singular_matrix_rejected(self):
         with pytest.raises(InputError):
             Mat2.of(1, 2, 2, 4)
+
+    def test_matches_pointwise_definition_over_q_i(self):
+        # Fractional complex entries and non-unit determinants exercise the
+        # clearing of denominators; each side is evaluated exactly in Q(i).
+        rng = random.Random(23)
+        for _ in range(40):
+            w = rng.choice([2, 4, 6, 10])
+            p = rand_polyx(rng, w)
+            g = Mat2.of(*(rand_qi(rng, span=5, max_den=6) for _ in range(4)))
+            image = slash(p, g)
+            for _ in range(3):
+                x = rand_qi(rng)
+                den = g.c * x + g.d
+                if den.is_zero():
+                    continue
+                expected = g.det() ** (-(w // 2)) * den**w * p.evaluate((g.a * x + g.b) / den)
+                assert image.evaluate(x) == expected
 
 
 def _random_unimodular(rng: random.Random) -> Mat2:

@@ -174,10 +174,11 @@ def _poly_mul_qi(p, q):
 class TestThm2:
     def test_terms_match_literal_triple_sum(self):
         rng = random.Random(61)
-        for w, n in [(2, 1), (2, 2), (4, 1)]:
+        for w, n in [(2, 1), (2, 2), (4, 1), (6, 1), (10, 2)]:
             Z = rv_forward(rand_polyx(rng, w))
             rep = thm2_residual(Z, n, tol="1e-30", k_max=20, k_min=20)
-            for k in range(0, 21, 5):
+            # K = k + n crosses w, where the inner sum stops growing
+            for k in sorted({0, 5, 10, 15, 20, max(w - n - 1, 0), w - n, w - n + 1}):
                 assert rep.partial_sums[k] == literal_term(Z, n, k)
 
     def test_delta_minus_small_n(self):
