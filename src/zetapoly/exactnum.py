@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import ClassVar, Sequence, Union
 
 from zetapoly.errors import InputError
@@ -264,6 +265,117 @@ def poly_mul(
             if not cb.is_zero():
                 out[a + b] = out[a + b] + ca * cb
     return tuple(out)
+
+
+def poly_trim(p: Sequence[GaussianRational]) -> tuple[GaussianRational, ...]:
+    """Drop zero leading coefficients; the zero polynomial becomes ()."""
+    deg = len(p) - 1
+    while deg >= 0 and p[deg].is_zero():
+        deg -= 1
+    return tuple(p[: deg + 1])
+
+
+def poly_divmod(
+    p: Sequence[GaussianRational], q: Sequence[GaussianRational]
+) -> tuple[tuple[GaussianRational, ...], tuple[GaussianRational, ...]]:
+    """Quotient and remainder (ascending, trimmed) of p by a nonzero q."""
+    q = poly_trim(q)
+    if not q:
+        raise ZeroDivisionError("polynomial division by 0")
+    dq = len(q) - 1
+    inv_lead = q[-1].inverse()
+    rem = list(poly_trim(p))
+    quot = [ZERO] * max(len(rem) - dq, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        c = rem[k + dq] * inv_lead
+        quot[k] = c
+        if not c.is_zero():
+            for j in range(dq):
+                rem[k + j] = rem[k + j] - c * q[j]
+    return tuple(quot), poly_trim(rem[:dq])
+
+
+def poly_gcd(
+    p: Sequence[GaussianRational], q: Sequence[GaussianRational]
+) -> tuple[GaussianRational, ...]:
+    """Monic greatest common divisor of p and q, not both zero (Euclid,
+    each remainder made monic to keep the Fractions small)."""
+    p, q = poly_trim(p), poly_trim(q)
+    while q:
+        r = poly_divmod(p, q)[1]
+        p, q = q, tuple(c / r[-1] for c in r) if r else ()
+    if not p:
+        raise ZeroDivisionError("gcd of two zero polynomials")
+    return tuple(c / p[-1] for c in p)
+
+
+_MODULUS = 2**61 - 1  # a prime = 3 mod 4, so Z[i]/(p) is the field of p^2 elements
+
+
+def _coprime_mod_p(f, g) -> bool:
+    """True when a monic f and a g, both with denominators prime to
+    p = ``_MODULUS``, are coprime modulo p.  That proves them coprime over
+    Q(i): by Gauss's lemma a monic common factor has coefficients prime to
+    p, so it keeps its degree mod p and divides both there.  False proves
+    nothing.  Costs O(d^2) word-size operations, where exact Euclid over
+    Q(i) slows with the digits of its remainders."""
+    p = _MODULUS
+    den, pairs = common_denominator(list(f) + list(g))
+    if den % p == 0:
+        return False
+
+    def mul(u, v):
+        return (u[0] * v[0] - u[1] * v[1]) % p, (u[0] * v[1] + u[1] * v[0]) % p
+
+    def trim(q):
+        while q and q[-1] == (0, 0):
+            q.pop()
+        return q
+
+    a = trim([(x % p, y % p) for x, y in pairs[: len(f)]])
+    b = trim([(x % p, y % p) for x, y in pairs[len(f):]])
+    while b:
+        norm = pow(b[-1][0] ** 2 + b[-1][1] ** 2, -1, p)
+        inv_lead = (b[-1][0] * norm % p, -b[-1][1] * norm % p)
+        while len(a) >= len(b):
+            c = mul(a[-1], inv_lead)
+            shift = len(a) - len(b)
+            for j, bj in enumerate(b):
+                t = mul(c, bj)
+                a[shift + j] = ((a[shift + j][0] - t[0]) % p, (a[shift + j][1] - t[1]) % p)
+            trim(a)
+        a, b = b, a
+    return len(a) == 1
+
+
+def squarefree_parts(f: Sequence[GaussianRational]) -> list:
+    """Yun's squarefree decomposition of a monic f of degree >= 1 over Q(i):
+    the pairs (g_k, k) with f = prod g_k^k, each g_k monic, squarefree and
+    of degree >= 1.  When f and f' are coprime modulo a prime, f is
+    squarefree and returns as it is, without exact gcds."""
+
+    def deriv(p):
+        return tuple(c * k for k, c in enumerate(p))[1:]
+
+    def sub(p, q):
+        return tuple(a - b for a, b in zip_longest(p, q, fillvalue=ZERO))
+
+    df = deriv(f)
+    if _coprime_mod_p(f, df):
+        return [(tuple(f), 1)]
+    a = poly_gcd(f, df)
+    b = poly_divmod(f, a)[0]
+    d = sub(poly_divmod(df, a)[0], deriv(b))
+    parts = []
+    k = 1
+    while len(b) > 1:
+        a = poly_gcd(b, d)
+        b = poly_divmod(b, a)[0]
+        if len(a) > 1:
+            parts.append((a, k))
+        d = sub(poly_divmod(d, a)[0], deriv(b))
+        k += 1
+    return parts
 
 
 @dataclass(frozen=True)

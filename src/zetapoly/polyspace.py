@@ -70,15 +70,6 @@ class Mat2:
         if self.det().is_zero():
             raise InputError("matrix is not invertible")
 
-    @classmethod
-    def of(cls, a, b, c, d) -> "Mat2":
-        return cls(
-            GaussianRational.coerce(a),
-            GaussianRational.coerce(b),
-            GaussianRational.coerce(c),
-            GaussianRational.coerce(d),
-        )
-
     def det(self) -> GaussianRational:
         return self.a * self.d - self.b * self.c
 
@@ -91,14 +82,14 @@ class Mat2:
         )
 
 
-S_MAT = Mat2.of(0, -1, 1, 0)
-U_MAT = Mat2.of(1, -1, 1, 0)
+S_MAT = Mat2(0, -1, 1, 0)
+U_MAT = Mat2(1, -1, 1, 0)
 
 # Matrices realizing the rescaled-variable relations; all have det 1,
 # so the slash normalization factor is exactly 1.
-_RES1_MAT = Mat2.of(0, -I, -I, 0)
-_RES2_MAT_B = Mat2.of(1, -I, -I, 0)
-_RES2_MAT_C = Mat2.of(0, -I, -I, -1)
+_RES1_MAT = Mat2(0, -I, -I, 0)
+_RES2_MAT_B = Mat2(1, -I, -I, 0)
+_RES2_MAT_C = Mat2(0, -I, -I, -1)
 
 
 def slash(P: PolyX, g: Mat2) -> PolyX:

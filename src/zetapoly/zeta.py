@@ -33,6 +33,7 @@ from zetapoly.exactnum import (
     poly_mul,
     qi,
     require_even_w,
+    squarefree_parts,
 )
 from zetapoly.rv import ZetaPoly, rv_inverse, series_coeffs
 
@@ -269,74 +270,136 @@ def thm2_residual(
 
 
 # ---------------------------------------------------------------------
-# Root extraction (simultaneous Aberth iteration) and diagnostics
+# Root extraction (squarefree split, Aberth, Newton ladder) and diagnostics
 # ---------------------------------------------------------------------
 
 _ABERTH_MAX_ITER = 500
 _SEED_ANGLE_OFFSET = 0.4  # fixed phase offset; breaks symmetric stalls, deterministic
+_ISOLATION_BITS = 64  # precision of the first Aberth stage
+_NEWTON_MAX_STEPS = 8  # Newton steps allowed at the last rung of the ladder
 
 
 def roots(poly, precision: int = 128) -> list:
     """All complex roots of a nonzero polynomial, multiplicity-aware.
 
-    Exact inputs (PolyX / ZetaPoly) are trimmed and made monic exactly
-    before any rounding; roots at the origin are split off exactly.  The
-    returned roots carry residuals |P(root)| below 2^(-precision/2)
-    times the sup norm of the monic coefficients, and are sorted by
-    (real, imaginary) part for deterministic output.
+    1. Exact inputs (PolyX / ZetaPoly) are trimmed and made monic exactly
+       before any rounding, roots at the origin are split off exactly, and
+       Yun's squarefree decomposition over Q(i) splits the rest into
+       squarefree factors of exact multiplicity.  A linear factor's root
+       is converted exactly.  A numeric input is one factor.
+    2. Each other factor is isolated by Aberth-Ehrlich iteration at
+       min(precision, 64) bits, seeded on the Fujiwara radius
+       2 max_k |c_(d-k)|^(1/k).
+    3. Newton refines each root while the working precision doubles up
+       to ``precision``, the coefficients re-rounded at each rung.
+    4. Every returned root carries a residual |P(root)| on the whole
+       monic input P below 2^(-precision/2) times the sup norm of P's
+       coefficients (at least 1), evaluated at full precision.  If this
+       fails, stages 2-4 rerun with the Aberth stage at double precision;
+       PrecisionError is raised only when the stage at full precision
+       fails.
+
+    Roots are sorted by real part rounded to the certified 2^(-precision/2)
+    grid, then by imaginary part, so the order does not follow the noise
+    in the last bits.
     """
     if precision < 8:
         raise InputError("precision must be at least 8 bits")
-    exact = _exact_coeffs(poly)
+    coeffs = list(getattr(poly, "coeffs", poly))
+    exact = all(isinstance(c, GaussianRational) for c in coeffs)
     with mp.workprec(precision + 32):
-        if exact is not None:
-            deg = len(exact) - 1
-            while deg >= 0 and exact[deg].is_zero():
-                deg -= 1
-            if deg < 0:
-                raise InputError("the zero polynomial has no root set")
-            exact = exact[: deg + 1]
-            origin = 0
-            while exact[origin].is_zero():
-                origin += 1
-            lead = exact[-1]
-            monic = [c / lead for c in exact[origin:]]
-            coeffs = [_to_mpc(c) for c in monic]
+        if not exact:
+            coeffs = [mpmath.mpc(c) for c in coeffs]
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        if not coeffs:
+            raise InputError("the zero polynomial has no root set")
+        origin = 0
+        while coeffs[origin] == 0:
+            origin += 1
+        monic = [c / coeffs[-1] for c in coeffs[origin:]]
+        if len(monic) == 1:
+            factors = []
         else:
-            coeffs = [mpmath.mpc(c) for c in poly.coeffs]
-            deg = len(coeffs) - 1
-            while deg >= 0 and coeffs[deg] == 0:
-                deg -= 1
-            if deg < 0:
-                raise InputError("the zero polynomial has no root set")
-            origin = 0
-            coeffs = [c / coeffs[deg] for c in coeffs[: deg + 1]]
-        found = [mpmath.mpc(0)] * origin
-        if len(coeffs) > 1:
-            found += _aberth(coeffs, precision)
-        return sorted(found, key=lambda z: (mpmath.re(z), mpmath.im(z)))
+            factors = squarefree_parts(monic) if exact else [(monic, 1)]
+        found = [mpmath.mpc(0)] * origin + _certified_roots(monic, factors, precision)
+        grid = mpmath.mpf(2) ** (precision // 2)
+        return sorted(found, key=lambda z: (mpmath.nint(mpmath.re(z) * grid), mpmath.im(z)))
 
 
-def _exact_coeffs(poly):
-    coeffs = getattr(poly, "coeffs", poly)
-    if all(isinstance(c, GaussianRational) for c in coeffs):
-        return list(coeffs)
-    return None
+def _round(c) -> mpmath.mpc:
+    """A coefficient rounded to the working precision."""
+    if isinstance(c, GaussianRational):
+        return mpmath.mpc(
+            mpmath.mpf(c.re.numerator) / mpmath.mpf(c.re.denominator),
+            mpmath.mpf(c.im.numerator) / mpmath.mpf(c.im.denominator),
+        )
+    return +c
 
 
-def _to_mpc(c: GaussianRational) -> mpmath.mpc:
-    return mpmath.mpc(
-        mpmath.mpf(c.re.numerator) / mpmath.mpf(c.re.denominator),
-        mpmath.mpf(c.im.numerator) / mpmath.mpf(c.im.denominator),
-    )
+def _certified_roots(monic: list, factors: list, precision: int) -> list:
+    """Stages 2-4 of ``roots``: the roots of the squarefree ``factors``
+    (g, k) of ``monic``, each repeated k times and certified on ``monic``."""
+    full = [_round(c) for c in monic]
+    norm = max(max(abs(c) for c in full), mpmath.mpf(1))
+    target = mpmath.mpf(2) ** (-(precision // 2)) * norm
+    bits = min(precision, _ISOLATION_BITS)
+    while True:
+        try:
+            found = [z for g, k in factors for z in _refined_roots(g, bits, precision) * k]
+        except PrecisionError:
+            if bits == precision:
+                raise
+        else:
+            if all(abs(_horner2(full, z)[0]) < target for z in found):
+                return found
+            if bits == precision:
+                raise PrecisionError(
+                    f"root iteration failed to certify residuals below {mpmath.nstr(target, 5)}"
+                )
+        bits = min(2 * bits, precision)
+
+
+def _refined_roots(g: list, bits: int, precision: int) -> list:
+    """Roots of one squarefree monic factor: Aberth at ``bits``, then one
+    Newton step per doubling of the precision, and Newton steps at
+    ``precision`` (also when the Aberth stage ran there) until a step falls
+    below 2^(-precision) relative to max(|z|, 1)."""
+    if len(g) == 2:
+        return [-_round(g[0])]
+    with mp.workprec(bits + 32):
+        z = _aberth([_round(c) for c in g], bits)
+    while True:
+        bits = min(2 * bits, precision)
+        with mp.workprec(bits + 32):
+            coeffs = [_round(c) for c in g]
+            tiny = mpmath.mpf(2) ** -bits
+            for j in range(len(z)):
+                for _ in range(_NEWTON_MAX_STEPS if bits == precision else 1):
+                    p, dp = _horner2(coeffs, z[j])
+                    if dp == 0:
+                        break
+                    step = p / dp
+                    z[j] -= step
+                    if abs(step) <= tiny * max(abs(z[j]), 1):
+                        break
+        if bits == precision:
+            return z
 
 
 def _aberth(coeffs: list, precision: int) -> list:
-    """Aberth-Ehrlich simultaneous iteration on a monic coefficient list."""
+    """Aberth-Ehrlich simultaneous iteration on a monic coefficient list.
+
+    Stops once every residual is below 2^(-precision/2) times the sup norm
+    of the coefficients (at least 1), or once a sweep moves no root by more
+    than 2^(-precision/2) relative to max(|z|, 1): the residual rule alone
+    cannot be met at low precision when a large root amplifies rounding.
+    """
     d = len(coeffs) - 1
     norm = max(max(abs(c) for c in coeffs), mpmath.mpf(1))
-    target = mpmath.mpf(2) ** (-(precision // 2)) * norm
-    radius = 1 + max(abs(c) for c in coeffs[:-1])
+    step_tol = mpmath.mpf(2) ** (-(precision // 2))
+    target = step_tol * norm
+    radius = 2 * max(mpmath.root(abs(coeffs[d - k]), k) for k in range(1, d + 1)) or 1
     z = [
         radius * mpmath.exp(mpmath.mpc(0, 2 * mpmath.pi * j / d + _SEED_ANGLE_OFFSET))
         for j in range(d)
@@ -344,6 +407,7 @@ def _aberth(coeffs: list, precision: int) -> list:
     tiny = mpmath.mpf(2) ** (-precision - 16)
     for _ in range(_ABERTH_MAX_ITER):
         residual = mpmath.mpf(0)
+        moved = mpmath.mpf(0)
         for j in range(d):
             p, dp = _horner2(coeffs, z[j])
             residual = max(residual, abs(p))
@@ -364,8 +428,10 @@ def _aberth(coeffs: list, precision: int) -> list:
             denom = 1 - newton * ssum
             if denom == 0:
                 denom = tiny
-            z[j] = z[j] - newton / denom
-        if residual < target:
+            step = newton / denom
+            z[j] = z[j] - step
+            moved = max(moved, abs(step) / max(abs(z[j]), 1))
+        if residual < target or moved < step_tol:
             return z
     # final certification pass
     if max(abs(_horner2(coeffs, zj)[0]) for zj in z) < target:

@@ -1,11 +1,12 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import qi_values
+from conftest import qi_values, rand_qi
 from zetapoly.exactnum import (
     GaussianRational,
     I,
@@ -17,7 +18,12 @@ from zetapoly.exactnum import (
     binom_poly_in_s_scaled,
     common_denominator,
     linear_power,
+    poly_divmod,
+    poly_gcd,
+    poly_mul,
+    poly_trim,
     qi,
+    squarefree_parts,
 )
 
 
@@ -86,6 +92,41 @@ class TestGaussianRational:
         den, pairs = common_denominator([qi(Fraction(1, 6), 2), qi(Fraction(3, 4))])
         assert den == 12
         assert pairs == [(2, 24), (9, 0)]
+
+
+class TestPolyDivision:
+    def test_divmod_reconstructs_the_dividend(self):
+        rng = random.Random(5)
+        for dp, dq in [(0, 0), (3, 5), (6, 2), (8, 8)]:
+            p = [rand_qi(rng) for _ in range(dp + 1)]
+            q = [rand_qi(rng) for _ in range(dq)] + [qi(1, 1)]
+            quot, rem = poly_divmod(p, q)
+            assert len(rem) <= dq
+            back = list(poly_mul(quot, q)) if quot else []
+            back += [ZERO] * (len(p) - len(back))
+            for k, c in enumerate(rem):
+                back[k] = back[k] + c
+            assert poly_trim(back) == poly_trim(p)
+
+    def test_gcd_recovers_a_common_factor(self):
+        # (X - i)^2 (X + 1/2) shared; the cofactors X + 3 and X^2 + 2 are coprime
+        common = poly_mul(poly_mul((-I, ONE), (-I, ONE)), (qi(Fraction(1, 2)), ONE))
+        a = poly_mul(common, (qi(3), ONE))
+        b = poly_mul(common, (qi(2), ZERO, ONE))
+        assert poly_gcd([qi(7) * c for c in a], b) == common
+        assert poly_gcd(a, ()) == poly_gcd(a, a) == tuple(c / a[-1] for c in a)
+        with pytest.raises(ZeroDivisionError):
+            poly_divmod(a, (ZERO,))
+
+    def test_squarefree_parts(self):
+        x_minus_i, x_plus_half, x_plus_3 = (-I, ONE), (qi(Fraction(1, 2)), ONE), (qi(3), ONE)
+        f = poly_mul(poly_mul(x_minus_i, x_minus_i), x_plus_half)
+        for _ in range(3):
+            f = poly_mul(f, x_plus_3)
+        assert squarefree_parts(f) == [(x_plus_half, 1), (x_minus_i, 2), (x_plus_3, 3)]
+        # squarefree inputs return unchanged (the modular coprimality proof)
+        g = poly_mul(x_minus_i, poly_mul(x_plus_half, x_plus_3))
+        assert squarefree_parts(g) == [(g, 1)]
 
 
 class TestBinomInt:

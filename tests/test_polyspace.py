@@ -101,7 +101,7 @@ class TestSlash:
 
     def test_u_cubed_is_minus_identity(self):
         u3 = U_MAT @ U_MAT @ U_MAT
-        assert u3 == Mat2.of(-1, 0, 0, -1)
+        assert u3 == Mat2(-1, 0, 0, -1)
 
     @given(polyx_values)
     @settings(max_examples=60)
@@ -125,12 +125,12 @@ class TestSlash:
     def test_determinant_normalization(self):
         # diag(2, 1) has det 2: (P|g)(X) = 2^(-w/2) P(2X)
         p = PolyX.make(2, [0, 0, 1])
-        g = Mat2.of(2, 0, 0, 1)
+        g = Mat2(2, 0, 0, 1)
         assert slash(p, g) == PolyX.make(2, [0, 0, 2])
 
     def test_singular_matrix_rejected(self):
         with pytest.raises(InputError):
-            Mat2.of(1, 2, 2, 4)
+            Mat2(1, 2, 2, 4)
 
     def test_matches_pointwise_definition_over_q_i(self):
         # Fractional complex entries and non-unit determinants exercise the
@@ -139,7 +139,7 @@ class TestSlash:
         for _ in range(40):
             w = rng.choice([2, 4, 6, 10])
             p = rand_polyx(rng, w)
-            g = Mat2.of(*(rand_qi(rng, span=5, max_den=6) for _ in range(4)))
+            g = Mat2(*(rand_qi(rng, span=5, max_den=6) for _ in range(4)))
             image = slash(p, g)
             for _ in range(3):
                 x = rand_qi(rng)
@@ -151,11 +151,11 @@ class TestSlash:
 
 
 def _random_unimodular(rng: random.Random) -> Mat2:
-    m = Mat2.of(1, 0, 0, 1)
+    m = Mat2(1, 0, 0, 1)
     for _ in range(rng.randint(1, 4)):
         b = rng.randint(-3, 3)
         c = rng.randint(-3, 3)
-        m = m @ Mat2.of(1, b, 0, 1) @ Mat2.of(1, 0, c, 1)
+        m = m @ Mat2(1, b, 0, 1) @ Mat2(1, 0, c, 1)
     return m
 
 
@@ -177,7 +177,7 @@ class TestFricke:
     def test_substitution_route_agrees(self):
         # independent route: X^w R(1/X) = (-1)^(w/2) (R | (0,1;1,0))
         rng = random.Random(23)
-        j_mat = Mat2.of(0, 1, 1, 0)
+        j_mat = Mat2(0, 1, 1, 0)
         for _ in range(20):
             w = rng.choice([2, 4, 6, 10])
             eps = rng.choice([1, -1])

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import mpmath
@@ -14,6 +15,7 @@ from conftest import (
 )
 from zetapoly.errors import InputError
 from zetapoly.exactnum import GaussianRational, I, ONE, ZERO, qi
+from zetapoly.lvalues import NumericPoly, build_r, delta_newform, numeric_rv
 from zetapoly.polyspace import PolyX
 from zetapoly.rv import ZetaPoly, rv_forward
 from zetapoly.zeta import (
@@ -314,6 +316,63 @@ class TestRoots:
         a = roots(R_DELTA_MINUS, precision=96)
         b = roots(R_DELTA_MINUS, precision=96)
         assert a == b
+
+    def test_golden_odd_part_double_roots_at_4096_bits(self):
+        # r_- = X (X^2 + 1)^2 (4X^4 + 17X^2 + 4): double roots at +-i.
+        start = time.perf_counter()
+        got = roots(R_DELTA_MINUS, precision=4096)
+        elapsed = time.perf_counter() - start
+        expected = [0, 1j, 1j, -1j, -1j, 0.5j, -0.5j, 2j, -2j]
+        assert len(got) == len(expected)
+        assert sum(1 for z in got if z == 0) == 1
+        with mp.workprec(4128):
+            remaining = list(got)
+            for e in expected:
+                nearest = min(remaining, key=lambda z: abs(z - e))
+                assert abs(nearest - e) < mpmath.mpf(2) ** -4000
+                remaining.remove(nearest)
+        assert elapsed < 1.0
+
+    def test_triple_root_at_1024_bits(self):
+        # (X - 1)^3 (X + 2) = X^4 - X^3 - 3X^2 + 5X - 2
+        got = roots(PolyX.make(4, [-2, 5, -3, -1, 1]), precision=1024)
+        with mp.workprec(1056):
+            assert abs(got[0] + 2) < mpmath.mpf(2) ** -1000
+            assert len(got) == 4
+            assert all(abs(z - 1) < mpmath.mpf(2) ** -1000 for z in got[1:])
+
+    @pytest.mark.parametrize("double_root", [False, True])
+    def test_numeric_coefficients_meet_certificate(self, double_root):
+        # A numeric double root (no exact split) converges only linearly
+        # under Newton, so its certificate needs the Aberth stage retried
+        # at higher precision.
+        rng = random.Random(23)
+        prec = 1024
+        with mp.workprec(prec):
+            if double_root:
+                cs = (mpmath.mpf(2), mpmath.mpf(-3), mpmath.mpf(0), mpmath.mpf(1))
+            else:
+                cs = tuple(
+                    mpmath.mpf(rng.randint(-99, 99)) / rng.randint(1, 50) for _ in range(11)
+                )
+        got = roots(NumericPoly(w=len(cs) - 1, coeffs=cs, prec=prec), precision=prec)
+        assert len(got) == len(cs) - 1
+        with mp.workprec(prec + 32):
+            monic = [c / cs[-1] for c in cs]
+            norm = max(max(abs(c) for c in monic), mpmath.mpf(1))
+            for z in got:
+                val = mpmath.mpf(0)
+                for c in reversed(monic):
+                    val = val * z + c
+                assert abs(val) < mpmath.mpf(2) ** (-(prec // 2)) * norm
+
+    @pytest.mark.parametrize("prec", [128, 256])
+    def test_delta_zeta_roots_in_ascending_imaginary_part(self, prec):
+        Z = numeric_rv(build_r(delta_newform(prec), prec))
+        got = roots(Z, precision=prec)
+        ims = [mpmath.im(z) for z in got]
+        assert ims == sorted(ims)
+        assert len(ims) == 10
 
 
 class TestRhCheck:
