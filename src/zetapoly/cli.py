@@ -18,7 +18,7 @@ import mpmath
 
 from zetapoly.delta import run_delta
 from zetapoly.errors import InputError, PrecisionError, ZetapolyError
-from zetapoly.lvalues import NewformData, completed_l, delta_newform, l_value
+from zetapoly.lvalues import NewformData, critical_lambdas, delta_newform, l_from_lambda
 from zetapoly.polyspace import (
     PolyX,
     es_residuals,
@@ -231,11 +231,8 @@ def _load_newform(cfg: RunConfig, args) -> NewformData:
 def _cmd_lvalues(cfg: RunConfig, args) -> int:
     nf = _load_newform(cfg, args)
     digits = int(cfg.precision * 0.3010) + 3
-    values = []
-    for s in range(1, nf.weight):
-        lam = completed_l(nf, s, cfg.precision)
-        lv = l_value(nf, s, cfg.precision)
-        values.append((s, lam, lv))
+    lams = enumerate(critical_lambdas(nf, cfg.precision), start=1)
+    values = [(s, lam, l_from_lambda(nf, s, lam, cfg.precision)) for s, lam in lams]
     payload = {
         "label": nf.label,
         "level": nf.level,

@@ -23,7 +23,7 @@ from zetapoly.errors import InputError
 from zetapoly.lvalues import (
     NumericPoly,
     _r_from_lambdas,
-    completed_l,
+    critical_lambdas,
     delta_newform,
     numeric_rv,
 )
@@ -79,7 +79,11 @@ def decimal_ulp(printed: str) -> mpmath.mpf:
 
 @dataclass(frozen=True)
 class DeltaReport:
-    """Everything the reproduction run computed and how it compared."""
+    """Everything the reproduction run computed and how it compared.
+
+    ``lambda_symmetry_max`` = max_s |Lambda(s) - eps Lambda(12-s)| is 0 by
+    construction (the split series is symmetric term by term), so it does
+    not check the Fricke sign."""
 
     prec: int
     lambdas: tuple
@@ -136,12 +140,11 @@ def run_delta(prec: int = 128, root_tol="1e-8") -> DeltaReport:
     if prec < 64:
         raise InputError(f"precision must be at least 64 bits, got {prec}")
     nf = delta_newform(prec)
-    lambdas = tuple((s, completed_l(nf, s, prec)) for s in range(1, 12))
+    values = critical_lambdas(nf, prec)
     with mp.workprec(prec + 32):
-        lam = dict(lambdas)
-        sym_max = max(abs(lam[s] - nf.fricke * lam[12 - s]) for s in range(1, 12))
+        sym_max = max(abs(values[s - 1] - nf.fricke * values[11 - s]) for s in range(1, 12))
 
-    rnum = _r_from_lambdas(nf.w, [v for _, v in lambdas], prec)
+    rnum = _r_from_lambdas(nf.w, values, prec)
     znum = numeric_rv(rnum)
 
     with mp.workprec(prec + 32):
@@ -199,7 +202,7 @@ def run_delta(prec: int = 128, root_tol="1e-8") -> DeltaReport:
     )
     return DeltaReport(
         prec=prec,
-        lambdas=lambdas,
+        lambdas=tuple(enumerate(values, start=1)),
         lambda_symmetry_max=sym_max,
         scale_even=scale_even,
         scale_odd=scale_odd,

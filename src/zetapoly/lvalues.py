@@ -10,9 +10,10 @@ the Fricke fixed point y = 1:
 
 with x_n = 2 pi n / sqrt(N) and Gamma(r, x) the upper incomplete gamma
 function, which for integer r >= 1 has the finite closed form
-(r-1)! e^-x sum_{t<r} x^t / t!.  All scalars are mpmath values under an
-explicit working precision; summation order is fixed (ascending n,
-ascending t) so results are reproducible bit for bit at fixed precision.
+(r-1)! e^-x sum_{t<r} x^t / t!, so all k-1 critical values come from one
+pass over n (``critical_lambdas``).  All scalars are mpmath values under
+an explicit working precision; summation order is fixed so results are
+reproducible bit for bit at fixed precision.
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ class NewformData:
     """Level, even weight, Fricke eigenvalue, and integer Fourier coefficients.
 
     ``an[0]`` is a_1 and must equal 1 (normalized eigenform).  The Fricke
-    eigenvalue is trusted input; cross-check it with
-    ``fricke_sign_consistent``, which compares against an
-    eigenvalue-independent evaluation.
+    eigenvalue is trusted input: ``zetapoly lvalues newform.json`` uses
+    it unchecked.  ``fricke_sign_consistent`` compares it against an
+    eigenvalue-independent evaluation, but no command calls it.
     """
 
     level: int
@@ -101,42 +102,35 @@ class NewformData:
 # ---------------------------------------------------------------------
 
 
-def _eta_power_24(nmax: int) -> list[int]:
-    """Integer coefficients of prod_{n>=1} (1 - q^n)^24 up to degree nmax-1."""
-    L = nmax
-    e = [0] * L
+def delta_coefficients(nmax: int) -> list[int]:
+    """tau(1), ..., tau(nmax): coefficients of q prod (1-q^n)^24, exact,
+    as the 24th power of Euler's pentagonal series for prod (1-q^n)."""
+    if nmax < 1:
+        raise InputError(f"nmax must be >= 1, got {nmax}")
+    e = [0] * nmax
     e[0] = 1
     j = 1
-    while j * (3 * j - 1) // 2 < L:
+    while j * (3 * j - 1) // 2 < nmax:
         sign = -1 if j % 2 else 1
         e[j * (3 * j - 1) // 2] += sign
         g2 = j * (3 * j + 1) // 2
-        if g2 < L:
+        if g2 < nmax:
             e[g2] += sign
         j += 1
 
     def mul(a: list[int], b: list[int]) -> list[int]:
-        out = [0] * L
+        out = [0] * nmax
         for i, ai in enumerate(a):
             if ai:
-                top = L - i
-                for t, bt in enumerate(b[:top]):
+                for t, bt in enumerate(b[: nmax - i]):
                     if bt:
                         out[i + t] += ai * bt
         return out
 
-    e2 = mul(e, e)
-    e3 = mul(e2, e)
+    e3 = mul(mul(e, e), e)
     e6 = mul(e3, e3)
     e12 = mul(e6, e6)
     return mul(e12, e12)
-
-
-def delta_coefficients(nmax: int) -> list[int]:
-    """tau(1), ..., tau(nmax): coefficients of q prod (1-q^n)^24, exact."""
-    if nmax < 1:
-        raise InputError(f"nmax must be >= 1, got {nmax}")
-    return _eta_power_24(nmax)
 
 
 def delta_newform(prec: int = 128) -> NewformData:
@@ -180,48 +174,54 @@ def required_nmax(N: int, k: int, prec: int, guard: int = GUARD_BITS) -> int:
             return m
 
 
-def _upper_gamma_int(r: int, x, exp_neg_x):
-    """Gamma(r, x) = (r-1)! e^-x sum_{t<r} x^t/t! for integer r >= 1."""
-    acc = mpmath.mpf(1)
-    term = mpmath.mpf(1)
-    for t in range(1, r):
-        term = term * x / t
-        acc += term
-    return mpmath.factorial(r - 1) * exp_neg_x * acc
+def critical_lambdas(f: NewformData, prec: int = 128) -> list:
+    """[Lambda(f, 1), ..., Lambda(f, k-1)] from one pass over n.
 
-
-def completed_l(f: NewformData, s: int, prec: int = 128) -> mpmath.mpf:
-    """Lambda(f, s) for integer s in the critical range [1, k-1].
-
-    The result is certified to within 2^-(prec+guard) plus summation
-    roundoff at prec+32 working bits.  Raises PrecisionError when the
-    supplied coefficient list is too short for the target precision.
+    With x_n = c n, c = 2 pi / sqrt(N) and q = e^-c, the closed form of
+    Gamma(r, x) gives A(r) = sum_n a_n x_n^-r Gamma(r, x_n)
+    = (r-1)! sum_{t<r} c^(t-r)/t! S_(r-t) with the Eichler-integral partial
+    sums S_j = sum_n a_n q^n n^-j, and Lambda(f, s) = A(s) + eps i^k A(k-s).
+    One ascending loop over n <= required_nmax forms q^n by repeated
+    products and divides a_n q^n by n up to k-1 times.  Each term is off by
+    at most (2n+k) 2^-(prec+32) relative, a loss of at most log2(2 nmax + k)
+    < 10 bits for the level-1 form at 4096 bits (nmax = 460), well inside
+    the 32 guard bits.  A(r) is shared by s and k-s, so the functional
+    equation holds exactly.  Too few a_n for ``prec`` raise PrecisionError.
     """
     k = f.weight
-    if not isinstance(s, int) or not 1 <= s <= k - 1:
-        raise InputError(f"s must be an integer in [1, {k - 1}], got {s!r}")
     need = required_nmax(f.level, k, prec)
     if len(f.an) < need:
         raise PrecisionError(
-            f"need Fourier coefficients a_1..a_{need} for {prec}-bit work, "
-            f"got only {len(f.an)}"
+            f"need Fourier coefficients a_1..a_{need} for {prec}-bit work, got only {len(f.an)}"
         )
     sign = f.fricke * (-1) ** (k // 2)  # eps * i^k, real for even k
     with mp.workprec(prec + 32):
         c = 2 * mpmath.pi / mpmath.sqrt(f.level)
-        total = mpmath.mpf(0)
+        q = mpmath.exp(-c)
+        sums = [mpmath.mpf(0)] * k  # sums[j] = S_j for j = 1..k-1
+        qn = mpmath.mpf(1)
         for n in range(1, need + 1):
-            x = c * n
-            e = mpmath.exp(-x)
-            g_s = _upper_gamma_int(s, x, e)
-            g_ks = _upper_gamma_int(k - s, x, e)
-            total += f.an[n - 1] * (g_s / x**s + sign * g_ks / x ** (k - s))
-        return +total
+            qn = qn * q
+            term = f.an[n - 1] * qn
+            for j in range(1, k):
+                term = term / n
+                sums[j] += term
+        # A(r) = sum_{j=1..r} (r-1)!/(r-j)! c^-j S_j
+        scaled = [sums[j] / c**j for j in range(k)]
+        a = [sum(math.perm(r - 1, j - 1) * scaled[j] for j in range(1, r + 1)) for r in range(k)]
+        return [+(a[s] + sign * a[k - s]) for s in range(1, k)]
 
 
-def l_value(f: NewformData, s: int, prec: int = 128) -> mpmath.mpf:
+def completed_l(f: NewformData, s: int, prec: int = 128) -> mpmath.mpf:
+    """Lambda(f, s) for integer s in the critical range [1, k-1]:
+    entry s-1 of ``critical_lambdas(f, prec)``."""
+    if not isinstance(s, int) or not 1 <= s <= f.weight - 1:
+        raise InputError(f"s must be an integer in [1, {f.weight - 1}], got {s!r}")
+    return critical_lambdas(f, prec)[s - 1]
+
+
+def l_from_lambda(f: NewformData, s: int, lam, prec: int = 128) -> mpmath.mpf:
     """L(f, s) = Lambda(f, s) (2 pi / sqrt(N))^s / (s-1)!."""
-    lam = completed_l(f, s, prec)
     with mp.workprec(prec + 32):
         factor = (2 * mpmath.pi / mpmath.sqrt(f.level)) ** s / mpmath.factorial(s - 1)
         return +(lam * factor)
@@ -303,8 +303,7 @@ def build_r(f: NewformData, prec: int = 128) -> NumericPoly:
     collapses each coefficient to an exact binomial multiple:
     coefficient of X^n is C(w, n) * Lambda(f, w+1-n).
     """
-    lambdas = [completed_l(f, s, prec) for s in range(1, f.weight)]
-    return _r_from_lambdas(f.w, lambdas, prec)
+    return _r_from_lambdas(f.w, critical_lambdas(f, prec), prec)
 
 
 def _r_from_lambdas(w: int, lambdas: list, prec: int) -> NumericPoly:

@@ -1,4 +1,6 @@
 import math
+import random
+import time
 
 import mpmath
 import pytest
@@ -8,13 +10,15 @@ from zetapoly.errors import InputError, PrecisionError
 from zetapoly.lvalues import (
     NewformData,
     NumericPoly,
+    _r_from_lambdas,
     build_r,
     completed_l,
+    critical_lambdas,
     delta_coefficients,
     delta_newform,
     dirichlet_lambda_edge,
     fricke_sign_consistent,
-    l_value,
+    l_from_lambda,
     numeric_fricke_max_residual,
     numeric_rv,
     required_nmax,
@@ -144,8 +148,8 @@ class TestCompletedL:
 
     def test_l_values_positive(self):
         nf = delta_newform(128)
-        for s in range(1, 12):
-            assert l_value(nf, s, 128) > 0
+        for s, lam in enumerate(critical_lambdas(nf, 128), start=1):
+            assert l_from_lambda(nf, s, lam, 128) > 0
 
     def test_determinism(self):
         nf = delta_newform(128)
@@ -164,6 +168,75 @@ class TestCompletedL:
             ref = dirichlet_lambda_edge(nf, 64)
             # limited by the Dirichlet tail with ~30 coefficients
             assert abs(sym - ref) < mpmath.mpf("1e-6")
+
+
+def synthetic_newform(level: int, weight: int, fricke: int, seed: int) -> NewformData:
+    """Seeded integer coefficients with |a_n| <= n^((k-1)/2), more than
+    128-bit work needs; not a modular form, only data for the series."""
+    rng = random.Random(seed)
+    nmax = required_nmax(level, weight, 192)
+    an = [1] + [
+        rng.randint(-math.isqrt(n ** (weight - 1)), math.isqrt(n ** (weight - 1)))
+        for n in range(2, nmax + 1)
+    ]
+    return NewformData(level=level, weight=weight, fricke=fricke, an=tuple(an))
+
+
+def gammainc_lambdas(f: NewformData, prec: int) -> list:
+    """Lambda(f, s), s = 1..k-1, straight from the split series with
+    mpmath's upper incomplete gamma function, over every supplied a_n."""
+    k = f.weight
+    sign = f.fricke * (-1) ** (k // 2)
+    out = []
+    with mp.workprec(prec + 64):
+        c = 2 * mpmath.pi / mpmath.sqrt(f.level)
+        for s in range(1, k):
+            total = mpmath.mpf(0)
+            for n, a in enumerate(f.an, start=1):
+                x = c * n
+                total += a * (
+                    mpmath.gammainc(s, x) / x**s + sign * mpmath.gammainc(k - s, x) / x ** (k - s)
+                )
+            out.append(total)
+    return out
+
+
+class TestCriticalLambdas:
+    @pytest.mark.parametrize(
+        "form",
+        [
+            lambda: delta_newform(192),
+            lambda: synthetic_newform(4, 8, -1, seed=1),
+            lambda: synthetic_newform(11, 4, 1, seed=2),
+            lambda: synthetic_newform(3, 10, -1, seed=3),
+        ],
+        ids=["delta", "N4k8-", "N11k4+", "N3k10-"],
+    )
+    def test_matches_incomplete_gamma_oracle(self, form):
+        nf = form()
+        got = critical_lambdas(nf, 128)
+        ref = gammainc_lambdas(nf, 128)
+        assert len(got) == nf.weight - 1
+        with mp.workprec(192):
+            top = max(abs(r) for r in ref)
+            for s, (g, r) in enumerate(zip(got, ref), start=1):
+                if nf.fricke * (-1) ** (nf.weight // 2) == -1 and 2 * s == nf.weight:
+                    # the functional equation forces Lambda(k/2) = 0
+                    assert g == 0 and abs(r) < mpmath.mpf(2) ** -120 * top
+                else:
+                    assert abs(g - r) < mpmath.mpf(2) ** -120 * abs(r), s
+
+    def test_4096_bits_in_one_fast_pass(self):
+        nf = delta_newform(4096)
+        start = time.perf_counter()
+        lam = critical_lambdas(nf, 4096)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 2.0, f"critical_lambdas at 4096 bits took {elapsed:.2f} s"
+        assert all(lam[s - 1] == lam[11 - s] for s in range(1, 12))  # Lambda(s) = Lambda(12-s)
+        R = _r_from_lambdas(10, lam, 4096)
+        assert mpmath.nstr(R.coeffs[8], 12) == "0.114379022439"
+        with mp.workprec(4096 + 32):
+            assert mpmath.nstr(R.coeffs[9] / 4, 12) == "0.00926927616237"
 
 
 class TestBuildR:
