@@ -9,11 +9,6 @@ class InputError(ZetapolyError):
     """Malformed user input: bad file, bad schema, out-of-range argument."""
 
 
-class ExactnessError(ZetapolyError):
-    """An operation was requested on the exact path but needs numerics
-    (e.g. a non-square level in the change of variable)."""
-
-
 class PrecisionError(ZetapolyError):
     """Numeric work cannot meet the requested precision (e.g. too few
     Fourier coefficients for the target error bound)."""

@@ -344,14 +344,3 @@ def numeric_rv(Rnum: NumericPoly) -> NumericPoly:
             coeff_err=tuple(+e for e in errs),
         )
 
-
-def numeric_fricke_max_residual(Rnum: NumericPoly, eps: int) -> mpmath.mpf:
-    """max_j |a_j + eps i^w a_{w-j}| for a numeric period polynomial."""
-    if eps not in (1, -1):
-        raise InputError(f"eps must be +1 or -1, got {eps!r}")
-    w = Rnum.w
-    phase = eps * (-1) ** (w // 2)  # i^w is real for even w
-    with mp.workprec(Rnum.prec + 32):
-        return max(
-            abs(Rnum.coeffs[j] + phase * Rnum.coeffs[w - j]) for j in range(w + 1)
-        )

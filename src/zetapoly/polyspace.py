@@ -15,14 +15,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from zetapoly.errors import ConsistencyError, ExactnessError, InputError
+from zetapoly.errors import ConsistencyError, InputError
 from zetapoly.exactnum import (
     I,
     ZERO,
     DensePoly,
     GaussianRational,
     common_denominator,
-    qi,
     require_even_w,
 )
 
@@ -173,56 +172,6 @@ def es_residuals(r: PolyX) -> tuple[PolyX, PolyX]:
     res_s = r + slash(r, S_MAT)
     res_u = r + slash(r, U_MAT) + slash(r, U_MAT @ U_MAT)
     return res_s, res_u
-
-
-# ---------------------------------------------------------------------
-# Change of variable between the classical and rescaled normalizations
-# ---------------------------------------------------------------------
-
-
-def _exact_sqrt_level(N: int) -> int:
-    if N < 1:
-        raise InputError(f"level must be a positive integer, got {N}")
-    t = math.isqrt(N)
-    if t * t != N:
-        raise ExactnessError(
-            f"level {N} has no rational square root; the exact change of "
-            "variable needs a perfect-square level (use the numeric pipeline)"
-        )
-    return t
-
-
-def r_to_big_r(r: PolyX, N: int, k: int) -> PolyX:
-    """Rescale r(X) to R(X) = (sqrt(N)/i)^(k-1) r(X / (i sqrt(N))), exactly.
-
-    Coefficientwise: R_j = r_j * sqrt(N)^(w+1-j) * i^(-(w+1+j)).
-    """
-    w = _check_weight(r, N, k)
-    t = _exact_sqrt_level(N)
-    out = [
-        r.coeffs[j] * qi(t ** (w + 1 - j)) * I ** (-(w + 1 + j))
-        for j in range(w + 1)
-    ]
-    return PolyX(w, tuple(out))
-
-
-def big_r_to_r(R: PolyX, N: int, k: int) -> PolyX:
-    """Inverse change of variable; round-trips exactly with r_to_big_r."""
-    w = _check_weight(R, N, k)
-    t = _exact_sqrt_level(N)
-    out = [
-        R.coeffs[j] * qi(Fraction(1, t**(w + 1 - j))) * I ** (w + 1 + j)
-        for j in range(w + 1)
-    ]
-    return PolyX(w, tuple(out))
-
-
-def _check_weight(P: PolyX, N: int, k: int) -> int:
-    if k % 2 or k < 4:
-        raise InputError(f"weight k must be an even integer >= 4, got {k}")
-    if P.w != k - 2:
-        raise InputError(f"polynomial has w={P.w} but weight k={k} implies w={k - 2}")
-    return P.w
 
 
 # ---------------------------------------------------------------------

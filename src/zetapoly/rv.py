@@ -23,7 +23,6 @@ from zetapoly.exactnum import (
     binom_poly_in_s,
     binom_poly_in_s_scaled,
     common_denominator,
-    require_even_w,
 )
 from zetapoly.polyspace import PolyX
 
@@ -70,18 +69,6 @@ def _basis_coeffs(w: int, j: int) -> tuple[Fraction, ...]:
 def _basis_coeffs_scaled(w: int, j: int) -> tuple[int, ...]:
     """Integer coefficients of w! * C(w - s - j, w)."""
     return binom_poly_in_s_scaled(w, w - j, -1)
-
-
-def binomial_in_s(w: int, j: int) -> ZetaPoly:
-    """C(w - s - j, w) as an exact degree-w polynomial in s.
-
-    This is the basis polynomial of the forward transform; its leading
-    coefficient is 1/w! for every j.
-    """
-    require_even_w(w)
-    if not 0 <= j <= w:
-        raise InputError(f"j must lie in [0, {w}], got {j}")
-    return ZetaPoly(w, tuple(GaussianRational(c) for c in _basis_coeffs(w, j)))
 
 
 # ---------------------------------------------------------------------

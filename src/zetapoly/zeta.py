@@ -13,7 +13,9 @@ infinite sum and for the numeric pipeline.
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -275,7 +277,7 @@ def thm2_residual(
 
 _ABERTH_MAX_ITER = 500
 _SEED_ANGLE_OFFSET = 0.4  # fixed phase offset; breaks symmetric stalls, deterministic
-_ISOLATION_BITS = 64  # precision of the first Aberth stage
+_ISOLATION_BITS = 53  # the first Aberth rung runs on Python complex doubles
 _NEWTON_MAX_STEPS = 8  # Newton steps allowed at the last rung of the ladder
 
 
@@ -287,17 +289,26 @@ def roots(poly, precision: int = 128) -> list:
        Yun's squarefree decomposition over Q(i) splits the rest into
        squarefree factors of exact multiplicity.  A linear factor's root
        is converted exactly.  A numeric input is one factor.
-    2. Each other factor is isolated by Aberth-Ehrlich iteration at
-       min(precision, 64) bits, seeded on the Fujiwara radius
-       2 max_k |c_(d-k)|^(1/k).
+    2. Each other factor is isolated by Aberth-Ehrlich iteration, seeded
+       on the Fujiwara radius 2 max_k |c_(d-k)|^(1/k), in complex doubles
+       (53 bits, or ``precision`` if lower).  This rung hands off to the
+       retry of step 4 at once when a coefficient overflows doubles, a
+       nonzero coefficient rounds to 0 or to a subnormal, or an iterate
+       stops being finite.
     3. Newton refines each root while the working precision doubles up
        to ``precision``, the coefficients re-rounded at each rung.
     4. Every returned root carries a residual |P(root)| on the whole
        monic input P below 2^(-precision/2) times the sup norm of P's
        coefficients (at least 1), evaluated at full precision.  If this
-       fails, stages 2-4 rerun with the Aberth stage at double precision;
-       PrecisionError is raised only when the stage at full precision
-       fails.
+       fails, stages 2-4 rerun with the Aberth stage in mpmath at double
+       the bits; PrecisionError is raised only when the stage at full
+       precision fails.
+
+    The residual target does not scale with |root|: Horner's rounding
+    error grows like sum_k |c_k| |z|^k, so at low precision an input with
+    a root far outside the unit disc (modulus 27 in a degree-30 case) can
+    fail the certificate with PrecisionError; it passes at higher
+    precision.
 
     Roots are sorted by real part rounded to the certified 2^(-precision/2)
     grid, then by imaginary part, so the order does not follow the noise
@@ -361,14 +372,21 @@ def _certified_roots(monic: list, factors: list, precision: int) -> list:
 
 
 def _refined_roots(g: list, bits: int, precision: int) -> list:
-    """Roots of one squarefree monic factor: Aberth at ``bits``, then one
-    Newton step per doubling of the precision, and Newton steps at
-    ``precision`` (also when the Aberth stage ran there) until a step falls
-    below 2^(-precision) relative to max(|z|, 1)."""
+    """Roots of one squarefree monic factor: Aberth at ``bits`` (in complex
+    doubles up to _ISOLATION_BITS, else in mpmath), then one Newton step
+    per doubling of the precision, and Newton steps at ``precision`` (also
+    when the Aberth stage ran there) until a step falls below
+    2^(-precision) relative to max(|z|, 1)."""
     if len(g) == 2:
         return [-_round(g[0])]
-    with mp.workprec(bits + 32):
-        z = _aberth([_round(c) for c in g], bits)
+    if bits <= _ISOLATION_BITS:
+        try:
+            z = [mpmath.mpc(x) for x in _aberth(_doubles(g), bits, complex)]
+        except OverflowError as exc:  # abs() of a complex past the double range
+            raise PrecisionError("root isolation overflowed doubles") from exc
+    else:
+        with mp.workprec(bits + 32):
+            z = _aberth([_round(c) for c in g], bits, mpmath.mpc)
     while True:
         bits = min(2 * bits, precision)
         with mp.workprec(bits + 32):
@@ -387,50 +405,62 @@ def _refined_roots(g: list, bits: int, precision: int) -> list:
             return z
 
 
-def _aberth(coeffs: list, precision: int) -> list:
-    """Aberth-Ehrlich simultaneous iteration on a monic coefficient list.
+def _doubles(g: list) -> list:
+    """A factor's coefficients rounded to complex doubles.  Raises
+    PrecisionError when one overflows, or when a nonzero one rounds to 0
+    or to a subnormal, where the rounding error is no longer relative."""
+    out = []
+    for c in g:
+        re, im = (c.re, c.im) if isinstance(c, GaussianRational) else (c.real, c.imag)
+        try:
+            x = complex(float(re), float(im))
+            size = abs(x)
+        except OverflowError:
+            size = math.inf
+        if not size < math.inf or (size < sys.float_info.min and (re or im)):
+            raise PrecisionError("a coefficient is outside the normal double range")
+        out.append(x)
+    return out
+
+
+def _aberth(coeffs: list, precision: int, num: type) -> list:
+    """Aberth-Ehrlich simultaneous iteration on a monic coefficient list,
+    in the arithmetic of ``num``: ``complex`` (doubles) or ``mpmath.mpc``
+    (at the caller's working precision).
 
     Stops once every residual is below 2^(-precision/2) times the sup norm
     of the coefficients (at least 1), or once a sweep moves no root by more
     than 2^(-precision/2) relative to max(|z|, 1): the residual rule alone
     cannot be met at low precision when a large root amplifies rounding.
+    Raises PrecisionError on an iterate that is not finite (doubles only).
     """
     d = len(coeffs) - 1
-    norm = max(max(abs(c) for c in coeffs), mpmath.mpf(1))
-    step_tol = mpmath.mpf(2) ** (-(precision // 2))
+    one = abs(num(1))  # the real type of the arithmetic: float or mpf
+    norm = max(max(abs(c) for c in coeffs), one)
+    step_tol = (2 * one) ** (-(precision // 2))
     target = step_tol * norm
-    radius = 2 * max(mpmath.root(abs(coeffs[d - k]), k) for k in range(1, d + 1)) or 1
+    radius = 2 * max(abs(coeffs[d - k]) ** (one / k) for k in range(1, d + 1)) or one
     z = [
-        radius * mpmath.exp(mpmath.mpc(0, 2 * mpmath.pi * j / d + _SEED_ANGLE_OFFSET))
+        radius * num(cmath.rect(1, 2 * math.pi * j / d + _SEED_ANGLE_OFFSET))
         for j in range(d)
     ]
-    tiny = mpmath.mpf(2) ** (-precision - 16)
     for _ in range(_ABERTH_MAX_ITER):
-        residual = mpmath.mpf(0)
-        moved = mpmath.mpf(0)
+        residual = moved = 0 * one
         for j in range(d):
             p, dp = _horner2(coeffs, z[j])
             residual = max(residual, abs(p))
             if p == 0:
                 continue
-            if dp == 0:
-                z[j] = z[j] + tiny
-                p, dp = _horner2(coeffs, z[j])
-            newton = p / dp
-            ssum = mpmath.mpc(0)
-            for l in range(d):
-                if l == j:
-                    continue
-                diff = z[j] - z[l]
-                if diff == 0:
-                    diff = tiny
-                ssum += 1 / diff
-            denom = 1 - newton * ssum
+            ssum = sum(1 / (z[j] - zl) for zl in z if zl != z[j])  # skips z[j] itself
+            denom = dp / p - ssum
             if denom == 0:
-                denom = tiny
-            step = newton / denom
+                continue
+            step = 1 / denom
             z[j] = z[j] - step
-            moved = max(moved, abs(step) / max(abs(z[j]), 1))
+            size = abs(z[j])
+            if not size < math.inf:
+                raise PrecisionError("root isolation left the double range")
+            moved = max(moved, abs(step) / max(size, one))
         if residual < target or moved < step_tol:
             return z
     # final certification pass
@@ -443,8 +473,7 @@ def _aberth(coeffs: list, precision: int) -> list:
 
 def _horner2(coeffs: list, x):
     """Evaluate p(x) and p'(x) together."""
-    p = mpmath.mpc(0)
-    dp = mpmath.mpc(0)
+    p = dp = 0
     for c in reversed(coeffs):
         dp = dp * x + p
         p = p * x + c

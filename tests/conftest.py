@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from zetapoly.exactnum import ZERO, GaussianRational, I
+from zetapoly.exactnum import ONE, ZERO, GaussianRational, I, poly_mul
 from zetapoly.polyspace import PolyX
 from zetapoly.rv import rv_forward, series_coeffs
 from zetapoly.zeta import laurent_coeffs
@@ -21,6 +21,30 @@ def rand_qi(rng: random.Random, span: int = 9, max_den: int = 4) -> GaussianRati
 
 def rand_polyx(rng: random.Random, w: int) -> PolyX:
     return PolyX(w, tuple(rand_qi(rng) for _ in range(w + 1)))
+
+
+def poly_with_roots(rts) -> PolyX:
+    """The exact product of (X - rho) over ``rts``, in the smallest even
+    weight that holds it."""
+    coeffs = (ONE,)
+    for rho in rts:
+        coeffs = poly_mul(coeffs, (-GaussianRational.coerce(rho), ONE))
+    return PolyX.make(len(rts) + len(rts) % 2, coeffs)
+
+
+def modulus_27_poly() -> PolyX:
+    """29 seeded roots with real and imaginary parts randint(-9, 9) /
+    randint(1, 9), then the root 27: degree 30, one root far outside the
+    unit disc."""
+    rng = random.Random(5)
+    rts = [
+        GaussianRational(
+            Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+            Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+        )
+        for _ in range(29)
+    ]
+    return poly_with_roots(rts + [GaussianRational(27)])
 
 
 def exact_identity_value(R: PolyX, n: int) -> GaussianRational:

@@ -3,6 +3,7 @@ from importlib import resources
 
 import pytest
 
+from conftest import modulus_27_poly
 from zetapoly.cli import EXIT_CHECK_FAILED, EXIT_INPUT, EXIT_OK, RunConfig, main
 from zetapoly.delta import golden_r_minus, golden_z_minus
 from zetapoly.errors import InputError
@@ -177,6 +178,13 @@ class TestRootsCommand:
         assert main(["roots", str(zpath), "--mode", "critical_line"]) == EXIT_OK
         # the odd period part has a root at the origin
         assert main(["roots", r_minus_file, "--mode", "unit_circle"]) == EXIT_CHECK_FAILED
+
+    def test_precision_error_exits_one(self, tmp_path, capsys):
+        # a root of modulus 27 cannot meet the residual certificate at 64 bits
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(modulus_27_poly().to_dict()))
+        assert main(["--prec", "64", "roots", str(path)]) == EXIT_CHECK_FAILED
+        assert capsys.readouterr().err.startswith("precision error:")
 
 
 class TestDeltaCommand:

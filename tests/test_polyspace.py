@@ -5,17 +5,15 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import polyx_values, rand_polyx, rand_qi, symmetric_polyx
-from zetapoly.errors import ExactnessError, InputError
+from zetapoly.errors import InputError
 from zetapoly.exactnum import GaussianRational, I, ONE, qi
 from zetapoly.polyspace import (
     Mat2,
     PolyX,
     S_MAT,
     U_MAT,
-    big_r_to_r,
     es_residuals,
     fricke_residual,
-    r_to_big_r,
     rescaled_es1_residual,
     rescaled_es2_residual,
     slash,
@@ -27,6 +25,17 @@ R_DELTA_PLUS = PolyX.make(
     10, [Fraction(36, 691), 0, 1, 0, 3, 0, 3, 0, 1, 0, Fraction(36, 691)]
 )
 R_DELTA = R_DELTA_PLUS + R_DELTA_MINUS
+
+
+def rescale_level_one(r: PolyX) -> PolyX:
+    """R(X) = i^(-(w+1)) r(X / i), the classical-to-rescaled change of
+    variable at level 1: R_j = r_j i^(-(w+1+j))."""
+    return PolyX(r.w, tuple(c * I ** (-(r.w + 1 + j)) for j, c in enumerate(r.coeffs)))
+
+
+def classical_level_one(R: PolyX) -> PolyX:
+    """The inverse of ``rescale_level_one``: r_j = R_j i^(w+1+j)."""
+    return PolyX(R.w, tuple(c * I ** (R.w + 1 + j) for j, c in enumerate(R.coeffs)))
 
 
 class TestPolyX:
@@ -251,52 +260,24 @@ class TestClassicalRelations:
             assert res_s.is_zero()
 
     def test_delta_minus_transported(self):
-        r = big_r_to_r(R_DELTA_MINUS, 1, 12)
+        r = classical_level_one(R_DELTA_MINUS)
         res_s, res_u = es_residuals(r)
         assert res_s.is_zero()
         assert res_u.is_zero()
 
 
 class TestChangeOfVariable:
-    def test_identity_example(self):
-        r = PolyX.make(10, [0, 1])
-        assert r_to_big_r(r, 1, 12) == PolyX.make(10, [0, 1])
-
-    def test_roundtrip(self):
-        rng = random.Random(29)
-        for _ in range(20):
-            k = rng.choice([4, 6, 8, 12])
-            N = rng.choice([1, 4, 9])
-            r = rand_polyx(rng, k - 2)
-            assert big_r_to_r(r_to_big_r(r, N, k), N, k) == r
-
-    def test_square_level_accepted(self):
-        out = r_to_big_r(PolyX.make(2, [0, 0, 1]), 4, 4)
-        assert not out.is_zero()
-
-    def test_nonsquare_level_rejected(self):
-        with pytest.raises(ExactnessError):
-            r_to_big_r(PolyX.make(2, [1]), 2, 4)
-
-    def test_bad_level_and_weight(self):
-        with pytest.raises(InputError):
-            r_to_big_r(PolyX.make(2, [1]), 0, 4)
-        with pytest.raises(InputError):
-            r_to_big_r(PolyX.make(2, [1]), 1, 5)
-        with pytest.raises(InputError):
-            r_to_big_r(PolyX.make(2, [1]), 1, 6)  # w mismatch
-
     def test_relation_transport_at_level_one(self):
         # R satisfies the rescaled relations iff r satisfies the classical ones
         rng = random.Random(31)
         basis, _, _ = wspace_basis(10)
         for r in basis:
-            R = r_to_big_r(r, 1, 12)
+            R = rescale_level_one(r)
             assert rescaled_es1_residual(R).is_zero()
             assert rescaled_es2_residual(R).is_zero()
         for _ in range(10):
             r = rand_polyx(rng, 4)
-            R = r_to_big_r(r, 1, 6)
+            R = rescale_level_one(r)
             es1_zero = es_residuals(r)[0].is_zero()
             res1_zero = rescaled_es1_residual(R).is_zero()
             assert es1_zero == res1_zero

@@ -10,7 +10,7 @@ from conftest import polyx_values, qi_values, rand_polyx
 from zetapoly.errors import InputError
 from zetapoly.exactnum import ONE, PowerSeries, ZERO, linear_power, qi
 from zetapoly.polyspace import PolyX
-from zetapoly.rv import ZetaPoly, binomial_in_s, rv_forward, rv_inverse, series_coeffs
+from zetapoly.rv import ZetaPoly, rv_forward, rv_inverse, series_coeffs
 
 R_DELTA_MINUS = PolyX.make(10, [0, 4, 0, 25, 0, 42, 0, 25, 0, 4, 0])
 
@@ -30,33 +30,31 @@ Z_DELTA_MINUS_COEFFS = [
 ]
 
 
+def monomial(w: int, j: int) -> PolyX:
+    return PolyX.make(w, [0] * j + [1])
+
+
 class TestBinomialInS:
+    """The transform of X^j is the basis polynomial C(w - s - j, w)."""
+
     def test_w2_j0(self):
-        b = binomial_in_s(2, 0)
+        b = rv_forward(monomial(2, 0))
         assert [c.re for c in b.coeffs] == [1, Fraction(-3, 2), Fraction(1, 2)]
         assert b.at_int(0) == ONE
 
     def test_w10_j1_at_minus_one(self):
-        assert binomial_in_s(10, 1).at_int(-1) == ONE  # C(10, 10)
+        assert rv_forward(monomial(10, 1)).at_int(-1) == ONE  # C(10, 10)
 
     def test_leading_coefficient_is_inverse_factorial(self):
         for w in (2, 4, 10):
             for j in range(w + 1):
-                assert binomial_in_s(w, j).coeffs[w] == qi(Fraction(1, math.factorial(w)))
-
-    def test_range_validation(self):
-        with pytest.raises(InputError):
-            binomial_in_s(10, 11)
-        with pytest.raises(InputError):
-            binomial_in_s(10, -1)
-        with pytest.raises(InputError):
-            binomial_in_s(3, 0)
+                assert rv_forward(monomial(w, j)).coeffs[w] == qi(Fraction(1, math.factorial(w)))
 
     @given(st.sampled_from([2, 4, 6, 8]), st.integers(0, 8), st.integers(0, 10))
     def test_matches_integer_binomials_at_nonpositive_arguments(self, w, j, n):
         if j > w:
             j = w
-        assert binomial_in_s(w, j).at_int(-n) == qi(math.comb(w + n - j, w))
+        assert rv_forward(monomial(w, j)).at_int(-n) == qi(math.comb(w + n - j, w))
 
 
 class TestForward:
@@ -128,7 +126,7 @@ class TestInverse:
         assert rv_forward(R) == Z
 
     def test_binomial_z_recovers_constant(self):
-        Z = binomial_in_s(2, 0)  # C(2-s, 2)
+        Z = ZetaPoly.make(2, [1, Fraction(-3, 2), Fraction(1, 2)])  # C(2-s, 2)
         assert rv_inverse(Z) == PolyX.make(2, [1])
 
     @given(polyx_values)

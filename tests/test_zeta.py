@@ -9,11 +9,13 @@ from mpmath import mp
 
 from conftest import (
     exact_identity_value,
+    modulus_27_poly,
+    poly_with_roots,
     rand_polyx,
     symmetric_polyx,
     violating_polyx,
 )
-from zetapoly.errors import InputError
+from zetapoly.errors import InputError, PrecisionError
 from zetapoly.exactnum import GaussianRational, I, ONE, ZERO, qi
 from zetapoly.lvalues import NumericPoly, build_r, delta_newform, numeric_rv
 from zetapoly.polyspace import PolyX
@@ -58,6 +60,41 @@ def literal_term(Z: ZetaPoly, n: int, k: int) -> GaussianRational:
                 * Z.at_int(m + j - K)
             )
     return total
+
+
+# -- root-finding oracles ------------------------------------------------
+
+
+def assert_certified(P, got, prec: int) -> None:
+    """Every root in ``got`` has |P(z)| below 2^(-prec/2) times the sup
+    norm (at least 1) of the monic P, evaluated at prec + 32 bits."""
+    with mp.workprec(prec + 32):
+        cs = [mpmath.mpc(
+            mpmath.mpf(c.re.numerator) / c.re.denominator,
+            mpmath.mpf(c.im.numerator) / c.im.denominator,
+        ) for c in P.coeffs[: P.degree() + 1]]
+        lead = cs[-1]
+        monic = [c / lead for c in cs]
+        norm = max(max(abs(c) for c in monic), mpmath.mpf(1))
+        for z in got:
+            val = mpmath.mpf(0)
+            for c in reversed(monic):
+                val = val * z + c
+            assert abs(val) < mpmath.mpf(2) ** (-(prec // 2)) * norm
+
+
+def max_root_error(got, expected, relative: bool = False):
+    """Largest distance from each expected root to its nearest unmatched
+    computed root, divided by the root's modulus when ``relative``."""
+    assert len(got) == len(expected)
+    remaining = list(got)
+    worst = 0
+    for e in expected:
+        nearest = min(remaining, key=lambda z: abs(z - e))
+        remaining.remove(nearest)
+        err = abs(nearest - e)
+        worst = max(worst, err / abs(e) if relative else err)
+    return worst
 
 
 # -- functional equation -------------------------------------------------
@@ -286,21 +323,7 @@ class TestRoots:
             P = rand_polyx(rng, 6)
             if P.is_zero() or P.degree() < 1:
                 continue
-            prec = 128
-            got = roots(P, precision=prec)
-            with mp.workprec(prec + 32):
-                cs = [mpmath.mpc(
-                    mpmath.mpf(c.re.numerator) / c.re.denominator,
-                    mpmath.mpf(c.im.numerator) / c.im.denominator,
-                ) for c in P.coeffs[: P.degree() + 1]]
-                lead = cs[-1]
-                monic = [c / lead for c in cs]
-                norm = max(max(abs(c) for c in monic), mpmath.mpf(1))
-                for z in got:
-                    val = mpmath.mpf(0)
-                    for c in reversed(monic):
-                        val = val * z + c
-                    assert abs(val) < mpmath.mpf(2) ** (-(prec // 2)) * norm
+            assert_certified(P, roots(P, precision=128), 128)
 
     def test_double_root_multiplicity(self):
         got = roots(PolyX.make(2, [1, -2, 1]), precision=96)
@@ -365,6 +388,63 @@ class TestRoots:
                 for c in reversed(monic):
                     val = val * z + c
                 assert abs(val) < mpmath.mpf(2) ** (-(prec // 2)) * norm
+
+    # The first Aberth rung runs in complex doubles; each case below needs
+    # its hand-off to the mpmath rungs (or the Newton ladder past doubles).
+
+    @pytest.mark.parametrize("prec", [64, 128, 1024])
+    def test_coefficient_overflowing_doubles(self, prec):
+        got = roots(PolyX.make(4, [10**400, 0, 0, 0, 1]), precision=prec)
+        with mp.workprec(prec + 32):
+            expected = [
+                mpmath.mpf(10) ** 100 * mpmath.expjpi(mpmath.mpf(2 * k + 1) / 4)
+                for k in range(4)
+            ]
+            assert max_root_error(got, expected, relative=True) < mpmath.mpf(2) ** -(prec // 2)
+
+    @pytest.mark.parametrize("prec", [64, 128, 1024])
+    def test_coefficient_underflowing_doubles(self, prec):
+        # 10^-400 rounds to 0.0 in a double; X^4 alone would pass the
+        # residual certificate with roots far from the true ones.
+        got = roots(PolyX.make(4, [Fraction(1, 10**400), 0, 0, 0, 1]), precision=prec)
+        with mp.workprec(prec + 32):
+            expected = [
+                mpmath.mpf(10) ** -100 * mpmath.expjpi(mpmath.mpf(2 * k + 1) / 4)
+                for k in range(4)
+            ]
+            assert max_root_error(got, expected) < mpmath.mpf("1e-100")
+
+    @pytest.mark.parametrize("prec", [64, 128, 1024])
+    def test_roots_closer_than_doubles_separate(self, prec):
+        # (X - 1)(X - 1 - 2^-60)(X + 3)
+        close = 1 + Fraction(1, 2**60)
+        P = poly_with_roots([1, close, -3])
+        got = roots(P, precision=prec)
+        assert_certified(P, got, prec)
+        if prec == 1024:
+            with mp.workprec(prec + 32):
+                expected = [mpmath.mpf(1), 1 + mpmath.mpf(2) ** -60, mpmath.mpf(-3)]
+                assert max_root_error(got, expected) < mpmath.mpf(2) ** -(prec // 2)
+
+    @pytest.mark.parametrize("prec", [64, 128, 1024])
+    def test_wilkinson_polynomial(self, prec):
+        got = roots(poly_with_roots(range(1, 21)), precision=prec)
+        with mp.workprec(prec + 32):
+            expected = [mpmath.mpf(k) for k in range(1, 21)]
+            assert max_root_error(got, expected) < mpmath.mpf(2) ** -(prec // 2)
+
+    @pytest.mark.parametrize("prec", [64, 128])
+    def test_large_root_fails_certificate_at_low_precision(self, prec):
+        # Documented failure mode: the residual target does not scale with
+        # |root|, and Horner's rounding near the root 27 exceeds it.
+        with pytest.raises(PrecisionError):
+            roots(modulus_27_poly(), precision=prec)
+
+    def test_large_root_certified_at_256_bits(self):
+        P = modulus_27_poly()
+        got = roots(P, precision=256)
+        assert len(got) == 30
+        assert_certified(P, got, 256)
 
     @pytest.mark.parametrize("prec", [128, 256])
     def test_delta_zeta_roots_in_ascending_imaginary_part(self, prec):
