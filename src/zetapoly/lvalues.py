@@ -25,7 +25,7 @@ import mpmath
 from mpmath import mp
 
 from zetapoly.errors import InputError, PrecisionError
-from zetapoly.rv import _basis_coeffs
+from zetapoly.rv import _basis_coeffs_scaled
 
 GUARD_BITS = 16
 
@@ -41,8 +41,7 @@ class NewformData:
 
     ``an[0]`` is a_1 and must equal 1 (normalized eigenform).  The Fricke
     eigenvalue is trusted input: ``zetapoly lvalues newform.json`` uses
-    it unchecked.  ``fricke_sign_consistent`` compares it against an
-    eigenvalue-independent evaluation, but no command calls it.
+    it as given.
     """
 
     level: int
@@ -66,11 +65,6 @@ class NewformData:
     @property
     def w(self) -> int:
         return self.weight - 2
-
-    def coefficient(self, n: int) -> int:
-        if not 1 <= n <= len(self.an):
-            raise InputError(f"coefficient a_{n} not available (have {len(self.an)})")
-        return self.an[n - 1]
 
     def to_dict(self) -> dict:
         return {
@@ -227,36 +221,6 @@ def l_from_lambda(f: NewformData, s: int, lam, prec: int = 128) -> mpmath.mpf:
         return +(lam * factor)
 
 
-def dirichlet_lambda_edge(f: NewformData, prec: int = 64) -> mpmath.mpf:
-    """Lambda(f, k-1) via the plain Dirichlet series, ignoring eps.
-
-    At s = k-1 the series converges absolutely (|a_n| << n^(k+1)/2), so
-    this gives an eps-independent reference value, accurate to roughly
-    the truncation tail of the supplied coefficient list.  Used to
-    cross-check the supplied Fricke eigenvalue: the symmetric split
-    series satisfies its own functional equation for either sign, so a
-    sign error is only visible against an independent route.
-    """
-    k = f.weight
-    s = k - 1
-    with mp.workprec(prec + 32):
-        lser = mpmath.mpf(0)
-        for n in range(1, len(f.an) + 1):
-            lser += mpmath.mpf(f.an[n - 1]) / mpmath.mpf(n) ** s
-        factor = (mpmath.sqrt(f.level) / (2 * mpmath.pi)) ** s * mpmath.factorial(s - 1)
-        return +(lser * factor)
-
-
-def fricke_sign_consistent(f: NewformData, prec: int = 64, rel_tol: str = "1e-3") -> bool:
-    """True when the split-series Lambda agrees with the eps-independent
-    Dirichlet route at s = k-1; a flipped eigenvalue shows up as a
-    discrepancy far above the series truncation error."""
-    with mp.workprec(prec + 32):
-        sym = completed_l(f, f.weight - 1, prec)
-        ref = dirichlet_lambda_edge(f, prec)
-        return bool(abs(sym - ref) <= mpmath.mpf(rel_tol) * abs(ref))
-
-
 # ---------------------------------------------------------------------
 # Numeric polynomials
 # ---------------------------------------------------------------------
@@ -280,20 +244,6 @@ class NumericPoly:
             raise InputError(
                 f"expected {self.w + 1} coefficients for w={self.w}, got {len(self.coeffs)}"
             )
-
-    def evaluate(self, x):
-        acc = mpmath.mpc(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def to_dict(self) -> dict:
-        digits = int(self.prec * 0.3010) + 3
-        return {
-            "w": self.w,
-            "precision": self.prec,
-            "coeffs": [mpmath.nstr(c, digits) for c in self.coeffs],
-        }
 
 
 def build_r(f: NewformData, prec: int = 128) -> NumericPoly:
@@ -325,16 +275,17 @@ def numeric_rv(Rnum: NumericPoly) -> NumericPoly:
     the exact route, with error bounds propagated per coefficient."""
     w = Rnum.w
     prec = Rnum.prec
+    w_fact = math.factorial(w)
     with mp.workprec(prec + 32):
         acc = [mpmath.mpf(0)] * (w + 1)
         errs = [mpmath.mpf(0)] * (w + 1)
         for j in range(w + 1):
             aj = Rnum.coeffs[j]
             ej = Rnum.coeff_err[j] if Rnum.coeff_err else mpmath.mpf(0)
-            for t, b in enumerate(_basis_coeffs(w, j)):
+            for t, b in enumerate(_basis_coeffs_scaled(w, j)):
                 if not b:
                     continue
-                bv = mpmath.mpf(b.numerator) / mpmath.mpf(b.denominator)
+                bv = mpmath.mpf(b) / w_fact
                 acc[t] = acc[t] + aj * bv
                 errs[t] = errs[t] + abs(bv) * ej
         return NumericPoly(

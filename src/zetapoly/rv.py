@@ -20,7 +20,6 @@ from zetapoly.errors import ConsistencyError, InputError
 from zetapoly.exactnum import (
     DensePoly,
     GaussianRational,
-    binom_poly_in_s,
     binom_poly_in_s_scaled,
     common_denominator,
 )
@@ -58,11 +57,6 @@ class ZetaPoly(DensePoly):
 # ---------------------------------------------------------------------
 # Binomial basis polynomials
 # ---------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _basis_coeffs(w: int, j: int) -> tuple[Fraction, ...]:
-    return binom_poly_in_s(w, w - j, -1)
 
 
 @lru_cache(maxsize=None)

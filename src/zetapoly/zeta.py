@@ -17,7 +17,6 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 from typing import Union
 
@@ -39,15 +38,13 @@ from zetapoly.exactnum import (
 )
 from zetapoly.rv import ZetaPoly, rv_inverse, series_coeffs
 
-TolLike = Union[str, int, Fraction, Decimal]
+TolLike = Union[str, int, Fraction]
 
 
 def as_tolerance(tol: TolLike) -> Fraction:
-    """Exact positive rational from a decimal tolerance string."""
+    """Exact positive rational from a decimal string, an int or a Fraction."""
     if isinstance(tol, Fraction):
         out = tol
-    elif isinstance(tol, Decimal):
-        out = Fraction(tol)
     elif isinstance(tol, (str, int)):
         try:
             out = Fraction(str(tol))
@@ -190,7 +187,6 @@ def thm2_residual(
     n: int,
     tol: TolLike = "1e-10",
     k_max: int = K_MAX_DEFAULT,
-    k_min: int = K_MIN,
 ) -> Thm2Report:
     """Evaluate the three-part identity value at n, with exact per-k terms.
 
@@ -204,7 +200,7 @@ def thm2_residual(
     t_k = -C(K, n) (-i)^k sum_{q=0}^{min(K, w)} C(K-q+w, w)
           (1-i)^(-(K-q+w+1)) r_q.
 
-    Summation stops at the first k >= k_min where the magnitudes of the
+    Summation stops at the first k >= K_MIN where the magnitudes of the
     last three terms all fall below tol*(1-RHO)/RHO, or at k_max with
     ``converged`` cleared.  The comparison is performed exactly on
     squared magnitudes.
@@ -246,7 +242,7 @@ def thm2_residual(
         terms.append(t_k)
         total = total + t_k
         norms.append(t_k.norm2())
-        if k >= max(k_min, 2) and all(v < theta2 for v in norms[-3:]):
+        if k >= K_MIN and all(v < theta2 for v in norms[-3:]):
             k_stop = k
             converged = True
             break
@@ -486,7 +482,6 @@ class RootCheckReport:
 
     mode: str
     roots: tuple
-    deviations: tuple
     max_deviation: mpmath.mpf
     tol: Fraction
     passed: bool
@@ -521,7 +516,6 @@ def rh_check(poly, mode: str, tol: TolLike = "1e-8", precision: int = 128) -> Ro
         return RootCheckReport(
             mode=mode,
             roots=tuple(rts),
-            deviations=devs,
             max_deviation=max_dev,
             tol=tol_frac,
             passed=bool(max_dev < bound),
@@ -546,14 +540,6 @@ class HilbertReport:
     positive_leading: bool
     satisfied: bool
     detail: str
-
-    def to_dict(self) -> dict:
-        return {
-            "integer_coefficients": self.integer_coefficients,
-            "positive_leading": self.positive_leading,
-            "satisfied": self.satisfied,
-            "detail": self.detail,
-        }
 
 
 def hilbert_hypotheses(Z: ZetaPoly) -> HilbertReport:

@@ -247,6 +247,79 @@ THM2_ODD_N12 = {
 }
 
 
+# Lambda(1..6) as `zetapoly --prec P --format json delta` prints them;
+# lambda_values holds these and their mirror images Lambda(12 - s) = Lambda(s).
+DELTA_LAMBDAS = {
+    128: (
+        "0.0059589649895782378538355644158109773246506",
+        "0.0037077104649480652945032138729501143623918",
+        "0.002541756054196643430247145068719373661317",
+        "0.0019310992004937840075537572254948512304124",
+        "0.0016339860348406993480160218298910259251324",
+        "0.0015448793603950272060430057803958809843299",
+    ),
+    1024: (
+        (
+            "0.00595896498957823785383556441581097732465061776437579914068697"
+            "2050076125225496911979754813271755905066708701344013588902173578"
+            "1779259038818036697033507892117581917555933443232051113956891605"
+            "2309476138785477221786888809918534562658854393095519666709795322"
+            "92920741586820847370504173074111425647889806629226277055346"
+        ),
+        (
+            "0.00370771046494806529450321387295011436239182332682367775816059"
+            "6232040451701657745442168026269400468439390776366786906935581649"
+            "2860242248844790355308623865394166066522702019958558693567535022"
+            "5159492705633443094587374825561642901499334141236903266707254872"
+            "99867069890814920337917430654459267511302218172724498442349"
+        ),
+        (
+            "0.00254175605419664343024714506871937366131702276245906000383623"
+            "3139878149710381707517290478994310697778454143597971228352717248"
+            "4697202466557569973858119724353857472241450623008239086261859320"
+            "5028301241914052321144901338057844063455103941746298820800289239"
+            "59511254590427904650011347897661108100427071839997134225459"
+        ),
+        (
+            "0.00193109920049378400755375722549485123041240798272066549904197"
+            "7204187735261280075751129180348646077312182696024368180695615442"
+            "3364709504606661643389908263226128159647240635395082652899757824"
+            "2270569117517418278430924388313355677864236531894220451410028579"
+            "6868076556813277100933199513253086849546990529829400960539"
+        ),
+        (
+            "0.00163398603484069934801602182989102592513237177586653857389472"
+            "1304207381956673954832543879353485448571863378027267218226746802"
+            "5876773014215580697480219822798908375012361114791010841168338134"
+            "6089622226944747920736008003037185469363995391122620670514471654"
+            "02542949379560795846435866505639283778845974754283872002081"
+        ),
+        (
+            "0.00154487936039502720604300578039588098432992638617653239923358"
+            "1763350188209024060600903344278916861849746156819494544556492353"
+            "8691767603685329314711926610580902527717792508316066122319806259"
+            "3816455294013934622744739510650684542291389225515376361128022863"
+            "74944612454506216807465596106024694796375924238635207684312"
+        ),
+    ),
+}
+
+# (power, reference, computed) of z_coeffs, the same at 128 and 1024 bits.
+DELTA_Z_COEFFS = (
+    (10, "5.11e-7", "5.10879002901e-7"),
+    (9, "-2.554e-6", "-2.5543950145e-6"),
+    (8, "6.01e-5", "6.01122133612e-5"),
+    (7, "-2.25e-4", "-0.000225122483358"),
+    (6, "0.00180", "0.00180207477335"),
+    (5, "-0.00463", "-0.00462902408736"),
+    (4, "0.0155", "0.0154988296987"),
+    (3, "-0.0235", "-0.0235401533589"),
+    (2, "0.0310", "0.0309718497083"),
+    (1, "-0.0199", "-0.019936522948"),
+    (0, "0.00596", "0.00595896498958"),
+)
+
+
 class TestOutputBytes:
     """The exact bytes written, not just their parsed content."""
 
@@ -299,3 +372,16 @@ class TestOutputBytes:
         )
         assert main(["--format", "json", "thm2", r_minus, "--n", "1,2"]) == EXIT_OK
         assert capsys.readouterr().out == json.dumps(THM2_ODD_N12, indent=2) + "\n"
+
+    @pytest.mark.parametrize("prec", [128, 1024])
+    def test_delta_lambda_values_and_z_coeffs(self, prec, capsys):
+        assert main(["--prec", str(prec), "--format", "json", "delta"]) == EXIT_OK
+        d = json.loads(capsys.readouterr().out)
+        lambdas = DELTA_LAMBDAS[prec]
+        assert d["lambda_values"] == {
+            str(s): lambdas[min(s, 12 - s) - 1] for s in range(1, 12)
+        }
+        assert [(c["power"], c["reference"], c["computed"]) for c in d["z_coeffs"]] == list(
+            DELTA_Z_COEFFS
+        )
+        assert all(c["ok"] for c in d["z_coeffs"])
