@@ -16,9 +16,15 @@ from dataclasses import dataclass
 
 import mpmath
 
-from zetapoly.delta import run_delta
+from zetapoly.delta import REFERENCE_EVEN_SCALE, REFERENCE_ODD_SCALE, run_delta
 from zetapoly.errors import InputError, PrecisionError, ZetapolyError
-from zetapoly.lvalues import NewformData, critical_lambdas, delta_newform, l_from_lambda
+from zetapoly.lvalues import (
+    NewformData,
+    critical_lambdas,
+    delta_newform,
+    l_from_lambda,
+    printed_digits,
+)
 from zetapoly.polyspace import (
     PolyX,
     es_residuals,
@@ -177,13 +183,13 @@ def _cmd_thm2(cfg: RunConfig, args) -> int:
 
 
 def _cmd_delta(cfg: RunConfig, args) -> int:
-    report = run_delta(cfg.precision, root_tol="1e-8")
+    report = run_delta(cfg.precision)
     d = report.to_dict()
     lines = [
         f"precision: {cfg.precision} bits",
         f"completed-L symmetry max deviation: {d['lambda_symmetry_max']}",
-        f"even scale factor: {d['scale_even']} (reference 0.114379, ok={d['scale_even_ok']})",
-        f"odd scale factor:  {d['scale_odd']} (reference 0.00926927, ok={d['scale_odd_ok']})",
+        f"even scale factor: {d['scale_even']} (reference {REFERENCE_EVEN_SCALE}, ok={d['scale_even_ok']})",
+        f"odd scale factor:  {d['scale_odd']} (reference {REFERENCE_ODD_SCALE}, ok={d['scale_odd_ok']})",
         f"coefficient pattern max relative deviation: {d['pattern_max_rel_dev']}",
         "zeta-polynomial coefficients vs reference:",
     ]
@@ -230,7 +236,7 @@ def _load_newform(cfg: RunConfig, args) -> NewformData:
 
 def _cmd_lvalues(cfg: RunConfig, args) -> int:
     nf = _load_newform(cfg, args)
-    digits = int(cfg.precision * 0.3010) + 3
+    digits = printed_digits(cfg.precision)
     lams = enumerate(critical_lambdas(nf, cfg.precision), start=1)
     values = [(s, lam, l_from_lambda(nf, s, lam, cfg.precision)) for s, lam in lams]
     payload = {

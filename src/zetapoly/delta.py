@@ -26,6 +26,7 @@ from zetapoly.lvalues import (
     critical_lambdas,
     delta_newform,
     numeric_rv,
+    printed_digits,
 )
 from zetapoly.polyspace import PolyX, fricke_residual, rescaled_es1_residual, rescaled_es2_residual
 from zetapoly.rv import ZetaPoly, rv_forward
@@ -52,6 +53,7 @@ EVEN_PATTERN = (Fraction(36, 691), 0, 1, 0, 3, 0, 3, 0, 1, 0, Fraction(36, 691))
 ODD_PATTERN = (0, 4, 0, 25, 0, 42, 0, 25, 0, 4, 0)
 
 SCALE_REL_TOL = Fraction(1, 100000)  # 5 significant digits
+ROOT_TOL = "1e-8"  # root-location tolerance of the three rh_check calls
 
 
 def _load_golden(name: str) -> dict:
@@ -104,7 +106,7 @@ class DeltaReport:
     z_numeric: NumericPoly
 
     def to_dict(self) -> dict:
-        digits = int(self.prec * 0.3010) + 3
+        digits = printed_digits(self.prec)
         return {
             "prec": self.prec,
             "lambda_values": {
@@ -134,7 +136,7 @@ class DeltaReport:
         }
 
 
-def run_delta(prec: int = 128, root_tol="1e-8") -> DeltaReport:
+def run_delta(prec: int = 128) -> DeltaReport:
     """Run the whole pipeline at ``prec`` bits and compare against the
     reference data.  ``passed`` is True only if every comparison holds."""
     if prec < 64:
@@ -186,9 +188,9 @@ def run_delta(prec: int = 128, root_tol="1e-8") -> DeltaReport:
         )
     )
 
-    z_roots = rh_check(znum, "critical_line", tol=root_tol, precision=prec)
-    r_roots = rh_check(rnum, "unit_circle", tol=root_tol, precision=prec)
-    r_minus_circle = rh_check(r_minus, "unit_circle", tol=root_tol, precision=prec)
+    z_roots = rh_check(znum, "critical_line", tol=ROOT_TOL, precision=prec)
+    r_roots = rh_check(rnum, "unit_circle", tol=ROOT_TOL, precision=prec)
+    r_minus_circle = rh_check(r_minus, "unit_circle", tol=ROOT_TOL, precision=prec)
 
     passed = bool(
         scale_even_ok

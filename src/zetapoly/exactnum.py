@@ -3,8 +3,8 @@
 Everything in this module is exact: Gaussian rationals built on
 ``fractions.Fraction``, the generalized binomial machinery used by the
 zeta-polynomial transform, the dense degree-<= w polynomial core shared
-by the period and zeta variables, and truncated power/Laurent series
-with explicit truncation bookkeeping.  No floating point enters anywhere.
+by the period and zeta variables, and truncated power series.  No
+floating point enters anywhere.
 All values are immutable and all operations are pure, so they are safe
 for unrestricted concurrent use.
 """
@@ -494,112 +494,33 @@ class DensePoly:
 
 
 # ---------------------------------------------------------------------
-# Truncated power / Laurent series over Q(i)
+# Truncated power series over Q(i)
 # ---------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class PowerSeries:
-    """A truncated series sum_{t} coeffs[t] * x^(m0 + t) over Q(i).
+    """The first ``len(coeffs)`` terms of a power series sum_t coeffs[t] x^t
+    over Q(i)."""
 
-    ``m0`` may be negative (a Laurent expansion about 0 with finite
-    principal part).  ``exact=True`` marks a series with no truncation
-    error (a polynomial times a power of x): all coefficients beyond the
-    stored range are genuinely zero.  Truncation is always explicit in
-    the value, never implicit global state.
-    """
-
-    m0: int
     coeffs: tuple[GaussianRational, ...]
-    exact: bool = False
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "coeffs", tuple(GaussianRational.coerce(c) for c in self.coeffs)
-        )
-        if not self.coeffs:
-            raise ValueError("a PowerSeries must store at least one term")
-
-    @classmethod
-    def from_polynomial(cls, coeffs: Sequence, m0: int = 0) -> "PowerSeries":
-        """An exact series (no truncation) from polynomial coefficients."""
-        return cls(m0, tuple(coeffs), exact=True)
-
-    @property
-    def order(self) -> int:
-        """Number of stored terms."""
-        return len(self.coeffs)
-
-    def coeff(self, m: int) -> GaussianRational:
-        """Coefficient of x^m.  Raises beyond the known truncation range."""
-        t = m - self.m0
-        if t < 0:
-            return ZERO
-        if t >= len(self.coeffs):
-            if self.exact:
-                return ZERO
-            raise ValueError(f"coefficient of x^{m} is beyond the truncation order")
-        return self.coeffs[t]
-
-    def mul(self, other: "PowerSeries", order: int | None = None) -> "PowerSeries":
-        """Cauchy product, truncated at the shortest certain length.
-
-        ``order`` (number of result terms) may shorten the result further;
-        it cannot exceed what the operands' truncations support.
-        """
-        known = []
-        if not self.exact:
-            known.append(len(self.coeffs))
-        if not other.exact:
-            known.append(len(other.coeffs))
-        if known:
-            limit = min(known)
-        else:
-            limit = len(self.coeffs) + len(other.coeffs) - 1
-        if order is not None:
-            if order > limit and known:
-                raise ValueError(
-                    f"product only certain to {limit} terms, {order} requested"
-                )
-            limit = min(order, limit) if known else order
-        return PowerSeries(
-            self.m0 + other.m0,
-            poly_mul(self.coeffs, other.coeffs, limit),
-            exact=self.exact and other.exact,
-        )
+    def mul(self, other: "PowerSeries", order: int) -> "PowerSeries":
+        """The first ``order`` terms of the product."""
+        return PowerSeries(poly_mul(self.coeffs, other.coeffs, order))
 
     def inverse(self, order: int) -> "PowerSeries":
-        """Multiplicative inverse truncated to ``order`` terms.
-
-        Requires a nonzero lowest-order coefficient; the result starts at
-        exponent -m0.
-        """
-        if order < 1:
-            raise ValueError("inverse needs at least one term")
-        c0 = self.coeffs[0]
-        if c0.is_zero():
-            raise ZeroDivisionError(
-                "series inverse requires a nonzero lowest-order coefficient"
-            )
-        if not self.exact and order > len(self.coeffs):
-            raise ValueError(
-                f"operand only known to {len(self.coeffs)} terms, {order} requested"
-            )
-        c0inv = c0.inverse()
-        out = [ZERO] * order
-        out[0] = c0inv
+        """The first ``order`` terms of the multiplicative inverse; raises
+        ZeroDivisionError when the constant term is 0."""
+        c0inv = self.coeffs[0].inverse()
+        out = [c0inv] + [ZERO] * (order - 1)
         for t in range(1, order):
             acc = ZERO
-            top = min(t, len(self.coeffs) - 1)
-            for u in range(1, top + 1):
+            for u in range(1, min(t, len(self.coeffs) - 1) + 1):
                 cu = self.coeffs[u]
                 if not cu.is_zero():
                     acc = acc + cu * out[t - u]
             out[t] = -c0inv * acc
-        return PowerSeries(-self.m0, tuple(out), exact=False)
-
-    def shift(self, delta: int) -> "PowerSeries":
-        """Multiply by x^delta."""
-        return PowerSeries(self.m0 + delta, self.coeffs, exact=self.exact)
+        return PowerSeries(tuple(out))
 
 
 def linear_power(a: GaussianRational, b: GaussianRational, n: int) -> tuple[GaussianRational, ...]:

@@ -30,6 +30,11 @@ from zetapoly.rv import _basis_coeffs_scaled
 GUARD_BITS = 16
 
 
+def printed_digits(prec: int) -> int:
+    """Decimal digits printed for an L-value computed at ``prec`` bits."""
+    return int(prec * 0.3010) + 3
+
+
 # ---------------------------------------------------------------------
 # Newform data
 # ---------------------------------------------------------------------
@@ -145,8 +150,8 @@ def delta_newform(prec: int = 128) -> NewformData:
 # ---------------------------------------------------------------------
 
 
-def required_nmax(N: int, k: int, prec: int, guard: int = GUARD_BITS) -> int:
-    """Smallest nmax whose series tail is provably below 2^-(prec+guard).
+def required_nmax(N: int, k: int, prec: int) -> int:
+    """Smallest nmax whose series tail is provably below 2^-(prec+GUARD_BITS).
 
     Uses |a_n| <= d(n) n^((k-1)/2) <= n^((k+1)/2) and, for x >= 2r,
     Gamma(r, x) <= 2 x^(r-1) e^-x, so the n-th term is at most
@@ -155,7 +160,7 @@ def required_nmax(N: int, k: int, prec: int, guard: int = GUARD_BITS) -> int:
     """
     c = 2 * math.pi / math.sqrt(N)
     p = (k + 1) / 2
-    target = -(prec + guard) * math.log(2)
+    target = -(prec + GUARD_BITS) * math.log(2)
     m = max(1, math.ceil(2 * (k - 1) / c), math.ceil(1 / c))
     while True:
         m += 1

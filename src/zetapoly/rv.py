@@ -34,25 +34,6 @@ class ZetaPoly(DensePoly):
     def at_int(self, n: int) -> GaussianRational:
         return self.evaluate(GaussianRational(n))
 
-    def compose_one_minus_s(self) -> "ZetaPoly":
-        """The polynomial Z(1 - s), expanded exactly."""
-        den, pairs = common_denominator(self.coeffs)
-        acc = [[0, 0] for _ in range(self.w + 1)]
-        # (1 - s)^p expanded by the binomial theorem, accumulated per power.
-        for p, (cr, cm) in enumerate(pairs):
-            if not cr and not cm:
-                continue
-            for t in range(p + 1):
-                factor = math.comb(p, t) * (-1 if t % 2 else 1)
-                acc[t][0] += cr * factor
-                acc[t][1] += cm * factor
-        return ZetaPoly(
-            self.w,
-            tuple(
-                GaussianRational(Fraction(r, den), Fraction(m, den)) for r, m in acc
-            ),
-        )
-
 
 # ---------------------------------------------------------------------
 # Binomial basis polynomials

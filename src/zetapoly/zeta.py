@@ -36,6 +36,7 @@ from zetapoly.exactnum import (
     require_even_w,
     squarefree_parts,
 )
+from zetapoly.polyspace import Mat2, PolyX, slash
 from zetapoly.rv import ZetaPoly, rv_inverse, series_coeffs
 
 TolLike = Union[str, int, Fraction]
@@ -69,8 +70,9 @@ def functional_eq_residual(Z: ZetaPoly, eps: int) -> ZetaPoly:
     """
     if eps not in (1, -1):
         raise InputError(f"eps must be +1 or -1, got {eps!r}")
-    phase = GaussianRational(eps) * I**Z.w
-    return Z + Z.compose_one_minus_s().scale(phase)
+    # The slash by [[-1, 1], [0, 1]] is det^(-w/2) P(1-X) = i^w P(1-X).
+    flipped = slash(PolyX(Z.w, Z.coeffs), Mat2(-1, 1, 0, 1))
+    return Z + ZetaPoly(Z.w, flipped.coeffs).scale(eps)
 
 
 # ---------------------------------------------------------------------
@@ -112,16 +114,11 @@ def laurent_coeffs(w: int, n: int, M: int) -> LaurentCoeffs:
     if M < -(n + 1):
         raise InputError(f"truncation order M={M} precedes the pole order {-(n + 1)}")
     terms = M + n + 2
-    numerator = PowerSeries.from_polynomial(
-        poly_mul(linear_power(-ONE, ONE, w + 1), linear_power(ONE, I, n))
-    )
-    # denominator = i^(n+1) x^(n+1) ((1-i)x + i)^(w+1); invert the bracket.
-    bracket = PowerSeries.from_polynomial(
-        tuple(I ** (n + 1) * c for c in linear_power(qi(1, -1), I, w + 1))
-    )
-    inv = bracket.inverse(terms)
-    series = numerator.mul(inv, order=terms).shift(-(n + 1))
-    coeffs = tuple(series.coeff(m) for m in range(-(n + 1), M + 1))
+    numerator = PowerSeries(poly_mul(linear_power(-ONE, ONE, w + 1), linear_power(ONE, I, n)))
+    # denominator = i^(n+1) x^(n+1) ((1-i)x + i)^(w+1); invert the bracket,
+    # so entry t of numerator / bracket is a_(t-n-1).
+    bracket = PowerSeries(tuple(I ** (n + 1) * c for c in linear_power(qi(1, -1), I, w + 1)))
+    coeffs = numerator.mul(bracket.inverse(terms), terms).coeffs
     lead = coeffs[0]
     if lead != -(I ** (-w)):
         raise ConsistencyError("Laurent leading coefficient differs from -i^(-w)")

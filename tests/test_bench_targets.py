@@ -9,9 +9,14 @@ traced benchmark run.
 
 import importlib
 import importlib.util
+from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import pytest
+
+from zetapoly import cli, zeta
+from zetapoly.exactnum import PowerSeries
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -34,3 +39,21 @@ def test_target_resolves_to_a_callable(name):
         assert hasattr(owner, part), f"{name}: {modname} has no {attr}"
         owner = getattr(owner, part)
     assert callable(owner), f"{name}: {modname}.{attr} is not callable"
+
+
+def test_thm2_reaches_its_traced_targets(capsys):
+    """The thm2 command still runs through the functions its spans wrap, so
+    those spans cannot read 0 on working code.  The methods are patched
+    with autospec, which binds self, and side_effect, since autospec
+    ignores ``wraps`` on Python 3.11."""
+    golden = resources.files("zetapoly.data").joinpath("r_delta_plus.json")
+    patch = mock.patch.object
+    with (
+        patch(zeta, "laurent_coeffs", wraps=zeta.laurent_coeffs) as laurent,
+        patch(PowerSeries, "mul", autospec=True, side_effect=PowerSeries.mul) as mul,
+        patch(PowerSeries, "inverse", autospec=True, side_effect=PowerSeries.inverse) as inv,
+    ):
+        assert cli.main(["thm2", str(golden), "--n", "1"]) == 0
+    capsys.readouterr()
+    for wrapper in (laurent, mul, inv):
+        assert wrapper.called

@@ -148,9 +148,9 @@ class TestBinomInt:
     def test_against_geometric_series_oracle(self):
         # coefficient of X^3 in (1-X)^(-11), via exact series inversion
         w, n = 10, 3
-        denom = PowerSeries.from_polynomial(linear_power(qi(-1), ONE, w + 1))
+        denom = PowerSeries(linear_power(qi(-1), ONE, w + 1))
         inv = denom.inverse(n + 1)
-        assert inv.coeff(n) == qi(binom_int(w + n, n))
+        assert inv.coeffs == tuple(qi(binom_int(w + t, t)) for t in range(n + 1))
         assert binom_int(w + n, n) == 286
 
 
@@ -179,65 +179,26 @@ class TestBinomPoly:
 
 class TestPowerSeries:
     def test_geometric_inverse(self):
-        one_minus_x = PowerSeries.from_polynomial([ONE, qi(-1)])
+        one_minus_x = PowerSeries((ONE, qi(-1)))
         inv = one_minus_x.inverse(5)
         assert inv.coeffs == (ONE,) * 5
 
     def test_linear_gaussian_inverse(self):
         # solving c0*i = 1 and c1*i + c0*(1-i) = 0 gives c0 = -i, c1 = 1-i
-        p = PowerSeries.from_polynomial([I, qi(1, -1)])
+        p = PowerSeries((I, qi(1, -1)))
         inv = p.inverse(2)
         assert inv.coeffs == (-I, qi(1, -1))
-        assert p.mul(inv, order=2).coeffs == (ONE, ZERO)
+        assert p.mul(inv, 2).coeffs == (ONE, ZERO)
 
     @given(st.lists(qi_values, min_size=1, max_size=6), st.integers(1, 8))
     def test_inverse_roundtrip(self, coeffs, order):
         if coeffs[0].is_zero():
             coeffs[0] = ONE
-        p = PowerSeries.from_polynomial(coeffs)
-        prod = p.mul(p.inverse(order), order=order)
-        assert prod.coeff(0) == ONE
-        assert all(prod.coeff(t).is_zero() for t in range(1, order))
+        p = PowerSeries(tuple(coeffs))
+        prod = p.mul(p.inverse(order), order)
+        assert prod.coeffs == (ONE,) + (ZERO,) * (order - 1)
 
     def test_inverse_requires_unit(self):
-        p = PowerSeries.from_polynomial([ZERO, ONE])
+        p = PowerSeries((ZERO, ONE))
         with pytest.raises(ZeroDivisionError):
             p.inverse(3)
-
-    def test_truncation_is_respected(self):
-        p = PowerSeries(0, (ONE, ONE, ONE))  # truncated, not exact
-        with pytest.raises(ValueError):
-            p.inverse(5)
-        with pytest.raises(ValueError):
-            p.coeff(3)
-        assert p.coeff(-1) == ZERO
-
-    def test_exact_series_pads_with_zeros(self):
-        p = PowerSeries.from_polynomial([ONE, ONE])
-        assert p.coeff(10) == ZERO
-
-    def test_mul_known_length(self):
-        exact = PowerSeries.from_polynomial([ONE, ONE, ONE])
-        truncated = PowerSeries(0, (ONE, ONE), exact=False)
-        prod = exact.mul(truncated)
-        assert prod.order == 2
-        assert not prod.exact
-        with pytest.raises(ValueError):
-            exact.mul(truncated, order=5)
-
-    def test_laurent_shift(self):
-        p = PowerSeries.from_polynomial([ONE, qi(2)]).shift(-2)
-        assert p.m0 == -2
-        assert p.coeff(-2) == ONE
-        assert p.coeff(-1) == qi(2)
-        assert p.coeff(-5) == ZERO
-
-    def test_requires_a_term(self):
-        with pytest.raises(ValueError):
-            PowerSeries(0, ())
-
-    def test_inverse_of_laurent_start(self):
-        p = PowerSeries.from_polynomial([qi(2)], m0=3)
-        inv = p.inverse(1)
-        assert inv.m0 == -3
-        assert inv.coeff(-3) == qi(Fraction(1, 2))

@@ -117,6 +117,15 @@ class TestFunctionalEquation:
         with pytest.raises(InputError):
             functional_eq_residual(ZetaPoly.make(2, [1]), 0)
 
+    def test_residual_pointwise(self):
+        Z2 = ZetaPoly.make(2, [qi(0, 1), qi(2), qi(Fraction(1, 2))])
+        Z10 = rv_forward(rand_polyx(random.Random(58), 10))
+        for Z in (Z2, Z10):
+            for eps in (1, -1):
+                res = functional_eq_residual(Z, eps)
+                for s0 in (-3, -1, 0, 2, 5):
+                    assert res.at_int(s0) == Z.at_int(s0) + eps * I**Z.w * Z.at_int(1 - s0)
+
     def test_random_symmetric_and_violating(self):
         rng = random.Random(57)
         for w in (2, 4, 8, 12, 16):
