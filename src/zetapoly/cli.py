@@ -167,11 +167,12 @@ def _cmd_thm2(cfg: RunConfig, args) -> int:
     reports = [
         thm2_residual(Z, n, tol=tol, k_max=cfg.k_max) for n in _parse_n_list(args.n)
     ]
-    all_ok = all(rep.converged and rep.total_below(tol) for rep in reports)
+    ok = [rep.converged and rep.total_below(tol) for rep in reports]
+    all_ok = all(ok)
     payload = {"passed": all_ok, "reports": [rep.to_dict() for rep in reports]}
     lines = []
-    for rep in reports:
-        status = "ok" if (rep.converged and rep.total_below(tol)) else "FAIL"
+    for rep, rep_ok in zip(reports, ok):
+        status = "ok" if rep_ok else "FAIL"
         lines.append(
             f"n={rep.n}: |total|={mpmath.nstr(rep.abs_total, 6)} "
             f"k_stop={rep.k_stop} converged={rep.converged} "

@@ -527,7 +527,8 @@ def linear_power(a: GaussianRational, b: GaussianRational, n: int) -> tuple[Gaus
     """Coefficients (ascending) of (a*x + b)^n over Q(i)."""
     if n < 0:
         raise ValueError("negative power of a linear form")
-    out = [ZERO] * (n + 1)
-    for t in range(n + 1):
-        out[t] = GaussianRational(math.comb(n, t)) * a**t * b ** (n - t)
-    return tuple(out)
+    apow, bpow = [ONE], [ONE]  # a^t and b^t, t = 0..n
+    for _ in range(n):
+        apow.append(apow[-1] * a)
+        bpow.append(bpow[-1] * b)
+    return tuple(apow[t] * bpow[n - t] * math.comb(n, t) for t in range(n + 1))

@@ -30,6 +30,7 @@ from zetapoly.exactnum import (
     ZERO,
     GaussianRational,
     PowerSeries,
+    common_denominator,
     linear_power,
     poly_mul,
     qi,
@@ -157,9 +158,9 @@ class Thm2Report:
 
     @property
     def abs_total(self) -> mpmath.mpf:
+        norm = self.total.norm2()
         with mp.workprec(64):
-            return mpmath.sqrt(mpmath.mpf(self.total.norm2().numerator)
-                               / mpmath.mpf(self.total.norm2().denominator))
+            return mpmath.sqrt(mpmath.mpf(norm.numerator) / mpmath.mpf(norm.denominator))
 
     def total_below(self, bound: TolLike) -> bool:
         """Exact test |total| < bound."""
@@ -197,10 +198,19 @@ def thm2_residual(
     t_k = -C(K, n) (-i)^k sum_{q=0}^{min(K, w)} C(K-q+w, w)
           (1-i)^(-(K-q+w+1)) r_q.
 
+    With (1-i)^(-1) = (1+i)/2 and g_q/D = 2^q (1+i)^(w-q) r_q over one
+    common denominator D, each term is a Gaussian integer over 2^(K+w+1) D:
+
+    t_k = -C(K, n) (-i)^k (1+i)^(K+1) A_K / (2^(K+w+1) D),
+    A_K = sum_{q=0}^{w} C(K-q+w, w) g_q   (C(K-q+w, w) = 0 for q > K).
+
+    The loop runs on int pairs; (-i)^k (1+i)^(K+1) steps by (1-i).
+
     Summation stops at the first k >= K_MIN where the magnitudes of the
-    last three terms all fall below tol*(1-RHO)/RHO, or at k_max with
-    ``converged`` cleared.  The comparison is performed exactly on
-    squared magnitudes.
+    last three terms all fall below theta = tol*(1-RHO)/RHO, or at k_max
+    with ``converged`` cleared.  The test is exact, in integers: a term
+    (a + b i)/den passes iff (a^2 + b^2) theta2.den < theta2.num den^2,
+    where theta2 = theta^2.
     """
     if n < 1:
         raise InputError(f"n must be a positive integer, got {n}")
@@ -214,38 +224,41 @@ def thm2_residual(
     exact_part = zvals[n] + phase_w * sum(
         (principal.coeff(-m) * zvals[m - 1] for m in range(1, n + 2)), ZERO
     )
-    r_nonzero = [(q, c) for q, c in enumerate(rv_inverse(Z).coeffs) if not c.is_zero()]
+    r = rv_inverse(Z).coeffs
+    D, g = common_denominator([qi(1, 1) ** (w - q) * r[q] * 2**q for q in range(w + 1)])
+    g = [(q, gr, gi) for q, (gr, gi) in enumerate(g) if gr or gi]
 
-    inv_one_minus_i = qi(1, -1).inverse()
-    invpow = [ONE]  # invpow[e] = (1-i)^(-e)
-    minus_i_cycle = (ONE, -I, -ONE, I)  # (-i)^k by k mod 4
-
+    f = qi(1, 1) ** (n + 1)  # (-i)^k (1+i)^(K+1) at k = 0
+    fr, fi = f.re.numerator, f.im.numerator
+    den = D << (n + w)  # 2^(K+w+1) D, here at k = -1
+    acc_r = acc_i = 0  # the terms so far, summed over den
+    below = 0  # how many of the latest terms are below theta
     terms: list[GaussianRational] = []
-    total = exact_part
-    norms: list[Fraction] = []
     k_stop = k_max
     converged = False
     for k in range(k_max + 1):
         K = k + n
-        while len(invpow) <= K + w + 1:
-            invpow.append(invpow[-1] * inv_one_minus_i)
-        inner = ZERO
-        for q, rq in r_nonzero:
-            if q > K:
-                break
-            e = K - q + w
-            inner = inner + rq * (invpow[e + 1] * math.comb(e, w))
-        t_k = inner * (minus_i_cycle[k % 4] * -math.comb(K, n))
-        terms.append(t_k)
-        total = total + t_k
-        norms.append(t_k.norm2())
-        if k >= K_MIN and all(v < theta2 for v in norms[-3:]):
+        ar = ai = 0
+        for q, gr, gi in g:
+            c = math.comb(K - q + w, w)
+            ar += c * gr
+            ai += c * gi
+        c = -math.comb(K, n)
+        tr, ti = c * (fr * ar - fi * ai), c * (fr * ai + fi * ar)
+        fr, fi = fr + fi, fi - fr  # times (1-i)
+        den <<= 1
+        acc_r, acc_i = 2 * acc_r + tr, 2 * acc_i + ti
+        terms.append(GaussianRational(Fraction(tr, den), Fraction(ti, den)))
+        small = (tr * tr + ti * ti) * theta2.denominator < theta2.numerator * den * den
+        below = below + 1 if small else 0
+        if k >= K_MIN and below >= 3:
             k_stop = k
             converged = True
             break
+    total = exact_part + GaussianRational(Fraction(acc_r, den), Fraction(acc_i, den))
     with mp.workprec(64):
         if converged:
-            worst = max(norms[-3:])
+            worst = max(t.norm2() for t in terms[-3:])
             bound = mpmath.sqrt(
                 mpmath.mpf(worst.numerator) / mpmath.mpf(worst.denominator)
             ) * mpmath.mpf(RHO.numerator) / mpmath.mpf(RHO.denominator - RHO.numerator)

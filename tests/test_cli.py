@@ -247,6 +247,79 @@ THM2_ODD_N12 = {
 }
 
 
+# `zetapoly --format json thm2 r_delta_plus.json --n 1,2,3,4,5`, pinned byte for byte.
+THM2_EVEN_N1_5 = {
+    "passed": True,
+    "reports": [
+        {
+            "w": 10,
+            "n": 1,
+            "k_stop": 192,
+            "converged": True,
+            "abs_total": "1.5643578011e-11",
+            "residual_bound": "7.91855543881e-11",
+            "total": [
+                "-13608757296140772825109/875946564757706516434221914914816",
+                "50119448893522874133/27373330148678328638569434841088",
+            ],
+            "tol": "1/10000000000",
+        },
+        {
+            "w": 10,
+            "n": 2,
+            "k_stop": 207,
+            "converged": True,
+            "abs_total": "1.53248072102e-11",
+            "residual_bound": "7.74737623724e-11",
+            "total": [
+                "-220107206916747399292603/112121160288986434103580405109096448",
+                "-852039450645896418456271/56060580144493217051790202554548224",
+            ],
+            "tol": "1/10000000000",
+        },
+        {
+            "w": 10,
+            "n": 3,
+            "k_stop": 220,
+            "converged": True,
+            "abs_total": "1.92794524283e-11",
+            "residual_bound": "9.72064232936e-11",
+            "total": [
+                "37922295452184177905820037/14351508516990263565258291853964345344",
+                "34259767571866217085295037/1793938564623782945657286481745543168",
+            ],
+            "tol": "1/10000000000",
+        },
+        {
+            "w": 10,
+            "n": 4,
+            "k_stop": 233,
+            "converged": True,
+            "abs_total": "1.95246845047e-11",
+            "residual_bound": "9.82077579339e-11",
+            "total": [
+                "-2599507827432032089378519483/918496545087376868176530678653718102016",
+                "-35487901599809912895868079817/1836993090174753736353061357307436204032",
+            ],
+            "tol": "1/10000000000",
+        },
+        {
+            "w": 10,
+            "n": 5,
+            "k_stop": 246,
+            "converged": True,
+            "abs_total": "1.69027936078e-11",
+            "residual_bound": "8.48369084445e-11",
+            "total": [
+                "603985141746474916862072092209/235135115542368478253191853735351834116096",
+                "1964139625193004820818667225573/117567557771184239126595926867675917058048",
+            ],
+            "tol": "1/10000000000",
+        },
+    ],
+}
+
+
 # Lambda(1..6) as `zetapoly --prec P --format json delta` prints them;
 # lambda_values holds these and their mirror images Lambda(12 - s) = Lambda(s).
 DELTA_LAMBDAS = {
@@ -372,6 +445,20 @@ class TestOutputBytes:
         )
         assert main(["--format", "json", "thm2", r_minus, "--n", "1,2"]) == EXIT_OK
         assert capsys.readouterr().out == json.dumps(THM2_ODD_N12, indent=2) + "\n"
+
+    def test_thm2_on_even_part(self, capsys):
+        r_plus = str(_data("r_delta_plus.json"))
+        assert main(["thm2", r_plus, "--n", "1,2,3,4,5"]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "n=1: |total|=1.56436e-11 k_stop=192 converged=True residual_bound=7.91856e-11 [ok]\n"
+            "n=2: |total|=1.53248e-11 k_stop=207 converged=True residual_bound=7.74738e-11 [ok]\n"
+            "n=3: |total|=1.92795e-11 k_stop=220 converged=True residual_bound=9.72064e-11 [ok]\n"
+            "n=4: |total|=1.95247e-11 k_stop=233 converged=True residual_bound=9.82078e-11 [ok]\n"
+            "n=5: |total|=1.69028e-11 k_stop=246 converged=True residual_bound=8.48369e-11 [ok]\n"
+            "overall: pass\n"
+        )
+        assert main(["--format", "json", "thm2", r_plus, "--n", "1,2,3,4,5"]) == EXIT_OK
+        assert capsys.readouterr().out == json.dumps(THM2_EVEN_N1_5, indent=2) + "\n"
 
     @pytest.mark.parametrize("prec", [128, 1024])
     def test_delta_lambda_values_and_z_coeffs(self, prec, capsys):

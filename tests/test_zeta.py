@@ -21,6 +21,9 @@ from zetapoly.lvalues import NumericPoly, build_r, delta_newform, numeric_rv
 from zetapoly.polyspace import PolyX
 from zetapoly.rv import ZetaPoly, rv_forward
 from zetapoly.zeta import (
+    K_MAX_DEFAULT,
+    K_MIN,
+    RHO,
     as_tolerance,
     functional_eq_residual,
     hilbert_hypotheses,
@@ -40,26 +43,42 @@ R_DELTA_PLUS = PolyX.make(
 
 
 def literal_term(Z: ZetaPoly, n: int, k: int) -> GaussianRational:
-    """The per-k term of the displayed triple sum, with no pruning."""
+    """The per-k term of the displayed triple sum, with no pruning: each
+    Z(m+j-K) is evaluated once and the j-sum is formed for every m."""
     w = Z.w
     K = k + n
-    total = ZERO
+    zv = [Z.at_int(-t) for t in range(K + 1)]  # zv[t] = Z(-t)
     inv_one_minus_i = qi(1, -1).inverse()
+    power = inv_one_minus_i ** (w + 1)  # (1-i)^(-(m+w+1))
+    total = ZERO
     for m in range(K + 1):
+        jsum = ZERO
         for j in range(K - m + 1):
-            c = (
-                math.comb(K, n)
-                * math.comb(m + w, w)
-                * math.comb(w + 1, j)
-                * (-1) ** (j + 1)
-            )
-            total = total + (
-                GaussianRational(c)
-                * (-I) ** k
-                * inv_one_minus_i ** (m + w + 1)
-                * Z.at_int(m + j - K)
-            )
-    return total
+            jsum = jsum + zv[K - m - j] * (math.comb(w + 1, j) * (-1) ** (j + 1))
+        total = total + jsum * power * (math.comb(K, n) * math.comb(m + w, w))
+        power = power * inv_one_minus_i
+    return total * (-I) ** k
+
+
+def fraction_stop_rule(terms, tol, k_max: int) -> tuple[int, bool]:
+    """(k_stop, converged) of the documented stop rule, recomputed from the
+    terms with Fraction norms."""
+    theta = as_tolerance(tol) * (1 - RHO) / RHO
+    norms = [t.norm2() for t in terms]
+    for k in range(K_MIN, len(norms)):
+        if all(v < theta * theta for v in norms[k - 2 : k + 1]):
+            return k, True
+    return k_max, False
+
+
+def mixed_den_polyx(rng: random.Random, w: int) -> PolyX:
+    """Random R whose coefficient denominators mix odd primes and powers of 2."""
+    dens = (1, 2, 3, 5, 7, 8, 12, 16, 40, 63)
+
+    def value():
+        return Fraction(rng.randint(-9, 9), rng.choice(dens))
+
+    return PolyX(w, tuple(qi(value(), value()) for _ in range(w + 1)))
 
 
 # -- root-finding oracles ------------------------------------------------
@@ -228,6 +247,32 @@ class TestThm2:
             # K = k + n crosses w, where the inner sum stops growing
             for k in sorted({0, 5, 10, 15, 20, max(w - n - 1, 0), w - n, w - n + 1}):
                 assert rep.partial_sums[k] == literal_term(Z, n, k)
+
+    def test_integer_kernel_matches_literal_terms_and_stop_rule(self):
+        # each tol is loose enough that the sum stops near k = 40-60
+        rng = random.Random(89)
+        for w, n, tol in [(2, 1, "6e-3"), (4, 2, "25"), (10, 1, "7e4"), (20, 3, "1e12")]:
+            Z = rv_forward(mixed_den_polyx(rng, w))
+            rep = thm2_residual(Z, n, tol=tol)
+            assert rep.converged and K_MIN <= rep.k_stop <= 60
+            assert list(rep.partial_sums) == [literal_term(Z, n, k) for k in range(rep.k_stop + 1)]
+            assert (rep.k_stop, rep.converged) == fraction_stop_rule(
+                rep.partial_sums, tol, K_MAX_DEFAULT
+            )
+            assert rep.total == rep.exact_part + sum(rep.partial_sums, ZERO)
+
+    def test_integer_kernel_below_k_min(self):
+        # every term is below the stop threshold, but k_max < K_MIN leaves
+        # the sum unconverged
+        Z = rv_forward(mixed_den_polyx(random.Random(97), 4))
+        rep = thm2_residual(Z, 2, tol="1e9", k_max=30)
+        assert (rep.k_stop, rep.converged) == (30, False) == fraction_stop_rule(
+            rep.partial_sums, "1e9", 30
+        )
+        theta = rep.tol * (1 - RHO) / RHO
+        assert all(t.norm2() < theta * theta for t in rep.partial_sums)
+        assert list(rep.partial_sums) == [literal_term(Z, 2, k) for k in range(31)]
+        assert rep.total == rep.exact_part + sum(rep.partial_sums, ZERO)
 
     def test_delta_minus_small_n(self):
         Z = rv_forward(R_DELTA_MINUS)
