@@ -485,7 +485,7 @@ class DensePoly:
         for entry in raw:
             if isinstance(entry, (list, tuple)) and len(entry) == 2:
                 try:
-                    coeffs.append(GaussianRational(str(entry[0]), str(entry[1])))
+                    coeffs.append(GaussianRational.from_str_pair(entry))
                 except (ValueError, ZeroDivisionError) as exc:
                     raise InputError(f"bad coefficient entry {entry!r}: {exc}") from exc
             else:

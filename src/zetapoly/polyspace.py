@@ -4,9 +4,8 @@ The space V_w of polynomials of degree at most w carries a weight -w
 action of 2x2 matrices (the slash operator).  This module implements
 that action exactly over Q(i), the residuals of the Fricke relation and
 of the Eichler-Shimura relations (both in the classical variable and in
-the rescaled variable), parity splitting, the change of variable between
-the two normalizations, and the exact nullspace computation for the
-space W_w cut out by the relations.
+the rescaled variable), parity splitting, and the space W_w cut out by
+the classical relations, computed by integer elimination.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from zetapoly.errors import ConsistencyError, InputError
+from zetapoly.errors import InputError
 from zetapoly.exactnum import (
     I,
     ZERO,
@@ -180,10 +179,10 @@ def es_residuals(r: PolyX) -> tuple[PolyX, PolyX]:
 
 
 def wspace_basis(w: int) -> tuple[list[PolyX], int, int]:
-    """Exact rational basis of W_w = {P : P|(1+S) = P|(1+U+U^2) = 0},
+    """Primitive integer basis of W_w = {P : P|(1+S) = P|(1+U+U^2) = 0},
     together with the dimensions of its even and odd parity parts.
 
-    The stacked linear system is solved by exact rational elimination
+    The stacked integer system is solved by fraction-free elimination
     with pivots chosen at the lowest available column index, so the
     emitted basis is deterministic.
     """
@@ -192,76 +191,68 @@ def wspace_basis(w: int) -> tuple[list[PolyX], int, int]:
     cols = list(range(w + 1))
     basis = [
         PolyX(w, tuple(GaussianRational(v) for v in vec))
-        for vec in _rational_nullspace(rows, cols)
+        for vec in _integer_nullspace(rows, cols)
     ]
-    dim_plus = len(_rational_nullspace(rows, cols[0::2]))
-    dim_minus = len(_rational_nullspace(rows, cols[1::2]))
+    dim_plus = len(_integer_nullspace(rows, cols[0::2]))
+    dim_minus = len(_integer_nullspace(rows, cols[1::2]))
     return basis, dim_plus, dim_minus
 
 
-def _relation_rows(w: int) -> list[list[Fraction]]:
+def _relation_rows(w: int) -> list[list[int]]:
     """Rows of the stacked (1+S, 1+U+U^2) system; column j is the image
-    of the monomial X^j."""
-    images = [es_residuals(PolyX.make(w, [0] * j + [1])) for j in range(w + 1)]
-    rows = []
-    for res_index in range(2):
-        for t in range(w + 1):
-            row = []
-            for img in images:
-                c = img[res_index].coeffs[t]
-                if not c.is_real():
-                    raise ConsistencyError("integer matrices gave a complex action")
-                row.append(c.re)
-            rows.append(row)
-    return rows
+    of the monomial X^j.
+
+    S, U and U^2 have determinant 1, so X^j|S = (-1)^j X^(w-j),
+    X^j|U = (X-1)^j X^(w-j) and X^j|U^2 = (-1)^j (X-1)^(w-j); as w is
+    even, the X^t coefficient of the last two is (-1)^t times a binomial.
+    """
+    rows_s = [[(t == j) + (-1) ** j * (t == w - j) for j in range(w + 1)] for t in range(w + 1)]
+    rows_u = [
+        [
+            (t == j)
+            + (-1) ** t * ((math.comb(j, t + j - w) if t + j >= w else 0) + math.comb(w - j, t))
+            for j in range(w + 1)
+        ]
+        for t in range(w + 1)
+    ]
+    return rows_s + rows_u
 
 
-def _rational_nullspace(rows: list[list[Fraction]], cols: list[int]) -> list[list[Fraction]]:
-    """Nullspace basis of the columns ``cols`` of a rational matrix via
-    reduced row echelon form.
+def _integer_nullspace(rows: list[list[int]], cols: list[int]) -> list[list[int]]:
+    """Nullspace basis of the columns ``cols`` of an integer matrix via
+    fraction-free Gauss-Jordan elimination.
 
-    Basis vectors are scaled to primitive integer form with a positive
-    first nonzero entry, one per free column in ascending order.
+    Each updated row is divided by its content, so the entries stay small.
+    Basis vectors are primitive integer vectors with a positive first
+    nonzero entry, one per free column in ascending order.
     """
     matrix = [[row[c] for c in cols] for row in rows]
     ncols = len(cols)
     pivots: list[int] = []
-    rank = 0
     for col in range(ncols):
-        sel = None
-        for r in range(rank, len(matrix)):
-            if matrix[r][col]:
-                sel = r
-                break
+        rank = len(pivots)
+        sel = next((r for r in range(rank, len(matrix)) if matrix[r][col]), None)
         if sel is None:
             continue
         matrix[rank], matrix[sel] = matrix[sel], matrix[rank]
-        inv = 1 / matrix[rank][col]
-        matrix[rank] = [v * inv for v in matrix[rank]]
-        for r in range(len(matrix)):
-            if r != rank and matrix[r][col]:
-                f = matrix[r][col]
-                matrix[r] = [v - f * p for v, p in zip(matrix[r], matrix[rank])]
+        prow = matrix[rank]
+        pv = prow[col]
+        for r, row in enumerate(matrix):
+            f = row[col]
+            if r != rank and f:
+                row = [pv * v - f * p for v, p in zip(row, prow)]
+                g = math.gcd(*row)
+                matrix[r] = [v // g for v in row] if g > 1 else row
         pivots.append(col)
-        rank += 1
-    free = [c for c in range(ncols) if c not in pivots]
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
+    for fc in (c for c in range(ncols) if c not in pivots):
+        # row r reads matrix[r][pc] * x_pc + matrix[r][fc] * x_fc = 0
+        scale = math.lcm(*(matrix[r][pc] for r, pc in enumerate(pivots) if matrix[r][fc]))
+        vec = [0] * ncols
+        vec[fc] = scale
         for r, pc in enumerate(pivots):
-            vec[pc] = -matrix[r][fc]
-        basis.append(_primitive(vec))
+            vec[pc] = -matrix[r][fc] * scale // matrix[r][pc]
+        g = math.gcd(*vec)
+        sign = -1 if next(v for v in vec if v) < 0 else 1
+        basis.append([sign * v // g for v in vec])
     return basis
-
-
-def _primitive(vec: list[Fraction]) -> list[Fraction]:
-    denom = math.lcm(*(v.denominator for v in vec))
-    ints = [int(v * denom) for v in vec]
-    g = math.gcd(*ints)
-    if g:
-        ints = [v // g for v in ints]
-    lead = next((v for v in ints if v), 0)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return [Fraction(v) for v in ints]

@@ -118,7 +118,8 @@ def laurent_coeffs(w: int, n: int, M: int) -> LaurentCoeffs:
     numerator = PowerSeries(poly_mul(linear_power(-ONE, ONE, w + 1), linear_power(ONE, I, n)))
     # denominator = i^(n+1) x^(n+1) ((1-i)x + i)^(w+1); invert the bracket,
     # so entry t of numerator / bracket is a_(t-n-1).
-    bracket = PowerSeries(tuple(I ** (n + 1) * c for c in linear_power(qi(1, -1), I, w + 1)))
+    phase = I ** (n + 1)
+    bracket = PowerSeries(tuple(phase * c for c in linear_power(qi(1, -1), I, w + 1)))
     coeffs = numerator.mul(bracket.inverse(terms), terms).coeffs
     lead = coeffs[0]
     if lead != -(I ** (-w)):

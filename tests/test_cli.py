@@ -1,3 +1,4 @@
+import hashlib
 import json
 from importlib import resources
 
@@ -426,6 +427,19 @@ class TestOutputBytes:
             "basis": [[[f"{v}/1", "0/1"] for v in vec] for vec in WSPACE10_BASIS],
         }
         assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "w,fmt,digest",
+        [
+            (30, "text", "61a23c8bf07ddbe4041cf87ce0536858d240fc8f45c75349be01e67c4ddbae9a"),
+            (30, "json", "5eed28958f92c50e06222c5a9a8230d0e55c242c91bac58aedd49d5f2e2778e3"),
+            (60, "text", "88222ac3ab4f6c8395a09e79dc55e134971d0fff15a85b9b9ad7163f93e74900"),
+            (60, "json", "7ae59e01cfd1e89882bf0ec70ef4f76d19ad82acc2430c00dbc864b2a1c4c9dc"),
+        ],
+    )
+    def test_wspace_digest(self, w, fmt, digest, capsys):
+        assert main(["--format", fmt, "wspace", str(w)]) == EXIT_OK
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     def test_check_es2_on_odd_part_text(self, capsys):
         r_minus = str(_data("r_delta_minus.json"))

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -12,6 +13,8 @@ from zetapoly.polyspace import (
     PolyX,
     S_MAT,
     U_MAT,
+    _integer_nullspace,
+    _relation_rows,
     es_residuals,
     fricke_residual,
     rescaled_es1_residual,
@@ -296,8 +299,17 @@ class TestWSpace:
         assert (dim_plus, dim_minus) == dims
         assert len(basis) == dim_plus + dim_minus
 
-    def test_basis_elements_satisfy_relations(self):
-        basis, _, _ = wspace_basis(10)
+    @pytest.mark.parametrize("w", range(2, 101, 2))
+    def test_dimensions_match_cusp_form_count(self, w):
+        # Eichler-Shimura-Manin: dim W+ = dim S_(w+2) + 1, dim W- = dim S_(w+2)
+        cusp = cusp_form_dimension(w + 2)
+        basis, dim_plus, dim_minus = wspace_basis(w)
+        assert (dim_plus, dim_minus) == (cusp + 1, cusp)
+        assert len(basis) == dim_plus + dim_minus
+
+    @pytest.mark.parametrize("w", [10, 30, 60])
+    def test_basis_elements_satisfy_relations(self, w):
+        basis, _, _ = wspace_basis(w)
         for b in basis:
             res_s, res_u = es_residuals(b)
             assert res_s.is_zero()
@@ -306,13 +318,86 @@ class TestWSpace:
     def test_deterministic(self):
         assert wspace_basis(8) == wspace_basis(8)
 
-    def test_basis_is_primitive_integer(self):
-        basis, _, _ = wspace_basis(10)
+    @pytest.mark.parametrize("w", [10, 30, 60])
+    def test_basis_is_primitive_integer(self, w):
+        basis, _, _ = wspace_basis(w)
         for b in basis:
             assert all(c.is_integer() for c in b.coeffs)
+            assert math.gcd(*(int(c.re) for c in b.coeffs)) == 1
             lead = next(c for c in b.coeffs if not c.is_zero())
             assert lead.re > 0
 
     def test_odd_w_rejected(self):
         with pytest.raises(InputError):
             wspace_basis(5)
+
+
+def cusp_form_dimension(k: int) -> int:
+    """dim S_k for SL_2(Z) and even k >= 4."""
+    return k // 12 - 1 if k % 12 == 2 else k // 12
+
+
+class TestRelationRows:
+    @pytest.mark.parametrize("w", [2, 10, 30])
+    def test_columns_are_slashed_monomials(self, w):
+        rows = _relation_rows(w)
+        assert len(rows) == 2 * (w + 1)
+        for j in range(w + 1):
+            res_s, res_u = es_residuals(PolyX.make(w, [0] * j + [1]))
+            column = [GaussianRational(row[j]) for row in rows]
+            assert column == list(res_s.coeffs) + list(res_u.coeffs)
+
+
+def fraction_nullspace(rows, cols):
+    """Reference nullspace: Fraction RREF with the lowest-column pivot rule,
+    one primitive vector with positive leading entry per free column."""
+    m = [[Fraction(row[c]) for c in cols] for row in rows]
+    pivots = []
+    for col in range(len(cols)):
+        rank = len(pivots)
+        sel = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if sel is None:
+            continue
+        m[rank], m[sel] = m[sel], m[rank]
+        m[rank] = [v / m[rank][col] for v in m[rank]]
+        for r in range(len(m)):
+            f = m[r][col]
+            if r != rank:
+                m[r] = [v - f * p for v, p in zip(m[r], m[rank])]
+        pivots.append(col)
+    basis = []
+    for fc in (c for c in range(len(cols)) if c not in pivots):
+        vec = [Fraction(0)] * len(cols)
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -m[r][fc]
+        ints = [v * math.lcm(*(x.denominator for x in vec)) for v in vec]
+        g = math.gcd(*(int(v) for v in ints))
+        sign = 1 if next(v for v in ints if v) > 0 else -1
+        basis.append([int(sign * v / g) for v in ints])
+    return basis
+
+
+class TestIntegerNullspace:
+    def test_matches_fraction_rref_on_random_rank_deficient_matrices(self):
+        rng = random.Random(41)
+        for _ in range(150):
+            ncols = rng.randint(1, 9)
+            rank = rng.randint(0, ncols)
+            left = [[rng.randint(-4, 4) for _ in range(rank)] for _ in range(rng.randint(1, 8))]
+            right = [[rng.randint(-5, 5) for _ in range(ncols)] for _ in range(rank)]
+            rows = [
+                [sum(lr[i] * right[i][c] for i in range(rank)) for c in range(ncols)]
+                for lr in left
+            ]
+            rows = [[0] * ncols if rng.random() < 0.2 else row for row in rows]
+            rows += [list(rng.choice(rows)) for _ in range(rng.randint(0, 3))]
+            rng.shuffle(rows)
+            subsets = [list(range(ncols)), sorted(rng.sample(range(ncols), rng.randint(1, ncols)))]
+            for cols in subsets:
+                assert _integer_nullspace(rows, cols) == fraction_nullspace(rows, cols)
+
+    def test_relation_rows_agree_with_fraction_rref(self):
+        rows = _relation_rows(20)
+        for cols in (list(range(21)), list(range(0, 21, 2)), list(range(1, 21, 2))):
+            assert _integer_nullspace(rows, cols) == fraction_nullspace(rows, cols)
