@@ -12,12 +12,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 import mpmath
 
 from zetapoly.delta import REFERENCE_EVEN_SCALE, REFERENCE_ODD_SCALE, run_delta
-from zetapoly.errors import InputError, PrecisionError, ZetapolyError
+from zetapoly.errors import InputError, PrecisionError
 from zetapoly.lvalues import (
     NewformData,
     critical_lambdas,
@@ -34,31 +33,11 @@ from zetapoly.polyspace import (
     wspace_basis,
 )
 from zetapoly.rv import ZetaPoly, rv_forward, rv_inverse
-from zetapoly.zeta import as_tolerance, rh_check, roots, thm2_residual
+from zetapoly.zeta import K_MAX_DEFAULT, as_tolerance, rh_check, roots, thm2_residual
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT = 2
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Global run options shared by all subcommands."""
-
-    precision: int = 128
-    tol: str = "1e-10"
-    k_max: int = 400
-    output: str | None = None
-    format: str = "text"
-
-    def __post_init__(self):
-        if self.precision < 64:
-            raise InputError(f"--prec must be at least 64 bits, got {self.precision}")
-        as_tolerance(self.tol)
-        if self.k_max < 1:
-            raise InputError(f"--kmax must be positive, got {self.k_max}")
-        if self.format not in ("json", "text"):
-            raise InputError(f"--format must be json or text, got {self.format!r}")
 
 
 def _read_json(path: str) -> dict:
@@ -71,14 +50,6 @@ def _read_json(path: str) -> dict:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _read_poly_x(path: str) -> PolyX:
-    return PolyX.from_dict(_read_json(path))
-
-
-def _read_zeta(path: str) -> ZetaPoly:
-    return ZetaPoly.from_dict(_read_json(path))
-
-
 def _read_z_or_r(path: str) -> ZetaPoly:
     """Accept either a zeta-polynomial (variable "s") or a period-style
     polynomial, transforming the latter."""
@@ -88,17 +59,17 @@ def _read_z_or_r(path: str) -> ZetaPoly:
     return rv_forward(PolyX.from_dict(data))
 
 
-def _emit(cfg: RunConfig, payload, text_lines=None) -> None:
+def _emit(args, payload, text_lines=None) -> None:
     """Write a report (JSON with indent 2 or text lines, per --format), or,
     with no text form, a polynomial file (always JSON with indent 1)."""
     if text_lines is None:
         out = json.dumps(payload, indent=1) + "\n"
-    elif cfg.format == "json":
+    elif args.format == "json":
         out = json.dumps(payload, indent=2) + "\n"
     else:
         out = "\n".join(text_lines) + "\n"
-    if cfg.output:
-        with open(cfg.output, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(out)
     else:
         sys.stdout.write(out)
@@ -109,15 +80,15 @@ def _emit(cfg: RunConfig, payload, text_lines=None) -> None:
 # ---------------------------------------------------------------------
 
 
-def _cmd_rv_forward(cfg: RunConfig, args) -> int:
-    Z = rv_forward(_read_poly_x(args.input))
-    _emit(cfg, Z.to_dict())
+def _cmd_rv_forward(args) -> int:
+    Z = rv_forward(PolyX.from_dict(_read_json(args.input)))
+    _emit(args, Z.to_dict())
     return EXIT_OK
 
 
-def _cmd_rv_inverse(cfg: RunConfig, args) -> int:
-    R = rv_inverse(_read_zeta(args.input))
-    _emit(cfg, R.to_dict())
+def _cmd_rv_inverse(args) -> int:
+    R = rv_inverse(ZetaPoly.from_dict(_read_json(args.input)))
+    _emit(args, R.to_dict())
     return EXIT_OK
 
 
@@ -131,9 +102,9 @@ _RESIDUALS = {
 }
 
 
-def _cmd_check(cfg: RunConfig, args) -> int:
+def _cmd_check(args) -> int:
     relation = args.relation
-    poly = _read_poly_x(args.input)
+    poly = PolyX.from_dict(_read_json(args.input))
     if relation == "fricke" and args.eps is None:
         raise InputError("relation 'fricke' requires --eps +1 or -1")
     residual = _RESIDUALS[relation](poly, args.eps)
@@ -147,7 +118,7 @@ def _cmd_check(cfg: RunConfig, args) -> int:
         f"relation {relation}: {'holds' if holds else 'FAILS'}",
         "residual: " + " ".join(str(c) for c in residual.coeffs),
     ]
-    _emit(cfg, payload, lines)
+    _emit(args, payload, lines)
     return EXIT_OK if holds else EXIT_CHECK_FAILED
 
 
@@ -161,11 +132,11 @@ def _parse_n_list(spec: str) -> list[int]:
     return values
 
 
-def _cmd_thm2(cfg: RunConfig, args) -> int:
+def _cmd_thm2(args) -> int:
     Z = _read_z_or_r(args.input)
-    tol = as_tolerance(cfg.tol)
+    tol = as_tolerance(args.tol)
     reports = [
-        thm2_residual(Z, n, tol=tol, k_max=cfg.k_max) for n in _parse_n_list(args.n)
+        thm2_residual(Z, n, tol=tol, k_max=args.kmax) for n in _parse_n_list(args.n)
     ]
     ok = [rep.converged and rep.total_below(tol) for rep in reports]
     all_ok = all(ok)
@@ -179,15 +150,15 @@ def _cmd_thm2(cfg: RunConfig, args) -> int:
             f"residual_bound={mpmath.nstr(rep.residual_bound, 6)} [{status}]"
         )
     lines.append(f"overall: {'pass' if all_ok else 'FAIL'}")
-    _emit(cfg, payload, lines)
+    _emit(args, payload, lines)
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
 
-def _cmd_delta(cfg: RunConfig, args) -> int:
-    report = run_delta(cfg.precision)
+def _cmd_delta(args) -> int:
+    report = run_delta(args.prec)
     d = report.to_dict()
     lines = [
-        f"precision: {cfg.precision} bits",
+        f"precision: {args.prec} bits",
         f"completed-L symmetry max deviation: {d['lambda_symmetry_max']}",
         f"even scale factor: {d['scale_even']} (reference {REFERENCE_EVEN_SCALE}, ok={d['scale_even_ok']})",
         f"odd scale factor:  {d['scale_odd']} (reference {REFERENCE_ODD_SCALE}, ok={d['scale_odd_ok']})",
@@ -209,11 +180,11 @@ def _cmd_delta(cfg: RunConfig, args) -> int:
         f"odd part fails unit circle with deviation: {d['r_minus_circle_deviation']}",
         f"overall: {'pass' if d['passed'] else 'FAIL'}",
     ]
-    _emit(cfg, d, lines)
+    _emit(args, d, lines)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
-def _cmd_wspace(cfg: RunConfig, args) -> int:
+def _cmd_wspace(args) -> int:
     basis, dim_plus, dim_minus = wspace_basis(args.w)
     payload = {
         "w": args.w,
@@ -225,26 +196,26 @@ def _cmd_wspace(cfg: RunConfig, args) -> int:
     lines = [f"w={args.w}: dim W = {len(basis)}, dim W+ = {dim_plus}, dim W- = {dim_minus}"]
     for b in basis:
         lines.append("  basis: " + " ".join(str(c) for c in b.coeffs))
-    _emit(cfg, payload, lines)
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
-def _load_newform(cfg: RunConfig, args) -> NewformData:
+def _load_newform(args) -> NewformData:
     if args.input:
         return NewformData.from_dict(_read_json(args.input))
-    return delta_newform(cfg.precision)
+    return delta_newform(args.prec)
 
 
-def _cmd_lvalues(cfg: RunConfig, args) -> int:
-    nf = _load_newform(cfg, args)
-    digits = printed_digits(cfg.precision)
-    lams = enumerate(critical_lambdas(nf, cfg.precision), start=1)
-    values = [(s, lam, l_from_lambda(nf, s, lam, cfg.precision)) for s, lam in lams]
+def _cmd_lvalues(args) -> int:
+    nf = _load_newform(args)
+    digits = printed_digits(args.prec)
+    lams = enumerate(critical_lambdas(nf, args.prec), start=1)
+    values = [(s, lam, l_from_lambda(nf, s, lam, args.prec)) for s, lam in lams]
     payload = {
         "label": nf.label,
         "level": nf.level,
         "weight": nf.weight,
-        "precision": cfg.precision,
+        "precision": args.prec,
         "values": [
             {"s": s, "completed": mpmath.nstr(lam, digits), "l": mpmath.nstr(lv, digits)}
             for s, lam, lv in values
@@ -253,15 +224,15 @@ def _cmd_lvalues(cfg: RunConfig, args) -> int:
     lines = [f"newform {nf.label or '(unnamed)'}, level {nf.level}, weight {nf.weight}"]
     for s, lam, lv in values:
         lines.append(f"  s={s}: Lambda={mpmath.nstr(lam, digits)} L={mpmath.nstr(lv, digits)}")
-    _emit(cfg, payload, lines)
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
-def _cmd_roots(cfg: RunConfig, args) -> int:
+def _cmd_roots(args) -> int:
     data = _read_json(args.input)
     poly = ZetaPoly.from_dict(data) if data.get("variable") == "s" else PolyX.from_dict(data)
     if args.mode:
-        report = rh_check(poly, args.mode, tol=cfg.tol, precision=cfg.precision)
+        report = rh_check(poly, args.mode, tol=args.tol, precision=args.prec)
         payload = report.to_dict()
         lines = [
             f"mode {args.mode}: passed={report.passed} "
@@ -269,14 +240,14 @@ def _cmd_roots(cfg: RunConfig, args) -> int:
         ]
         for z in report.roots:
             lines.append(f"  {mpmath.nstr(z, 20)}")
-        _emit(cfg, payload, lines)
+        _emit(args, payload, lines)
         return EXIT_OK if report.passed else EXIT_CHECK_FAILED
-    rts = roots(poly, precision=cfg.precision)
+    rts = roots(poly, precision=args.prec)
     payload = {
         "roots": [[mpmath.nstr(mpmath.re(z), 20), mpmath.nstr(mpmath.im(z), 20)] for z in rts]
     }
     lines = [mpmath.nstr(z, 20) for z in rts]
-    _emit(cfg, payload, lines)
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
@@ -285,30 +256,18 @@ def _cmd_roots(cfg: RunConfig, args) -> int:
 # ---------------------------------------------------------------------
 
 
-def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
-    # Subparsers carry SUPPRESS defaults so flags work on either side of
-    # the subcommand without clobbering values parsed at the top level.
-    d = argparse.SUPPRESS if suppress else None
-    parser.add_argument(
-        "--prec", type=int, help="working precision in bits (>= 64)",
-        **({"default": d} if suppress else {"default": 128}),
-    )
-    parser.add_argument(
-        "--tol", help="decimal tolerance for numeric checks",
-        **({"default": d} if suppress else {"default": "1e-10"}),
-    )
-    parser.add_argument(
-        "--kmax", type=int, help="series truncation cap",
-        **({"default": d} if suppress else {"default": 400}),
-    )
-    parser.add_argument(
-        "--format", choices=("json", "text"),
-        **({"default": d} if suppress else {"default": "text"}),
-    )
-    parser.add_argument(
-        "--out", help="write output to this path instead of stdout",
-        **({"default": d} if suppress else {"default": None}),
-    )
+def _add_global_flags(parser: argparse.ArgumentParser) -> None:
+    # SUPPRESS leaves a flag unset unless given, so a flag parsed on either
+    # side of the subcommand is never clobbered; build_parser sets the
+    # defaults once on the top-level parser.
+    for flag, kwargs in (
+        ("--prec", {"type": int, "help": "working precision in bits (>= 64)"}),
+        ("--tol", {"help": "decimal tolerance for numeric checks"}),
+        ("--kmax", {"type": int, "help": "series truncation cap"}),
+        ("--format", {"choices": ("json", "text")}),
+        ("--out", {"help": "write output to this path instead of stdout"}),
+    ):
+        parser.add_argument(flag, default=argparse.SUPPRESS, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -318,52 +277,48 @@ def build_parser() -> argparse.ArgumentParser:
         "relation checks, identity verification, and the end-to-end "
         "weight-12 level-1 reproduction.",
     )
-    _add_global_flags(parser, suppress=False)
+    _add_global_flags(parser)
+    parser.set_defaults(prec=128, tol="1e-10", kmax=K_MAX_DEFAULT, format="text", out=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("rv-forward", help="transform a period-style polynomial file to a zeta-polynomial")
     p.add_argument("input")
-    _add_global_flags(p, suppress=True)
     p.set_defaults(func=_cmd_rv_forward)
 
     p = sub.add_parser("rv-inverse", help="invert a zeta-polynomial file back to the period side")
     p.add_argument("input")
-    _add_global_flags(p, suppress=True)
     p.set_defaults(func=_cmd_rv_inverse)
 
     p = sub.add_parser("check", help="check a relation on a polynomial file")
     p.add_argument("relation", choices=("fricke", "res1", "res2", "es1", "es2"))
     p.add_argument("input")
     p.add_argument("--eps", type=int, choices=(1, -1), default=None, help="Fricke eigenvalue")
-    _add_global_flags(p, suppress=True)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("thm2", help="evaluate the convergent series identity at the given n values")
     p.add_argument("input", help="zeta-polynomial file, or period-style file to transform first")
     p.add_argument("--n", default="1", help="comma-separated positive integers")
-    _add_global_flags(p, suppress=True)
     p.set_defaults(func=_cmd_thm2)
 
     p = sub.add_parser("delta", help="reproduce the weight-12 level-1 example end to end")
-    _add_global_flags(p, suppress=True)
     p.set_defaults(func=_cmd_delta)
 
     p = sub.add_parser("wspace", help="basis and parity dimensions of the relation nullspace")
     p.add_argument("w", type=int)
-    _add_global_flags(p, suppress=True)
     p.set_defaults(func=_cmd_wspace)
 
     p = sub.add_parser("lvalues", help="critical completed-L and L-values of a newform")
     p.add_argument("input", nargs="?", default=None, help="newform JSON file (default: built-in weight-12 level-1)")
-    _add_global_flags(p, suppress=True)
     p.set_defaults(func=_cmd_lvalues)
 
     p = sub.add_parser("roots", help="roots of a polynomial file, optionally with a line/circle check")
     p.add_argument("input")
     p.add_argument("--mode", choices=("critical_line", "unit_circle"), default=None)
-    _add_global_flags(p, suppress=True)
     p.set_defaults(func=_cmd_roots)
 
+    # Added last, so each subcommand's --help lists its own options first.
+    for p in sub.choices.values():
+        _add_global_flags(p)
     return parser
 
 
@@ -371,22 +326,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = RunConfig(
-            precision=args.prec,
-            tol=args.tol,
-            k_max=args.kmax,
-            output=args.out,
-            format=args.format,
-        )
-        return args.func(cfg, args)
+        if args.prec < 64:
+            raise InputError(f"--prec must be at least 64 bits, got {args.prec}")
+        as_tolerance(args.tol)
+        if args.kmax < 1:
+            raise InputError(f"--kmax must be positive, got {args.kmax}")
+        return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except PrecisionError as exc:
         print(f"precision error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    except ZetapolyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+The CLI maps InputError to exit code 2 and PrecisionError to exit code 1.
+Exact identities that hold by construction (the vanishing tail of the
+inverse transform, the leading Laurent coefficient) are covered by the
+tests rather than re-checked at run time.
+"""
 
 
 class ZetapolyError(Exception):
@@ -12,8 +18,3 @@ class InputError(ZetapolyError):
 class PrecisionError(ZetapolyError):
     """Numeric work cannot meet the requested precision (e.g. too few
     Fourier coefficients for the target error bound)."""
-
-
-class ConsistencyError(ZetapolyError):
-    """An internal exact identity failed; indicates a bug or an input
-    violating a documented invariant."""

@@ -83,9 +83,8 @@ class Mat2:
 S_MAT = Mat2(0, -1, 1, 0)
 U_MAT = Mat2(1, -1, 1, 0)
 
-# Matrices realizing the rescaled-variable relations; all have det 1,
+# Matrices realizing the rescaled three-term relation; both have det 1,
 # so the slash normalization factor is exactly 1.
-_RES1_MAT = Mat2(0, -I, -I, 0)
 _RES2_MAT_B = Mat2(1, -I, -I, 0)
 _RES2_MAT_C = Mat2(0, -I, -I, -1)
 
@@ -152,8 +151,12 @@ def fricke_residual(R: PolyX, eps: int) -> PolyX:
 
 
 def rescaled_es1_residual(R: PolyX) -> PolyX:
-    """Residual of the two-term relation R(X) + (-iX)^w R(1/X)."""
-    return R + slash(R, _RES1_MAT)
+    """Residual of the two-term relation R(X) + (-iX)^w R(1/X).
+
+    This is the slash by [[0, -i], [-i, 0]] (det 1), and (-i)^w = i^w for
+    even w, so it is the Fricke residual with eps = +1.
+    """
+    return fricke_residual(R, 1)
 
 
 def rescaled_es2_residual(R: PolyX) -> PolyX:

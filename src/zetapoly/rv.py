@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from zetapoly.errors import ConsistencyError, InputError
+from zetapoly.errors import InputError
 from zetapoly.exactnum import (
     DensePoly,
     GaussianRational,
@@ -103,26 +103,22 @@ def series_coeffs(Z: ZetaPoly, count: int) -> list[GaussianRational]:
 def rv_inverse(Z: ZetaPoly) -> PolyX:
     """Recover R(X) from Z(s) by convolving the series with (1 - X)^(w+1).
 
-    r_m = sum_{j=0}^{min(m, w+1)} (-1)^j C(w+1, j) Z(-(m-j)).  The same
-    convolution for m = w+1 .. 2w+2 must vanish identically (an order
-    w+1 finite difference of a degree <= w polynomial); this is verified
-    and a failure reports an internal inconsistency.
+    r_m = sum_{j=0}^{m} (-1)^j C(w+1, j) Z(-(m-j)) for m = 0 .. w, so only
+    the w+1 values Z(0) .. Z(-w) are formed.  The tail of the product
+    (m > w) is not formed: there the convolution is an order w+1 finite
+    difference of a polynomial of degree <= w (DensePoly holds exactly
+    w+1 coefficients), which vanishes identically.
     """
     w = Z.w
-    den, zvals = _series_values_int(Z, 2 * w + 3)
-    signed = [(-1) ** j * math.comb(w + 1, j) for j in range(w + 2)]
+    den, zvals = _series_values_int(Z, w + 1)
+    signed = [(-1) ** j * math.comb(w + 1, j) for j in range(w + 1)]
     out = []
-    for m in range(2 * w + 3):
+    for m in range(w + 1):
         r = 0
         im = 0
-        for j in range(min(m, w + 1) + 1):
+        for j in range(m + 1):
             zr, zm = zvals[m - j]
             r += zr * signed[j]
             im += zm * signed[j]
-        if m <= w:
-            out.append(GaussianRational(Fraction(r, den), Fraction(im, den)))
-        elif r or im:
-            raise ConsistencyError(
-                f"convolution coefficient at X^{m} is nonzero; input has degree > w"
-            )
+        out.append(GaussianRational(Fraction(r, den), Fraction(im, den)))
     return PolyX(w, tuple(out))

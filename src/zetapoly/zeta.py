@@ -23,7 +23,7 @@ from typing import Union
 import mpmath
 from mpmath import mp
 
-from zetapoly.errors import ConsistencyError, InputError, PrecisionError
+from zetapoly.errors import InputError, PrecisionError
 from zetapoly.exactnum import (
     I,
     ONE,
@@ -120,11 +120,7 @@ def laurent_coeffs(w: int, n: int, M: int) -> LaurentCoeffs:
     # so entry t of numerator / bracket is a_(t-n-1).
     phase = I ** (n + 1)
     bracket = PowerSeries(tuple(phase * c for c in linear_power(qi(1, -1), I, w + 1)))
-    coeffs = numerator.mul(bracket.inverse(terms), terms).coeffs
-    lead = coeffs[0]
-    if lead != -(I ** (-w)):
-        raise ConsistencyError("Laurent leading coefficient differs from -i^(-w)")
-    return LaurentCoeffs(w, n, M, coeffs)
+    return LaurentCoeffs(w, n, M, numerator.mul(bracket.inverse(terms), terms).coeffs)
 
 
 # ---------------------------------------------------------------------

@@ -5,12 +5,15 @@ from importlib import resources
 import pytest
 
 from conftest import modulus_27_poly
-from zetapoly.cli import EXIT_CHECK_FAILED, EXIT_INPUT, EXIT_OK, RunConfig, main
+from zetapoly.cli import EXIT_CHECK_FAILED, EXIT_INPUT, EXIT_OK, main
 from zetapoly.delta import golden_r_minus, golden_z_minus
-from zetapoly.errors import InputError
 from zetapoly.lvalues import delta_newform
 from zetapoly.polyspace import PolyX, wspace_basis
 from zetapoly.rv import ZetaPoly, rv_forward
+
+
+def _data(name):
+    return resources.files("zetapoly.data").joinpath(name)
 
 
 @pytest.fixture()
@@ -27,21 +30,65 @@ def w2_const_file(tmp_path):
     return str(path)
 
 
-class TestRunConfig:
-    def test_defaults(self):
-        cfg = RunConfig()
-        assert cfg.precision == 128
-        assert cfg.format == "text"
+def _either_side(side, flags, argv):
+    """``argv`` with ``flags`` before the subcommand or after its arguments."""
+    return flags + argv if side == "before" else argv + flags
 
-    def test_validation(self):
-        with pytest.raises(InputError):
-            RunConfig(precision=32)
-        with pytest.raises(InputError):
-            RunConfig(tol="0")
-        with pytest.raises(InputError):
-            RunConfig(k_max=0)
-        with pytest.raises(InputError):
-            RunConfig(format="xml")
+
+@pytest.mark.parametrize("side", ["before", "after"])
+class TestGlobalFlags:
+    """The global flags are read on either side of the subcommand, an
+    invalid value is an input error, and each default equals the value
+    spelled out (and differs from a neighbouring one, so it is read)."""
+
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--prec", "32", "error: --prec must be at least 64 bits, got 32\n"),
+            ("--prec", "63", "error: --prec must be at least 64 bits, got 63\n"),
+            ("--tol", "0", "error: tolerance must be positive, got '0'\n"),
+            ("--tol", "abc", "error: cannot parse tolerance 'abc'\n"),
+            ("--kmax", "0", "error: --kmax must be positive, got 0\n"),
+        ],
+        ids=["prec32", "prec63", "tol0", "tolabc", "kmax0"],
+    )
+    def test_invalid_value_exits_2(self, side, flag, value, message, w2_const_file, capsys):
+        for argv in (["thm2", w2_const_file], ["wspace", "4"]):
+            assert main(_either_side(side, [flag, value], argv)) == EXIT_INPUT
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", message)
+
+    def test_format_outside_choices_is_a_usage_error(self, side, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(_either_side(side, ["--format", "xml"], ["wspace", "4"]))
+        assert exc.value.code == EXIT_INPUT
+        assert "invalid choice: 'xml'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,flag,default,other",
+        [
+            (["delta"], "--prec", "128", "192"),
+            (["thm2", str(_data("r_delta_minus.json")), "--n", "1", "--format", "json"], "--tol", "1e-10", "1e-9"),
+            (["thm2", str(_data("r_delta_minus.json")), "--n", "1", "--tol", "1e-40"], "--kmax", "400", "399"),
+            (["wspace", "10"], "--format", "text", "json"),
+        ],
+        ids=["prec", "tol", "kmax", "format"],
+    )
+    def test_default_equals_spelled_out(self, side, argv, flag, default, other, capsys):
+        outputs = []
+        for flags in ([], [flag, default], [flag, other]):
+            code = main(_either_side(side, flags, argv))
+            outputs.append((code, capsys.readouterr()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0] != outputs[2]
+
+    def test_out_default_is_stdout(self, side, tmp_path, capsys):
+        path = tmp_path / "w.txt"
+        assert main(["wspace", "10"]) == EXIT_OK
+        stdout = capsys.readouterr().out
+        assert main(_either_side(side, ["--out", str(path)], ["wspace", "10"])) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        assert path.read_text() == stdout
 
 
 class TestTransformCommands:
@@ -200,10 +247,6 @@ class TestDeltaCommand:
 
     def test_low_precision_rejected(self):
         assert main(["--prec", "32", "delta"]) == EXIT_INPUT
-
-
-def _data(name):
-    return resources.files("zetapoly.data").joinpath(name)
 
 
 # Exact basis of W_10 in the order wspace emits it.

@@ -219,9 +219,12 @@ class TestRescaledRelations:
         assert rescaled_es1_residual(PolyX.make(2, [1])) == PolyX.make(2, [1, 0, -1])
 
     def test_two_term_matches_fricke_plus_one(self):
+        # oracle: the defining expression, R plus the slash by [[0, -i], [-i, 0]]
+        res1_mat = Mat2(0, -I, -I, 0)
         rng = random.Random(3)
         for _ in range(25):
-            R = rand_polyx(rng, rng.choice([2, 4, 6, 10]))
+            R = rand_polyx(rng, rng.choice([2, 4, 6, 10, 30]))
+            assert R + slash(R, res1_mat) == fricke_residual(R, 1)
             assert rescaled_es1_residual(R) == fricke_residual(R, 1)
 
     def test_three_term_by_pointwise_substitution(self):

@@ -146,12 +146,14 @@ class TestSeriesCoeffs:
         with pytest.raises(InputError):
             series_coeffs(ZetaPoly.make(2, [1]), 0)
 
-    def test_convolution_reproduces_coefficients(self):
-        # convolving the series with (1-X)^(w+1) gives R then zeros
-        rng = random.Random(43)
-        R = rand_polyx(rng, 4)
+    @pytest.mark.parametrize("seed", [43, 44, 45])
+    @pytest.mark.parametrize("w", [2, 10, 30])
+    def test_convolution_reproduces_coefficients(self, w, seed):
+        # convolving the series with (1-X)^(w+1) gives R then zeros; the
+        # zeros are why rv_inverse never forms the tail
+        rng = random.Random(seed)
+        R = rand_polyx(rng, w)
         Z = rv_forward(R)
-        w = 4
         vals = series_coeffs(Z, 2 * w + 3)
         signed = [(-1) ** j * math.comb(w + 1, j) for j in range(w + 2)]
         for m in range(2 * w + 3):

@@ -161,8 +161,9 @@ class TestFunctionalEquation:
 
 class TestLaurent:
     def test_pole_coefficient_closed_form(self):
-        for w in (2, 4, 6, 8, 10, 12):
-            for n in (1, 2, 3):
+        # a_(-(n+1)) = i^n / i^(n+w+2) = -i^(-w) for every even w and n >= 1
+        for w in range(2, 31, 2):
+            for n in range(1, 6):
                 lc = laurent_coeffs(w, n, 0)
                 assert lc.coeff(-(n + 1)) == -(I ** (-w))
                 if w % 4 == 0:
