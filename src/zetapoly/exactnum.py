@@ -522,13 +522,3 @@ class PowerSeries:
             out[t] = -c0inv * acc
         return PowerSeries(tuple(out))
 
-
-def linear_power(a: GaussianRational, b: GaussianRational, n: int) -> tuple[GaussianRational, ...]:
-    """Coefficients (ascending) of (a*x + b)^n over Q(i)."""
-    if n < 0:
-        raise ValueError("negative power of a linear form")
-    apow, bpow = [ONE], [ONE]  # a^t and b^t, t = 0..n
-    for _ in range(n):
-        apow.append(apow[-1] * a)
-        bpow.append(bpow[-1] * b)
-    return tuple(apow[t] * bpow[n - t] * math.comb(n, t) for t in range(n + 1))

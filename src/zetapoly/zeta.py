@@ -18,6 +18,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Union
 
 import mpmath
@@ -26,13 +27,9 @@ from mpmath import mp
 from zetapoly.errors import InputError, PrecisionError
 from zetapoly.exactnum import (
     I,
-    ONE,
     ZERO,
     GaussianRational,
-    PowerSeries,
     common_denominator,
-    linear_power,
-    poly_mul,
     qi,
     require_even_w,
     squarefree_parts,
@@ -108,19 +105,26 @@ class LaurentCoeffs:
 
 def laurent_coeffs(w: int, n: int, M: int) -> LaurentCoeffs:
     """Expand the kernel exactly to order M (M >= -(n+1) is allowed to be
-    negative: only part of the principal part is then produced)."""
+    negative: only part of the principal part is then produced).
+
+    As x + i = i(1 - ix) and x + i - ix = i(1 - (1+i)x), the kernel is
+    (-1)^(w/2+1) x^(-(n+1)) (1-x)^(w+1) (1-ix)^n / (1-(1+i)x)^(w+1): every
+    a_m is a Gaussian integer, from sum_s C(w+s, w) (1+i)^s x^s times w+1
+    factors (1-x) and n factors (1-ix), on (re, im) int pairs."""
     require_even_w(w)
     if n < 1:
         raise InputError(f"n must be a positive integer, got {n}")
     if M < -(n + 1):
         raise InputError(f"truncation order M={M} precedes the pole order {-(n + 1)}")
-    terms = M + n + 2
-    numerator = PowerSeries(poly_mul(linear_power(-ONE, ONE, w + 1), linear_power(ONE, I, n)))
-    # denominator = i^(n+1) x^(n+1) ((1-i)x + i)^(w+1); invert the bracket,
-    # so entry t of numerator / bracket is a_(t-n-1).
-    phase = I ** (n + 1)
-    bracket = PowerSeries(tuple(phase * c for c in linear_power(qi(1, -1), I, w + 1)))
-    return LaurentCoeffs(w, n, M, numerator.mul(bracket.inverse(terms), terms).coeffs)
+    series, pr, pi = [], (-1) ** (w // 2 + 1), 0
+    for s in range(M + n + 2):
+        series.append((math.comb(w + s, w) * pr, math.comb(w + s, w) * pi))
+        pr, pi = pr - pi, pr + pi  # times (1+i)
+    for _ in range(w + 1):  # times (1 - x)
+        series = [(a - c, b - d) for (a, b), (c, d) in zip(series, [(0, 0)] + series)]
+    for _ in range(n):  # times (1 - ix)
+        series = [(a + d, b - c) for (a, b), (c, d) in zip(series, [(0, 0)] + series)]
+    return LaurentCoeffs(w, n, M, tuple(GaussianRational(a, b) for a, b in series))
 
 
 # ---------------------------------------------------------------------
@@ -137,21 +141,29 @@ class Thm2Report:
     """Result of evaluating the identity value at a positive integer n.
 
     ``exact_part`` is Z(-n) + (-i)^w sum_{m=1}^{n+1} a_{-m} Z(1-m);
-    ``partial_sums`` holds the exact per-k terms t_0 .. t_{k_stop}; the
-    reported ``total`` is their exact sum plus the exact part.  Under
-    the geometric tail model with ratio RHO, |identity value - total|
-    <= residual_bound whenever ``converged`` is set.
+    ``partial_sums`` holds the exact per-k terms t_0 .. t_{k_stop}, built on
+    first read: t_k is ``term_numerators[k]`` over ``term_den`` 2^k.  The
+    reported ``total`` is their exact sum plus the exact part.  Under the
+    geometric tail model with ratio RHO, |identity value - total| <=
+    residual_bound whenever ``converged`` is set.
     """
 
     w: int
     n: int
     exact_part: GaussianRational
-    partial_sums: tuple[GaussianRational, ...]
+    term_numerators: tuple[tuple[int, int], ...]
+    term_den: int
     total: GaussianRational
     k_stop: int
     converged: bool
     residual_bound: mpmath.mpf
     tol: Fraction
+
+    @cached_property
+    def partial_sums(self) -> tuple[GaussianRational, ...]:
+        d = self.term_den
+        return tuple(GaussianRational(Fraction(a, d << k), Fraction(b, d << k))
+                     for k, (a, b) in enumerate(self.term_numerators))
 
     @property
     def abs_total(self) -> mpmath.mpf:
@@ -195,13 +207,13 @@ def thm2_residual(
     t_k = -C(K, n) (-i)^k sum_{q=0}^{min(K, w)} C(K-q+w, w)
           (1-i)^(-(K-q+w+1)) r_q.
 
-    With (1-i)^(-1) = (1+i)/2 and g_q/D = 2^q (1+i)^(w-q) r_q over one
-    common denominator D, each term is a Gaussian integer over 2^(K+w+1) D:
+    As (1-i)^(-1) = (1+i)/2, with r_q = h_q/D over one common denominator
+    D each term is a Gaussian integer over 2^(K+w+1) D:
 
-    t_k = -C(K, n) (-i)^k (1+i)^(K+1) A_K / (2^(K+w+1) D),
-    A_K = sum_{q=0}^{w} C(K-q+w, w) g_q   (C(K-q+w, w) = 0 for q > K).
+    t_k = -C(K, n) (-i)^k (1+i)^(K+w+1) A_K / (2^(K+w+1) D),
+    A_K = sum_{q=0}^{w} C(K-q+w, w) (1-i)^q h_q   (C(K-q+w, w) = 0 for q > K).
 
-    The loop runs on int pairs; (-i)^k (1+i)^(K+1) steps by (1-i).
+    The loop runs on int pairs; (-i)^k (1+i)^(K+w+1) steps by (1-i).
 
     Summation stops at the first k >= K_MIN where the magnitudes of the
     last three terms all fall below theta = tol*(1-RHO)/RHO, or at k_max
@@ -216,22 +228,20 @@ def thm2_residual(
     theta2 = (tol_frac * (1 - RHO) / RHO) ** 2
 
     zvals = series_coeffs(Z, n + 1)  # zvals[t] = Z(-t)
-    principal = laurent_coeffs(w, n, -1)
-    phase_w = (-I) ** w
-    exact_part = zvals[n] + phase_w * sum(
-        (principal.coeff(-m) * zvals[m - 1] for m in range(1, n + 2)), ZERO
-    )
-    r = rv_inverse(Z).coeffs
-    D, g = common_denominator([qi(1, 1) ** (w - q) * r[q] * 2**q for q in range(w + 1)])
-    g = [(q, gr, gi) for q, (gr, gi) in enumerate(g) if gr or gi]
-
-    f = qi(1, 1) ** (n + 1)  # (-i)^k (1+i)^(K+1) at k = 0
+    principal = laurent_coeffs(w, n, -1).coeffs[::-1]  # a_(-1), ..., a_(-(n+1))
+    exact_part = zvals[n] + (-I) ** w * sum((a * z for a, z in zip(principal, zvals)), ZERO)
+    D, h = common_denominator(rv_inverse(Z).coeffs)
+    g, fr, fi = [], 1, 0
+    for q, (hr, hi) in enumerate(h):  # g_q = (1-i)^q h_q
+        if hr or hi:
+            g.append((q, fr * hr - fi * hi, fr * hi + fi * hr))
+        fr, fi = fr + fi, fi - fr  # times (1-i)
+    f = qi(1, 1) ** (n + w + 1)  # (-i)^k (1+i)^(K+w+1) at k = 0
     fr, fi = f.re.numerator, f.im.numerator
     den = D << (n + w)  # 2^(K+w+1) D, here at k = -1
     acc_r = acc_i = 0  # the terms so far, summed over den
     below = 0  # how many of the latest terms are below theta
-    terms: list[GaussianRational] = []
-    k_stop = k_max
+    terms: list[tuple[int, int]] = []
     converged = False
     for k in range(k_max + 1):
         K = k + n
@@ -245,29 +255,28 @@ def thm2_residual(
         fr, fi = fr + fi, fi - fr  # times (1-i)
         den <<= 1
         acc_r, acc_i = 2 * acc_r + tr, 2 * acc_i + ti
-        terms.append(GaussianRational(Fraction(tr, den), Fraction(ti, den)))
+        terms.append((tr, ti))
         small = (tr * tr + ti * ti) * theta2.denominator < theta2.numerator * den * den
         below = below + 1 if small else 0
         if k >= K_MIN and below >= 3:
-            k_stop = k
             converged = True
             break
     total = exact_part + GaussianRational(Fraction(acc_r, den), Fraction(acc_i, den))
-    with mp.workprec(64):
-        if converged:
-            worst = max(t.norm2() for t in terms[-3:])
-            bound = mpmath.sqrt(
-                mpmath.mpf(worst.numerator) / mpmath.mpf(worst.denominator)
-            ) * mpmath.mpf(RHO.numerator) / mpmath.mpf(RHO.denominator - RHO.numerator)
-        else:
-            bound = mpmath.inf
+    bound = mpmath.inf
+    if converged:  # max |t|^2 over the last three terms, as reduced Fractions
+        worst = max(Fraction(a * a + b * b, (den >> j) ** 2)
+                    for j, (a, b) in enumerate(terms[:-4:-1]))
+        with mp.workprec(64):
+            bound = mpmath.sqrt(mpmath.mpf(worst.numerator) / mpmath.mpf(worst.denominator))
+            bound = bound * mpmath.mpf(RHO.numerator) / mpmath.mpf(RHO.denominator - RHO.numerator)
     return Thm2Report(
         w=w,
         n=n,
         exact_part=exact_part,
-        partial_sums=tuple(terms),
+        term_numerators=tuple(terms),
+        term_den=D << (n + w + 1),
         total=total,
-        k_stop=k_stop,
+        k_stop=k if converged else k_max,
         converged=converged,
         residual_bound=bound,
         tol=tol_frac,

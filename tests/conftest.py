@@ -47,6 +47,28 @@ def modulus_27_poly() -> PolyX:
     return poly_with_roots(rts + [GaussianRational(27)])
 
 
+def linear_pow(a, b, n: int) -> list:
+    """Coefficients (ascending) of (a x + b)^n by n repeated products,
+    with no binomial coefficient."""
+    out = [ONE]
+    for _ in range(n):
+        nxt = [ZERO] * (len(out) + 1)
+        for t, c in enumerate(out):
+            nxt[t] = nxt[t] + c * b
+            nxt[t + 1] = nxt[t + 1] + c * a
+        out = nxt
+    return out
+
+
+def naive_mul(p, q) -> list:
+    """Coefficients (ascending) of the product p q, by the double loop."""
+    out = [ZERO] * (len(p) + len(q) - 1)
+    for a, ca in enumerate(p):
+        for b, cb in enumerate(q):
+            out[a + b] = out[a + b] + ca * cb
+    return out
+
+
 def exact_identity_value(R: PolyX, n: int) -> GaussianRational:
     """Closed form of the full identity value: the infinite sum equals
     [z^n] of -R(z-i)/(1-z)^(w+1), an exact finite computation."""

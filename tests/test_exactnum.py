@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import qi_values, rand_qi
+from conftest import linear_pow, qi_values, rand_qi
 from zetapoly.exactnum import (
     GaussianRational,
     I,
@@ -17,7 +17,6 @@ from zetapoly.exactnum import (
     binom_poly_in_s,
     binom_poly_in_s_scaled,
     common_denominator,
-    linear_power,
     poly_divmod,
     poly_gcd,
     poly_mul,
@@ -148,7 +147,7 @@ class TestBinomInt:
     def test_against_geometric_series_oracle(self):
         # coefficient of X^3 in (1-X)^(-11), via exact series inversion
         w, n = 10, 3
-        denom = PowerSeries(linear_power(qi(-1), ONE, w + 1))
+        denom = PowerSeries(tuple(linear_pow(qi(-1), ONE, w + 1)))
         inv = denom.inverse(n + 1)
         assert inv.coeffs == tuple(qi(binom_int(w + t, t)) for t in range(n + 1))
         assert binom_int(w + n, n) == 286

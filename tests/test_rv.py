@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import polyx_values, qi_values, rand_polyx
+from conftest import linear_pow, polyx_values, qi_values, rand_polyx
 from zetapoly.errors import InputError
-from zetapoly.exactnum import ONE, PowerSeries, ZERO, linear_power, qi
+from zetapoly.exactnum import ONE, PowerSeries, ZERO, qi
 from zetapoly.polyspace import PolyX
 from zetapoly.rv import ZetaPoly, rv_forward, rv_inverse, series_coeffs
 
@@ -108,7 +108,7 @@ class TestForward:
             R = rand_polyx(rng, w)
             Z = rv_forward(R)
             count = 3 * w + 1
-            denom = PowerSeries(linear_power(qi(-1), ONE, w + 1))
+            denom = PowerSeries(tuple(linear_pow(qi(-1), ONE, w + 1)))
             series = PowerSeries(R.coeffs).mul(denom.inverse(count), count)
             assert list(series.coeffs) == list(series_coeffs(Z, count))
 

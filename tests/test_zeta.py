@@ -9,7 +9,9 @@ from mpmath import mp
 
 from conftest import (
     exact_identity_value,
+    linear_pow,
     modulus_27_poly,
+    naive_mul,
     poly_with_roots,
     rand_polyx,
     symmetric_polyx,
@@ -69,6 +71,16 @@ def fraction_stop_rule(terms, tol, k_max: int) -> tuple[int, bool]:
         if all(v < theta * theta for v in norms[k - 2 : k + 1]):
             return k, True
     return k_max, False
+
+
+def tail_bound(terms) -> mpmath.mpf:
+    """The geometric tail bound RHO/(1-RHO) max |t| over the last three
+    terms, formed at 64 bits from the exact norms."""
+    worst = max(t.norm2() for t in terms[-3:])
+    with mp.workprec(64):
+        return mpmath.sqrt(
+            mpmath.mpf(worst.numerator) / mpmath.mpf(worst.denominator)
+        ) * mpmath.mpf(RHO.numerator) / mpmath.mpf(RHO.denominator - RHO.numerator)
 
 
 def mixed_den_polyx(rng: random.Random, w: int) -> PolyX:
@@ -158,6 +170,14 @@ class TestFunctionalEquation:
 
 # -- Laurent coefficients -------------------------------------------------
 
+# (w, n, M) with M from the pole order up to well past the principal part
+LAURENT_GRID = [
+    (w, n, M)
+    for w in (2, 4, 10, 20, 30)
+    for n in (1, 2, 5)
+    for M in (-(n + 1), -1, 0, 7, 40)
+]
+
 
 class TestLaurent:
     def test_pole_coefficient_closed_form(self):
@@ -184,16 +204,14 @@ class TestLaurent:
             lc.coeff(0)
 
     def test_defining_product_reconstruction(self):
-        # multiplying back by the denominator must reproduce the numerator
-        for (w, n, M) in [(2, 1, 12), (4, 2, 10), (6, 1, 8)]:
+        # multiplying back by the denominator must reproduce the numerator;
+        # a_m for m <= M fix the orders 0 .. M+n+1 of the product, so this
+        # pins every coefficient of the closed form
+        for w, n, M in LAURENT_GRID:
             lc = laurent_coeffs(w, n, M)
-            denom = _poly_mul_qi(
-                [(I ** (n + 1)) * c for c in _linear_pow(qi(1, -1), I, w + 1)], []
-            )
-            numer = _poly_mul_qi(
-                _linear_pow(qi(-1), ONE, w + 1), _linear_pow(ONE, I, n)
-            )
-            # product of the series with x^(n+1) * bracket
+            # x^(-(n+1)) times the denominator i^(n+1) x^(n+1) (i + (1-i)x)^(w+1)
+            denom = [(I ** (n + 1)) * c for c in linear_pow(qi(1, -1), I, w + 1)]
+            numer = naive_mul(linear_pow(qi(-1), ONE, w + 1), linear_pow(ONE, I, n))
             prod = {}
             for midx in range(-(n + 1), M + 1):
                 a = lc.coeff(midx)
@@ -202,9 +220,15 @@ class TestLaurent:
                 for e, d in enumerate(denom):
                     key = midx + n + 1 + e
                     prod[key] = prod.get(key, ZERO) + a * d
-            for exp in range(0, M):  # orders certain up to M-1
+            for exp in range(M + n + 2):
                 want = numer[exp] if exp < len(numer) else ZERO
-                assert prod.get(exp, ZERO) == want
+                assert prod.get(exp, ZERO) == want, (w, n, M, exp)
+
+    def test_coefficients_are_gaussian_integers(self):
+        for w, n, M in LAURENT_GRID:
+            lc = laurent_coeffs(w, n, M)
+            assert len(lc.coeffs) == M + n + 2
+            assert all(c.re.denominator == c.im.denominator == 1 for c in lc.coeffs)
 
     def test_validation(self):
         with pytest.raises(InputError):
@@ -213,27 +237,6 @@ class TestLaurent:
             laurent_coeffs(4, 0, 5)
         with pytest.raises(InputError):
             laurent_coeffs(4, 1, -3)
-
-
-def _linear_pow(a, b, n):
-    out = [ONE]
-    for _ in range(n):
-        nxt = [ZERO] * (len(out) + 1)
-        for t, c in enumerate(out):
-            nxt[t] = nxt[t] + c * b
-            nxt[t + 1] = nxt[t + 1] + c * a
-        out = nxt
-    return out
-
-
-def _poly_mul_qi(p, q):
-    if not q:
-        return p
-    out = [ZERO] * (len(p) + len(q) - 1)
-    for a, ca in enumerate(p):
-        for b, cb in enumerate(q):
-            out[a + b] = out[a + b] + ca * cb
-    return out
 
 
 # -- the convergent identity ----------------------------------------------
@@ -311,6 +314,25 @@ class TestThm2:
         assert rep.k_stop == 30
         assert len(rep.partial_sums) == 31
         assert mpmath.isinf(rep.residual_bound)
+
+    def test_bound_and_terms_from_the_numerators(self):
+        # residual_bound, formed from the last three numerator pairs, is the
+        # same mpf as the formula on the normalised terms; the lazily built
+        # terms add up to the total
+        rng = random.Random(71)
+        cases = [(rv_forward(R), n) for R in (R_DELTA_MINUS, R_DELTA_PLUS) for n in range(1, 6)]
+        cases += [(rv_forward(mixed_den_polyx(rng, w)), n) for w, n in [(2, 1), (10, 3), (20, 2)]]
+        for Z, n in cases:
+            rep = thm2_residual(Z, n)
+            assert rep.converged
+            assert rep.partial_sums is rep.partial_sums
+            assert len(rep.partial_sums) == rep.k_stop + 1
+            assert rep.residual_bound == tail_bound(rep.partial_sums)
+            assert rep.total == rep.exact_part + sum(rep.partial_sums, ZERO)
+            short = thm2_residual(Z, n, k_max=30)
+            assert not short.converged
+            assert mpmath.isinf(short.residual_bound)
+            assert short.total == short.exact_part + sum(short.partial_sums, ZERO)
 
     def test_eventual_decay_ratio_below_three_quarters(self):
         rep = thm2_residual(rv_forward(R_DELTA_MINUS), 1, tol="1e-10")
