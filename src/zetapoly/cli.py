@@ -92,12 +92,18 @@ def _cmd_rv_inverse(args) -> int:
     return EXIT_OK
 
 
+def _es1_residual(poly: PolyX) -> PolyX:
+    """r|(1+S) without the slash: for even w, (r|S)_t = (-1)^t a_(w-t)."""
+    flipped = (-a if t % 2 else a for t, a in enumerate(reversed(poly.coeffs)))
+    return poly + PolyX(poly.w, tuple(flipped))
+
+
 # Names are looked up at call time, so a rebound module attribute takes effect.
 _RESIDUALS = {
     "fricke": lambda poly, eps: fricke_residual(poly, eps),
     "res1": lambda poly, eps: rescaled_es1_residual(poly),
     "res2": lambda poly, eps: rescaled_es2_residual(poly),
-    "es1": lambda poly, eps: es_residuals(poly)[0],
+    "es1": lambda poly, eps: _es1_residual(poly),
     "es2": lambda poly, eps: es_residuals(poly)[1],
 }
 

@@ -25,7 +25,7 @@ import mpmath
 from mpmath import mp
 
 from zetapoly.errors import InputError, PrecisionError
-from zetapoly.rv import _basis_coeffs_scaled
+from zetapoly.exactnum import binom_poly_in_s_scaled
 
 GUARD_BITS = 16
 
@@ -276,8 +276,8 @@ def _r_from_lambdas(w: int, lambdas: list, prec: int) -> NumericPoly:
 
 
 def numeric_rv(Rnum: NumericPoly) -> NumericPoly:
-    """The forward transform with mpmath scalars: same binomial basis as
-    the exact route, with error bounds propagated per coefficient."""
+    """The forward transform with mpmath scalars, by the basis expansion
+    Z(s) = sum_j a_j C(w-s-j, w), so errors propagate as sum_j |b_(t,j)| e_j."""
     w = Rnum.w
     prec = Rnum.prec
     w_fact = math.factorial(w)
@@ -287,7 +287,7 @@ def numeric_rv(Rnum: NumericPoly) -> NumericPoly:
         for j in range(w + 1):
             aj = Rnum.coeffs[j]
             ej = Rnum.coeff_err[j] if Rnum.coeff_err else mpmath.mpf(0)
-            for t, b in enumerate(_basis_coeffs_scaled(w, j)):
+            for t, b in enumerate(binom_poly_in_s_scaled(w, w - j, -1)):  # w! C(w-s-j, w)
                 if not b:
                     continue
                 bv = mpmath.mpf(b) / w_fact

@@ -4,25 +4,21 @@ Z is the unique polynomial of degree <= w with
 
     R(X) / (1 - X)^(w+1)  =  sum_{n >= 0} Z(-n) X^n.
 
-The forward map uses the closed form Z(s) = sum_j a_j C(w - s - j, w)
-(a basis expansion in exact binomial polynomials); the inverse uses the
-finite convolution with (1 - X)^(w+1).  Both directions are exact and
-round-trip to the identity.
+The forward map writes R in the Bernstein basis X^k (1 - X)^(w-k) with
+coordinates c_k; since X^k / (1 - X)^(k+1) = sum_n C(n, k) X^n, this gives
+Z(s) = sum_k c_k C(-s, k), expanded by one Horner pass in the rising
+factorial.  The inverse uses the finite convolution with (1 - X)^(w+1).
+Both directions are exact, run on integers in O(w^2), and round-trip to
+the identity.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 from zetapoly.errors import InputError
-from zetapoly.exactnum import (
-    DensePoly,
-    GaussianRational,
-    binom_poly_in_s_scaled,
-    common_denominator,
-)
+from zetapoly.exactnum import DensePoly, GaussianRational, common_denominator
 from zetapoly.polyspace import PolyX
 
 
@@ -36,42 +32,45 @@ class ZetaPoly(DensePoly):
 
 
 # ---------------------------------------------------------------------
-# Binomial basis polynomials
-# ---------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _basis_coeffs_scaled(w: int, j: int) -> tuple[int, ...]:
-    """Integer coefficients of w! * C(w - s - j, w)."""
-    return binom_poly_in_s_scaled(w, w - j, -1)
-
-
-# ---------------------------------------------------------------------
 # The transform
 # ---------------------------------------------------------------------
 
 
 def rv_forward(R: PolyX) -> ZetaPoly:
-    """Z(s) = sum_j a_j C(w - s - j, w), exactly.
+    """Z(s) = sum_k c_k C(-s, k), exactly, where R = sum_k c_k X^k (1-X)^(w-k).
 
-    Denominators are cleared once so the double loop runs on plain
-    integers; each output coefficient is normalized exactly once.
+    Denominators are cleared once; the map is real-linear, so the real
+    and imaginary numerators each go through ``_scaled_forward`` on plain
+    integers, and each output coefficient is normalized exactly once.
     """
     w = R.w
     den, pairs = common_denominator(R.coeffs)
+    re, im = (_scaled_forward(part) for part in zip(*pairs))
     scale = den * math.factorial(w)
-    acc = [[0, 0] for _ in range(w + 1)]
-    for j, (ar, am) in enumerate(pairs):
-        if not ar and not am:
-            continue
-        for t, b in enumerate(_basis_coeffs_scaled(w, j)):
-            if b:
-                acc[t][0] += ar * b
-                acc[t][1] += am * b
     return ZetaPoly(
-        w,
-        tuple(GaussianRational(Fraction(r, scale), Fraction(m, scale)) for r, m in acc),
+        w, tuple(GaussianRational(Fraction(r, scale), Fraction(m, scale)) for r, m in zip(re, im))
     )
+
+
+def _scaled_forward(a: tuple[int, ...]) -> list[int]:
+    """Coefficients of w! Z(s) for R = sum_j a_j X^j with integer a_j.
+
+    The Bernstein coordinates c_k = sum_{j<=k} a_j C(w-j, k-j) are the
+    coefficients of sum_j a_j Y^j (1+Y)^(w-j), built by Horner's rule in
+    (1 + Y).  Then w! Z(s) = sum_k (-1)^k (w!/k!) c_k s(s+1)...(s+k-1) is
+    expanded by Horner's rule in the rising factorial, from k = w down
+    to 0.  Each pass is O(w^2) integer additions and small multiples.
+    """
+    bern: list[int] = []
+    for x in a:  # bern <- bern * (1 + Y) + a_j Y^j
+        bern = [p + q for p, q in zip(bern + [x], [0] + bern)]
+    acc: list[int] = []
+    fall = 1  # w!/k!
+    for k in range(len(a) - 1, -1, -1):  # acc <- acc * (s + k) + (-1)^k (w!/k!) c_k
+        acc = [k * p + q for p, q in zip(acc + [0], [0] + acc)]
+        acc[0] += (-1) ** k * fall * bern[k]
+        fall *= k
+    return acc
 
 
 def _series_values_int(Z: ZetaPoly, count: int) -> tuple[int, list[tuple[int, int]]]:

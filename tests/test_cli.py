@@ -1,5 +1,7 @@
 import hashlib
 import json
+import random
+from fractions import Fraction
 from importlib import resources
 
 import pytest
@@ -27,6 +29,27 @@ def r_minus_file(tmp_path):
 def w2_const_file(tmp_path):
     path = tmp_path / "one.json"
     path.write_text(json.dumps({"w": 2, "coeffs": [["1", "0"], ["0", "0"], ["0", "0"]]}))
+    return str(path)
+
+
+def _seeded_w100(seed, es1=False):
+    """Dense w = 100 coefficients with real and imaginary parts
+    randint(-9, 9) / randint(1, 6); with ``es1``, made to satisfy
+    r|(1+S) = 0, i.e. a_(100-j) = -(-1)^j a_j and a_50 = 0."""
+    rng = random.Random(seed)
+    coeffs = [
+        [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(2)] for _ in range(101)
+    ]
+    if es1:
+        for j in range(50):
+            coeffs[100 - j] = [-((-1) ** j) * x for x in coeffs[j]]
+        coeffs[50] = [Fraction(0), Fraction(0)]
+    return coeffs
+
+
+def _write_poly(path, coeffs):
+    pairs = [[f"{x.numerator}/{x.denominator}" for x in c] for c in coeffs]
+    path.write_text(json.dumps({"w": len(coeffs) - 1, "variable": "X", "coeffs": pairs}))
     return str(path)
 
 
@@ -450,6 +473,29 @@ class TestOutputBytes:
         out = tmp_path / "z.json"
         assert main(["rv-forward", r_minus, "--out", str(out)]) == EXIT_OK
         assert out.read_text() == expected
+
+    def test_rv_forward_seeded_w100_digest(self, tmp_path, capsys):
+        path = _write_poly(tmp_path / "r.json", _seeded_w100(1411))
+        digest = "21b430551ec579906a4f702676c0b48b16dd9cfe6e3f516fe58584612f414ea8"
+        assert main(["rv-forward", path]) == EXIT_OK
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+        out = tmp_path / "z.json"
+        assert main(["rv-forward", path, "--out", str(out)]) == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_check_es1_seeded_w100_text(self, tmp_path, capsys):
+        coeffs = _seeded_w100(1412, es1=True)
+        ok = _write_poly(tmp_path / "ok.json", coeffs)
+        assert main(["check", "es1", ok]) == EXIT_OK
+        zeros = " ".join(["0"] * 101)
+        assert capsys.readouterr().out == f"relation es1: holds\nresidual: {zeros}\n"
+        # a_3 moved by 5/2 shows in the residual at X^3 and, reflected, at X^97
+        coeffs[3] = [coeffs[3][0] + Fraction(5, 2), coeffs[3][1]]
+        bad = _write_poly(tmp_path / "bad.json", coeffs)
+        assert main(["check", "es1", bad]) == EXIT_CHECK_FAILED
+        residual = ["0"] * 101
+        residual[3], residual[97] = "5/2", "-5/2"
+        assert capsys.readouterr().out == f"relation es1: FAILS\nresidual: {' '.join(residual)}\n"
 
     def test_wspace_text(self, capsys):
         assert main(["wspace", "10"]) == EXIT_OK

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import linear_pow, polyx_values, qi_values, rand_polyx
+from conftest import linear_pow, polyx_values, qi_values, rand_polyx, rand_qi
 from zetapoly.errors import InputError
-from zetapoly.exactnum import ONE, PowerSeries, ZERO, qi
+from zetapoly.exactnum import ONE, PowerSeries, ZERO, binom_poly_in_s, qi
 from zetapoly.polyspace import PolyX
 from zetapoly.rv import ZetaPoly, rv_forward, rv_inverse, series_coeffs
 
@@ -111,6 +111,43 @@ class TestForward:
             denom = PowerSeries(tuple(linear_pow(qi(-1), ONE, w + 1)))
             series = PowerSeries(R.coeffs).mul(denom.inverse(count), count)
             assert list(series.coeffs) == list(series_coeffs(Z, count))
+
+
+def mixed_polyx(seed: int, w: int) -> PolyX:
+    """Seeded complex coefficients with denominators up to 97 and about a
+    quarter of them zero."""
+    rng = random.Random(seed)
+    return PolyX(w, tuple(ZERO if rng.random() < 0.25 else rand_qi(rng, 99, 97) for _ in range(w + 1)))
+
+
+class TestForwardOracles:
+    """rv_forward against two routes that share none of its steps."""
+
+    @pytest.mark.parametrize("w", [2, 4, 10, 30, 100])
+    def test_binomial_basis_sum(self, w):
+        # the defining expansion Z(s) = sum_j a_j C(w - s - j, w)
+        R = mixed_polyx(w, w)
+        re = [Fraction(0)] * (w + 1)
+        im = [Fraction(0)] * (w + 1)
+        for j, a in enumerate(R.coeffs):
+            for t, b in enumerate(binom_poly_in_s(w, w - j, -1)):
+                re[t] += a.re * b
+                im[t] += a.im * b
+        Z = rv_forward(R)
+        assert [c.re for c in Z.coeffs] == re
+        assert [c.im for c in Z.coeffs] == im
+
+    @pytest.mark.parametrize("w", [2, 4, 10, 30, 100])
+    def test_values_at_nonpositive_integers(self, w):
+        # Z(-n) = [X^n] R(X)/(1-X)^(w+1) = sum_{j<=n} a_j C(w+n-j, w)
+        R = mixed_polyx(w + 1, w)
+        Z = rv_forward(R)
+        for part in ("re", "im"):
+            a = [getattr(c, part) for c in R.coeffs]
+            z = [getattr(c, part) for c in Z.coeffs]
+            for n in range(w + 4):
+                want = sum(a[j] * math.comb(w + n - j, w) for j in range(min(n, w) + 1))
+                assert sum(c * (-n) ** t for t, c in enumerate(z)) == want, (part, n)
 
 
 class TestInverse:
