@@ -102,34 +102,41 @@ class NewformData:
 
 
 def delta_coefficients(nmax: int) -> list[int]:
-    """tau(1), ..., tau(nmax): coefficients of q prod (1-q^n)^24, exact,
-    as the 24th power of Euler's pentagonal series for prod (1-q^n)."""
+    """tau(1), ..., tau(nmax): coefficients of q prod (1-q^n)^24, exact.
+
+    By Jacobi's identity prod (1-q^n)^3 = sum_k (-1)^k (2k+1) q^(k(k+1)/2),
+    so the product is that series to the 8th power: three squarings, each
+    one integer product by Kronecker substitution."""
     if nmax < 1:
         raise InputError(f"nmax must be >= 1, got {nmax}")
-    e = [0] * nmax
-    e[0] = 1
-    j = 1
-    while j * (3 * j - 1) // 2 < nmax:
-        sign = -1 if j % 2 else 1
-        e[j * (3 * j - 1) // 2] += sign
-        g2 = j * (3 * j + 1) // 2
-        if g2 < nmax:
-            e[g2] += sign
-        j += 1
+    series = [0] * nmax
+    k = 0
+    while k * (k + 1) // 2 < nmax:
+        series[k * (k + 1) // 2] = (-1) ** k * (2 * k + 1)
+        k += 1
+    for _ in range(3):
+        series = _square_truncated(series)
+    return series
 
-    def mul(a: list[int], b: list[int]) -> list[int]:
-        out = [0] * nmax
-        for i, ai in enumerate(a):
-            if ai:
-                for t, bt in enumerate(b[: nmax - i]):
-                    if bt:
-                        out[i + t] += ai * bt
-        return out
 
-    e3 = mul(mul(e, e), e)
-    e6 = mul(e3, e3)
-    e12 = mul(e6, e6)
-    return mul(e12, e12)
+def _square_truncated(a: list[int]) -> list[int]:
+    """The first len(a) coefficients of the square of the series a.
+
+    Each is at most bound = sum|a_i| * max|a_i| in size, so slots of w
+    bytes with 8w > bound.bit_length() hold them as signed digits of the
+    integer a(2^(8w)), packed and unpacked with to_bytes / from_bytes."""
+    n = len(a)
+    bound = sum(map(abs, a)) * max(map(abs, a))
+    w = bound.bit_length() // 8 + 1
+    pos = int.from_bytes(b"".join(max(c, 0).to_bytes(w, "little") for c in a), "little")
+    neg = int.from_bytes(b"".join(max(-c, 0).to_bytes(w, "little") for c in a), "little")
+    packed = ((pos - neg) ** 2 & ((1 << 8 * w * n) - 1)).to_bytes(w * n, "little")
+    out, carry, half, full = [], 0, 1 << 8 * w - 1, 1 << 8 * w
+    for i in range(0, w * n, w):
+        v = int.from_bytes(packed[i : i + w], "little") + carry
+        carry = v >= half
+        out.append(v - full if carry else v)
+    return out
 
 
 def delta_newform(prec: int = 128) -> NewformData:

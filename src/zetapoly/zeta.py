@@ -23,6 +23,7 @@ from typing import Union
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import from_man_exp, to_rational
 
 from zetapoly.errors import InputError, PrecisionError
 from zetapoly.exactnum import (
@@ -284,12 +285,14 @@ def thm2_residual(
 
 
 # ---------------------------------------------------------------------
-# Root extraction (squarefree split, Aberth, Newton ladder) and diagnostics
+# Root extraction (squarefree split, Aberth, fixed-point Newton ladder,
+# proved residual certificate) and diagnostics
 # ---------------------------------------------------------------------
 
 _ABERTH_MAX_ITER = 500
 _SEED_ANGLE_OFFSET = 0.4  # fixed phase offset; breaks symmetric stalls, deterministic
 _ISOLATION_BITS = 53  # the first Aberth rung runs on Python complex doubles
+_GUARD_BITS = 32  # fixed-point bits carried beyond each rung's precision
 _NEWTON_MAX_STEPS = 8  # Newton steps allowed at the last rung of the ladder
 
 
@@ -300,27 +303,40 @@ def roots(poly, precision: int = 128) -> list:
        before any rounding, roots at the origin are split off exactly, and
        Yun's squarefree decomposition over Q(i) splits the rest into
        squarefree factors of exact multiplicity.  A linear factor's root
-       is converted exactly.  A numeric input is one factor.
+       is rounded once to precision + 32 bits.  A numeric input is one
+       factor, taken as the exact dyadic numbers its coefficients hold.
     2. Each other factor is isolated by Aberth-Ehrlich iteration, seeded
        on the Fujiwara radius 2 max_k |c_(d-k)|^(1/k), in complex doubles
        (53 bits, or ``precision`` if lower).  This rung hands off to the
        retry of step 4 at once when a coefficient overflows doubles, a
        nonzero coefficient rounds to 0 or to a subnormal, or an iterate
        stops being finite.
-    3. Newton refines each root while the working precision doubles up
-       to ``precision``, the coefficients re-rounded at each rung.
-    4. Every returned root carries a residual |P(root)| on the whole
-       monic input P below 2^(-precision/2) times the sup norm of P's
-       coefficients (at least 1), evaluated at full precision.  If this
-       fails, stages 2-4 rerun with the Aberth stage in mpmath at double
-       the bits; PrecisionError is raised only when the stage at full
-       precision fails.
+    3. Newton refines each root while the precision doubles up to
+       ``precision``, one step per rung and up to 8 at the last.  A root is
+       an exact dyadic z = (a + b i) 2^E, and every step runs in fixed
+       point on Gaussian integers (``_horner_fixed``): with 2^e >= |z| and
+       2^s near the largest term |c_k| |z|^k, Horner evaluates
+       P(2^e y)/2^s and its derivative at y = z/2^e with the rung's bits
+       plus 32 fractional bits.  The coefficients are floored once per
+       rung from one common-denominator integer form per factor, and the
+       step is an integer complex division.
+    4. Each distinct root is evaluated once on the whole monic input P by
+       the same kernel with precision + 32 fractional bits, at the exact
+       dyadic value that is returned.  The kernel's roundings give an
+       a-priori bound B on the error of that value, and the root passes
+       only if |value| + B < 2^(-precision/2) max(||P||, 1), ||P|| the sup
+       norm of P's coefficients, compared as squares on integers.  A pass
+       therefore proves the residual of the returned root below that
+       target.  If a root fails, stages 2-4 rerun with the Aberth stage in
+       mpmath at double the bits; PrecisionError is raised only when the
+       stage at full precision fails.
 
-    The residual target does not scale with |root|: Horner's rounding
-    error grows like sum_k |c_k| |z|^k, so at low precision an input with
-    a root far outside the unit disc (modulus 27 in a degree-30 case) can
-    fail the certificate with PrecisionError; it passes at higher
-    precision.
+    The residual target does not scale with |root|, while Horner's
+    rounding error grows like sum_k |c_k| |z|^k: at low precision an input
+    with a root far outside the unit disc (modulus 27 in a degree-30 case)
+    can fail the certificate with PrecisionError; it passes at higher
+    precision.  A small residual does not bound the distance to a root
+    inside a tight cluster.
 
     Roots are sorted by real part rounded to the certified 2^(-precision/2)
     grid, then by imaginary part, so the order does not follow the noise
@@ -341,6 +357,8 @@ def roots(poly, precision: int = 128) -> list:
         while coeffs[origin] == 0:
             origin += 1
         monic = [c / coeffs[-1] for c in coeffs[origin:]]
+        if not exact:
+            monic = [GaussianRational(_fraction(c.real), _fraction(c.imag)) for c in monic]
         if len(monic) == 1:
             factors = []
         else:
@@ -350,33 +368,39 @@ def roots(poly, precision: int = 128) -> list:
         return sorted(found, key=lambda z: (mpmath.nint(mpmath.re(z) * grid), mpmath.im(z)))
 
 
-def _round(c) -> mpmath.mpc:
+def _fraction(x: mpmath.mpf) -> Fraction:
+    """The exact value of an mpf, a dyadic rational."""
+    return Fraction(*to_rational(x._mpf_))
+
+
+def _round(c: GaussianRational) -> mpmath.mpc:
     """A coefficient rounded to the working precision."""
-    if isinstance(c, GaussianRational):
-        return mpmath.mpc(
-            mpmath.mpf(c.re.numerator) / mpmath.mpf(c.re.denominator),
-            mpmath.mpf(c.im.numerator) / mpmath.mpf(c.im.denominator),
-        )
-    return +c
+    return mpmath.mpc(
+        mpmath.mpf(c.re.numerator) / mpmath.mpf(c.re.denominator),
+        mpmath.mpf(c.im.numerator) / mpmath.mpf(c.im.denominator),
+    )
 
 
 def _certified_roots(monic: list, factors: list, precision: int) -> list:
     """Stages 2-4 of ``roots``: the roots of the squarefree ``factors``
     (g, k) of ``monic``, each repeated k times and certified on ``monic``."""
-    full = [_round(c) for c in monic]
-    norm = max(max(abs(c) for c in full), mpmath.mpf(1))
-    target = mpmath.mpf(2) ** (-(precision // 2)) * norm
+    den, pairs = full = common_denominator(monic)
+    fixed = _floored(full, precision + _GUARD_BITS)
+    norm2 = max(max(p * p + q * q for p, q in pairs), den * den)  # max(||P||, 1)^2 den^2
+    target2 = Fraction(norm2, den * den << 2 * (precision // 2))
     bits = min(precision, _ISOLATION_BITS)
     while True:
         try:
-            found = [z for g, k in factors for z in _refined_roots(g, bits, precision) * k]
+            found = [(_refined_roots(g, bits, precision), k) for g, k in factors]
         except PrecisionError:
             if bits == precision:
                 raise
         else:
-            if all(abs(_horner2(full, z)[0]) < target for z in found):
-                return found
+            checked = [([_residual_below(fixed, z, target2) for z in zs], k) for zs, k in found]
+            if all(ok for rows, _ in checked for ok, _, _ in rows):
+                return [_mpc(z) for rows, k in checked for _, _, z in rows * k]
             if bits == precision:
+                target = mpmath.sqrt(mpmath.mpf(target2.numerator) / target2.denominator)
                 raise PrecisionError(
                     f"root iteration failed to certify residuals below {mpmath.nstr(target, 5)}"
                 )
@@ -384,37 +408,152 @@ def _certified_roots(monic: list, factors: list, precision: int) -> list:
 
 
 def _refined_roots(g: list, bits: int, precision: int) -> list:
-    """Roots of one squarefree monic factor: Aberth at ``bits`` (in complex
-    doubles up to _ISOLATION_BITS, else in mpmath), then one Newton step
-    per doubling of the precision, and Newton steps at ``precision`` (also
-    when the Aberth stage ran there) until a step falls below
-    2^(-precision) relative to max(|z|, 1)."""
+    """Roots of one squarefree monic factor ``g``, as exact dyadics: Aberth
+    at ``bits`` (in complex doubles up to _ISOLATION_BITS, else in mpmath),
+    then one fixed-point Newton step per doubling of the precision, and
+    Newton steps at ``precision`` (also when the Aberth stage ran there)
+    until a step falls to 2^(-precision) relative to max(|z|, 1)."""
     if len(g) == 2:
-        return [-_round(g[0])]
+        return [_dyadic(-_round(g[0]))]
     if bits <= _ISOLATION_BITS:
         try:
-            z = [mpmath.mpc(x) for x in _aberth(_doubles(g), bits, complex)]
+            z = [_dyadic(x) for x in _aberth(_doubles(g), bits, complex)]
         except OverflowError as exc:  # abs() of a complex past the double range
             raise PrecisionError("root isolation overflowed doubles") from exc
     else:
         with mp.workprec(bits + 32):
-            z = _aberth([_round(c) for c in g], bits, mpmath.mpc)
+            z = [_dyadic(x) for x in _aberth([_round(c) for c in g], bits, mpmath.mpc)]
+    form = common_denominator(g)
     while True:
         bits = min(2 * bits, precision)
-        with mp.workprec(bits + 32):
-            coeffs = [_round(c) for c in g]
-            tiny = mpmath.mpf(2) ** -bits
-            for j in range(len(z)):
-                for _ in range(_NEWTON_MAX_STEPS if bits == precision else 1):
-                    p, dp = _horner2(coeffs, z[j])
-                    if dp == 0:
-                        break
-                    step = p / dp
-                    z[j] -= step
-                    if abs(step) <= tiny * max(abs(z[j]), 1):
-                        break
+        fixed = _floored(form, bits + _GUARD_BITS)
+        for j in range(len(z)):
+            for _ in range(_NEWTON_MAX_STEPS if bits == precision else 1):
+                z[j], small = _newton_step(fixed, z[j], precision)
+                if small:
+                    break
         if bits == precision:
             return z
+
+
+def _dyadic(x) -> tuple[int, int, int]:
+    """A complex double or mpc as the exact dyadic (a, b, E) = (a + b i) 2^E."""
+    x = mpmath.mpc(x)
+    re, im = _fraction(x.real), _fraction(x.imag)
+    q = max(re.denominator, im.denominator)  # both are powers of 2
+    a, b = re.numerator * q // re.denominator, im.numerator * q // im.denominator
+    return a, b, 1 - q.bit_length()
+
+
+def _mpc(z: tuple) -> mpmath.mpc:
+    """The exact value of the dyadic z = (a, b, E), unrounded."""
+    a, b, E = z
+    return mp.make_mpc((from_man_exp(a, E), from_man_exp(b, E)))
+
+
+def _floored(form: tuple, t: int) -> tuple:
+    """One rung's rounding of a polynomial for ``_horner_fixed`` at t
+    fractional bits.  ``form`` = (D, [(p_k, q_k)]) has c_k = (p_k + q_k i)/D.
+    Returns (t, d, rows), one row (k, floor(p_k 2^u / D), floor(q_k 2^u / D),
+    u, log2|c_k|) per nonzero c_k, with u = t + d + 4 - floor(log2|c_k|):
+    enough bits that every shift the kernel applies is a right shift by at
+    least 1."""
+    den, pairs = form
+    d = len(pairs) - 1
+    log_den = math.log2(den)
+    rows = []
+    for k, (p, q) in enumerate(pairs):
+        if p or q:
+            lc = math.log2(p * p + q * q) / 2 - log_den
+            u = t + d + 4 - math.floor(lc)
+            if u >= 0:
+                rows.append((k, (p << u) // den, (q << u) // den, u, lc))
+            else:
+                rows.append((k, p // (den << -u), q // (den << -u), u, lc))
+    return t, d, rows
+
+
+def _horner_fixed(fixed: tuple, z: tuple, derivative: bool = False) -> tuple:
+    """P and optionally P' near the dyadic z = (a + b i) 2^E, in fixed
+    point on Gaussian integers; ``fixed`` is P from ``_floored``.
+
+    With 2^e the least power of 2 at or above |z| and 2^s just above the
+    largest term max_k |c_k| |z|^k, Horner runs on Q(y) = P(2^e y) / 2^s
+    in units of 2^-t, at y = Y / 2^t: z / 2^e with each part cut toward 0
+    to t bits, which keeps |y| <= 1 (exact when z has no more bits).  The coefficient a_k =
+    c_k 2^(ek - s) is the per-rung floor shifted right with rounding, off
+    by at most 1/2 + 2^-shift <= 1 unit in each part, and each product is
+    rounded to the nearest unit, off by at most 1/2.  As |y| <= 1, no
+    error grows in later steps, so the returned G is within
+    B = ceil(sqrt(2) h / 2) units of 2^t Q(y), with h = d + 1 halves for
+    the products plus 2 per nonzero coefficient (2^(l+1) if it had to be
+    shifted left by l, which the margin of ``_floored`` rules out).
+
+    Returns (G_re, G_im, D_re, D_im, B, s, point): D is 2^t Q'(y), floored
+    at each step, or 0 without ``derivative``, and ``point`` =
+    (Y_re, Y_im, e - t) is the dyadic 2^e y at which P was evaluated.
+    """
+    t, d, rows = fixed
+    zr, zi, E = z
+    n = zr * zr + zi * zi
+    m = ((n - 1).bit_length() + 1) // 2 if n else 0  # least m with |a + b i| <= 2^m
+    e = E + m
+    if t >= m:
+        yr, yi = zr << (t - m), zi << (t - m)
+    else:
+        yr, yi = (-(-x >> (m - t)) if x < 0 else x >> (m - t) for x in (zr, zi))
+    log_z = E + math.log2(n) / 2 if n else E
+    s = math.ceil(max(lc + k * log_z for k, _, _, _, lc in rows))
+    ar, ai = [0] * (d + 1), [0] * (d + 1)
+    halves = d + 1
+    for k, cr, ci, u, _ in rows:
+        shift = u - (k * e + t - s)
+        if shift > 0:
+            ar[k], ai[k] = (cr + (1 << shift - 1)) >> shift, (ci + (1 << shift - 1)) >> shift
+        else:
+            ar[k], ai[k] = cr << -shift, ci << -shift
+        halves += 2 << -min(shift, 0)
+    half = 1 << t - 1
+    gr = gi = dr = di = 0
+    for k in range(d, -1, -1):
+        if derivative:
+            dr, di = ((dr * yr - di * yi) >> t) + gr, ((dr * yi + di * yr) >> t) + gi
+        gr, gi = (
+            ((gr * yr - gi * yi + half) >> t) + ar[k],
+            ((gr * yi + gi * yr + half) >> t) + ai[k],
+        )
+    return gr, gi, dr, di, (3 * halves + 3) // 4, s, (yr, yi, e - t)
+
+
+def _newton_step(fixed: tuple, z: tuple, precision: int) -> tuple:
+    """One fixed-point Newton step from the dyadic root z: the new root,
+    and whether the step was at most 2^(-precision) max(|z|, 1)."""
+    gr, gi, dr, di, _, _, (yr, yi, E) = _horner_fixed(fixed, z, derivative=True)
+    dd = dr * dr + di * di
+    if dd == 0:
+        return z, True
+    t = fixed[0]
+    sr = ((gr * dr + gi * di) << t) // dd  # the step G / D, in units of 2^E
+    si = ((gi * dr - gr * di) << t) // dd
+    one = 1 << -2 * E if E <= 0 else 0  # |1|^2 in units of 2^E, squared
+    small = (sr * sr + si * si) << 2 * precision <= max(yr * yr + yi * yi, one)
+    return (yr - sr, yi - si, E), small
+
+
+def _residual_below(fixed: tuple, z: tuple, target2: Fraction) -> tuple:
+    """Whether |P(point)| < target is proved, ``target2`` = target^2 and
+    ``point`` the dyadic at which ``_horner_fixed`` evaluated P near z
+    (z itself when it has at most t bits below 2^e): with the kernel's G
+    and B it passes iff (isqrt(|G|^2) + 1 + B)^2 < target^2 in the
+    kernel's units, and then |P(point)| <= |G| + B < target.
+
+    Returns (passed, band, point); a failure means |P(point)| >=
+    target - band, band = (2B + 1) 2^(s - t)."""
+    gr, gi, _, _, bound, s, point = _horner_fixed(fixed, z)
+    lhs = (math.isqrt(gr * gr + gi * gi) + 1 + bound) ** 2
+    shift = 2 * (fixed[0] - s)
+    ok = lhs < target2 * (1 << shift) if shift >= 0 else lhs << -shift < target2
+    return ok, (2 * bound + 1) * Fraction(2) ** (s - fixed[0]), point
 
 
 def _doubles(g: list) -> list:

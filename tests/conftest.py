@@ -47,6 +47,35 @@ def modulus_27_poly() -> PolyX:
     return poly_with_roots(rts + [GaussianRational(27)])
 
 
+def pentagonal_tau(nmax: int) -> list[int]:
+    """tau(1), ..., tau(nmax) as the 24th power of Euler's pentagonal
+    series for prod (1-q^n), by O(nmax^2) schoolbook products."""
+    e = [0] * nmax
+    e[0] = 1
+    j = 1
+    while j * (3 * j - 1) // 2 < nmax:
+        sign = -1 if j % 2 else 1
+        e[j * (3 * j - 1) // 2] += sign
+        g2 = j * (3 * j + 1) // 2
+        if g2 < nmax:
+            e[g2] += sign
+        j += 1
+
+    def mul(a: list[int], b: list[int]) -> list[int]:
+        out = [0] * nmax
+        for i, ai in enumerate(a):
+            if ai:
+                for t, bt in enumerate(b[: nmax - i]):
+                    if bt:
+                        out[i + t] += ai * bt
+        return out
+
+    e3 = mul(mul(e, e), e)
+    e6 = mul(e3, e3)
+    e12 = mul(e6, e6)
+    return mul(e12, e12)
+
+
 def linear_pow(a, b, n: int) -> list:
     """Coefficients (ascending) of (a x + b)^n by n repeated products,
     with no binomial coefficient."""

@@ -1,9 +1,11 @@
 import hashlib
 import json
 import random
+import re
 from fractions import Fraction
 from importlib import resources
 
+import mpmath
 import pytest
 
 from conftest import modulus_27_poly
@@ -460,6 +462,54 @@ DELTA_Z_COEFFS = (
 )
 
 
+# `zetapoly --prec P delta` as the text form prints it, with the two root
+# checks' max deviations masked (``_mask_delta_noise``).
+DELTA_TEXT = """precision: {prec} bits
+completed-L symmetry max deviation: 0.0
+even scale factor: 0.114379022439 (reference 0.114379, ok=True)
+odd scale factor:  0.00926927616237 (reference 0.00926927, ok=True)
+coefficient pattern max relative deviation: {pattern}
+zeta-polynomial coefficients vs reference:
+{z_coeffs}
+exact transform matches golden zeta data: True
+golden polynomials satisfy all relations: True
+zeta roots on critical line: True (max dev <noise>)
+period roots on unit circle: True (max dev <noise>)
+odd part fails unit circle with deviation: 1.0
+overall: pass
+"""
+DELTA_PATTERN_DEV = {128: "1.3684555e-47", 1024: "3.6264577e-317"}
+# sha256 of `zetapoly --prec P --format json delta`, noise masked.
+DELTA_JSON_DIGEST = {
+    128: "fabae4c53af574e385c9c1f73387517ad04032b9b209445d504a1ec94bd48df4",
+    1024: "286466a525b3d95f1dbea117d1945e36cf3d0061b9588ff0dd662c284618f420",
+}
+
+
+def _mask_delta_noise(out: str, fmt: str, prec: int) -> str:
+    """``delta`` output with its rounding-noise fields replaced by
+    "<noise>": the max deviations of the two numeric root checks and, in
+    JSON, their root components below 2^(16 - prec) in size.  Every masked
+    value is checked to be below 2^(16 - prec)."""
+    limit = mpmath.mpf(2) ** (16 - prec)
+
+    def noise(value: str) -> str:
+        assert abs(mpmath.mpf(value)) < limit
+        return "<noise>"
+
+    if fmt == "text":
+        return re.sub(r"\(max dev ([^)]*)\)", lambda m: f"(max dev {noise(m.group(1))})", out)
+    payload = json.loads(out)
+    assert json.dumps(payload, indent=2) + "\n" == out  # the bytes follow from the payload
+    for key in ("z_roots_critical_line", "r_roots_unit_circle"):
+        report = payload[key]
+        report["max_deviation"] = noise(report["max_deviation"])
+        report["roots"] = [
+            [noise(x) if abs(mpmath.mpf(x)) < limit else x for x in z] for z in report["roots"]
+        ]
+    return json.dumps(payload, indent=2) + "\n"
+
+
 class TestOutputBytes:
     """The exact bytes written, not just their parsed content."""
 
@@ -562,6 +612,19 @@ class TestOutputBytes:
         )
         assert main(["--format", "json", "thm2", r_plus, "--n", "1,2,3,4,5"]) == EXIT_OK
         assert capsys.readouterr().out == json.dumps(THM2_EVEN_N1_5, indent=2) + "\n"
+
+    @pytest.mark.parametrize("prec", [128, 1024])
+    def test_delta_bytes_up_to_rounding_noise(self, prec, capsys):
+        assert main(["--prec", str(prec), "delta"]) == EXIT_OK
+        z_coeffs = "\n".join(
+            f"  s^{p}: computed {val} reference {ref} ok=True" for p, ref, val in DELTA_Z_COEFFS
+        )
+        assert _mask_delta_noise(capsys.readouterr().out, "text", prec) == DELTA_TEXT.format(
+            prec=prec, pattern=DELTA_PATTERN_DEV[prec], z_coeffs=z_coeffs
+        )
+        assert main(["--prec", str(prec), "--format", "json", "delta"]) == EXIT_OK
+        masked = _mask_delta_noise(capsys.readouterr().out, "json", prec)
+        assert hashlib.sha256(masked.encode()).hexdigest() == DELTA_JSON_DIGEST[prec]
 
     @pytest.mark.parametrize("prec", [128, 1024])
     def test_delta_lambda_values_and_z_coeffs(self, prec, capsys):

@@ -6,6 +6,7 @@ import mpmath
 import pytest
 from mpmath import mp
 
+from conftest import pentagonal_tau
 from zetapoly.errors import InputError, PrecisionError
 from zetapoly.lvalues import (
     NewformData,
@@ -43,6 +44,13 @@ def eta24_oracle(order: int) -> list[int]:
 class TestTau:
     def test_against_literal_product_oracle(self):
         assert delta_coefficients(8) == eta24_oracle(8)
+
+    def test_against_pentagonal_oracle(self):
+        # every truncation up to 600 (460 is the 4096-bit case), and 2000
+        tau = pentagonal_tau(600)
+        for nmax in range(1, 601):
+            assert delta_coefficients(nmax) == tau[:nmax]
+        assert delta_coefficients(2000) == pentagonal_tau(2000)
 
     def test_known_values(self):
         tau = delta_coefficients(6)

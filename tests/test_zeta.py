@@ -14,14 +14,16 @@ from conftest import (
     naive_mul,
     poly_with_roots,
     rand_polyx,
+    rand_qi,
     symmetric_polyx,
     violating_polyx,
 )
 from zetapoly.errors import InputError, PrecisionError
-from zetapoly.exactnum import GaussianRational, I, ONE, ZERO, qi
+from zetapoly.exactnum import GaussianRational, I, ONE, ZERO, common_denominator, qi
 from zetapoly.lvalues import NumericPoly, build_r, delta_newform, numeric_rv
 from zetapoly.polyspace import PolyX
 from zetapoly.rv import ZetaPoly, rv_forward
+from zetapoly import zeta
 from zetapoly.zeta import (
     K_MAX_DEFAULT,
     K_MIN,
@@ -112,6 +114,41 @@ def assert_certified(P, got, prec: int) -> None:
             for c in reversed(monic):
                 val = val * z + c
             assert abs(val) < mpmath.mpf(2) ** (-(prec // 2)) * norm
+
+
+def assert_near_polyroots(coeffs, got, prec: int) -> None:
+    """Each root of mpmath.polyroots at 2 prec + 64 bits (an independent
+    method) has its own computed root within 2^(-prec/2) max(|root|, 1)."""
+    with mp.workprec(2 * prec + 64):
+        cs = [
+            mpmath.mpc(mpmath.mpf(c.re.numerator) / c.re.denominator,
+                       mpmath.mpf(c.im.numerator) / c.im.denominator)
+            if isinstance(c, GaussianRational) else mpmath.mpc(c)
+            for c in coeffs
+        ]
+        while cs[-1] == 0:
+            cs.pop()
+        expected = mpmath.polyroots(cs[::-1], maxsteps=400, extraprec=2 * prec)
+        assert len(got) == len(expected)
+        remaining = list(got)
+        for e in expected:
+            nearest = min(remaining, key=lambda z: abs(z - e))
+            remaining.remove(nearest)
+            assert abs(nearest - e) < mpmath.mpf(2) ** -(prec // 2) * max(abs(e), 1)
+
+
+def exact_norm2(coeffs, z: GaussianRational) -> Fraction:
+    """|P(z)|^2 in exact arithmetic."""
+    value = ZERO
+    for c in reversed(coeffs):
+        value = value * z + c
+    return value.norm2()
+
+
+def as_fraction(z) -> tuple[Fraction, Fraction]:
+    """The real and imaginary parts of the dyadic z = (a + b i) 2^E."""
+    a, b, E = z
+    return Fraction(a) * Fraction(2) ** E, Fraction(b) * Fraction(2) ** E
 
 
 def max_root_error(got, expected, relative: bool = False):
@@ -539,6 +576,19 @@ class TestRoots:
         assert len(got) == 30
         assert_certified(P, got, 256)
 
+    @pytest.mark.parametrize("prec", [64, 128, 1024])
+    def test_random_roots_against_polyroots(self, prec):
+        rng = random.Random(4100 + prec)
+        for w in (4, 8, 12):
+            P = rand_polyx(rng, w)
+            assert_near_polyroots(P.coeffs, roots(P, precision=prec), prec)
+
+    @pytest.mark.parametrize("prec", [64, 128, 1024])
+    def test_delta_roots_against_polyroots(self, prec):
+        R = build_r(delta_newform(prec), prec)
+        for P in (R, numeric_rv(R)):
+            assert_near_polyroots(P.coeffs, roots(P, precision=prec), prec)
+
     @pytest.mark.parametrize("prec", [128, 256])
     def test_delta_zeta_roots_in_ascending_imaginary_part(self, prec):
         Z = numeric_rv(build_r(delta_newform(prec), prec))
@@ -546,6 +596,93 @@ class TestRoots:
         ims = [mpmath.im(z) for z in got]
         assert ims == sorted(ims)
         assert len(ims) == 10
+
+
+class TestResidualCertificate:
+    """The fixed-point residual test of ``roots`` stage 4, against exact
+    Q(i) evaluation of |P(z)|^2 at the dyadic z it is handed."""
+
+    @staticmethod
+    def decide(monic, z, prec):
+        """(passed, band, target^2) for the dyadic z = (a + b i) 2^E."""
+        target2 = max(max(c.norm2() for c in monic), 1) / Fraction(4) ** (prec // 2)
+        fixed = zeta._floored(common_denominator(monic), prec + zeta._GUARD_BITS)
+        ok, band, point = zeta._residual_below(fixed, z, target2)
+        assert as_fraction(point) == as_fraction(z)  # the kernel evaluated z itself
+        return ok, band, target2
+
+    def check(self, monic, z, prec) -> bool:
+        ok, band, target2 = self.decide(monic, z, prec)
+        exact = exact_norm2(monic, qi(*as_fraction(z)))
+        if ok:
+            assert exact < target2
+        else:
+            # |P(z)| >= target - band, i.e. (|P(z)| + band)^2 >= target^2
+            gap = target2 - exact - band * band
+            assert gap <= 0 or 4 * band * band * exact >= gap * gap
+        return ok
+
+    def test_decisions_against_exact_residuals(self):
+        rng = random.Random(2026)
+        decisions = []
+        for _ in range(200):
+            prec = rng.choice([64, 128, 256])
+            rts = [rand_qi(rng) for _ in range(rng.randint(1, 30))]
+            monic = list(poly_with_roots(rts).coeffs[: len(rts) + 1])
+            rho = rng.choice(rts)
+            E = -(prec // 2 + rng.randint(-4, 40))
+            a = math.floor(rho.re * 2**-E) + rng.randint(-3, 3)
+            b = math.floor(rho.im * 2**-E) + rng.randint(-3, 3)
+            decisions.append(self.check(monic, (a, b, E), prec))
+        assert 20 <= sum(decisions) <= 180  # both outcomes are exercised
+
+    def test_hand_built_pairs_just_below_and_above_the_target(self):
+        # X^2 + 1 at z = i + d has |P(z)| = d sqrt(4 + d^2), against the
+        # 128-bit target 2^-64 (||P|| = 1).  With d = (2^94 + j) 2^-159, on
+        # the kernel's finest grid, |P(z)| >= 2^-64 exactly when j >= 0,
+        # and |P(z)| - 2^-64 is about j 2^-158: only the few j nearest 0
+        # fall inside the band, so every pair below them must pass.
+        monic = [ONE, ZERO, ONE]
+        passed = [self.check(monic, (2**94 + j, 2**159, -159), 128) for j in range(-40, 41)]
+        assert not any(passed[40:])
+        assert all(passed[:24])
+
+    def test_sweeps_across_the_target_on_random_inputs(self):
+        # z = rho + k 2^E on the kernel's finest grid, 2^E about 2^-160 |rho|,
+        # walks out from a root rho of a random P.  Bisection on the exact
+        # residual finds the first k with |P(z)| >= target; the sweep then
+        # steps about one rounding unit of the kernel at a time across it,
+        # where a kernel that left out its bound would pass a z whose exact
+        # residual is at or above the target.
+        rng = random.Random(7)
+        prec = 128
+        t = prec + zeta._GUARD_BITS
+        for _ in range(8):
+            rts = [rand_qi(rng) for _ in range(rng.randint(10, 30))]
+            monic = list(poly_with_roots(rts).coeffs[: len(rts) + 1])
+            target2 = max(c.norm2() for c in monic) / Fraction(4) ** (prec // 2)
+            rho = rts[0]
+            e = math.ceil(math.log2(abs(complex(rho.re, rho.im)))) + 1
+            E = e - t
+            a, b = math.floor(rho.re * 2**-E), math.floor(rho.im * 2**-E)
+
+            def above(k):
+                return exact_norm2(monic, qi(*as_fraction((a + k, b, E)))) >= target2
+
+            lo, hi = 0, 1
+            while not above(hi):
+                lo, hi = hi, 2 * hi
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (lo, mid) if above(mid) else (mid, hi)
+            with mp.workprec(64):  # a rounding unit 2^(s - t) of the kernel, in steps of k
+                x = mpmath.mpc(float(rho.re), float(rho.im))
+                cs = [mpmath.mpc(float(c.re), float(c.im)) for c in monic]
+                unit = max(abs(c) * abs(x) ** k for k, c in enumerate(cs)) * mpmath.mpf(2) ** -t
+                slope = abs(mpmath.polyval([k * c for k, c in enumerate(cs)][:0:-1], x))
+                step = max(1, int(unit / (slope * mpmath.mpf(2) ** E)))
+            passed = [self.check(monic, (a + hi + j * step, b, E), prec) for j in range(-8, 9)]
+            assert not any(passed[8:])
 
 
 class TestRhCheck:
