@@ -293,7 +293,6 @@ _ABERTH_MAX_ITER = 500
 _SEED_ANGLE_OFFSET = 0.4  # fixed phase offset; breaks symmetric stalls, deterministic
 _ISOLATION_BITS = 53  # the first Aberth rung runs on Python complex doubles
 _GUARD_BITS = 32  # fixed-point bits carried beyond each rung's precision
-_NEWTON_MAX_STEPS = 8  # Newton steps allowed at the last rung of the ladder
 
 
 def roots(poly, precision: int = 128) -> list:
@@ -311,15 +310,17 @@ def roots(poly, precision: int = 128) -> list:
        retry of step 4 at once when a coefficient overflows doubles, a
        nonzero coefficient rounds to 0 or to a subnormal, or an iterate
        stops being finite.
-    3. Newton refines each root while the precision doubles up to
-       ``precision``, one step per rung and up to 8 at the last.  A root is
-       an exact dyadic z = (a + b i) 2^E, and every step runs in fixed
-       point on Gaussian integers (``_horner_fixed``): with 2^e >= |z| and
-       2^s near the largest term |c_k| |z|^k, Horner evaluates
-       P(2^e y)/2^s and its derivative at y = z/2^e with the rung's bits
-       plus 32 fractional bits.  The coefficients are floored once per
-       rung from one common-denominator integer form per factor, and the
-       step is an integer complex division.
+    3. Newton takes one step per root on each rung of a ladder counted
+       down from ``precision``: ceil(precision / 2^k) for each k that
+       leaves more bits than the Aberth stage ran at, then ``precision``
+       (64, 128, ..., 2048, 4096 at 4096 bits); stage 4 alone decides
+       whether a root is done.  A root is an exact dyadic z = (a + b i) 2^E,
+       and every step runs in fixed point on Gaussian integers
+       (``_horner_fixed``): with 2^e >= |z| and 2^s near the largest term
+       |c_k| |z|^k, Horner evaluates P(2^e y)/2^s and its derivative at
+       y = z/2^e with the rung's bits plus 32 fractional bits.  The
+       coefficients are floored once per rung from one common-denominator
+       integer form per factor, and the step is an integer complex division.
     4. Each distinct root is evaluated once on the whole monic input P by
        the same kernel with precision + 32 fractional bits, at the exact
        dyadic value that is returned.  The kernel's roundings give an
@@ -328,8 +329,9 @@ def roots(poly, precision: int = 128) -> list:
        norm of P's coefficients, compared as squares on integers.  A pass
        therefore proves the residual of the returned root below that
        target.  If a root fails, stages 2-4 rerun with the Aberth stage in
-       mpmath at double the bits; PrecisionError is raised only when the
-       stage at full precision fails.
+       mpmath at double the bits; PrecisionError is raised when the stage
+       at full precision fails, or at once when a failing root's bound B
+       alone reaches the target, which no rerun near that root can lower.
 
     The residual target does not scale with |root|, while Horner's
     rounding error grows like sum_k |c_k| |z|^k: at low precision an input
@@ -397,9 +399,9 @@ def _certified_roots(monic: list, factors: list, precision: int) -> list:
                 raise
         else:
             checked = [([_residual_below(fixed, z, target2) for z in zs], k) for zs, k in found]
-            if all(ok for rows, _ in checked for ok, _, _ in rows):
-                return [_mpc(z) for rows, k in checked for _, _, z in rows * k]
-            if bits == precision:
+            if all(ok for rows, _ in checked for ok, *_ in rows):
+                return [_mpc(z) for rows, k in checked for _, _, z, _ in rows * k]
+            if bits == precision or any(futile for rows, _ in checked for *_, futile in rows):
                 target = mpmath.sqrt(mpmath.mpf(target2.numerator) / target2.denominator)
                 raise PrecisionError(
                     f"root iteration failed to certify residuals below {mpmath.nstr(target, 5)}"
@@ -410,9 +412,9 @@ def _certified_roots(monic: list, factors: list, precision: int) -> list:
 def _refined_roots(g: list, bits: int, precision: int) -> list:
     """Roots of one squarefree monic factor ``g``, as exact dyadics: Aberth
     at ``bits`` (in complex doubles up to _ISOLATION_BITS, else in mpmath),
-    then one fixed-point Newton step per doubling of the precision, and
-    Newton steps at ``precision`` (also when the Aberth stage ran there)
-    until a step falls to 2^(-precision) relative to max(|z|, 1)."""
+    then one fixed-point Newton step per root on each rung
+    ceil(precision / 2^k) above ``bits``, from the lowest, and on
+    ``precision`` itself."""
     if len(g) == 2:
         return [_dyadic(-_round(g[0]))]
     if bits <= _ISOLATION_BITS:
@@ -424,16 +426,12 @@ def _refined_roots(g: list, bits: int, precision: int) -> list:
         with mp.workprec(bits + 32):
             z = [_dyadic(x) for x in _aberth([_round(c) for c in g], bits, mpmath.mpc)]
     form = common_denominator(g)
-    while True:
-        bits = min(2 * bits, precision)
-        fixed = _floored(form, bits + _GUARD_BITS)
-        for j in range(len(z)):
-            for _ in range(_NEWTON_MAX_STEPS if bits == precision else 1):
-                z[j], small = _newton_step(fixed, z[j], precision)
-                if small:
-                    break
-        if bits == precision:
-            return z
+    for k in range(precision.bit_length(), -1, -1):
+        rung = -(-precision >> k)  # ceil(precision / 2^k)
+        if rung > bits or k == 0:
+            fixed = _floored(form, rung + _GUARD_BITS)
+            z = [_newton_step(fixed, x) for x in z]
+    return z
 
 
 def _dyadic(x) -> tuple[int, int, int]:
@@ -525,19 +523,17 @@ def _horner_fixed(fixed: tuple, z: tuple, derivative: bool = False) -> tuple:
     return gr, gi, dr, di, (3 * halves + 3) // 4, s, (yr, yi, e - t)
 
 
-def _newton_step(fixed: tuple, z: tuple, precision: int) -> tuple:
-    """One fixed-point Newton step from the dyadic root z: the new root,
-    and whether the step was at most 2^(-precision) max(|z|, 1)."""
+def _newton_step(fixed: tuple, z: tuple) -> tuple:
+    """One fixed-point Newton step from the dyadic root z: the new root
+    (z itself where the derivative vanishes)."""
     gr, gi, dr, di, _, _, (yr, yi, E) = _horner_fixed(fixed, z, derivative=True)
     dd = dr * dr + di * di
     if dd == 0:
-        return z, True
+        return z
     t = fixed[0]
     sr = ((gr * dr + gi * di) << t) // dd  # the step G / D, in units of 2^E
     si = ((gi * dr - gr * di) << t) // dd
-    one = 1 << -2 * E if E <= 0 else 0  # |1|^2 in units of 2^E, squared
-    small = (sr * sr + si * si) << 2 * precision <= max(yr * yr + yi * yi, one)
-    return (yr - sr, yi - si, E), small
+    return yr - sr, yi - si, E
 
 
 def _residual_below(fixed: tuple, z: tuple, target2: Fraction) -> tuple:
@@ -547,13 +543,14 @@ def _residual_below(fixed: tuple, z: tuple, target2: Fraction) -> tuple:
     and B it passes iff (isqrt(|G|^2) + 1 + B)^2 < target^2 in the
     kernel's units, and then |P(point)| <= |G| + B < target.
 
-    Returns (passed, band, point); a failure means |P(point)| >=
-    target - band, band = (2B + 1) 2^(s - t)."""
+    Returns (passed, band, point, futile); a failure means |P(point)| >=
+    target - band, band = (2B + 1) 2^(s - t), and ``futile`` that no G
+    could pass: (1 + B) 2^(s - t) >= target."""
     gr, gi, _, _, bound, s, point = _horner_fixed(fixed, z)
-    lhs = (math.isqrt(gr * gr + gi * gi) + 1 + bound) ** 2
-    shift = 2 * (fixed[0] - s)
-    ok = lhs < target2 * (1 << shift) if shift >= 0 else lhs << -shift < target2
-    return ok, (2 * bound + 1) * Fraction(2) ** (s - fixed[0]), point
+    units2 = target2 * Fraction(4) ** (fixed[0] - s)  # target^2 in the kernel's units
+    ok = (math.isqrt(gr * gr + gi * gi) + 1 + bound) ** 2 < units2
+    band = (2 * bound + 1) * Fraction(2) ** (s - fixed[0])
+    return ok, band, point, (1 + bound) ** 2 >= units2
 
 
 def _doubles(g: list) -> list:

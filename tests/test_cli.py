@@ -478,11 +478,18 @@ period roots on unit circle: True (max dev <noise>)
 odd part fails unit circle with deviation: 1.0
 overall: pass
 """
-DELTA_PATTERN_DEV = {128: "1.3684555e-47", 1024: "3.6264577e-317"}
+DELTA_PATTERN_DEV = {
+    64: "7.1439244e-27",
+    128: "1.3684555e-47",
+    1024: "3.6264577e-317",
+    4096: "2.2293482e-1243",
+}
 # sha256 of `zetapoly --prec P --format json delta`, noise masked.
 DELTA_JSON_DIGEST = {
+    64: "04b6251745909a3400a7848e83faf8f39c7553d4cbdf195a5079e89aae7ee992",
     128: "fabae4c53af574e385c9c1f73387517ad04032b9b209445d504a1ec94bd48df4",
     1024: "286466a525b3d95f1dbea117d1945e36cf3d0061b9588ff0dd662c284618f420",
+    4096: "7009fb3ad282dbd1a5484186eb047fefe1ec7b32581012075cc59b624f1401da",
 }
 
 
@@ -613,7 +620,7 @@ class TestOutputBytes:
         assert main(["--format", "json", "thm2", r_plus, "--n", "1,2,3,4,5"]) == EXIT_OK
         assert capsys.readouterr().out == json.dumps(THM2_EVEN_N1_5, indent=2) + "\n"
 
-    @pytest.mark.parametrize("prec", [128, 1024])
+    @pytest.mark.parametrize("prec", [64, 128, 1024, 4096])
     def test_delta_bytes_up_to_rounding_noise(self, prec, capsys):
         assert main(["--prec", str(prec), "delta"]) == EXIT_OK
         z_coeffs = "\n".join(

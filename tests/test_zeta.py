@@ -564,11 +564,41 @@ class TestRoots:
             assert max_root_error(got, expected) < mpmath.mpf(2) ** -(prec // 2)
 
     @pytest.mark.parametrize("prec", [64, 128])
-    def test_large_root_fails_certificate_at_low_precision(self, prec):
+    def test_large_root_fails_certificate_at_low_precision(self, prec, monkeypatch):
         # Documented failure mode: the residual target does not scale with
-        # |root|, and Horner's rounding near the root 27 exceeds it.
+        # |root|, and Horner's rounding near the root 27 exceeds it.  The
+        # rounding bound alone does, so no Aberth rerun in mpmath is tried.
+        kinds = []
+        aberth = zeta._aberth
+        monkeypatch.setattr(zeta, "_aberth", lambda c, p, num: kinds.append(num) or aberth(c, p, num))
         with pytest.raises(PrecisionError):
             roots(modulus_27_poly(), precision=prec)
+        assert kinds and mpmath.mpc not in kinds
+
+    @pytest.mark.parametrize(
+        "prec,rungs",
+        [
+            (64, [64]),
+            (128, [64, 128]),
+            (1000, [63, 125, 250, 500, 1000]),
+            (1024, [64, 128, 256, 512, 1024]),
+            (4096, [64, 128, 256, 512, 1024, 2048, 4096]),
+        ],
+    )
+    def test_newton_ladder_takes_one_step_per_rung(self, prec, rungs, monkeypatch):
+        # Rungs ceil(prec / 2^k) above the 53 bits of the double Aberth
+        # stage, then prec, each floored with 32 guard bits.
+        floored, steps = [], []
+        floor, step = zeta._floored, zeta._newton_step
+        monkeypatch.setattr(zeta, "_floored", lambda form, t: floored.append(t) or floor(form, t))
+        monkeypatch.setattr(
+            zeta, "_newton_step", lambda fixed, *a: steps.append(fixed[0]) or step(fixed, *a)
+        )
+        P = poly_with_roots([1, -2, qi(0, 3)])
+        got = roots(P, precision=prec)
+        assert floored == [prec + 32] + [r + 32 for r in rungs]  # the certificate's, then the ladder's
+        assert steps == [r + 32 for r in rungs for _ in range(3)]
+        assert_certified(P, got, prec)
 
     def test_large_root_certified_at_256_bits(self):
         P = modulus_27_poly()
@@ -607,7 +637,7 @@ class TestResidualCertificate:
         """(passed, band, target^2) for the dyadic z = (a + b i) 2^E."""
         target2 = max(max(c.norm2() for c in monic), 1) / Fraction(4) ** (prec // 2)
         fixed = zeta._floored(common_denominator(monic), prec + zeta._GUARD_BITS)
-        ok, band, point = zeta._residual_below(fixed, z, target2)
+        ok, band, point, _ = zeta._residual_below(fixed, z, target2)
         assert as_fraction(point) == as_fraction(z)  # the kernel evaluated z itself
         return ok, band, target2
 
