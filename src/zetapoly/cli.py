@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 import mpmath
@@ -206,14 +207,8 @@ def _cmd_wspace(args) -> int:
     return EXIT_OK
 
 
-def _load_newform(args) -> NewformData:
-    if args.input:
-        return NewformData.from_dict(_read_json(args.input))
-    return delta_newform(args.prec)
-
-
 def _cmd_lvalues(args) -> int:
-    nf = _load_newform(args)
+    nf = NewformData.from_dict(_read_json(args.input)) if args.input else delta_newform(args.prec)
     digits = printed_digits(args.prec)
     lams = enumerate(critical_lambdas(nf, args.prec), start=1)
     values = [(s, lam, l_from_lambda(nf, s, lam, args.prec)) for s, lam in lams]
@@ -329,8 +324,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 2, -1, -1):  # argparse takes "-1e-10" for an option
+        if argv[i] == "--tol" and re.fullmatch(r"-[\d.]+[eE][-+]?\d+", argv[i + 1]):
+            argv[i : i + 2] = [f"--tol={argv[i + 1]}"]
+    args = build_parser().parse_args(argv)
     try:
         if args.prec < 64:
             raise InputError(f"--prec must be at least 64 bits, got {args.prec}")

@@ -11,9 +11,9 @@ the Fricke fixed point y = 1:
 with x_n = 2 pi n / sqrt(N) and Gamma(r, x) the upper incomplete gamma
 function, which for integer r >= 1 has the finite closed form
 (r-1)! e^-x sum_{t<r} x^t / t!, so all k-1 critical values come from one
-pass over n (``critical_lambdas``).  All scalars are mpmath values under
-an explicit working precision; summation order is fixed so results are
-reproducible bit for bit at fixed precision.
+pass over n (``critical_lambdas``).  That pass and ``numeric_rv`` run on
+integers with proved error bounds; mpmath supplies pi, e^-c and c^-j and
+holds results as prec+32-bit mpf values, reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -23,9 +23,10 @@ from dataclasses import dataclass
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import from_int, from_man_exp, mpf_div, round_ceiling, round_nearest
 
 from zetapoly.errors import InputError, PrecisionError
-from zetapoly.exactnum import binom_poly_in_s_scaled
+from zetapoly.rv import _scaled_forward
 
 GUARD_BITS = 16
 
@@ -142,14 +143,8 @@ def _square_truncated(a: list[int]) -> list[int]:
 def delta_newform(prec: int = 128) -> NewformData:
     """The unique weight-12 level-1 newform, with enough coefficients
     for completed-L work at ``prec`` bits."""
-    nmax = required_nmax(1, 12, prec)
-    return NewformData(
-        level=1,
-        weight=12,
-        fricke=1,
-        an=tuple(delta_coefficients(nmax)),
-        label="1.12.a.a",
-    )
+    an = tuple(delta_coefficients(required_nmax(1, 12, prec)))
+    return NewformData(level=1, weight=12, fricke=1, an=an, label="1.12.a.a")
 
 
 # ---------------------------------------------------------------------
@@ -181,18 +176,26 @@ def required_nmax(N: int, k: int, prec: int) -> int:
 
 
 def critical_lambdas(f: NewformData, prec: int = 128) -> list:
-    """[Lambda(f, 1), ..., Lambda(f, k-1)] from one pass over n.
+    """[Lambda(f, 1), ..., Lambda(f, k-1)] from one pass over n, on integers.
 
-    With x_n = c n, c = 2 pi / sqrt(N) and q = e^-c, the closed form of
-    Gamma(r, x) gives A(r) = sum_n a_n x_n^-r Gamma(r, x_n)
-    = (r-1)! sum_{t<r} c^(t-r)/t! S_(r-t) with the Eichler-integral partial
-    sums S_j = sum_n a_n q^n n^-j, and Lambda(f, s) = A(s) + eps i^k A(k-s).
-    One ascending loop over n <= required_nmax forms q^n by repeated
-    products and divides a_n q^n by n up to k-1 times.  Each term is off by
-    at most (2n+k) 2^-(prec+32) relative, a loss of at most log2(2 nmax + k)
-    < 10 bits for the level-1 form at 4096 bits (nmax = 460), well inside
-    the 32 guard bits.  A(r) is shared by s and k-s, so the functional
-    equation holds exactly.  Too few a_n for ``prec`` raise PrecisionError.
+    With c = 2 pi / sqrt(N) and q = e^-c, the closed form of Gamma(r, x)
+    gives A(r) = sum_n a_n (cn)^-r Gamma(r, cn) = sum_{j<=r} (r-1)!/(r-j)!
+    c^-j S_j, S_j = sum_{n<=nmax} a_n q^n n^-j, and Lambda(f, s) = A(s) +
+    eps i^k A(k-s), so the functional equation holds exactly.
+
+    In units of 2^-T: Q = floor(q 2^T) and C_j = floor(c^-j 2^T) are within
+    2; q_n = (q_(n-1) Q) >> T is within e = 5 + floor(3/c), as its error d_n
+    has |d_(n+1)| <= (q + 2^(1-T)) |d_n| + 3 and 1 - q >= c/(1+c); each floor
+    division of a_n q_n by n adds under 1, so sums[j] is within
+    B = e sum|a_n| + (k-1) nmax of 2^T S_j, for any given a_n.  The integer
+    sum_j (r-1)!/(r-j)! C_j sums[j] is then within 2^T M of 2^(2T) A(r): a
+    term is off by 2 |sums[j]| + c^-j 2^T B <= 2^T B (1 + c^-j) <= 2^T B G^j
+    with G = ceil(1/c) + 1, so M = B sum_{j<k} (k-2)!/(k-1-j)! G^j.
+    T = prec + 32 + bitlen(2M) puts each Lambda within 2^-(prec+32) before
+    its rounding to prec+32 bits (2^-(prec+31) |Lambda|), and the tail past
+    nmax is below 2^-(prec+18) (``required_nmax``'s bound drops a factor
+    1/(cn) < 1/(2(k-1))), so each value is within 2^-(prec+17) max(1, |Lambda|).
+    Too few a_n raise PrecisionError.
     """
     k = f.weight
     need = required_nmax(f.level, k, prec)
@@ -201,26 +204,31 @@ def critical_lambdas(f: NewformData, prec: int = 128) -> list:
             f"need Fourier coefficients a_1..a_{need} for {prec}-bit work, got only {len(f.an)}"
         )
     sign = f.fricke * (-1) ** (k // 2)  # eps * i^k, real for even k
-    with mp.workprec(prec + 32):
+    inv_c = math.sqrt(f.level) / (2 * math.pi)
+    bound = (5 + int(3 * inv_c)) * sum(map(abs, f.an[:need])) + (k - 1) * need  # B
+    g = int(inv_c) + 2  # >= ceil(1/c) + 1
+    m = bound * sum(math.perm(k - 2, j - 1) * g**j for j in range(1, k))
+    t = prec + 32 + (2 * m).bit_length()
+    with mp.workprec(t + 32 + (k - 1) * g.bit_length()):
         c = 2 * mpmath.pi / mpmath.sqrt(f.level)
-        q = mpmath.exp(-c)
-        sums = [mpmath.mpf(0)] * k  # sums[j] = S_j for j = 1..k-1
-        qn = mpmath.mpf(1)
-        for n in range(1, need + 1):
-            qn = qn * q
-            term = f.an[n - 1] * qn
-            for j in range(1, k):
-                term = term / n
-                sums[j] += term
-        # A(r) = sum_{j=1..r} (r-1)!/(r-j)! c^-j S_j
-        scaled = [sums[j] / c**j for j in range(k)]
-        a = [sum(math.perm(r - 1, j - 1) * scaled[j] for j in range(1, r + 1)) for r in range(k)]
-        return [+(a[s] + sign * a[k - s]) for s in range(1, k)]
+        q = int(mpmath.floor(mpmath.ldexp(mpmath.exp(-c), t)))
+        cinv = [int(mpmath.floor(mpmath.ldexp(c**-j, t))) for j in range(k)]
+    sums = [0] * k  # sums[j] ~ 2^t S_j for j = 1..k-1
+    qn = 1 << t
+    for n in range(1, need + 1):
+        qn = qn * q >> t
+        term = f.an[n - 1] * qn
+        for j in range(1, k):
+            term //= n
+            sums[j] += term
+    scaled = [cinv[j] * sums[j] for j in range(k)]
+    a = [sum(math.perm(r - 1, j - 1) * scaled[j] for j in range(1, r + 1)) for r in range(k)]
+    with mp.workprec(prec + 32):
+        return [mpmath.ldexp(mpmath.mpf(a[s] + sign * a[k - s]), -2 * t) for s in range(1, k)]
 
 
 def completed_l(f: NewformData, s: int, prec: int = 128) -> mpmath.mpf:
-    """Lambda(f, s) for integer s in the critical range [1, k-1]:
-    entry s-1 of ``critical_lambdas(f, prec)``."""
+    """Lambda(f, s), integer s in [1, k-1]: entry s-1 of ``critical_lambdas``."""
     if not isinstance(s, int) or not 1 <= s <= f.weight - 1:
         raise InputError(f"s must be an integer in [1, {f.weight - 1}], got {s!r}")
     return critical_lambdas(f, prec)[s - 1]
@@ -240,11 +248,9 @@ def l_from_lambda(f: NewformData, s: int, lam, prec: int = 128) -> mpmath.mpf:
 
 @dataclass(frozen=True)
 class NumericPoly:
-    """Dense polynomial with mpmath coefficients at a stated precision.
-
-    ``coeff_err`` (optional) carries per-coefficient absolute error
-    bounds propagated from the L-value computation.
-    """
+    """Dense polynomial with mpmath coefficients at a stated precision;
+    ``coeff_err`` (optional) holds a proved absolute error bound for each
+    (see ``_r_from_lambdas`` and ``numeric_rv``)."""
 
     w: int
     coeffs: tuple
@@ -259,51 +265,45 @@ class NumericPoly:
 
 
 def build_r(f: NewformData, prec: int = 128) -> NumericPoly:
-    """The numeric period polynomial, assembled from critical L-values.
-
-    Writing the defining L-value sum through the completed L-function
-    collapses each coefficient to an exact binomial multiple:
-    coefficient of X^n is C(w, n) * Lambda(f, w+1-n).
-    """
+    """The numeric period polynomial from critical L-values: through the
+    completed L-function, the coefficient of X^n is C(w, n) Lambda(f, w+1-n)."""
     return _r_from_lambdas(f.w, critical_lambdas(f, prec), prec)
 
 
 def _r_from_lambdas(w: int, lambdas: list, prec: int) -> NumericPoly:
-    """build_r's assembly step; ``lambdas[s-1]`` is Lambda(f, s)."""
+    """build_r's step; ``lambdas[s-1]`` is Lambda(f, s).  The error bound C(w, n)
+    2^-(prec+16) max(1, |Lambda|), twice ``critical_lambdas``'s, covers the roundings."""
+    terms = [(math.comb(w, n), lambdas[w - n]) for n in range(w + 1)]  # Lambda(f, w+1-n)
     with mp.workprec(prec + 32):
-        err_unit = mpmath.mpf(2) ** (-(prec + 8))
-        coeffs = []
-        errs = []
-        for n in range(w + 1):
-            binom = math.comb(w, n)
-            lam = lambdas[w - n]  # Lambda(f, w+1-n)
-            coeffs.append(+(binom * lam))
-            errs.append(binom * err_unit * max(1, abs(lam)))
-        return NumericPoly(w=w, coeffs=tuple(coeffs), prec=prec, coeff_err=tuple(errs))
+        unit = mpmath.mpf(2) ** -(prec + 16)
+        coeffs = tuple(+(b * lam) for b, lam in terms)
+        errs = tuple(b * unit * max(1, abs(lam)) for b, lam in terms)
+    return NumericPoly(w=w, coeffs=coeffs, prec=prec, coeff_err=errs)
+
+
+def _dyadic(values) -> tuple[int, list[int]]:
+    """(E, m) with mpf values[j] = m[j] 2^E exactly."""
+    parts = [(-man if sign else man, exp) for sign, man, exp, _ in (v._mpf_ for v in values)]
+    low = min((exp for man, exp in parts if man), default=0)
+    return low, [man << (exp - low) for man, exp in parts]
 
 
 def numeric_rv(Rnum: NumericPoly) -> NumericPoly:
-    """The forward transform with mpmath scalars, by the basis expansion
-    Z(s) = sum_j a_j C(w-s-j, w), so errors propagate as sum_j |b_(t,j)| e_j."""
-    w = Rnum.w
-    prec = Rnum.prec
-    w_fact = math.factorial(w)
-    with mp.workprec(prec + 32):
-        acc = [mpmath.mpf(0)] * (w + 1)
-        errs = [mpmath.mpf(0)] * (w + 1)
-        for j in range(w + 1):
-            aj = Rnum.coeffs[j]
-            ej = Rnum.coeff_err[j] if Rnum.coeff_err else mpmath.mpf(0)
-            for t, b in enumerate(binom_poly_in_s_scaled(w, w - j, -1)):  # w! C(w-s-j, w)
-                if not b:
-                    continue
-                bv = mpmath.mpf(b) / w_fact
-                acc[t] = acc[t] + aj * bv
-                errs[t] = errs[t] + abs(bv) * ej
-        return NumericPoly(
-            w=w,
-            coeffs=tuple(+c for c in acc),
-            prec=prec,
-            coeff_err=tuple(+e for e in errs),
-        )
+    """The forward transform of a numeric R on the exact integer map.
 
+    mpf values are dyadics, so R = 2^E sum_j m_j X^j with integers m_j and
+    ``rv._scaled_forward`` gives w! Z exactly, rounded once per coefficient
+    to prec+32 bits.  Without the signs (-1)^k the map's coefficients are
+    all >= 0, so the same passes on the errors e_j bound sum_j |b_(t,j)| e_j;
+    ``coeff_err`` adds 2^-(prec+31) |Z_t| for the rounding, rounded up."""
+    w, p = Rnum.w, Rnum.prec + 32
+    w_fact = from_int(math.factorial(w))
+    exp, mans = _dyadic(Rnum.coeffs)
+    eexp, emans = _dyadic(Rnum.coeff_err or (mpmath.mpf(0),) * (w + 1))
+    low = min(eexp, exp + 1 - p)  # 2^low divides both parts of each bound
+    coeffs, errs = [], []
+    for z, u in zip(_scaled_forward(mans), _scaled_forward(emans, sign=1)):
+        coeffs.append(mp.make_mpf(mpf_div(from_man_exp(z, exp), w_fact, p, round_nearest)))
+        bound = (u << eexp - low) + (abs(z) << exp + 1 - p - low)
+        errs.append(mp.make_mpf(mpf_div(from_man_exp(bound, low), w_fact, p, round_ceiling)))
+    return NumericPoly(w=w, coeffs=tuple(coeffs), prec=Rnum.prec, coeff_err=tuple(errs))

@@ -52,7 +52,7 @@ def rv_forward(R: PolyX) -> ZetaPoly:
     )
 
 
-def _scaled_forward(a: tuple[int, ...]) -> list[int]:
+def _scaled_forward(a: tuple[int, ...], sign: int = -1) -> list[int]:
     """Coefficients of w! Z(s) for R = sum_j a_j X^j with integer a_j.
 
     The Bernstein coordinates c_k = sum_{j<=k} a_j C(w-j, k-j) are the
@@ -60,15 +60,16 @@ def _scaled_forward(a: tuple[int, ...]) -> list[int]:
     (1 + Y).  Then w! Z(s) = sum_k (-1)^k (w!/k!) c_k s(s+1)...(s+k-1) is
     expanded by Horner's rule in the rising factorial, from k = w down
     to 0.  Each pass is O(w^2) integer additions and small multiples.
+    ``sign=1`` drops the (-1)^k: every coefficient of the map is then >= 0.
     """
     bern: list[int] = []
     for x in a:  # bern <- bern * (1 + Y) + a_j Y^j
         bern = [p + q for p, q in zip(bern + [x], [0] + bern)]
     acc: list[int] = []
     fall = 1  # w!/k!
-    for k in range(len(a) - 1, -1, -1):  # acc <- acc * (s + k) + (-1)^k (w!/k!) c_k
+    for k in range(len(a) - 1, -1, -1):  # acc <- acc * (s + k) + sign^k (w!/k!) c_k
         acc = [k * p + q for p, q in zip(acc + [0], [0] + acc)]
-        acc[0] += (-1) ** k * fall * bern[k]
+        acc[0] += sign**k * fall * bern[k]
         fall *= k
     return acc
 

@@ -2,9 +2,12 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 from hypothesis import strategies as st
+from mpmath import mp
 
 from zetapoly.exactnum import ONE, ZERO, GaussianRational, I, poly_mul
+from zetapoly.lvalues import NewformData, required_nmax
 from zetapoly.polyspace import PolyX
 from zetapoly.rv import rv_forward, series_coeffs
 from zetapoly.zeta import laurent_coeffs
@@ -74,6 +77,32 @@ def pentagonal_tau(nmax: int) -> list[int]:
     e6 = mul(e3, e3)
     e12 = mul(e6, e6)
     return mul(e12, e12)
+
+
+def mpmath_loop_lambdas(f: NewformData, prec: int, work_prec: int) -> list:
+    """Lambda(f, 1..k-1) by the Eichler partial sums S_j = sum a_n q^n n^-j
+    in mpmath floats at ``work_prec`` bits, truncated at required_nmax(N, k,
+    prec) as critical_lambdas is: q^n by repeated products, a_n q^n divided
+    by n up to k-1 times, then A(r) = sum_j (r-1)!/(r-j)! c^-j S_j and
+    Lambda(s) = A(s) + eps i^k A(k-s).  Each term is off by at most
+    (2n+k) 2^-work_prec relative."""
+    k = f.weight
+    need = required_nmax(f.level, k, prec)
+    sign = f.fricke * (-1) ** (k // 2)
+    with mp.workprec(work_prec):
+        c = 2 * mpmath.pi / mpmath.sqrt(f.level)
+        q = mpmath.exp(-c)
+        sums = [mpmath.mpf(0)] * k
+        qn = mpmath.mpf(1)
+        for n in range(1, need + 1):
+            qn = qn * q
+            term = f.an[n - 1] * qn
+            for j in range(1, k):
+                term = term / n
+                sums[j] += term
+        scaled = [sums[j] / c**j for j in range(k)]
+        a = [sum(math.perm(r - 1, j - 1) * scaled[j] for j in range(1, r + 1)) for r in range(k)]
+        return [+(a[s] + sign * a[k - s]) for s in range(1, k)]
 
 
 def linear_pow(a, b, n: int) -> list:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 import re
 from fractions import Fraction
@@ -11,7 +12,7 @@ import pytest
 from conftest import modulus_27_poly
 from zetapoly.cli import EXIT_CHECK_FAILED, EXIT_INPUT, EXIT_OK, main
 from zetapoly.delta import golden_r_minus, golden_z_minus
-from zetapoly.lvalues import delta_newform
+from zetapoly.lvalues import NewformData, delta_newform, required_nmax
 from zetapoly.polyspace import PolyX, wspace_basis
 from zetapoly.rv import ZetaPoly, rv_forward
 
@@ -82,6 +83,14 @@ class TestGlobalFlags:
             assert main(_either_side(side, [flag, value], argv)) == EXIT_INPUT
             captured = capsys.readouterr()
             assert (captured.out, captured.err) == ("", message)
+
+    @pytest.mark.parametrize("spelling", ["two tokens", "joined"])
+    def test_negative_tolerance_is_an_input_error(self, side, spelling, w2_const_file, capsys):
+        flags = ["--tol", "-1e-10"] if spelling == "two tokens" else ["--tol=-1e-10"]
+        for argv in (["thm2", w2_const_file], ["wspace", "4"]):
+            assert main(_either_side(side, flags, argv)) == EXIT_INPUT
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", "error: tolerance must be positive, got '-1e-10'\n")
 
     def test_format_outside_choices_is_a_usage_error(self, side, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -462,13 +471,13 @@ DELTA_Z_COEFFS = (
 )
 
 
-# `zetapoly --prec P delta` as the text form prints it, with the two root
-# checks' max deviations masked (``_mask_delta_noise``).
+# `zetapoly --prec P delta` as the text form prints it, with its
+# rounding-noise fields masked (``_mask_delta_noise``).
 DELTA_TEXT = """precision: {prec} bits
 completed-L symmetry max deviation: 0.0
 even scale factor: 0.114379022439 (reference 0.114379, ok=True)
 odd scale factor:  0.00926927616237 (reference 0.00926927, ok=True)
-coefficient pattern max relative deviation: {pattern}
+coefficient pattern max relative deviation: <noise>
 zeta-polynomial coefficients vs reference:
 {z_coeffs}
 exact transform matches golden zeta data: True
@@ -478,36 +487,82 @@ period roots on unit circle: True (max dev <noise>)
 odd part fails unit circle with deviation: 1.0
 overall: pass
 """
-DELTA_PATTERN_DEV = {
-    64: "7.1439244e-27",
-    128: "1.3684555e-47",
-    1024: "3.6264577e-317",
-    4096: "2.2293482e-1243",
-}
 # sha256 of `zetapoly --prec P --format json delta`, noise masked.
 DELTA_JSON_DIGEST = {
-    64: "04b6251745909a3400a7848e83faf8f39c7553d4cbdf195a5079e89aae7ee992",
-    128: "fabae4c53af574e385c9c1f73387517ad04032b9b209445d504a1ec94bd48df4",
-    1024: "286466a525b3d95f1dbea117d1945e36cf3d0061b9588ff0dd662c284618f420",
-    4096: "7009fb3ad282dbd1a5484186eb047fefe1ec7b32581012075cc59b624f1401da",
+    64: "0441d7336da5d4f6dedd75330a75907c7fc2be142aa09da7415caebbba6b614f",
+    128: "5eb574ad8afc27082baa60f119412792bc4645e6e91b22097070f87b538f7354",
+    1024: "4da9889685b1ce3bea5ecff15b71db9af9fd9f1893fdfc6ce4a5266550b22f85",
+    4096: "b145caefcf222be7e6485e1e2679241e0a0e068f85a064e39280880596ff4936",
+}
+
+
+def _level11_newform_file(path) -> str:
+    """A level-11 weight-4 newform file, Fricke sign -1, with seeded
+    a_n in [-n^(3/2), n^(3/2)] (enough of them for 1024-bit work); data
+    for the series, not a modular form."""
+    rng = random.Random(11)
+    nmax = required_nmax(11, 4, 1024)
+    an = [1] + [rng.randint(-math.isqrt(n**3), math.isqrt(n**3)) for n in range(2, nmax + 1)]
+    nf = NewformData(level=11, weight=4, fricke=-1, an=tuple(an), label="11.4 seeded")
+    path.write_text(json.dumps(nf.to_dict()))
+    return str(path)
+
+
+# `zetapoly --prec 64 lvalues`, byte for byte.
+LVALUES_64_TEXT = """newform 1.12.a.a, level 1, weight 12
+  s=1: Lambda=0.005958964989578237853836 L=0.03744128126851554173877
+  s=2: Lambda=0.003707710464948065294503 L=0.146374542091265989413
+  s=3: Lambda=0.002541756054196643430247 L=0.3152415658809930842869
+  s=4: Lambda=0.001931099200493784007554 L=0.5016176475109022151687
+  s=5: Lambda=0.001633986034840699348016 L=0.6667091884340036438261
+  s=6: Lambda=0.001544879360395027206043 L=0.7921228386460305693559
+  s=7: Lambda=0.001633986034840699348016 L=0.8773541253886609164532
+  s=8: Lambda=0.001931099200493784007554 L=0.9307070302981260942029
+  s=9: Lambda=0.002541756054196643430247 L=0.9621264596944258632663
+  s=10: Lambda=0.003707710464948065294503 L=0.9798090882512205158576
+  s=11: Lambda=0.005958964989578237853836 L=0.9894329131003375995554
+"""
+# sha256 of `zetapoly --prec P --format F lvalues [FILE]`, for the
+# built-in form and the level-11 file.
+LVALUES_DIGEST = {
+    ("builtin", 64, "text"): "6f7b899cbceb4d51c6af3c22e07ec497556174f33a2482e2482c6814eb378cf4",
+    ("builtin", 64, "json"): "007798fc1554f49e46ef9c3fb28db0b062a47f28fa62fe95983a83c02867994a",
+    ("builtin", 128, "text"): "cbaadde08c87dad83e13b947b69b20a35899691beca47354e51865a6b3a522df",
+    ("builtin", 128, "json"): "5184a070fabd9f7c496d8fb268be911ad5868b7f766b04254b9679fdbeab624b",
+    ("builtin", 1024, "text"): "319e9842e3c8982260c81fb7da73cea93f0ca1fb9f78a56f533196e3964f87f2",
+    ("builtin", 1024, "json"): "626c45680093ae3b7a15c1d51a910b2a0a503ee209ca8cdd31c7f4dc211a864a",
+    ("level11", 64, "text"): "127d237d50ba3c4c05e1c2cfd869c0618708b4ec5855e89b8622c6db896c1801",
+    ("level11", 64, "json"): "dbaf446900fd68207a9f7bebe7fbfe58a1fdc95a428189073ea0d15dd3d25d3b",
+    ("level11", 128, "text"): "aee7f522be473324b23cad72b1c7f5ce448fca8d4020f988a98f826f2cb6cf40",
+    ("level11", 128, "json"): "89960977507d3c525f0d3b7650db7d79a019fd346239b67c908851621803939f",
+    ("level11", 1024, "text"): "36eb000cadf7fea912827259c83e14b5c8c8a34a67904f9a6dae36a75856814c",
+    ("level11", 1024, "json"): "fe5d283c694ea1cfe55984082a58d9fe5f2786703faf0b6e9785bb8a6bcf56a9",
 }
 
 
 def _mask_delta_noise(out: str, fmt: str, prec: int) -> str:
     """``delta`` output with its rounding-noise fields replaced by
-    "<noise>": the max deviations of the two numeric root checks and, in
-    JSON, their root components below 2^(16 - prec) in size.  Every masked
-    value is checked to be below 2^(16 - prec)."""
+    "<noise>": the coefficient pattern's max relative deviation (checked
+    to be below 2^-prec), the max deviations of the two numeric root
+    checks and, in JSON, their root components below 2^(16 - prec) in
+    size (each checked to be below 2^(16 - prec))."""
     limit = mpmath.mpf(2) ** (16 - prec)
 
-    def noise(value: str) -> str:
-        assert abs(mpmath.mpf(value)) < limit
+    def noise(value: str, bound=limit) -> str:
+        assert abs(mpmath.mpf(value)) < bound
         return "<noise>"
 
+    pattern_bound = mpmath.mpf(2) ** -prec
     if fmt == "text":
+        out = re.sub(
+            r"(?m)^(coefficient pattern max relative deviation: )(.*)$",
+            lambda m: m.group(1) + noise(m.group(2), pattern_bound),
+            out,
+        )
         return re.sub(r"\(max dev ([^)]*)\)", lambda m: f"(max dev {noise(m.group(1))})", out)
     payload = json.loads(out)
     assert json.dumps(payload, indent=2) + "\n" == out  # the bytes follow from the payload
+    payload["pattern_max_rel_dev"] = noise(payload["pattern_max_rel_dev"], pattern_bound)
     for key in ("z_roots_critical_line", "r_roots_unit_circle"):
         report = payload[key]
         report["max_deviation"] = noise(report["max_deviation"])
@@ -627,11 +682,21 @@ class TestOutputBytes:
             f"  s^{p}: computed {val} reference {ref} ok=True" for p, ref, val in DELTA_Z_COEFFS
         )
         assert _mask_delta_noise(capsys.readouterr().out, "text", prec) == DELTA_TEXT.format(
-            prec=prec, pattern=DELTA_PATTERN_DEV[prec], z_coeffs=z_coeffs
+            prec=prec, z_coeffs=z_coeffs
         )
         assert main(["--prec", str(prec), "--format", "json", "delta"]) == EXIT_OK
         masked = _mask_delta_noise(capsys.readouterr().out, "json", prec)
         assert hashlib.sha256(masked.encode()).hexdigest() == DELTA_JSON_DIGEST[prec]
+
+    @pytest.mark.parametrize("form,prec,fmt", sorted(LVALUES_DIGEST))
+    def test_lvalues(self, form, prec, fmt, tmp_path, capsys):
+        src = [] if form == "builtin" else [_level11_newform_file(tmp_path / "nf.json")]
+        assert main(["--prec", str(prec), "--format", fmt, "lvalues", *src]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        if (form, prec, fmt) == ("builtin", 64, "text"):
+            assert captured.out == LVALUES_64_TEXT
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == LVALUES_DIGEST[form, prec, fmt]
 
     @pytest.mark.parametrize("prec", [128, 1024])
     def test_delta_lambda_values_and_z_coeffs(self, prec, capsys):

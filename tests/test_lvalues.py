@@ -1,13 +1,16 @@
 import math
 import random
 import time
+from fractions import Fraction
 
 import mpmath
 import pytest
 from mpmath import mp
+from mpmath.libmp import to_rational
 
-from conftest import pentagonal_tau
+from conftest import mpmath_loop_lambdas, pentagonal_tau
 from zetapoly.errors import InputError, PrecisionError
+from zetapoly.exactnum import binom_poly_in_s_scaled
 from zetapoly.lvalues import (
     NewformData,
     NumericPoly,
@@ -155,16 +158,38 @@ class TestCompletedL:
         assert completed_l(nf, 5, 128) == completed_l(nf, 5, 128)
 
 
-def synthetic_newform(level: int, weight: int, fricke: int, seed: int) -> NewformData:
-    """Seeded integer coefficients with |a_n| <= n^((k-1)/2), more than
-    128-bit work needs; not a modular form, only data for the series."""
+def synthetic_newform(level: int, weight: int, fricke: int, seed: int, prec: int = 192) -> NewformData:
+    """Seeded integer coefficients with |a_n| <= n^((k-1)/2), as many as
+    ``prec``-bit work needs; not a modular form, only data for the series."""
     rng = random.Random(seed)
-    nmax = required_nmax(level, weight, 192)
+    nmax = required_nmax(level, weight, prec)
     an = [1] + [
         rng.randint(-math.isqrt(n ** (weight - 1)), math.isqrt(n ** (weight - 1)))
         for n in range(2, nmax + 1)
     ]
     return NewformData(level=level, weight=weight, fricke=fricke, an=tuple(an))
+
+
+def divisor_bound_newform(level: int, weight: int, fricke: int, seed: int, prec: int) -> NewformData:
+    """Seeded signs on |a_n| = floor(d(n) n^((k-1)/2)), the largest size a
+    newform's coefficients reach, for ``prec``-bit work."""
+    rng = random.Random(seed)
+    an = [
+        rng.choice((-1, 1)) * sum(n % d == 0 for d in range(1, n + 1)) * math.isqrt(n ** (weight - 1))
+        for n in range(1, required_nmax(level, weight, prec) + 1)
+    ]
+    an[0] = 1
+    return NewformData(level=level, weight=weight, fricke=fricke, an=tuple(an))
+
+
+# Each builds its data for the given number of bits.
+FORMS = {
+    "delta": delta_newform,
+    "N4k8-": lambda prec: synthetic_newform(4, 8, -1, seed=1, prec=prec),
+    "N11k4+": lambda prec: synthetic_newform(11, 4, 1, seed=2, prec=prec),
+    "N3k10-": lambda prec: synthetic_newform(3, 10, -1, seed=3, prec=prec),
+    "N7k10+dn": lambda prec: divisor_bound_newform(7, 10, 1, seed=4, prec=prec),
+}
 
 
 def gammainc_lambdas(f: NewformData, prec: int) -> list:
@@ -211,6 +236,23 @@ class TestCriticalLambdas:
                 else:
                     assert abs(g - r) < mpmath.mpf(2) ** -120 * abs(r), s
 
+    @pytest.mark.parametrize("prec", [64, 65, 128, 1024])
+    @pytest.mark.parametrize("name", sorted(FORMS))
+    def test_within_the_stated_bound(self, name, prec):
+        """The integer pass against the mpmath loop with the same
+        truncation at 96 more bits (the rounding part of the bound,
+        2^-(prec+32) + 2^-(prec+31) |Lambda|), and against the incomplete
+        gamma series over a_n for 64 more bits, which adds the tail
+        (the whole bound, 2^-(prec+16) max(1, |Lambda|))."""
+        nf = FORMS[name](prec + 64)
+        got = critical_lambdas(nf, prec)
+        loop = mpmath_loop_lambdas(nf, prec, prec + 96)
+        series = gammainc_lambdas(nf, prec)
+        with mp.workprec(prec + 128):
+            for g, r, t in zip(got, loop, series):
+                assert abs(g - r) <= mpmath.mpf(2) ** -(prec + 30) * max(1, abs(r))
+                assert abs(g - t) <= mpmath.mpf(2) ** -(prec + 16) * max(1, abs(t))
+
     def test_4096_bits_in_one_fast_pass(self):
         nf = delta_newform(4096)
         start = time.perf_counter()
@@ -253,6 +295,16 @@ class TestBuildR:
         assert R.coeff_err is not None
         assert all(e > 0 for e in R.coeff_err)
 
+    @pytest.mark.parametrize("prec", [64, 128, 1024])
+    @pytest.mark.parametrize("name", ["delta", "N11k4+", "N7k10+dn"])
+    def test_error_bounds_hold(self, name, prec):
+        """|value - reference| <= coeff_err, the reference 64 bits higher."""
+        R = build_r(FORMS[name](prec), prec)
+        ref = build_r(FORMS[name](prec + 64), prec + 64)
+        with mp.workprec(prec + 128):
+            for v, r, e in zip(R.coeffs, ref.coeffs, R.coeff_err):
+                assert abs(v - r) <= e
+
     def test_bit_for_bit_reproducible(self):
         a = build_r(delta_newform(128), 128)
         b = build_r(delta_newform(128), 128)
@@ -291,6 +343,41 @@ class TestNumericRv:
                 for t in range(p + 1):
                     res[t] += phase * Z.coeffs[p] * math.comb(p, t) * (-1) ** t
             assert max(abs(r) for r in res) < mpmath.mpf("1e-20")
+
+    @pytest.mark.parametrize("prec", [64, 128, 1024])
+    @pytest.mark.parametrize("name", ["delta", "N11k4+", "N7k10+dn"])
+    def test_error_bounds_hold(self, name, prec):
+        """|value - reference| <= coeff_err, the reference 64 bits higher."""
+        Z = numeric_rv(build_r(FORMS[name](prec), prec))
+        ref = numeric_rv(build_r(FORMS[name](prec + 64), prec + 64))
+        with mp.workprec(prec + 128):
+            for v, r, e in zip(Z.coeffs, ref.coeffs, Z.coeff_err):
+                assert abs(v - r) <= e
+
+    @pytest.mark.parametrize("prec", [64, 128, 1024])
+    @pytest.mark.parametrize("name", ["delta", "N4k8-", "N11k4+"])
+    def test_error_bound_covers_the_basis_sum(self, name, prec):
+        """coeff_err >= sum_j |b_(t,j)| e_j + the half-ulp, with b from the
+        basis expansion Z(s) = sum_j a_j C(w-s-j, w), and the rounding
+        alone is within it: with e = 0, Z is within coeff_err of the exact
+        transform of R's dyadic coefficients (of both signs for the
+        synthetic forms), and coeff_err is under 2^-(prec+30) |Z_t|."""
+        R = build_r(FORMS[name](prec), prec)
+        Z = numeric_rv(R)
+        exact = rv_forward(PolyX.make(R.w, [Fraction(*to_rational(c._mpf_)) for c in R.coeffs]))
+        bare = numeric_rv(NumericPoly(w=R.w, coeffs=R.coeffs, prec=prec))
+        w_fact = math.factorial(R.w)
+        with mp.workprec(prec + 128):
+            for t in range(R.w + 1):
+                basis = sum(
+                    abs(binom_poly_in_s_scaled(R.w, R.w - j, -1)[t]) * R.coeff_err[j]
+                    for j in range(R.w + 1)
+                ) / w_fact
+                assert Z.coeff_err[t] >= basis
+                z = exact.coeffs[t].re
+                assert abs(bare.coeffs[t] - mpmath.mpf(z.numerator) / z.denominator) <= bare.coeff_err[t]
+                assert bare.coeff_err[t] <= mpmath.mpf(2) ** -(prec + 30) * abs(bare.coeffs[t])
+                assert bare.coeffs[t] == Z.coeffs[t]
 
     def test_error_propagation(self):
         R = build_r(delta_newform(128), 128)
