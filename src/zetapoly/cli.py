@@ -27,6 +27,7 @@ from zetapoly.lvalues import (
 )
 from zetapoly.polyspace import (
     PolyX,
+    es1_residual,
     es_residuals,
     fricke_residual,
     rescaled_es1_residual,
@@ -44,11 +45,14 @@ EXIT_INPUT = 2
 def _read_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InputError(f"{path} must hold a JSON object, not a {type(data).__name__}")
+    return data
 
 
 def _read_z_or_r(path: str) -> ZetaPoly:
@@ -93,18 +97,12 @@ def _cmd_rv_inverse(args) -> int:
     return EXIT_OK
 
 
-def _es1_residual(poly: PolyX) -> PolyX:
-    """r|(1+S) without the slash: for even w, (r|S)_t = (-1)^t a_(w-t)."""
-    flipped = (-a if t % 2 else a for t, a in enumerate(reversed(poly.coeffs)))
-    return poly + PolyX(poly.w, tuple(flipped))
-
-
 # Names are looked up at call time, so a rebound module attribute takes effect.
 _RESIDUALS = {
     "fricke": lambda poly, eps: fricke_residual(poly, eps),
     "res1": lambda poly, eps: rescaled_es1_residual(poly),
     "res2": lambda poly, eps: rescaled_es2_residual(poly),
-    "es1": lambda poly, eps: _es1_residual(poly),
+    "es1": lambda poly, eps: es1_residual(poly),
     "es2": lambda poly, eps: es_residuals(poly)[1],
 }
 

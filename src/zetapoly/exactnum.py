@@ -98,9 +98,6 @@ class GaussianRational:
         o = GaussianRational.coerce(other)
         return GaussianRational(self.re - o.re, self.im - o.im)
 
-    def __rsub__(self, other):
-        return GaussianRational.coerce(other) - self
-
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
 
@@ -112,9 +109,6 @@ class GaussianRational:
         )
 
     __rmul__ = __mul__
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
 
     def norm2(self) -> Fraction:
         """|z|^2 = re^2 + im^2, an exact rational."""
@@ -129,9 +123,6 @@ class GaussianRational:
     def __truediv__(self, other):
         o = GaussianRational.coerce(other)
         return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        return GaussianRational.coerce(other) * self.inverse()
 
     def __pow__(self, n: int) -> "GaussianRational":
         if not isinstance(n, int):
@@ -186,22 +177,6 @@ def qi(re: Rationalish = 0, im: Rationalish = 0) -> GaussianRational:
 # Generalized binomial coefficients
 # ---------------------------------------------------------------------
 
-def binom_int(n: int, k: int) -> int:
-    """Generalized binomial coefficient C(n, k) = n(n-1)...(n-k+1)/k!.
-
-    ``n`` may be any integer; ``k`` must be non-negative.  The result is
-    always an integer, and equals 0 when 0 <= n < k.
-    """
-    if not isinstance(k, int) or not isinstance(n, int):
-        raise TypeError("binom_int expects integer arguments")
-    if k < 0:
-        raise ValueError(f"binom_int: negative lower index k={k}")
-    if n >= 0:
-        return math.comb(n, k)
-    # C(-m, k) = (-1)^k C(m+k-1, k)
-    return (-1) ** k * math.comb(-n + k - 1, k)
-
-
 def binom_poly_in_s_scaled(w: int, shift: int, slope: int) -> tuple[int, ...]:
     """Integer coefficients (ascending in s) of w! * C(shift + slope*s, w).
 
@@ -248,23 +223,6 @@ def common_denominator(
 # ---------------------------------------------------------------------
 # Dense polynomials over Q(i)
 # ---------------------------------------------------------------------
-
-
-def poly_mul(
-    p: Sequence[GaussianRational], q: Sequence[GaussianRational], length: int | None = None
-) -> tuple[GaussianRational, ...]:
-    """Coefficients (ascending) of the product p*q; with ``length`` given,
-    cut or zero-padded to exactly that many terms."""
-    if length is None:
-        length = len(p) + len(q) - 1
-    out = [ZERO] * length
-    for a, ca in enumerate(p[: len(out)]):
-        if ca.is_zero():
-            continue
-        for b, cb in enumerate(q[: len(out) - a]):
-            if not cb.is_zero():
-                out[a + b] = out[a + b] + ca * cb
-    return tuple(out)
 
 
 def poly_trim(p: Sequence[GaussianRational]) -> tuple[GaussianRational, ...]:
@@ -426,21 +384,11 @@ class DensePoly:
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
 
-    def evaluate(self, x: GaussianRational) -> GaussianRational:
-        acc = ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     # -- linear structure ---------------------------------------------------
 
     def __add__(self, other):
         self._require_same_space(other)
         return type(self)(self.w, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        self._require_same_space(other)
-        return type(self)(self.w, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def scale(self, c):
         c = GaussianRational.coerce(c)
@@ -506,7 +454,14 @@ class PowerSeries:
 
     def mul(self, other: "PowerSeries", order: int) -> "PowerSeries":
         """The first ``order`` terms of the product."""
-        return PowerSeries(poly_mul(self.coeffs, other.coeffs, order))
+        out = [ZERO] * order
+        for a, ca in enumerate(self.coeffs[:order]):
+            if ca.is_zero():
+                continue
+            for b, cb in enumerate(other.coeffs[: order - a]):
+                if not cb.is_zero():
+                    out[a + b] = out[a + b] + ca * cb
+        return PowerSeries(tuple(out))
 
     def inverse(self, order: int) -> "PowerSeries":
         """The first ``order`` terms of the multiplicative inverse; raises

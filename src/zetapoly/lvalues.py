@@ -45,7 +45,9 @@ def printed_digits(prec: int) -> int:
 class NewformData:
     """Level, even weight, Fricke eigenvalue, and integer Fourier coefficients.
 
-    ``an[0]`` is a_1 and must equal 1 (normalized eigenform).  The Fricke
+    ``an[0]`` is a_1 and must equal 1 (normalized eigenform), and every
+    |a_n| must be at most n^((k+1)/2), the bound ``required_nmax``'s tail
+    estimate assumes (Deligne's bound with d(n) <= n).  The Fricke
     eigenvalue is trusted input: ``zetapoly lvalues newform.json`` uses
     it as given.
     """
@@ -66,25 +68,24 @@ class NewformData:
         an = tuple(int(a) for a in self.an)
         if not an or an[0] != 1:
             raise InputError("coefficients must start with a_1 = 1")
+        k = self.weight
+        bad = next((n for n, a in enumerate(an, 1) if a * a > n ** (k + 1)), None)
+        if bad is not None:
+            raise InputError(
+                f"a_{bad} = {an[bad - 1]} exceeds the bound |a_n| <= n^((k+1)/2) for k = {k}"
+            )
         object.__setattr__(self, "an", an)
 
     @property
     def w(self) -> int:
         return self.weight - 2
 
-    def to_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "weight": self.weight,
-            "fricke": self.fricke,
-            "an": [str(a) for a in self.an],
-            "label": self.label,
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "NewformData":
         if not isinstance(data, dict):
             raise InputError("newform payload must be a JSON object")
+        if not isinstance(data.get("an", []), list):
+            raise InputError(f"'an' must be a JSON list, got {type(data['an']).__name__}")
         try:
             return cls(
                 level=int(data["level"]),

@@ -4,8 +4,8 @@ The space V_w of polynomials of degree at most w carries a weight -w
 action of 2x2 matrices (the slash operator).  This module implements
 that action exactly over Q(i), the residuals of the Fricke relation and
 of the Eichler-Shimura relations (both in the classical variable and in
-the rescaled variable), parity splitting, and the space W_w cut out by
-the classical relations, computed by integer elimination.
+the rescaled variable), and the space W_w cut out by the classical
+relations, computed by integer elimination.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from fractions import Fraction
 from zetapoly.errors import InputError
 from zetapoly.exactnum import (
     I,
-    ZERO,
     DensePoly,
     GaussianRational,
     common_denominator,
@@ -33,19 +32,6 @@ class PolyX(DensePoly):
     """A polynomial of degree <= w in the period variable X (see DensePoly)."""
 
     VARIABLE = "X"
-
-    @classmethod
-    def zero(cls, w: int) -> "PolyX":
-        return cls.make(w, [])
-
-    def __neg__(self) -> "PolyX":
-        return PolyX(self.w, tuple(-a for a in self.coeffs))
-
-    def parity_split(self) -> tuple["PolyX", "PolyX"]:
-        """Return (even part, odd part); they sum to the polynomial."""
-        even = [c if j % 2 == 0 else ZERO for j, c in enumerate(self.coeffs)]
-        odd = [c if j % 2 == 1 else ZERO for j, c in enumerate(self.coeffs)]
-        return PolyX(self.w, tuple(even)), PolyX(self.w, tuple(odd))
 
 
 # ---------------------------------------------------------------------
@@ -169,11 +155,16 @@ def rescaled_es2_residual(R: PolyX) -> PolyX:
     return R + slash(R, _RES2_MAT_B) + slash(R, _RES2_MAT_C)
 
 
+def es1_residual(r: PolyX) -> PolyX:
+    """r|(1+S) without the slash: for even w, (r|S)_t = (-1)^t r_(w-t)."""
+    flipped = (-a if t % 2 else a for t, a in enumerate(reversed(r.coeffs)))
+    return r + PolyX(r.w, tuple(flipped))
+
+
 def es_residuals(r: PolyX) -> tuple[PolyX, PolyX]:
     """Residuals of the classical relations r|(1+S) and r|(1+U+U^2)."""
-    res_s = r + slash(r, S_MAT)
     res_u = r + slash(r, U_MAT) + slash(r, U_MAT @ U_MAT)
-    return res_s, res_u
+    return es1_residual(r), res_u
 
 
 # ---------------------------------------------------------------------

@@ -27,9 +27,6 @@ class ZetaPoly(DensePoly):
 
     VARIABLE = "s"
 
-    def at_int(self, n: int) -> GaussianRational:
-        return self.evaluate(GaussianRational(n))
-
 
 # ---------------------------------------------------------------------
 # The transform

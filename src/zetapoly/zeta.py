@@ -92,16 +92,12 @@ class LaurentCoeffs:
     M: int
     coeffs: tuple[GaussianRational, ...]
 
-    @property
-    def m0(self) -> int:
-        return -(self.n + 1)
-
     def coeff(self, m: int) -> GaussianRational:
-        if m < self.m0:
+        if m < -(self.n + 1):
             return ZERO
         if m > self.M:
             raise InputError(f"coefficient a_{m} beyond truncation order {self.M}")
-        return self.coeffs[m - self.m0]
+        return self.coeffs[m + self.n + 1]
 
 
 def laurent_coeffs(w: int, n: int, M: int) -> LaurentCoeffs:

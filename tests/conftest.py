@@ -6,7 +6,7 @@ import mpmath
 from hypothesis import strategies as st
 from mpmath import mp
 
-from zetapoly.exactnum import ONE, ZERO, GaussianRational, I, poly_mul
+from zetapoly.exactnum import ONE, ZERO, GaussianRational, I
 from zetapoly.lvalues import NewformData, required_nmax
 from zetapoly.polyspace import PolyX
 from zetapoly.rv import rv_forward, series_coeffs
@@ -31,7 +31,7 @@ def poly_with_roots(rts) -> PolyX:
     weight that holds it."""
     coeffs = (ONE,)
     for rho in rts:
-        coeffs = poly_mul(coeffs, (-GaussianRational.coerce(rho), ONE))
+        coeffs = naive_mul(coeffs, (-GaussianRational.coerce(rho), ONE))
     return PolyX.make(len(rts) + len(rts) % 2, coeffs)
 
 
@@ -125,6 +125,15 @@ def naive_mul(p, q) -> list:
         for b, cb in enumerate(q):
             out[a + b] = out[a + b] + ca * cb
     return out
+
+
+def horner(coeffs, x) -> GaussianRational:
+    """The value at x of the polynomial with ascending ``coeffs``, by
+    Horner's rule in exact Q(i) arithmetic."""
+    acc = ZERO
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def exact_identity_value(R: PolyX, n: int) -> GaussianRational:

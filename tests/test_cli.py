@@ -9,10 +9,10 @@ from importlib import resources
 import mpmath
 import pytest
 
-from conftest import modulus_27_poly
+from conftest import horner, modulus_27_poly
 from zetapoly.cli import EXIT_CHECK_FAILED, EXIT_INPUT, EXIT_OK, main
 from zetapoly.delta import golden_r_minus, golden_z_minus
-from zetapoly.lvalues import NewformData, delta_newform, required_nmax
+from zetapoly.lvalues import delta_newform, required_nmax
 from zetapoly.polyspace import PolyX, wspace_basis
 from zetapoly.rv import ZetaPoly, rv_forward
 
@@ -143,7 +143,7 @@ class TestTransformCommands:
     def test_forward_constant_series(self, w2_const_file, tmp_path, capsys):
         assert main(["rv-forward", w2_const_file]) == EXIT_OK
         Z = ZetaPoly.from_dict(json.loads(capsys.readouterr().out))
-        assert [Z.at_int(-n).re for n in range(3)] == [1, 3, 6]
+        assert [horner(Z.coeffs, -n).re for n in range(3)] == [1, 3, 6]
 
     def test_global_flags_before_subcommand(self, r_minus_file, tmp_path):
         out = tmp_path / "z.json"
@@ -161,6 +161,18 @@ class TestTransformCommands:
         bad = tmp_path / "short.json"
         bad.write_text(json.dumps({"w": 4, "coeffs": [["1", "0"]]}))
         assert main(["rv-forward", str(bad)]) == EXIT_INPUT
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["thm2"], ["roots"], ["roots", "--mode", "critical_line"], ["check", "es1"], ["lvalues"]],
+)
+def test_top_level_json_array_exits_2(argv, tmp_path, capsys):
+    path = tmp_path / "array.json"
+    path.write_text("[1, 2]")
+    assert main(argv + [str(path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err == f"error: {path} must hold a JSON object, not a list\n"
 
 
 class TestCheckCommand:
@@ -233,7 +245,10 @@ class TestLvaluesCommand:
     def test_newform_file(self, tmp_path, capsys):
         nf = delta_newform(64)
         path = tmp_path / "nf.json"
-        path.write_text(json.dumps(nf.to_dict()))
+        an = [str(a) for a in nf.an]
+        path.write_text(json.dumps(
+            {"level": 1, "weight": 12, "fricke": 1, "an": an, "label": nf.label}
+        ))
         assert main(["--format", "json", "--prec", "64", "lvalues", str(path)]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert payload["label"] == nf.label
@@ -242,6 +257,21 @@ class TestLvaluesCommand:
         path = tmp_path / "nf.json"
         path.write_text(json.dumps({"level": 1}))
         assert main(["lvalues", str(path)]) == EXIT_INPUT
+
+    def test_coefficients_above_the_tail_bound_exit_2(self, tmp_path, capsys):
+        # a_2..a_19 = 0 and a_n = 10^40 beyond: the truncation at nmax = 19
+        # would print values far off the stated error bound
+        an = [1] + [0] * 18 + [10**40] * 40
+        path = tmp_path / "nf.json"
+        path.write_text(json.dumps({"level": 1, "weight": 12, "fricke": 1, "an": an}))
+        assert main(["lvalues", str(path)]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: a_20 = ")
+
+    def test_coefficients_not_a_list_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "nf.json"
+        path.write_text(json.dumps({"level": 1, "weight": 12, "fricke": 1, "an": "12"}))
+        assert main(["lvalues", str(path)]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: 'an' must be a JSON list")
 
 
 class TestRootsCommand:
@@ -503,8 +533,9 @@ def _level11_newform_file(path) -> str:
     rng = random.Random(11)
     nmax = required_nmax(11, 4, 1024)
     an = [1] + [rng.randint(-math.isqrt(n**3), math.isqrt(n**3)) for n in range(2, nmax + 1)]
-    nf = NewformData(level=11, weight=4, fricke=-1, an=tuple(an), label="11.4 seeded")
-    path.write_text(json.dumps(nf.to_dict()))
+    path.write_text(json.dumps(
+        {"level": 11, "weight": 4, "fricke": -1, "an": [str(a) for a in an], "label": "11.4 seeded"}
+    ))
     return str(path)
 
 

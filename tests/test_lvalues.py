@@ -95,7 +95,24 @@ class TestNewformData:
 
     def test_dict_roundtrip(self):
         nf = delta_newform(96)
-        assert NewformData.from_dict(nf.to_dict()) == nf
+        an = [str(a) for a in nf.an]
+        data = {"level": 1, "weight": 12, "fricke": 1, "an": an, "label": "1.12.a.a"}
+        assert NewformData.from_dict(data) == nf
+
+    def test_coefficient_bound(self):
+        # |a_n| <= n^((k+1)/2), compared exactly: 4^(13/2) = 8192 passes
+        an = [1, 0, 0, 8192]
+        assert NewformData(level=1, weight=12, fricke=1, an=tuple(an)).an[3] == 8192
+        for a4 in (8193, -8193):
+            with pytest.raises(InputError, match="a_4 = "):
+                NewformData(level=1, weight=12, fricke=1, an=(1, 0, 0, a4, 10**40))
+
+    def test_tau_meets_the_coefficient_bound(self):
+        assert len(delta_newform(4096).an) == required_nmax(1, 12, 4096)
+
+    def test_from_dict_requires_a_list_of_coefficients(self):
+        with pytest.raises(InputError, match="'an' must be a JSON list"):
+            NewformData.from_dict({"level": 1, "weight": 12, "fricke": 1, "an": "12"})
 
     def test_from_dict_rejects_garbage(self):
         with pytest.raises(InputError):

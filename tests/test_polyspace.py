@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from conftest import polyx_values, rand_polyx, rand_qi, symmetric_polyx
+from conftest import horner, polyx_values, rand_polyx, rand_qi, symmetric_polyx
 from zetapoly.errors import InputError
-from zetapoly.exactnum import GaussianRational, I, ONE, qi
+from zetapoly.exactnum import ZERO, GaussianRational, I, ONE, qi
 from zetapoly.polyspace import (
     Mat2,
     PolyX,
@@ -15,6 +15,7 @@ from zetapoly.polyspace import (
     U_MAT,
     _integer_nullspace,
     _relation_rows,
+    es1_residual,
     es_residuals,
     fricke_residual,
     rescaled_es1_residual,
@@ -27,7 +28,6 @@ R_DELTA_MINUS = PolyX.make(10, [0, 4, 0, 25, 0, 42, 0, 25, 0, 4, 0])
 R_DELTA_PLUS = PolyX.make(
     10, [Fraction(36, 691), 0, 1, 0, 3, 0, 3, 0, 1, 0, Fraction(36, 691)]
 )
-R_DELTA = R_DELTA_PLUS + R_DELTA_MINUS
 
 
 def rescale_level_one(r: PolyX) -> PolyX:
@@ -56,17 +56,12 @@ class TestPolyX:
     def test_degree_tracks_weight_separately(self):
         assert R_DELTA_MINUS.w == 10
         assert R_DELTA_MINUS.degree() == 9
-        assert PolyX.zero(4).degree() == -1
-        assert PolyX.zero(4).is_zero()
-
-    def test_evaluate(self):
-        p = PolyX.make(2, [1, 2, 1])
-        assert p.evaluate(qi(3)) == qi(16)
-        assert p.evaluate(I) == qi(0, 2)  # (1+i)^2
+        assert PolyX.make(4, []).degree() == -1
+        assert PolyX.make(4, []).is_zero()
 
     def test_mixed_w_arithmetic_rejected(self):
         with pytest.raises(InputError):
-            PolyX.zero(2) + PolyX.zero(4)
+            PolyX.make(2, []) + PolyX.make(4, [])
 
     def test_dict_roundtrip(self):
         d = R_DELTA_PLUS.to_dict()
@@ -85,25 +80,6 @@ class TestPolyX:
             )
         with pytest.raises(InputError):
             PolyX.from_dict([1, 2, 3])
-
-
-class TestParity:
-    def test_simple_split(self):
-        even, odd = PolyX.make(2, [0, 1, 1]).parity_split()
-        assert even == PolyX.make(2, [0, 0, 1])
-        assert odd == PolyX.make(2, [0, 1, 0])
-
-    def test_delta_split(self):
-        even, odd = R_DELTA.parity_split()
-        assert even == R_DELTA_PLUS
-        assert odd == R_DELTA_MINUS
-
-    @given(polyx_values)
-    def test_parts_sum_and_idempotence(self, p):
-        even, odd = p.parity_split()
-        assert even + odd == p
-        assert even.parity_split() == (even, PolyX.zero(p.w))
-        assert odd.parity_split() == (PolyX.zero(p.w), odd)
 
 
 class TestSlash:
@@ -158,8 +134,9 @@ class TestSlash:
                 den = g.c * x + g.d
                 if den.is_zero():
                     continue
-                expected = g.det() ** (-(w // 2)) * den**w * p.evaluate((g.a * x + g.b) / den)
-                assert image.evaluate(x) == expected
+                value = horner(p.coeffs, (g.a * x + g.b) / den)
+                expected = g.det() ** (-(w // 2)) * den**w * value
+                assert horner(image.coeffs, x) == expected
 
 
 def _random_unimodular(rng: random.Random) -> Mat2:
@@ -204,7 +181,10 @@ class TestFricke:
             w = rng.choice([2, 4, 6, 8, 10])
             eps = rng.choice([1, -1])
             R = symmetric_polyx(rng, w, eps)
-            even, odd = R.parity_split()
+            even, odd = (
+                PolyX(w, tuple(c if j % 2 == parity else ZERO for j, c in enumerate(R.coeffs)))
+                for parity in (0, 1)
+            )
             assert fricke_residual(even, eps).is_zero()
             assert fricke_residual(odd, eps).is_zero()
 
@@ -237,12 +217,12 @@ class TestRescaledRelations:
             R = rand_polyx(rng, w)
             res = rescaled_es2_residual(R)
             for x in samples:
-                t1 = R.evaluate(x)
+                t1 = horner(R.coeffs, x)
                 arg2 = (x - I) / (-I * x)
-                t2 = (-I * x) ** w * R.evaluate(arg2)
+                t2 = (-I * x) ** w * horner(R.coeffs, arg2)
                 arg3 = -I / (-I * x - 1)
-                t3 = (-I * x - 1) ** w * R.evaluate(arg3)
-                assert res.evaluate(x) == t1 + t2 + t3
+                t3 = (-I * x - 1) ** w * horner(R.coeffs, arg3)
+                assert horner(res.coeffs, x) == t1 + t2 + t3
 
     def test_x_at_w2_passes_res1_fails_res2(self):
         R = PolyX.make(2, [0, 1])
@@ -251,7 +231,7 @@ class TestRescaledRelations:
         assert res2 == PolyX.make(2, [I, qi(-1), -I])
 
     def test_zero_poly_satisfies_everything(self):
-        z = PolyX.zero(6)
+        z = PolyX.make(6, [])
         assert rescaled_es1_residual(z).is_zero()
         assert rescaled_es2_residual(z).is_zero()
         assert fricke_residual(z, 1).is_zero()
@@ -259,6 +239,13 @@ class TestRescaledRelations:
 
 
 class TestClassicalRelations:
+    def test_es1_residual_is_one_plus_s_slash(self):
+        rng = random.Random(43)
+        for w in (2, 4, 10, 30, 100):
+            r = rand_polyx(rng, w)
+            assert es1_residual(r) == r + slash(r, S_MAT)
+            assert es_residuals(r)[0] == es1_residual(r)
+
     def test_coboundary_satisfies_es1(self):
         for w in (2, 4, 6, 8, 10):
             r = PolyX.make(w, [-1] + [0] * (w - 1) + [1])  # X^w - 1
@@ -346,7 +333,9 @@ class TestRelationRows:
         rows = _relation_rows(w)
         assert len(rows) == 2 * (w + 1)
         for j in range(w + 1):
-            res_s, res_u = es_residuals(PolyX.make(w, [0] * j + [1]))
+            monomial = PolyX.make(w, [0] * j + [1])
+            res_s = monomial + slash(monomial, S_MAT)
+            res_u = es_residuals(monomial)[1]
             column = [GaussianRational(row[j]) for row in rows]
             assert column == list(res_s.coeffs) + list(res_u.coeffs)
 

@@ -1,0 +1,140 @@
+"""Every public function and method of zetapoly is reached by a command.
+
+``cli.main`` runs in this process under ``sys.setprofile`` over every
+subcommand, and each public function or method defined in a ``zetapoly``
+module (dunder methods included) must be among the code objects called,
+or be named in ``ALLOWED`` with the reason it stays.  A function that no
+command reaches and nothing else needs is deleted, not allowlisted.
+"""
+
+import functools
+import importlib
+import inspect
+import json
+import pkgutil
+import sys
+from importlib import resources
+
+import pytest
+
+import zetapoly
+from zetapoly import cli
+from zetapoly.lvalues import delta_coefficients, required_nmax
+
+# Public names no command reaches, each with the reason it stays.
+ALLOWED = {
+    "exactnum.DensePoly.degree": "acceptance criterion 10, through hilbert_hypotheses",
+    "exactnum.DensePoly.make": "acceptance criteria 04 and 10 build polynomials with it",
+    "exactnum.DensePoly.scale": "acceptance criterion 02, through functional_eq_residual",
+    "exactnum.GaussianRational.__hash__": "defining __eq__ alone would make Q(i) values, "
+    "and the frozen polynomials holding them, unhashable",
+    "exactnum.GaussianRational.__repr__": "the form that failing asserts and the REPL print",
+    "exactnum.GaussianRational.is_integer": "acceptance criterion 10, through hilbert_hypotheses",
+    "exactnum.GaussianRational.is_real": "acceptance criterion 10, through hilbert_hypotheses",
+    "exactnum.PowerSeries.inverse": "perfbench span target",
+    "exactnum.PowerSeries.mul": "perfbench span target",
+    "exactnum.binom_poly_in_s": "acceptance criterion 09 calls it",
+    "exactnum.binom_poly_in_s_scaled": "acceptance criterion 09, through binom_poly_in_s",
+    "lvalues.build_r": "perfbench span target; acceptance criterion 08 calls it",
+    "lvalues.completed_l": "perfbench span target",
+    "zeta.LaurentCoeffs.coeff": "acceptance criteria 04 and 05 read the expansion with it",
+    "zeta.Thm2Report.partial_sums": "acceptance criterion 04 reads it; perfbench's thm2 "
+    "span note counts it",
+    "zeta.functional_eq_residual": "acceptance criterion 02 calls it",
+    "zeta.hilbert_hypotheses": "acceptance criterion 10 calls it",
+}
+
+
+def _public_functions() -> dict:
+    """'module.name' or 'module.Class.name' -> code object, for every
+    public function and method written in a zetapoly module; methods that
+    ``dataclass`` generates are not written there and are skipped."""
+    found = {}
+    for info in pkgutil.iter_modules(zetapoly.__path__):
+        module = importlib.import_module(f"zetapoly.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = [(name, obj)]
+            if inspect.isclass(obj):
+                members = [
+                    (f"{name}.{attr}", member)
+                    for attr, member in vars(obj).items()
+                    if not attr.startswith("_") or attr.endswith("__")
+                ]
+            for qualname, member in members:
+                if isinstance(member, property):
+                    member = member.fget
+                elif isinstance(member, functools.cached_property):
+                    member = member.func
+                member = getattr(member, "__func__", member)  # classmethod, staticmethod
+                if inspect.isfunction(member) and member.__code__.co_filename == module.__file__:
+                    found[f"{info.name}.{qualname}"] = member.__code__
+    return found
+
+
+def _commands(tmp_path) -> list:
+    """(argv, exit code) for every subcommand, in text and JSON."""
+    data = resources.files("zetapoly.data")
+    r_minus = str(data.joinpath("r_delta_minus.json"))
+    r_plus = str(data.joinpath("r_delta_plus.json"))
+    z_minus = str(tmp_path / "z.json")
+    newform = tmp_path / "newform.json"
+    an = delta_coefficients(required_nmax(1, 12, 64))
+    newform.write_text(json.dumps(
+        {"level": 1, "weight": 12, "fricke": 1, "an": [str(a) for a in an], "label": "1.12.a.a"}
+    ))
+    cmds = [
+        (["--format", "json", "--prec", "64", "delta"], 0),
+        (["delta"], 0),
+        (["thm2", r_plus, "--n", "1,2"], 0),
+        (["wspace", "10"], 0),
+        (["rv-forward", r_minus, "--out", z_minus], 0),
+        (["rv-inverse", z_minus], 0),
+        (["thm2", z_minus], 0),
+        (["--prec", "64", "lvalues"], 0),
+        (["--prec", "64", "lvalues", str(newform)], 0),
+        (["roots", r_minus], 0),
+        (["roots", r_minus, "--mode", "critical_line"], 1),
+        (["roots", r_minus, "--mode", "unit_circle"], 1),
+    ]
+    for relation, code in (("fricke", 0), ("res1", 0), ("res2", 0), ("es1", 0), ("es2", 1)):
+        eps = ["--eps", "1"] if relation == "fricke" else []
+        cmds.append((["check", relation, r_minus] + eps, code))
+    return cmds
+
+
+@pytest.fixture(scope="module")
+def called_codes(tmp_path_factory) -> set:
+    tmp_path = tmp_path_factory.mktemp("reach")
+    cmds = _commands(tmp_path)
+    called = set()
+    codes = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for argv, _ in cmds:
+            codes.append(cli.main(argv))
+    finally:
+        sys.setprofile(previous)
+    assert codes == [code for _, code in cmds]
+    return called
+
+
+def test_every_public_function_is_reached_or_allowed(called_codes):
+    public = _public_functions()
+    missing = sorted(
+        n for n, code in public.items() if code not in called_codes and n not in ALLOWED
+    )
+    assert not missing, f"no command reaches {missing}: delete them, or allow them with a reason"
+
+
+def test_allowlist_names_only_unreached_functions(called_codes):
+    public = _public_functions()
+    stale = sorted(n for n in ALLOWED if n not in public or public[n] in called_codes)
+    assert not stale, f"ALLOWED names functions that are gone or reached: {stale}"
