@@ -12,6 +12,7 @@ for unrestricted concurrent use.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
@@ -29,9 +30,16 @@ def require_even_w(w: int) -> None:
 
 
 def as_fraction(x: Rationalish) -> Fraction:
-    """Coerce an int, Fraction, or fraction string ("36/691", "-5") to Fraction."""
+    """Coerce an int, Fraction, or fraction string ("36/691", "-5", "1e-10")
+    to Fraction.  Raises InputError when a decimal exponent exceeds Python's
+    cap on decimal digits (4300), where Fraction would build 10^exponent."""
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, str) and ("e" in x or "E" in x):
+        exp = x.strip().lower().rpartition("e")[2].lstrip("+-")
+        cap = sys.int_info.default_max_str_digits
+        if exp.replace("_", "").isdigit() and int(exp) > cap:  # past the cap, int() raises ValueError
+            raise InputError(f"the exponent of {x!r} exceeds {cap} in magnitude")
     if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
@@ -66,7 +74,7 @@ class GaussianRational:
         """Parse the serialized form ("p/q", "r/s")."""
         if len(pair) != 2:
             raise ValueError(f"expected a (re, im) string pair, got {pair!r}")
-        return cls(Fraction(str(pair[0])), Fraction(str(pair[1])))
+        return cls(str(pair[0]), str(pair[1]))
 
     def to_str_pair(self) -> tuple[str, str]:
         """Serialize as ("p/q", "r/s"), always carrying the denominator."""
@@ -221,77 +229,32 @@ def common_denominator(
 
 
 # ---------------------------------------------------------------------
-# Dense polynomials over Q(i)
+# Dense polynomials, over Z[i] as ascending (re, im) int pairs and over Q(i)
 # ---------------------------------------------------------------------
 
 
-def poly_trim(p: Sequence[GaussianRational]) -> tuple[GaussianRational, ...]:
-    """Drop zero leading coefficients; the zero polynomial becomes ()."""
-    deg = len(p) - 1
-    while deg >= 0 and p[deg].is_zero():
-        deg -= 1
-    return tuple(p[: deg + 1])
-
-
-def poly_divmod(
-    p: Sequence[GaussianRational], q: Sequence[GaussianRational]
-) -> tuple[tuple[GaussianRational, ...], tuple[GaussianRational, ...]]:
-    """Quotient and remainder (ascending, trimmed) of p by a nonzero q."""
-    q = poly_trim(q)
-    if not q:
-        raise ZeroDivisionError("polynomial division by 0")
-    dq = len(q) - 1
-    inv_lead = q[-1].inverse()
-    rem = list(poly_trim(p))
-    quot = [ZERO] * max(len(rem) - dq, 0)
-    for k in range(len(quot) - 1, -1, -1):
-        c = rem[k + dq] * inv_lead
-        quot[k] = c
-        if not c.is_zero():
-            for j in range(dq):
-                rem[k + j] = rem[k + j] - c * q[j]
-    return tuple(quot), poly_trim(rem[:dq])
-
-
-def poly_gcd(
-    p: Sequence[GaussianRational], q: Sequence[GaussianRational]
-) -> tuple[GaussianRational, ...]:
-    """Monic greatest common divisor of p and q, not both zero (Euclid,
-    each remainder made monic to keep the Fractions small)."""
-    p, q = poly_trim(p), poly_trim(q)
-    while q:
-        r = poly_divmod(p, q)[1]
-        p, q = q, tuple(c / r[-1] for c in r) if r else ()
-    if not p:
-        raise ZeroDivisionError("gcd of two zero polynomials")
-    return tuple(c / p[-1] for c in p)
+def _trim(p: list) -> list:
+    """p without its zero leading coefficients; the zero polynomial is []."""
+    while p and p[-1] == (0, 0):
+        p.pop()
+    return p
 
 
 _MODULUS = 2**61 - 1  # a prime = 3 mod 4, so Z[i]/(p) is the field of p^2 elements
 
 
-def _coprime_mod_p(f, g) -> bool:
-    """True when a monic f and a g, both with denominators prime to
-    p = ``_MODULUS``, are coprime modulo p.  That proves them coprime over
-    Q(i): by Gauss's lemma a monic common factor has coefficients prime to
-    p, so it keeps its degree mod p and divides both there.  False proves
-    nothing.  Costs O(d^2) word-size operations, where exact Euclid over
-    Q(i) slows with the digits of its remainders."""
+def _coprime_mod_p(f: list, g: list) -> bool:
+    """True when f and g in Z[i][x], lc(f) prime to p = ``_MODULUS``, are
+    coprime modulo p.  That proves them coprime over Q(i): by Gauss's lemma
+    a common factor can be taken in Z[i][x] with a leading coefficient
+    dividing lc(f), so it keeps its degree mod p and divides both there.
+    False proves nothing.  Costs O(d^2) word-size operations."""
     p = _MODULUS
-    den, pairs = common_denominator(list(f) + list(g))
-    if den % p == 0:
-        return False
 
     def mul(u, v):
         return (u[0] * v[0] - u[1] * v[1]) % p, (u[0] * v[1] + u[1] * v[0]) % p
 
-    def trim(q):
-        while q and q[-1] == (0, 0):
-            q.pop()
-        return q
-
-    a = trim([(x % p, y % p) for x, y in pairs[: len(f)]])
-    b = trim([(x % p, y % p) for x, y in pairs[len(f):]])
+    a, b = (_trim([(x % p, y % p) for x, y in h]) for h in (f, g))
     while b:
         norm = pow(b[-1][0] ** 2 + b[-1][1] ** 2, -1, p)
         inv_lead = (b[-1][0] * norm % p, -b[-1][1] * norm % p)
@@ -301,37 +264,76 @@ def _coprime_mod_p(f, g) -> bool:
             for j, bj in enumerate(b):
                 t = mul(c, bj)
                 a[shift + j] = ((a[shift + j][0] - t[0]) % p, (a[shift + j][1] - t[1]) % p)
-            trim(a)
+            _trim(a)
         a, b = b, a
     return len(a) == 1
+
+
+def _quotient(p: list, q: list) -> list:
+    """p / q for a nonzero q that divides p in Z[i][x]."""
+    (lr, li), dq = q[-1], len(q) - 1
+    n, r, out = lr * lr + li * li, list(p), [None] * (len(p) - dq)
+    for k in range(len(out) - 1, -1, -1):
+        x, y = r[k + dq]
+        cr, ci = out[k] = (x * lr + y * li) // n, (y * lr - x * li) // n
+        for j, (xr, xi) in enumerate(q[:dq], k):
+            r[j] = r[j][0] - cr * xr + ci * xi, r[j][1] - cr * xi - ci * xr
+    return out
+
+
+def _gcd(p: list, q: list) -> list:
+    """A primitive gcd of p != 0 and q in Z[i][x], by pseudo-remainders.
+    Each divisor is first scaled to a leading coefficient D in Z (by the
+    conjugate of its own, over its integer content), so no Gaussian content
+    builds up; Euclid on Z[i] takes out what is left at the end."""
+    while q:
+        lr, li = q[-1]
+        q = [(x * lr + y * li, y * lr - x * li) for x, y in q]
+        g = math.gcd(*(x for c in q for x in c))
+        q = [(x // g, y // g) for x, y in q]
+        D, dq, r = q[-1][0], len(q) - 1, list(p)
+        while len(r) > dq:
+            cr, ci = r.pop()
+            r = [(D * x, D * y) for x, y in r]
+            for j, (xr, xi) in enumerate(q[:dq], len(r) - dq):
+                r[j] = r[j][0] - cr * xr + ci * xi, r[j][1] - cr * xi - ci * xr
+            _trim(r)
+        p, q = q, r
+    a = (math.gcd(*(x * x + y * y for x, y in p)), 0)  # a multiple of the content
+    for b in p:  # a = gcd(a, b) by Euclid with rounded quotients
+        while b[0] or b[1]:
+            n, xr, xi = b[0] ** 2 + b[1] ** 2, a[0] * b[0] + a[1] * b[1], a[1] * b[0] - a[0] * b[1]
+            qr, qi = (2 * xr + n) // (2 * n), (2 * xi + n) // (2 * n)
+            a, b = b, (a[0] - qr * b[0] + qi * b[1], a[1] - qr * b[1] - qi * b[0])
+    return _quotient(p, [a])
 
 
 def squarefree_parts(f: Sequence[GaussianRational]) -> list:
     """Yun's squarefree decomposition of a monic f of degree >= 1 over Q(i):
     the pairs (g_k, k) with f = prod g_k^k, each g_k monic, squarefree and
     of degree >= 1.  When f and f' are coprime modulo a prime, f is
-    squarefree and returns as it is, without exact gcds."""
+    squarefree and returns as it is, without exact gcds.
+
+    The gcds and exact divisions run on D f in Z[i][x], D the common
+    denominator: Yun's b and d carry one common scale, so d / a - b'
+    stays exact, and each g_k is made monic once at the end."""
 
     def deriv(p):
-        return tuple(c * k for k, c in enumerate(p))[1:]
+        return [(k * x, k * y) for k, (x, y) in enumerate(p)][1:]
 
-    def sub(p, q):
-        return tuple(a - b for a, b in zip_longest(p, q, fillvalue=ZERO))
-
-    df = deriv(f)
-    if _coprime_mod_p(f, df):
+    den, b = common_denominator(f)
+    d = deriv(b)
+    if den % _MODULUS and _coprime_mod_p(b, d):
         return [(tuple(f), 1)]
-    a = poly_gcd(f, df)
-    b = poly_divmod(f, a)[0]
-    d = sub(poly_divmod(df, a)[0], deriv(b))
-    parts = []
-    k = 1
+    parts, k = [], 0
     while len(b) > 1:
-        a = poly_gcd(b, d)
-        b = poly_divmod(b, a)[0]
-        if len(a) > 1:
-            parts.append((a, k))
-        d = sub(poly_divmod(d, a)[0], deriv(b))
+        a = _gcd(b, d)
+        b, d = _quotient(b, a), _quotient(d, a)
+        if k and len(a) > 1:
+            (lr, li), n = a[-1], a[-1][0] ** 2 + a[-1][1] ** 2  # a / lc(a) = a conj(lc(a)) / n
+            parts.append((tuple(GaussianRational(Fraction(x * lr + y * li, n), Fraction(y * lr - x * li, n))
+                                for x, y in a), k))
+        d = _trim([(u - x, v - y) for (u, v), (x, y) in zip_longest(d, deriv(b), fillvalue=(0, 0))])
         k += 1
     return parts
 

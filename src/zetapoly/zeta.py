@@ -30,6 +30,7 @@ from zetapoly.exactnum import (
     I,
     ZERO,
     GaussianRational,
+    as_fraction,
     common_denominator,
     qi,
     require_even_w,
@@ -43,15 +44,10 @@ TolLike = Union[str, int, Fraction]
 
 def as_tolerance(tol: TolLike) -> Fraction:
     """Exact positive rational from a decimal string, an int or a Fraction."""
-    if isinstance(tol, Fraction):
-        out = tol
-    elif isinstance(tol, (str, int)):
-        try:
-            out = Fraction(str(tol))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"cannot parse tolerance {tol!r}") from exc
-    else:
-        raise InputError(f"cannot use {tol!r} as a tolerance")
+    try:
+        out = as_fraction(tol)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"cannot parse tolerance {tol!r}") from exc
     if out <= 0:
         raise InputError(f"tolerance must be positive, got {tol!r}")
     return out
@@ -313,10 +309,11 @@ def roots(poly, precision: int = 128) -> list:
        whether a root is done.  A root is an exact dyadic z = (a + b i) 2^E,
        and every step runs in fixed point on Gaussian integers
        (``_horner_fixed``): with 2^e >= |z| and 2^s near the largest term
-       |c_k| |z|^k, Horner evaluates P(2^e y)/2^s and its derivative at
-       y = z/2^e with the rung's bits plus 32 fractional bits.  The
-       coefficients are floored once per rung from one common-denominator
-       integer form per factor, and the step is an integer complex division.
+       |c_k| |z|^k, Horner evaluates P(2^e y)/2^s at y = z/2^e with the
+       rung's bits plus 32 fractional bits, t in all, and P' with
+       min(t, t/2 + 32): a step's new error is the incoming error times
+       P''s relative error.  Coefficients are floored once per rung from
+       one integer form per factor; the step divides on integers.
     4. Each distinct root is evaluated once on the whole monic input P by
        the same kernel with precision + 32 fractional bits, at the exact
        dyadic value that is returned.  The kernel's roundings give an
@@ -483,9 +480,12 @@ def _horner_fixed(fixed: tuple, z: tuple, derivative: bool = False) -> tuple:
     the products plus 2 per nonzero coefficient (2^(l+1) if it had to be
     shifted left by l, which the margin of ``_floored`` rules out).
 
-    Returns (G_re, G_im, D_re, D_im, B, s, point): D is 2^t Q'(y), floored
-    at each step, or 0 without ``derivative``, and ``point`` =
-    (Y_re, Y_im, e - t) is the dyadic 2^e y at which P was evaluated.
+    Returns (G_re, G_im, D_re, D_im, B, s, point), ``point`` = (Y_re,
+    Y_im, e - t) the dyadic 2^e y at which P was evaluated.  D is 2^t Q'(y)
+    to the bits a Newton step needs, or 0 without ``derivative``: y and
+    each G are floored to t' = min(t, floor(t/2) + 32) bits, each product
+    is floored, and D is shifted left by t - t'.  Each of its d steps errs
+    by a few units of 2^-t' plus |D| times the cut of y; B does not cover D.
     """
     t, d, rows = fixed
     zr, zi, E = z
@@ -508,15 +508,18 @@ def _horner_fixed(fixed: tuple, z: tuple, derivative: bool = False) -> tuple:
             ar[k], ai[k] = cr << -shift, ci << -shift
         halves += 2 << -min(shift, 0)
     half = 1 << t - 1
+    ys, yd = yr + yi, yi - yr  # g y = (m - g_i ys) + (m + g_r yd) i, m = y_r (g_r + g_i)
+    cut = max((t + 1) // 2 - 32, 0)  # D runs on t - cut = min(t, t // 2 + 32) bits
+    hr, hi, tp = yr >> cut, yi >> cut, t - cut
+    hs, hd = hr + hi, hi - hr
     gr = gi = dr = di = 0
     for k in range(d, -1, -1):
         if derivative:
-            dr, di = ((dr * yr - di * yi) >> t) + gr, ((dr * yi + di * yr) >> t) + gi
-        gr, gi = (
-            ((gr * yr - gi * yi + half) >> t) + ar[k],
-            ((gr * yi + gi * yr + half) >> t) + ai[k],
-        )
-    return gr, gi, dr, di, (3 * halves + 3) // 4, s, (yr, yi, e - t)
+            m = hr * (dr + di)
+            dr, di = ((m - di * hs) >> tp) + (gr >> cut), ((m + dr * hd) >> tp) + (gi >> cut)
+        m = yr * (gr + gi)
+        gr, gi = ((m - gi * ys + half) >> t) + ar[k], ((m + gr * yd + half) >> t) + ai[k]
+    return gr, gi, dr << cut, di << cut, (3 * halves + 3) // 4, s, (yr, yi, e - t)
 
 
 def _newton_step(fixed: tuple, z: tuple) -> tuple:

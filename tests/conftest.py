@@ -136,6 +136,109 @@ def horner(coeffs, x) -> GaussianRational:
     return acc
 
 
+def poly_trim(p) -> tuple:
+    """Drop zero leading coefficients; the zero polynomial becomes ()."""
+    deg = len(p) - 1
+    while deg >= 0 and p[deg].is_zero():
+        deg -= 1
+    return tuple(p[: deg + 1])
+
+
+def poly_divmod(p, q) -> tuple:
+    """Quotient and remainder (ascending, trimmed) of p by a nonzero q,
+    by long division over Q(i) in Fractions."""
+    q = poly_trim(q)
+    if not q:
+        raise ZeroDivisionError("polynomial division by 0")
+    dq = len(q) - 1
+    inv_lead = q[-1].inverse()
+    rem = list(poly_trim(p))
+    quot = [ZERO] * max(len(rem) - dq, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        c = rem[k + dq] * inv_lead
+        quot[k] = c
+        if not c.is_zero():
+            for j in range(dq):
+                rem[k + j] = rem[k + j] - c * q[j]
+    return tuple(quot), poly_trim(rem[:dq])
+
+
+def poly_gcd(p, q) -> tuple:
+    """Monic greatest common divisor of p and q, not both zero (Euclid over
+    Q(i), each remainder made monic)."""
+    p, q = poly_trim(p), poly_trim(q)
+    while q:
+        r = poly_divmod(p, q)[1]
+        p, q = q, tuple(c / r[-1] for c in r) if r else ()
+    if not p:
+        raise ZeroDivisionError("gcd of two zero polynomials")
+    return tuple(c / p[-1] for c in p)
+
+
+def yun_oracle(f) -> list:
+    """Yun's squarefree decomposition of a monic f of degree >= 1, by
+    ``poly_gcd`` and ``poly_divmod`` over Q(i): the pairs (g_k, k) with
+    f = prod g_k^k, each g_k monic and of degree >= 1."""
+
+    def deriv(p):
+        return tuple(c * k for k, c in enumerate(p))[1:]
+
+    def sub(p, q):
+        q = tuple(q) + (ZERO,) * (len(p) - len(q))
+        p = tuple(p) + (ZERO,) * (len(q) - len(p))
+        return tuple(a - b for a, b in zip(p, q))
+
+    df = deriv(f)
+    a = poly_gcd(f, df)
+    b = poly_divmod(f, a)[0]
+    d = sub(poly_divmod(df, a)[0], deriv(b))
+    parts, k = [], 1
+    while len(b) > 1:
+        a = poly_gcd(b, d)
+        b = poly_divmod(b, a)[0]
+        if len(a) > 1:
+            parts.append((a, k))
+        d = sub(poly_divmod(d, a)[0], deriv(b))
+        k += 1
+    return parts
+
+
+def horner_fixed_oracle(fixed: tuple, z: tuple, derivative: bool = False) -> tuple:
+    """``zeta._horner_fixed`` with four integer products per Gaussian
+    product and P' at the full t bits: the same (G, B, s, point), and D
+    floored at each step from the unrounded y and G."""
+    t, d, rows = fixed
+    zr, zi, E = z
+    n = zr * zr + zi * zi
+    m = ((n - 1).bit_length() + 1) // 2 if n else 0
+    e = E + m
+    if t >= m:
+        yr, yi = zr << (t - m), zi << (t - m)
+    else:
+        yr, yi = (-(-x >> (m - t)) if x < 0 else x >> (m - t) for x in (zr, zi))
+    log_z = E + math.log2(n) / 2 if n else E
+    s = math.ceil(max(lc + k * log_z for k, _, _, _, lc in rows))
+    ar, ai = [0] * (d + 1), [0] * (d + 1)
+    halves = d + 1
+    for k, cr, ci, u, _ in rows:
+        shift = u - (k * e + t - s)
+        if shift > 0:
+            ar[k], ai[k] = (cr + (1 << shift - 1)) >> shift, (ci + (1 << shift - 1)) >> shift
+        else:
+            ar[k], ai[k] = cr << -shift, ci << -shift
+        halves += 2 << -min(shift, 0)
+    half = 1 << t - 1
+    gr = gi = dr = di = 0
+    for k in range(d, -1, -1):
+        if derivative:
+            dr, di = ((dr * yr - di * yi) >> t) + gr, ((dr * yi + di * yr) >> t) + gi
+        gr, gi = (
+            ((gr * yr - gi * yi + half) >> t) + ar[k],
+            ((gr * yi + gi * yr + half) >> t) + ai[k],
+        )
+    return gr, gi, dr, di, (3 * halves + 3) // 4, s, (yr, yi, e - t)
+
+
 def exact_identity_value(R: PolyX, n: int) -> GaussianRational:
     """Closed form of the full identity value: the infinite sum equals
     [z^n] of -R(z-i)/(1-z)^(w+1), an exact finite computation."""

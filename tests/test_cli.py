@@ -1,8 +1,11 @@
 import hashlib
 import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from importlib import resources
 
@@ -272,6 +275,50 @@ class TestLvaluesCommand:
         path.write_text(json.dumps({"level": 1, "weight": 12, "fricke": 1, "an": "12"}))
         assert main(["lvalues", str(path)]) == EXIT_INPUT
         assert capsys.readouterr().err.startswith("error: 'an' must be a JSON list")
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _main_in_fresh_interpreter(argv) -> tuple:
+    """(exit code, seconds spent in cli.main, stderr) of ``argv`` run in a
+    fresh interpreter, which is killed after 30 s so that a regression
+    fails instead of hanging the suite."""
+    code = (
+        "import sys, time\n"
+        "from zetapoly.cli import main\n"
+        "start = time.perf_counter()\n"
+        f"code = main({argv!r})\n"
+        "print(time.perf_counter() - start)\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=30,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    return proc.returncode, float(proc.stdout), proc.stderr
+
+
+class TestHugeExponents:
+    """Fraction would build 10^999999999 from these literals; they are
+    refused as input errors before any digit is built."""
+
+    def test_tolerance(self):
+        code, seconds, err = _main_in_fresh_interpreter(["--tol", "1e-999999999", "wspace", "4"])
+        assert (code, err) == (EXIT_INPUT, "error: the exponent of '1e-999999999' exceeds 4300 in magnitude\n")
+        assert seconds < 1
+
+    def test_coefficient(self, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"w": 2, "coeffs": [["1e999999999", "0"], ["1", "0"], ["1", "0"]]}))
+        code, seconds, err = _main_in_fresh_interpreter(["roots", str(path)])
+        assert (code, err) == (EXIT_INPUT, "error: the exponent of '1e999999999' exceeds 4300 in magnitude\n")
+        assert seconds < 1
+
+    @pytest.mark.parametrize("tol", ["1e-4300", "1E-4_300", "1e-10", "0.25", "3/7"])
+    def test_exponents_up_to_the_cap_still_parse(self, tol, capsys):
+        assert main(["--tol", tol, "wspace", "4"]) == EXIT_OK
+        assert capsys.readouterr().err == ""
 
 
 class TestRootsCommand:

@@ -6,7 +6,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import linear_pow, naive_mul, qi_values, rand_qi
+from conftest import (
+    linear_pow,
+    naive_mul,
+    poly_divmod,
+    poly_gcd,
+    poly_trim,
+    qi_values,
+    rand_qi,
+    yun_oracle,
+)
 from zetapoly.exactnum import (
     GaussianRational,
     I,
@@ -16,9 +25,6 @@ from zetapoly.exactnum import (
     binom_poly_in_s,
     binom_poly_in_s_scaled,
     common_denominator,
-    poly_divmod,
-    poly_gcd,
-    poly_trim,
     qi,
     squarefree_parts,
 )
@@ -125,6 +131,38 @@ class TestPolyDivision:
         # squarefree inputs return unchanged (the modular coprimality proof)
         g = tuple(naive_mul(x_minus_i, naive_mul(x_plus_half, x_plus_3)))
         assert squarefree_parts(g) == [(g, 1)]
+
+
+class TestSquarefreeAgainstYunOracle:
+    def test_seeded_products(self):
+        # f = prod g_k^k made monic, each g_k with a Gaussian leading
+        # coefficient, rational coefficients and often a Gaussian content;
+        # degree up to 24, multiplicity up to 4.
+        rng = random.Random(1904)
+        contents = [ONE, qi(1, 1), qi(2, 1), qi(3), qi(1, 1) * qi(1, -2)]
+        exact_runs = 0
+        for _ in range(60):
+            f = [ONE]
+            for k in range(1, rng.randint(1, 4) + 1):
+                if len(f) + k > 25 or rng.random() < 0.25:
+                    continue
+                degree = rng.randint(1, (25 - len(f)) // k)
+                g = [rand_qi(rng, span=9, max_den=6) for _ in range(degree)]
+                g = [rng.choice(contents) * c for c in g + [qi(rng.randint(1, 5), rng.randint(-5, 5))]]
+                for _ in range(k):
+                    f = naive_mul(f, g)
+            if len(f) < 2:
+                continue
+            f = tuple(c / f[-1] for c in f)
+            parts = squarefree_parts(f)
+            assert parts == yun_oracle(f)
+            back = [ONE]
+            for g, k in parts:
+                for _ in range(k):
+                    back = naive_mul(back, g)
+            assert tuple(back) == f
+            exact_runs += parts != [(f, 1)]
+        assert exact_runs >= 30
 
 
 def binom(n: int, k: int) -> Fraction:

@@ -10,6 +10,7 @@ from mpmath import mp
 from conftest import (
     exact_identity_value,
     horner,
+    horner_fixed_oracle,
     linear_pow,
     modulus_27_poly,
     naive_mul,
@@ -715,6 +716,101 @@ class TestResidualCertificate:
                 step = max(1, int(unit / (slope * mpmath.mpf(2) ** E)))
             passed = [self.check(monic, (a + hi + j * step, b, E), prec) for j in range(-8, 9)]
             assert not any(passed[8:])
+
+
+def seeded_root_poly(rng: random.Random, degree: int, modulus: int) -> PolyX:
+    """degree - 1 roots with real and imaginary parts randint(-9, 9) /
+    randint(1, 9), and one root of the given modulus on an axis."""
+    rts = [
+        GaussianRational(
+            Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+            Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+        )
+        for _ in range(degree - 1)
+    ]
+    return poly_with_roots(rts + [rng.choice([ONE, -ONE, I, -I]) * modulus])
+
+
+def grid_root_poly(rng: random.Random, degree: int) -> PolyX:
+    """Roots at ``degree`` distinct points (a + b i) / den, |a|, |b| <= 9,
+    one seeded den in 1..9."""
+    points = set()
+    while len(points) < degree:
+        points.add((rng.randint(-9, 9), rng.randint(-9, 9)))
+    den = rng.randint(1, 9)
+    return poly_with_roots([GaussianRational(Fraction(a, den), Fraction(b, den)) for a, b in sorted(points)])
+
+
+class TestHornerKernel:
+    """``_horner_fixed`` against the four-product kernel of the conftest,
+    which evaluates P' at the full t bits."""
+
+    def test_values_bit_identical(self):
+        rng = random.Random(1901)
+        for degree in range(1, 31):
+            coeffs = [rand_qi(rng, span=99, max_den=50) for _ in range(degree)] + [ONE]
+            form = common_denominator(coeffs)
+            for prec in (64, 128, 256, 1024, 4096):
+                fixed = zeta._floored(form, prec + zeta._GUARD_BITS)
+                E = -rng.randint(prec // 2, prec + 40)
+                z = (rng.randint(-(9 << -E), 9 << -E), rng.randint(-(9 << -E), 9 << -E), E)
+                want = horner_fixed_oracle(fixed, z)
+                assert zeta._horner_fixed(fixed, z) == want
+                got = zeta._horner_fixed(fixed, z, derivative=True)
+                assert got[:2] + got[4:] == want[:2] + want[4:]
+
+    def test_newton_steps_near_the_oracle_steps(self, monkeypatch):
+        # Every step the ladder takes, replayed with the oracle kernel: the
+        # two new roots differ by at most 2^-rung max(|z|, 1).  The inputs
+        # have well-separated roots (distinct points of a grid, and delta's
+        # r and z): P''s relative error multiplies the incoming error, and
+        # a cluster of roots inflates both.
+        calls = []
+        step = zeta._newton_step
+        monkeypatch.setattr(zeta, "_newton_step", lambda fixed, z: calls.append((fixed, z)) or step(fixed, z))
+        rng = random.Random(1902)
+        for prec in (64, 128, 256, 1024, 4096):
+            R = build_r(delta_newform(prec), prec)
+            for P in [grid_root_poly(rng, degree) for degree in (2, 9, 17, 30)] + [R, numeric_rv(R)]:
+                roots(P, precision=prec)
+        monkeypatch.undo()
+        assert len(calls) > 500
+        for fixed, z in calls:
+            got = zeta._newton_step(fixed, z)
+            monkeypatch.setattr(zeta, "_horner_fixed", horner_fixed_oracle)
+            want = zeta._newton_step(fixed, z)
+            monkeypatch.undo()
+            assert got[2] == want[2]  # both on the grid of the point evaluated
+            gap2 = Fraction((got[0] - want[0]) ** 2 + (got[1] - want[1]) ** 2) * Fraction(4) ** got[2]
+            size2 = max(Fraction(z[0] ** 2 + z[1] ** 2) * Fraction(4) ** z[2], 1)
+            assert gap2 <= size2 / Fraction(4) ** (fixed[0] - zeta._GUARD_BITS)
+
+    def test_roots_outcomes_match_the_oracle_kernel(self, monkeypatch):
+        # 120 seeded inputs of degree 2..24 with one root of modulus 1, 4,
+        # 12, 27 or 60, at 64, 128 and 256 bits: each passes or raises
+        # PrecisionError as it does with the oracle kernel.  The second run
+        # replays the Aberth and Yun results of the first, which do not
+        # depend on the kernel, unless its inputs differ.
+        def memo(f):
+            seen = {}
+            return lambda *args: seen[args] if args in seen else seen.setdefault(args, f(*args))
+
+        def outcome(P, prec):
+            try:
+                return len(roots(P, precision=prec))
+            except PrecisionError:
+                return "raise"
+
+        aberth, split = memo(zeta._aberth), memo(zeta.squarefree_parts)
+        monkeypatch.setattr(zeta, "_aberth", lambda coeffs, *a: list(aberth(tuple(coeffs), *a)))
+        monkeypatch.setattr(zeta, "squarefree_parts", lambda f: split(tuple(f)))
+        rng = random.Random(1903)
+        inputs = [seeded_root_poly(rng, rng.randint(2, 24), m) for m in (1, 4, 12, 27, 60) for _ in range(24)]
+        cases = [(P, prec) for P in inputs for prec in (64, 128, 256)]
+        got = [outcome(P, prec) for P, prec in cases]
+        monkeypatch.setattr(zeta, "_horner_fixed", horner_fixed_oracle)
+        assert got == [outcome(P, prec) for P, prec in cases]
+        assert 0 < got.count("raise") < len(cases) / 2
 
 
 class TestRhCheck:
