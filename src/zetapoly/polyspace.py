@@ -2,16 +2,17 @@
 
 The space V_w of polynomials of degree at most w carries a weight -w
 action of 2x2 matrices (the slash operator).  This module implements
-that action exactly over Q(i), the residuals of the Fricke relation and
-of the Eichler-Shimura relations (both in the classical variable and in
-the rescaled variable), and the space W_w cut out by the classical
-relations, computed by integer elimination.
+that action exactly for the matrices every relation uses: Gaussian-integer
+entries, a unit determinant and c zero or a unit.  On top of it sit the
+residuals of the Fricke relation and of the Eichler-Shimura relations
+(both in the classical variable and in the rescaled variable), and the
+space W_w cut out by the classical relations, computed by integer
+elimination.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from zetapoly.errors import InputError
@@ -35,85 +36,65 @@ class PolyX(DensePoly):
 
 
 # ---------------------------------------------------------------------
-# 2x2 matrices and the slash action
+# The slash action of unimodular Gaussian-integer matrices
 # ---------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class Mat2:
-    """A 2x2 matrix over Q(i) with nonzero determinant."""
-
-    a: GaussianRational
-    b: GaussianRational
-    c: GaussianRational
-    d: GaussianRational
-
-    def __post_init__(self):
-        for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, GaussianRational.coerce(getattr(self, name)))
-        if self.det().is_zero():
-            raise InputError("matrix is not invertible")
-
-    def det(self) -> GaussianRational:
-        return self.a * self.d - self.b * self.c
-
-    def __matmul__(self, other: "Mat2") -> "Mat2":
-        return Mat2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+# A matrix is a 4-tuple (a, b, c, d) standing for [[a, b], [c, d]].
+U_MAT = (1, -1, 1, 0)
+U2_MAT = (0, -1, 1, -1)  # U^2
+# Matrices realizing the rescaled three-term relation.
+_RES2_MAT_B = (1, -I, -I, 0)
+_RES2_MAT_C = (0, -I, -I, -1)
+_UNITS = {(1, 0): 0, (0, 1): 1, (-1, 0): 2, (0, -1): 3}  # i^k -> k
 
 
-S_MAT = Mat2(0, -1, 1, 0)
-U_MAT = Mat2(1, -1, 1, 0)
+def slash(P: PolyX, g: tuple) -> PolyX:
+    """The weight -w slash action det(g)^(-w/2) (cX+d)^w P((aX+b)/(cX+d))
+    of g = (a, b, c, d) with Gaussian-integer entries, det(g) a unit and c
+    zero or a unit; any other g raises InputError.
 
-# Matrices realizing the rescaled three-term relation; both have det 1,
-# so the slash normalization factor is exactly 1.
-_RES2_MAT_B = Mat2(1, -I, -I, 0)
-_RES2_MAT_C = Mat2(0, -I, -I, -1)
-
-
-def slash(P: PolyX, g: Mat2) -> PolyX:
-    """The weight -w slash action det(g)^(-w/2) (cX+d)^w P((aX+b)/(cX+d)).
-
-    Exact over Q(i): since w is even, det(g)^(-w/2) is an integer power
-    of the determinant and no square root is ever taken.
-
-    Scaling g by a common denominator e of its entries multiplies
-    sum_j a_j (aX+b)^j (cX+d)^(w-j) by e^w and det(g)^(-w/2) by e^(-w),
-    so it is harmless: the sum runs by Horner's rule in (aX+b) on
-    Gaussian-integer (re, im) pairs, and det(g)^(-w/2) / (den * e^w)
-    is applied once at the end.
+    Such a g is [[a, 0], [0, d]] [[1, b/a], [0, 1]] for c = 0, and
+    [[1, a/c], [0, 1]] [[0, -det/c], [c, 0]] [[1, d/c], [0, 1]] for c a
+    unit, all entries Gaussian integers.  So P|g is a Taylor shift, a turn
+    of coefficient j by a power of i (for c a unit, det^(-w/2) c^w
+    (-det/c^2)^j and a reversal), and a second Taylor shift: O(w^2)
+    operations on Gaussian-integer pairs, and one division at the end.
     """
-    w = P.w
-    den, pairs = common_denominator(P.coeffs)
-    e, (a, b, c, d) = common_denominator((g.a, g.b, g.c, g.d))
-    den_pows = [[(1, 0)]]  # den_pows[t] = (cX+d)^t
-    for _ in range(w):
-        den_pows.append(_mul_linear(den_pows[-1], c, d))
-    acc: list[tuple[int, int]] = []
-    for j in range(w, -1, -1):
-        acc = _mul_linear(acc, a, b)
-        pr, pm = pairs[j]
-        if pr or pm:
-            acc = [
-                (r + pr * qr - pm * qm, m + pr * qm + pm * qr)
-                for (r, m), (qr, qm) in zip(acc, den_pows[w - j])
-            ]
-    factor = g.det() ** (-(w // 2)) * Fraction(1, den * e**w)
-    return PolyX(w, tuple(factor * GaussianRational(r, m) for r, m in acc))
+    e, (a, b, c, d) = common_denominator(tuple(GaussianRational.coerce(x) for x in g))
+    (ar, ai), (br, bi), (cr, ci), (dr, di) = a, b, c, d
+    k_det = _UNITS.get((ar * dr - ai * di - br * cr + bi * ci, ar * di + ai * dr - br * ci - bi * cr))
+    ka, kc, kd = _UNITS.get(a), _UNITS.get(c), _UNITS.get(d)
+    if e != 1 or k_det is None or (kc is None and c != (0, 0)):
+        raise InputError(f"slash needs Gaussian-integer entries, a unit det and c 0 or a unit: {g!r}")
+    w, (den, pairs) = P.w, common_denominator(P.coeffs)
+    if kc is None:  # c = 0, so a and d are units
+        first, last, k0, step, order = (0, 0), _turn(b, -ka), kd * w, ka - kd, 1
+    else:
+        first, last, k0, step, order = _turn(a, -kc), _turn(d, -kc), kc * w, 2 + k_det - 2 * kc, -1
+    k0 -= k_det * (w // 2)
+    pairs = [_turn(p, k0 + step * j) for j, p in enumerate(_taylor_shift(pairs, first))]
+    pairs = _taylor_shift(pairs[::order], last)
+    return PolyX(w, tuple(GaussianRational(Fraction(r, den), Fraction(m, den)) for r, m in pairs))
 
 
-def _mul_linear(coeffs: list, a: tuple[int, int], b: tuple[int, int]) -> list:
-    """Multiply a dense list of Gaussian-integer (re, im) pairs by (a*X + b)."""
-    (ar, am), (br, bm) = a, b
-    out = [(cr * br - cm * bm, cr * bm + cm * br) for cr, cm in coeffs] + [(0, 0)]
-    for t, (cr, cm) in enumerate(coeffs, 1):
-        r, m = out[t]
-        out[t] = (r + cr * ar - cm * am, m + cr * am + cm * ar)
-    return out
+def _turn(z: tuple[int, int], k: int) -> tuple[int, int]:
+    """The Gaussian-integer pair z times i^k."""
+    r, m = z
+    return ((r, m), (-m, r), (-r, -m), (m, -r))[k % 4]
+
+
+def _taylor_shift(pairs: list, t: tuple[int, int]) -> list:
+    """Coefficients of Q(X + t) for t = s + u*i, on real and imaginary parts
+    apart: Q(X + s), then Q(X + u*i) = R(-iX + u) with R(Y) = Q(iY)."""
+    for s, k in ((t[0], 0), (t[1], 1)):
+        if s:
+            parts = [list(x) for x in zip(*(_turn(p, k * j) for j, p in enumerate(pairs)))]
+            for x in parts:
+                for i in range(len(x) - 1):
+                    for j in range(len(x) - 2, i - 1, -1):
+                        x[j] += s * x[j + 1]
+            pairs = [_turn(p, -k * j) for j, p in enumerate(zip(*parts))]
+    return pairs
 
 
 # ---------------------------------------------------------------------
@@ -149,8 +130,9 @@ def rescaled_es2_residual(R: PolyX) -> PolyX:
     """Residual of the three-term relation
     R(X) + (-iX)^w R((X-i)/(-iX)) + (-iX-1)^w R(-i/(-iX-1)).
 
-    Each substitution is expanded exactly over Q(i); every term is a
-    polynomial of degree <= w because the matrices have determinant 1.
+    The two substitutions are the slashes by [[1, -i], [-i, 0]] and
+    [[0, -i], [-i, -1]]: determinant 1 and c = -i, so each is a Taylor
+    shift, a turned reversal and a Taylor shift on integer pairs.
     """
     return R + slash(R, _RES2_MAT_B) + slash(R, _RES2_MAT_C)
 
@@ -163,7 +145,7 @@ def es1_residual(r: PolyX) -> PolyX:
 
 def es_residuals(r: PolyX) -> tuple[PolyX, PolyX]:
     """Residuals of the classical relations r|(1+S) and r|(1+U+U^2)."""
-    res_u = r + slash(r, U_MAT) + slash(r, U_MAT @ U_MAT)
+    res_u = r + slash(r, U_MAT) + slash(r, U2_MAT)
     return es1_residual(r), res_u
 
 

@@ -36,7 +36,7 @@ from zetapoly.exactnum import (
     require_even_w,
     squarefree_parts,
 )
-from zetapoly.polyspace import Mat2, PolyX, slash
+from zetapoly.polyspace import PolyX, slash
 from zetapoly.rv import ZetaPoly, rv_inverse, series_coeffs
 
 TolLike = Union[str, int, Fraction]
@@ -66,7 +66,7 @@ def functional_eq_residual(Z: ZetaPoly, eps: int) -> ZetaPoly:
     if eps not in (1, -1):
         raise InputError(f"eps must be +1 or -1, got {eps!r}")
     # The slash by [[-1, 1], [0, 1]] is det^(-w/2) P(1-X) = i^w P(1-X).
-    flipped = slash(PolyX(Z.w, Z.coeffs), Mat2(-1, 1, 0, 1))
+    flipped = slash(PolyX(Z.w, Z.coeffs), (-1, 1, 0, 1))
     return Z + ZetaPoly(Z.w, flipped.coeffs).scale(eps)
 
 

@@ -127,6 +127,37 @@ def naive_mul(p, q) -> list:
     return out
 
 
+def mat_mul(g, h) -> tuple:
+    """The product of 2x2 matrices given as (a, b, c, d) over Q(i)."""
+    a, b, c, d = (GaussianRational.coerce(x) for x in g)
+    e, f, p, q = (GaussianRational.coerce(x) for x in h)
+    return (a * e + b * p, a * f + b * q, c * e + d * p, c * f + d * q)
+
+
+def slash_oracle(P: PolyX, g) -> PolyX:
+    """The weight -w slash det(g)^(-w/2) sum_j p_j (aX+b)^j (cX+d)^(w-j)
+    for any invertible Q(i) matrix g = (a, b, c, d), in exact Q(i)
+    arithmetic: the sum by Horner's rule in aX+b, over the table of
+    powers of cX+d."""
+    a, b, c, d = (GaussianRational.coerce(x) for x in g)
+    det = a * d - b * c
+    if det.is_zero():
+        raise ZeroDivisionError("singular matrix")
+    w = P.w
+    num = linear_pow(a, b, 1)
+    den_pows = [linear_pow(c, d, 0)]
+    for _ in range(w):
+        den_pows.append(naive_mul(den_pows[-1], linear_pow(c, d, 1)))
+    acc = [ZERO]
+    for j in range(w, -1, -1):
+        acc = naive_mul(acc, num)[: w + 1]
+        if not P.coeffs[j].is_zero():
+            for t, v in enumerate(den_pows[w - j]):
+                acc[t] = acc[t] + P.coeffs[j] * v
+    factor = det ** (-(w // 2))
+    return PolyX(w, tuple(factor * v for v in acc))
+
+
 def horner(coeffs, x) -> GaussianRational:
     """The value at x of the polynomial with ascending ``coeffs``, by
     Horner's rule in exact Q(i) arithmetic."""

@@ -5,14 +5,24 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from conftest import horner, polyx_values, rand_polyx, rand_qi, symmetric_polyx
+from conftest import (
+    horner,
+    mat_mul,
+    polyx_values,
+    rand_polyx,
+    rand_qi,
+    slash_oracle,
+    symmetric_polyx,
+    violating_polyx,
+)
 from zetapoly.errors import InputError
 from zetapoly.exactnum import ZERO, GaussianRational, I, ONE, qi
 from zetapoly.polyspace import (
-    Mat2,
-    PolyX,
-    S_MAT,
+    U2_MAT,
     U_MAT,
+    PolyX,
+    _RES2_MAT_B,
+    _RES2_MAT_C,
     _integer_nullspace,
     _relation_rows,
     es1_residual,
@@ -23,6 +33,8 @@ from zetapoly.polyspace import (
     slash,
     wspace_basis,
 )
+from zetapoly.rv import ZetaPoly, rv_forward
+from zetapoly.zeta import functional_eq_residual
 
 R_DELTA_MINUS = PolyX.make(10, [0, 4, 0, 25, 0, 42, 0, 25, 0, 4, 0])
 R_DELTA_PLUS = PolyX.make(
@@ -82,14 +94,37 @@ class TestPolyX:
             PolyX.from_dict([1, 2, 3])
 
 
+S_MAT = (0, -1, 1, 0)
+# the matrices the relations slash by: S, U, U^2, the two rescaled
+# three-term matrices and the functional equation's [[-1, 1], [0, 1]]
+RELATION_MATS = (S_MAT, U_MAT, U2_MAT, _RES2_MAT_B, _RES2_MAT_C, (-1, 1, 0, 1))
+# generators of the random words: [[1,1],[0,1]], [[1,i],[0,1]], S,
+# diag(i, 1) and [[1,0],[i,1]]
+WORD_GENS = ((1, 1, 0, 1), (1, I, 0, 1), S_MAT, (I, 0, 0, 1), (1, 0, I, 1))
+
+
+def _random_word(rng: random.Random) -> tuple:
+    g = (1, 0, 0, 1)
+    for _ in range(rng.randint(1, 6)):
+        g = mat_mul(g, rng.choice(WORD_GENS))
+    return g
+
+
+def _in_domain(g) -> bool:
+    """c is zero or a unit; every word has Gaussian-integer entries and a
+    unit determinant."""
+    c = GaussianRational.coerce(g[2])
+    return c.is_zero() or c.norm2() == 1
+
+
 class TestSlash:
     def test_monomial_flip(self):
         p = PolyX.make(2, [0, 0, 1])
         assert slash(p, S_MAT) == PolyX.make(2, [1, 0, 0])
 
     def test_u_cubed_is_minus_identity(self):
-        u3 = U_MAT @ U_MAT @ U_MAT
-        assert u3 == Mat2(-1, 0, 0, -1)
+        assert mat_mul(U_MAT, U_MAT) == U2_MAT
+        assert mat_mul(U2_MAT, U_MAT) == (-1, 0, 0, -1)
 
     @given(polyx_values)
     @settings(max_examples=60)
@@ -103,49 +138,104 @@ class TestSlash:
 
     def test_right_group_action(self):
         rng = random.Random(11)
-        for _ in range(25):
-            w = rng.choice([2, 4, 6, 8])
-            p = rand_polyx(rng, w)
-            g = _random_unimodular(rng)
-            h = _random_unimodular(rng)
-            assert slash(slash(p, g), h) == slash(p, g @ h)
+        checked = 0
+        while checked < 40:
+            g, h = _random_word(rng), _random_word(rng)
+            if not all(_in_domain(m) for m in (g, h, mat_mul(g, h))):
+                continue
+            p = rand_polyx(rng, rng.choice([2, 4, 6, 8]))
+            assert slash(slash(p, g), h) == slash(p, mat_mul(g, h))
+            checked += 1
 
-    def test_determinant_normalization(self):
-        # diag(2, 1) has det 2: (P|g)(X) = 2^(-w/2) P(2X)
-        p = PolyX.make(2, [0, 0, 1])
-        g = Mat2(2, 0, 0, 1)
-        assert slash(p, g) == PolyX.make(2, [0, 0, 2])
-
-    def test_singular_matrix_rejected(self):
+    @pytest.mark.parametrize(
+        "g",
+        [(Fraction(1, 2), 0, 0, 2), (2, 0, 0, 1), (1, 2, 2, 4), (1, 0, 2, 1)],
+        ids=["non-integer-entry", "non-unit-det", "singular", "c-not-a-unit"],
+    )
+    def test_outside_the_domain_rejected(self, g):
         with pytest.raises(InputError):
-            Mat2(1, 2, 2, 4)
+            slash(PolyX.make(2, [1, 2, 3]), g)
 
     def test_matches_pointwise_definition_over_q_i(self):
-        # Fractional complex entries and non-unit determinants exercise the
-        # clearing of denominators; each side is evaluated exactly in Q(i).
+        # Each side evaluated exactly in Q(i): slash on random words, the
+        # oracle on fractional entries and non-unit determinants as well.
         rng = random.Random(23)
-        for _ in range(40):
+        cases = 0
+        while cases < 40:
             w = rng.choice([2, 4, 6, 10])
             p = rand_polyx(rng, w)
-            g = Mat2(*(rand_qi(rng, span=5, max_den=6) for _ in range(4)))
-            image = slash(p, g)
-            for _ in range(3):
-                x = rand_qi(rng)
-                den = g.c * x + g.d
-                if den.is_zero():
-                    continue
-                value = horner(p.coeffs, (g.a * x + g.b) / den)
-                expected = g.det() ** (-(w // 2)) * den**w * value
-                assert horner(image.coeffs, x) == expected
+            g = _random_word(rng)
+            h = tuple(rand_qi(rng, span=5, max_den=6) for _ in range(4))
+            if not _in_domain(g) or (h[0] * h[3] - h[1] * h[2]).is_zero():
+                continue
+            for mat, image in ((g, slash(p, g)), (h, slash_oracle(p, h))):
+                a, b, c, d = (GaussianRational.coerce(x) for x in mat)
+                for _ in range(3):
+                    x = rand_qi(rng)
+                    den = c * x + d
+                    if den.is_zero():
+                        continue
+                    value = horner(p.coeffs, (a * x + b) / den)
+                    expected = (a * d - b * c) ** (-(w // 2)) * den**w * value
+                    assert horner(image.coeffs, x) == expected
+            cases += 1
+
+    def test_oracle_determinant_normalization(self):
+        # diag(2, 1) has det 2: (P|g)(X) = 2^(-w/2) P(2X)
+        p = PolyX.make(2, [0, 0, 1])
+        assert slash_oracle(p, (2, 0, 0, 1)) == PolyX.make(2, [0, 0, 2])
+
+    def test_matches_the_oracle_bit_for_bit(self):
+        # Dense inputs: the relation matrices and random words up to w = 30
+        # (a word outside the domain is rejected), S at w = 100; the other
+        # relation matrices meet the oracle at w = 100 in TestResidualOracle.
+        rng = random.Random(29)
+        words = [_random_word(rng) for _ in range(40)]
+        cases = [(w, g) for w in (2, 4, 6, 10) for g in RELATION_MATS + tuple(words)]
+        cases += [(30, g) for g in RELATION_MATS + tuple(words[:8])] + [(100, S_MAT)]
+        for w, g in cases:
+            p = rand_polyx(rng, w)
+            if not _in_domain(g):
+                with pytest.raises(InputError):
+                    slash(p, g)
+                continue
+            got, want = slash(p, g).coeffs, slash_oracle(p, g).coeffs
+            assert [(c.re, c.im) for c in got] == [(c.re, c.im) for c in want]
 
 
-def _random_unimodular(rng: random.Random) -> Mat2:
-    m = Mat2(1, 0, 0, 1)
-    for _ in range(rng.randint(1, 4)):
-        b = rng.randint(-3, 3)
-        c = rng.randint(-3, 3)
-        m = m @ Mat2(1, b, 0, 1) @ Mat2(1, 0, c, 1)
-    return m
+class TestResidualOracle:
+    """The residuals built on slash against the same residuals built on
+    slash_oracle, for inputs that satisfy the relations (W_w, the golden
+    parts, symmetric R) and perturbed ones that fail them; at w = 100,
+    where each oracle slash takes about half a second, the perturbed ones."""
+
+    @pytest.mark.parametrize("w", [2, 4, 10, 30, 100])
+    def test_residuals_match_the_oracle(self, w):
+        rng = random.Random(w)
+        good = PolyX.make(w, [])
+        for b in wspace_basis(w)[0] if w < 100 else ():
+            good = good + b.scale(rng.randint(-3, 3))
+        bump = [0] * rng.randrange(w // 2) + [rand_qi(rng)]
+        cases = [(good + PolyX.make(w, bump), False)] + ([(good, True)] if w < 100 else [])
+        if w == 10:
+            cases += [(classical_level_one(R), True) for R in (R_DELTA_MINUS, R_DELTA_PLUS)]
+        for r, holds in cases:
+            res = es_residuals(r)[1]
+            assert res == r + slash_oracle(r, U_MAT) + slash_oracle(r, U2_MAT)
+            R = rescale_level_one(r)
+            res2 = rescaled_es2_residual(R)
+            assert res2 == R + slash_oracle(R, _RES2_MAT_B) + slash_oracle(R, _RES2_MAT_C)
+            assert res2.is_zero() == res.is_zero()
+            assert all(x.is_zero() for x in es_residuals(r)) == holds
+        for eps in (1, -1) if w < 100 else (1,):
+            pairs = [(violating_polyx(rng, w, eps), False)]
+            pairs += [(symmetric_polyx(rng, w, eps), True)] if w < 100 else []
+            for R, holds in pairs:
+                Z = rv_forward(R)
+                flipped = slash_oracle(PolyX(w, Z.coeffs), (-1, 1, 0, 1))
+                res = functional_eq_residual(Z, eps)
+                assert res == Z + ZetaPoly(w, flipped.coeffs).scale(eps)
+                assert res.is_zero() == holds
 
 
 class TestFricke:
@@ -166,7 +256,7 @@ class TestFricke:
     def test_substitution_route_agrees(self):
         # independent route: X^w R(1/X) = (-1)^(w/2) (R | (0,1;1,0))
         rng = random.Random(23)
-        j_mat = Mat2(0, 1, 1, 0)
+        j_mat = (0, 1, 1, 0)
         for _ in range(20):
             w = rng.choice([2, 4, 6, 10])
             eps = rng.choice([1, -1])
@@ -200,7 +290,7 @@ class TestRescaledRelations:
 
     def test_two_term_matches_fricke_plus_one(self):
         # oracle: the defining expression, R plus the slash by [[0, -i], [-i, 0]]
-        res1_mat = Mat2(0, -I, -I, 0)
+        res1_mat = (0, -I, -I, 0)
         rng = random.Random(3)
         for _ in range(25):
             R = rand_polyx(rng, rng.choice([2, 4, 6, 10, 30]))

@@ -29,6 +29,8 @@ ALLOWED = {
     "exactnum.GaussianRational.__hash__": "defining __eq__ alone would make Q(i) values, "
     "and the frozen polynomials holding them, unhashable",
     "exactnum.GaussianRational.__repr__": "the form that failing asserts and the REPL print",
+    "exactnum.GaussianRational.__sub__": "acceptance criterion 04, through "
+    "conftest.exact_identity_value; the Yun, poly-division and slash oracles subtract",
     "exactnum.GaussianRational.is_integer": "acceptance criterion 10, through hilbert_hypotheses",
     "exactnum.GaussianRational.is_real": "acceptance criterion 10, through hilbert_hypotheses",
     "exactnum.PowerSeries.inverse": "perfbench span target",
