@@ -112,6 +112,8 @@ def _cmd_check(args) -> int:
     poly = PolyX.from_dict(_read_json(args.input))
     if relation == "fricke" and args.eps is None:
         raise InputError("relation 'fricke' requires --eps +1 or -1")
+    if relation != "fricke" and args.eps is not None:
+        raise InputError(f"--eps applies only to relation 'fricke', not {relation!r}")
     residual = _RESIDUALS[relation](poly, args.eps)
     holds = residual.is_zero()
     payload = {

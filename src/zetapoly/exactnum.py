@@ -15,7 +15,8 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
+from functools import cached_property
+from itertools import chain, zip_longest
 from typing import ClassVar, Sequence, Union
 
 from zetapoly.errors import InputError
@@ -43,6 +44,21 @@ def as_fraction(x: Rationalish) -> Fraction:
     if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
+
+
+def decimal_str(x: Union[int, Fraction]) -> str:
+    """str(x) for any size of x.  Python caps int-to-str conversions at
+    4300 digits to guard parsing; exact output may be longer, so past the
+    cap the conversion reruns with the cap lifted, and the cap is restored."""
+    try:
+        return str(x)
+    except ValueError:
+        cap = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(x)
+        finally:
+            sys.set_int_max_str_digits(cap)
 
 
 class GaussianRational:
@@ -78,21 +94,13 @@ class GaussianRational:
 
     def to_str_pair(self) -> tuple[str, str]:
         """Serialize as ("p/q", "r/s"), always carrying the denominator."""
-        return (
-            f"{self.re.numerator}/{self.re.denominator}",
-            f"{self.im.numerator}/{self.im.denominator}",
-        )
+        return tuple(f"{decimal_str(x.numerator)}/{decimal_str(x.denominator)}"
+                     for x in (self.re, self.im))
 
     # -- predicates --------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.re and not self.im
-
-    def is_real(self) -> bool:
-        return not self.im
-
-    def is_integer(self) -> bool:
-        return not self.im and self.re.denominator == 1
 
     # -- arithmetic --------------------------------------------------
 
@@ -163,12 +171,12 @@ class GaussianRational:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self):
+        re, im = decimal_str(self.re), decimal_str(self.im)
         if not self.im:
-            return str(self.re)
+            return re
         if not self.re:
-            return f"{self.im}*i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}*i"
+            return f"{im}*i"
+        return f"{re}{'+' if self.im > 0 else '-'}{im.lstrip('-')}*i"
 
 
 ZERO = GaussianRational(0)
@@ -226,6 +234,11 @@ def common_denominator(
         for c in coeffs
     ]
     return den, pairs
+
+
+def from_pairs(den: int, pairs) -> tuple[GaussianRational, ...]:
+    """The Q(i) values (p + q i)/den: the inverse of ``common_denominator``."""
+    return tuple(GaussianRational(Fraction(p, den), Fraction(q, den)) for p, q in pairs)
 
 
 # ---------------------------------------------------------------------
@@ -340,67 +353,70 @@ def squarefree_parts(f: Sequence[GaussianRational]) -> list:
 
 @dataclass(frozen=True)
 class DensePoly:
-    """A polynomial of degree <= w over Q(i), w even and >= 2.
-
-    ``coeffs`` has exactly w+1 entries in ascending powers; high entries
-    may be zero.  The weight parameter w is metadata and is never
-    inferred from the degree (a polynomial of degree 9 may live in V_10).
-    Subclasses name the variable; equality holds only within one class,
-    and arithmetic refuses to mix classes or weights.
+    """A polynomial of degree <= w over Q(i), w even and >= 2: coefficient
+    j is (p_j + q_j i)/den for ``pairs`` = ((p_0, q_0), ..., (p_w, q_w)),
+    ascending, over one positive ``den``, reduced on construction to
+    gcd(den, every p_j and q_j) = 1, so equal polynomials have equal fields.
+    The weight parameter w is metadata, never inferred from the degree (a
+    polynomial of degree 9 may live in V_10).  Subclasses name the variable;
+    equality holds only within one class, and + refuses to mix classes or w.
     """
 
     VARIABLE: ClassVar[str]
 
     w: int
-    coeffs: tuple[GaussianRational, ...]
+    den: int
+    pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         require_even_w(self.w)
-        coeffs = tuple(GaussianRational.coerce(c) for c in self.coeffs)
-        if len(coeffs) != self.w + 1:
+        if len(self.pairs) != self.w + 1:
             raise InputError(
-                f"expected {self.w + 1} coefficients for w={self.w}, got {len(coeffs)}"
+                f"expected {self.w + 1} coefficients for w={self.w}, got {len(self.pairs)}"
             )
-        object.__setattr__(self, "coeffs", coeffs)
+        g = math.gcd(self.den, *chain.from_iterable(self.pairs))
+        pairs = self.pairs if g == 1 else [(x // g, y // g) for x, y in self.pairs]
+        object.__setattr__(self, "den", self.den // g)
+        object.__setattr__(self, "pairs", tuple(pairs))
 
     # -- construction ----------------------------------------------------
 
     @classmethod
     def make(cls, w: int, values: Sequence):
-        """Build from any coefficient sequence of length <= w+1 (zero-padded)."""
+        """Build from any Q(i) coefficient sequence of length <= w+1 (zero-padded)."""
         vals = [GaussianRational.coerce(v) for v in values]
         if len(vals) > w + 1:
             raise InputError(f"{len(vals)} coefficients exceed degree bound w={w}")
-        vals += [ZERO] * (w + 1 - len(vals))
-        return cls(w, tuple(vals))
+        den, pairs = common_denominator(vals)
+        return cls(w, den, pairs + [(0, 0)] * (w + 1 - len(vals)))
+
+    @cached_property
+    def coeffs(self) -> tuple[GaussianRational, ...]:
+        """The w+1 coefficients as Q(i) values, built on first read."""
+        return from_pairs(self.den, self.pairs)
 
     # -- basic queries -----------------------------------------------------
 
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        for j in range(self.w, -1, -1):
-            if not self.coeffs[j].is_zero():
-                return j
-        return -1
+        return max((j for j, p in enumerate(self.pairs) if p != (0, 0)), default=-1)
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        return all(p == (0, 0) for p in self.pairs)
 
     # -- linear structure ---------------------------------------------------
 
     def __add__(self, other):
-        self._require_same_space(other)
-        return type(self)(self.w, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def scale(self, c):
-        c = GaussianRational.coerce(c)
-        return type(self)(self.w, tuple(c * a for a in self.coeffs))
-
-    def _require_same_space(self, other) -> None:
+        """The sum, over the lcm of the two denominators."""
         if type(other) is not type(self):
             raise InputError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
         if self.w != other.w:
             raise InputError(f"mixing w={self.w} and w={other.w} polynomials")
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        return type(self)(self.w, den, tuple(
+            (a * x + b * u, a * y + b * v) for (x, y), (u, v) in zip(self.pairs, other.pairs)
+        ))
 
     # -- serialization -------------------------------------------------------
 
@@ -440,7 +456,7 @@ class DensePoly:
                     raise InputError(f"bad coefficient entry {entry!r}: {exc}") from exc
             else:
                 raise InputError(f"coefficient entries must be [re, im] pairs, got {entry!r}")
-        return cls(w, tuple(coeffs))
+        return cls.make(w, coeffs)
 
 
 # ---------------------------------------------------------------------

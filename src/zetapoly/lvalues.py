@@ -88,9 +88,9 @@ class NewformData:
             raise InputError(f"'an' must be a JSON list, got {type(data['an']).__name__}")
         try:
             return cls(
-                level=int(data["level"]),
-                weight=int(data["weight"]),
-                fricke=int(data["fricke"]),
+                level=int(str(data["level"])),
+                weight=int(str(data["weight"])),
+                fricke=int(str(data["fricke"])),
                 an=tuple(int(str(a)) for a in data["an"]),
                 label=str(data.get("label", "")),
             )

@@ -13,7 +13,6 @@ elimination.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from zetapoly.errors import InputError
 from zetapoly.exactnum import (
@@ -58,7 +57,7 @@ def slash(P: PolyX, g: tuple) -> PolyX:
     unit, all entries Gaussian integers.  So P|g is a Taylor shift, a turn
     of coefficient j by a power of i (for c a unit, det^(-w/2) c^w
     (-det/c^2)^j and a reversal), and a second Taylor shift: O(w^2)
-    operations on Gaussian-integer pairs, and one division at the end.
+    operations on P's Gaussian-integer numerators, over its denominator.
     """
     e, (a, b, c, d) = common_denominator(tuple(GaussianRational.coerce(x) for x in g))
     (ar, ai), (br, bi), (cr, ci), (dr, di) = a, b, c, d
@@ -66,15 +65,14 @@ def slash(P: PolyX, g: tuple) -> PolyX:
     ka, kc, kd = _UNITS.get(a), _UNITS.get(c), _UNITS.get(d)
     if e != 1 or k_det is None or (kc is None and c != (0, 0)):
         raise InputError(f"slash needs Gaussian-integer entries, a unit det and c 0 or a unit: {g!r}")
-    w, (den, pairs) = P.w, common_denominator(P.coeffs)
+    w = P.w
     if kc is None:  # c = 0, so a and d are units
         first, last, k0, step, order = (0, 0), _turn(b, -ka), kd * w, ka - kd, 1
     else:
         first, last, k0, step, order = _turn(a, -kc), _turn(d, -kc), kc * w, 2 + k_det - 2 * kc, -1
     k0 -= k_det * (w // 2)
-    pairs = [_turn(p, k0 + step * j) for j, p in enumerate(_taylor_shift(pairs, first))]
-    pairs = _taylor_shift(pairs[::order], last)
-    return PolyX(w, tuple(GaussianRational(Fraction(r, den), Fraction(m, den)) for r, m in pairs))
+    pairs = [_turn(p, k0 + step * j) for j, p in enumerate(_taylor_shift(P.pairs, first))]
+    return PolyX(w, P.den, tuple(_taylor_shift(pairs[::order], last)))
 
 
 def _turn(z: tuple[int, int], k: int) -> tuple[int, int]:
@@ -106,15 +104,13 @@ def fricke_residual(R: PolyX, eps: int) -> PolyX:
     """Residual of R(X) + eps * i^w * X^w R(1/X), computed coefficientwise.
 
     The reversal X^w R(1/X) swaps coefficient j with w-j, so the residual
-    coefficients are a_j + eps i^w a_{w-j}; the zero polynomial is
-    returned exactly when the Fricke relation holds.
+    coefficients are a_j + eps i^w a_{w-j}, eps i^w = eps (-1)^(w/2); the
+    zero polynomial is returned exactly when the Fricke relation holds.
     """
     if eps not in (1, -1):
         raise InputError(f"eps must be +1 or -1, got {eps!r}")
-    w = R.w
-    phase = GaussianRational(eps) * I**w
-    res = [R.coeffs[j] + phase * R.coeffs[w - j] for j in range(w + 1)]
-    return PolyX(w, tuple(res))
+    phase, p = eps * (-1) ** (R.w // 2), R.pairs
+    return PolyX(R.w, R.den, tuple((x + phase * u, y + phase * v) for (x, y), (u, v) in zip(p, p[::-1])))
 
 
 def rescaled_es1_residual(R: PolyX) -> PolyX:
@@ -139,8 +135,9 @@ def rescaled_es2_residual(R: PolyX) -> PolyX:
 
 def es1_residual(r: PolyX) -> PolyX:
     """r|(1+S) without the slash: for even w, (r|S)_t = (-1)^t r_(w-t)."""
-    flipped = (-a if t % 2 else a for t, a in enumerate(reversed(r.coeffs)))
-    return r + PolyX(r.w, tuple(flipped))
+    p = r.pairs
+    return PolyX(r.w, r.den, tuple((x - u, y - v) if t % 2 else (x + u, y + v)
+                                   for t, ((x, y), (u, v)) in enumerate(zip(p, p[::-1]))))
 
 
 def es_residuals(r: PolyX) -> tuple[PolyX, PolyX]:
@@ -165,10 +162,7 @@ def wspace_basis(w: int) -> tuple[list[PolyX], int, int]:
     require_even_w(w)
     rows = _relation_rows(w)
     cols = list(range(w + 1))
-    basis = [
-        PolyX(w, tuple(GaussianRational(v) for v in vec))
-        for vec in _integer_nullspace(rows, cols)
-    ]
+    basis = [PolyX(w, 1, tuple((v, 0) for v in vec)) for vec in _integer_nullspace(rows, cols)]
     dim_plus = len(_integer_nullspace(rows, cols[0::2]))
     dim_minus = len(_integer_nullspace(rows, cols[1::2]))
     return basis, dim_plus, dim_minus

@@ -15,10 +15,9 @@ the identity.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from zetapoly.errors import InputError
-from zetapoly.exactnum import DensePoly, GaussianRational, common_denominator
+from zetapoly.exactnum import DensePoly, GaussianRational, from_pairs
 from zetapoly.polyspace import PolyX
 
 
@@ -36,17 +35,12 @@ class ZetaPoly(DensePoly):
 def rv_forward(R: PolyX) -> ZetaPoly:
     """Z(s) = sum_k c_k C(-s, k), exactly, where R = sum_k c_k X^k (1-X)^(w-k).
 
-    Denominators are cleared once; the map is real-linear, so the real
-    and imaginary numerators each go through ``_scaled_forward`` on plain
-    integers, and each output coefficient is normalized exactly once.
+    The map is real-linear, so the real and imaginary numerators of R
+    each go through ``_scaled_forward`` on plain integers, over the
+    denominator w! times R's.
     """
-    w = R.w
-    den, pairs = common_denominator(R.coeffs)
-    re, im = (_scaled_forward(part) for part in zip(*pairs))
-    scale = den * math.factorial(w)
-    return ZetaPoly(
-        w, tuple(GaussianRational(Fraction(r, scale), Fraction(m, scale)) for r, m in zip(re, im))
-    )
+    re, im = (_scaled_forward(part) for part in zip(*R.pairs))
+    return ZetaPoly(R.w, R.den * math.factorial(R.w), tuple(zip(re, im)))
 
 
 def _scaled_forward(a: tuple[int, ...], sign: int = -1) -> list[int]:
@@ -74,27 +68,20 @@ def _scaled_forward(a: tuple[int, ...], sign: int = -1) -> list[int]:
 def _series_values_int(Z: ZetaPoly, count: int) -> tuple[int, list[tuple[int, int]]]:
     """(den, pairs) with Z(-n) = (pairs[n][0] + pairs[n][1] i)/den, by
     integer Horner evaluation."""
-    den, pairs = common_denominator(Z.coeffs)
     out = []
     for n in range(count):
-        x = -n
-        r = 0
-        m = 0
-        for cr, cm in reversed(pairs):
-            r = r * x + cr
-            m = m * x + cm
+        x, r, m = -n, 0, 0
+        for cr, cm in reversed(Z.pairs):
+            r, m = r * x + cr, m * x + cm
         out.append((r, m))
-    return den, out
+    return Z.den, out
 
 
 def series_coeffs(Z: ZetaPoly, count: int) -> list[GaussianRational]:
     """The generating-series values Z(0), Z(-1), ..., Z(-count+1)."""
     if count < 1:
         raise InputError("count must be >= 1")
-    den, vals = _series_values_int(Z, count)
-    return [
-        GaussianRational(Fraction(r, den), Fraction(m, den)) for r, m in vals
-    ]
+    return list(from_pairs(*_series_values_int(Z, count)))
 
 
 def rv_inverse(Z: ZetaPoly) -> PolyX:
@@ -111,11 +98,10 @@ def rv_inverse(Z: ZetaPoly) -> PolyX:
     signed = [(-1) ** j * math.comb(w + 1, j) for j in range(w + 1)]
     out = []
     for m in range(w + 1):
-        r = 0
-        im = 0
+        r = im = 0
         for j in range(m + 1):
             zr, zm = zvals[m - j]
             r += zr * signed[j]
             im += zm * signed[j]
-        out.append(GaussianRational(Fraction(r, den), Fraction(im, den)))
-    return PolyX(w, tuple(out))
+        out.append((r, im))
+    return PolyX(w, den, tuple(out))

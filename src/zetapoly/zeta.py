@@ -32,6 +32,7 @@ from zetapoly.exactnum import (
     GaussianRational,
     as_fraction,
     common_denominator,
+    from_pairs,
     qi,
     require_even_w,
     squarefree_parts,
@@ -66,8 +67,8 @@ def functional_eq_residual(Z: ZetaPoly, eps: int) -> ZetaPoly:
     if eps not in (1, -1):
         raise InputError(f"eps must be +1 or -1, got {eps!r}")
     # The slash by [[-1, 1], [0, 1]] is det^(-w/2) P(1-X) = i^w P(1-X).
-    flipped = slash(PolyX(Z.w, Z.coeffs), (-1, 1, 0, 1))
-    return Z + ZetaPoly(Z.w, flipped.coeffs).scale(eps)
+    flipped = slash(PolyX(Z.w, Z.den, Z.pairs), (-1, 1, 0, 1))
+    return Z + ZetaPoly(Z.w, flipped.den, tuple((eps * x, eps * y) for x, y in flipped.pairs))
 
 
 # ---------------------------------------------------------------------
@@ -154,9 +155,7 @@ class Thm2Report:
 
     @cached_property
     def partial_sums(self) -> tuple[GaussianRational, ...]:
-        d = self.term_den
-        return tuple(GaussianRational(Fraction(a, d << k), Fraction(b, d << k))
-                     for k, (a, b) in enumerate(self.term_numerators))
+        return tuple(from_pairs(self.term_den << k, [t])[0] for k, t in enumerate(self.term_numerators))
 
     @property
     def abs_total(self) -> mpmath.mpf:
@@ -223,15 +222,15 @@ def thm2_residual(
     zvals = series_coeffs(Z, n + 1)  # zvals[t] = Z(-t)
     principal = laurent_coeffs(w, n, -1).coeffs[::-1]  # a_(-1), ..., a_(-(n+1))
     exact_part = zvals[n] + (-I) ** w * sum((a * z for a, z in zip(principal, zvals)), ZERO)
-    D, h = common_denominator(rv_inverse(Z).coeffs)
+    R = rv_inverse(Z)  # r_q = h_q / D: h_q = R.pairs[q], D = R.den
     g, fr, fi = [], 1, 0
-    for q, (hr, hi) in enumerate(h):  # g_q = (1-i)^q h_q
+    for q, (hr, hi) in enumerate(R.pairs):  # g_q = (1-i)^q h_q
         if hr or hi:
             g.append((q, fr * hr - fi * hi, fr * hi + fi * hr))
         fr, fi = fr + fi, fi - fr  # times (1-i)
     f = qi(1, 1) ** (n + w + 1)  # (-i)^k (1+i)^(K+w+1) at k = 0
     fr, fi = f.re.numerator, f.im.numerator
-    den = D << (n + w)  # 2^(K+w+1) D, here at k = -1
+    den = R.den << (n + w)  # 2^(K+w+1) D, here at k = -1
     acc_r = acc_i = 0  # the terms so far, summed over den
     below = 0  # how many of the latest terms are below theta
     terms: list[tuple[int, int]] = []
@@ -254,7 +253,7 @@ def thm2_residual(
         if k >= K_MIN and below >= 3:
             converged = True
             break
-    total = exact_part + GaussianRational(Fraction(acc_r, den), Fraction(acc_i, den))
+    total = exact_part + from_pairs(den, [(acc_r, acc_i)])[0]
     bound = mpmath.inf
     if converged:  # max |t|^2 over the last three terms, as reduced Fractions
         worst = max(Fraction(a * a + b * b, (den >> j) ** 2)
@@ -267,7 +266,7 @@ def thm2_residual(
         n=n,
         exact_part=exact_part,
         term_numerators=tuple(terms),
-        term_den=D << (n + w + 1),
+        term_den=R.den << (n + w + 1),
         total=total,
         k_stop=k if converged else k_max,
         converged=converged,
@@ -694,9 +693,9 @@ class HilbertReport:
 
 
 def hilbert_hypotheses(Z: ZetaPoly) -> HilbertReport:
-    integral = all(c.is_integer() for c in Z.coeffs)
+    integral = Z.den == 1 and not any(y for _, y in Z.pairs)
     deg = Z.degree()
-    positive = deg >= 0 and Z.coeffs[deg].is_real() and Z.coeffs[deg].re > 0
+    positive = deg >= 0 and Z.pairs[deg][1] == 0 and Z.pairs[deg][0] > 0
     satisfied = integral and positive
     if satisfied:
         detail = (
@@ -706,7 +705,7 @@ def hilbert_hypotheses(Z: ZetaPoly) -> HilbertReport:
     else:
         reasons = []
         if not integral:
-            bad = next(c for c in Z.coeffs if not c.is_integer())
+            bad = next(c for c, (x, y) in zip(Z.coeffs, Z.pairs) if y or x % Z.den)
             reasons.append(f"non-integer coefficient {bad}")
         if not positive:
             reasons.append("leading term not a positive real")

@@ -23,7 +23,12 @@ def rand_qi(rng: random.Random, span: int = 9, max_den: int = 4) -> GaussianRati
 
 
 def rand_polyx(rng: random.Random, w: int) -> PolyX:
-    return PolyX(w, tuple(rand_qi(rng) for _ in range(w + 1)))
+    return PolyX.make(w, [rand_qi(rng) for _ in range(w + 1)])
+
+
+def scaled(P, c):
+    """c P for a Q(i) scalar c, coefficient by coefficient, in P's class."""
+    return type(P).make(P.w, [GaussianRational.coerce(c) * a for a in P.coeffs])
 
 
 def poly_with_roots(rts) -> PolyX:
@@ -155,7 +160,7 @@ def slash_oracle(P: PolyX, g) -> PolyX:
             for t, v in enumerate(den_pows[w - j]):
                 acc[t] = acc[t] + P.coeffs[j] * v
     factor = det ** (-(w // 2))
-    return PolyX(w, tuple(factor * v for v in acc))
+    return PolyX.make(w, [factor * v for v in acc])
 
 
 def horner(coeffs, x) -> GaussianRational:
@@ -293,19 +298,16 @@ def exact_identity_value(R: PolyX, n: int) -> GaussianRational:
 
 
 def symmetric_polyx(rng: random.Random, w: int, eps: int) -> PolyX:
-    """Random R with a_j + eps i^w a_{w-j} = 0 for all j."""
-    phase = GaussianRational(-eps) * I ** (-w)
+    """Random R with a_j + eps i^w a_{w-j} = 0 for all j: as w is even,
+    a_{w-j} = sign a_j with sign = -eps i^w = -eps (-1)^(w/2)."""
+    sign = -eps * (-1) ** (w // 2)
     coeffs = [None] * (w + 1)
     for j in range(w // 2):
         a = rand_qi(rng)
         coeffs[j] = a
-        coeffs[w - j] = phase * a
-    mid = w // 2
-    if (GaussianRational(1) + GaussianRational(eps) * I**w).is_zero():
-        coeffs[mid] = rand_qi(rng)
-    else:
-        coeffs[mid] = GaussianRational(0)
-    return PolyX(w, tuple(coeffs))
+        coeffs[w - j] = a if sign == 1 else -a
+    coeffs[w // 2] = rand_qi(rng) if sign == 1 else ZERO  # a_mid (1 - sign) = 0
+    return PolyX.make(w, coeffs)
 
 
 def violating_polyx(rng: random.Random, w: int, eps: int) -> PolyX:
@@ -320,7 +322,7 @@ def violating_polyx(rng: random.Random, w: int, eps: int) -> PolyX:
     bump = GaussianRational(rng.randint(1, 5))
     coeffs = list(R.coeffs)
     coeffs[j] = coeffs[j] + bump
-    return PolyX(w, tuple(coeffs))
+    return PolyX.make(w, coeffs)
 
 
 # -- hypothesis strategies ---------------------------------------------
@@ -332,7 +334,7 @@ even_w = st.sampled_from([2, 4, 6, 8, 10])
 
 def polyx_of(w: int):
     return st.builds(
-        lambda cs: PolyX(w, tuple(cs)),
+        lambda cs: PolyX.make(w, cs),
         st.lists(qi_values, min_size=w + 1, max_size=w + 1),
     )
 

@@ -185,6 +185,14 @@ class TestCheckCommand:
     def test_fricke_requires_eps(self, r_minus_file):
         assert main(["check", "fricke", r_minus_file]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("relation", ["res1", "res2", "es1", "es2"])
+    def test_eps_belongs_to_fricke_alone(self, relation, r_minus_file, capsys):
+        # res1 is the Fricke relation with eps = +1, so "res1 --eps -1"
+        # would report that the odd part satisfies the eps = -1 relation
+        assert main(["check", relation, r_minus_file, "--eps", "-1"]) == EXIT_INPUT
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"error: --eps applies only to relation 'fricke', not {relation!r}\n")
+
     def test_res1_failure_reports_residual(self, w2_const_file, capsys):
         assert main(["--format", "json", "check", "res1", w2_const_file]) == EXIT_CHECK_FAILED
         payload = json.loads(capsys.readouterr().out)
@@ -270,6 +278,17 @@ class TestLvaluesCommand:
         assert main(["lvalues", str(path)]) == EXIT_INPUT
         assert capsys.readouterr().err.startswith("error: a_20 = ")
 
+    @pytest.mark.parametrize("field,value", [("level", 1.9), ("weight", 12.5), ("fricke", True)])
+    def test_non_integer_fields_exit_2(self, field, value, tmp_path, capsys):
+        # int() would truncate these to the weight-12 level-1 form's values
+        data = {"level": 1, "weight": 12, "fricke": 1, "an": [str(a) for a in delta_newform(64).an]}
+        data[field] = value
+        path = tmp_path / "nf.json"
+        path.write_text(json.dumps(data))
+        assert main(["--prec", "64", "lvalues", str(path)]) == EXIT_INPUT
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: bad newform payload: invalid literal")
+
     def test_coefficients_not_a_list_exit_2(self, tmp_path, capsys):
         path = tmp_path / "nf.json"
         path.write_text(json.dumps({"level": 1, "weight": 12, "fricke": 1, "an": "12"}))
@@ -319,6 +338,34 @@ class TestHugeExponents:
     def test_exponents_up_to_the_cap_still_parse(self, tol, capsys):
         assert main(["--tol", tol, "wspace", "4"]) == EXIT_OK
         assert capsys.readouterr().err == ""
+
+
+class TestLongIntegers:
+    """Exact output may hold integers past Python's 4300-digit cap on
+    int-to-str conversion: printing lifts the cap, parsing keeps it."""
+
+    def test_rv_forward_prints_them_and_rv_inverse_refuses_them(self, tmp_path, capsys):
+        dens, q = [], 10**50 + 1
+        while len(dens) < 101:  # distinct 51-digit (probable) primes
+            if math.gcd(q, 30030) == 1 and pow(2, q - 1, q) == 1:
+                dens.append(q)
+            q += 2
+        R = PolyX.make(100, [Fraction(1, q) for q in dens])
+        Z = rv_forward(R)
+        cap = sys.get_int_max_str_digits()
+        assert max(c.re.denominator for c in Z.coeffs).bit_length() > cap * math.log2(10)
+        r, z = tmp_path / "r.json", tmp_path / "z.json"
+        r.write_text(json.dumps(R.to_dict()))
+        assert main(["rv-forward", str(r), "--out", str(z)]) == EXIT_OK
+        assert sys.get_int_max_str_digits() == cap
+        sys.set_int_max_str_digits(0)
+        try:
+            assert ZetaPoly.from_dict(json.loads(z.read_text())) == Z
+        finally:
+            sys.set_int_max_str_digits(cap)
+        assert main(["rv-inverse", str(z)]) == EXIT_INPUT
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: bad coefficient entry")
 
 
 class TestRootsCommand:
@@ -650,6 +697,44 @@ def _mask_delta_noise(out: str, fmt: str, prec: int) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+# (exit code, sha256 of stdout) of `check RELATION` in each format on the
+# seeded w = 100 file of test_check_seeded_w100 and on its perturbed copy
+CHECK_W100 = {
+    ("es1", "text"): (
+        (EXIT_OK, "2ad497ea3f557b5325eccfd5f1b2a4978f9cade806efe91c62b61b59ede20946"),
+        (EXIT_CHECK_FAILED, "a37e71aeae459b4f14b4e67e85e133fac8c9b62c3bca9fe4ba59fbe4fdefc7dc"),
+    ),
+    ("es1", "json"): (
+        (EXIT_OK, "a0a89f4af1c03b23073de44d8a89fdffaf878dfeeb2becb133f8d8f8c37024ce"),
+        (EXIT_CHECK_FAILED, "2882187b15b3f54ff092cda4baa39e4b6cf6211477abe54e8664dc3362f03b21"),
+    ),
+    ("fricke", "text"): (
+        (EXIT_CHECK_FAILED, "bd54eef1e73452df78fbb3955c7300e7d981b02384339596ffd78a9e3c159078"),
+        (EXIT_CHECK_FAILED, "affd0717604e8f8e4a25ff3f8718882b2d24209c2c6b4970cda467801d2a8cc7"),
+    ),
+    ("fricke", "json"): (
+        (EXIT_CHECK_FAILED, "8ce850ec4989dabb85b369064abc9058f0bff05ba0f46bec47737101c31e47cb"),
+        (EXIT_CHECK_FAILED, "c960b89a0eb0ee20b8d04e5669848f77a5b755d343d517204f6b3bbb56ea428d"),
+    ),
+    ("es2", "text"): (
+        (EXIT_CHECK_FAILED, "95dbd7f7a7ec7fe72ecacc8fc0d7bb7c2bb595f9bb0cd5c0489288f270956e2e"),
+        (EXIT_CHECK_FAILED, "13ddaa7c1e911efeddbfa943fc08e7307e6158849015ea6ed306846832f5a836"),
+    ),
+    ("es2", "json"): (
+        (EXIT_CHECK_FAILED, "bd99d68ac0165c7ac412a0dc7638c822130047fbf06a3e76e3e39dc033cbc4b1"),
+        (EXIT_CHECK_FAILED, "194a10cedb79cf5a58e012a95f867d481063aa9b009b5b8b8fc3cacdea11232a"),
+    ),
+    ("res2", "text"): (
+        (EXIT_CHECK_FAILED, "7aaf0a3c6e7a7cedae53b91bb3152244d7cd1e1e6d7d5df7cf24b8db6b1a04ec"),
+        (EXIT_CHECK_FAILED, "84280e036b593d70ac87562225394beb5ea152df6202b993cf96ffa352d0cd5d"),
+    ),
+    ("res2", "json"): (
+        (EXIT_CHECK_FAILED, "ceeb3f28709403aa756f4f1d55e5524bd970789b3e27b1f43bd7ada2b47efd8d"),
+        (EXIT_CHECK_FAILED, "4a1858476620e86e393d1a8b99a08a6cdc1442550dc841ae9fdd5c4e6d50c06e"),
+    ),
+}
+
+
 class TestOutputBytes:
     """The exact bytes written, not just their parsed content."""
 
@@ -673,19 +758,20 @@ class TestOutputBytes:
         assert main(["rv-forward", path, "--out", str(out)]) == EXIT_OK
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
-    def test_check_es1_seeded_w100_text(self, tmp_path, capsys):
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("relation", ["es1", "fricke", "es2", "res2"])
+    def test_check_seeded_w100(self, relation, fmt, tmp_path, capsys):
+        """A dense w = 100 file satisfying r|(1+S) = 0, then the same with
+        a_3 moved by 5/2 (the es1 residual is then 5/2 at X^3 and -5/2 at
+        X^97, and 0 elsewhere)."""
         coeffs = _seeded_w100(1412, es1=True)
         ok = _write_poly(tmp_path / "ok.json", coeffs)
-        assert main(["check", "es1", ok]) == EXIT_OK
-        zeros = " ".join(["0"] * 101)
-        assert capsys.readouterr().out == f"relation es1: holds\nresidual: {zeros}\n"
-        # a_3 moved by 5/2 shows in the residual at X^3 and, reflected, at X^97
         coeffs[3] = [coeffs[3][0] + Fraction(5, 2), coeffs[3][1]]
         bad = _write_poly(tmp_path / "bad.json", coeffs)
-        assert main(["check", "es1", bad]) == EXIT_CHECK_FAILED
-        residual = ["0"] * 101
-        residual[3], residual[97] = "5/2", "-5/2"
-        assert capsys.readouterr().out == f"relation es1: FAILS\nresidual: {' '.join(residual)}\n"
+        eps = ["--eps", "1"] if relation == "fricke" else []
+        for path, (code, digest) in zip((ok, bad), CHECK_W100[relation, fmt]):
+            assert main(["--format", fmt, "check", relation, path] + eps) == code
+            assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     def test_wspace_text(self, capsys):
         assert main(["wspace", "10"]) == EXIT_OK

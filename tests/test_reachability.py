@@ -24,15 +24,13 @@ from zetapoly.lvalues import delta_coefficients, required_nmax
 # Public names no command reaches, each with the reason it stays.
 ALLOWED = {
     "exactnum.DensePoly.degree": "acceptance criterion 10, through hilbert_hypotheses",
-    "exactnum.DensePoly.make": "acceptance criteria 04 and 10 build polynomials with it",
-    "exactnum.DensePoly.scale": "acceptance criterion 02, through functional_eq_residual",
     "exactnum.GaussianRational.__hash__": "defining __eq__ alone would make Q(i) values, "
     "and the frozen polynomials holding them, unhashable",
     "exactnum.GaussianRational.__repr__": "the form that failing asserts and the REPL print",
     "exactnum.GaussianRational.__sub__": "acceptance criterion 04, through "
     "conftest.exact_identity_value; the Yun, poly-division and slash oracles subtract",
-    "exactnum.GaussianRational.is_integer": "acceptance criterion 10, through hilbert_hypotheses",
-    "exactnum.GaussianRational.is_real": "acceptance criterion 10, through hilbert_hypotheses",
+    "exactnum.GaussianRational.is_zero": "acceptance criterion 05 tests the Laurent "
+    "coefficients with it; the slash oracle and the Yun oracle's helpers do too",
     "exactnum.PowerSeries.inverse": "perfbench span target",
     "exactnum.PowerSeries.mul": "perfbench span target",
     "exactnum.binom_poly_in_s": "acceptance criterion 09 calls it",

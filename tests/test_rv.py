@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import horner, linear_pow, polyx_values, qi_values, rand_polyx, rand_qi
+from conftest import horner, linear_pow, polyx_values, qi_values, rand_polyx, rand_qi, scaled
 from zetapoly.errors import InputError
 from zetapoly.exactnum import ONE, PowerSeries, ZERO, binom_poly_in_s, qi
 from zetapoly.polyspace import PolyX
@@ -91,13 +91,9 @@ class TestForward:
     def test_linearity(self, R1, R2, alpha):
         if R1.w != R2.w:
             R2 = PolyX.make(R1.w, list(R2.coeffs)[: R1.w + 1])
-        lhs = rv_forward(R1.scale(alpha) + R2)
-        rhs = ZetaPoly(
-            R1.w,
-            tuple(
-                alpha * a + b
-                for a, b in zip(rv_forward(R1).coeffs, rv_forward(R2).coeffs)
-            ),
+        lhs = rv_forward(scaled(R1, alpha) + R2)
+        rhs = ZetaPoly.make(
+            R1.w, [alpha * a + b for a, b in zip(rv_forward(R1).coeffs, rv_forward(R2).coeffs)]
         )
         assert lhs == rhs
 
@@ -117,7 +113,7 @@ def mixed_polyx(seed: int, w: int) -> PolyX:
     """Seeded complex coefficients with denominators up to 97 and about a
     quarter of them zero."""
     rng = random.Random(seed)
-    return PolyX(w, tuple(ZERO if rng.random() < 0.25 else rand_qi(rng, 99, 97) for _ in range(w + 1)))
+    return PolyX.make(w, [ZERO if rng.random() < 0.25 else rand_qi(rng, 99, 97) for _ in range(w + 1)])
 
 
 class TestForwardOracles:
