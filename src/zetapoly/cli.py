@@ -66,13 +66,14 @@ def _read_z_or_r(path: str) -> ZetaPoly:
 
 def _emit(args, payload, text_lines=None) -> None:
     """Write a report (JSON with indent 2 or text lines, per --format), or,
-    with no text form, a polynomial file (always JSON with indent 1)."""
+    with no text form, a polynomial file (always JSON with indent 1).  Both
+    forms are functions of no arguments; only the one written is called."""
     if text_lines is None:
-        out = json.dumps(payload, indent=1) + "\n"
+        out = json.dumps(payload(), indent=1) + "\n"
     elif args.format == "json":
-        out = json.dumps(payload, indent=2) + "\n"
+        out = json.dumps(payload(), indent=2) + "\n"
     else:
-        out = "\n".join(text_lines) + "\n"
+        out = "\n".join(text_lines()) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(out)
@@ -87,13 +88,13 @@ def _emit(args, payload, text_lines=None) -> None:
 
 def _cmd_rv_forward(args) -> int:
     Z = rv_forward(PolyX.from_dict(_read_json(args.input)))
-    _emit(args, Z.to_dict())
+    _emit(args, Z.to_dict)
     return EXIT_OK
 
 
 def _cmd_rv_inverse(args) -> int:
     R = rv_inverse(ZetaPoly.from_dict(_read_json(args.input)))
-    _emit(args, R.to_dict())
+    _emit(args, R.to_dict)
     return EXIT_OK
 
 
@@ -116,16 +117,13 @@ def _cmd_check(args) -> int:
         raise InputError(f"--eps applies only to relation 'fricke', not {relation!r}")
     residual = _RESIDUALS[relation](poly, args.eps)
     holds = residual.is_zero()
-    payload = {
-        "relation": relation,
-        "holds": holds,
-        "residual": [list(c.to_str_pair()) for c in residual.coeffs],
-    }
-    lines = [
-        f"relation {relation}: {'holds' if holds else 'FAILS'}",
-        "residual: " + " ".join(str(c) for c in residual.coeffs),
-    ]
-    _emit(args, payload, lines)
+    _emit(
+        args,
+        lambda: {"relation": relation, "holds": holds,
+                 "residual": [list(c.to_str_pair()) for c in residual.coeffs]},
+        lambda: [f"relation {relation}: {'holds' if holds else 'FAILS'}",
+                 "residual: " + " ".join(str(c) for c in residual.coeffs)],
+    )
     return EXIT_OK if holds else EXIT_CHECK_FAILED
 
 
@@ -147,17 +145,17 @@ def _cmd_thm2(args) -> int:
     ]
     ok = [rep.converged and rep.total_below(tol) for rep in reports]
     all_ok = all(ok)
-    payload = {"passed": all_ok, "reports": [rep.to_dict() for rep in reports]}
-    lines = []
-    for rep, rep_ok in zip(reports, ok):
-        status = "ok" if rep_ok else "FAIL"
-        lines.append(
+    _emit(
+        args,
+        lambda: {"passed": all_ok, "reports": [rep.to_dict() for rep in reports]},
+        lambda: [
             f"n={rep.n}: |total|={mpmath.nstr(rep.abs_total, 6)} "
             f"k_stop={rep.k_stop} converged={rep.converged} "
-            f"residual_bound={mpmath.nstr(rep.residual_bound, 6)} [{status}]"
-        )
-    lines.append(f"overall: {'pass' if all_ok else 'FAIL'}")
-    _emit(args, payload, lines)
+            f"residual_bound={mpmath.nstr(rep.residual_bound, 6)} [{'ok' if rep_ok else 'FAIL'}]"
+            for rep, rep_ok in zip(reports, ok)
+        ]
+        + [f"overall: {'pass' if all_ok else 'FAIL'}"],
+    )
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
 
@@ -187,23 +185,19 @@ def _cmd_delta(args) -> int:
         f"odd part fails unit circle with deviation: {d['r_minus_circle_deviation']}",
         f"overall: {'pass' if d['passed'] else 'FAIL'}",
     ]
-    _emit(args, d, lines)
+    _emit(args, lambda: d, lambda: lines)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
 def _cmd_wspace(args) -> int:
     basis, dim_plus, dim_minus = wspace_basis(args.w)
-    payload = {
-        "w": args.w,
-        "dim": len(basis),
-        "dim_plus": dim_plus,
-        "dim_minus": dim_minus,
-        "basis": [[list(c.to_str_pair()) for c in b.coeffs] for b in basis],
-    }
-    lines = [f"w={args.w}: dim W = {len(basis)}, dim W+ = {dim_plus}, dim W- = {dim_minus}"]
-    for b in basis:
-        lines.append("  basis: " + " ".join(str(c) for c in b.coeffs))
-    _emit(args, payload, lines)
+    _emit(
+        args,
+        lambda: {"w": args.w, "dim": len(basis), "dim_plus": dim_plus, "dim_minus": dim_minus,
+                 "basis": [[list(c.to_str_pair()) for c in b.coeffs] for b in basis]},
+        lambda: [f"w={args.w}: dim W = {len(basis)}, dim W+ = {dim_plus}, dim W- = {dim_minus}"]
+        + ["  basis: " + " ".join(str(c) for c in b.coeffs) for b in basis],
+    )
     return EXIT_OK
 
 
@@ -225,7 +219,7 @@ def _cmd_lvalues(args) -> int:
     lines = [f"newform {nf.label or '(unnamed)'}, level {nf.level}, weight {nf.weight}"]
     for s, lam, lv in values:
         lines.append(f"  s={s}: Lambda={mpmath.nstr(lam, digits)} L={mpmath.nstr(lv, digits)}")
-    _emit(args, payload, lines)
+    _emit(args, lambda: payload, lambda: lines)
     return EXIT_OK
 
 
@@ -241,14 +235,14 @@ def _cmd_roots(args) -> int:
         ]
         for z in report.roots:
             lines.append(f"  {mpmath.nstr(z, 20)}")
-        _emit(args, payload, lines)
+        _emit(args, lambda: payload, lambda: lines)
         return EXIT_OK if report.passed else EXIT_CHECK_FAILED
     rts = roots(poly, precision=args.prec)
     payload = {
         "roots": [[mpmath.nstr(mpmath.re(z), 20), mpmath.nstr(mpmath.im(z), 20)] for z in rts]
     }
     lines = [mpmath.nstr(z, 20) for z in rts]
-    _emit(args, payload, lines)
+    _emit(args, lambda: payload, lambda: lines)
     return EXIT_OK
 
 

@@ -5,7 +5,8 @@ L-values, applies the numeric transform, and compares the results
 against the classical reference values: the even/odd scale factors, the
 rounded zeta-polynomial coefficients, the exact rational golden data
 shipped with the package, and the root locations (critical line for the
-zeta-polynomial, unit circle for the period polynomial).
+zeta-polynomial, unit circle for the period polynomial), proved by
+certified sign counts (``signcount.sign_count_check``), else by ``rh_check``.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ EVEN_PATTERN = (Fraction(36, 691), 0, 1, 0, 3, 0, 3, 0, 1, 0, Fraction(36, 691))
 ODD_PATTERN = (0, 4, 0, 25, 0, 42, 0, 25, 0, 4, 0)
 
 SCALE_REL_TOL = Fraction(1, 100000)  # 5 significant digits
-ROOT_TOL = "1e-8"  # root-location tolerance of the three rh_check calls
+ROOT_TOL = "1e-8"  # root-location tolerance of the three root checks
 
 
 def _load_golden(name: str) -> dict:
@@ -85,7 +86,9 @@ class DeltaReport:
 
     ``lambda_symmetry_max`` = max_s |Lambda(s) - eps Lambda(12-s)| is 0 by
     construction (the split series is symmetric term by term), so it does
-    not check the Fricke sign."""
+    not check the Fricke sign.  ``z_roots`` and ``r_roots`` come from
+    ``sign_count_check`` when it proves the locations, with
+    ``max_deviation`` 0, and from ``rh_check`` otherwise."""
 
     prec: int
     lambdas: tuple
@@ -188,8 +191,17 @@ def run_delta(prec: int = 128) -> DeltaReport:
         )
     )
 
-    z_roots = rh_check(znum, "critical_line", tol=ROOT_TOL, precision=prec)
-    r_roots = rh_check(rnum, "unit_circle", tol=ROOT_TOL, precision=prec)
+    # Imported here, not at the top: with bytecode not cached, every start
+    # compiles each module it imports, and no other command needs this one.
+    from zetapoly.signcount import sign_count_check
+
+    # Lambda(s) = eps Lambda(k - s) gives r_(w-n) = eps r_n, hence Z(1 - s) = eps Z(s).
+    eps = nf.fricke * (-1) ** (nf.weight // 2)
+    z_roots, r_roots = (
+        sign_count_check(poly, mode, eps, tol=ROOT_TOL, precision=prec)
+        or rh_check(poly, mode, tol=ROOT_TOL, precision=prec)
+        for poly, mode in ((znum, "critical_line"), (rnum, "unit_circle"))
+    )
     r_minus_circle = rh_check(r_minus, "unit_circle", tol=ROOT_TOL, precision=prec)
 
     passed = bool(

@@ -30,6 +30,11 @@ def require_even_w(w: int) -> None:
         raise InputError(f"w must be an even integer >= 2, got {w}")
 
 
+def _clipped(text: str, limit: int = 80) -> str:
+    """``text`` cut to ``limit`` characters and its length, for an error message."""
+    return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} characters)"
+
+
 def as_fraction(x: Rationalish) -> Fraction:
     """Coerce an int, Fraction, or fraction string ("36/691", "-5", "1e-10")
     to Fraction.  Raises InputError when a decimal exponent exceeds Python's
@@ -40,7 +45,7 @@ def as_fraction(x: Rationalish) -> Fraction:
         exp = x.strip().lower().rpartition("e")[2].lstrip("+-")
         cap = sys.int_info.default_max_str_digits
         if exp.replace("_", "").isdigit() and int(exp) > cap:  # past the cap, int() raises ValueError
-            raise InputError(f"the exponent of {x!r} exceeds {cap} in magnitude")
+            raise InputError(f"the exponent of {_clipped(repr(x))} exceeds {cap} in magnitude")
     if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
@@ -453,9 +458,11 @@ class DensePoly:
                 try:
                     coeffs.append(GaussianRational.from_str_pair(entry))
                 except (ValueError, ZeroDivisionError) as exc:
-                    raise InputError(f"bad coefficient entry {entry!r}: {exc}") from exc
+                    msg = f"bad coefficient entry {_clipped(repr(entry))}: {_clipped(str(exc))}"
+                    raise InputError(msg) from exc
             else:
-                raise InputError(f"coefficient entries must be [re, im] pairs, got {entry!r}")
+                entry = _clipped(repr(entry))
+                raise InputError(f"coefficient entries must be [re, im] pairs, got {entry}")
         return cls.make(w, coeffs)
 
 

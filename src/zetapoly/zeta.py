@@ -358,8 +358,13 @@ def roots(poly, precision: int = 128) -> list:
         else:
             factors = squarefree_parts(monic) if exact else [(monic, 1)]
         found = [mpmath.mpc(0)] * origin + _certified_roots(monic, factors, precision)
-        grid = mpmath.mpf(2) ** (precision // 2)
-        return sorted(found, key=lambda z: (mpmath.nint(mpmath.re(z) * grid), mpmath.im(z)))
+        return _sorted_roots(found, precision)
+
+
+def _sorted_roots(found: list, precision: int) -> list:
+    """By real part on the 2^(-precision/2) grid, then by imaginary part."""
+    grid = mpmath.mpf(2) ** (precision // 2)
+    return sorted(found, key=lambda z: (mpmath.nint(mpmath.re(z) * grid), mpmath.im(z)))
 
 
 def _fraction(x: mpmath.mpf) -> Fraction:
@@ -628,7 +633,8 @@ def _horner2(coeffs: list, x):
 
 @dataclass(frozen=True)
 class RootCheckReport:
-    """Deviation of each root from the critical line or the unit circle."""
+    """Deviation of each root from the critical line or the unit circle
+    (0 when ``sign_count_check`` proved the locations)."""
 
     mode: str
     roots: tuple

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from importlib import resources
+from unittest import mock
 
 import mpmath
 import pytest
@@ -15,6 +16,7 @@ import pytest
 from conftest import horner, modulus_27_poly
 from zetapoly.cli import EXIT_CHECK_FAILED, EXIT_INPUT, EXIT_OK, main
 from zetapoly.delta import golden_r_minus, golden_z_minus
+from zetapoly.exactnum import GaussianRational
 from zetapoly.lvalues import delta_newform, required_nmax
 from zetapoly.polyspace import PolyX, wspace_basis
 from zetapoly.rv import ZetaPoly, rv_forward
@@ -208,6 +210,30 @@ class TestCheckCommand:
             assert main(["check", "es2", str(path)]) == EXIT_OK
 
 
+class TestOnlyTheWrittenFormIsBuilt:
+    """A report is built in the form --format asks for, not in both: text
+    output never serializes the JSON pairs, JSON output never prints a
+    coefficient as text."""
+
+    @pytest.mark.parametrize(
+        "argv", [["check", "es1"], ["check", "fricke", "--eps", "1"], ["wspace", "10"]]
+    )
+    def test_text_builds_no_payload(self, argv, r_minus_file, capsys):
+        if argv[0] == "check":
+            argv = argv[:2] + [r_minus_file] + argv[2:]
+        with mock.patch.object(GaussianRational, "to_str_pair", side_effect=AssertionError):
+            assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [["check", "es1"], ["wspace", "10"]])
+    def test_json_prints_no_text(self, argv, r_minus_file, capsys):
+        if argv[0] == "check":
+            argv = argv + [r_minus_file]
+        with mock.patch.object(GaussianRational, "__str__", side_effect=AssertionError):
+            assert main(["--format", "json"] + argv) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)
+
+
 class TestThm2Command:
     def test_delta_minus_passes(self, r_minus_file):
         assert main(["thm2", r_minus_file, "--n", "1,2"]) == EXIT_OK
@@ -366,6 +392,20 @@ class TestLongIntegers:
         assert main(["rv-inverse", str(z)]) == EXIT_INPUT
         out = capsys.readouterr()
         assert out.out == "" and out.err.startswith("error: bad coefficient entry")
+        assert len(out.err.encode()) < 300
+
+    @pytest.mark.parametrize("entry", [
+        ["1" * 5000 + "/3", "0/1"],  # past the 4300-digit parsing cap
+        ["x" * 5000, "0/1"],  # not a fraction: the parser's message quotes it
+        ["1e" + "9" * 5000, "0/1"],  # a decimal exponent past the cap
+        "x" * 5000,  # not a pair
+    ])
+    def test_bad_entries_are_quoted_in_short(self, entry, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"w": 2, "coeffs": [entry, ["0/1", "0/1"], ["1/1", "0/1"]]}))
+        assert main(["rv-forward", str(path)]) == EXIT_INPUT
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: ") and len(out.err.encode()) < 300
 
 
 class TestRootsCommand:

@@ -1,10 +1,16 @@
 import json
+import math
+from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import pytest
 from mpmath import mp
+from mpmath.libmp import to_rational
 
+from zetapoly import signcount, zeta
 from zetapoly.delta import (
+    ROOT_TOL,
     decimal_ulp,
     golden_r_minus,
     golden_r_plus,
@@ -12,9 +18,19 @@ from zetapoly.delta import (
     run_delta,
 )
 from zetapoly.errors import InputError
-from zetapoly.lvalues import build_r, completed_l, delta_newform
+from zetapoly.lvalues import (
+    NumericPoly,
+    _r_from_lambdas,
+    build_r,
+    completed_l,
+    critical_lambdas,
+    delta_newform,
+    numeric_rv,
+)
 from zetapoly.polyspace import fricke_residual
 from zetapoly.rv import rv_forward
+from zetapoly.signcount import sign_count_check
+from zetapoly.zeta import rh_check
 
 
 @pytest.fixture(scope="module")
@@ -96,3 +112,153 @@ class TestRunDelta:
         }
         assert len(d["z_coeffs"]) == 11
         assert len(d["lambda_values"]) == 11
+
+
+def _delta_numeric(prec: int):
+    """The numeric period polynomial r and zeta-polynomial Z of the
+    discriminant form at ``prec`` bits, as ``run_delta`` builds them."""
+    nf = delta_newform(prec)
+    rnum = _r_from_lambdas(nf.w, critical_lambdas(nf, prec), prec)
+    return numeric_rv(rnum), rnum
+
+
+def _exact(x) -> Fraction:
+    return Fraction(*to_rational(x._mpf_))
+
+
+def _oracle_sign_changes(poly, mode: str, roots) -> int:
+    """Sign changes of the real function on the symmetry curve, counted in
+    Fractions, independently of ``sign_count_check``: a sign counts only
+    where |value| exceeds the error bound (else the test fails).  The
+    points are the ends and the midpoints between consecutive roots.
+
+    Line: Z(1/2 + it) as h(u), u = t^2, from the Fraction Taylor shift,
+    against sum_j e_j max(1, 1/4 + u)^ceil(j/2) >= sum_j e_j |s|^j.
+    Circle: Re X^(-w/2) r(X) at y = 2 cos(theta) as sum_j r_j T_|j-w/2|(y/2),
+    against sum_j e_j."""
+    c = [_exact(x) for x in poly.coeffs]
+    e = [_exact(x) for x in poly.coeff_err]
+    w = poly.w
+    if mode == "critical_line":
+        q = [sum(c[j] * math.comb(j, k) * Fraction(1, 2) ** (j - k) for j in range(k, w + 1))
+             for k in range(w + 1)]
+        knots = sorted({Fraction(float(mpmath.im(z))) ** 2 for z in roots if mpmath.im(z) > 0})
+        mids = [(a + b) / 2 for a, b in zip(knots, knots[1:])]
+        points = [Fraction(0)] + mids + [2 * knots[-1] + 1]
+
+        def value(u):
+            return sum(q[2 * m] * (-u) ** m for m in range(w // 2 + 1))
+
+        def bound(u):
+            return sum(ej * max(1, Fraction(1, 4) + u) ** ((j + 1) // 2) for j, ej in enumerate(e))
+    else:
+        knots = sorted({Fraction(float(2 * mpmath.re(z))) for z in roots})
+        points = [Fraction(-2)] + [(a + b) / 2 for a, b in zip(knots, knots[1:])] + [Fraction(2)]
+
+        def value(y):
+            cheb = [Fraction(1), y / 2]  # T_k(y/2)
+            while len(cheb) <= w // 2:
+                cheb.append(y * cheb[-1] - cheb[-2])
+            return sum(cj * cheb[abs(j - w // 2)] for j, cj in enumerate(c))
+
+        def bound(y):
+            return sum(e)
+    signs = []
+    for x in points:
+        v = value(x)
+        assert abs(v) > bound(x), f"uncertified sign at {x}"
+        signs.append(v > 0)
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _nstr20(rts) -> list:
+    return [(mpmath.nstr(mpmath.re(z), 20), mpmath.nstr(mpmath.im(z), 20)) for z in rts]
+
+
+class TestSignCountCheck:
+    """``sign_count_check`` on the numeric Z and r of the discriminant form."""
+
+    EPS = 1  # fricke = 1, weight 12: eps = fricke (-1)^(k/2)
+
+    @pytest.mark.parametrize("prec", [64, 128, 1024, 4096])
+    def test_five_plus_five_certified_changes(self, prec):
+        znum, rnum = _delta_numeric(prec)
+        for poly, mode in ((znum, "critical_line"), (rnum, "unit_circle")):
+            rep = sign_count_check(poly, mode, self.EPS, tol=ROOT_TOL, precision=prec)
+            assert rep is not None and rep.passed and rep.max_deviation == 0
+            assert len(rep.roots) == 10 and len(set(rep.roots)) == 10
+            with mp.workprec(128):
+                if mode == "critical_line":
+                    assert all(mpmath.re(z) == mpmath.mpf(1) / 2 for z in rep.roots)
+                else:
+                    assert all(abs(abs(z) - 1) < mpmath.mpf(2) ** -120 for z in rep.roots)
+            assert _oracle_sign_changes(poly, mode, rep.roots) == 5
+
+    @pytest.mark.parametrize("prec", [128, 1024])
+    def test_wrong_eps_is_not_proved(self, prec):
+        for poly, mode in zip(_delta_numeric(prec), ("critical_line", "unit_circle")):
+            assert sign_count_check(poly, mode, -self.EPS, precision=prec) is None
+
+    def test_eps_must_be_a_sign(self):
+        znum, _ = _delta_numeric(128)
+        with pytest.raises(InputError):
+            sign_count_check(znum, "critical_line", 0)
+        with pytest.raises(InputError):
+            sign_count_check(znum, "circle", 1)
+
+    def test_missing_error_bound_is_not_proved(self):
+        znum, _ = _delta_numeric(128)
+        bare = NumericPoly(w=znum.w, coeffs=znum.coeffs, prec=znum.prec)
+        assert sign_count_check(bare, "critical_line", self.EPS) is None
+
+    @pytest.mark.parametrize("prec", [128, 1024])
+    def test_coefficient_moved_past_its_error_is_not_proved(self, prec):
+        """A move of 2^40 times the largest coefficient error breaks the
+        symmetry the theory promises: Z_0 alone keeps Z(1/2 + x) even, and
+        r_5 alone keeps r palindromic, so those two are left out."""
+        znum, rnum = _delta_numeric(prec)
+        for poly, mode, fixed in ((znum, "critical_line", 0), (rnum, "unit_circle", 5)):
+            with mp.workprec(prec + 32):
+                step = max(poly.coeff_err) * 2**40
+                for j in range(11):
+                    if j == fixed:
+                        continue
+                    coeffs = list(poly.coeffs)
+                    coeffs[j] += step
+                    moved = NumericPoly(w=10, coeffs=tuple(coeffs), prec=prec,
+                                        coeff_err=poly.coeff_err)
+                    assert sign_count_check(moved, mode, self.EPS, precision=prec) is None, j
+
+    @pytest.mark.parametrize("prec", [64, 128, 1024, 4096])
+    def test_proved_roots_match_rh_check_to_20_digits(self, prec):
+        """Equal printed digits, except components below 2^(16 - prec) in
+        size, which are rounding noise on both sides."""
+        limit = mpmath.mpf(2) ** (16 - prec)
+        for poly, mode in zip(_delta_numeric(prec), ("critical_line", "unit_circle")):
+            proved = sign_count_check(poly, mode, self.EPS, tol=ROOT_TOL, precision=prec)
+            general = rh_check(poly, mode, tol=ROOT_TOL, precision=prec)
+            assert general.passed
+            for a, b in zip(_nstr20(proved.roots), _nstr20(general.roots)):
+                for x, y in zip(a, b):
+                    assert x == y or max(abs(mpmath.mpf(x)), abs(mpmath.mpf(y))) < limit, (a, b)
+
+
+class TestRootCheckPath:
+    @pytest.mark.parametrize("prec", [128, 1024])
+    def test_general_root_finder_runs_once_for_the_odd_part(self, prec):
+        """The numeric z and r are proved by sign counts: ``zeta.roots``
+        runs once, on the golden odd part, so a silent fall back to the
+        general root finder fails here."""
+        with mock.patch.object(zeta, "roots", wraps=zeta.roots) as spy:
+            report = run_delta(prec)
+        assert report.passed
+        assert spy.call_count == 1
+        assert spy.call_args.args[0] == golden_r_minus()
+        assert report.z_roots.max_deviation == 0 and report.r_roots.max_deviation == 0
+
+    def test_fallback_keeps_the_outcome(self, report128):
+        with mock.patch.object(signcount, "sign_count_check", return_value=None):
+            general = run_delta(128)
+        assert general.passed
+        assert general.z_roots.max_deviation > 0
+        assert _nstr20(general.z_roots.roots) == _nstr20(report128.z_roots.roots)

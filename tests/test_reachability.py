@@ -88,6 +88,7 @@ def _commands(tmp_path) -> list:
         (["--format", "json", "--prec", "64", "delta"], 0),
         (["delta"], 0),
         (["thm2", r_plus, "--n", "1,2"], 0),
+        (["--format", "json", "thm2", r_plus, "--n", "1"], 0),
         (["wspace", "10"], 0),
         (["rv-forward", r_minus, "--out", z_minus], 0),
         (["rv-inverse", z_minus], 0),

@@ -26,6 +26,7 @@ from zetapoly.exactnum import GaussianRational, I, ONE, ZERO, common_denominator
 from zetapoly.lvalues import NumericPoly, build_r, delta_newform, numeric_rv
 from zetapoly.polyspace import PolyX
 from zetapoly.rv import ZetaPoly, rv_forward
+from zetapoly.signcount import sign_count_check
 from zetapoly import zeta
 from zetapoly.zeta import (
     K_MAX_DEFAULT,
@@ -839,6 +840,103 @@ class TestRhCheck:
         d = rep.to_dict()
         assert d["mode"] == "unit_circle"
         assert len(d["roots"]) == 2
+
+
+def numeric_zeta(line_ts, extra, prec: int) -> NumericPoly:
+    """Z(s) = P(s - 1/2), P(x) = extra(x) prod_t (x^2 + t^2) for ``extra``
+    ascending in x, with Fraction coefficients rounded to prec + 32 bits and
+    coeff_err 2^-(prec+30) |Z_j|, above the rounding error."""
+    P = [Fraction(c) for c in extra]
+    for t in line_ts:  # times x^2 + t^2
+        P = [t * t * a + b for a, b in zip(P + [0, 0], [0, 0] + P)]
+    w = len(P) - 1
+    Z = [sum(P[j] * math.comb(j, k) * Fraction(-1, 2) ** (j - k) for j in range(k, w + 1))
+         for k in range(w + 1)]
+    with mp.workprec(prec + 32):
+        coeffs = tuple(mpmath.mpf(c.numerator) / c.denominator for c in Z)
+        errs = tuple(mpmath.ldexp(abs(c), -(prec + 30)) for c in coeffs)
+    return NumericPoly(w=w, coeffs=coeffs, prec=prec, coeff_err=errs)
+
+
+DELTA = Fraction(1, 1000)
+OFF_LINE = {  # Z(1 - s) = Z(s), real coefficients, degree 10
+    # the real pair 1/2 +- 1/1000
+    "real_pair": ((1, 2, 3, 4), (-DELTA**2, 0, 1)),
+    # 1/2 +- 1/1000 +- 4i: ((x - d)^2 + 16) ((x + d)^2 + 16)
+    "quadruple": ((1, 2, 3), ((DELTA**2 + 16) ** 2, 0, 32 - 2 * DELTA**2, 0, 1)),
+    # s = 1/2 +- 1 and 1/2 +- 1/2: in v = 4t^2 the roots -4, -1, 1, 4, 9, so
+    # the midpoints -2.5, 0, 2.5, 6.5 bracket 5 sign changes out of order
+    "two_real_pairs": (
+        (Fraction(1, 2), 1, Fraction(3, 2)), (Fraction(1, 4), 0, Fraction(-5, 4), 0, 1)
+    ),
+}
+EDGE = [(Fraction(99, 100), True), (Fraction(101, 100), False)]  # just below / above a bound
+
+
+class TestSignCountCheck:
+    @pytest.mark.parametrize("prec", [64, 128])
+    def test_roots_on_the_line_are_proved(self, prec):
+        Z = numeric_zeta((1, 2, 3, 4, 5), (1,), prec)
+        rep = sign_count_check(Z, "critical_line", 1, precision=prec)
+        assert rep is not None and rep.passed and rep.max_deviation == 0
+        with mp.workprec(128):
+            want = [mpmath.mpc(0.5, t) for t in range(-5, 6) if t]
+            assert max(abs(a - b) for a, b in zip(rep.roots, want)) < 1e-25
+
+    @pytest.mark.parametrize("factor,proved", EDGE)
+    def test_line_bound_at_a_known_point(self, factor, proved):
+        """w = 2: Z = s^2 - s + 5/4 (roots 1/2 +- i) gives F linear in
+        v = 4t^2 with root 4, so the signs are taken at v = 0 and v = 9,
+        where Z(1/2 + 3i/2) = -5/4.  With all error on Z_1, the bound there
+        is e_1 2^-1 (1 + 9) = 5 e_1 (>= e_1 |s| = e_1 sqrt(5/2)): the count
+        holds just below e_1 = 1/4 and fails just above."""
+        with mp.workprec(160):
+            zero, e1 = mpmath.mpf(0), mpmath.mpf(factor.numerator) / (4 * factor.denominator)
+            Z = NumericPoly(w=2, coeffs=(mpmath.mpf(5) / 4, mpmath.mpf(-1), mpmath.mpf(1)),
+                            prec=128, coeff_err=(zero, e1, zero))
+        assert (sign_count_check(Z, "critical_line", 1) is not None) is proved
+
+    @pytest.mark.parametrize("factor,proved", EDGE)
+    def test_circle_bound_is_the_error_sum(self, factor, proved):
+        """w = 2: r = X^2 + X/2 + 1, p(y) = y + 1/2, signs at y = -2 and 2:
+        values -3/2 and 5/2, so errors summing to just under 3/2 are proved
+        and just over are not."""
+        with mp.workprec(160):
+            total = mpmath.mpf(3) / 2 * factor.numerator / factor.denominator
+            r = NumericPoly(w=2, coeffs=(mpmath.mpf(1), mpmath.mpf(0.5), mpmath.mpf(1)), prec=128,
+                            coeff_err=(total / 4, total / 2, total / 4))
+        rep = sign_count_check(r, "unit_circle", 1)
+        assert (rep is not None) is proved
+        if proved:
+            with mp.workprec(128):
+                assert all(abs(abs(z) - 1) < 1e-30 for z in rep.roots)
+
+    @pytest.mark.parametrize("where,value", [("coeffs", "inf"), ("coeffs", "nan"), ("coeff_err", "-1e10")])
+    def test_non_finite_coefficients_or_negative_errors_are_not_proved(self, where, value):
+        """On Z_0, which keeps Z(1/2 + x) even, so the symmetry guard passes."""
+        Z = numeric_zeta((1, 2, 3, 4, 5), (1,), 128)
+        fields = {"coeffs": list(Z.coeffs), "coeff_err": list(Z.coeff_err)}
+        fields[where][0] = mpmath.mpf(value)
+        bad = NumericPoly(w=10, coeffs=tuple(fields["coeffs"]), prec=128,
+                          coeff_err=tuple(fields["coeff_err"]))
+        assert sign_count_check(bad, "critical_line", 1) is None
+
+    def test_errors_too_large_to_certify_a_sign(self):
+        Z = numeric_zeta((1, 2, 3, 4, 5), (1,), 128)
+        with mp.workprec(160):
+            loose = NumericPoly(w=10, coeffs=Z.coeffs, prec=128,
+                                coeff_err=tuple(abs(c) / 100 for c in Z.coeffs))
+        assert sign_count_check(loose, "critical_line", 1) is None
+
+    @pytest.mark.parametrize("case", sorted(OFF_LINE))
+    @pytest.mark.parametrize("prec", [64, 128, 1024])
+    def test_a_root_pair_off_the_line_is_never_proved(self, case, prec):
+        Z = numeric_zeta(*OFF_LINE[case], prec)
+        assert sign_count_check(Z, "critical_line", 1, precision=prec) is None
+        general = rh_check(Z, "critical_line", tol="1e-8", precision=prec)
+        assert not general.passed
+        with mp.workprec(64):
+            assert general.max_deviation > mpmath.mpf(DELTA.numerator) / DELTA.denominator / 2
 
 
 class TestHilbert:
