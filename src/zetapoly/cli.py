@@ -119,8 +119,7 @@ def _cmd_check(args) -> int:
     holds = residual.is_zero()
     _emit(
         args,
-        lambda: {"relation": relation, "holds": holds,
-                 "residual": [list(c.to_str_pair()) for c in residual.coeffs]},
+        lambda: {"relation": relation, "holds": holds, "residual": residual.to_str_pairs()},
         lambda: [f"relation {relation}: {'holds' if holds else 'FAILS'}",
                  "residual: " + " ".join(str(c) for c in residual.coeffs)],
     )
@@ -194,7 +193,7 @@ def _cmd_wspace(args) -> int:
     _emit(
         args,
         lambda: {"w": args.w, "dim": len(basis), "dim_plus": dim_plus, "dim_minus": dim_minus,
-                 "basis": [[list(c.to_str_pair()) for c in b.coeffs] for b in basis]},
+                 "basis": [b.to_str_pairs() for b in basis]},
         lambda: [f"w={args.w}: dim W = {len(basis)}, dim W+ = {dim_plus}, dim W- = {dim_minus}"]
         + ["  basis: " + " ".join(str(c) for c in b.coeffs) for b in basis],
     )
@@ -265,6 +264,44 @@ def _add_global_flags(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(flag, default=argparse.SUPPRESS, **kwargs)
 
 
+_INPUT = ("input", {})
+# name -> (help, handler, the command's own arguments as (name, options) pairs).
+COMMANDS = {
+    "rv-forward": ("transform a period-style polynomial file to a zeta-polynomial",
+                   _cmd_rv_forward, [_INPUT]),
+    "rv-inverse": ("invert a zeta-polynomial file back to the period side", _cmd_rv_inverse, [_INPUT]),
+    "check": ("check a relation on a polynomial file", _cmd_check, [
+        ("relation", {"choices": ("fricke", "res1", "res2", "es1", "es2")}), _INPUT,
+        ("--eps", {"type": int, "choices": (1, -1), "help": "Fricke eigenvalue"})]),
+    "thm2": ("evaluate the convergent series identity at the given n values", _cmd_thm2, [
+        ("input", {"help": "zeta-polynomial file, or period-style file to transform first"}),
+        ("--n", {"default": "1", "help": "comma-separated positive integers"})]),
+    "delta": ("reproduce the weight-12 level-1 example end to end", _cmd_delta, []),
+    "wspace": ("basis and parity dimensions of the relation nullspace", _cmd_wspace,
+               [("w", {"type": int})]),
+    "lvalues": ("critical completed-L and L-values of a newform", _cmd_lvalues, [
+        ("input", {"nargs": "?", "help": "newform JSON file (default: built-in weight-12 level-1)"})]),
+    "roots": ("roots of a polynomial file, optionally with a line/circle check", _cmd_roots, [
+        _INPUT, ("--mode", {"choices": ("critical_line", "unit_circle")})]),
+}
+
+
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser, built only when argparse hands it argv."""
+
+    def __init__(self, command, **kwargs):
+        self._pending = command, kwargs
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._pending:
+            (command, kwargs), self._pending = self._pending, None
+            super().__init__(**kwargs)
+            for name, options in COMMANDS[command][2]:
+                self.add_argument(name, **options)
+            _add_global_flags(self)  # last, so --help lists the command's own options first
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zetapoly",
@@ -274,46 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_global_flags(parser)
     parser.set_defaults(prec=128, tol="1e-10", kmax=K_MAX_DEFAULT, format="text", out=None)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("rv-forward", help="transform a period-style polynomial file to a zeta-polynomial")
-    p.add_argument("input")
-    p.set_defaults(func=_cmd_rv_forward)
-
-    p = sub.add_parser("rv-inverse", help="invert a zeta-polynomial file back to the period side")
-    p.add_argument("input")
-    p.set_defaults(func=_cmd_rv_inverse)
-
-    p = sub.add_parser("check", help="check a relation on a polynomial file")
-    p.add_argument("relation", choices=("fricke", "res1", "res2", "es1", "es2"))
-    p.add_argument("input")
-    p.add_argument("--eps", type=int, choices=(1, -1), default=None, help="Fricke eigenvalue")
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("thm2", help="evaluate the convergent series identity at the given n values")
-    p.add_argument("input", help="zeta-polynomial file, or period-style file to transform first")
-    p.add_argument("--n", default="1", help="comma-separated positive integers")
-    p.set_defaults(func=_cmd_thm2)
-
-    p = sub.add_parser("delta", help="reproduce the weight-12 level-1 example end to end")
-    p.set_defaults(func=_cmd_delta)
-
-    p = sub.add_parser("wspace", help="basis and parity dimensions of the relation nullspace")
-    p.add_argument("w", type=int)
-    p.set_defaults(func=_cmd_wspace)
-
-    p = sub.add_parser("lvalues", help="critical completed-L and L-values of a newform")
-    p.add_argument("input", nargs="?", default=None, help="newform JSON file (default: built-in weight-12 level-1)")
-    p.set_defaults(func=_cmd_lvalues)
-
-    p = sub.add_parser("roots", help="roots of a polynomial file, optionally with a line/circle check")
-    p.add_argument("input")
-    p.add_argument("--mode", choices=("critical_line", "unit_circle"), default=None)
-    p.set_defaults(func=_cmd_roots)
-
-    # Added last, so each subcommand's --help lists its own options first.
-    for p in sub.choices.values():
-        _add_global_flags(p)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
+    for command, (help_text, _, _) in COMMANDS.items():
+        sub.add_parser(command, help=help_text, command=command)
     return parser
 
 
@@ -329,7 +329,7 @@ def main(argv=None) -> int:
         as_tolerance(args.tol)
         if args.kmax < 1:
             raise InputError(f"--kmax must be positive, got {args.kmax}")
-        return args.func(args)
+        return COMMANDS[args.command][1](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

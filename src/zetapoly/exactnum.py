@@ -425,12 +425,16 @@ class DensePoly:
 
     # -- serialization -------------------------------------------------------
 
+    def to_str_pairs(self) -> list[list[str]]:
+        """The coefficients as ["p/q", "r/s"] pairs in lowest terms, as
+        ``GaussianRational.to_str_pair`` writes them, straight from the pairs."""
+        def frac(x: int) -> str:
+            g = math.gcd(x, self.den)
+            return f"{decimal_str(x // g)}/{decimal_str(self.den // g)}"
+        return [[frac(x), frac(y)] for x, y in self.pairs]
+
     def to_dict(self) -> dict:
-        return {
-            "w": self.w,
-            "variable": self.VARIABLE,
-            "coeffs": [list(c.to_str_pair()) for c in self.coeffs],
-        }
+        return {"w": self.w, "variable": self.VARIABLE, "coeffs": self.to_str_pairs()}
 
     @classmethod
     def from_dict(cls, data: dict):

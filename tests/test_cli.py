@@ -16,7 +16,7 @@ import pytest
 from conftest import horner, modulus_27_poly
 from zetapoly.cli import EXIT_CHECK_FAILED, EXIT_INPUT, EXIT_OK, main
 from zetapoly.delta import golden_r_minus, golden_z_minus
-from zetapoly.exactnum import GaussianRational
+from zetapoly.exactnum import DensePoly, GaussianRational
 from zetapoly.lvalues import delta_newform, required_nmax
 from zetapoly.polyspace import PolyX, wspace_basis
 from zetapoly.rv import ZetaPoly, rv_forward
@@ -221,7 +221,7 @@ class TestOnlyTheWrittenFormIsBuilt:
     def test_text_builds_no_payload(self, argv, r_minus_file, capsys):
         if argv[0] == "check":
             argv = argv[:2] + [r_minus_file] + argv[2:]
-        with mock.patch.object(GaussianRational, "to_str_pair", side_effect=AssertionError):
+        with mock.patch.object(DensePoly, "to_str_pairs", side_effect=AssertionError):
             assert main(argv) == EXIT_OK
         assert capsys.readouterr().out
 

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,7 @@ from zetapoly.exactnum import (
     qi,
     squarefree_parts,
 )
+from zetapoly.polyspace import PolyX
 
 
 class TestGaussianRational:
@@ -220,6 +222,38 @@ class TestBinomPoly:
         value = sum(c * s0**t for t, c in enumerate(coeffs))
         falling = math.prod(shift + s0 - t for t in range(w))
         assert value == Fraction(falling, math.factorial(w))
+
+
+class TestStrPairs:
+    """``DensePoly.to_str_pairs`` writes each coefficient exactly as
+    ``GaussianRational.to_str_pair`` writes it: in lowest terms, with a
+    positive denominator, "0/1" for zero, past the 4300-digit cap too."""
+
+    @staticmethod
+    def _via_coeffs(P):
+        return [list(c.to_str_pair()) for c in P.coeffs]
+
+    def test_zero_and_negative_parts(self):
+        P = PolyX.make(4, [0, Fraction(-3, 4), qi(Fraction(5, 6), Fraction(-2, 3)), qi(0, -7)])
+        expected = [["0/1", "0/1"], ["-3/4", "0/1"], ["5/6", "-2/3"], ["0/1", "-7/1"], ["0/1", "0/1"]]
+        assert P.to_str_pairs() == expected == self._via_coeffs(P)
+        assert PolyX.make(2, []).to_str_pairs() == [["0/1", "0/1"]] * 3
+
+    @given(st.lists(qi_values, min_size=1, max_size=9))
+    def test_matches_the_per_coefficient_form(self, coeffs):
+        P = PolyX.make(len(coeffs) + len(coeffs) % 2, coeffs)
+        assert P.to_str_pairs() == self._via_coeffs(P)
+
+    def test_past_the_int_to_str_cap(self):
+        cap = sys.get_int_max_str_digits()
+        big = 10**5000 + 7
+        P = PolyX.make(2, [Fraction(-big, 3), Fraction(2, big), qi(Fraction(1, 6), Fraction(big, 4))])
+        pairs = P.to_str_pairs()
+        assert sys.get_int_max_str_digits() == cap
+        assert pairs == self._via_coeffs(P)
+        digits = "1" + "0" * 4999 + "7"
+        assert pairs[0][0] == f"-{digits}/3"
+        assert pairs[1] == [f"2/{digits}", "0/1"]
 
 
 class TestPowerSeries:
