@@ -6,7 +6,8 @@ against the classical reference values: the even/odd scale factors, the
 rounded zeta-polynomial coefficients, the exact rational golden data
 shipped with the package, and the root locations (critical line for the
 zeta-polynomial, unit circle for the period polynomial), proved by
-certified sign counts (``signcount.sign_count_check``), else by ``rh_check``.
+certified sign counts (``signcount.sign_count_check``) or failed, and the
+exact distance 1 of the odd part's trivial zero X = 0 from the circle.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from zetapoly.lvalues import (
 )
 from zetapoly.polyspace import PolyX, fricke_residual, rescaled_es1_residual, rescaled_es2_residual
 from zetapoly.rv import ZetaPoly, rv_forward
-from zetapoly.zeta import RootCheckReport, rh_check
+from zetapoly.zeta import RootCheckReport, as_tolerance
 
 # Reference values for the discriminant-form example, as printed in the
 # classical tables (6 and 3-4 significant digits respectively).
@@ -54,7 +55,7 @@ EVEN_PATTERN = (Fraction(36, 691), 0, 1, 0, 3, 0, 3, 0, 1, 0, Fraction(36, 691))
 ODD_PATTERN = (0, 4, 0, 25, 0, 42, 0, 25, 0, 4, 0)
 
 SCALE_REL_TOL = Fraction(1, 100000)  # 5 significant digits
-ROOT_TOL = "1e-8"  # root-location tolerance of the three root checks
+ROOT_TOL = "1e-8"  # tolerance of the two proved root checks; r_- must miss the circle by more
 
 
 def _load_golden(name: str) -> dict:
@@ -88,7 +89,10 @@ class DeltaReport:
     construction (the split series is symmetric term by term), so it does
     not check the Fricke sign.  ``z_roots`` and ``r_roots`` come from
     ``sign_count_check`` when it proves the locations, with
-    ``max_deviation`` 0, and from ``rh_check`` otherwise."""
+    ``max_deviation`` 0, else fail with no roots and +inf.
+    ``r_minus_circle_deviation`` is 1 if r_-(0) = 0 exactly, else 0: a
+    proved lower bound on the largest distance of a root of r_- from
+    |X| = 1, and that distance (the roots are 0, +-i/2, +-i, +-i, +-2i)."""
 
     prec: int
     lambdas: tuple
@@ -199,10 +203,10 @@ def run_delta(prec: int = 128) -> DeltaReport:
     eps = nf.fricke * (-1) ** (nf.weight // 2)
     z_roots, r_roots = (
         sign_count_check(poly, mode, eps, tol=ROOT_TOL, precision=prec)
-        or rh_check(poly, mode, tol=ROOT_TOL, precision=prec)
+        or RootCheckReport(mode, (), mpmath.inf, as_tolerance(ROOT_TOL), False)
         for poly, mode in ((znum, "critical_line"), (rnum, "unit_circle"))
     )
-    r_minus_circle = rh_check(r_minus, "unit_circle", tol=ROOT_TOL, precision=prec)
+    r_minus_circle = mpmath.mpf(1 if r_minus.pairs[0] == (0, 0) else 0)  # X = 0 lies 1 off |X| = 1
 
     passed = bool(
         scale_even_ok
@@ -212,7 +216,7 @@ def run_delta(prec: int = 128) -> DeltaReport:
         and golden_relations_ok
         and z_roots.passed
         and r_roots.passed
-        and not r_minus_circle.passed
+        and r_minus_circle > mpmath.mpf(ROOT_TOL)
     )
     return DeltaReport(
         prec=prec,
@@ -228,7 +232,7 @@ def run_delta(prec: int = 128) -> DeltaReport:
         golden_relations_ok=golden_relations_ok,
         z_roots=z_roots,
         r_roots=r_roots,
-        r_minus_circle_deviation=r_minus_circle.max_deviation,
+        r_minus_circle_deviation=r_minus_circle,
         passed=passed,
         r_numeric=rnum,
         z_numeric=znum,

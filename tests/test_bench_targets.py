@@ -103,11 +103,14 @@ def traced_span_names(tmp_path_factory) -> set:
 # critical_lambdas, not completed_l, and assembles r from those values
 # without build_r (FOUND entries in CHANGES.md); the two PowerSeries spans
 # read 0 on thm2, since laurent_coeffs is a closed-form convolution on
-# ints.  A target that a workload reaches again fails its case here and
-# must leave this set.
+# ints; the two root spans read 0 on delta, whose three root lines are
+# proved by sign counts and the exact r_-(0) = 0.  A target that a
+# workload reaches again fails its case here and must leave this set.
 UNREACHED = {
     "lvalues.completed_l",
     "lvalues.build_r",
+    "zeta.roots",
+    "zeta.rh_check",
     "exactnum.PowerSeries.mul",
     "exactnum.PowerSeries.inverse",
 }

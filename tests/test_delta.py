@@ -8,7 +8,8 @@ import pytest
 from mpmath import mp
 from mpmath.libmp import to_rational
 
-from zetapoly import signcount, zeta
+from zetapoly import delta, signcount, zeta
+from zetapoly.cli import EXIT_CHECK_FAILED, main
 from zetapoly.delta import (
     ROOT_TOL,
     decimal_ulp,
@@ -27,7 +28,7 @@ from zetapoly.lvalues import (
     delta_newform,
     numeric_rv,
 )
-from zetapoly.polyspace import fricke_residual
+from zetapoly.polyspace import PolyX, fricke_residual
 from zetapoly.rv import rv_forward
 from zetapoly.signcount import sign_count_check
 from zetapoly.zeta import rh_check
@@ -75,8 +76,7 @@ class TestRunDelta:
             assert report128.lambda_symmetry_max < mpmath.mpf(2) ** -140
 
     def test_minus_part_fails_circle_by_one(self, report128):
-        with mp.workprec(64):
-            assert abs(report128.r_minus_circle_deviation - 1) < mpmath.mpf(2) ** -40
+        assert report128.r_minus_circle_deviation == 1
 
     def test_pattern_deviation_far_below_print_precision(self, report128):
         with mp.workprec(64):
@@ -244,21 +244,68 @@ class TestSignCountCheck:
 
 
 class TestRootCheckPath:
-    @pytest.mark.parametrize("prec", [128, 1024])
-    def test_general_root_finder_runs_once_for_the_odd_part(self, prec):
-        """The numeric z and r are proved by sign counts: ``zeta.roots``
-        runs once, on the golden odd part, so a silent fall back to the
-        general root finder fails here."""
-        with mock.patch.object(zeta, "roots", wraps=zeta.roots) as spy:
+    @pytest.mark.parametrize("prec", [64, 128, 1024, 4096])
+    def test_general_root_finder_never_runs(self, prec):
+        """All three root lines are proofs: ``run_delta`` reaches neither
+        ``zeta.roots`` nor ``zeta.rh_check``, and ``delta`` imports neither."""
+        assert not {"roots", "rh_check"} & set(vars(delta))
+        with mock.patch.object(zeta, "roots", wraps=zeta.roots) as roots_spy, \
+                mock.patch.object(zeta, "rh_check", wraps=zeta.rh_check) as rh_spy:
             report = run_delta(prec)
         assert report.passed
-        assert spy.call_count == 1
-        assert spy.call_args.args[0] == golden_r_minus()
+        assert roots_spy.call_count == 0 and rh_spy.call_count == 0
         assert report.z_roots.max_deviation == 0 and report.r_roots.max_deviation == 0
 
-    def test_fallback_keeps_the_outcome(self, report128):
+    def test_sign_counts_prove_every_precision_tried(self):
+        """No precision from 64 to 256 bits, nor 512 to 4096, needs more
+        than the sign counts: a failed count would fail the run."""
+        for prec in [*range(64, 257), 512, 1024, 2048, 4096]:
+            report = run_delta(prec)
+            assert report.passed, prec
+            assert report.z_roots.max_deviation == 0 and report.r_roots.max_deviation == 0, prec
+
+    def test_unproved_roots_fail_the_run(self, capsys):
         with mock.patch.object(signcount, "sign_count_check", return_value=None):
-            general = run_delta(128)
-        assert general.passed
-        assert general.z_roots.max_deviation > 0
-        assert _nstr20(general.z_roots.roots) == _nstr20(report128.z_roots.roots)
+            report = run_delta(128)
+            code = main(["delta"])
+        assert report.passed is False
+        for rep in (report.z_roots, report.r_roots):
+            assert rep.passed is False and rep.roots == () and rep.max_deviation == mpmath.inf
+        assert code == EXIT_CHECK_FAILED
+        out = capsys.readouterr().out
+        assert "zeta roots on critical line: False (max dev +inf)" in out
+        assert "period roots on unit circle: False (max dev +inf)" in out
+        assert out.endswith("overall: FAIL\n")
+
+
+class TestOddPartCircle:
+    """The odd part's line states r_-(0) = 0 exactly: its root X = 0 lies
+    1 from |X| = 1, which the general root finder confirms numerically."""
+
+    @pytest.mark.parametrize("prec", [64, 128, 1024])
+    def test_general_root_finder_agrees(self, prec):
+        rep = rh_check(golden_r_minus(), "unit_circle", tol=ROOT_TOL, precision=prec)
+        assert not rep.passed
+        with mp.workprec(64):
+            assert abs(rep.max_deviation - 1) < mpmath.mpf(2) ** -40
+
+    def test_nonzero_constant_term_fails_the_run(self):
+        """Every other check is forced to hold, so the circle line alone
+        fails the run: with r_-(0) != 0 nothing proves a root off the circle."""
+        rm = golden_r_minus()
+        moved = PolyX(rm.w, rm.den, ((1, 0),) + rm.pairs[1:])
+        zero = PolyX.make(rm.w, [])
+        with mock.patch.multiple(
+            delta,
+            golden_r_minus=lambda: moved,
+            rv_forward=lambda poly: golden_z_minus(),
+            fricke_residual=lambda poly, eps: zero,
+            rescaled_es1_residual=lambda poly: zero,
+            rescaled_es2_residual=lambda poly: zero,
+        ):
+            report = run_delta(128)
+        assert report.r_minus_circle_deviation == 0
+        assert report.exact_z_match and report.golden_relations_ok
+        assert report.z_roots.passed and report.r_roots.passed
+        assert report.passed is False
+        assert report.to_dict()["r_minus_circle_deviation"] == "0.0"
