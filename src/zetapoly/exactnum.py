@@ -326,31 +326,37 @@ def _gcd(p: list, q: list) -> list:
     return _quotient(p, [a])
 
 
-def squarefree_parts(f: Sequence[GaussianRational]) -> list:
-    """Yun's squarefree decomposition of a monic f of degree >= 1 over Q(i):
-    the pairs (g_k, k) with f = prod g_k^k, each g_k monic, squarefree and
-    of degree >= 1.  When f and f' are coprime modulo a prime, f is
-    squarefree and returns as it is, without exact gcds.
+def reduced(den: int, pairs) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The form (den, pairs) of coefficients (p + q i)/den, den > 0, with
+    gcd(den, every p and q) taken out: one form per polynomial."""
+    g = math.gcd(den, *chain.from_iterable(pairs))
+    return den // g, tuple(pairs) if g == 1 else tuple((x // g, y // g) for x, y in pairs)
 
-    The gcds and exact divisions run on D f in Z[i][x], D the common
-    denominator: Yun's b and d carry one common scale, so d / a - b'
-    stays exact, and each g_k is made monic once at the end."""
+
+def squarefree_parts(f: tuple) -> list:
+    """Yun's squarefree decomposition of a monic f of degree >= 1 over Q(i),
+    on reduced forms (den, pairs): the pairs (g_k, k) with f = prod g_k^k,
+    each g_k monic, squarefree and of degree >= 1.  When f and f' are coprime
+    modulo a prime, f is squarefree and returns as it is, without exact gcds.
+
+    The gcds and exact divisions run on den f in Z[i][x]: Yun's b and d
+    carry one common scale, so d / a - b' stays exact, and each g_k is
+    made monic once at the end."""
 
     def deriv(p):
         return [(k * x, k * y) for k, (x, y) in enumerate(p)][1:]
 
-    den, b = common_denominator(f)
+    den, b = f
     d = deriv(b)
     if den % _MODULUS and _coprime_mod_p(b, d):
-        return [(tuple(f), 1)]
+        return [(f, 1)]
     parts, k = [], 0
     while len(b) > 1:
         a = _gcd(b, d)
         b, d = _quotient(b, a), _quotient(d, a)
         if k and len(a) > 1:
             (lr, li), n = a[-1], a[-1][0] ** 2 + a[-1][1] ** 2  # a / lc(a) = a conj(lc(a)) / n
-            parts.append((tuple(GaussianRational(Fraction(x * lr + y * li, n), Fraction(y * lr - x * li, n))
-                                for x, y in a), k))
+            parts.append((reduced(n, [(x * lr + y * li, y * lr - x * li) for x, y in a]), k))
         d = _trim([(u - x, v - y) for (u, v), (x, y) in zip_longest(d, deriv(b), fillvalue=(0, 0))])
         k += 1
     return parts
@@ -379,10 +385,9 @@ class DensePoly:
             raise InputError(
                 f"expected {self.w + 1} coefficients for w={self.w}, got {len(self.pairs)}"
             )
-        g = math.gcd(self.den, *chain.from_iterable(self.pairs))
-        pairs = self.pairs if g == 1 else [(x // g, y // g) for x, y in self.pairs]
-        object.__setattr__(self, "den", self.den // g)
-        object.__setattr__(self, "pairs", tuple(pairs))
+        den, pairs = reduced(self.den, self.pairs)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "pairs", pairs)
 
     # -- construction ----------------------------------------------------
 

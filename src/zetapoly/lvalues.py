@@ -283,10 +283,12 @@ def _r_from_lambdas(w: int, lambdas: list, prec: int) -> NumericPoly:
 
 
 def _dyadic(values) -> tuple[int, list[int]]:
-    """(E, m) with mpf values[j] = m[j] 2^E exactly."""
+    """(E, m) with mpf values[j] = m[j] 2^E exactly (m[j] = 0 for a zero); InputError if not finite."""
     parts = [(-man if sign else man, exp) for sign, man, exp, _ in (v._mpf_ for v in values)]
+    if any(exp and not man for man, exp in parts):  # mpmath's inf and nan
+        raise InputError("numeric coefficients must be finite")
     low = min((exp for man, exp in parts if man), default=0)
-    return low, [man << (exp - low) for man, exp in parts]
+    return low, [man << (exp - low) if man else 0 for man, exp in parts]
 
 
 def numeric_rv(Rnum: NumericPoly) -> NumericPoly:

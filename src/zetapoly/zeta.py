@@ -23,20 +23,23 @@ from typing import Union
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import from_man_exp, to_rational
+from mpmath.libmp import from_man_exp
 
 from zetapoly.errors import InputError, PrecisionError
 from zetapoly.exactnum import (
     I,
     ZERO,
+    DensePoly,
     GaussianRational,
+    _trim,
     as_fraction,
-    common_denominator,
     from_pairs,
     qi,
+    reduced,
     require_even_w,
     squarefree_parts,
 )
+from zetapoly.lvalues import _dyadic as _mantissas
 from zetapoly.polyspace import PolyX, slash
 from zetapoly.rv import ZetaPoly, rv_inverse, series_coeffs
 
@@ -289,12 +292,13 @@ _GUARD_BITS = 32  # fixed-point bits carried beyond each rung's precision
 def roots(poly, precision: int = 128) -> list:
     """All complex roots of a nonzero polynomial, multiplicity-aware.
 
-    1. Exact inputs (PolyX / ZetaPoly) are trimmed and made monic exactly
-       before any rounding, roots at the origin are split off exactly, and
-       Yun's squarefree decomposition over Q(i) splits the rest into
-       squarefree factors of exact multiplicity.  A linear factor's root
-       is rounded once to precision + 32 bits.  A numeric input is one
-       factor, taken as the exact dyadic numbers its coefficients hold.
+    1. The input is read as one exact form (den, pairs), coefficient k
+       (p_k + q_k i)/den: a PolyX / ZetaPoly as held, a NumericPoly as the
+       exact dyadics its coefficients hold.  Both take one path: trimmed,
+       roots at the origin split off, made monic exactly before any
+       rounding, then split by Yun's squarefree decomposition over Q(i)
+       into squarefree factors of exact multiplicity.  A linear factor's
+       root is rounded once to precision + 32 bits.
     2. Each other factor is isolated by Aberth-Ehrlich iteration, seeded
        on the Fujiwara radius 2 max_k |c_(d-k)|^(1/k), in complex doubles
        (53 bits, or ``precision`` if lower).  This rung hands off to the
@@ -338,25 +342,18 @@ def roots(poly, precision: int = 128) -> list:
     """
     if precision < 8:
         raise InputError("precision must be at least 8 bits")
-    coeffs = list(getattr(poly, "coeffs", poly))
-    exact = all(isinstance(c, GaussianRational) for c in coeffs)
+    if isinstance(poly, DensePoly):
+        pairs = _trim(list(poly.pairs))
+    else:  # c_k = (m_k + m_(n+k) i) 2^E for n coefficients; the 2^E cancels in the monic
+        m = _mantissas([c.real for c in poly.coeffs] + [c.imag for c in poly.coeffs])[1]
+        pairs = _trim(list(zip(m, m[len(m) // 2 :])))
+    if not pairs:
+        raise InputError("the zero polynomial has no root set")
+    origin = next(k for k, c in enumerate(pairs) if c != (0, 0))
+    lr, li = pairs[-1]  # c / l = c conj(l) / |l|^2
+    monic = reduced(lr * lr + li * li, [(p * lr + q * li, q * lr - p * li) for p, q in pairs[origin:]])
+    factors = squarefree_parts(monic) if len(monic[1]) > 1 else []
     with mp.workprec(precision + 32):
-        if not exact:
-            coeffs = [mpmath.mpc(c) for c in coeffs]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        if not coeffs:
-            raise InputError("the zero polynomial has no root set")
-        origin = 0
-        while coeffs[origin] == 0:
-            origin += 1
-        monic = [c / coeffs[-1] for c in coeffs[origin:]]
-        if not exact:
-            monic = [GaussianRational(_fraction(c.real), _fraction(c.imag)) for c in monic]
-        if len(monic) == 1:
-            factors = []
-        else:
-            factors = squarefree_parts(monic) if exact else [(monic, 1)]
         found = [mpmath.mpc(0)] * origin + _certified_roots(monic, factors, precision)
         return _sorted_roots(found, precision)
 
@@ -367,24 +364,20 @@ def _sorted_roots(found: list, precision: int) -> list:
     return sorted(found, key=lambda z: (mpmath.nint(mpmath.re(z) * grid), mpmath.im(z)))
 
 
-def _fraction(x: mpmath.mpf) -> Fraction:
-    """The exact value of an mpf, a dyadic rational."""
-    return Fraction(*to_rational(x._mpf_))
+def _round(den: int, pair: tuple) -> mpmath.mpc:
+    """The coefficient (p + q i)/den rounded to the working precision, each
+    part as the quotient of its numerator and denominator in lowest terms."""
+    gp, gq = (math.gcd(x, den) for x in pair)
+    return mpmath.mpc(mpmath.mpf(pair[0] // gp) / mpmath.mpf(den // gp),
+                      mpmath.mpf(pair[1] // gq) / mpmath.mpf(den // gq))
 
 
-def _round(c: GaussianRational) -> mpmath.mpc:
-    """A coefficient rounded to the working precision."""
-    return mpmath.mpc(
-        mpmath.mpf(c.re.numerator) / mpmath.mpf(c.re.denominator),
-        mpmath.mpf(c.im.numerator) / mpmath.mpf(c.im.denominator),
-    )
-
-
-def _certified_roots(monic: list, factors: list, precision: int) -> list:
+def _certified_roots(monic: tuple, factors: list, precision: int) -> list:
     """Stages 2-4 of ``roots``: the roots of the squarefree ``factors``
-    (g, k) of ``monic``, each repeated k times and certified on ``monic``."""
-    den, pairs = full = common_denominator(monic)
-    fixed = _floored(full, precision + _GUARD_BITS)
+    (g, k) of ``monic``, each repeated k times and certified on ``monic``;
+    every polynomial is a reduced form (den, pairs)."""
+    den, pairs = monic
+    fixed = _floored(monic, precision + _GUARD_BITS)
     norm2 = max(max(p * p + q * q for p, q in pairs), den * den)  # max(||P||, 1)^2 den^2
     target2 = Fraction(norm2, den * den << 2 * (precision // 2))
     bits = min(precision, _ISOLATION_BITS)
@@ -406,14 +399,15 @@ def _certified_roots(monic: list, factors: list, precision: int) -> list:
         bits = min(2 * bits, precision)
 
 
-def _refined_roots(g: list, bits: int, precision: int) -> list:
-    """Roots of one squarefree monic factor ``g``, as exact dyadics: Aberth
-    at ``bits`` (in complex doubles up to _ISOLATION_BITS, else in mpmath),
-    then one fixed-point Newton step per root on each rung
-    ceil(precision / 2^k) above ``bits``, from the lowest, and on
-    ``precision`` itself."""
-    if len(g) == 2:
-        return [_dyadic(-_round(g[0]))]
+def _refined_roots(g: tuple, bits: int, precision: int) -> list:
+    """Roots of one squarefree monic factor, the form ``g`` = (den, pairs),
+    as exact dyadics: Aberth at ``bits`` (in complex doubles up to
+    _ISOLATION_BITS, else in mpmath), then one fixed-point Newton step per
+    root on each rung ceil(precision / 2^k) above ``bits``, from the
+    lowest, and on ``precision`` itself."""
+    den, pairs = g
+    if len(pairs) == 2:
+        return [_dyadic(-_round(den, pairs[0]))]
     if bits <= _ISOLATION_BITS:
         try:
             z = [_dyadic(x) for x in _aberth(_doubles(g), bits, complex)]
@@ -421,12 +415,11 @@ def _refined_roots(g: list, bits: int, precision: int) -> list:
             raise PrecisionError("root isolation overflowed doubles") from exc
     else:
         with mp.workprec(bits + 32):
-            z = [_dyadic(x) for x in _aberth([_round(c) for c in g], bits, mpmath.mpc)]
-    form = common_denominator(g)
+            z = [_dyadic(x) for x in _aberth([_round(den, c) for c in pairs], bits, mpmath.mpc)]
     for k in range(precision.bit_length(), -1, -1):
         rung = -(-precision >> k)  # ceil(precision / 2^k)
         if rung > bits or k == 0:
-            fixed = _floored(form, rung + _GUARD_BITS)
+            fixed = _floored(g, rung + _GUARD_BITS)
             z = [_newton_step(fixed, x) for x in z]
     return z
 
@@ -434,10 +427,8 @@ def _refined_roots(g: list, bits: int, precision: int) -> list:
 def _dyadic(x) -> tuple[int, int, int]:
     """A complex double or mpc as the exact dyadic (a, b, E) = (a + b i) 2^E."""
     x = mpmath.mpc(x)
-    re, im = _fraction(x.real), _fraction(x.imag)
-    q = max(re.denominator, im.denominator)  # both are powers of 2
-    a, b = re.numerator * q // re.denominator, im.numerator * q // im.denominator
-    return a, b, 1 - q.bit_length()
+    E, (a, b) = _mantissas([x.real, x.imag])
+    return a, b, E
 
 
 def _mpc(z: tuple) -> mpmath.mpc:
@@ -556,19 +547,19 @@ def _residual_below(fixed: tuple, z: tuple, target2: Fraction) -> tuple:
     return ok, band, point, (1 + bound) ** 2 >= units2
 
 
-def _doubles(g: list) -> list:
-    """A factor's coefficients rounded to complex doubles.  Raises
-    PrecisionError when one overflows, or when a nonzero one rounds to 0
-    or to a subnormal, where the rounding error is no longer relative."""
+def _doubles(g: tuple) -> list:
+    """The form ``g`` = (den, pairs) rounded to complex doubles.  Raises
+    PrecisionError when a coefficient overflows, or when a nonzero one rounds
+    to 0 or to a subnormal, where the rounding error is no longer relative."""
+    den, pairs = g
     out = []
-    for c in g:
-        re, im = (c.re, c.im) if isinstance(c, GaussianRational) else (c.real, c.imag)
+    for p, q in pairs:
         try:
-            x = complex(float(re), float(im))
+            x = complex(p / den, q / den)
             size = abs(x)
         except OverflowError:
             size = math.inf
-        if not size < math.inf or (size < sys.float_info.min and (re or im)):
+        if not size < math.inf or (size < sys.float_info.min and (p or q)):
             raise PrecisionError("a coefficient is outside the normal double range")
         out.append(x)
     return out

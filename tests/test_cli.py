@@ -775,6 +775,67 @@ CHECK_W100 = {
 }
 
 
+# (exit code, sha256 of stdout) of `roots FILE [--mode MODE]` on each golden
+# file, the same at 64, 128 and 1024 bits: roots print to 20 digits and the
+# deviation to 8
+ROOTS_DIGEST = {
+    ("r_delta_minus", "text", None): (
+        EXIT_OK, "fc842f6bca60be0998c424dcd007647f7064039ccb0e69ae0b0a8977003b2bf6"
+    ),
+    ("r_delta_minus", "text", "critical_line"): (
+        EXIT_CHECK_FAILED, "b4854c4f69227f565c24df8a6389456f0fe95d361f2c86f4186644307b0e9247"
+    ),
+    ("r_delta_minus", "text", "unit_circle"): (
+        EXIT_CHECK_FAILED, "6e15de70a3982ec6399ff62e46870f905656515b142150dddd40909747dc2c17"
+    ),
+    ("r_delta_minus", "json", None): (
+        EXIT_OK, "a6e62a3331d8d2497c6ad0eaba63e83ef3209b6de9fc6baec3cbdd2b655569e1"
+    ),
+    ("r_delta_minus", "json", "critical_line"): (
+        EXIT_CHECK_FAILED, "0e46cb2ea1add697a4c2b1d0914d535a41080086a22b953c5942e4dd39cad899"
+    ),
+    ("r_delta_minus", "json", "unit_circle"): (
+        EXIT_CHECK_FAILED, "055f6b43a9bede61f0d63d10fabcdc93e3ada69fc7a22964a30965fd726681e5"
+    ),
+    ("r_delta_plus", "text", None): (
+        EXIT_OK, "e715b8a8bf28167a2006aef361d940a95e17daf24304adf298a411a00b958ff5"
+    ),
+    ("r_delta_plus", "text", "critical_line"): (
+        EXIT_CHECK_FAILED, "2f9dd771e6dfc040191d7df1896f034859e706f1be68376c0d3b60fc584d1bda"
+    ),
+    ("r_delta_plus", "text", "unit_circle"): (
+        EXIT_CHECK_FAILED, "1276a7292be086273d82e3394be7a91f5ac42c607a771170983ff42d8b382af7"
+    ),
+    ("r_delta_plus", "json", None): (
+        EXIT_OK, "82dd89a91b79cbb94ba740348dc0e7af6d3701213044571fcbae8ac3dde30936"
+    ),
+    ("r_delta_plus", "json", "critical_line"): (
+        EXIT_CHECK_FAILED, "904cac181aca7236439db3426385126cdd55167459530dd5fe9cf99ea5d755d2"
+    ),
+    ("r_delta_plus", "json", "unit_circle"): (
+        EXIT_CHECK_FAILED, "758f88fea3d1bc4cf2fc001212b4615e6c13c2e50e883c2b1eca68cb919beabf"
+    ),
+    ("z_delta_minus", "text", None): (
+        EXIT_OK, "4d542facf1bccf6f4bad2ab0bb0b121618c0c22df12a6161b2a0f99a1f028d58"
+    ),
+    ("z_delta_minus", "text", "critical_line"): (
+        EXIT_CHECK_FAILED, "bb0ebed2e1f28ce6c458f4c48049e1ee43a64824ac3771c5ad0b69938d4c8c84"
+    ),
+    ("z_delta_minus", "text", "unit_circle"): (
+        EXIT_CHECK_FAILED, "7fcd10060b91d0668ee98aa2e4d57bfd29b990fc608a3e5b7add4403598deb08"
+    ),
+    ("z_delta_minus", "json", None): (
+        EXIT_OK, "66009a4c26afee5c24a67536b52be170967fa67b99fc0d407f9f73d280075269"
+    ),
+    ("z_delta_minus", "json", "critical_line"): (
+        EXIT_CHECK_FAILED, "595b14926762b73984721a64421485d42a97678dcc9a110e46d5eff5478d49ff"
+    ),
+    ("z_delta_minus", "json", "unit_circle"): (
+        EXIT_CHECK_FAILED, "332bf8d6568aa0fa84f5f433dc32cc1c359aefc9d5169a0b6fc0f4044d85dc8c"
+    ),
+}
+
+
 class TestOutputBytes:
     """The exact bytes written, not just their parsed content."""
 
@@ -901,6 +962,17 @@ class TestOutputBytes:
         if (form, prec, fmt) == ("builtin", 64, "text"):
             assert captured.out == LVALUES_64_TEXT
         assert hashlib.sha256(captured.out.encode()).hexdigest() == LVALUES_DIGEST[form, prec, fmt]
+
+    @pytest.mark.parametrize("prec", [64, 128, 1024])
+    @pytest.mark.parametrize("name", ["r_delta_minus", "r_delta_plus", "z_delta_minus"])
+    def test_roots_on_golden_files(self, name, prec, capsys):
+        path = str(_data(f"{name}.json"))
+        for fmt in ("text", "json"):
+            for mode in (None, "critical_line", "unit_circle"):
+                argv = ["--prec", str(prec), "--format", fmt, "roots", path]
+                code = main(argv + (["--mode", mode] if mode else []))
+                digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+                assert (code, digest) == ROOTS_DIGEST[name, fmt, mode]
 
     @pytest.mark.parametrize("prec", [128, 1024])
     def test_delta_lambda_values_and_z_coeffs(self, prec, capsys):

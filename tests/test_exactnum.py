@@ -26,10 +26,23 @@ from zetapoly.exactnum import (
     binom_poly_in_s,
     binom_poly_in_s_scaled,
     common_denominator,
+    from_pairs,
     qi,
+    reduced,
     squarefree_parts,
 )
 from zetapoly.polyspace import PolyX
+
+
+def form(f) -> tuple:
+    """The reduced (den, pairs) form of a sequence of Q(i) coefficients."""
+    return reduced(*common_denominator(f))
+
+
+def as_values(parts: list) -> list:
+    """``squarefree_parts``'s (form, k) pairs with each form read back as
+    its Q(i) coefficients."""
+    return [(from_pairs(*g), k) for g, k in parts]
 
 
 class TestGaussianRational:
@@ -129,9 +142,9 @@ class TestPolyDivision:
         f = naive_mul(naive_mul(x_minus_i, x_minus_i), x_plus_half)
         for _ in range(3):
             f = naive_mul(f, x_plus_3)
-        assert squarefree_parts(f) == [(x_plus_half, 1), (x_minus_i, 2), (x_plus_3, 3)]
+        assert as_values(squarefree_parts(form(f))) == [(x_plus_half, 1), (x_minus_i, 2), (x_plus_3, 3)]
         # squarefree inputs return unchanged (the modular coprimality proof)
-        g = tuple(naive_mul(x_minus_i, naive_mul(x_plus_half, x_plus_3)))
+        g = form(naive_mul(x_minus_i, naive_mul(x_plus_half, x_plus_3)))
         assert squarefree_parts(g) == [(g, 1)]
 
 
@@ -156,7 +169,9 @@ class TestSquarefreeAgainstYunOracle:
             if len(f) < 2:
                 continue
             f = tuple(c / f[-1] for c in f)
-            parts = squarefree_parts(f)
+            split = squarefree_parts(form(f))
+            assert all(reduced(*g) == g for g, _ in split)  # each form stays canonical
+            parts = as_values(split)
             assert parts == yun_oracle(f)
             back = [ONE]
             for g, k in parts:

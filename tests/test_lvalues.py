@@ -396,6 +396,14 @@ class TestNumericRv:
                 assert bare.coeff_err[t] <= mpmath.mpf(2) ** -(prec + 30) * abs(bare.coeffs[t])
                 assert bare.coeffs[t] == Z.coeffs[t]
 
+    def test_zero_beside_positive_exponents(self):
+        # 4 = 2^2 and 8 = 2^3 set the common exponent to 2; the zero's
+        # mantissa is 0, not a negative shift.
+        R = NumericPoly(w=2, coeffs=(mpmath.mpf(4), mpmath.mpf(0), mpmath.mpf(8)), prec=64)
+        Z = numeric_rv(R)
+        exact = rv_forward(PolyX.make(2, [4, 0, 8]))
+        assert [mpmath.mpf(c.re.numerator) / c.re.denominator for c in exact.coeffs] == list(Z.coeffs)
+
     def test_error_propagation(self):
         R = build_r(delta_newform(128), 128)
         Z = numeric_rv(R)

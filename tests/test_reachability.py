@@ -24,9 +24,15 @@ from zetapoly.lvalues import delta_coefficients, required_nmax
 # Public names no command reaches, each with the reason it stays.
 ALLOWED = {
     "exactnum.DensePoly.degree": "acceptance criterion 10, through hilbert_hypotheses",
+    "exactnum.GaussianRational.__eq__": "the asserts compare Q(i) values, in the tests and "
+    "the acceptance criteria",
     "exactnum.GaussianRational.__hash__": "defining __eq__ alone would make Q(i) values, "
     "and the frozen polynomials holding them, unhashable",
     "exactnum.GaussianRational.__repr__": "the form that failing asserts and the REPL print",
+    "exactnum.GaussianRational.__truediv__": "the conftest gcd oracle, and through it the "
+    "Yun oracle, makes each remainder monic with it",
+    "exactnum.GaussianRational.inverse": "acceptance criterion 05's I ** (-w), through "
+    "__pow__; the conftest poly-division oracle divides by a leading coefficient with it",
     "exactnum.GaussianRational.__sub__": "acceptance criterion 04, through "
     "conftest.exact_identity_value; the Yun, poly-division and slash oracles subtract",
     "exactnum.GaussianRational.is_zero": "acceptance criterion 05 tests the Laurent "

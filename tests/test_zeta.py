@@ -485,9 +485,8 @@ class TestRoots:
 
     @pytest.mark.parametrize("double_root", [False, True])
     def test_numeric_coefficients_meet_certificate(self, double_root):
-        # A numeric double root (no exact split) converges only linearly
-        # under Newton, so its certificate needs the Aberth stage retried
-        # at higher precision.
+        # A numeric input takes the exact path: its double root is split
+        # off by Yun's decomposition, as an exact input's is.
         rng = random.Random(23)
         prec = 1024
         with mp.workprec(prec):
@@ -507,6 +506,20 @@ class TestRoots:
                 for c in reversed(monic):
                     val = val * z + c
                 assert abs(val) < mpmath.mpf(2) ** (-(prec // 2)) * norm
+
+    @pytest.mark.parametrize("prec", [64, 128, 1024])
+    def test_numeric_input_equals_exact_input(self, prec):
+        # X^3 - 3X + 2 = (X - 1)^2 (X + 2), as exact and as dyadic values.
+        values = (2, -3, 0, 1)
+        exact = roots(PolyX.make(4, values), precision=prec)
+        numeric = roots(NumericPoly(w=3, coeffs=tuple(map(mpmath.mpf, values)), prec=prec), precision=prec)
+        assert numeric == exact == [-2, 1, 1]
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_numeric_coefficient_rejected(self, value):
+        one = mpmath.mpf(1)
+        with pytest.raises(InputError):
+            roots(NumericPoly(w=2, coeffs=(one, mpmath.mpf(value), one), prec=64), precision=64)
 
     # The first Aberth rung runs in complex doubles; each case below needs
     # its hand-off to the mpmath rungs (or the Newton ladder past doubles).
@@ -534,12 +547,19 @@ class TestRoots:
             assert max_root_error(got, expected) < mpmath.mpf("1e-100")
 
     @pytest.mark.parametrize("prec", [64, 128, 1024])
-    def test_roots_closer_than_doubles_separate(self, prec):
-        # (X - 1)(X - 1 - 2^-60)(X + 3)
+    def test_roots_closer_than_doubles_separate(self, prec, monkeypatch):
+        # (X - 1)(X - 1 - 2^-60)(X + 3).  Above 64 bits the roots from
+        # doubles fail the certificate, and the Aberth stage reruns in
+        # mpmath at double the bits until they pass.
+        kinds = []
+        aberth = zeta._aberth
+        monkeypatch.setattr(zeta, "_aberth", lambda c, p, num: kinds.append((num, p)) or aberth(c, p, num))
         close = 1 + Fraction(1, 2**60)
         P = poly_with_roots([1, close, -3])
         got = roots(P, precision=prec)
         assert_certified(P, got, prec)
+        reruns = {64: [], 128: [106, 128], 1024: [106, 212, 424]}[prec]
+        assert kinds == [(complex, 53)] + [(mpmath.mpc, bits) for bits in reruns]
         if prec == 1024:
             with mp.workprec(prec + 32):
                 expected = [mpmath.mpf(1), 1 + mpmath.mpf(2) ** -60, mpmath.mpf(-3)]
@@ -920,6 +940,15 @@ class TestSignCountCheck:
         bad = NumericPoly(w=10, coeffs=tuple(fields["coeffs"]), prec=128,
                           coeff_err=tuple(fields["coeff_err"]))
         assert sign_count_check(bad, "critical_line", 1) is None
+
+    def test_zero_coefficient_beside_positive_exponents(self):
+        # r = 4 + 4X^2: the common exponent of 4 = 2^2 is 2, and the zero
+        # coefficient and zero errors take mantissa 0.
+        zero, four = mpmath.mpf(0), mpmath.mpf(4)
+        r = NumericPoly(w=2, coeffs=(four, zero, four), prec=64, coeff_err=(zero,) * 3)
+        rep = sign_count_check(r, "unit_circle", 1, precision=64)
+        assert rep is not None and rep.passed
+        assert rep.roots == (mpmath.mpc(0, -1), mpmath.mpc(0, 1))
 
     def test_errors_too_large_to_certify_a_sign(self):
         Z = numeric_zeta((1, 2, 3, 4, 5), (1,), 128)
