@@ -35,7 +35,7 @@ from zetapoly.polyspace import (
     wspace_basis,
 )
 from zetapoly.rv import ZetaPoly, rv_forward, rv_inverse
-from zetapoly.zeta import K_MAX_DEFAULT, as_tolerance, rh_check, roots, thm2_residual
+from zetapoly.zeta import K_MAX_DEFAULT, as_tolerance, thm2_residual
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -223,6 +223,8 @@ def _cmd_lvalues(args) -> int:
 
 
 def _cmd_roots(args) -> int:
+    from zetapoly.rootfind import rh_check, roots  # no other command compiles the root finder
+
     data = _read_json(args.input)
     poly = ZetaPoly.from_dict(data) if data.get("variable") == "s" else PolyX.from_dict(data)
     if args.mode:

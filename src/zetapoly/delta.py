@@ -13,7 +13,6 @@ exact distance 1 of the odd part's trivial zero X = 0 from the circle.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from importlib import resources
@@ -22,6 +21,7 @@ import mpmath
 from mpmath import mp
 
 from zetapoly.errors import InputError
+from zetapoly.exactnum import Record
 from zetapoly.lvalues import (
     NumericPoly,
     _r_from_lambdas,
@@ -81,8 +81,7 @@ def decimal_ulp(printed: str) -> mpmath.mpf:
     return mpmath.mpf(10) ** exponent
 
 
-@dataclass(frozen=True)
-class DeltaReport:
+class DeltaReport(Record):
     """Everything the reproduction run computed and how it compared.
 
     ``lambda_symmetry_max`` = max_s |Lambda(s) - eps Lambda(12-s)| is 0 by

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, zip_longest
+from itertools import chain
 from typing import ClassVar, Sequence, Union
 
 from zetapoly.errors import InputError
@@ -64,6 +63,51 @@ def decimal_str(x: Union[int, Fraction]) -> str:
             return str(x)
         finally:
             sys.set_int_max_str_digits(cap)
+
+
+class Record:
+    """A frozen dataclass without importing ``dataclasses`` and ``inspect``.
+    Fields: the annotated names (ClassVar aside) after the bases', defaulting
+    to a class attribute of the same name.  Equal only within one exact class,
+    hashed alike.  ``cached_property`` works: instances have a ``__dict__``."""
+
+    _fields: ClassVar[tuple[str, ...]] = ()
+
+    def __init_subclass__(cls):
+        own = cls.__dict__.get("__annotations__", {})
+        cls._fields += tuple(n for n, t in own.items() if not str(t).startswith("ClassVar"))
+
+    def __init__(self, *args, **kwargs):
+        cls, fields = type(self), self._fields
+        values = {f: getattr(cls, f) for f in fields if hasattr(cls, f)}
+        values.update(zip(fields, args), **kwargs)
+        if len(args) > len(fields) or kwargs.keys() & fields[: len(args)] or values.keys() != set(fields):
+            raise TypeError(f"{cls.__name__} takes the fields {', '.join(fields)}")
+        for f in fields:  # object.__setattr__ keeps values inline, as dataclasses do
+            object.__setattr__(self, f, values[f])
+        self.__post_init__()
+
+    def __post_init__(self):
+        """Check or normalise the fields; nothing by default."""
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
 
 
 class GaussianRational:
@@ -251,81 +295,6 @@ def from_pairs(den: int, pairs) -> tuple[GaussianRational, ...]:
 # ---------------------------------------------------------------------
 
 
-def _trim(p: list) -> list:
-    """p without its zero leading coefficients; the zero polynomial is []."""
-    while p and p[-1] == (0, 0):
-        p.pop()
-    return p
-
-
-_MODULUS = 2**61 - 1  # a prime = 3 mod 4, so Z[i]/(p) is the field of p^2 elements
-
-
-def _coprime_mod_p(f: list, g: list) -> bool:
-    """True when f and g in Z[i][x], lc(f) prime to p = ``_MODULUS``, are
-    coprime modulo p.  That proves them coprime over Q(i): by Gauss's lemma
-    a common factor can be taken in Z[i][x] with a leading coefficient
-    dividing lc(f), so it keeps its degree mod p and divides both there.
-    False proves nothing.  Costs O(d^2) word-size operations."""
-    p = _MODULUS
-
-    def mul(u, v):
-        return (u[0] * v[0] - u[1] * v[1]) % p, (u[0] * v[1] + u[1] * v[0]) % p
-
-    a, b = (_trim([(x % p, y % p) for x, y in h]) for h in (f, g))
-    while b:
-        norm = pow(b[-1][0] ** 2 + b[-1][1] ** 2, -1, p)
-        inv_lead = (b[-1][0] * norm % p, -b[-1][1] * norm % p)
-        while len(a) >= len(b):
-            c = mul(a[-1], inv_lead)
-            shift = len(a) - len(b)
-            for j, bj in enumerate(b):
-                t = mul(c, bj)
-                a[shift + j] = ((a[shift + j][0] - t[0]) % p, (a[shift + j][1] - t[1]) % p)
-            _trim(a)
-        a, b = b, a
-    return len(a) == 1
-
-
-def _quotient(p: list, q: list) -> list:
-    """p / q for a nonzero q that divides p in Z[i][x]."""
-    (lr, li), dq = q[-1], len(q) - 1
-    n, r, out = lr * lr + li * li, list(p), [None] * (len(p) - dq)
-    for k in range(len(out) - 1, -1, -1):
-        x, y = r[k + dq]
-        cr, ci = out[k] = (x * lr + y * li) // n, (y * lr - x * li) // n
-        for j, (xr, xi) in enumerate(q[:dq], k):
-            r[j] = r[j][0] - cr * xr + ci * xi, r[j][1] - cr * xi - ci * xr
-    return out
-
-
-def _gcd(p: list, q: list) -> list:
-    """A primitive gcd of p != 0 and q in Z[i][x], by pseudo-remainders.
-    Each divisor is first scaled to a leading coefficient D in Z (by the
-    conjugate of its own, over its integer content), so no Gaussian content
-    builds up; Euclid on Z[i] takes out what is left at the end."""
-    while q:
-        lr, li = q[-1]
-        q = [(x * lr + y * li, y * lr - x * li) for x, y in q]
-        g = math.gcd(*(x for c in q for x in c))
-        q = [(x // g, y // g) for x, y in q]
-        D, dq, r = q[-1][0], len(q) - 1, list(p)
-        while len(r) > dq:
-            cr, ci = r.pop()
-            r = [(D * x, D * y) for x, y in r]
-            for j, (xr, xi) in enumerate(q[:dq], len(r) - dq):
-                r[j] = r[j][0] - cr * xr + ci * xi, r[j][1] - cr * xi - ci * xr
-            _trim(r)
-        p, q = q, r
-    a = (math.gcd(*(x * x + y * y for x, y in p)), 0)  # a multiple of the content
-    for b in p:  # a = gcd(a, b) by Euclid with rounded quotients
-        while b[0] or b[1]:
-            n, xr, xi = b[0] ** 2 + b[1] ** 2, a[0] * b[0] + a[1] * b[1], a[1] * b[0] - a[0] * b[1]
-            qr, qi = (2 * xr + n) // (2 * n), (2 * xi + n) // (2 * n)
-            a, b = b, (a[0] - qr * b[0] + qi * b[1], a[1] - qr * b[1] - qi * b[0])
-    return _quotient(p, [a])
-
-
 def reduced(den: int, pairs) -> tuple[int, tuple[tuple[int, int], ...]]:
     """The form (den, pairs) of coefficients (p + q i)/den, den > 0, with
     gcd(den, every p and q) taken out: one form per polynomial."""
@@ -333,37 +302,7 @@ def reduced(den: int, pairs) -> tuple[int, tuple[tuple[int, int], ...]]:
     return den // g, tuple(pairs) if g == 1 else tuple((x // g, y // g) for x, y in pairs)
 
 
-def squarefree_parts(f: tuple) -> list:
-    """Yun's squarefree decomposition of a monic f of degree >= 1 over Q(i),
-    on reduced forms (den, pairs): the pairs (g_k, k) with f = prod g_k^k,
-    each g_k monic, squarefree and of degree >= 1.  When f and f' are coprime
-    modulo a prime, f is squarefree and returns as it is, without exact gcds.
-
-    The gcds and exact divisions run on den f in Z[i][x]: Yun's b and d
-    carry one common scale, so d / a - b' stays exact, and each g_k is
-    made monic once at the end."""
-
-    def deriv(p):
-        return [(k * x, k * y) for k, (x, y) in enumerate(p)][1:]
-
-    den, b = f
-    d = deriv(b)
-    if den % _MODULUS and _coprime_mod_p(b, d):
-        return [(f, 1)]
-    parts, k = [], 0
-    while len(b) > 1:
-        a = _gcd(b, d)
-        b, d = _quotient(b, a), _quotient(d, a)
-        if k and len(a) > 1:
-            (lr, li), n = a[-1], a[-1][0] ** 2 + a[-1][1] ** 2  # a / lc(a) = a conj(lc(a)) / n
-            parts.append((reduced(n, [(x * lr + y * li, y * lr - x * li) for x, y in a]), k))
-        d = _trim([(u - x, v - y) for (u, v), (x, y) in zip_longest(d, deriv(b), fillvalue=(0, 0))])
-        k += 1
-    return parts
-
-
-@dataclass(frozen=True)
-class DensePoly:
+class DensePoly(Record):
     """A polynomial of degree <= w over Q(i), w even and >= 2: coefficient
     j is (p_j + q_j i)/den for ``pairs`` = ((p_0, q_0), ..., (p_w, q_w)),
     ascending, over one positive ``den``, reduced on construction to
@@ -379,13 +318,12 @@ class DensePoly:
     den: int
     pairs: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        require_even_w(self.w)
-        if len(self.pairs) != self.w + 1:
-            raise InputError(
-                f"expected {self.w + 1} coefficients for w={self.w}, got {len(self.pairs)}"
-            )
-        den, pairs = reduced(self.den, self.pairs)
+    def __init__(self, w: int, den: int, pairs):
+        require_even_w(w)
+        if len(pairs) != w + 1:
+            raise InputError(f"expected {w + 1} coefficients for w={w}, got {len(pairs)}")
+        den, pairs = reduced(den, pairs)
+        object.__setattr__(self, "w", w)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "pairs", pairs)
 
@@ -479,8 +417,7 @@ class DensePoly:
 # Truncated power series over Q(i)
 # ---------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PowerSeries:
+class PowerSeries(Record):
     """The first ``len(coeffs)`` terms of a power series sum_t coeffs[t] x^t
     over Q(i)."""
 
@@ -510,4 +447,3 @@ class PowerSeries:
                     acc = acc + cu * out[t - u]
             out[t] = -c0inv * acc
         return PowerSeries(tuple(out))
-

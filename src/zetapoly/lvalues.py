@@ -19,13 +19,13 @@ holds results as prec+32-bit mpf values, reproducible bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import mpmath
 from mpmath import mp
 from mpmath.libmp import from_int, from_man_exp, mpf_div, round_ceiling, round_nearest
 
 from zetapoly.errors import InputError, PrecisionError
+from zetapoly.exactnum import Record
 from zetapoly.rv import _scaled_forward
 
 GUARD_BITS = 16
@@ -41,8 +41,7 @@ def printed_digits(prec: int) -> int:
 # ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NewformData:
+class NewformData(Record):
     """Level, even weight, Fricke eigenvalue, and integer Fourier coefficients.
 
     ``an[0]`` is a_1 and must equal 1 (normalized eigenform), and every
@@ -247,8 +246,7 @@ def l_from_lambda(f: NewformData, s: int, lam, prec: int = 128) -> mpmath.mpf:
 # ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NumericPoly:
+class NumericPoly(Record):
     """Dense polynomial with mpmath coefficients at a stated precision;
     ``coeff_err`` (optional) holds a proved absolute error bound for each
     (see ``_r_from_lambdas`` and ``numeric_rv``)."""

@@ -2,9 +2,10 @@
 
 Covers the functional-equation residual Z(s) + eps i^w Z(1-s), the
 Laurent coefficients and the convergent triple-sum identity attached to
-a positive integer n, polynomial root extraction at high precision, the
-critical-line / unit-circle root diagnostics, and the integrality and
-positivity hypotheses under which Z is a Hilbert polynomial.
+a positive integer n, the Aberth iteration and root report shared by the
+root checks, and the integrality and positivity hypotheses under which Z
+is a Hilbert polynomial.  The general root finder, ``roots`` and
+``rh_check``, lives in ``rootfind`` and is loaded on first use.
 
 Identity checks on exact inputs are exact (equality with the zero
 polynomial over Q(i)); tolerances appear only for truncation of the
@@ -15,31 +16,15 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Union
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import from_man_exp
 
 from zetapoly.errors import InputError, PrecisionError
-from zetapoly.exactnum import (
-    I,
-    ZERO,
-    DensePoly,
-    GaussianRational,
-    _trim,
-    as_fraction,
-    from_pairs,
-    qi,
-    reduced,
-    require_even_w,
-    squarefree_parts,
-)
-from zetapoly.lvalues import _dyadic as _mantissas
+from zetapoly.exactnum import I, ZERO, GaussianRational, Record, as_fraction, from_pairs, qi, require_even_w
 from zetapoly.polyspace import PolyX, slash
 from zetapoly.rv import ZetaPoly, rv_inverse, series_coeffs
 
@@ -79,8 +64,7 @@ def functional_eq_residual(Z: ZetaPoly, eps: int) -> ZetaPoly:
 # ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LaurentCoeffs:
+class LaurentCoeffs(Record):
     """Exact Laurent coefficients a_m, m = -(n+1) .. M, of
 
         (1-x)^(w+1) (x+i)^n / ((x+i-ix)^(w+1) (ix)^(n+1))
@@ -133,8 +117,7 @@ K_MIN = 40
 K_MAX_DEFAULT = 400
 
 
-@dataclass(frozen=True)
-class Thm2Report:
+class Thm2Report(Record):
     """Result of evaluating the identity value at a positive integer n.
 
     ``exact_part`` is Z(-n) + (-i)^w sum_{m=1}^{n+1} a_{-m} Z(1-m);
@@ -279,8 +262,8 @@ def thm2_residual(
 
 
 # ---------------------------------------------------------------------
-# Root extraction (squarefree split, Aberth, fixed-point Newton ladder,
-# proved residual certificate) and diagnostics
+# Root-finding parts shared with ``signcount``; the general root finder,
+# ``roots`` and ``rh_check``, is in ``rootfind``
 # ---------------------------------------------------------------------
 
 _ABERTH_MAX_ITER = 500
@@ -289,280 +272,19 @@ _ISOLATION_BITS = 53  # the first Aberth rung runs on Python complex doubles
 _GUARD_BITS = 32  # fixed-point bits carried beyond each rung's precision
 
 
-def roots(poly, precision: int = 128) -> list:
-    """All complex roots of a nonzero polynomial, multiplicity-aware.
+def __getattr__(name: str):
+    """``roots`` and ``rh_check`` from ``rootfind``, loaded on first use (PEP 562)."""
+    if name in ("roots", "rh_check"):
+        from zetapoly import rootfind
 
-    1. The input is read as one exact form (den, pairs), coefficient k
-       (p_k + q_k i)/den: a PolyX / ZetaPoly as held, a NumericPoly as the
-       exact dyadics its coefficients hold.  Both take one path: trimmed,
-       roots at the origin split off, made monic exactly before any
-       rounding, then split by Yun's squarefree decomposition over Q(i)
-       into squarefree factors of exact multiplicity.  A linear factor's
-       root is rounded once to precision + 32 bits.
-    2. Each other factor is isolated by Aberth-Ehrlich iteration, seeded
-       on the Fujiwara radius 2 max_k |c_(d-k)|^(1/k), in complex doubles
-       (53 bits, or ``precision`` if lower).  This rung hands off to the
-       retry of step 4 at once when a coefficient overflows doubles, a
-       nonzero coefficient rounds to 0 or to a subnormal, or an iterate
-       stops being finite.
-    3. Newton takes one step per root on each rung of a ladder counted
-       down from ``precision``: ceil(precision / 2^k) for each k that
-       leaves more bits than the Aberth stage ran at, then ``precision``
-       (64, 128, ..., 2048, 4096 at 4096 bits); stage 4 alone decides
-       whether a root is done.  A root is an exact dyadic z = (a + b i) 2^E,
-       and every step runs in fixed point on Gaussian integers
-       (``_horner_fixed``): with 2^e >= |z| and 2^s near the largest term
-       |c_k| |z|^k, Horner evaluates P(2^e y)/2^s at y = z/2^e with the
-       rung's bits plus 32 fractional bits, t in all, and P' with
-       min(t, t/2 + 32): a step's new error is the incoming error times
-       P''s relative error.  Coefficients are floored once per rung from
-       one integer form per factor; the step divides on integers.
-    4. Each distinct root is evaluated once on the whole monic input P by
-       the same kernel with precision + 32 fractional bits, at the exact
-       dyadic value that is returned.  The kernel's roundings give an
-       a-priori bound B on the error of that value, and the root passes
-       only if |value| + B < 2^(-precision/2) max(||P||, 1), ||P|| the sup
-       norm of P's coefficients, compared as squares on integers.  A pass
-       therefore proves the residual of the returned root below that
-       target.  If a root fails, stages 2-4 rerun with the Aberth stage in
-       mpmath at double the bits; PrecisionError is raised when the stage
-       at full precision fails, or at once when a failing root's bound B
-       alone reaches the target, which no rerun near that root can lower.
-
-    The residual target does not scale with |root|, while Horner's
-    rounding error grows like sum_k |c_k| |z|^k: at low precision an input
-    with a root far outside the unit disc (modulus 27 in a degree-30 case)
-    can fail the certificate with PrecisionError; it passes at higher
-    precision.  A small residual does not bound the distance to a root
-    inside a tight cluster.
-
-    Roots are sorted by real part rounded to the certified 2^(-precision/2)
-    grid, then by imaginary part, so the order does not follow the noise
-    in the last bits.
-    """
-    if precision < 8:
-        raise InputError("precision must be at least 8 bits")
-    if isinstance(poly, DensePoly):
-        pairs = _trim(list(poly.pairs))
-    else:  # c_k = (m_k + m_(n+k) i) 2^E for n coefficients; the 2^E cancels in the monic
-        m = _mantissas([c.real for c in poly.coeffs] + [c.imag for c in poly.coeffs])[1]
-        pairs = _trim(list(zip(m, m[len(m) // 2 :])))
-    if not pairs:
-        raise InputError("the zero polynomial has no root set")
-    origin = next(k for k, c in enumerate(pairs) if c != (0, 0))
-    lr, li = pairs[-1]  # c / l = c conj(l) / |l|^2
-    monic = reduced(lr * lr + li * li, [(p * lr + q * li, q * lr - p * li) for p, q in pairs[origin:]])
-    factors = squarefree_parts(monic) if len(monic[1]) > 1 else []
-    with mp.workprec(precision + 32):
-        found = [mpmath.mpc(0)] * origin + _certified_roots(monic, factors, precision)
-        return _sorted_roots(found, precision)
+        return getattr(rootfind, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _sorted_roots(found: list, precision: int) -> list:
     """By real part on the 2^(-precision/2) grid, then by imaginary part."""
     grid = mpmath.mpf(2) ** (precision // 2)
     return sorted(found, key=lambda z: (mpmath.nint(mpmath.re(z) * grid), mpmath.im(z)))
-
-
-def _round(den: int, pair: tuple) -> mpmath.mpc:
-    """The coefficient (p + q i)/den rounded to the working precision, each
-    part as the quotient of its numerator and denominator in lowest terms."""
-    gp, gq = (math.gcd(x, den) for x in pair)
-    return mpmath.mpc(mpmath.mpf(pair[0] // gp) / mpmath.mpf(den // gp),
-                      mpmath.mpf(pair[1] // gq) / mpmath.mpf(den // gq))
-
-
-def _certified_roots(monic: tuple, factors: list, precision: int) -> list:
-    """Stages 2-4 of ``roots``: the roots of the squarefree ``factors``
-    (g, k) of ``monic``, each repeated k times and certified on ``monic``;
-    every polynomial is a reduced form (den, pairs)."""
-    den, pairs = monic
-    fixed = _floored(monic, precision + _GUARD_BITS)
-    norm2 = max(max(p * p + q * q for p, q in pairs), den * den)  # max(||P||, 1)^2 den^2
-    target2 = Fraction(norm2, den * den << 2 * (precision // 2))
-    bits = min(precision, _ISOLATION_BITS)
-    while True:
-        try:
-            found = [(_refined_roots(g, bits, precision), k) for g, k in factors]
-        except PrecisionError:
-            if bits == precision:
-                raise
-        else:
-            checked = [([_residual_below(fixed, z, target2) for z in zs], k) for zs, k in found]
-            if all(ok for rows, _ in checked for ok, *_ in rows):
-                return [_mpc(z) for rows, k in checked for _, _, z, _ in rows * k]
-            if bits == precision or any(futile for rows, _ in checked for *_, futile in rows):
-                target = mpmath.sqrt(mpmath.mpf(target2.numerator) / target2.denominator)
-                raise PrecisionError(
-                    f"root iteration failed to certify residuals below {mpmath.nstr(target, 5)}"
-                )
-        bits = min(2 * bits, precision)
-
-
-def _refined_roots(g: tuple, bits: int, precision: int) -> list:
-    """Roots of one squarefree monic factor, the form ``g`` = (den, pairs),
-    as exact dyadics: Aberth at ``bits`` (in complex doubles up to
-    _ISOLATION_BITS, else in mpmath), then one fixed-point Newton step per
-    root on each rung ceil(precision / 2^k) above ``bits``, from the
-    lowest, and on ``precision`` itself."""
-    den, pairs = g
-    if len(pairs) == 2:
-        return [_dyadic(-_round(den, pairs[0]))]
-    if bits <= _ISOLATION_BITS:
-        try:
-            z = [_dyadic(x) for x in _aberth(_doubles(g), bits, complex)]
-        except OverflowError as exc:  # abs() of a complex past the double range
-            raise PrecisionError("root isolation overflowed doubles") from exc
-    else:
-        with mp.workprec(bits + 32):
-            z = [_dyadic(x) for x in _aberth([_round(den, c) for c in pairs], bits, mpmath.mpc)]
-    for k in range(precision.bit_length(), -1, -1):
-        rung = -(-precision >> k)  # ceil(precision / 2^k)
-        if rung > bits or k == 0:
-            fixed = _floored(g, rung + _GUARD_BITS)
-            z = [_newton_step(fixed, x) for x in z]
-    return z
-
-
-def _dyadic(x) -> tuple[int, int, int]:
-    """A complex double or mpc as the exact dyadic (a, b, E) = (a + b i) 2^E."""
-    x = mpmath.mpc(x)
-    E, (a, b) = _mantissas([x.real, x.imag])
-    return a, b, E
-
-
-def _mpc(z: tuple) -> mpmath.mpc:
-    """The exact value of the dyadic z = (a, b, E), unrounded."""
-    a, b, E = z
-    return mp.make_mpc((from_man_exp(a, E), from_man_exp(b, E)))
-
-
-def _floored(form: tuple, t: int) -> tuple:
-    """One rung's rounding of a polynomial for ``_horner_fixed`` at t
-    fractional bits.  ``form`` = (D, [(p_k, q_k)]) has c_k = (p_k + q_k i)/D.
-    Returns (t, d, rows), one row (k, floor(p_k 2^u / D), floor(q_k 2^u / D),
-    u, log2|c_k|) per nonzero c_k, with u = t + d + 4 - floor(log2|c_k|):
-    enough bits that every shift the kernel applies is a right shift by at
-    least 1."""
-    den, pairs = form
-    d = len(pairs) - 1
-    log_den = math.log2(den)
-    rows = []
-    for k, (p, q) in enumerate(pairs):
-        if p or q:
-            lc = math.log2(p * p + q * q) / 2 - log_den
-            u = t + d + 4 - math.floor(lc)
-            if u >= 0:
-                rows.append((k, (p << u) // den, (q << u) // den, u, lc))
-            else:
-                rows.append((k, p // (den << -u), q // (den << -u), u, lc))
-    return t, d, rows
-
-
-def _horner_fixed(fixed: tuple, z: tuple, derivative: bool = False) -> tuple:
-    """P and optionally P' near the dyadic z = (a + b i) 2^E, in fixed
-    point on Gaussian integers; ``fixed`` is P from ``_floored``.
-
-    With 2^e the least power of 2 at or above |z| and 2^s just above the
-    largest term max_k |c_k| |z|^k, Horner runs on Q(y) = P(2^e y) / 2^s
-    in units of 2^-t, at y = Y / 2^t: z / 2^e with each part cut toward 0
-    to t bits, which keeps |y| <= 1 (exact when z has no more bits).  The coefficient a_k =
-    c_k 2^(ek - s) is the per-rung floor shifted right with rounding, off
-    by at most 1/2 + 2^-shift <= 1 unit in each part, and each product is
-    rounded to the nearest unit, off by at most 1/2.  As |y| <= 1, no
-    error grows in later steps, so the returned G is within
-    B = ceil(sqrt(2) h / 2) units of 2^t Q(y), with h = d + 1 halves for
-    the products plus 2 per nonzero coefficient (2^(l+1) if it had to be
-    shifted left by l, which the margin of ``_floored`` rules out).
-
-    Returns (G_re, G_im, D_re, D_im, B, s, point), ``point`` = (Y_re,
-    Y_im, e - t) the dyadic 2^e y at which P was evaluated.  D is 2^t Q'(y)
-    to the bits a Newton step needs, or 0 without ``derivative``: y and
-    each G are floored to t' = min(t, floor(t/2) + 32) bits, each product
-    is floored, and D is shifted left by t - t'.  Each of its d steps errs
-    by a few units of 2^-t' plus |D| times the cut of y; B does not cover D.
-    """
-    t, d, rows = fixed
-    zr, zi, E = z
-    n = zr * zr + zi * zi
-    m = ((n - 1).bit_length() + 1) // 2 if n else 0  # least m with |a + b i| <= 2^m
-    e = E + m
-    if t >= m:
-        yr, yi = zr << (t - m), zi << (t - m)
-    else:
-        yr, yi = (-(-x >> (m - t)) if x < 0 else x >> (m - t) for x in (zr, zi))
-    log_z = E + math.log2(n) / 2 if n else E
-    s = math.ceil(max(lc + k * log_z for k, _, _, _, lc in rows))
-    ar, ai = [0] * (d + 1), [0] * (d + 1)
-    halves = d + 1
-    for k, cr, ci, u, _ in rows:
-        shift = u - (k * e + t - s)
-        if shift > 0:
-            ar[k], ai[k] = (cr + (1 << shift - 1)) >> shift, (ci + (1 << shift - 1)) >> shift
-        else:
-            ar[k], ai[k] = cr << -shift, ci << -shift
-        halves += 2 << -min(shift, 0)
-    half = 1 << t - 1
-    ys, yd = yr + yi, yi - yr  # g y = (m - g_i ys) + (m + g_r yd) i, m = y_r (g_r + g_i)
-    cut = max((t + 1) // 2 - 32, 0)  # D runs on t - cut = min(t, t // 2 + 32) bits
-    hr, hi, tp = yr >> cut, yi >> cut, t - cut
-    hs, hd = hr + hi, hi - hr
-    gr = gi = dr = di = 0
-    for k in range(d, -1, -1):
-        if derivative:
-            m = hr * (dr + di)
-            dr, di = ((m - di * hs) >> tp) + (gr >> cut), ((m + dr * hd) >> tp) + (gi >> cut)
-        m = yr * (gr + gi)
-        gr, gi = ((m - gi * ys + half) >> t) + ar[k], ((m + gr * yd + half) >> t) + ai[k]
-    return gr, gi, dr << cut, di << cut, (3 * halves + 3) // 4, s, (yr, yi, e - t)
-
-
-def _newton_step(fixed: tuple, z: tuple) -> tuple:
-    """One fixed-point Newton step from the dyadic root z: the new root
-    (z itself where the derivative vanishes)."""
-    gr, gi, dr, di, _, _, (yr, yi, E) = _horner_fixed(fixed, z, derivative=True)
-    dd = dr * dr + di * di
-    if dd == 0:
-        return z
-    t = fixed[0]
-    sr = ((gr * dr + gi * di) << t) // dd  # the step G / D, in units of 2^E
-    si = ((gi * dr - gr * di) << t) // dd
-    return yr - sr, yi - si, E
-
-
-def _residual_below(fixed: tuple, z: tuple, target2: Fraction) -> tuple:
-    """Whether |P(point)| < target is proved, ``target2`` = target^2 and
-    ``point`` the dyadic at which ``_horner_fixed`` evaluated P near z
-    (z itself when it has at most t bits below 2^e): with the kernel's G
-    and B it passes iff (isqrt(|G|^2) + 1 + B)^2 < target^2 in the
-    kernel's units, and then |P(point)| <= |G| + B < target.
-
-    Returns (passed, band, point, futile); a failure means |P(point)| >=
-    target - band, band = (2B + 1) 2^(s - t), and ``futile`` that no G
-    could pass: (1 + B) 2^(s - t) >= target."""
-    gr, gi, _, _, bound, s, point = _horner_fixed(fixed, z)
-    units2 = target2 * Fraction(4) ** (fixed[0] - s)  # target^2 in the kernel's units
-    ok = (math.isqrt(gr * gr + gi * gi) + 1 + bound) ** 2 < units2
-    band = (2 * bound + 1) * Fraction(2) ** (s - fixed[0])
-    return ok, band, point, (1 + bound) ** 2 >= units2
-
-
-def _doubles(g: tuple) -> list:
-    """The form ``g`` = (den, pairs) rounded to complex doubles.  Raises
-    PrecisionError when a coefficient overflows, or when a nonzero one rounds
-    to 0 or to a subnormal, where the rounding error is no longer relative."""
-    den, pairs = g
-    out = []
-    for p, q in pairs:
-        try:
-            x = complex(p / den, q / den)
-            size = abs(x)
-        except OverflowError:
-            size = math.inf
-        if not size < math.inf or (size < sys.float_info.min and (p or q)):
-            raise PrecisionError("a coefficient is outside the normal double range")
-        out.append(x)
-    return out
 
 
 def _aberth(coeffs: list, precision: int, num: type) -> list:
@@ -622,8 +344,7 @@ def _horner2(coeffs: list, x):
     return p, dp
 
 
-@dataclass(frozen=True)
-class RootCheckReport:
+class RootCheckReport(Record):
     """Deviation of each root from the critical line or the unit circle
     (0 when ``sign_count_check`` proved the locations)."""
 
@@ -646,27 +367,6 @@ class RootCheckReport:
         }
 
 
-def rh_check(poly, mode: str, tol: TolLike = "1e-8", precision: int = 128) -> RootCheckReport:
-    """Check whether all roots lie on Re = 1/2 (``critical_line``) or on
-    |X| = 1 (``unit_circle``), up to ``tol``."""
-    if mode not in ("critical_line", "unit_circle"):
-        raise InputError(f"unknown mode {mode!r}")
-    tol_frac = as_tolerance(tol)
-    rts = roots(poly, precision=precision)
-    with mp.workprec(precision + 32):
-        if mode == "critical_line":
-            devs = tuple(abs(mpmath.re(z) - mpmath.mpf(1) / 2) for z in rts)
-        else:
-            devs = tuple(abs(abs(z) - 1) for z in rts)
-        max_dev = max(devs) if devs else mpmath.mpf(0)
-        bound = mpmath.mpf(tol_frac.numerator) / mpmath.mpf(tol_frac.denominator)
-        return RootCheckReport(
-            mode=mode,
-            roots=tuple(rts),
-            max_deviation=max_dev,
-            tol=tol_frac,
-            passed=bool(max_dev < bound),
-        )
 
 
 # ---------------------------------------------------------------------
@@ -674,8 +374,7 @@ def rh_check(poly, mode: str, tol: TolLike = "1e-8", precision: int = 128) -> Ro
 # ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HilbertReport:
+class HilbertReport(Record):
     """Whether Z has integer coefficients and a positive leading term.
 
     When both hold (and the source R satisfies the Fricke-type

@@ -240,7 +240,7 @@ def yun_oracle(f) -> list:
 
 
 def horner_fixed_oracle(fixed: tuple, z: tuple, derivative: bool = False) -> tuple:
-    """``zeta._horner_fixed`` with four integer products per Gaussian
+    """``rootfind._horner_fixed`` with four integer products per Gaussian
     product and P' at the full t bits: the same (G, B, s, point), and D
     floored at each step from the unrounded y and G."""
     t, d, rows = fixed

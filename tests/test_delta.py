@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -8,7 +9,8 @@ import pytest
 from mpmath import mp
 from mpmath.libmp import to_rational
 
-from zetapoly import delta, signcount, zeta
+import zetapoly
+from zetapoly import delta, rootfind, signcount
 from zetapoly.cli import EXIT_CHECK_FAILED, main
 from zetapoly.delta import (
     ROOT_TOL,
@@ -245,13 +247,19 @@ class TestSignCountCheck:
 
 class TestRootCheckPath:
     @pytest.mark.parametrize("prec", [64, 128, 1024, 4096])
-    def test_general_root_finder_never_runs(self, prec):
+    def test_general_root_finder_never_runs(self, prec, monkeypatch):
         """All three root lines are proofs: ``run_delta`` reaches neither
-        ``zeta.roots`` nor ``zeta.rh_check``, and ``delta`` imports neither."""
+        ``rootfind.roots`` nor ``rootfind.rh_check``, never loads
+        ``zetapoly.rootfind``, and ``delta`` imports neither name."""
         assert not {"roots", "rh_check"} & set(vars(delta))
-        with mock.patch.object(zeta, "roots", wraps=zeta.roots) as roots_spy, \
-                mock.patch.object(zeta, "rh_check", wraps=zeta.rh_check) as rh_spy:
+        # With the loaded module hidden, any import of it during the run
+        # would load it afresh into sys.modules.
+        monkeypatch.delitem(sys.modules, "zetapoly.rootfind")
+        monkeypatch.delattr(zetapoly, "rootfind")
+        with mock.patch.object(rootfind, "roots", wraps=rootfind.roots) as roots_spy, \
+                mock.patch.object(rootfind, "rh_check", wraps=rootfind.rh_check) as rh_spy:
             report = run_delta(prec)
+        assert "zetapoly.rootfind" not in sys.modules
         assert report.passed
         assert roots_spy.call_count == 0 and rh_spy.call_count == 0
         assert report.z_roots.max_deviation == 0 and report.r_roots.max_deviation == 0

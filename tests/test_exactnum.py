@@ -18,10 +18,12 @@ from conftest import (
     yun_oracle,
 )
 from zetapoly.exactnum import (
+    DensePoly,
     GaussianRational,
     I,
     ONE,
     PowerSeries,
+    Record,
     ZERO,
     binom_poly_in_s,
     binom_poly_in_s_scaled,
@@ -29,9 +31,13 @@ from zetapoly.exactnum import (
     from_pairs,
     qi,
     reduced,
-    squarefree_parts,
 )
+from zetapoly.delta import run_delta
+from zetapoly.lvalues import NewformData, NumericPoly, build_r, delta_newform
 from zetapoly.polyspace import PolyX
+from zetapoly.rootfind import squarefree_parts
+from zetapoly.rv import ZetaPoly, rv_forward
+from zetapoly.zeta import HilbertReport, hilbert_hypotheses, laurent_coeffs, thm2_residual
 
 
 def form(f) -> tuple:
@@ -296,3 +302,64 @@ class TestPowerSeries:
         p = PowerSeries((ZERO, ONE))
         with pytest.raises(ZeroDivisionError):
             p.inverse(3)
+
+
+class TestRecord:
+    """The immutable-record base of the value classes, which replaced
+    frozen dataclasses: the same semantics, without the import."""
+
+    @pytest.fixture(scope="class")
+    def records(self) -> list:
+        R = PolyX.make(10, [0, 4, 0, 25, 0, 42, 0, 25, 0, 4, 0])
+        Z = rv_forward(R)
+        nf, delta = delta_newform(64), run_delta(64)
+        return [
+            R, Z, PowerSeries((ONE, I)), nf, build_r(nf, 64), laurent_coeffs(10, 1, 2),
+            thm2_residual(Z, 1), hilbert_hypotheses(Z), delta.z_roots, delta,
+        ]
+
+    def test_every_record_class_is_covered(self, records):
+        def subclasses(cls):
+            return {cls} | {c for s in cls.__subclasses__() for c in subclasses(s)}
+
+        assert {type(r) for r in records} == subclasses(Record) - {Record, DensePoly}
+
+    def test_fields_cannot_be_assigned_or_deleted(self, records):
+        for r in records:
+            field = type(r)._fields[0]
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(r, field, None)
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(r, field)
+            with pytest.raises(AttributeError, match="immutable"):
+                r.extra = 1
+
+    def test_equal_values_hash_alike_only_within_one_class(self, records):
+        for r in records:
+            twin = type(r)(*r._values())
+            assert twin is not r and twin == r and hash(twin) == hash(r)
+            assert r != r._values()
+        R, Z = records[0], records[1]
+        assert ZetaPoly(R.w, R.den, R.pairs) != R and R != ZetaPoly(R.w, R.den, R.pairs)
+
+    def test_polynomials_are_reduced_when_built(self):
+        P = PolyX(2, 6, ((2, 0), (4, 2), (0, 6)))
+        assert (P.den, P.pairs) == (3, ((1, 0), (2, 1), (0, 3)))
+        assert P == PolyX.make(2, [Fraction(1, 3), qi(Fraction(2, 3), Fraction(1, 3)), I])
+
+    def test_cached_properties_are_built_once(self, records):
+        P, report = records[0], records[6]
+        assert P.coeffs is P.coeffs and "coeffs" in vars(P)
+        assert report.partial_sums is report.partial_sums and "partial_sums" in vars(report)
+
+    def test_fields_are_taken_as_a_dataclass_takes_them(self):
+        assert NumericPoly(2, (1, 2, 3), 64) == NumericPoly(w=2, prec=64, coeffs=(1, 2, 3), coeff_err=None)
+        assert NewformData(1, 12, 1, (1,)).label == ""
+        for args, kwargs in [
+            ((True, True, True, "", 0), {}),  # too many
+            ((True, True, True), {}),  # detail missing
+            ((True, True, True, ""), {"detail": ""}),  # detail twice
+            ((True, True, True, ""), {"extra": 0}),  # no such field
+        ]:
+            with pytest.raises(TypeError, match="HilbertReport"):
+                HilbertReport(*args, **kwargs)

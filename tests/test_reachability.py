@@ -38,6 +38,15 @@ ALLOWED = {
     "exactnum.GaussianRational.is_zero": "acceptance criterion 05 tests the Laurent "
     "coefficients with it; the slash oracle and the Yun oracle's helpers do too",
     "exactnum.PowerSeries.inverse": "perfbench span target",
+    "exactnum.Record.__delattr__": "refuses deletion, so records stay immutable; no command "
+    "deletes a field",
+    "exactnum.Record.__hash__": "equal records hash alike, as frozen dataclasses did; the "
+    "tests hash them",
+    "exactnum.Record.__init_subclass__": "runs once per record class, when its module is "
+    "imported, before any command",
+    "exactnum.Record.__repr__": "the form that failing asserts and the REPL print",
+    "exactnum.Record.__setattr__": "refuses assignment, so records stay immutable; no command "
+    "assigns to a field",
     "exactnum.PowerSeries.mul": "perfbench span target",
     "exactnum.binom_poly_in_s": "acceptance criterion 09 calls it",
     "exactnum.binom_poly_in_s_scaled": "acceptance criterion 09, through binom_poly_in_s",
@@ -54,7 +63,8 @@ ALLOWED = {
 def _public_functions() -> dict:
     """'module.name' or 'module.Class.name' -> code object, for every
     public function and method written in a zetapoly module; methods that
-    ``dataclass`` generates are not written there and are skipped."""
+    are not written there (generated, or inherited from outside) are
+    skipped.  The records' dunders are written in ``exactnum.Record``."""
     found = {}
     for info in pkgutil.iter_modules(zetapoly.__path__):
         module = importlib.import_module(f"zetapoly.{info.name}")

@@ -1,0 +1,48 @@
+"""What a start loads: ``import zetapoly.cli`` imports neither
+``dataclasses`` (with ``inspect``) nor the general root finder, and only
+the ``roots`` command loads the latter.  Every start compiles each module
+it imports, so a module that slips back onto the import path costs every
+command."""
+
+import json
+import os
+import subprocess
+import sys
+from importlib import resources
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+WATCHED = ("dataclasses", "inspect", "zetapoly.rootfind")
+
+
+def _loaded_by(argv=None) -> set:
+    """The WATCHED modules that ``import zetapoly.cli``, then ``cli.main(argv)``
+    when given, add to a fresh interpreter's ``sys.modules``."""
+    code = (
+        "import contextlib, io, json, sys\n"
+        "before = set(sys.modules)\n"
+        "import zetapoly.cli\n"
+        f"argv = {argv!r}\n"
+        "if argv is not None:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        zetapoly.cli.main(argv)\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout)) & set(WATCHED)
+
+
+def test_import_loads_no_watched_module():
+    assert _loaded_by() == set()
+
+
+def test_delta_does_not_load_the_root_finder():
+    assert _loaded_by(["delta", "--prec", "64"]) == set()
+
+
+def test_roots_loads_the_root_finder():
+    r_minus = str(resources.files("zetapoly.data").joinpath("r_delta_minus.json"))
+    assert _loaded_by(["roots", r_minus]) == {"zetapoly.rootfind"}

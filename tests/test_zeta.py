@@ -27,7 +27,7 @@ from zetapoly.lvalues import NumericPoly, build_r, delta_newform, numeric_rv
 from zetapoly.polyspace import PolyX
 from zetapoly.rv import ZetaPoly, rv_forward
 from zetapoly.signcount import sign_count_check
-from zetapoly import zeta
+from zetapoly import rootfind, zeta
 from zetapoly.zeta import (
     K_MAX_DEFAULT,
     K_MIN,
@@ -552,8 +552,8 @@ class TestRoots:
         # doubles fail the certificate, and the Aberth stage reruns in
         # mpmath at double the bits until they pass.
         kinds = []
-        aberth = zeta._aberth
-        monkeypatch.setattr(zeta, "_aberth", lambda c, p, num: kinds.append((num, p)) or aberth(c, p, num))
+        aberth = rootfind._aberth
+        monkeypatch.setattr(rootfind, "_aberth", lambda c, p, num: kinds.append((num, p)) or aberth(c, p, num))
         close = 1 + Fraction(1, 2**60)
         P = poly_with_roots([1, close, -3])
         got = roots(P, precision=prec)
@@ -594,8 +594,8 @@ class TestRoots:
         # |root|, and Horner's rounding near the root 27 exceeds it.  The
         # rounding bound alone does, so no Aberth rerun in mpmath is tried.
         kinds = []
-        aberth = zeta._aberth
-        monkeypatch.setattr(zeta, "_aberth", lambda c, p, num: kinds.append(num) or aberth(c, p, num))
+        aberth = rootfind._aberth
+        monkeypatch.setattr(rootfind, "_aberth", lambda c, p, num: kinds.append(num) or aberth(c, p, num))
         with pytest.raises(PrecisionError):
             roots(modulus_27_poly(), precision=prec)
         assert kinds and mpmath.mpc not in kinds
@@ -614,10 +614,10 @@ class TestRoots:
         # Rungs ceil(prec / 2^k) above the 53 bits of the double Aberth
         # stage, then prec, each floored with 32 guard bits.
         floored, steps = [], []
-        floor, step = zeta._floored, zeta._newton_step
-        monkeypatch.setattr(zeta, "_floored", lambda form, t: floored.append(t) or floor(form, t))
+        floor, step = rootfind._floored, rootfind._newton_step
+        monkeypatch.setattr(rootfind, "_floored", lambda form, t: floored.append(t) or floor(form, t))
         monkeypatch.setattr(
-            zeta, "_newton_step", lambda fixed, *a: steps.append(fixed[0]) or step(fixed, *a)
+            rootfind, "_newton_step", lambda fixed, *a: steps.append(fixed[0]) or step(fixed, *a)
         )
         P = poly_with_roots([1, -2, qi(0, 3)])
         got = roots(P, precision=prec)
@@ -661,8 +661,8 @@ class TestResidualCertificate:
     def decide(monic, z, prec):
         """(passed, band, target^2) for the dyadic z = (a + b i) 2^E."""
         target2 = max(max(c.norm2() for c in monic), 1) / Fraction(4) ** (prec // 2)
-        fixed = zeta._floored(common_denominator(monic), prec + zeta._GUARD_BITS)
-        ok, band, point, _ = zeta._residual_below(fixed, z, target2)
+        fixed = rootfind._floored(common_denominator(monic), prec + zeta._GUARD_BITS)
+        ok, band, point, _ = rootfind._residual_below(fixed, z, target2)
         assert as_fraction(point) == as_fraction(z)  # the kernel evaluated z itself
         return ok, band, target2
 
@@ -773,12 +773,12 @@ class TestHornerKernel:
             coeffs = [rand_qi(rng, span=99, max_den=50) for _ in range(degree)] + [ONE]
             form = common_denominator(coeffs)
             for prec in (64, 128, 256, 1024, 4096):
-                fixed = zeta._floored(form, prec + zeta._GUARD_BITS)
+                fixed = rootfind._floored(form, prec + zeta._GUARD_BITS)
                 E = -rng.randint(prec // 2, prec + 40)
                 z = (rng.randint(-(9 << -E), 9 << -E), rng.randint(-(9 << -E), 9 << -E), E)
                 want = horner_fixed_oracle(fixed, z)
-                assert zeta._horner_fixed(fixed, z) == want
-                got = zeta._horner_fixed(fixed, z, derivative=True)
+                assert rootfind._horner_fixed(fixed, z) == want
+                got = rootfind._horner_fixed(fixed, z, derivative=True)
                 assert got[:2] + got[4:] == want[:2] + want[4:]
 
     def test_newton_steps_near_the_oracle_steps(self, monkeypatch):
@@ -788,8 +788,8 @@ class TestHornerKernel:
         # r and z): P''s relative error multiplies the incoming error, and
         # a cluster of roots inflates both.
         calls = []
-        step = zeta._newton_step
-        monkeypatch.setattr(zeta, "_newton_step", lambda fixed, z: calls.append((fixed, z)) or step(fixed, z))
+        step = rootfind._newton_step
+        monkeypatch.setattr(rootfind, "_newton_step", lambda fixed, z: calls.append((fixed, z)) or step(fixed, z))
         rng = random.Random(1902)
         for prec in (64, 128, 256, 1024, 4096):
             R = build_r(delta_newform(prec), prec)
@@ -798,9 +798,9 @@ class TestHornerKernel:
         monkeypatch.undo()
         assert len(calls) > 500
         for fixed, z in calls:
-            got = zeta._newton_step(fixed, z)
-            monkeypatch.setattr(zeta, "_horner_fixed", horner_fixed_oracle)
-            want = zeta._newton_step(fixed, z)
+            got = rootfind._newton_step(fixed, z)
+            monkeypatch.setattr(rootfind, "_horner_fixed", horner_fixed_oracle)
+            want = rootfind._newton_step(fixed, z)
             monkeypatch.undo()
             assert got[2] == want[2]  # both on the grid of the point evaluated
             gap2 = Fraction((got[0] - want[0]) ** 2 + (got[1] - want[1]) ** 2) * Fraction(4) ** got[2]
@@ -823,14 +823,14 @@ class TestHornerKernel:
             except PrecisionError:
                 return "raise"
 
-        aberth, split = memo(zeta._aberth), memo(zeta.squarefree_parts)
-        monkeypatch.setattr(zeta, "_aberth", lambda coeffs, *a: list(aberth(tuple(coeffs), *a)))
-        monkeypatch.setattr(zeta, "squarefree_parts", lambda f: split(tuple(f)))
+        aberth, split = memo(rootfind._aberth), memo(rootfind.squarefree_parts)
+        monkeypatch.setattr(rootfind, "_aberth", lambda coeffs, *a: list(aberth(tuple(coeffs), *a)))
+        monkeypatch.setattr(rootfind, "squarefree_parts", lambda f: split(tuple(f)))
         rng = random.Random(1903)
         inputs = [seeded_root_poly(rng, rng.randint(2, 24), m) for m in (1, 4, 12, 27, 60) for _ in range(24)]
         cases = [(P, prec) for P in inputs for prec in (64, 128, 256)]
         got = [outcome(P, prec) for P, prec in cases]
-        monkeypatch.setattr(zeta, "_horner_fixed", horner_fixed_oracle)
+        monkeypatch.setattr(rootfind, "_horner_fixed", horner_fixed_oracle)
         assert got == [outcome(P, prec) for P, prec in cases]
         assert 0 < got.count("raise") < len(cases) / 2
 
@@ -992,3 +992,20 @@ class TestHilbert:
     def test_gaussian_coefficient_fails(self):
         rep = hilbert_hypotheses(ZetaPoly.make(2, [qi(0, 1), 0, 1]))
         assert not rep.integer_coefficients
+
+
+class TestLazyRootFinder:
+    """``zeta`` serves the general root finder from ``rootfind``, which it
+    loads on first use (PEP 562), and no other name."""
+
+    def test_roots_and_rh_check_are_rootfinds(self):
+        from zetapoly.zeta import rh_check as check, roots as find
+
+        assert find is roots is rootfind.roots
+        assert check is rh_check is rootfind.rh_check
+
+    def test_other_names_raise_attribute_error(self):
+        for name in ("no_such_name", "squarefree_parts", "_floored", "_horner_fixed"):
+            assert not hasattr(zeta, name), name
+        with pytest.raises(AttributeError, match="'zetapoly.zeta' has no attribute 'no_such_name'"):
+            zeta.no_such_name
