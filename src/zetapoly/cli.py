@@ -14,9 +14,8 @@ import json
 import re
 import sys
 
-import mpmath
-
 from zetapoly.delta import REFERENCE_EVEN_SCALE, REFERENCE_ODD_SCALE, run_delta
+from zetapoly.dyadic import nstr
 from zetapoly.errors import InputError, PrecisionError
 from zetapoly.lvalues import (
     NewformData,
@@ -148,9 +147,9 @@ def _cmd_thm2(args) -> int:
         args,
         lambda: {"passed": all_ok, "reports": [rep.to_dict() for rep in reports]},
         lambda: [
-            f"n={rep.n}: |total|={mpmath.nstr(rep.abs_total, 6)} "
+            f"n={rep.n}: |total|={nstr(rep.abs_total, 6)} "
             f"k_stop={rep.k_stop} converged={rep.converged} "
-            f"residual_bound={mpmath.nstr(rep.residual_bound, 6)} [{'ok' if rep_ok else 'FAIL'}]"
+            f"residual_bound={nstr(rep.residual_bound, 6)} [{'ok' if rep_ok else 'FAIL'}]"
             for rep, rep_ok in zip(reports, ok)
         ]
         + [f"overall: {'pass' if all_ok else 'FAIL'}"],
@@ -211,13 +210,13 @@ def _cmd_lvalues(args) -> int:
         "weight": nf.weight,
         "precision": args.prec,
         "values": [
-            {"s": s, "completed": mpmath.nstr(lam, digits), "l": mpmath.nstr(lv, digits)}
+            {"s": s, "completed": nstr(lam, digits), "l": nstr(lv, digits)}
             for s, lam, lv in values
         ],
     }
     lines = [f"newform {nf.label or '(unnamed)'}, level {nf.level}, weight {nf.weight}"]
     for s, lam, lv in values:
-        lines.append(f"  s={s}: Lambda={mpmath.nstr(lam, digits)} L={mpmath.nstr(lv, digits)}")
+        lines.append(f"  s={s}: Lambda={nstr(lam, digits)} L={nstr(lv, digits)}")
     _emit(args, lambda: payload, lambda: lines)
     return EXIT_OK
 
@@ -232,17 +231,15 @@ def _cmd_roots(args) -> int:
         payload = report.to_dict()
         lines = [
             f"mode {args.mode}: passed={report.passed} "
-            f"max deviation {mpmath.nstr(report.max_deviation, 8)}"
+            f"max deviation {nstr(report.max_deviation, 8)}"
         ]
         for z in report.roots:
-            lines.append(f"  {mpmath.nstr(z, 20)}")
+            lines.append(f"  {nstr(z, 20)}")
         _emit(args, lambda: payload, lambda: lines)
         return EXIT_OK if report.passed else EXIT_CHECK_FAILED
     rts = roots(poly, precision=args.prec)
-    payload = {
-        "roots": [[mpmath.nstr(mpmath.re(z), 20), mpmath.nstr(mpmath.im(z), 20)] for z in rts]
-    }
-    lines = [mpmath.nstr(z, 20) for z in rts]
+    payload = {"roots": [[nstr(z.real, 20), nstr(z.imag, 20)] for z in rts]}
+    lines = [nstr(z, 20) for z in rts]
     _emit(args, lambda: payload, lambda: lines)
     return EXIT_OK
 

@@ -17,9 +17,7 @@ from decimal import Decimal
 from fractions import Fraction
 from importlib import resources
 
-import mpmath
-from mpmath import mp
-
+from zetapoly.dyadic import INF, Dyadic, aligned, nstr, quotient, rounded
 from zetapoly.errors import InputError
 from zetapoly.exactnum import Record
 from zetapoly.lvalues import (
@@ -75,10 +73,17 @@ def golden_z_minus() -> ZetaPoly:
     return ZetaPoly.from_dict(_load_golden("z_delta_minus.json"))
 
 
-def decimal_ulp(printed: str) -> mpmath.mpf:
+def decimal_ulp(printed: str) -> Fraction:
     """One unit in the last printed decimal place of a reference string."""
-    exponent = Decimal(printed).as_tuple().exponent
-    return mpmath.mpf(10) ** exponent
+    return Fraction(10) ** Decimal(printed).as_tuple().exponent
+
+
+def _excess(man: int, exp: int, ref: Fraction, bound: Fraction) -> int:
+    """|man 2^exp - ref| - bound times a positive integer, on integers: its
+    sign decides the comparison with no gcd of the long mantissa."""
+    scale = 1 << max(-exp, 0)
+    off = abs((man << max(exp, 0)) * ref.denominator - ref.numerator * scale)
+    return off * bound.denominator - bound.numerator * ref.denominator * scale
 
 
 class DeltaReport(Record):
@@ -95,18 +100,18 @@ class DeltaReport(Record):
 
     prec: int
     lambdas: tuple
-    lambda_symmetry_max: mpmath.mpf
-    scale_even: mpmath.mpf
-    scale_odd: mpmath.mpf
+    lambda_symmetry_max: Dyadic
+    scale_even: Dyadic
+    scale_odd: Dyadic
     scale_even_ok: bool
     scale_odd_ok: bool
-    pattern_max_rel_dev: mpmath.mpf
+    pattern_max_rel_dev: Dyadic
     z_coeff_checks: tuple  # (power, printed, computed, ok)
     exact_z_match: bool
     golden_relations_ok: bool
     z_roots: RootCheckReport
     r_roots: RootCheckReport
-    r_minus_circle_deviation: mpmath.mpf
+    r_minus_circle_deviation: Dyadic
     passed: bool
     r_numeric: NumericPoly
     z_numeric: NumericPoly
@@ -116,19 +121,19 @@ class DeltaReport(Record):
         return {
             "prec": self.prec,
             "lambda_values": {
-                str(s): mpmath.nstr(v, digits) for s, v in self.lambdas
+                str(s): nstr(v, digits) for s, v in self.lambdas
             },
-            "lambda_symmetry_max": mpmath.nstr(self.lambda_symmetry_max, 8),
-            "scale_even": mpmath.nstr(self.scale_even, 12),
-            "scale_odd": mpmath.nstr(self.scale_odd, 12),
+            "lambda_symmetry_max": nstr(self.lambda_symmetry_max, 8),
+            "scale_even": nstr(self.scale_even, 12),
+            "scale_odd": nstr(self.scale_odd, 12),
             "scale_even_ok": self.scale_even_ok,
             "scale_odd_ok": self.scale_odd_ok,
-            "pattern_max_rel_dev": mpmath.nstr(self.pattern_max_rel_dev, 8),
+            "pattern_max_rel_dev": nstr(self.pattern_max_rel_dev, 8),
             "z_coeffs": [
                 {
                     "power": p,
                     "reference": ref,
-                    "computed": mpmath.nstr(val, 12),
+                    "computed": nstr(val, 12),
                     "ok": ok,
                 }
                 for p, ref, val, ok in self.z_coeff_checks
@@ -137,7 +142,7 @@ class DeltaReport(Record):
             "golden_relations_ok": self.golden_relations_ok,
             "z_roots_critical_line": self.z_roots.to_dict(),
             "r_roots_unit_circle": self.r_roots.to_dict(),
-            "r_minus_circle_deviation": mpmath.nstr(self.r_minus_circle_deviation, 8),
+            "r_minus_circle_deviation": nstr(self.r_minus_circle_deviation, 8),
             "passed": self.passed,
         }
 
@@ -149,37 +154,37 @@ def run_delta(prec: int = 128) -> DeltaReport:
         raise InputError(f"precision must be at least 64 bits, got {prec}")
     nf = delta_newform(prec)
     values = critical_lambdas(nf, prec)
-    with mp.workprec(prec + 32):
-        sym_max = max(abs(values[s - 1] - nf.fricke * values[11 - s]) for s in range(1, 12))
+    exp, lams = aligned([v.man_exp for v in values])
+    sym_max = max(abs(a - nf.fricke * b) for a, b in zip(lams, lams[::-1]))
 
     rnum = _r_from_lambdas(nf.w, values, prec)
     znum = numeric_rv(rnum)
+    m = rnum.mans
 
-    with mp.workprec(prec + 32):
-        scale_even = rnum.coeffs[8]
-        scale_odd = rnum.coeffs[9] / 4
-        even_ref = mpmath.mpf(REFERENCE_EVEN_SCALE)
-        odd_ref = mpmath.mpf(REFERENCE_ODD_SCALE)
-        rel_tol = mpmath.mpf(SCALE_REL_TOL.numerator) / SCALE_REL_TOL.denominator
-        scale_even_ok = bool(abs(scale_even - even_ref) / even_ref < rel_tol)
-        scale_odd_ok = bool(abs(scale_odd - odd_ref) / odd_ref < rel_tol)
+    scale_even, scale_odd = Dyadic(m[8], rnum.exp), Dyadic(m[9], rnum.exp - 2)
+    even_ref, odd_ref = Fraction(REFERENCE_EVEN_SCALE), Fraction(REFERENCE_ODD_SCALE)
+    scale_even_ok = _excess(m[8], rnum.exp, even_ref, SCALE_REL_TOL * even_ref) < 0
+    scale_odd_ok = _excess(m[9], rnum.exp - 2, odd_ref, SCALE_REL_TOL * odd_ref) < 0
 
-        # Every coefficient must follow scale * pattern; doubles as the
-        # coefficientwise period-relation check.
-        max_dev = mpmath.mpf(0)
-        for j in range(11):
-            pattern = EVEN_PATTERN[j] if j % 2 == 0 else ODD_PATTERN[j]
-            scale = scale_even if j % 2 == 0 else scale_odd
-            expect = scale * mpmath.mpf(Fraction(pattern).numerator) / Fraction(pattern).denominator
-            if expect != 0:
-                max_dev = max(max_dev, abs(rnum.coeffs[j] / expect - 1))
+    # Every coefficient must follow scale * pattern; doubles as the
+    # coefficientwise period-relation check.  Over the common 2^E,
+    # r_j / (scale p) - 1 = (m_j - m_8 p) / (m_8 p) for even j and
+    # (4 m_j - m_9 p) / (m_9 p) for odd j; the largest is kept as a ratio.
+    max_dev = (0, 1)
+    for j in range(11):
+        pattern = Fraction(EVEN_PATTERN[j] if j % 2 == 0 else ODD_PATTERN[j])
+        if pattern:
+            ms, mj = (m[8], m[j]) if j % 2 == 0 else (m[9], 4 * m[j])
+            a, b = pattern.numerator, pattern.denominator
+            num, den = abs(mj * b - ms * a), abs(ms * a)
+            if num * max_dev[1] > max_dev[0] * den:
+                max_dev = (num, den)
 
-        z_checks = []
-        for p in range(10, -1, -1):
-            ref = REFERENCE_Z_COEFFS[p]
-            ulp = decimal_ulp(ref)
-            ok = bool(abs(znum.coeffs[p] - mpmath.mpf(ref)) <= mpmath.mpf("0.51") * ulp)
-            z_checks.append((p, ref, znum.coeffs[p], ok))
+    z_checks = []
+    for p in range(10, -1, -1):
+        ref = REFERENCE_Z_COEFFS[p]
+        ok = _excess(znum.mans[p], znum.exp, Fraction(ref), Fraction(51, 100) * decimal_ulp(ref)) <= 0
+        z_checks.append((p, ref, Dyadic(znum.mans[p], znum.exp), ok))
 
     r_minus = golden_r_minus()
     r_plus = golden_r_plus()
@@ -202,10 +207,10 @@ def run_delta(prec: int = 128) -> DeltaReport:
     eps = nf.fricke * (-1) ** (nf.weight // 2)
     z_roots, r_roots = (
         sign_count_check(poly, mode, eps, tol=ROOT_TOL, precision=prec)
-        or RootCheckReport(mode, (), mpmath.inf, as_tolerance(ROOT_TOL), False)
+        or RootCheckReport(mode, (), INF, as_tolerance(ROOT_TOL), False)
         for poly, mode in ((znum, "critical_line"), (rnum, "unit_circle"))
     )
-    r_minus_circle = mpmath.mpf(1 if r_minus.pairs[0] == (0, 0) else 0)  # X = 0 lies 1 off |X| = 1
+    r_minus_circle = 1 if r_minus.pairs[0] == (0, 0) else 0  # X = 0 lies 1 off |X| = 1
 
     passed = bool(
         scale_even_ok
@@ -215,23 +220,23 @@ def run_delta(prec: int = 128) -> DeltaReport:
         and golden_relations_ok
         and z_roots.passed
         and r_roots.passed
-        and r_minus_circle > mpmath.mpf(ROOT_TOL)
+        and r_minus_circle > Fraction(ROOT_TOL)
     )
     return DeltaReport(
         prec=prec,
         lambdas=tuple(enumerate(values, start=1)),
-        lambda_symmetry_max=sym_max,
+        lambda_symmetry_max=Dyadic(*rounded(sym_max, exp, prec + 32)),
         scale_even=scale_even,
         scale_odd=scale_odd,
         scale_even_ok=scale_even_ok,
         scale_odd_ok=scale_odd_ok,
-        pattern_max_rel_dev=max_dev,
+        pattern_max_rel_dev=Dyadic(*quotient(*max_dev, 0, prec + 32)),
         z_coeff_checks=tuple(z_checks),
         exact_z_match=exact_z_match,
         golden_relations_ok=golden_relations_ok,
         z_roots=z_roots,
         r_roots=r_roots,
-        r_minus_circle_deviation=r_minus_circle,
+        r_minus_circle_deviation=Dyadic(r_minus_circle),
         passed=passed,
         r_numeric=rnum,
         z_numeric=znum,

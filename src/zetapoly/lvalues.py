@@ -11,19 +11,17 @@ the Fricke fixed point y = 1:
 with x_n = 2 pi n / sqrt(N) and Gamma(r, x) the upper incomplete gamma
 function, which for integer r >= 1 has the finite closed form
 (r-1)! e^-x sum_{t<r} x^t / t!, so all k-1 critical values come from one
-pass over n (``critical_lambdas``).  That pass and ``numeric_rv`` run on
-integers with proved error bounds; mpmath supplies pi, e^-c and c^-j and
-holds results as prec+32-bit mpf values, reproducible bit for bit.
+pass over n (``critical_lambdas``).  That pass, its constants pi, e^-c and
+c^-j, and ``numeric_rv`` run on integers with proved error bounds, and
+each result is a dyadic rounded once to prec+32 bits, reproducible bit
+for bit.
 """
 
 from __future__ import annotations
 
 import math
 
-import mpmath
-from mpmath import mp
-from mpmath.libmp import from_int, from_man_exp, mpf_div, round_ceiling, round_nearest
-
+from zetapoly.dyadic import Dyadic, aligned, quotient, rounded
 from zetapoly.errors import InputError, PrecisionError
 from zetapoly.exactnum import Record
 from zetapoly.rv import _scaled_forward
@@ -175,7 +173,7 @@ def required_nmax(N: int, k: int, prec: int) -> int:
             return m
 
 
-def critical_lambdas(f: NewformData, prec: int = 128) -> list:
+def critical_lambdas(f: NewformData, prec: int = 128) -> list[Dyadic]:
     """[Lambda(f, 1), ..., Lambda(f, k-1)] from one pass over n, on integers.
 
     With c = 2 pi / sqrt(N) and q = e^-c, the closed form of Gamma(r, x)
@@ -183,8 +181,9 @@ def critical_lambdas(f: NewformData, prec: int = 128) -> list:
     c^-j S_j, S_j = sum_{n<=nmax} a_n q^n n^-j, and Lambda(f, s) = A(s) +
     eps i^k A(k-s), so the functional equation holds exactly.
 
-    In units of 2^-T: Q = floor(q 2^T) and C_j = floor(c^-j 2^T) are within
-    2; q_n = (q_(n-1) Q) >> T is within e = 5 + floor(3/c), as its error d_n
+    In units of 2^-T: Q and C_j from ``_series_constants`` are within 2 of
+    q 2^T and c^-j 2^T; q_n = (q_(n-1) Q) >> T is within e = 5 + floor(3/c),
+    as its error d_n
     has |d_(n+1)| <= (q + 2^(1-T)) |d_n| + 3 and 1 - q >= c/(1+c); each floor
     division of a_n q_n by n adds under 1, so sums[j] is within
     B = e sum|a_n| + (k-1) nmax of 2^T S_j, for any given a_n.  The integer
@@ -209,10 +208,7 @@ def critical_lambdas(f: NewformData, prec: int = 128) -> list:
     g = int(inv_c) + 2  # >= ceil(1/c) + 1
     m = bound * sum(math.perm(k - 2, j - 1) * g**j for j in range(1, k))
     t = prec + 32 + (2 * m).bit_length()
-    with mp.workprec(t + 32 + (k - 1) * g.bit_length()):
-        c = 2 * mpmath.pi / mpmath.sqrt(f.level)
-        q = int(mpmath.floor(mpmath.ldexp(mpmath.exp(-c), t)))
-        cinv = [int(mpmath.floor(mpmath.ldexp(c**-j, t))) for j in range(k)]
+    q, cinv = _series_constants(f.level, k, t, g)
     sums = [0] * k  # sums[j] ~ 2^t S_j for j = 1..k-1
     qn = 1 << t
     for n in range(1, need + 1):
@@ -223,22 +219,94 @@ def critical_lambdas(f: NewformData, prec: int = 128) -> list:
             sums[j] += term
     scaled = [cinv[j] * sums[j] for j in range(k)]
     a = [sum(math.perm(r - 1, j - 1) * scaled[j] for j in range(1, r + 1)) for r in range(k)]
-    with mp.workprec(prec + 32):
-        return [mpmath.ldexp(mpmath.mpf(a[s] + sign * a[k - s]), -2 * t) for s in range(1, k)]
+    return [Dyadic(*rounded(a[s] + sign * a[k - s], -2 * t, prec + 32)) for s in range(1, k)]
 
 
-def completed_l(f: NewformData, s: int, prec: int = 128) -> mpmath.mpf:
+def _pi_fixed(W: int) -> int:
+    """pi 2^W within 2, by Chudnovsky's series with binary splitting.
+
+    pi = 426880 sqrt(10005) / S, S = sum_k (-1)^k t_k, t_k = (6k)! (A + Bk)
+    / ((3k)! k!^3 640320^(3k)), A = 13591409, B = 545140134.  As t_k / t_(k-1)
+    = 24 (6k-5)(2k-1)(6k-1) / (k 640320)^3 (A + Bk)/(A + B(k-1)) < 1728 * 42
+    / 640320^3 < 2^-41, the first n = W // 41 + 2 terms leave S off by under
+    t_n < 2^-(W+41) t_0 < 2^-(W+40) S.  So 426880 isqrt(10005 4^W) / S_n is
+    within 0.04 (the square root's floor) plus 2^-40 pi of pi 2^W, and the
+    floor division adds under 1."""
+
+    def split(a: int, b: int) -> tuple[int, int, int]:
+        # (prod p_k, prod q_k, R) over a <= k < b, t_k / t_(k-1) = -p_k / q_k;
+        # split(0, n) gives S_n = R / Q
+        if b - a == 1:
+            p = 1 if a == 0 else (6 * a - 5) * (2 * a - 1) * (6 * a - 1)
+            q = 1 if a == 0 else a**3 * 10939058860032000  # 640320^3 / 24
+            r = p * (13591409 + 545140134 * a)
+            return p, q, -r if a & 1 else r
+        mid = (a + b) // 2
+        p1, q1, r1 = split(a, mid)
+        p2, q2, r2 = split(mid, b)
+        return p1 * p2, q1 * q2, q2 * r1 + p1 * r2
+
+    _, q, r = split(0, W // 41 + 2)
+    return 426880 * math.isqrt(10005 << 2 * W) * q // r
+
+
+def _series_constants(N: int, k: int, t: int, g: int) -> tuple[int, list[int]]:
+    """(Q, [C_0, ..., C_(k-1)]) within 2 of e^-c 2^t and c^-j 2^t, for
+    c = 2 pi / sqrt(N) and g >= 1/c + 1, from integers on W = t + G bits.
+
+    pi_W = ``_pi_fixed(W)`` and s_W = isqrt(N 4^W) are within 2 and 1 of
+    pi 2^W and sqrt(N) 2^W, so s_W / pi_W is within 1.7 2^-W relative of
+    sqrt(N) / pi: X = floor(s_W 2^W / (2 pi_W)) is within 1.7 x + 1 < 2g
+    of x 2^W, x = 1/c <= g - 1, and floor(2 pi_W 2^W / s_W) within 12 of
+    c 2^W.  In units of 2^-W:
+
+    - c^-j: P_j = (P_(j-1) X) >> W from P_0 = 2^W is off by
+      d_j <= g d_(j-1) + 2g^j + 1 <= 3j g^j;
+    - e^-c: y = c 2^-r, r = max(5, isqrt(t)), is within 2 (and y < 1/5);
+      e^-y by its alternating Taylor series, each term floored from the
+      last (off by under 5/4) until one is 0, at most W/2 terms, is within
+      D = 5/4 (W/2 + 1) + 2 of e^-y 2^W; each of the r squarings
+      E <- E^2 >> W doubles the error and adds 2 (an error below 2^(W/2)
+      squares to under 1), to 2^r (D + 2) <= 2^r W.
+
+    G = 32 + r + bitlen(3k) + (k-1) bitlen(g) + bitlen(W) puts both below
+    2^(G-32) units, so each value shifted right by G is within 1 + 2^-32."""
+    r = max(5, math.isqrt(t))
+    base = t + 32 + r + (3 * k).bit_length() + (k - 1) * g.bit_length()
+    W = base + base.bit_length() + 1  # bitlen(W) <= bitlen(base) + 1
+    pi, root = _pi_fixed(W), math.isqrt(N << 2 * W)
+    y = ((pi << W + 1) // root) >> r
+    term = total = 1 << W
+    n = 0
+    while term:
+        n += 1
+        term = (term * y >> W) // n
+        total += -term if n & 1 else term
+    for _ in range(r):
+        total = total * total >> W
+    x = (root << W) // (2 * pi)
+    powers = [1 << W]
+    for _ in range(k - 1):
+        powers.append(powers[-1] * x >> W)
+    return total >> W - t, [p >> W - t for p in powers]
+
+
+def completed_l(f: NewformData, s: int, prec: int = 128) -> Dyadic:
     """Lambda(f, s), integer s in [1, k-1]: entry s-1 of ``critical_lambdas``."""
     if not isinstance(s, int) or not 1 <= s <= f.weight - 1:
         raise InputError(f"s must be an integer in [1, {f.weight - 1}], got {s!r}")
     return critical_lambdas(f, prec)[s - 1]
 
 
-def l_from_lambda(f: NewformData, s: int, lam, prec: int = 128) -> mpmath.mpf:
-    """L(f, s) = Lambda(f, s) (2 pi / sqrt(N))^s / (s-1)!."""
-    with mp.workprec(prec + 32):
-        factor = (2 * mpmath.pi / mpmath.sqrt(f.level)) ** s / mpmath.factorial(s - 1)
-        return +(lam * factor)
+def l_from_lambda(f: NewformData, s: int, lam: Dyadic, prec: int = 128) -> Dyadic:
+    """L(f, s) = Lambda(f, s) (2 pi / sqrt(N))^s / (s-1)!, rounded once to
+    prec+32 bits from pi_W and s_W on W = prec + 64 + bitlen(s) bits (see
+    ``_series_constants``): their ratio to the power s is within
+    2s 2^-W < 2^-(prec+63) relative of (2 pi / sqrt(N))^s."""
+    W = prec + 64 + s.bit_length()
+    pi, root = _pi_fixed(W), math.isqrt(f.level << 2 * W)
+    man, exp = lam.man_exp
+    return Dyadic(*quotient(man * (2 * pi) ** s, root**s * math.factorial(s - 1), exp, prec + 32))
 
 
 # ---------------------------------------------------------------------
@@ -247,20 +315,28 @@ def l_from_lambda(f: NewformData, s: int, lam, prec: int = 128) -> mpmath.mpf:
 
 
 class NumericPoly(Record):
-    """Dense polynomial with mpmath coefficients at a stated precision;
-    ``coeff_err`` (optional) holds a proved absolute error bound for each
-    (see ``_r_from_lambdas`` and ``numeric_rv``)."""
+    """The real polynomial sum_j m_j 2^E X^j, j <= w, at a stated
+    precision: one exact dyadic form (``exp`` = E, ``mans``), as
+    ``DensePoly`` holds (den, pairs).  ``errs`` (optional) holds integers
+    n_j >= 0 over the same 2^E, each n_j 2^E a proved bound on the error
+    of coefficient j (see ``_r_from_lambdas`` and ``numeric_rv``)."""
 
     w: int
-    coeffs: tuple
+    exp: int
+    mans: tuple[int, ...]
     prec: int
-    coeff_err: tuple | None = None
+    errs: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if len(self.coeffs) != self.w + 1:
-            raise InputError(
-                f"expected {self.w + 1} coefficients for w={self.w}, got {len(self.coeffs)}"
-            )
+        for name, values in (("coefficients", self.mans), ("error bounds", self.errs)):
+            if values is None:
+                continue
+            if len(values) != self.w + 1:
+                raise InputError(f"expected {self.w + 1} {name} for w={self.w}, got {len(values)}")
+            if not all(isinstance(v, int) for v in values):
+                raise InputError(f"the {name} must be integer mantissas")
+        if self.errs is not None and min(self.errs) < 0:
+            raise InputError("error bounds must be >= 0")
 
 
 def build_r(f: NewformData, prec: int = 128) -> NumericPoly:
@@ -269,42 +345,33 @@ def build_r(f: NewformData, prec: int = 128) -> NumericPoly:
     return _r_from_lambdas(f.w, critical_lambdas(f, prec), prec)
 
 
-def _r_from_lambdas(w: int, lambdas: list, prec: int) -> NumericPoly:
-    """build_r's step; ``lambdas[s-1]`` is Lambda(f, s).  The error bound C(w, n)
-    2^-(prec+16) max(1, |Lambda|), twice ``critical_lambdas``'s, covers the roundings."""
-    terms = [(math.comb(w, n), lambdas[w - n]) for n in range(w + 1)]  # Lambda(f, w+1-n)
-    with mp.workprec(prec + 32):
-        unit = mpmath.mpf(2) ** -(prec + 16)
-        coeffs = tuple(+(b * lam) for b, lam in terms)
-        errs = tuple(b * unit * max(1, abs(lam)) for b, lam in terms)
-    return NumericPoly(w=w, coeffs=coeffs, prec=prec, coeff_err=errs)
-
-
-def _dyadic(values) -> tuple[int, list[int]]:
-    """(E, m) with mpf values[j] = m[j] 2^E exactly (m[j] = 0 for a zero); InputError if not finite."""
-    parts = [(-man if sign else man, exp) for sign, man, exp, _ in (v._mpf_ for v in values)]
-    if any(exp and not man for man, exp in parts):  # mpmath's inf and nan
-        raise InputError("numeric coefficients must be finite")
-    low = min((exp for man, exp in parts if man), default=0)
-    return low, [man << (exp - low) if man else 0 for man, exp in parts]
+def _r_from_lambdas(w: int, lambdas: list[Dyadic], prec: int) -> NumericPoly:
+    """build_r's step; ``lambdas[s-1]`` is Lambda(f, s).  Each coefficient is
+    rounded once to prec+32 bits; the exact error bound C(w, n)
+    2^-(prec+16) max(1, |Lambda|), twice ``critical_lambdas``'s, covers that."""
+    coeffs, errs = [], []
+    for n in range(w + 1):
+        b, (m, e) = math.comb(w, n), lambdas[w - n].man_exp  # Lambda(f, w+1-n)
+        coeffs.append(rounded(b * m, e, prec + 32))
+        big = abs(m) >> max(-e, 0)  # |Lambda| >= 1
+        errs.append((b * abs(m), e - prec - 16) if big else (b, -prec - 16))
+    exp, mans = aligned(coeffs + errs)
+    return NumericPoly(w, exp, tuple(mans[: w + 1]), prec, tuple(mans[w + 1 :]))
 
 
 def numeric_rv(Rnum: NumericPoly) -> NumericPoly:
     """The forward transform of a numeric R on the exact integer map.
 
-    mpf values are dyadics, so R = 2^E sum_j m_j X^j with integers m_j and
-    ``rv._scaled_forward`` gives w! Z exactly, rounded once per coefficient
-    to prec+32 bits.  Without the signs (-1)^k the map's coefficients are
-    all >= 0, so the same passes on the errors e_j bound sum_j |b_(t,j)| e_j;
-    ``coeff_err`` adds 2^-(prec+31) |Z_t| for the rounding, rounded up."""
-    w, p = Rnum.w, Rnum.prec + 32
-    w_fact = from_int(math.factorial(w))
-    exp, mans = _dyadic(Rnum.coeffs)
-    eexp, emans = _dyadic(Rnum.coeff_err or (mpmath.mpf(0),) * (w + 1))
-    low = min(eexp, exp + 1 - p)  # 2^low divides both parts of each bound
+    R = 2^E sum_j m_j X^j, so ``rv._scaled_forward`` gives w! Z exactly,
+    rounded once per coefficient to prec+32 bits.  Without the signs
+    (-1)^k the map's coefficients are all >= 0, so the same pass on the
+    errors e_j bounds sum_j |b_(t,j)| e_j; the error bound adds
+    2^-(prec+31) |Z_t| for the rounding, and is rounded up."""
+    w, p, exp = Rnum.w, Rnum.prec + 32, Rnum.exp
+    w_fact = math.factorial(w)
     coeffs, errs = [], []
-    for z, u in zip(_scaled_forward(mans), _scaled_forward(emans, sign=1)):
-        coeffs.append(mp.make_mpf(mpf_div(from_man_exp(z, exp), w_fact, p, round_nearest)))
-        bound = (u << eexp - low) + (abs(z) << exp + 1 - p - low)
-        errs.append(mp.make_mpf(mpf_div(from_man_exp(bound, low), w_fact, p, round_ceiling)))
-    return NumericPoly(w=w, coeffs=tuple(coeffs), prec=Rnum.prec, coeff_err=tuple(errs))
+    for z, u in zip(_scaled_forward(Rnum.mans), _scaled_forward(Rnum.errs or (0,) * (w + 1), sign=1)):
+        coeffs.append(quotient(z, w_fact, exp, p))
+        errs.append(quotient((u << p - 1) + abs(z), w_fact, exp + 1 - p, p, up=True))
+    exp, mans = aligned(coeffs + errs)
+    return NumericPoly(w, exp, tuple(mans[: w + 1]), Rnum.prec, tuple(mans[w + 1 :]))

@@ -14,9 +14,9 @@ import mpmath
 from mpmath import mp
 from mpmath.libmp import from_man_exp
 
+from zetapoly.dyadic import aligned, nstr
 from zetapoly.errors import InputError, PrecisionError
 from zetapoly.exactnum import DensePoly, reduced
-from zetapoly.lvalues import _dyadic as _mantissas
 from zetapoly.zeta import _GUARD_BITS, _ISOLATION_BITS, RootCheckReport, _aberth, _sorted_roots, as_tolerance
 
 
@@ -128,8 +128,8 @@ def roots(poly, precision: int = 128) -> list:
     """All complex roots of a nonzero polynomial, multiplicity-aware.
 
     1. The input is read as one exact form (den, pairs), coefficient k
-       (p_k + q_k i)/den: a PolyX / ZetaPoly as held, a NumericPoly as the
-       exact dyadics its coefficients hold.  Both take one path: trimmed,
+       (p_k + q_k i)/den: a PolyX / ZetaPoly as held, a NumericPoly as its
+       mantissas (the common 2^E cancels).  Both take one path: trimmed,
        roots at the origin split off, made monic exactly before any
        rounding, then split by Yun's squarefree decomposition over Q(i)
        into squarefree factors of exact multiplicity.  A linear factor's
@@ -177,11 +177,7 @@ def roots(poly, precision: int = 128) -> list:
     """
     if precision < 8:
         raise InputError("precision must be at least 8 bits")
-    if isinstance(poly, DensePoly):
-        pairs = _trim(list(poly.pairs))
-    else:  # c_k = (m_k + m_(n+k) i) 2^E for n coefficients; the 2^E cancels in the monic
-        m = _mantissas([c.real for c in poly.coeffs] + [c.imag for c in poly.coeffs])[1]
-        pairs = _trim(list(zip(m, m[len(m) // 2 :])))
+    pairs = _trim(list(poly.pairs) if isinstance(poly, DensePoly) else [(m, 0) for m in poly.mans])
     if not pairs:
         raise InputError("the zero polynomial has no root set")
     origin = next(k for k, c in enumerate(pairs) if c != (0, 0))
@@ -189,8 +185,8 @@ def roots(poly, precision: int = 128) -> list:
     monic = reduced(lr * lr + li * li, [(p * lr + q * li, q * lr - p * li) for p, q in pairs[origin:]])
     factors = squarefree_parts(monic) if len(monic[1]) > 1 else []
     with mp.workprec(precision + 32):
-        found = [mpmath.mpc(0)] * origin + _certified_roots(monic, factors, precision)
-        return _sorted_roots(found, precision)
+        found = [(0, 0, 0)] * origin + _certified_roots(monic, factors, precision)
+    return [_mpc(z) for z in _sorted_roots(found, precision)]
 
 def _round(den: int, pair: tuple) -> mpmath.mpc:
     """The coefficient (p + q i)/den rounded to the working precision, each
@@ -202,8 +198,8 @@ def _round(den: int, pair: tuple) -> mpmath.mpc:
 
 def _certified_roots(monic: tuple, factors: list, precision: int) -> list:
     """Stages 2-4 of ``roots``: the roots of the squarefree ``factors``
-    (g, k) of ``monic``, each repeated k times and certified on ``monic``;
-    every polynomial is a reduced form (den, pairs)."""
+    (g, k) of ``monic``, each repeated k times and certified on ``monic``,
+    as exact dyadics (a, b, E); every polynomial is a reduced form (den, pairs)."""
     den, pairs = monic
     fixed = _floored(monic, precision + _GUARD_BITS)
     norm2 = max(max(p * p + q * q for p, q in pairs), den * den)  # max(||P||, 1)^2 den^2
@@ -218,11 +214,11 @@ def _certified_roots(monic: tuple, factors: list, precision: int) -> list:
         else:
             checked = [([_residual_below(fixed, z, target2) for z in zs], k) for zs, k in found]
             if all(ok for rows, _ in checked for ok, *_ in rows):
-                return [_mpc(z) for rows, k in checked for _, _, z, _ in rows * k]
+                return [z for rows, k in checked for _, _, z, _ in rows * k]
             if bits == precision or any(futile for rows, _ in checked for *_, futile in rows):
                 target = mpmath.sqrt(mpmath.mpf(target2.numerator) / target2.denominator)
                 raise PrecisionError(
-                    f"root iteration failed to certify residuals below {mpmath.nstr(target, 5)}"
+                    f"root iteration failed to certify residuals below {nstr(target, 5)}"
                 )
         bits = min(2 * bits, precision)
 
@@ -254,8 +250,7 @@ def _refined_roots(g: tuple, bits: int, precision: int) -> list:
 
 def _dyadic(x) -> tuple[int, int, int]:
     """A complex double or mpc as the exact dyadic (a, b, E) = (a + b i) 2^E."""
-    x = mpmath.mpc(x)
-    E, (a, b) = _mantissas([x.real, x.imag])
+    E, (a, b) = aligned([(-m if s else m, e) for s, m, e, _ in mpmath.mpc(x)._mpc_])
     return a, b, E
 
 
@@ -409,7 +404,7 @@ def rh_check(poly, mode: str, tol="1e-8", precision: int = 128) -> RootCheckRepo
         bound = mpmath.mpf(tol_frac.numerator) / mpmath.mpf(tol_frac.denominator)
         return RootCheckReport(
             mode=mode,
-            roots=tuple(rts),
+            roots=tuple((z.real, z.imag) for z in rts),
             max_deviation=max_dev,
             tol=tol_frac,
             passed=bool(max_dev < bound),

@@ -21,11 +21,8 @@ from __future__ import annotations
 
 import math
 
-import mpmath
-from mpmath import mp
-
+from zetapoly.dyadic import Dyadic, rounded, sqrt_rounded
 from zetapoly.errors import InputError, PrecisionError
-from zetapoly.lvalues import _dyadic as _mantissas
 from zetapoly.polyspace import _taylor_shift
 from zetapoly.zeta import _ISOLATION_BITS, RootCheckReport, _aberth, _sorted_roots, as_tolerance
 
@@ -35,23 +32,19 @@ _SIGN_ROOT_BITS = 96  # significant bits of the roots a proved check returns
 def sign_count_check(poly, mode: str, eps: int, tol="1e-8", precision: int = 128):
     """Prove that all roots of the true polynomial lie on Re s = 1/2
     (``critical_line``) or |X| = 1 (``unit_circle``), or return None.
-    ``poly`` is a real NumericPoly, w even, with ``coeff_err``; ``eps`` is
+    ``poly`` is a NumericPoly, w even, with error bounds; ``eps`` is
     the symmetry's sign, from theory (-1 forces a root at 1/2 or X = 1: None),
     and the data must match it within the errors.  Signs are taken at the
     ends of the range and between the real parts of F's roots from Aberth
     in doubles.  The roots returned are F's, refined by ``_real_newton`` in
-    their intervals and sorted as ``roots`` sorts; max_deviation is 0.
+    their intervals, each square root in s or X rounded to 128 bits, and
+    sorted as ``roots`` sorts; max_deviation is 0.
     """
     if mode not in ("critical_line", "unit_circle") or eps not in (1, -1):
         raise InputError(f"need a known mode and eps +1 or -1, got {mode!r}, {eps!r}")
-    w, d, errs, line = poly.w, poly.w // 2, poly.coeff_err, mode == "critical_line"
-    if eps != 1 or errs is None or w % 2 or w < 2:
+    w, d, mans, emans, line = poly.w, poly.w // 2, poly.mans, poly.errs, mode == "critical_line"
+    if eps != 1 or emans is None or w % 2 or w < 2:
         return None
-    values = poly.coeffs + errs
-    if not all(isinstance(c, mpmath.mpf) and mpmath.isfinite(c) for c in values) or min(errs) < 0:
-        return None
-    mans = _mantissas(values)[1]  # one exponent E for both
-    mans, emans = mans[: w + 1], mans[w + 1 :]
     if line:
         a, ae = ([x for x, _ in _taylor_shift([(m << w - j, 0) for j, m in enumerate(ms)], (1, 0))]
                  for ms in (mans, emans))
@@ -90,17 +83,22 @@ def sign_count_check(poly, mode: str, eps: int, tol="1e-8", precision: int = 128
     if sum(s != t for s, t in zip(signs, signs[1:])) < d:
         return None
     found = []
-    with mp.workprec(_SIGN_ROOT_BITS + 32):
-        for x, left, right in zip(seeds, points, points[1:]):
-            X, t = _real_newton(F, x)
-            if not left < math.ldexp(X, -t) < right:  # so the points increase, as the count needs
-                return None
-            r = mpmath.ldexp(X, -t)
-            re, im = (1, mpmath.sqrt(r)) if line else (r, mpmath.sqrt(4 - r * r))
-            found += [mpmath.mpc(re, -im) / 2, mpmath.mpc(re, im) / 2]
-    with mp.workprec(precision + 32):
-        found = _sorted_roots(found, precision)
-    return RootCheckReport(mode, tuple(found), mpmath.mpf(0), as_tolerance(tol), True)
+    bits = _SIGN_ROOT_BITS + 32
+    for x, left, right in zip(seeds, points, points[1:]):
+        X, t = _real_newton(F, x)
+        if not left < math.ldexp(X, -t) < right:  # so the points increase, as the count needs
+            return None
+        if line:  # s = (1 +- i sqrt(v)) / 2 with v = X 2^-t
+            (a, ea), (b, eb) = (1, 0), sqrt_rounded(X, -t, bits)
+        else:  # X = (y +- i sqrt(4 - y^2)) / 2 with y = X 2^-t, y^2 and 4 - y^2 rounded
+            m, e = rounded(X * X, -2 * t, bits)
+            low = min(e, 0)
+            rest = rounded((4 << -low) - (m << e - low), low, bits)
+            (a, ea), (b, eb) = (X, -t), sqrt_rounded(*rest, bits)
+        E = min(ea, eb) - 1
+        found += [(a << ea - 1 - E, s * b << eb - 1 - E, E) for s in (-1, 1)]
+    roots = tuple((Dyadic(a, E), Dyadic(b, E)) for a, b, E in _sorted_roots(found, precision))
+    return RootCheckReport(mode, roots, Dyadic(0), as_tolerance(tol), True)
 
 
 def _real_newton(F: list, x: float) -> tuple[int, int]:

@@ -20,9 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Union
 
-import mpmath
-from mpmath import mp
-
+from zetapoly.dyadic import INF, Dyadic, nstr, quotient, rounded, sqrt_rounded
 from zetapoly.errors import InputError, PrecisionError
 from zetapoly.exactnum import I, ZERO, GaussianRational, Record, as_fraction, from_pairs, qi, require_even_w
 from zetapoly.polyspace import PolyX, slash
@@ -136,7 +134,7 @@ class Thm2Report(Record):
     total: GaussianRational
     k_stop: int
     converged: bool
-    residual_bound: mpmath.mpf
+    residual_bound: Dyadic
     tol: Fraction
 
     @cached_property
@@ -144,10 +142,8 @@ class Thm2Report(Record):
         return tuple(from_pairs(self.term_den << k, [t])[0] for k, t in enumerate(self.term_numerators))
 
     @property
-    def abs_total(self) -> mpmath.mpf:
-        norm = self.total.norm2()
-        with mp.workprec(64):
-            return mpmath.sqrt(mpmath.mpf(norm.numerator) / mpmath.mpf(norm.denominator))
+    def abs_total(self) -> Dyadic:
+        return Dyadic(*_sqrt64(self.total.norm2()))
 
     def total_below(self, bound: TolLike) -> bool:
         """Exact test |total| < bound."""
@@ -160,8 +156,8 @@ class Thm2Report(Record):
             "n": self.n,
             "k_stop": self.k_stop,
             "converged": self.converged,
-            "abs_total": mpmath.nstr(self.abs_total, 12),
-            "residual_bound": mpmath.nstr(self.residual_bound, 12),
+            "abs_total": nstr(self.abs_total, 12),
+            "residual_bound": nstr(self.residual_bound, 12),
             "total": list(self.total.to_str_pair()),
             "tol": str(self.tol),
         }
@@ -240,13 +236,13 @@ def thm2_residual(
             converged = True
             break
     total = exact_part + from_pairs(den, [(acc_r, acc_i)])[0]
-    bound = mpmath.inf
+    bound = INF
     if converged:  # max |t|^2 over the last three terms, as reduced Fractions
         worst = max(Fraction(a * a + b * b, (den >> j) ** 2)
                     for j, (a, b) in enumerate(terms[:-4:-1]))
-        with mp.workprec(64):
-            bound = mpmath.sqrt(mpmath.mpf(worst.numerator) / mpmath.mpf(worst.denominator))
-            bound = bound * mpmath.mpf(RHO.numerator) / mpmath.mpf(RHO.denominator - RHO.numerator)
+        m, e = _sqrt64(worst)  # times RHO / (1 - RHO), each step rounded to 64 bits
+        m, e = rounded(m * RHO.numerator, e, 64)
+        bound = Dyadic(*quotient(m, RHO.denominator - RHO.numerator, e, 64))
     return Thm2Report(
         w=w,
         n=n,
@@ -259,6 +255,13 @@ def thm2_residual(
         residual_bound=bound,
         tol=tol_frac,
     )
+
+
+def _sqrt64(x: Fraction) -> tuple[int, int]:
+    """sqrt(x) to 64 bits in four correctly rounded steps: the numerator and
+    the denominator each to 64 bits, their quotient, then its square root."""
+    (a, ea), (b, eb) = rounded(x.numerator, 0, 64), rounded(x.denominator, 0, 64)
+    return sqrt_rounded(*quotient(a, b, ea - eb, 64), 64)
 
 
 # ---------------------------------------------------------------------
@@ -282,15 +285,26 @@ def __getattr__(name: str):
 
 
 def _sorted_roots(found: list, precision: int) -> list:
-    """By real part on the 2^(-precision/2) grid, then by imaginary part."""
-    grid = mpmath.mpf(2) ** (precision // 2)
-    return sorted(found, key=lambda z: (mpmath.nint(mpmath.re(z) * grid), mpmath.im(z)))
+    """The exact dyadic roots (a, b, E) = (a + b i) 2^E sorted by real part
+    rounded to the 2^(-precision/2) grid (ties to even), then by imaginary part."""
+    low = min((E for _, _, E in found), default=0)
+
+    def key(z):
+        a, b, E = z
+        shift = E + precision // 2
+        if shift >= 0:
+            return a << shift, b << E - low
+        q, r = divmod(a, 1 << -shift)
+        half = 1 << -shift - 1
+        return q + (r > half or (r == half and q & 1)), b << E - low
+
+    return sorted(found, key=key)
 
 
 def _aberth(coeffs: list, precision: int, num: type) -> list:
     """Aberth-Ehrlich simultaneous iteration on a monic coefficient list,
-    in the arithmetic of ``num``: ``complex`` (doubles) or ``mpmath.mpc``
-    (at the caller's working precision).
+    in the arithmetic of ``num``: ``complex`` (doubles) or mpmath's ``mpc``
+    (at the caller's working precision, in ``rootfind``).
 
     Stops once every residual is below 2^(-precision/2) times the sup norm
     of the coefficients (at least 1), or once a sweep moves no root by more
@@ -331,7 +345,7 @@ def _aberth(coeffs: list, precision: int, num: type) -> list:
     if max(abs(_horner2(coeffs, zj)[0]) for zj in z) < target:
         return z
     raise PrecisionError(
-        f"root iteration failed to certify residuals below {mpmath.nstr(target, 5)}"
+        f"root iteration failed to certify residuals below {nstr(target, 5)}"
     )
 
 
@@ -346,11 +360,13 @@ def _horner2(coeffs: list, x):
 
 class RootCheckReport(Record):
     """Deviation of each root from the critical line or the unit circle
-    (0 when ``sign_count_check`` proved the locations)."""
+    (0 when ``sign_count_check`` proved the locations).  ``roots`` holds
+    (real part, imaginary part) pairs and ``max_deviation`` one value, each
+    a Dyadic, or an mpf from ``rootfind``: printed alike by ``nstr``."""
 
     mode: str
     roots: tuple
-    max_deviation: mpmath.mpf
+    max_deviation: Dyadic
     tol: Fraction
     passed: bool
 
@@ -358,15 +374,10 @@ class RootCheckReport(Record):
         return {
             "mode": self.mode,
             "passed": self.passed,
-            "max_deviation": mpmath.nstr(self.max_deviation, 12),
+            "max_deviation": nstr(self.max_deviation, 12),
             "tol": str(self.tol),
-            "roots": [
-                [mpmath.nstr(mpmath.re(z), 20), mpmath.nstr(mpmath.im(z), 20)]
-                for z in self.roots
-            ],
+            "roots": [[nstr(x, 20) for x in z] for z in self.roots],
         }
-
-
 
 
 # ---------------------------------------------------------------------

@@ -6,8 +6,9 @@ import mpmath
 from hypothesis import strategies as st
 from mpmath import mp
 
+from zetapoly.dyadic import aligned
 from zetapoly.exactnum import ONE, ZERO, GaussianRational, I
-from zetapoly.lvalues import NewformData, required_nmax
+from zetapoly.lvalues import NewformData, NumericPoly, required_nmax
 from zetapoly.polyspace import PolyX
 from zetapoly.rv import rv_forward, series_coeffs
 from zetapoly.zeta import laurent_coeffs
@@ -82,6 +83,33 @@ def pentagonal_tau(nmax: int) -> list[int]:
     e6 = mul(e3, e3)
     e12 = mul(e6, e6)
     return mul(e12, e12)
+
+
+# -- dyadic values as mpmath values, and back -------------------------
+
+
+def mpf(x) -> mpmath.mpf:
+    """The exact value of a Dyadic (or of anything with ``_mpf_``) as an mpf."""
+    return mp.make_mpf(x._mpf_)
+
+
+def mpc(z) -> mpmath.mpc:
+    """The exact value of a (real part, imaginary part) pair of such values."""
+    return mp.make_mpc((z[0]._mpf_, z[1]._mpf_))
+
+
+def numeric_poly(values, prec: int, errs=None) -> NumericPoly:
+    """The NumericPoly of degree <= len(values) - 1 holding the exact values
+    of the ints or mpf ``values`` and, if given, of the error bounds ``errs``."""
+    raw = [v._mpf_ if hasattr(v, "_mpf_") else mpmath.mpf(v)._mpf_ for v in [*values, *(errs or ())]]
+    exp, mans = aligned([(-m if sign else m, e) for sign, m, e, _ in raw])
+    n = len(values)
+    return NumericPoly(n - 1, exp, tuple(mans[:n]), prec, None if errs is None else tuple(mans[n:]))
+
+
+def poly_values(poly: NumericPoly, errs: bool = False) -> tuple:
+    """The coefficients (or, with ``errs``, the error bounds) as exact mpf values."""
+    return tuple(mpmath.ldexp(m, poly.exp) for m in (poly.errs if errs else poly.mans))
 
 
 def mpmath_loop_lambdas(f: NewformData, prec: int, work_prec: int) -> list:

@@ -561,6 +561,24 @@ THM2_EVEN_N1_5 = {
     ],
 }
 
+# `zetapoly --format json thm2 r_delta_minus.json --n 1 --kmax 30`, which
+# stops before converging, pinned byte for byte.
+THM2_ODD_KMAX30 = {
+    "passed": False,
+    "reports": [
+        {
+            "w": 10,
+            "n": 1,
+            "k_stop": 30,
+            "converged": False,
+            "abs_total": "948374.536063",
+            "residual_bound": "+inf",
+            "total": ["74075398969/262144", "-237318588881/262144"],
+            "tol": "1/10000000000",
+        }
+    ],
+}
+
 
 # Lambda(1..6) as `zetapoly --prec P --format json delta` prints them;
 # lambda_values holds these and their mirror images Lambda(12 - s) = Lambda(s).
@@ -925,6 +943,18 @@ class TestOutputBytes:
         )
         assert main(["--format", "json", "thm2", r_minus, "--n", "1,2"]) == EXIT_OK
         assert capsys.readouterr().out == json.dumps(THM2_ODD_N12, indent=2) + "\n"
+
+    def test_thm2_failure_on_odd_part(self, capsys):
+        """The non-converged run: |total| is large and residual_bound is +inf."""
+        r_minus = str(_data("r_delta_minus.json"))
+        argv = ["thm2", r_minus, "--n", "1", "--kmax", "30"]
+        assert main(argv) == EXIT_CHECK_FAILED
+        assert capsys.readouterr().out == (
+            "n=1: |total|=948375.0 k_stop=30 converged=False residual_bound=+inf [FAIL]\n"
+            "overall: FAIL\n"
+        )
+        assert main(["--format", "json", *argv]) == EXIT_CHECK_FAILED
+        assert capsys.readouterr().out == json.dumps(THM2_ODD_KMAX30, indent=2) + "\n"
 
     def test_thm2_on_even_part(self, capsys):
         r_plus = str(_data("r_delta_plus.json"))

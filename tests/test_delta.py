@@ -7,9 +7,9 @@ from unittest import mock
 import mpmath
 import pytest
 from mpmath import mp
-from mpmath.libmp import to_rational
 
 import zetapoly
+from conftest import mpc
 from zetapoly import delta, rootfind, signcount
 from zetapoly.cli import EXIT_CHECK_FAILED, main
 from zetapoly.delta import (
@@ -20,6 +20,7 @@ from zetapoly.delta import (
     golden_z_minus,
     run_delta,
 )
+from zetapoly.dyadic import INF, Dyadic
 from zetapoly.errors import InputError
 from zetapoly.lvalues import (
     NumericPoly,
@@ -55,12 +56,12 @@ class TestGoldenData:
 
 class TestDecimalUlp:
     def test_scientific(self):
-        assert decimal_ulp("5.11e-7") == mpmath.mpf(10) ** -9
-        assert decimal_ulp("-2.554e-6") == mpmath.mpf(10) ** -9
+        assert decimal_ulp("5.11e-7") == Fraction(1, 10**9)
+        assert decimal_ulp("-2.554e-6") == Fraction(1, 10**9)
 
     def test_plain(self):
-        assert decimal_ulp("0.00180") == mpmath.mpf(10) ** -5
-        assert decimal_ulp("0.0310") == mpmath.mpf(10) ** -4
+        assert decimal_ulp("0.00180") == Fraction(1, 10**5)
+        assert decimal_ulp("0.0310") == Fraction(1, 10**4)
 
 
 class TestRunDelta:
@@ -78,7 +79,7 @@ class TestRunDelta:
             assert report128.lambda_symmetry_max < mpmath.mpf(2) ** -140
 
     def test_minus_part_fails_circle_by_one(self, report128):
-        assert report128.r_minus_circle_deviation == 1
+        assert report128.r_minus_circle_deviation == Dyadic(1)
 
     def test_pattern_deviation_far_below_print_precision(self, report128):
         with mp.workprec(64):
@@ -124,8 +125,6 @@ def _delta_numeric(prec: int):
     return numeric_rv(rnum), rnum
 
 
-def _exact(x) -> Fraction:
-    return Fraction(*to_rational(x._mpf_))
 
 
 def _oracle_sign_changes(poly, mode: str, roots) -> int:
@@ -138,8 +137,8 @@ def _oracle_sign_changes(poly, mode: str, roots) -> int:
     against sum_j e_j max(1, 1/4 + u)^ceil(j/2) >= sum_j e_j |s|^j.
     Circle: Re X^(-w/2) r(X) at y = 2 cos(theta) as sum_j r_j T_|j-w/2|(y/2),
     against sum_j e_j."""
-    c = [_exact(x) for x in poly.coeffs]
-    e = [_exact(x) for x in poly.coeff_err]
+    c, e = ([m * Fraction(2) ** poly.exp for m in mans] for mans in (poly.mans, poly.errs))
+    roots = [mpc(z) for z in roots]
     w = poly.w
     if mode == "critical_line":
         q = [sum(c[j] * math.comb(j, k) * Fraction(1, 2) ** (j - k) for j in range(k, w + 1))
@@ -174,7 +173,7 @@ def _oracle_sign_changes(poly, mode: str, roots) -> int:
 
 
 def _nstr20(rts) -> list:
-    return [(mpmath.nstr(mpmath.re(z), 20), mpmath.nstr(mpmath.im(z), 20)) for z in rts]
+    return [(mpmath.nstr(mpc(z).real, 20), mpmath.nstr(mpc(z).imag, 20)) for z in rts]
 
 
 class TestSignCountCheck:
@@ -187,13 +186,13 @@ class TestSignCountCheck:
         znum, rnum = _delta_numeric(prec)
         for poly, mode in ((znum, "critical_line"), (rnum, "unit_circle")):
             rep = sign_count_check(poly, mode, self.EPS, tol=ROOT_TOL, precision=prec)
-            assert rep is not None and rep.passed and rep.max_deviation == 0
+            assert rep is not None and rep.passed and rep.max_deviation == Dyadic(0)
             assert len(rep.roots) == 10 and len(set(rep.roots)) == 10
             with mp.workprec(128):
                 if mode == "critical_line":
-                    assert all(mpmath.re(z) == mpmath.mpf(1) / 2 for z in rep.roots)
+                    assert all(mpc(z).real == mpmath.mpf(1) / 2 for z in rep.roots)
                 else:
-                    assert all(abs(abs(z) - 1) < mpmath.mpf(2) ** -120 for z in rep.roots)
+                    assert all(abs(abs(mpc(z)) - 1) < mpmath.mpf(2) ** -120 for z in rep.roots)
             assert _oracle_sign_changes(poly, mode, rep.roots) == 5
 
     @pytest.mark.parametrize("prec", [128, 1024])
@@ -210,7 +209,7 @@ class TestSignCountCheck:
 
     def test_missing_error_bound_is_not_proved(self):
         znum, _ = _delta_numeric(128)
-        bare = NumericPoly(w=znum.w, coeffs=znum.coeffs, prec=znum.prec)
+        bare = NumericPoly(w=znum.w, exp=znum.exp, mans=znum.mans, prec=znum.prec)
         assert sign_count_check(bare, "critical_line", self.EPS) is None
 
     @pytest.mark.parametrize("prec", [128, 1024])
@@ -220,16 +219,14 @@ class TestSignCountCheck:
         r_5 alone keeps r palindromic, so those two are left out."""
         znum, rnum = _delta_numeric(prec)
         for poly, mode, fixed in ((znum, "critical_line", 0), (rnum, "unit_circle", 5)):
-            with mp.workprec(prec + 32):
-                step = max(poly.coeff_err) * 2**40
-                for j in range(11):
-                    if j == fixed:
-                        continue
-                    coeffs = list(poly.coeffs)
-                    coeffs[j] += step
-                    moved = NumericPoly(w=10, coeffs=tuple(coeffs), prec=prec,
-                                        coeff_err=poly.coeff_err)
-                    assert sign_count_check(moved, mode, self.EPS, precision=prec) is None, j
+            step = max(poly.errs) << 40
+            for j in range(11):
+                if j == fixed:
+                    continue
+                mans = list(poly.mans)
+                mans[j] += step
+                moved = NumericPoly(w=10, exp=poly.exp, mans=tuple(mans), prec=prec, errs=poly.errs)
+                assert sign_count_check(moved, mode, self.EPS, precision=prec) is None, j
 
     @pytest.mark.parametrize("prec", [64, 128, 1024, 4096])
     def test_proved_roots_match_rh_check_to_20_digits(self, prec):
@@ -262,7 +259,7 @@ class TestRootCheckPath:
         assert "zetapoly.rootfind" not in sys.modules
         assert report.passed
         assert roots_spy.call_count == 0 and rh_spy.call_count == 0
-        assert report.z_roots.max_deviation == 0 and report.r_roots.max_deviation == 0
+        assert report.z_roots.max_deviation == report.r_roots.max_deviation == Dyadic(0)
 
     def test_sign_counts_prove_every_precision_tried(self):
         """No precision from 64 to 256 bits, nor 512 to 4096, needs more
@@ -270,7 +267,7 @@ class TestRootCheckPath:
         for prec in [*range(64, 257), 512, 1024, 2048, 4096]:
             report = run_delta(prec)
             assert report.passed, prec
-            assert report.z_roots.max_deviation == 0 and report.r_roots.max_deviation == 0, prec
+            assert report.z_roots.max_deviation == report.r_roots.max_deviation == Dyadic(0), prec
 
     def test_unproved_roots_fail_the_run(self, capsys):
         with mock.patch.object(signcount, "sign_count_check", return_value=None):
@@ -278,7 +275,7 @@ class TestRootCheckPath:
             code = main(["delta"])
         assert report.passed is False
         for rep in (report.z_roots, report.r_roots):
-            assert rep.passed is False and rep.roots == () and rep.max_deviation == mpmath.inf
+            assert rep.passed is False and rep.roots == () and rep.max_deviation is INF
         assert code == EXIT_CHECK_FAILED
         out = capsys.readouterr().out
         assert "zeta roots on critical line: False (max dev +inf)" in out
@@ -312,7 +309,7 @@ class TestOddPartCircle:
             rescaled_es2_residual=lambda poly: zero,
         ):
             report = run_delta(128)
-        assert report.r_minus_circle_deviation == 0
+        assert report.r_minus_circle_deviation == Dyadic(0)
         assert report.exact_z_match and report.golden_relations_ok
         assert report.z_roots.passed and report.r_roots.passed
         assert report.passed is False

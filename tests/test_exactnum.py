@@ -353,7 +353,7 @@ class TestRecord:
         assert report.partial_sums is report.partial_sums and "partial_sums" in vars(report)
 
     def test_fields_are_taken_as_a_dataclass_takes_them(self):
-        assert NumericPoly(2, (1, 2, 3), 64) == NumericPoly(w=2, prec=64, coeffs=(1, 2, 3), coeff_err=None)
+        assert NumericPoly(2, 0, (1, 2, 3), 64) == NumericPoly(w=2, prec=64, exp=0, mans=(1, 2, 3), errs=None)
         assert NewformData(1, 12, 1, (1,)).label == ""
         for args, kwargs in [
             ((True, True, True, "", 0), {}),  # too many

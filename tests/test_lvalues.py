@@ -6,9 +6,8 @@ from fractions import Fraction
 import mpmath
 import pytest
 from mpmath import mp
-from mpmath.libmp import to_rational
 
-from conftest import mpmath_loop_lambdas, pentagonal_tau
+from conftest import mpf, mpmath_loop_lambdas, numeric_poly, pentagonal_tau, poly_values
 from zetapoly.errors import InputError, PrecisionError
 from zetapoly.exactnum import binom_poly_in_s_scaled
 from zetapoly.lvalues import (
@@ -155,7 +154,7 @@ class TestCompletedL:
             for s in range(1, 12):
                 a = completed_l(nf, s, 128)
                 b = completed_l(nf, 12 - s, 128)
-                assert abs(a - b) < mpmath.mpf(2) ** -120
+                assert abs(mpf(a) - mpf(b)) < mpmath.mpf(2) ** -120
 
     def test_two_precision_agreement(self):
         nf = delta_newform(192)
@@ -163,12 +162,12 @@ class TestCompletedL:
             for s in (1, 3, 6):
                 lo = completed_l(nf, s, 128)
                 hi = completed_l(nf, s, 192)
-                assert abs(lo - hi) < mpmath.mpf(2) ** -120
+                assert abs(mpf(lo) - mpf(hi)) < mpmath.mpf(2) ** -120
 
     def test_l_values_positive(self):
         nf = delta_newform(128)
         for s, lam in enumerate(critical_lambdas(nf, 128), start=1):
-            assert l_from_lambda(nf, s, lam, 128) > 0
+            assert mpf(l_from_lambda(nf, s, lam, 128)) > 0
 
     def test_determinism(self):
         nf = delta_newform(128)
@@ -249,7 +248,7 @@ class TestCriticalLambdas:
             for s, (g, r) in enumerate(zip(got, ref), start=1):
                 if nf.fricke * (-1) ** (nf.weight // 2) == -1 and 2 * s == nf.weight:
                     # the functional equation forces Lambda(k/2) = 0
-                    assert g == 0 and abs(r) < mpmath.mpf(2) ** -120 * top
+                    assert mpf(g) == 0 and abs(r) < mpmath.mpf(2) ** -120 * top
                 else:
                     assert abs(g - r) < mpmath.mpf(2) ** -120 * abs(r), s
 
@@ -277,40 +276,40 @@ class TestCriticalLambdas:
         elapsed = time.perf_counter() - start
         assert elapsed < 2.0, f"critical_lambdas at 4096 bits took {elapsed:.2f} s"
         assert all(lam[s - 1] == lam[11 - s] for s in range(1, 12))  # Lambda(s) = Lambda(12-s)
-        R = _r_from_lambdas(10, lam, 4096)
-        assert mpmath.nstr(R.coeffs[8], 12) == "0.114379022439"
+        R = poly_values(_r_from_lambdas(10, lam, 4096))
+        assert mpmath.nstr(R[8], 12) == "0.114379022439"
         with mp.workprec(4096 + 32):
-            assert mpmath.nstr(R.coeffs[9] / 4, 12) == "0.00926927616237"
+            assert mpmath.nstr(R[9] / 4, 12) == "0.00926927616237"
 
 
 class TestBuildR:
     def test_scale_factors_match_reference(self):
-        R = build_r(delta_newform(128), 128)
+        R = poly_values(build_r(delta_newform(128), 128))
         with mp.workprec(160):
-            even_scale = R.coeffs[8]
-            odd_scale = R.coeffs[9] / 4
+            even_scale = R[8]
+            odd_scale = R[9] / 4
             assert abs(even_scale / mpmath.mpf("0.114379") - 1) < mpmath.mpf("1e-5")
             assert abs(odd_scale / mpmath.mpf("0.00926927") - 1) < mpmath.mpf("1e-5")
 
     def test_exact_rational_structure_of_coefficient_ratios(self):
-        R = build_r(delta_newform(128), 128)
+        R = poly_values(build_r(delta_newform(128), 128))
         with mp.workprec(160):
-            assert abs(R.coeffs[8] / R.coeffs[4] - mpmath.mpf(1) / 3) < mpmath.mpf("1e-6")
-            assert abs(R.coeffs[9] / R.coeffs[1] - 1) < mpmath.mpf("1e-6")
-            assert abs(R.coeffs[10] / R.coeffs[8] - mpmath.mpf(36) / 691) < mpmath.mpf("1e-6")
+            assert abs(R[8] / R[4] - mpmath.mpf(1) / 3) < mpmath.mpf("1e-6")
+            assert abs(R[9] / R[1] - 1) < mpmath.mpf("1e-6")
+            assert abs(R[10] / R[8] - mpmath.mpf(36) / 691) < mpmath.mpf("1e-6")
 
     def test_numeric_fricke_residual_tiny(self):
-        R = build_r(delta_newform(128), 128)
+        R = poly_values(build_r(delta_newform(128), 128))
         # spec bound: 10^(3 - prec log10 2)
         bound = mpmath.mpf(10) ** (3 - 128 * mpmath.log10(2))
         with mp.workprec(160):  # max_j |a_j + i^w a_(w-j)|, i^10 = -1
-            residual = max(abs(R.coeffs[j] - R.coeffs[10 - j]) for j in range(11))
+            residual = max(abs(R[j] - R[10 - j]) for j in range(11))
         assert residual < bound
 
     def test_error_bounds_present(self):
         R = build_r(delta_newform(128), 128)
-        assert R.coeff_err is not None
-        assert all(e > 0 for e in R.coeff_err)
+        assert R.errs is not None
+        assert all(e > 0 for e in R.errs)
 
     @pytest.mark.parametrize("prec", [64, 128, 1024])
     @pytest.mark.parametrize("name", ["delta", "N11k4+", "N7k10+dn"])
@@ -319,13 +318,13 @@ class TestBuildR:
         R = build_r(FORMS[name](prec), prec)
         ref = build_r(FORMS[name](prec + 64), prec + 64)
         with mp.workprec(prec + 128):
-            for v, r, e in zip(R.coeffs, ref.coeffs, R.coeff_err):
+            for v, r, e in zip(poly_values(R), poly_values(ref), poly_values(R, errs=True)):
                 assert abs(v - r) <= e
 
     def test_bit_for_bit_reproducible(self):
         a = build_r(delta_newform(128), 128)
         b = build_r(delta_newform(128), 128)
-        assert a.coeffs == b.coeffs
+        assert a == b
 
 
 class TestNumericRv:
@@ -335,30 +334,28 @@ class TestNumericRv:
         Z_exact = rv_forward(R_exact)
         prec = 128
         with mp.workprec(prec + 32):
-            Rnum = NumericPoly(
-                w=10, coeffs=tuple(mpmath.mpf(int(c.re)) for c in R_exact.coeffs), prec=prec
-            )
-            Znum = numeric_rv(Rnum)
+            Rnum = numeric_poly([int(c.re) for c in R_exact.coeffs], prec)
+            Znum = poly_values(numeric_rv(Rnum))
             for t in range(11):
                 exact = mpmath.mpf(Z_exact.coeffs[t].re.numerator) / mpmath.mpf(
                     Z_exact.coeffs[t].re.denominator
                 )
-                assert abs(Znum.coeffs[t] - exact) < mpmath.mpf(2) ** (-prec)
+                assert abs(Znum[t] - exact) < mpmath.mpf(2) ** (-prec)
 
     def test_functional_equation_numeric(self):
         prec = 128
         R = build_r(delta_newform(prec), prec)
-        Z = numeric_rv(R)
+        Z = poly_values(numeric_rv(R))
         with mp.workprec(prec + 32):
             # residual coefficients of Z(s) + i^w Z(1-s), computed numerically
-            w = Z.w
+            w = R.w
             phase = (-1) ** (w // 2)
             res = [mpmath.mpf(0)] * (w + 1)
             for p in range(w + 1):
-                res[p] += Z.coeffs[p]
+                res[p] += Z[p]
             for p in range(w + 1):
                 for t in range(p + 1):
-                    res[t] += phase * Z.coeffs[p] * math.comb(p, t) * (-1) ** t
+                    res[t] += phase * Z[p] * math.comb(p, t) * (-1) ** t
             assert max(abs(r) for r in res) < mpmath.mpf("1e-20")
 
     @pytest.mark.parametrize("prec", [64, 128, 1024])
@@ -368,7 +365,7 @@ class TestNumericRv:
         Z = numeric_rv(build_r(FORMS[name](prec), prec))
         ref = numeric_rv(build_r(FORMS[name](prec + 64), prec + 64))
         with mp.workprec(prec + 128):
-            for v, r, e in zip(Z.coeffs, ref.coeffs, Z.coeff_err):
+            for v, r, e in zip(poly_values(Z), poly_values(ref), poly_values(Z, errs=True)):
                 assert abs(v - r) <= e
 
     @pytest.mark.parametrize("prec", [64, 128, 1024])
@@ -381,37 +378,58 @@ class TestNumericRv:
         synthetic forms), and coeff_err is under 2^-(prec+30) |Z_t|."""
         R = build_r(FORMS[name](prec), prec)
         Z = numeric_rv(R)
-        exact = rv_forward(PolyX.make(R.w, [Fraction(*to_rational(c._mpf_)) for c in R.coeffs]))
-        bare = numeric_rv(NumericPoly(w=R.w, coeffs=R.coeffs, prec=prec))
+        exact = rv_forward(PolyX.make(R.w, [m * Fraction(2) ** R.exp for m in R.mans]))
+        bare = numeric_rv(NumericPoly(w=R.w, exp=R.exp, mans=R.mans, prec=prec))
         w_fact = math.factorial(R.w)
+        r_err, z_err = poly_values(R, errs=True), poly_values(Z, errs=True)
+        (bare_val, bare_err), z_val = (poly_values(bare, e) for e in (False, True)), poly_values(Z)
         with mp.workprec(prec + 128):
             for t in range(R.w + 1):
                 basis = sum(
-                    abs(binom_poly_in_s_scaled(R.w, R.w - j, -1)[t]) * R.coeff_err[j]
+                    abs(binom_poly_in_s_scaled(R.w, R.w - j, -1)[t]) * r_err[j]
                     for j in range(R.w + 1)
                 ) / w_fact
-                assert Z.coeff_err[t] >= basis
+                assert z_err[t] >= basis
                 z = exact.coeffs[t].re
-                assert abs(bare.coeffs[t] - mpmath.mpf(z.numerator) / z.denominator) <= bare.coeff_err[t]
-                assert bare.coeff_err[t] <= mpmath.mpf(2) ** -(prec + 30) * abs(bare.coeffs[t])
-                assert bare.coeffs[t] == Z.coeffs[t]
+                assert abs(bare_val[t] - mpmath.mpf(z.numerator) / z.denominator) <= bare_err[t]
+                assert bare_err[t] <= mpmath.mpf(2) ** -(prec + 30) * abs(bare_val[t])
+                assert bare_val[t] == z_val[t]
 
     def test_zero_beside_positive_exponents(self):
-        # 4 = 2^2 and 8 = 2^3 set the common exponent to 2; the zero's
-        # mantissa is 0, not a negative shift.
-        R = NumericPoly(w=2, coeffs=(mpmath.mpf(4), mpmath.mpf(0), mpmath.mpf(8)), prec=64)
+        # 4 = 2^2 and 8 = 2^3 over the common exponent 2; the transform's
+        # zero coefficients take mantissa 0 in the common form, not a negative shift.
+        R = NumericPoly(w=2, exp=2, mans=(1, 0, 2), prec=64)
         Z = numeric_rv(R)
         exact = rv_forward(PolyX.make(2, [4, 0, 8]))
-        assert [mpmath.mpf(c.re.numerator) / c.re.denominator for c in exact.coeffs] == list(Z.coeffs)
+        assert [mpmath.mpf(c.re.numerator) / c.re.denominator for c in exact.coeffs] == list(poly_values(Z))
 
     def test_error_propagation(self):
         R = build_r(delta_newform(128), 128)
         Z = numeric_rv(R)
-        assert Z.coeff_err is not None
-        assert all(e >= 0 for e in Z.coeff_err)
+        assert Z.errs is not None
+        assert all(e >= 0 for e in Z.errs)
 
 
 class TestNumericPoly:
     def test_length_validated(self):
         with pytest.raises(InputError):
-            NumericPoly(w=2, coeffs=(mpmath.mpf(1),), prec=64)
+            NumericPoly(w=2, exp=0, mans=(1,), prec=64)
+
+    # Each of these once reached the numeric code: with w = 10, 10 error
+    # bounds let a sign count drop the last coefficient's error, 12 raised
+    # "negative shift count" there while numeric_rv truncated silently, and
+    # a short list raised IndexError on the unit circle.
+    @pytest.mark.parametrize("count", [3, 10, 12])
+    def test_error_bound_count_validated(self, count):
+        with pytest.raises(InputError, match="error bounds"):
+            NumericPoly(w=10, exp=0, mans=(1,) * 11, prec=64, errs=(1,) * count)
+
+    def test_negative_error_bound_rejected(self):
+        with pytest.raises(InputError, match=">= 0"):
+            NumericPoly(w=2, exp=0, mans=(1, 0, 1), prec=64, errs=(0, -1, 0))
+
+    @pytest.mark.parametrize("field", ["mans", "errs"])
+    def test_mantissas_must_be_integers(self, field):
+        values = {"mans": (1, 0, 1), "errs": (0, 0, 0), field: (1, 0.5, 1)}
+        with pytest.raises(InputError, match="integer mantissas"):
+            NumericPoly(w=2, exp=0, prec=64, **values)

@@ -23,6 +23,11 @@ from zetapoly.lvalues import delta_coefficients, required_nmax
 
 # Public names no command reaches, each with the reason it stays.
 ALLOWED = {
+    "dyadic.Dyadic.__eq__": "the tests compare reported values, and records holding them, "
+    "with it",
+    "dyadic.Dyadic.__hash__": "defining __eq__ alone would make the values, and the frozen "
+    "reports holding them, unhashable",
+    "dyadic.Dyadic.__repr__": "the form that failing asserts and the REPL print",
     "exactnum.DensePoly.degree": "acceptance criterion 10, through hilbert_hypotheses",
     "exactnum.GaussianRational.__eq__": "the asserts compare Q(i) values, in the tests and "
     "the acceptance criteria",

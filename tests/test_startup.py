@@ -1,7 +1,8 @@
 """What a start loads: ``import zetapoly.cli`` imports neither
-``dataclasses`` (with ``inspect``) nor the general root finder, and only
-the ``roots`` command loads the latter.  Every start compiles each module
-it imports, so a module that slips back onto the import path costs every
+``dataclasses`` (with ``inspect``), nor mpmath, nor the general root
+finder, no command but ``roots`` loads any of them, and ``roots`` loads
+only the root finder and mpmath.  Every start compiles each module it
+imports, so a module that slips back onto the import path costs every
 command."""
 
 import json
@@ -10,8 +11,14 @@ import subprocess
 import sys
 from importlib import resources
 
+import pytest
+
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-WATCHED = ("dataclasses", "inspect", "zetapoly.rootfind")
+WATCHED = ("dataclasses", "inspect", "mpmath", "zetapoly.rootfind")
+
+
+def _data(name: str) -> str:
+    return str(resources.files("zetapoly.data").joinpath(name))
 
 
 def _loaded_by(argv=None) -> set:
@@ -43,6 +50,17 @@ def test_delta_does_not_load_the_root_finder():
     assert _loaded_by(["delta", "--prec", "64"]) == set()
 
 
+@pytest.mark.parametrize("argv", [
+    ["thm2", _data("r_delta_minus.json")],
+    ["wspace", "10"],
+    ["check", "es1", _data("r_delta_minus.json")],
+    ["rv-forward", _data("r_delta_minus.json")],
+    ["rv-inverse", _data("z_delta_minus.json")],
+    ["lvalues"],
+], ids=lambda argv: argv[0])
+def test_other_commands_load_no_watched_module(argv):
+    assert _loaded_by(argv) == set()
+
+
 def test_roots_loads_the_root_finder():
-    r_minus = str(resources.files("zetapoly.data").joinpath("r_delta_minus.json"))
-    assert _loaded_by(["roots", r_minus]) == {"zetapoly.rootfind"}
+    assert _loaded_by(["roots", _data("r_delta_minus.json")]) == {"zetapoly.rootfind", "mpmath"}

@@ -13,7 +13,10 @@ from conftest import (
     horner_fixed_oracle,
     linear_pow,
     modulus_27_poly,
+    mpc,
     naive_mul,
+    numeric_poly,
+    poly_values,
     poly_with_roots,
     rand_polyx,
     rand_qi,
@@ -21,6 +24,7 @@ from conftest import (
     symmetric_polyx,
     violating_polyx,
 )
+from zetapoly.dyadic import Dyadic
 from zetapoly.errors import InputError, PrecisionError
 from zetapoly.exactnum import GaussianRational, I, ONE, ZERO, common_denominator, qi
 from zetapoly.lvalues import NumericPoly, build_r, delta_newform, numeric_rv
@@ -496,7 +500,7 @@ class TestRoots:
                 cs = tuple(
                     mpmath.mpf(rng.randint(-99, 99)) / rng.randint(1, 50) for _ in range(11)
                 )
-        got = roots(NumericPoly(w=len(cs) - 1, coeffs=cs, prec=prec), precision=prec)
+        got = roots(numeric_poly(cs, prec), precision=prec)
         assert len(got) == len(cs) - 1
         with mp.workprec(prec + 32):
             monic = [c / cs[-1] for c in cs]
@@ -512,14 +516,14 @@ class TestRoots:
         # X^3 - 3X + 2 = (X - 1)^2 (X + 2), as exact and as dyadic values.
         values = (2, -3, 0, 1)
         exact = roots(PolyX.make(4, values), precision=prec)
-        numeric = roots(NumericPoly(w=3, coeffs=tuple(map(mpmath.mpf, values)), prec=prec), precision=prec)
+        numeric = roots(numeric_poly(values, prec), precision=prec)
         assert numeric == exact == [-2, 1, 1]
 
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_non_finite_numeric_coefficient_rejected(self, value):
-        one = mpmath.mpf(1)
+        # a NumericPoly holds integer mantissas only, so it cannot hold these
         with pytest.raises(InputError):
-            roots(NumericPoly(w=2, coeffs=(one, mpmath.mpf(value), one), prec=64), precision=64)
+            roots(NumericPoly(w=2, exp=0, mans=(1, float(value), 1), prec=64), precision=64)
 
     # The first Aberth rung runs in complex doubles; each case below needs
     # its hand-off to the mpmath rungs (or the Newton ladder past doubles).
@@ -642,7 +646,7 @@ class TestRoots:
     def test_delta_roots_against_polyroots(self, prec):
         R = build_r(delta_newform(prec), prec)
         for P in (R, numeric_rv(R)):
-            assert_near_polyroots(P.coeffs, roots(P, precision=prec), prec)
+            assert_near_polyroots(poly_values(P), roots(P, precision=prec), prec)
 
     @pytest.mark.parametrize("prec", [128, 256])
     def test_delta_zeta_roots_in_ascending_imaginary_part(self, prec):
@@ -875,7 +879,7 @@ def numeric_zeta(line_ts, extra, prec: int) -> NumericPoly:
     with mp.workprec(prec + 32):
         coeffs = tuple(mpmath.mpf(c.numerator) / c.denominator for c in Z)
         errs = tuple(mpmath.ldexp(abs(c), -(prec + 30)) for c in coeffs)
-    return NumericPoly(w=w, coeffs=coeffs, prec=prec, coeff_err=errs)
+    return numeric_poly(coeffs, prec, errs)
 
 
 DELTA = Fraction(1, 1000)
@@ -898,10 +902,10 @@ class TestSignCountCheck:
     def test_roots_on_the_line_are_proved(self, prec):
         Z = numeric_zeta((1, 2, 3, 4, 5), (1,), prec)
         rep = sign_count_check(Z, "critical_line", 1, precision=prec)
-        assert rep is not None and rep.passed and rep.max_deviation == 0
+        assert rep is not None and rep.passed and rep.max_deviation == Dyadic(0)
         with mp.workprec(128):
             want = [mpmath.mpc(0.5, t) for t in range(-5, 6) if t]
-            assert max(abs(a - b) for a, b in zip(rep.roots, want)) < 1e-25
+            assert max(abs(mpc(a) - b) for a, b in zip(rep.roots, want)) < 1e-25
 
     @pytest.mark.parametrize("factor,proved", EDGE)
     def test_line_bound_at_a_known_point(self, factor, proved):
@@ -912,8 +916,7 @@ class TestSignCountCheck:
         holds just below e_1 = 1/4 and fails just above."""
         with mp.workprec(160):
             zero, e1 = mpmath.mpf(0), mpmath.mpf(factor.numerator) / (4 * factor.denominator)
-            Z = NumericPoly(w=2, coeffs=(mpmath.mpf(5) / 4, mpmath.mpf(-1), mpmath.mpf(1)),
-                            prec=128, coeff_err=(zero, e1, zero))
+            Z = numeric_poly((mpmath.mpf(5) / 4, -1, 1), 128, (zero, e1, zero))
         assert (sign_count_check(Z, "critical_line", 1) is not None) is proved
 
     @pytest.mark.parametrize("factor,proved", EDGE)
@@ -923,38 +926,38 @@ class TestSignCountCheck:
         and just over are not."""
         with mp.workprec(160):
             total = mpmath.mpf(3) / 2 * factor.numerator / factor.denominator
-            r = NumericPoly(w=2, coeffs=(mpmath.mpf(1), mpmath.mpf(0.5), mpmath.mpf(1)), prec=128,
-                            coeff_err=(total / 4, total / 2, total / 4))
+            r = numeric_poly((1, mpmath.mpf(0.5), 1), 128, (total / 4, total / 2, total / 4))
         rep = sign_count_check(r, "unit_circle", 1)
         assert (rep is not None) is proved
         if proved:
             with mp.workprec(128):
-                assert all(abs(abs(z) - 1) < 1e-30 for z in rep.roots)
+                assert all(abs(abs(mpc(z)) - 1) < 1e-30 for z in rep.roots)
 
     @pytest.mark.parametrize("where,value", [("coeffs", "inf"), ("coeffs", "nan"), ("coeff_err", "-1e10")])
     def test_non_finite_coefficients_or_negative_errors_are_not_proved(self, where, value):
-        """On Z_0, which keeps Z(1/2 + x) even, so the symmetry guard passes."""
+        """On Z_0, which keeps Z(1/2 + x) even, so the symmetry guard would
+        pass: a NumericPoly refuses such a value, so no check sees it."""
         Z = numeric_zeta((1, 2, 3, 4, 5), (1,), 128)
-        fields = {"coeffs": list(Z.coeffs), "coeff_err": list(Z.coeff_err)}
-        fields[where][0] = mpmath.mpf(value)
-        bad = NumericPoly(w=10, coeffs=tuple(fields["coeffs"]), prec=128,
-                          coeff_err=tuple(fields["coeff_err"]))
-        assert sign_count_check(bad, "critical_line", 1) is None
+        fields = {"mans": list(Z.mans), "errs": list(Z.errs)}
+        if where == "coeffs":
+            fields["mans"][0] = float(value)
+        else:
+            fields["errs"][0] = int(float(value))
+        with pytest.raises(InputError):
+            NumericPoly(w=10, exp=Z.exp, prec=128, **{k: tuple(v) for k, v in fields.items()})
 
     def test_zero_coefficient_beside_positive_exponents(self):
         # r = 4 + 4X^2: the common exponent of 4 = 2^2 is 2, and the zero
         # coefficient and zero errors take mantissa 0.
-        zero, four = mpmath.mpf(0), mpmath.mpf(4)
-        r = NumericPoly(w=2, coeffs=(four, zero, four), prec=64, coeff_err=(zero,) * 3)
+        r = NumericPoly(w=2, exp=2, mans=(1, 0, 1), prec=64, errs=(0,) * 3)
         rep = sign_count_check(r, "unit_circle", 1, precision=64)
         assert rep is not None and rep.passed
-        assert rep.roots == (mpmath.mpc(0, -1), mpmath.mpc(0, 1))
+        assert [mpc(z) for z in rep.roots] == [mpmath.mpc(0, -1), mpmath.mpc(0, 1)]
 
     def test_errors_too_large_to_certify_a_sign(self):
         Z = numeric_zeta((1, 2, 3, 4, 5), (1,), 128)
         with mp.workprec(160):
-            loose = NumericPoly(w=10, coeffs=Z.coeffs, prec=128,
-                                coeff_err=tuple(abs(c) / 100 for c in Z.coeffs))
+            loose = numeric_poly(poly_values(Z), 128, [abs(c) / 100 for c in poly_values(Z)])
         assert sign_count_check(loose, "critical_line", 1) is None
 
     @pytest.mark.parametrize("case", sorted(OFF_LINE))
