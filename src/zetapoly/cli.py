@@ -238,7 +238,7 @@ def _cmd_roots(args) -> int:
         _emit(args, lambda: payload, lambda: lines)
         return EXIT_OK if report.passed else EXIT_CHECK_FAILED
     rts = roots(poly, precision=args.prec)
-    payload = {"roots": [[nstr(z.real, 20), nstr(z.imag, 20)] for z in rts]}
+    payload = {"roots": [[nstr(x, 20) for x in z] for z in rts]}
     lines = [nstr(z, 20) for z in rts]
     _emit(args, lambda: payload, lambda: lines)
     return EXIT_OK

@@ -84,6 +84,16 @@ class Dyadic:
             raise ValueError("+inf has no mantissa and exponent")
         return (-man if sign else man), exp
 
+    def __sub__(self, other):
+        """The exact difference with a Dyadic or an int."""
+        if not isinstance(other, (Dyadic, int)):
+            return NotImplemented
+        E, (a, b) = aligned([self.man_exp, other.man_exp if isinstance(other, Dyadic) else (other, 0)])
+        return Dyadic(a - b, E)
+
+    def __abs__(self):
+        return Dyadic(-self.man_exp[0], self.man_exp[1]) if self._mpf_[0] else self
+
     def __eq__(self, other):
         return self._mpf_ == other._mpf_ if isinstance(other, Dyadic) else NotImplemented
 
@@ -102,14 +112,13 @@ _LOG2_10 = math.log(10, 2)
 
 def nstr(x, dps: int) -> str:
     """``mpmath.nstr(x, dps)``, dps >= 1, for a value with ``_mpf_`` (a
-    Dyadic or an mpf) or for a complex one: an mpc (``_mpc_``), or a pair
-    (real part, imaginary part) of values with ``_mpf_``, printed as mpmath
-    prints an mpc.  Anything else prints as str(x), as mpmath has it."""
+    Dyadic or an mpf), or for a pair (real part, imaginary part) of them
+    printed as mpmath prints an mpc.  Anything else prints as str(x)."""
     if hasattr(x, "_mpf_"):
         return _to_str(x._mpf_, dps)
-    if hasattr(x, "_mpc_") or isinstance(x, tuple):
-        re, (sign, *im) = x._mpc_ if hasattr(x, "_mpc_") else (x[0]._mpf_, x[1]._mpf_)
-        return f"({_to_str(re, dps)} {'-' if sign else '+'} {_to_str((0, *im), dps)}j)"
+    if isinstance(x, tuple):
+        sign, *im = x[1]._mpf_
+        return f"({_to_str(x[0]._mpf_, dps)} {'-' if sign else '+'} {_to_str((0, *im), dps)}j)"
     return str(x)
 
 

@@ -5,19 +5,19 @@ first use: there, or as ``zeta.roots`` / ``zeta.rh_check`` (PEP 562)."""
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from fractions import Fraction
 from itertools import zip_longest
 
-import mpmath
-from mpmath import mp
-from mpmath.libmp import from_man_exp
-
-from zetapoly.dyadic import aligned, nstr
+from zetapoly.dyadic import Dyadic, aligned, nstr, quotient, sqrt_rounded
 from zetapoly.errors import InputError, PrecisionError
 from zetapoly.exactnum import DensePoly, reduced
-from zetapoly.zeta import _GUARD_BITS, _ISOLATION_BITS, RootCheckReport, _aberth, _sorted_roots, as_tolerance
+from zetapoly.zeta import (
+    _ABERTH_MAX_ITER, _GUARD_BITS, _ISOLATION_BITS, _SEED_ANGLE_OFFSET, RootCheckReport, _aberth, _sorted_roots,
+    _sqrt64, as_tolerance,
+)
 
 
 def _trim(p: list) -> list:
@@ -125,7 +125,8 @@ def squarefree_parts(f: tuple) -> list:
 
 
 def roots(poly, precision: int = 128) -> list:
-    """All complex roots of a nonzero polynomial, multiplicity-aware.
+    """All complex roots of a nonzero polynomial, multiplicity-aware, as
+    (real part, imaginary part) pairs of exact Dyadic values.
 
     1. The input is read as one exact form (den, pairs), coefficient k
        (p_k + q_k i)/den: a PolyX / ZetaPoly as held, a NumericPoly as its
@@ -160,7 +161,7 @@ def roots(poly, precision: int = 128) -> list:
        norm of P's coefficients, compared as squares on integers.  A pass
        therefore proves the residual of the returned root below that
        target.  If a root fails, stages 2-4 rerun with the Aberth stage in
-       mpmath at double the bits; PrecisionError is raised when the stage
+       fixed point at double the bits; PrecisionError is raised when the stage
        at full precision fails, or at once when a failing root's bound B
        alone reaches the target, which no rerun near that root can lower.
 
@@ -184,16 +185,14 @@ def roots(poly, precision: int = 128) -> list:
     lr, li = pairs[-1]  # c / l = c conj(l) / |l|^2
     monic = reduced(lr * lr + li * li, [(p * lr + q * li, q * lr - p * li) for p, q in pairs[origin:]])
     factors = squarefree_parts(monic) if len(monic[1]) > 1 else []
-    with mp.workprec(precision + 32):
-        found = [(0, 0, 0)] * origin + _certified_roots(monic, factors, precision)
-    return [_mpc(z) for z in _sorted_roots(found, precision)]
+    found = [(0, 0, 0)] * origin + _certified_roots(monic, factors, precision)
+    return [(Dyadic(a, E), Dyadic(b, E)) for a, b, E in _sorted_roots(found, precision)]
 
-def _round(den: int, pair: tuple) -> mpmath.mpc:
-    """The coefficient (p + q i)/den rounded to the working precision, each
-    part as the quotient of its numerator and denominator in lowest terms."""
-    gp, gq = (math.gcd(x, den) for x in pair)
-    return mpmath.mpc(mpmath.mpf(pair[0] // gp) / mpmath.mpf(den // gp),
-                      mpmath.mpf(pair[1] // gq) / mpmath.mpf(den // gq))
+
+def _not_certified(target2: Fraction) -> PrecisionError:
+    """The error for residuals that stay above the target sqrt(target2)."""
+    target = nstr(Dyadic(*_sqrt64(target2)), 5)
+    return PrecisionError(f"root iteration failed to certify residuals below {target}")
 
 
 def _certified_roots(monic: tuple, factors: list, precision: int) -> list:
@@ -216,30 +215,28 @@ def _certified_roots(monic: tuple, factors: list, precision: int) -> list:
             if all(ok for rows, _ in checked for ok, *_ in rows):
                 return [z for rows, k in checked for _, _, z, _ in rows * k]
             if bits == precision or any(futile for rows, _ in checked for *_, futile in rows):
-                target = mpmath.sqrt(mpmath.mpf(target2.numerator) / target2.denominator)
-                raise PrecisionError(
-                    f"root iteration failed to certify residuals below {nstr(target, 5)}"
-                )
+                raise _not_certified(target2)
         bits = min(2 * bits, precision)
 
 
 def _refined_roots(g: tuple, bits: int, precision: int) -> list:
     """Roots of one squarefree monic factor, the form ``g`` = (den, pairs),
     as exact dyadics: Aberth at ``bits`` (in complex doubles up to
-    _ISOLATION_BITS, else in mpmath), then one fixed-point Newton step per
-    root on each rung ceil(precision / 2^k) above ``bits``, from the
-    lowest, and on ``precision`` itself."""
+    _ISOLATION_BITS, else in fixed point), then one fixed-point Newton step
+    per root on each rung ceil(precision / 2^k) above ``bits``, from the
+    lowest, and on ``precision`` itself.  A linear factor's root is rounded
+    once to precision + _GUARD_BITS bits."""
     den, pairs = g
     if len(pairs) == 2:
-        return [_dyadic(-_round(den, pairs[0]))]
-    if bits <= _ISOLATION_BITS:
+        E, (a, b) = aligned([quotient(-x, den, 0, precision + _GUARD_BITS) for x in pairs[0]])
+        return [(a, b, E)]
+    if bits > _ISOLATION_BITS:
+        z = _aberth_fixed(g, bits)
+    else:
         try:
-            z = [_dyadic(x) for x in _aberth(_doubles(g), bits, complex)]
+            z = [_dyadic(x) for x in _aberth(_doubles(g), bits)]
         except OverflowError as exc:  # abs() of a complex past the double range
             raise PrecisionError("root isolation overflowed doubles") from exc
-    else:
-        with mp.workprec(bits + 32):
-            z = [_dyadic(x) for x in _aberth([_round(den, c) for c in pairs], bits, mpmath.mpc)]
     for k in range(precision.bit_length(), -1, -1):
         rung = -(-precision >> k)  # ceil(precision / 2^k)
         if rung > bits or k == 0:
@@ -248,16 +245,64 @@ def _refined_roots(g: tuple, bits: int, precision: int) -> list:
     return z
 
 
-def _dyadic(x) -> tuple[int, int, int]:
-    """A complex double or mpc as the exact dyadic (a, b, E) = (a + b i) 2^E."""
-    E, (a, b) = aligned([(-m if s else m, e) for s, m, e, _ in mpmath.mpc(x)._mpc_])
+def _aberth_fixed(g: tuple, bits: int) -> list:
+    """``_aberth`` at ``bits`` in fixed point, for a squarefree monic form
+    ``g`` = (den, pairs) of degree d >= 2: the same seeds (here from
+    ``_floored``'s logs), sweep cap and stop rule, on exact dyadics.
+
+    ``_horner_fixed`` at t = bits + _GUARD_BITS gives G and D at the
+    point 2^e y, on the grid 2^(e - t).  The repulsion S = sum_l 1/(z_j - z_l)
+    over the other iterates sums floored Gaussian integer quotients in
+    units of 2^-(t + e), and the step P / (P' - P S) = 2^e G / (D - 2^e G S)
+    is divided as ``_newton_step`` divides G / D, onto the point's grid."""
+    den, pairs = g
+    fixed = t, d, rows = _floored(g, bits + _GUARD_BITS)
+    half, den2 = bits // 2, den * den
+    norm2 = max(max(p * p + q * q for p, q in pairs), den2)  # max(||g||, 1)^2 den^2
+    log_r = 1 + max(lc / (d - k) for k, *_, lc in rows if k < d)  # 2 max_k |c_(d-k)|^(1/k)
+    unit = 2 ** (log_r % 1)
+    z = [_dyadic(unit * cmath.rect(1, 2 * math.pi * j / d + _SEED_ANGLE_OFFSET), math.floor(log_r))
+         for j in range(d)]
+
+    def small(h):  # |P| < 2^-half max(||g||, 1), from the kernel's G and s, on integers
+        gr, gi, _, _, _, s, _ = h
+        x, k = (gr * gr + gi * gi) * den2, 2 * (s - t + half)
+        return x << k < norm2 if k >= 0 else x < norm2 << -k
+
+    for _ in range(_ABERTH_MAX_ITER):
+        settled, moved = True, False
+        for j in range(d):
+            h = _horner_fixed(fixed, z[j], derivative=True)
+            gr, gi, dr, di, _, _, (yr, yi, E) = h
+            settled &= small(h)
+            if not (gr or gi):
+                continue
+            sr = si = 0  # S in units of 2^-(t + e), e = E + t
+            for a, b, F in z[:j] + z[j + 1:]:
+                L = min(E, F)
+                u, v = (yr << E - L) - (a << F - L), (yi << E - L) - (b << F - L)
+                n = u * u + v * v
+                if n:
+                    sr, si = sr + (u << 2 * t + E - L) // n, si + (-v << 2 * t + E - L) // n
+            wr, wi = dr - (gr * sr - gi * si >> t), di - (gr * si + gi * sr >> t)
+            if not (wr or wi):
+                continue
+            sr, si = _ratio(gr, gi, wr, wi, t)
+            z[j] = yr - sr, yi - si, E
+            x, n = sr * sr + si * si, (yr - sr) ** 2 + (yi - si) ** 2  # |step| >= 2^-half max(|z|, 1)
+            moved |= x << 2 * half >= n and x.bit_length() > max(-2 * (half + E), 0)
+        if settled or not moved:
+            return z
+    if all(small(_horner_fixed(fixed, x)) for x in z):  # final certification pass
+        return z
+    raise _not_certified(Fraction(norm2, den2 << 2 * half))
+
+
+def _dyadic(x: complex, exp: int = 0) -> tuple[int, int, int]:
+    """The complex double x times 2^exp as the exact dyadic (a, b, E) = (a + b i) 2^E."""
+    parts = (x.real.as_integer_ratio(), x.imag.as_integer_ratio())  # denominators are powers of 2
+    E, (a, b) = aligned([(m, exp + 1 - q.bit_length()) for m, q in parts])
     return a, b, E
-
-
-def _mpc(z: tuple) -> mpmath.mpc:
-    """The exact value of the dyadic z = (a, b, E), unrounded."""
-    a, b, E = z
-    return mp.make_mpc((from_man_exp(a, E), from_man_exp(b, E)))
 
 
 def _floored(form: tuple, t: int) -> tuple:
@@ -344,13 +389,16 @@ def _newton_step(fixed: tuple, z: tuple) -> tuple:
     """One fixed-point Newton step from the dyadic root z: the new root
     (z itself where the derivative vanishes)."""
     gr, gi, dr, di, _, _, (yr, yi, E) = _horner_fixed(fixed, z, derivative=True)
-    dd = dr * dr + di * di
-    if dd == 0:
+    if not (dr or di):
         return z
-    t = fixed[0]
-    sr = ((gr * dr + gi * di) << t) // dd  # the step G / D, in units of 2^E
-    si = ((gi * dr - gr * di) << t) // dd
+    sr, si = _ratio(gr, gi, dr, di, fixed[0])  # the step G / D, in units of 2^E
     return yr - sr, yi - si, E
+
+
+def _ratio(nr: int, ni: int, dr: int, di: int, t: int) -> tuple[int, int]:
+    """2^t (nr + ni i) / (dr + di i), each part floored; d != 0."""
+    dd = dr * dr + di * di
+    return ((nr * dr + ni * di) << t) // dd, ((ni * dr - nr * di) << t) // dd
 
 
 def _residual_below(fixed: tuple, z: tuple, target2: Fraction) -> tuple:
@@ -395,17 +443,12 @@ def rh_check(poly, mode: str, tol="1e-8", precision: int = 128) -> RootCheckRepo
         raise InputError(f"unknown mode {mode!r}")
     tol_frac = as_tolerance(tol)
     rts = roots(poly, precision=precision)
-    with mp.workprec(precision + 32):
-        if mode == "critical_line":
-            devs = tuple(abs(mpmath.re(z) - mpmath.mpf(1) / 2) for z in rts)
-        else:
-            devs = tuple(abs(abs(z) - 1) for z in rts)
-        max_dev = max(devs) if devs else mpmath.mpf(0)
-        bound = mpmath.mpf(tol_frac.numerator) / mpmath.mpf(tol_frac.denominator)
-        return RootCheckReport(
-            mode=mode,
-            roots=tuple((z.real, z.imag) for z in rts),
-            max_deviation=max_dev,
-            tol=tol_frac,
-            passed=bool(max_dev < bound),
-        )
+    if mode == "critical_line":
+        devs = [abs(x - Dyadic(1, -1)) for x, _ in rts]
+    else:  # |z| - 1, |z| rounded to precision + _GUARD_BITS bits
+        norms = [aligned([x.man_exp, y.man_exp]) for x, y in rts]
+        devs = [abs(Dyadic(*sqrt_rounded(a * a + b * b, 2 * E, precision + _GUARD_BITS)) - 1)
+                for E, (a, b) in norms]
+    E, mans = aligned([x.man_exp for x in devs])
+    m = max(mans, default=0)
+    return RootCheckReport(mode, tuple(rts), Dyadic(m, E), tol_frac, m * Fraction(2) ** E < tol_frac)

@@ -60,7 +60,7 @@ def sign_count_check(poly, mode: str, eps: int, tol="1e-8", precision: int = 128
     if any(x > e for x, e in odd):
         return None
     try:
-        seeds = sorted(z.real for z in _aberth([c / F[d] for c in F], _ISOLATION_BITS, complex))
+        seeds = sorted(z.real for z in _aberth([c / F[d] for c in F], _ISOLATION_BITS))
     except (ZeroDivisionError, OverflowError, PrecisionError):
         return None
     mids = [(x + y) / 2 for x, y in zip(seeds, seeds[1:])]

@@ -301,29 +301,24 @@ def _sorted_roots(found: list, precision: int) -> list:
     return sorted(found, key=key)
 
 
-def _aberth(coeffs: list, precision: int, num: type) -> list:
-    """Aberth-Ehrlich simultaneous iteration on a monic coefficient list,
-    in the arithmetic of ``num``: ``complex`` (doubles) or mpmath's ``mpc``
-    (at the caller's working precision, in ``rootfind``).
+def _aberth(coeffs: list, precision: int) -> list:
+    """Aberth-Ehrlich simultaneous iteration on a monic coefficient list, in
+    complex doubles (``rootfind._aberth_fixed`` runs it in fixed point).
 
     Stops once every residual is below 2^(-precision/2) times the sup norm
     of the coefficients (at least 1), or once a sweep moves no root by more
     than 2^(-precision/2) relative to max(|z|, 1): the residual rule alone
     cannot be met at low precision when a large root amplifies rounding.
-    Raises PrecisionError on an iterate that is not finite (doubles only).
+    Raises PrecisionError on an iterate that is not finite.
     """
     d = len(coeffs) - 1
-    one = abs(num(1))  # the real type of the arithmetic: float or mpf
-    norm = max(max(abs(c) for c in coeffs), one)
-    step_tol = (2 * one) ** (-(precision // 2))
+    norm = max(max(abs(c) for c in coeffs), 1.0)
+    step_tol = 2.0 ** -(precision // 2)
     target = step_tol * norm
-    radius = 2 * max(abs(coeffs[d - k]) ** (one / k) for k in range(1, d + 1)) or one
-    z = [
-        radius * num(cmath.rect(1, 2 * math.pi * j / d + _SEED_ANGLE_OFFSET))
-        for j in range(d)
-    ]
+    radius = 2 * max(abs(coeffs[d - k]) ** (1.0 / k) for k in range(1, d + 1)) or 1.0
+    z = [radius * cmath.rect(1, 2 * math.pi * j / d + _SEED_ANGLE_OFFSET) for j in range(d)]
     for _ in range(_ABERTH_MAX_ITER):
-        residual = moved = 0 * one
+        residual = moved = 0.0
         for j in range(d):
             p, dp = _horner2(coeffs, z[j])
             residual = max(residual, abs(p))
@@ -338,15 +333,12 @@ def _aberth(coeffs: list, precision: int, num: type) -> list:
             size = abs(z[j])
             if not size < math.inf:
                 raise PrecisionError("root isolation left the double range")
-            moved = max(moved, abs(step) / max(size, one))
+            moved = max(moved, abs(step) / max(size, 1.0))
         if residual < target or moved < step_tol:
             return z
-    # final certification pass
-    if max(abs(_horner2(coeffs, zj)[0]) for zj in z) < target:
+    if max(abs(_horner2(coeffs, zj)[0]) for zj in z) < target:  # final certification pass
         return z
-    raise PrecisionError(
-        f"root iteration failed to certify residuals below {nstr(target, 5)}"
-    )
+    raise PrecisionError(f"root iteration failed to certify residuals below {nstr(target, 5)}")
 
 
 def _horner2(coeffs: list, x):
@@ -361,8 +353,7 @@ def _horner2(coeffs: list, x):
 class RootCheckReport(Record):
     """Deviation of each root from the critical line or the unit circle
     (0 when ``sign_count_check`` proved the locations).  ``roots`` holds
-    (real part, imaginary part) pairs and ``max_deviation`` one value, each
-    a Dyadic, or an mpf from ``rootfind``: printed alike by ``nstr``."""
+    (real part, imaginary part) pairs and ``max_deviation`` one value, each a Dyadic."""
 
     mode: str
     roots: tuple

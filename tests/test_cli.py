@@ -426,11 +426,15 @@ class TestRootsCommand:
         assert main(["roots", r_minus_file, "--mode", "unit_circle"]) == EXIT_CHECK_FAILED
 
     def test_precision_error_exits_one(self, tmp_path, capsys):
-        # a root of modulus 27 cannot meet the residual certificate at 64 bits
+        # a root of modulus 27 cannot meet the residual certificate at 64
+        # bits; the message names the target, 2^-32 max(||P||, 1)
         path = tmp_path / "p.json"
         path.write_text(json.dumps(modulus_27_poly().to_dict()))
-        assert main(["--prec", "64", "roots", str(path)]) == EXIT_CHECK_FAILED
-        assert capsys.readouterr().err.startswith("precision error:")
+        for fmt in ("text", "json"):
+            assert main(["--prec", "64", "--format", fmt, "roots", str(path)]) == EXIT_CHECK_FAILED
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert out.err == "precision error: root iteration failed to certify residuals below 225.68\n"
 
 
 class TestDeltaCommand:

@@ -73,9 +73,9 @@ class TestPrinter:
                 assert nstr(x, dps) == _oracle(x, dps)
 
     def test_complex_values(self):
+        # a complex value is a (real part, imaginary part) pair, printed as mpmath prints an mpc
         with mp.workprec(128):
             for z in (mpmath.mpc(1.5, -2.25), mpmath.mpc(0, 1), mpmath.mpc(-1, 0) / 3):
-                assert nstr(z, 20) == mpmath.nstr(z, 20)
                 (rs, rm, re, _), (is_, im, ie, _) = z._mpc_  # mpmath's man_exp drops the sign
                 assert nstr((z.real, z.imag), 20) == mpmath.nstr(z, 20)
                 assert nstr((Dyadic(-rm if rs else rm, re), Dyadic(-im if is_ else im, ie)), 20) == mpmath.nstr(z, 20)
@@ -117,6 +117,18 @@ class TestRounding:
     def test_aligned(self):
         assert aligned([(1, 2), (0, -50), (3, 3)]) == (2, [1, 0, 6])
         assert aligned([(0, 5)]) == (0, [0])
+
+    def test_difference_and_absolute_value_are_exact(self):
+        rng = random.Random(3)
+        for _ in range(1000):
+            x = Dyadic(rng.getrandbits(rng.randint(0, 80)) * rng.choice([1, -1]), rng.randint(-90, 90))
+            y = rng.choice([Dyadic(rng.getrandbits(rng.randint(0, 80)) * rng.choice([1, -1]), rng.randint(-90, 90)),
+                            rng.randint(-9, 9)])
+            with mp.workprec(400):  # wide enough for every difference here
+                assert mpf(x - y) == mpf(x) - (mpf(y) if isinstance(y, Dyadic) else y)
+                assert mpf(abs(x)) == abs(mpf(x))
+                assert x - mpmath.mpf(1) == mpf(x) - 1  # mpmath values subtract as mpmath's own
+        assert abs(INF) is INF
 
 
 class TestConstants:

@@ -1,10 +1,12 @@
 """What a start loads: ``import zetapoly.cli`` imports neither
 ``dataclasses`` (with ``inspect``), nor mpmath, nor the general root
 finder, no command but ``roots`` loads any of them, and ``roots`` loads
-only the root finder and mpmath.  Every start compiles each module it
-imports, so a module that slips back onto the import path costs every
-command."""
+only the root finder.  Every start compiles each module it imports, so a
+module that slips back onto the import path costs every command.  No
+module of the package imports mpmath at all: the tests read it as an
+oracle only."""
 
+import ast
 import json
 import os
 import subprocess
@@ -63,4 +65,21 @@ def test_other_commands_load_no_watched_module(argv):
 
 
 def test_roots_loads_the_root_finder():
-    assert _loaded_by(["roots", _data("r_delta_minus.json")]) == {"zetapoly.rootfind", "mpmath"}
+    for mode in ([], ["--mode", "unit_circle"]):
+        assert _loaded_by(["roots", _data("r_delta_minus.json"), *mode]) == {"zetapoly.rootfind"}
+
+
+def test_no_module_imports_mpmath():
+    package = os.path.join(SRC, "zetapoly")
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as f:
+                tree = ast.parse(f.read(), name)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    imported = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    imported = [node.module or ""]
+                else:
+                    continue
+                assert not any(m == "mpmath" or m.startswith("mpmath.") for m in imported), (name, node.lineno)

@@ -117,7 +117,7 @@ def assert_certified(P, got, prec: int) -> None:
         lead = cs[-1]
         monic = [c / lead for c in cs]
         norm = max(max(abs(c) for c in monic), mpmath.mpf(1))
-        for z in got:
+        for z in map(mpc, got):
             val = mpmath.mpf(0)
             for c in reversed(monic):
                 val = val * z + c
@@ -138,11 +138,21 @@ def assert_near_polyroots(coeffs, got, prec: int) -> None:
             cs.pop()
         expected = mpmath.polyroots(cs[::-1], maxsteps=400, extraprec=2 * prec)
         assert len(got) == len(expected)
-        remaining = list(got)
+        remaining = [mpc(z) for z in got]
         for e in expected:
             nearest = min(remaining, key=lambda z: abs(z - e))
             remaining.remove(nearest)
             assert abs(nearest - e) < mpmath.mpf(2) ** -(prec // 2) * max(abs(e), 1)
+
+
+def spy_aberth_rungs(monkeypatch) -> list:
+    """The list to which each Aberth rung of ``rootfind`` appends its kind,
+    "doubles" or "fixed", and its bits when it runs."""
+    kinds = []
+    doubles, fixed = rootfind._aberth, rootfind._aberth_fixed
+    monkeypatch.setattr(rootfind, "_aberth", lambda c, bits: kinds.append(("doubles", bits)) or doubles(c, bits))
+    monkeypatch.setattr(rootfind, "_aberth_fixed", lambda g, bits: kinds.append(("fixed", bits)) or fixed(g, bits))
+    return kinds
 
 
 def exact_norm2(coeffs, z: GaussianRational) -> Fraction:
@@ -163,7 +173,7 @@ def max_root_error(got, expected, relative: bool = False):
     """Largest distance from each expected root to its nearest unmatched
     computed root, divided by the root's modulus when ``relative``."""
     assert len(got) == len(expected)
-    remaining = list(got)
+    remaining = [mpc(z) for z in got]
     worst = 0
     for e in expected:
         nearest = min(remaining, key=lambda z: abs(z - e))
@@ -427,18 +437,18 @@ class TestTolerance:
 class TestRoots:
     def test_quadratic(self):
         got = roots(PolyX.make(2, [-1, 0, 1]), precision=64)
-        assert [mpmath.nstr(z, 8) for z in got] == ["(-1.0 + 0.0j)", "(1.0 + 0.0j)"]
+        assert [mpmath.nstr(mpc(z), 8) for z in got] == ["(-1.0 + 0.0j)", "(1.0 + 0.0j)"]
 
     def test_critical_quadratic(self):
         Z = ZetaPoly.make(2, [Fraction(1, 2), -1, 1])
         got = roots(Z, precision=96)
         with mp.workprec(128):
-            assert all(abs(mpmath.re(z) - 0.5) < mpmath.mpf(2) ** -90 for z in got)
+            assert all(abs(mpmath.re(mpc(z)) - 0.5) < mpmath.mpf(2) ** -90 for z in got)
 
     def test_origin_roots_are_exact(self):
         got = roots(R_DELTA_MINUS, precision=128)
         assert len(got) == 9
-        assert any(z == 0 for z in got)
+        assert any(mpc(z) == 0 for z in got)
 
     def test_residual_certificate(self):
         rng = random.Random(71)
@@ -452,7 +462,7 @@ class TestRoots:
         got = roots(PolyX.make(2, [1, -2, 1]), precision=96)
         assert len(got) == 2
         for z in got:
-            assert abs(z - 1) < mpmath.mpf("1e-7")
+            assert abs(mpc(z) - 1) < mpmath.mpf("1e-7")
 
     def test_zero_polynomial_rejected(self):
         with pytest.raises(InputError):
@@ -470,9 +480,9 @@ class TestRoots:
         elapsed = time.perf_counter() - start
         expected = [0, 1j, 1j, -1j, -1j, 0.5j, -0.5j, 2j, -2j]
         assert len(got) == len(expected)
-        assert sum(1 for z in got if z == 0) == 1
+        assert sum(1 for z in got if mpc(z) == 0) == 1
         with mp.workprec(4128):
-            remaining = list(got)
+            remaining = [mpc(z) for z in got]
             for e in expected:
                 nearest = min(remaining, key=lambda z: abs(z - e))
                 assert abs(nearest - e) < mpmath.mpf(2) ** -4000
@@ -483,9 +493,9 @@ class TestRoots:
         # (X - 1)^3 (X + 2) = X^4 - X^3 - 3X^2 + 5X - 2
         got = roots(PolyX.make(4, [-2, 5, -3, -1, 1]), precision=1024)
         with mp.workprec(1056):
-            assert abs(got[0] + 2) < mpmath.mpf(2) ** -1000
+            assert abs(mpc(got[0]) + 2) < mpmath.mpf(2) ** -1000
             assert len(got) == 4
-            assert all(abs(z - 1) < mpmath.mpf(2) ** -1000 for z in got[1:])
+            assert all(abs(mpc(z) - 1) < mpmath.mpf(2) ** -1000 for z in got[1:])
 
     @pytest.mark.parametrize("double_root", [False, True])
     def test_numeric_coefficients_meet_certificate(self, double_root):
@@ -505,7 +515,7 @@ class TestRoots:
         with mp.workprec(prec + 32):
             monic = [c / cs[-1] for c in cs]
             norm = max(max(abs(c) for c in monic), mpmath.mpf(1))
-            for z in got:
+            for z in map(mpc, got):
                 val = mpmath.mpf(0)
                 for c in reversed(monic):
                     val = val * z + c
@@ -517,7 +527,7 @@ class TestRoots:
         values = (2, -3, 0, 1)
         exact = roots(PolyX.make(4, values), precision=prec)
         numeric = roots(numeric_poly(values, prec), precision=prec)
-        assert numeric == exact == [-2, 1, 1]
+        assert numeric == exact and [mpc(z) for z in exact] == [-2, 1, 1]
 
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_non_finite_numeric_coefficient_rejected(self, value):
@@ -526,7 +536,7 @@ class TestRoots:
             roots(NumericPoly(w=2, exp=0, mans=(1, float(value), 1), prec=64), precision=64)
 
     # The first Aberth rung runs in complex doubles; each case below needs
-    # its hand-off to the mpmath rungs (or the Newton ladder past doubles).
+    # its hand-off to the fixed-point rungs (or the Newton ladder past doubles).
 
     @pytest.mark.parametrize("prec", [64, 128, 1024])
     def test_coefficient_overflowing_doubles(self, prec):
@@ -554,16 +564,14 @@ class TestRoots:
     def test_roots_closer_than_doubles_separate(self, prec, monkeypatch):
         # (X - 1)(X - 1 - 2^-60)(X + 3).  Above 64 bits the roots from
         # doubles fail the certificate, and the Aberth stage reruns in
-        # mpmath at double the bits until they pass.
-        kinds = []
-        aberth = rootfind._aberth
-        monkeypatch.setattr(rootfind, "_aberth", lambda c, p, num: kinds.append((num, p)) or aberth(c, p, num))
+        # fixed point at double the bits until they pass.
+        kinds = spy_aberth_rungs(monkeypatch)
         close = 1 + Fraction(1, 2**60)
         P = poly_with_roots([1, close, -3])
         got = roots(P, precision=prec)
         assert_certified(P, got, prec)
         reruns = {64: [], 128: [106, 128], 1024: [106, 212, 424]}[prec]
-        assert kinds == [(complex, 53)] + [(mpmath.mpc, bits) for bits in reruns]
+        assert kinds == [("doubles", 53)] + [("fixed", bits) for bits in reruns]
         if prec == 1024:
             with mp.workprec(prec + 32):
                 expected = [mpmath.mpf(1), 1 + mpmath.mpf(2) ** -60, mpmath.mpf(-3)]
@@ -596,13 +604,11 @@ class TestRoots:
     def test_large_root_fails_certificate_at_low_precision(self, prec, monkeypatch):
         # Documented failure mode: the residual target does not scale with
         # |root|, and Horner's rounding near the root 27 exceeds it.  The
-        # rounding bound alone does, so no Aberth rerun in mpmath is tried.
-        kinds = []
-        aberth = rootfind._aberth
-        monkeypatch.setattr(rootfind, "_aberth", lambda c, p, num: kinds.append(num) or aberth(c, p, num))
+        # rounding bound alone does, so no fixed-point Aberth rerun is tried.
+        kinds = spy_aberth_rungs(monkeypatch)
         with pytest.raises(PrecisionError):
             roots(modulus_27_poly(), precision=prec)
-        assert kinds and mpmath.mpc not in kinds
+        assert kinds and all(kind == ("doubles", 53) for kind in kinds)
 
     @pytest.mark.parametrize(
         "prec,rungs",
@@ -652,7 +658,7 @@ class TestRoots:
     def test_delta_zeta_roots_in_ascending_imaginary_part(self, prec):
         Z = numeric_rv(build_r(delta_newform(prec), prec))
         got = roots(Z, precision=prec)
-        ims = [mpmath.im(z) for z in got]
+        ims = [mpmath.im(mpc(z)) for z in got]
         assert ims == sorted(ims)
         assert len(ims) == 10
 
