@@ -113,13 +113,11 @@ _LOG2_10 = math.log(10, 2)
 def nstr(x, dps: int) -> str:
     """``mpmath.nstr(x, dps)``, dps >= 1, for a value with ``_mpf_`` (a
     Dyadic or an mpf), or for a pair (real part, imaginary part) of them
-    printed as mpmath prints an mpc.  Anything else prints as str(x)."""
-    if hasattr(x, "_mpf_"):
-        return _to_str(x._mpf_, dps)
+    printed as mpmath prints an mpc."""
     if isinstance(x, tuple):
         sign, *im = x[1]._mpf_
         return f"({_to_str(x[0]._mpf_, dps)} {'-' if sign else '+'} {_to_str((0, *im), dps)}j)"
-    return str(x)
+    return _to_str(x._mpf_, dps)
 
 
 def _to_str(t: tuple, dps: int) -> str:

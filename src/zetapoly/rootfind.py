@@ -5,7 +5,6 @@ first use: there, or as ``zeta.roots`` / ``zeta.rh_check`` (PEP 562)."""
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from fractions import Fraction
@@ -15,8 +14,8 @@ from zetapoly.dyadic import Dyadic, aligned, nstr, quotient, sqrt_rounded
 from zetapoly.errors import InputError, PrecisionError
 from zetapoly.exactnum import DensePoly, reduced
 from zetapoly.zeta import (
-    _ABERTH_MAX_ITER, _GUARD_BITS, _ISOLATION_BITS, _SEED_ANGLE_OFFSET, RootCheckReport, _aberth, _sorted_roots,
-    _sqrt64, as_tolerance,
+    _ABERTH_MAX_ITER, _ISOLATION_BITS, _SEED_ANGLE_OFFSET, RootCheckReport, _aberth, _sorted_roots, _sqrt64,
+    as_tolerance,
 )
 
 
@@ -27,6 +26,7 @@ def _trim(p: list) -> list:
     return p
 
 
+_GUARD_BITS = 32  # fixed-point bits carried beyond each rung's precision
 _MODULUS = 2**61 - 1  # a prime = 3 mod 4, so Z[i]/(p) is the field of p^2 elements
 
 
@@ -137,10 +137,10 @@ def roots(poly, precision: int = 128) -> list:
        root is rounded once to precision + 32 bits.
     2. Each other factor is isolated by Aberth-Ehrlich iteration, seeded
        on the Fujiwara radius 2 max_k |c_(d-k)|^(1/k), in complex doubles
-       (53 bits, or ``precision`` if lower).  This rung hands off to the
-       retry of step 4 at once when a coefficient overflows doubles, a
-       nonzero coefficient rounds to 0 or to a subnormal, or an iterate
-       stops being finite.
+       (53 bits).  This rung hands off to the retry of step 4 at once when
+       a coefficient overflows doubles, a nonzero coefficient rounds to 0
+       or to a subnormal, an iterate stops being finite, or 500 sweeps
+       meet no stop rule.
     3. Newton takes one step per root on each rung of a ladder counted
        down from ``precision``: ceil(precision / 2^k) for each k that
        leaves more bits than the Aberth stage ran at, then ``precision``
@@ -174,10 +174,10 @@ def roots(poly, precision: int = 128) -> list:
 
     Roots are sorted by real part rounded to the certified 2^(-precision/2)
     grid, then by imaginary part, so the order does not follow the noise
-    in the last bits.
+    in the last bits.  ``precision`` must be at least 64 bits.
     """
-    if precision < 8:
-        raise InputError("precision must be at least 8 bits")
+    if precision < 64:
+        raise InputError("precision must be at least 64 bits")
     pairs = _trim(list(poly.pairs) if isinstance(poly, DensePoly) else [(m, 0) for m in poly.mans])
     if not pairs:
         raise InputError("the zero polynomial has no root set")
@@ -203,7 +203,7 @@ def _certified_roots(monic: tuple, factors: list, precision: int) -> list:
     fixed = _floored(monic, precision + _GUARD_BITS)
     norm2 = max(max(p * p + q * q for p, q in pairs), den * den)  # max(||P||, 1)^2 den^2
     target2 = Fraction(norm2, den * den << 2 * (precision // 2))
-    bits = min(precision, _ISOLATION_BITS)
+    bits = _ISOLATION_BITS
     while True:
         try:
             found = [(_refined_roots(g, bits, precision), k) for g, k in factors]
@@ -221,8 +221,8 @@ def _certified_roots(monic: tuple, factors: list, precision: int) -> list:
 
 def _refined_roots(g: tuple, bits: int, precision: int) -> list:
     """Roots of one squarefree monic factor, the form ``g`` = (den, pairs),
-    as exact dyadics: Aberth at ``bits`` (in complex doubles up to
-    _ISOLATION_BITS, else in fixed point), then one fixed-point Newton step
+    as exact dyadics: Aberth at ``bits`` (in complex doubles at
+    _ISOLATION_BITS, above it in fixed point), then one fixed-point Newton step
     per root on each rung ceil(precision / 2^k) above ``bits``, from the
     lowest, and on ``precision`` itself.  A linear factor's root is rounded
     once to precision + _GUARD_BITS bits."""
@@ -234,7 +234,7 @@ def _refined_roots(g: tuple, bits: int, precision: int) -> list:
         z = _aberth_fixed(g, bits)
     else:
         try:
-            z = [_dyadic(x) for x in _aberth(_doubles(g), bits)]
+            z = [_dyadic(x) for x in _aberth(_doubles(g))]
         except OverflowError as exc:  # abs() of a complex past the double range
             raise PrecisionError("root isolation overflowed doubles") from exc
     for k in range(precision.bit_length(), -1, -1):
@@ -261,8 +261,8 @@ def _aberth_fixed(g: tuple, bits: int) -> list:
     norm2 = max(max(p * p + q * q for p, q in pairs), den2)  # max(||g||, 1)^2 den^2
     log_r = 1 + max(lc / (d - k) for k, *_, lc in rows if k < d)  # 2 max_k |c_(d-k)|^(1/k)
     unit = 2 ** (log_r % 1)
-    z = [_dyadic(unit * cmath.rect(1, 2 * math.pi * j / d + _SEED_ANGLE_OFFSET), math.floor(log_r))
-         for j in range(d)]
+    angles = (2 * math.pi * j / d + _SEED_ANGLE_OFFSET for j in range(d))
+    z = [_dyadic(unit * complex(math.cos(a), math.sin(a)), math.floor(log_r)) for a in angles]
 
     def small(h):  # |P| < 2^-half max(||g||, 1), from the kernel's G and s, on integers
         gr, gi, _, _, _, s, _ = h
@@ -438,7 +438,7 @@ def _doubles(g: tuple) -> list:
 
 def rh_check(poly, mode: str, tol="1e-8", precision: int = 128) -> RootCheckReport:
     """Check whether all roots lie on Re = 1/2 (``critical_line``) or on
-    |X| = 1 (``unit_circle``), up to ``tol``."""
+    |X| = 1 (``unit_circle``), up to ``tol``, at ``precision`` >= 64 bits."""
     if mode not in ("critical_line", "unit_circle"):
         raise InputError(f"unknown mode {mode!r}")
     tol_frac = as_tolerance(tol)

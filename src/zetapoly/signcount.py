@@ -24,7 +24,7 @@ import math
 from zetapoly.dyadic import Dyadic, rounded, sqrt_rounded
 from zetapoly.errors import InputError, PrecisionError
 from zetapoly.polyspace import _taylor_shift
-from zetapoly.zeta import _ISOLATION_BITS, RootCheckReport, _aberth, _sorted_roots, as_tolerance
+from zetapoly.zeta import RootCheckReport, _aberth, _sorted_roots, as_tolerance
 
 _SIGN_ROOT_BITS = 96  # significant bits of the roots a proved check returns
 
@@ -60,7 +60,7 @@ def sign_count_check(poly, mode: str, eps: int, tol="1e-8", precision: int = 128
     if any(x > e for x, e in odd):
         return None
     try:
-        seeds = sorted(z.real for z in _aberth([c / F[d] for c in F], _ISOLATION_BITS))
+        seeds = sorted(z.real for z in _aberth([c / F[d] for c in F]))
     except (ZeroDivisionError, OverflowError, PrecisionError):
         return None
     mids = [(x + y) / 2 for x, y in zip(seeds, seeds[1:])]

@@ -14,7 +14,6 @@ infinite sum and for the numeric pipeline.
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 from functools import cached_property
@@ -189,11 +188,12 @@ def thm2_residual(
 
     The loop runs on int pairs; (-i)^k (1+i)^(K+w+1) steps by (1-i).
 
-    Summation stops at the first k >= K_MIN where the magnitudes of the
-    last three terms all fall below theta = tol*(1-RHO)/RHO, or at k_max
-    with ``converged`` cleared.  The test is exact, in integers: a term
-    (a + b i)/den passes iff (a^2 + b^2) theta2.den < theta2.num den^2,
-    where theta2 = theta^2.
+    Summation stops at the first k >= K_MIN + max(q0 - n, 0), q0 the least
+    q with r_q != 0 (t_k = 0 while K < q0, so K_MIN counts from the first
+    term that can be nonzero), where the magnitudes of the last three
+    terms all fall below theta = tol*(1-RHO)/RHO, or at k_max with
+    ``converged`` cleared.  The test is exact, in integers: a term (a + b i)/den
+    passes iff (a^2 + b^2) theta2.den < theta2.num den^2, where theta2 = theta^2.
     """
     if n < 1:
         raise InputError(f"n must be a positive integer, got {n}")
@@ -215,6 +215,7 @@ def thm2_residual(
     den = R.den << (n + w)  # 2^(K+w+1) D, here at k = -1
     acc_r = acc_i = 0  # the terms so far, summed over den
     below = 0  # how many of the latest terms are below theta
+    k_min = K_MIN + max(g[0][0] - n, 0) if g else K_MIN
     terms: list[tuple[int, int]] = []
     converged = False
     for k in range(k_max + 1):
@@ -232,7 +233,7 @@ def thm2_residual(
         terms.append((tr, ti))
         small = (tr * tr + ti * ti) * theta2.denominator < theta2.numerator * den * den
         below = below + 1 if small else 0
-        if k >= K_MIN and below >= 3:
+        if k >= k_min and below >= 3:
             converged = True
             break
     total = exact_part + from_pairs(den, [(acc_r, acc_i)])[0]
@@ -272,7 +273,6 @@ def _sqrt64(x: Fraction) -> tuple[int, int]:
 _ABERTH_MAX_ITER = 500
 _SEED_ANGLE_OFFSET = 0.4  # fixed phase offset; breaks symmetric stalls, deterministic
 _ISOLATION_BITS = 53  # the first Aberth rung runs on Python complex doubles
-_GUARD_BITS = 32  # fixed-point bits carried beyond each rung's precision
 
 
 def __getattr__(name: str):
@@ -301,22 +301,23 @@ def _sorted_roots(found: list, precision: int) -> list:
     return sorted(found, key=key)
 
 
-def _aberth(coeffs: list, precision: int) -> list:
+def _aberth(coeffs: list) -> list:
     """Aberth-Ehrlich simultaneous iteration on a monic coefficient list, in
     complex doubles (``rootfind._aberth_fixed`` runs it in fixed point).
 
-    Stops once every residual is below 2^(-precision/2) times the sup norm
-    of the coefficients (at least 1), or once a sweep moves no root by more
-    than 2^(-precision/2) relative to max(|z|, 1): the residual rule alone
-    cannot be met at low precision when a large root amplifies rounding.
-    Raises PrecisionError on an iterate that is not finite.
+    Stops once every residual is below 2^(-_ISOLATION_BITS/2) times the sup
+    norm of the coefficients (at least 1), or once a sweep moves no root by
+    that much relative to max(|z|, 1): the residual rule alone cannot be met
+    when a large root amplifies rounding.  Raises PrecisionError, which both
+    callers catch, on an iterate that is not finite or when neither rule holds.
     """
     d = len(coeffs) - 1
     norm = max(max(abs(c) for c in coeffs), 1.0)
-    step_tol = 2.0 ** -(precision // 2)
+    step_tol = 2.0 ** -(_ISOLATION_BITS // 2)
     target = step_tol * norm
     radius = 2 * max(abs(coeffs[d - k]) ** (1.0 / k) for k in range(1, d + 1)) or 1.0
-    z = [radius * cmath.rect(1, 2 * math.pi * j / d + _SEED_ANGLE_OFFSET) for j in range(d)]
+    angles = (2 * math.pi * j / d + _SEED_ANGLE_OFFSET for j in range(d))
+    z = [radius * complex(math.cos(a), math.sin(a)) for a in angles]
     for _ in range(_ABERTH_MAX_ITER):
         residual = moved = 0.0
         for j in range(d):
@@ -338,7 +339,7 @@ def _aberth(coeffs: list, precision: int) -> list:
             return z
     if max(abs(_horner2(coeffs, zj)[0]) for zj in z) < target:  # final certification pass
         return z
-    raise PrecisionError(f"root iteration failed to certify residuals below {nstr(target, 5)}")
+    raise PrecisionError("root isolation in doubles did not converge")
 
 
 def _horner2(coeffs: list, x):

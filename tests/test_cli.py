@@ -249,6 +249,13 @@ class TestThm2Command:
     def test_nonconvergence_fails(self, r_minus_file):
         assert main(["thm2", r_minus_file, "--n", "1", "--kmax", "30"]) == EXIT_CHECK_FAILED
 
+    def test_zero_first_terms_fail(self, tmp_path, capsys):
+        # R = X^42 in V_42: the terms are 0 up to k = 40, then rise
+        path = tmp_path / "x42.json"
+        path.write_text(json.dumps(PolyX.make(42, [0] * 42 + [1]).to_dict()))
+        assert main(["thm2", str(path), "--n", "1"]) == EXIT_CHECK_FAILED
+        assert capsys.readouterr().out.endswith("converged=False residual_bound=+inf [FAIL]\noverall: FAIL\n")
+
     def test_bad_n_list(self, r_minus_file):
         assert main(["thm2", r_minus_file, "--n", "0"]) == EXIT_INPUT
         assert main(["thm2", r_minus_file, "--n", "a,b"]) == EXIT_INPUT

@@ -80,9 +80,6 @@ class TestPrinter:
                 assert nstr((z.real, z.imag), 20) == mpmath.nstr(z, 20)
                 assert nstr((Dyadic(-rm if rs else rm, re), Dyadic(-im if is_ else im, ie)), 20) == mpmath.nstr(z, 20)
 
-    def test_other_objects_print_as_str(self):
-        assert nstr(0.25, 5) == mpmath.nstr(0.25, 5) == "0.25"
-
 
 class TestRounding:
     def test_the_value_is_held_as_mpmath_holds_it(self):

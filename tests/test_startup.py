@@ -1,10 +1,11 @@
 """What a start loads: ``import zetapoly.cli`` imports neither
-``dataclasses`` (with ``inspect``), nor mpmath, nor the general root
-finder, no command but ``roots`` loads any of them, and ``roots`` loads
-only the root finder.  Every start compiles each module it imports, so a
-module that slips back onto the import path costs every command.  No
-module of the package imports mpmath at all: the tests read it as an
-oracle only."""
+``dataclasses`` (with ``inspect``), nor mpmath, nor ``cmath``, nor the
+general root finder, no command but ``roots`` loads any of them, and
+``roots`` loads only the root finder.  Every start compiles each module it
+imports, so a module that slips back onto the import path costs every
+command.  No module of the package imports mpmath or ``cmath`` at all: the
+tests read mpmath as an oracle only, and the Aberth seeds take math.cos and
+math.sin."""
 
 import ast
 import json
@@ -16,7 +17,7 @@ from importlib import resources
 import pytest
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-WATCHED = ("dataclasses", "inspect", "mpmath", "zetapoly.rootfind")
+WATCHED = ("cmath", "dataclasses", "inspect", "mpmath", "zetapoly.rootfind")
 
 
 def _data(name: str) -> str:
@@ -82,4 +83,5 @@ def test_no_module_imports_mpmath():
                     imported = [node.module or ""]
                 else:
                     continue
-                assert not any(m == "mpmath" or m.startswith("mpmath.") for m in imported), (name, node.lineno)
+                for banned in ("cmath", "mpmath"):
+                    assert not any(m == banned or m.startswith(banned + ".") for m in imported), (name, node.lineno)

@@ -147,10 +147,10 @@ def assert_near_polyroots(coeffs, got, prec: int) -> None:
 
 def spy_aberth_rungs(monkeypatch) -> list:
     """The list to which each Aberth rung of ``rootfind`` appends its kind,
-    "doubles" or "fixed", and its bits when it runs."""
+    "doubles" or "fixed", and its bits when it runs (53 for doubles)."""
     kinds = []
     doubles, fixed = rootfind._aberth, rootfind._aberth_fixed
-    monkeypatch.setattr(rootfind, "_aberth", lambda c, bits: kinds.append(("doubles", bits)) or doubles(c, bits))
+    monkeypatch.setattr(rootfind, "_aberth", lambda c: kinds.append(("doubles", 53)) or doubles(c))
     monkeypatch.setattr(rootfind, "_aberth_fixed", lambda g, bits: kinds.append(("fixed", bits)) or fixed(g, bits))
     return kinds
 
@@ -364,6 +364,30 @@ class TestThm2:
             assert rep.converged
             assert not rep.total_below("1e-3")
 
+    @pytest.mark.parametrize("w,q", [(42, 42), (100, 45)])
+    def test_zero_first_terms_do_not_count_toward_k_min(self, w, q):
+        # R = X^q: t_k = 0 exactly while k + n < q, and the value is not 0,
+        # so those zeros must not count toward K_MIN
+        R = PolyX.make(w, [0] * q + [1])
+        assert exact_identity_value(R, 1).norm2() == {42: 3613, 45: 12226}[q]
+        rep = thm2_residual(rv_forward(R), 1)
+        assert all(t.is_zero() for t in rep.partial_sums[: q - 1])
+        assert not rep.partial_sums[q - 1].is_zero()
+        assert (rep.k_stop, rep.converged) == (K_MAX_DEFAULT, False)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="tiny first terms meet the stop rule at k = 40 before the q = 42 terms rise; "
+        "a proved tail envelope (ROADMAP direction 5) would not stop there",
+    )
+    def test_tiny_first_terms_stay_within_the_bound(self):
+        R = PolyX.make(42, [Fraction(1, 10**30)] + [0] * 41 + [1])
+        rep = thm2_residual(rv_forward(R), 1)
+        if rep.converged:
+            m, e = rep.residual_bound.man_exp
+            gap = (rep.total - exact_identity_value(R, 1)).norm2()
+            assert gap <= (Fraction(m) * Fraction(2) ** e) ** 2
+
     def test_nonconvergence_reported(self):
         rep = thm2_residual(rv_forward(R_DELTA_MINUS), 1, tol="1e-10", k_max=30)
         assert not rep.converged
@@ -467,6 +491,12 @@ class TestRoots:
     def test_zero_polynomial_rejected(self):
         with pytest.raises(InputError):
             roots(PolyX.make(2, []))
+
+    def test_precision_floor_is_64_bits(self):
+        P = PolyX.make(2, [-1, 0, 1])
+        with pytest.raises(InputError, match="^precision must be at least 64 bits$"):
+            roots(P, precision=63)
+        assert len(roots(P, precision=64)) == 2
 
     def test_deterministic(self):
         a = roots(R_DELTA_MINUS, precision=96)
@@ -671,7 +701,7 @@ class TestResidualCertificate:
     def decide(monic, z, prec):
         """(passed, band, target^2) for the dyadic z = (a + b i) 2^E."""
         target2 = max(max(c.norm2() for c in monic), 1) / Fraction(4) ** (prec // 2)
-        fixed = rootfind._floored(common_denominator(monic), prec + zeta._GUARD_BITS)
+        fixed = rootfind._floored(common_denominator(monic), prec + rootfind._GUARD_BITS)
         ok, band, point, _ = rootfind._residual_below(fixed, z, target2)
         assert as_fraction(point) == as_fraction(z)  # the kernel evaluated z itself
         return ok, band, target2
@@ -721,7 +751,7 @@ class TestResidualCertificate:
         # residual is at or above the target.
         rng = random.Random(7)
         prec = 128
-        t = prec + zeta._GUARD_BITS
+        t = prec + rootfind._GUARD_BITS
         for _ in range(8):
             rts = [rand_qi(rng) for _ in range(rng.randint(10, 30))]
             monic = list(poly_with_roots(rts).coeffs[: len(rts) + 1])
@@ -783,7 +813,7 @@ class TestHornerKernel:
             coeffs = [rand_qi(rng, span=99, max_den=50) for _ in range(degree)] + [ONE]
             form = common_denominator(coeffs)
             for prec in (64, 128, 256, 1024, 4096):
-                fixed = rootfind._floored(form, prec + zeta._GUARD_BITS)
+                fixed = rootfind._floored(form, prec + rootfind._GUARD_BITS)
                 E = -rng.randint(prec // 2, prec + 40)
                 z = (rng.randint(-(9 << -E), 9 << -E), rng.randint(-(9 << -E), 9 << -E), E)
                 want = horner_fixed_oracle(fixed, z)
@@ -815,7 +845,7 @@ class TestHornerKernel:
             assert got[2] == want[2]  # both on the grid of the point evaluated
             gap2 = Fraction((got[0] - want[0]) ** 2 + (got[1] - want[1]) ** 2) * Fraction(4) ** got[2]
             size2 = max(Fraction(z[0] ** 2 + z[1] ** 2) * Fraction(4) ** z[2], 1)
-            assert gap2 <= size2 / Fraction(4) ** (fixed[0] - zeta._GUARD_BITS)
+            assert gap2 <= size2 / Fraction(4) ** (fixed[0] - rootfind._GUARD_BITS)
 
     def test_roots_outcomes_match_the_oracle_kernel(self, monkeypatch):
         # 120 seeded inputs of degree 2..24 with one root of modulus 1, 4,
@@ -863,6 +893,12 @@ class TestRhCheck:
     def test_mode_validated(self):
         with pytest.raises(InputError):
             rh_check(R_DELTA_MINUS, "circle", tol="1e-8")
+
+    def test_precision_floor_is_64_bits(self):
+        P = PolyX.make(2, [-1, 0, 1])
+        with pytest.raises(InputError, match="^precision must be at least 64 bits$"):
+            rh_check(P, "unit_circle", precision=63)
+        assert rh_check(P, "unit_circle", precision=64).passed
 
     def test_report_dict(self):
         rep = rh_check(PolyX.make(2, [-1, 0, 1]), "unit_circle", tol="1e-8", precision=64)
