@@ -15,13 +15,15 @@ infinite sum and for the numeric pipeline.
 from __future__ import annotations
 
 import math
+import threading
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import count
 from typing import Union
 
 from zetapoly.dyadic import INF, Dyadic, nstr, quotient, rounded, sqrt_rounded
 from zetapoly.errors import InputError, PrecisionError
-from zetapoly.exactnum import I, ZERO, GaussianRational, Record, as_fraction, from_pairs, qi, require_even_w
+from zetapoly.exactnum import I, ZERO, GaussianRational, Record, as_fraction, common_denominator, from_pairs, qi, require_even_w
 from zetapoly.polyspace import PolyX, slash
 from zetapoly.rv import ZetaPoly, rv_inverse, series_coeffs
 
@@ -180,13 +182,20 @@ def thm2_residual(
     t_k = -C(K, n) (-i)^k sum_{q=0}^{min(K, w)} C(K-q+w, w)
           (1-i)^(-(K-q+w+1)) r_q.
 
-    As (1-i)^(-1) = (1+i)/2, with r_q = h_q/D over one common denominator
-    D each term is a Gaussian integer over 2^(K+w+1) D:
+    As (1-i)^(-1) = (1+i)/2 and (-i)^k (1+i)^(K+w+1) = i^n (1-i)^K (1+i)^(w+1),
+    with r_q = h_q/D over one common denominator D each term is a Gaussian
+    integer over 2^(K+w+1) D:
 
-    t_k = -C(K, n) (-i)^k (1+i)^(K+w+1) A_K / (2^(K+w+1) D),
+    t_k = -C(K, n) i^n B_K / (2^(K+w+1) D),   B_K = (1-i)^K (1+i)^(w+1) A_K,
     A_K = sum_{q=0}^{w} C(K-q+w, w) (1-i)^q h_q   (C(K-q+w, w) = 0 for q > K).
 
-    The loop runs on int pairs; (-i)^k (1+i)^(K+w+1) steps by (1-i).
+    B_K depends on Z alone, so R and the B_K are built once for every n
+    asked of one input: a memo of one entry, keyed on Z's fields (w, den,
+    pairs), which equal polynomials share, holds D, the least q with
+    r_q != 0 and the B_K as int pairs, grown under a lock as far as any
+    call has reached.  Each step is then C(K, n), a rotation by i^n and the
+    stop test.  The exact part Z(-n) + (-i)^w sum_{m=1}^{n+1} a_{-m} Z(1-m)
+    runs on int pairs too, over one denominator.
 
     Summation stops at the first k >= K_MIN + max(q0 - n, 0), q0 the least
     q with r_q != 0 (t_k = 0 while K < q0, so K_MIN counts from the first
@@ -201,41 +210,39 @@ def thm2_residual(
     tol_frac = as_tolerance(tol)
     theta2 = (tol_frac * (1 - RHO) / RHO) ** 2
 
-    zvals = series_coeffs(Z, n + 1)  # zvals[t] = Z(-t)
-    principal = laurent_coeffs(w, n, -1).coeffs[::-1]  # a_(-1), ..., a_(-(n+1))
-    exact_part = zvals[n] + (-I) ** w * sum((a * z for a, z in zip(principal, zvals)), ZERO)
-    R = rv_inverse(Z)  # r_q = h_q / D: h_q = R.pairs[q], D = R.den
-    g, fr, fi = [], 1, 0
-    for q, (hr, hi) in enumerate(R.pairs):  # g_q = (1-i)^q h_q
-        if hr or hi:
-            g.append((q, fr * hr - fi * hi, fr * hi + fi * hr))
-        fr, fi = fr + fi, fi - fr  # times (1-i)
-    f = qi(1, 1) ** (n + w + 1)  # (-i)^k (1+i)^(K+w+1) at k = 0
-    fr, fi = f.re.numerator, f.im.numerator
-    den = R.den << (n + w)  # 2^(K+w+1) D, here at k = -1
+    zden, zs = common_denominator(series_coeffs(Z, n + 1))  # Z(-t) = zs[t] / zden
+    s = (-1) ** (w // 2)  # (-i)^w
+    er, ei = zs[n]
+    for a, (zr, zi) in zip(laurent_coeffs(w, n, -1).coeffs[::-1], zs):  # a_(-1), ..., a_(-(n+1))
+        ar, ai = s * a.re.numerator, s * a.im.numerator
+        er, ei = er + ar * zr - ai * zi, ei + ar * zi + ai * zr
+    D, q0, B, grow, lock = _thm2_series(w, Z.den, Z.pairs)
+    u = -(I ** n)  # t_k = C(K, n) u B_K / (2^(K+w+1) D): u is ±1 or ±i
+    sign = u.re.numerator + u.im.numerator  # u = sign, or sign * i for odd n
+    den = D << (n + w)  # 2^(K+w+1) D, here at K = n - 1
+    tden, limit = theta2.denominator, theta2.numerator * den * den  # t passes iff |num|^2 tden < limit
     acc_r = acc_i = 0  # the terms so far, summed over den
     below = 0  # how many of the latest terms are below theta
-    k_min = K_MIN + max(g[0][0] - n, 0) if g else K_MIN
+    K_stop = n + K_MIN + max(q0 - n, 0)  # the least K = k + n that may stop
     terms: list[tuple[int, int]] = []
     converged = False
-    for k in range(k_max + 1):
-        K = k + n
-        ar = ai = 0
-        for q, gr, gi in g:
-            c = math.comb(K - q + w, w)
-            ar += c * gr
-            ai += c * gi
-        c = -math.comb(K, n)
-        tr, ti = c * (fr * ar - fi * ai), c * (fr * ai + fi * ar)
-        fr, fi = fr + fi, fi - fr  # times (1-i)
-        den <<= 1
+    for K in range(n, n + k_max + 1):
+        if len(B) <= K:
+            with lock:  # B grows in order, one caller at a time
+                while len(B) <= K:
+                    B.append(next(grow))
+        br, bi = B[K]
+        c = sign * math.comb(K, n)
+        tr, ti = (-c * bi, c * br) if n & 1 else (c * br, c * bi)
+        limit <<= 2
         acc_r, acc_i = 2 * acc_r + tr, 2 * acc_i + ti
         terms.append((tr, ti))
-        small = (tr * tr + ti * ti) * theta2.denominator < theta2.numerator * den * den
-        below = below + 1 if small else 0
-        if k >= k_min and below >= 3:
+        below = below + 1 if (tr * tr + ti * ti) * tden < limit else 0
+        if below >= 3 and K >= K_stop:
             converged = True
             break
+    den <<= len(terms)
+    exact_part = qi(Fraction(er, zden), Fraction(ei, zden))
     total = exact_part + from_pairs(den, [(acc_r, acc_i)])[0]
     bound = INF
     if converged:  # max |t|^2 over the last three terms, as reduced Fractions
@@ -249,13 +256,39 @@ def thm2_residual(
         n=n,
         exact_part=exact_part,
         term_numerators=tuple(terms),
-        term_den=R.den << (n + w + 1),
+        term_den=D << (n + w + 1),
         total=total,
-        k_stop=k if converged else k_max,
+        k_stop=len(terms) - 1,
         converged=converged,
         residual_bound=bound,
         tol=tol_frac,
     )
+
+
+@lru_cache(maxsize=1)
+def _thm2_series(w: int, den: int, pairs: tuple) -> tuple:
+    """(D, q0, B, grow, lock) for ``thm2_residual`` on Z = ZetaPoly(w, den,
+    pairs): R = rv_inverse(Z) has coefficients h_q / D and least nonzero
+    index q0 (0 when R = 0); B starts empty, and each next(grow) yields the
+    next B_K, from K = 0, for a caller holding the lock to append."""
+    R = rv_inverse(ZetaPoly(w, den, pairs))
+    g, fr, fi = [], 1, 0
+    for q, (hr, hi) in enumerate(R.pairs):  # the nonzero g_q = (1-i)^q h_q
+        if hr or hi:
+            g.append((q, fr * hr - fi * hi, fr * hi + fi * hr))
+        fr, fi = fr + fi, fi - fr  # times (1-i)
+
+    def grow(fr=fr, fi=-fi):  # (1+i)^(w+1), the conjugate of (1-i)^(w+1)
+        for K in count():
+            ar = ai = 0  # A_K
+            for q, gr, gi in g:
+                c = math.comb(K - q + w, w)
+                ar += c * gr
+                ai += c * gi
+            yield fr * ar - fi * ai, fr * ai + fi * ar
+            fr, fi = fr + fi, fi - fr  # times (1-i)
+
+    return R.den, g[0][0] if g else 0, [], grow(), threading.Lock()
 
 
 def _sqrt64(x: Fraction) -> tuple[int, int]:

@@ -20,6 +20,7 @@ from zetapoly.exactnum import DensePoly, GaussianRational
 from zetapoly.lvalues import delta_newform, required_nmax
 from zetapoly.polyspace import PolyX, wspace_basis
 from zetapoly.rv import ZetaPoly, rv_forward
+from zetapoly import zeta
 
 
 def _data(name):
@@ -255,6 +256,17 @@ class TestThm2Command:
         path.write_text(json.dumps(PolyX.make(42, [0] * 42 + [1]).to_dict()))
         assert main(["thm2", str(path), "--n", "1"]) == EXIT_CHECK_FAILED
         assert capsys.readouterr().out.endswith("converged=False residual_bound=+inf [FAIL]\noverall: FAIL\n")
+
+    @pytest.mark.parametrize("name", ["r_delta_minus.json", "r_delta_plus.json"])
+    def test_series_built_once_for_every_n(self, name):
+        zeta._thm2_series.cache_clear()
+        with mock.patch.object(zeta, "rv_inverse", wraps=zeta.rv_inverse) as inverse, \
+                mock.patch.object(zeta, "laurent_coeffs", wraps=zeta.laurent_coeffs) as laurent, \
+                mock.patch.object(zeta, "series_coeffs", wraps=zeta.series_coeffs) as series:
+            assert main(["thm2", str(_data(name)), "--n", "1,2,3,4,5"]) == EXIT_OK
+        assert inverse.call_count == 1
+        assert [c.args[1] for c in laurent.call_args_list] == [1, 2, 3, 4, 5]
+        assert [c.args[1] for c in series.call_args_list] == [2, 3, 4, 5, 6]
 
     def test_bad_n_list(self, r_minus_file):
         assert main(["thm2", r_minus_file, "--n", "0"]) == EXIT_INPUT
@@ -980,6 +992,22 @@ class TestOutputBytes:
         )
         assert main(["--format", "json", "thm2", r_plus, "--n", "1,2,3,4,5"]) == EXIT_OK
         assert capsys.readouterr().out == json.dumps(THM2_EVEN_N1_5, indent=2) + "\n"
+
+    def test_thm2_unsorted_n_with_a_repeat(self, capsys):
+        """Reports follow the --n list as given, n = 1 twice: a memo shared
+        across calls must not change a later report."""
+        argv = ["thm2", str(_data("r_delta_minus.json")), "--n", "5,1,3,1"]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "n=5: |total|=1.56055e-11 k_stop=255 converged=True residual_bound=7.88093e-11 [ok]\n"
+            "n=1: |total|=1.88089e-11 k_stop=200 converged=True residual_bound=9.58516e-11 [ok]\n"
+            "n=3: |total|=1.75397e-11 k_stop=229 converged=True residual_bound=8.9031e-11 [ok]\n"
+            "n=1: |total|=1.88089e-11 k_stop=200 converged=True residual_bound=9.58516e-11 [ok]\n"
+            "overall: pass\n"
+        )
+        assert main(["--format", "json", *argv]) == EXIT_OK
+        digest = "a4bedf85ddfe77df478a2e36c65d2702b83a4d41e1e5af3d2af694226d7c1aa3"
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("prec", [64, 128, 1024, 4096])
     def test_delta_bytes_up_to_rounding_noise(self, prec, capsys):

@@ -388,6 +388,22 @@ class TestThm2:
             gap = (rep.total - exact_identity_value(R, 1)).norm2()
             assert gap <= (Fraction(m) * Fraction(2) ** e) ** 2
 
+    def test_shared_series_changes_no_report(self):
+        # the series memo holds one input at a time and grows B_K on demand:
+        # interleaved inputs evict it, and the k_max = 30 calls on the plus
+        # part leave B short, so the k_max = 400 calls must extend it
+        plus, minus = rv_forward(R_DELTA_PLUS), rv_forward(R_DELTA_MINUS)
+        other = rv_forward(mixed_den_polyx(random.Random(113), 10))
+        calls = [(Z, n, K_MAX_DEFAULT) for n in (2, 1) for Z in (plus, minus, other)]
+        calls += [(plus, n, k_max) for k_max in (30, 400) for n in (5, 1, 3, 1)]
+        zeta._thm2_series.cache_clear()
+        shared = [thm2_residual(Z, n, k_max=k_max) for Z, n, k_max in calls]
+        for rep, (Z, n, k_max) in zip(shared, calls):
+            zeta._thm2_series.cache_clear()
+            cold = thm2_residual(Z, n, k_max=k_max)
+            for field in type(rep)._fields:
+                assert getattr(rep, field) == getattr(cold, field), (n, k_max, field)
+
     def test_nonconvergence_reported(self):
         rep = thm2_residual(rv_forward(R_DELTA_MINUS), 1, tol="1e-10", k_max=30)
         assert not rep.converged
