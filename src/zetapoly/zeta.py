@@ -15,7 +15,7 @@ infinite sum and for the numeric pipeline.
 from __future__ import annotations
 
 import math
-import threading
+from _thread import allocate_lock  # threading.Lock, without importing threading at start-up
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import count
@@ -288,7 +288,7 @@ def _thm2_series(w: int, den: int, pairs: tuple) -> tuple:
             yield fr * ar - fi * ai, fr * ai + fi * ar
             fr, fi = fr + fi, fi - fr  # times (1-i)
 
-    return R.den, g[0][0] if g else 0, [], grow(), threading.Lock()
+    return R.den, g[0][0] if g else 0, [], grow(), allocate_lock()
 
 
 def _sqrt64(x: Fraction) -> tuple[int, int]:

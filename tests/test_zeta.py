@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import threading
 import time
 from fractions import Fraction
 
@@ -403,6 +405,40 @@ class TestThm2:
             cold = thm2_residual(Z, n, k_max=k_max)
             for field in type(rep)._fields:
                 assert getattr(rep, field) == getattr(cold, field), (n, k_max, field)
+
+    def test_shared_series_under_threads(self):
+        # six threads start together on a cold memo and grow its B_K at once,
+        # switching every microsecond; a lost or misplaced B_K, or a generator
+        # stepped by two threads at once, shows as a wrong or missing report
+        Z = rv_forward(mixed_den_polyx(random.Random(127), 40))
+        ns = (5, 1, 4, 2, 3, 1)
+        cold = {}
+        for n in set(ns):
+            zeta._thm2_series.cache_clear()
+            cold[n] = thm2_residual(Z, n)
+        results = {}
+        start = threading.Barrier(len(ns))
+
+        def work(i):
+            start.wait(timeout=60)
+            results[i] = thm2_residual(Z, ns[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                zeta._thm2_series.cache_clear()
+                results.clear()
+                threads = [threading.Thread(target=work, args=(i,)) for i in range(len(ns))]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert sorted(results) == list(range(len(ns)))
+                assert all(results[i] == cold[n] for i, n in enumerate(ns))
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_nonconvergence_reported(self):
         rep = thm2_residual(rv_forward(R_DELTA_MINUS), 1, tol="1e-10", k_max=30)
