@@ -47,7 +47,7 @@ def _read_json(path: str) -> dict:
             data = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, a non-UTF-8 file, an overlong int
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError(f"{path} must hold a JSON object, not a {type(data).__name__}")

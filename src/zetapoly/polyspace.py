@@ -7,7 +7,7 @@ entries, a unit determinant and c zero or a unit.  On top of it sit the
 residuals of the Fricke relation and of the Eichler-Shimura relations
 (both in the classical variable and in the rescaled variable), and the
 space W_w cut out by the classical relations, computed by integer
-elimination.
+elimination on its even and its odd part apart.
 """
 
 from __future__ import annotations
@@ -155,17 +155,21 @@ def wspace_basis(w: int) -> tuple[list[PolyX], int, int]:
     """Primitive integer basis of W_w = {P : P|(1+S) = P|(1+U+U^2) = 0},
     together with the dimensions of its even and odd parity parts.
 
-    The stacked integer system is solved by fraction-free elimination
-    with pivots chosen at the lowest available column index, so the
-    emitted basis is deterministic.
+    Fraction-free elimination on the even and on the odd columns of the
+    stacked integer system, pivots lowest first, gives the full basis:
+    P(X) -> P(-X) maps W_w to itself (Kohnen and Zagier), so kernel
+    vectors split into even and odd parts, and a column is free in the
+    full system exactly when free in its parity's.  The basis vector of
+    a free column c is the unique primitive kernel vector, first nonzero
+    entry positive, that is nonzero at c and zero at the other free
+    columns; the parity vector of c is one.
     """
     require_even_w(w)
     rows = _relation_rows(w)
-    cols = list(range(w + 1))
-    basis = [PolyX(w, 1, tuple((v, 0) for v in vec)) for vec in _integer_nullspace(rows, cols)]
-    dim_plus = len(_integer_nullspace(rows, cols[0::2]))
-    dim_minus = len(_integer_nullspace(rows, cols[1::2]))
-    return basis, dim_plus, dim_minus
+    parts = [_integer_nullspace(rows, list(range(p, w + 1, 2))) for p in (0, 1)]
+    basis = [[v[j // 2] if j % 2 == p else 0 for j in range(w + 1)] for p in (0, 1) for v in parts[p]]
+    basis.sort(key=lambda vec: max(j for j, x in enumerate(vec) if x))  # by free column
+    return [PolyX(w, 1, tuple((x, 0) for x in vec)) for vec in basis], len(parts[0]), len(parts[1])
 
 
 def _relation_rows(w: int) -> list[list[int]]:

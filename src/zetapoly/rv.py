@@ -7,9 +7,9 @@ Z is the unique polynomial of degree <= w with
 The forward map writes R in the Bernstein basis X^k (1 - X)^(w-k) with
 coordinates c_k; since X^k / (1 - X)^(k+1) = sum_n C(n, k) X^n, this gives
 Z(s) = sum_k c_k C(-s, k), expanded by one Horner pass in the rising
-factorial.  The inverse uses the finite convolution with (1 - X)^(w+1).
-Both directions are exact, run on integers in O(w^2), and round-trip to
-the identity.
+factorial.  The inverse runs both passes backwards: synthetic division by
+s + k recovers the c_k, and the Bernstein sum in (1 - X) gives R.  Both
+are exact, run on integers in O(w^2), and round-trip to the identity.
 """
 
 from __future__ import annotations
@@ -65,43 +65,38 @@ def _scaled_forward(a: tuple[int, ...], sign: int = -1) -> list[int]:
     return acc
 
 
-def _series_values_int(Z: ZetaPoly, count: int) -> tuple[int, list[tuple[int, int]]]:
-    """(den, pairs) with Z(-n) = (pairs[n][0] + pairs[n][1] i)/den, by
-    integer Horner evaluation."""
+def series_coeffs(Z: ZetaPoly, count: int) -> list[GaussianRational]:
+    """The generating-series values Z(0), Z(-1), ..., Z(-count+1), by
+    integer Horner evaluation over Z's denominator."""
+    if count < 1:
+        raise InputError("count must be >= 1")
     out = []
     for n in range(count):
         x, r, m = -n, 0, 0
         for cr, cm in reversed(Z.pairs):
             r, m = r * x + cr, m * x + cm
         out.append((r, m))
-    return Z.den, out
-
-
-def series_coeffs(Z: ZetaPoly, count: int) -> list[GaussianRational]:
-    """The generating-series values Z(0), Z(-1), ..., Z(-count+1)."""
-    if count < 1:
-        raise InputError("count must be >= 1")
-    return list(from_pairs(*_series_values_int(Z, count)))
+    return list(from_pairs(Z.den, out))
 
 
 def rv_inverse(Z: ZetaPoly) -> PolyX:
-    """Recover R(X) from Z(s) by convolving the series with (1 - X)^(w+1).
+    """Recover R(X) from Z(s) by running ``rv_forward`` backwards.
 
-    r_m = sum_{j=0}^{m} (-1)^j C(w+1, j) Z(-(m-j)) for m = 0 .. w, so only
-    the w+1 values Z(0) .. Z(-w) are formed.  The tail of the product
-    (m > w) is not formed: there the convolution is an order w+1 finite
-    difference of a polynomial of degree <= w (DensePoly holds exactly
-    w+1 coefficients), which vanishes identically.
+    On the real and the imaginary numerators of Z apart, synthetic
+    division of den Z by s, s + 1, ..., s + w leaves the d_k of
+    den Z = sum_k d_k s(s+1)...(s+k-1), so den c_k = (-1)^k k! d_k.  Each
+    joins den R = sum_k den c_k X^k (1-X)^(w-k) as it comes, by the
+    Bernstein pass of ``_scaled_forward`` with (1 - X) for (1 + Y).  Both
+    passes are O(w^2) integer operations; R is over Z's denominator.
     """
-    w = Z.w
-    den, zvals = _series_values_int(Z, w + 1)
-    signed = [(-1) ** j * math.comb(w + 1, j) for j in range(w + 1)]
-    out = []
-    for m in range(w + 1):
-        r = im = 0
-        for j in range(m + 1):
-            zr, zm = zvals[m - j]
-            r += zr * signed[j]
-            im += zm * signed[j]
-        out.append((r, im))
-    return PolyX(w, den, tuple(out))
+    parts = []
+    for q in map(list, zip(*Z.pairs)):
+        bern, fact = [], 1  # fact = (-1)^k k!
+        for k in range(Z.w + 1):  # q <- (q - d_k) / (s + k), d_k the remainder
+            acc = 0
+            for i in range(len(q) - 1, -1, -1):
+                acc = q[i] = q[i] - k * acc
+            bern = [b - c for b, c in zip(bern + [fact * q.pop(0)], [0] + bern)]
+            fact *= -(k + 1)
+        parts.append(bern)
+    return PolyX(Z.w, Z.den, tuple(zip(*parts)))

@@ -163,6 +163,21 @@ class TestTransformCommands:
         missing = tmp_path / "missing.json"
         assert main(["rv-forward", str(missing)]) == EXIT_INPUT
 
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b'\xff\xfe{"w": 2}')
+        assert main(["thm2", str(bad)]) == EXIT_INPUT
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith(f"error: {bad} is not valid JSON: ")
+
+    def test_json_integer_past_the_digit_cap_exits_2(self, tmp_path, capsys):
+        big = tmp_path / "big.json"
+        big.write_text('{"w": ' + "1" * 5000 + ', "coeffs": []}')
+        assert main(["rv-forward", str(big)]) == EXIT_INPUT
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith(f"error: {big} is not valid JSON: ")
+        assert len(out.err.encode()) < 300
+
     def test_wrong_shape_exits_2(self, tmp_path):
         bad = tmp_path / "short.json"
         bad.write_text(json.dumps({"w": 4, "coeffs": [["1", "0"]]}))
@@ -898,6 +913,17 @@ class TestOutputBytes:
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
         out = tmp_path / "z.json"
         assert main(["rv-forward", path, "--out", str(out)]) == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_rv_inverse_seeded_w100_digest(self, tmp_path, capsys):
+        z = tmp_path / "z.json"
+        r = _write_poly(tmp_path / "r.json", _seeded_w100(1411))
+        assert main(["rv-forward", r, "--out", str(z)]) == EXIT_OK
+        digest = "a16946f3a08b3732a1ac7b64a77784de14dccbaf50816ffefb5d3912d5d9f832"
+        assert main(["rv-inverse", str(z)]) == EXIT_OK
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+        out = tmp_path / "r_back.json"
+        assert main(["rv-inverse", str(z), "--out", str(out)]) == EXIT_OK
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("fmt", ["text", "json"])

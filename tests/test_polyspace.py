@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from conftest import (
     symmetric_polyx,
     violating_polyx,
 )
+from zetapoly import polyspace
 from zetapoly.errors import InputError
 from zetapoly.exactnum import ZERO, GaussianRational, I, qi
 from zetapoly.polyspace import (
@@ -421,6 +423,16 @@ class TestWSpace:
     def test_odd_w_rejected(self):
         with pytest.raises(InputError):
             wspace_basis(5)
+
+    @pytest.mark.parametrize("w", [*range(2, 61, 2), 100])
+    def test_parity_bases_merge_to_the_full_elimination(self, w):
+        # the oracle is the elimination on all w + 1 columns at once
+        full = _integer_nullspace(_relation_rows(w), list(range(w + 1)))
+        with mock.patch.object(polyspace, "_integer_nullspace", wraps=_integer_nullspace) as solve:
+            basis, _, _ = wspace_basis(w)
+        assert solve.call_count == 2
+        assert [[int(c.re) for c in b.coeffs] for b in basis] == full
+        assert all(not c.im for b in basis for c in b.coeffs)
 
 
 def cusp_form_dimension(k: int) -> int:

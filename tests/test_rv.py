@@ -182,8 +182,8 @@ class TestSeriesCoeffs:
     @pytest.mark.parametrize("seed", [43, 44, 45])
     @pytest.mark.parametrize("w", [2, 10, 30])
     def test_convolution_reproduces_coefficients(self, w, seed):
-        # convolving the series with (1-X)^(w+1) gives R then zeros; the
-        # zeros are why rv_inverse never forms the tail
+        # convolving the series with (1-X)^(w+1) gives R, then zeros: the
+        # defining identity, an oracle apart from rv_inverse's algorithm
         rng = random.Random(seed)
         R = rand_polyx(rng, w)
         Z = rv_forward(R)

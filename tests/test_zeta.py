@@ -26,6 +26,7 @@ from conftest import (
     symmetric_polyx,
     violating_polyx,
 )
+from zetapoly.delta import golden_r_plus
 from zetapoly.dyadic import Dyadic
 from zetapoly.errors import InputError, PrecisionError
 from zetapoly.exactnum import GaussianRational, I, ONE, ZERO, common_denominator, qi
@@ -388,6 +389,22 @@ class TestThm2:
         if rep.converged:
             m, e = rep.residual_bound.man_exp
             gap = (rep.total - exact_identity_value(R, 1)).norm2()
+            assert gap <= (Fraction(m) * Fraction(2) ** e) ** 2
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="at n = 800 the first terms of the golden even part meet the stop rule at "
+        "k = 40, far before the terms peak near K = 3.4 n; a proved tail envelope "
+        "(ROADMAP direction 5) would not stop there",
+    )
+    def test_large_n_on_the_even_part_stays_within_the_bound(self):
+        # thm2 r_delta_plus.json --n 800 --kmax 6000: converged=True with a
+        # residual_bound of 1.08e-35, while |total| is 6.2e23
+        R = golden_r_plus()
+        rep = thm2_residual(rv_forward(R), 800, k_max=6000)
+        if rep.converged:
+            m, e = rep.residual_bound.man_exp
+            gap = (rep.total - exact_identity_value(R, 800)).norm2()
             assert gap <= (Fraction(m) * Fraction(2) ** e) ** 2
 
     def test_shared_series_changes_no_report(self):
