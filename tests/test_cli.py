@@ -400,6 +400,10 @@ class TestHugeExponents:
         assert capsys.readouterr().err == ""
 
 
+# Python's message for an int string past its 4300-digit cap, as the error quotes it
+BEYOND_THE_CAP = "Exceeds the limit (4300 digits) for integer string conversion: value has 5000 di... (140 characters)"
+
+
 class TestLongIntegers:
     """Exact output may hold integers past Python's 4300-digit cap on
     int-to-str conversion: printing lifts the cap, parsing keeps it."""
@@ -440,6 +444,24 @@ class TestLongIntegers:
         assert main(["rv-forward", str(path)]) == EXIT_INPUT
         out = capsys.readouterr()
         assert out.out == "" and out.err.startswith("error: ") and len(out.err.encode()) < 300
+
+    @pytest.mark.parametrize("entry,err", [
+        (["1" * 5000 + "/3", "0/1"], f"bad coefficient entry ['{'1' * 78}... (5013 characters): "
+         f"{BEYOND_THE_CAP}"),
+        (["x" * 5000, "0/1"], f"bad coefficient entry ['{'x' * 78}... (5011 characters): "
+         f"Invalid literal for Fraction: '{'x' * 49}... (5032 characters)"),
+        (["1e" + "9" * 5000, "0/1"], f"bad coefficient entry ['1e{'9' * 76}... (5013 characters): "
+         f"{BEYOND_THE_CAP}"),
+        ("x" * 5000, f"coefficient entries must be [re, im] pairs, got '{'x' * 79}... (5002 characters)"),
+        (["1/0", "0/1"], "bad coefficient entry ['1/0', '0/1']: Fraction(1, 0)"),
+        (["0/1", "1/0"], "bad coefficient entry ['0/1', '1/0']: Fraction(1, 0)"),
+        (["1"], "coefficient entries must be [re, im] pairs, got ['1']"),
+    ], ids=["long-int", "not-a-fraction", "long-exponent", "not-a-pair", "zero-den", "zero-den-im", "one-element"])
+    def test_bad_entry_messages(self, entry, err, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"w": 2, "coeffs": [entry, ["0/1", "0/1"], ["1/1", "0/1"]]}))
+        assert main(["rv-forward", str(path)]) == EXIT_INPUT
+        assert capsys.readouterr() == ("", f"error: {err}\n")
 
 
 class TestRootsCommand:

@@ -1107,6 +1107,17 @@ class TestHilbert:
         rep = hilbert_hypotheses(ZetaPoly.make(2, [qi(0, 1), 0, 1]))
         assert not rep.integer_coefficients
 
+    @pytest.mark.parametrize("coeffs,detail", [
+        ([1, Fraction(-1, 2), 3], "non-integer coefficient -1/2"),
+        ([1, qi(2, -3), 3], "non-integer coefficient 2-3*i"),
+        ([qi(0, Fraction(-7, 2)), 0, 1], "non-integer coefficient -7/2*i"),
+        ([1, qi(Fraction(5, 6), Fraction(-2, 3)), -3],
+         "non-integer coefficient 5/6-2/3*i; leading term not a positive real"),
+    ])
+    def test_detail_bytes(self, coeffs, detail):
+        # the first offending coefficient, printed as the check command prints one
+        assert hilbert_hypotheses(ZetaPoly.make(2, coeffs)).detail == detail
+
 
 class TestLazyRootFinder:
     """``zeta`` serves the general root finder from ``rootfind``, which it
