@@ -7,17 +7,9 @@ equations and convergent series identities, and a high-precision
 pipeline building period polynomials from critical L-values.
 """
 
-from zetapoly.exactnum import GaussianRational, qi
 from zetapoly.polyspace import PolyX
 from zetapoly.rv import ZetaPoly, rv_forward, rv_inverse
 
-__all__ = [
-    "GaussianRational",
-    "qi",
-    "PolyX",
-    "ZetaPoly",
-    "rv_forward",
-    "rv_inverse",
-]
+__all__ = ["PolyX", "ZetaPoly", "rv_forward", "rv_inverse"]
 
 __version__ = "0.1.0"

@@ -120,7 +120,7 @@ def _cmd_check(args) -> int:
         args,
         lambda: {"relation": relation, "holds": holds, "residual": residual.to_str_pairs()},
         lambda: [f"relation {relation}: {'holds' if holds else 'FAILS'}",
-                 "residual: " + " ".join(str(c) for c in residual.coeffs)],
+                 "residual: " + residual.to_text()],
     )
     return EXIT_OK if holds else EXIT_CHECK_FAILED
 
@@ -194,7 +194,7 @@ def _cmd_wspace(args) -> int:
         lambda: {"w": args.w, "dim": len(basis), "dim_plus": dim_plus, "dim_minus": dim_minus,
                  "basis": [b.to_str_pairs() for b in basis]},
         lambda: [f"w={args.w}: dim W = {len(basis)}, dim W+ = {dim_plus}, dim W- = {dim_minus}"]
-        + ["  basis: " + " ".join(str(c) for c in b.coeffs) for b in basis],
+        + ["  basis: " + b.to_text() for b in basis],
     )
     return EXIT_OK
 

@@ -1,12 +1,12 @@
-"""Exact scalar and series arithmetic over Q and Q(i).
+"""The one exact form of every command: polynomials over Q(i) as
+Gaussian-integer numerator pairs over one positive denominator, (den, pairs).
 
-Everything in this module is exact: Gaussian rationals built on
-``fractions.Fraction``, the generalized binomial machinery used by the
-zeta-polynomial transform, the dense degree-<= w polynomial core shared
-by the period and zeta variables, and truncated power series.  No
-floating point enters anywhere.
-All values are immutable and all operations are pure, so they are safe
-for unrestricted concurrent use.
+Parsing into that form, printing from it, ``DensePoly`` (the core shared by
+the period and zeta variables) and ``Record`` (the immutable base of every
+value class).  No floating point enters anywhere.  The Q(i) value type lives
+in ``gaussian``, which no command loads; its names are served from here on
+first use (PEP 562).  All values are immutable and all operations are pure,
+so they are safe for unrestricted concurrent use.
 """
 
 from __future__ import annotations
@@ -110,188 +110,56 @@ class Record:
         return f"{type(self).__name__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
 
 
-class GaussianRational:
-    """An exact element of Q(i), stored as a (re, im) pair of Fractions.
-
-    Fractions keep denominators positive and in lowest terms, so equality
-    is exact structural equality of the normalized form.  Instances are
-    immutable by convention; every operation returns a new value.
-    """
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: Rationalish = 0, im: Rationalish = 0):
-        self.re = as_fraction(re)
-        self.im = as_fraction(im)
-
-    # -- constructors ------------------------------------------------
-
-    @classmethod
-    def coerce(cls, x) -> "GaussianRational":
-        if isinstance(x, GaussianRational):
-            return x
-        if isinstance(x, (int, Fraction, str)):
-            return cls(x)
-        raise TypeError(f"cannot interpret {x!r} as an element of Q(i)")
-
-    @classmethod
-    def from_str_pair(cls, pair: Sequence[str]) -> "GaussianRational":
-        """Parse the serialized form ("p/q", "r/s")."""
-        if len(pair) != 2:
-            raise ValueError(f"expected a (re, im) string pair, got {pair!r}")
-        return cls(str(pair[0]), str(pair[1]))
-
-    def to_str_pair(self) -> tuple[str, str]:
-        """Serialize as ("p/q", "r/s"), always carrying the denominator."""
-        return tuple(f"{decimal_str(x.numerator)}/{decimal_str(x.denominator)}"
-                     for x in (self.re, self.im))
-
-    # -- predicates --------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.re and not self.im
-
-    # -- arithmetic --------------------------------------------------
-
-    def __add__(self, other):
-        o = GaussianRational.coerce(other)
-        return GaussianRational(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = GaussianRational.coerce(other)
-        return GaussianRational(self.re - o.re, self.im - o.im)
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __mul__(self, other):
-        o = GaussianRational.coerce(other)
-        return GaussianRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
-
-    __rmul__ = __mul__
-
-    def norm2(self) -> Fraction:
-        """|z|^2 = re^2 + im^2, an exact rational."""
-        return self.re * self.re + self.im * self.im
-
-    def inverse(self) -> "GaussianRational":
-        n = self.norm2()
-        if not n:
-            raise ZeroDivisionError("inverse of 0 in Q(i)")
-        return GaussianRational(self.re / n, -self.im / n)
-
-    def __truediv__(self, other):
-        o = GaussianRational.coerce(other)
-        return self * o.inverse()
-
-    def __pow__(self, n: int) -> "GaussianRational":
-        if not isinstance(n, int):
-            raise TypeError("exponent must be an integer")
-        base = self
-        if n < 0:
-            base = self.inverse()
-            n = -n
-        result = GaussianRational(1)
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    # -- comparison / hashing ----------------------------------------
-
-    def __eq__(self, other):
-        try:
-            o = GaussianRational.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __repr__(self):
-        return f"GaussianRational({self.re!r}, {self.im!r})"
-
-    def __str__(self):
-        re, im = decimal_str(self.re), decimal_str(self.im)
-        if not self.im:
-            return re
-        if not self.re:
-            return f"{im}*i"
-        return f"{re}{'+' if self.im > 0 else '-'}{im.lstrip('-')}*i"
+def rational_parts(x) -> tuple:
+    """The (re, im) parts of x: an (re, im) pair as given, the parts of a
+    Q(i) value, or an int, Fraction or fraction string with im = 0."""
+    if isinstance(x, tuple):
+        return x
+    return (x.re, x.im) if hasattr(x, "im") else (as_fraction(x), 0)
 
 
-ZERO = GaussianRational(0)
-ONE = GaussianRational(1)
-I = GaussianRational(0, 1)
+def common_denominator(values) -> tuple[int, list[tuple[int, int]]]:
+    """One positive denominator D and integer pairs (p, q), one for each
+    value, with (p/D, q/D) its ``rational_parts``."""
+    parts = [rational_parts(v) for v in values]
+    den = math.lcm(1, *(x.denominator for pair in parts for x in pair))
+    return den, [(re.numerator * (den // re.denominator), im.numerator * (den // im.denominator))
+                 for re, im in parts]
 
 
-def qi(re: Rationalish = 0, im: Rationalish = 0) -> GaussianRational:
-    """Shorthand constructor for Q(i) values."""
-    return GaussianRational(re, im)
+def str_pair(den: int, pair) -> list[str]:
+    """(x + y i)/den as ["p/q", "r/s"]: each part in lowest terms with its
+    denominator, at any length (``GaussianRational.to_str_pair``'s bytes)."""
+    out = []
+    for x in pair:
+        g = math.gcd(x, den)
+        out.append(f"{decimal_str(x // g)}/{decimal_str(den // g)}")
+    return out
+
+
+def pair_text(den: int, pair) -> str:
+    """(x + y i)/den as text: "re", "im*i" or "re+im*i", each part as
+    str(Fraction) writes it (``GaussianRational.__str__``'s bytes)."""
+    re, im = (part.removesuffix("/1") for part in str_pair(den, pair))
+    if not pair[1]:
+        return re
+    if not pair[0]:
+        return f"{im}*i"
+    return f"{re}{'+' if pair[1] > 0 else '-'}{im.lstrip('-')}*i"
+
+
+def __getattr__(name: str):
+    """The Q(i) names of ``gaussian``, loaded on first use (PEP 562)."""
+    if name in ("GaussianRational", "qi", "I", "ONE", "ZERO", "from_pairs", "binom_poly_in_s",
+                "binom_poly_in_s_scaled", "PowerSeries"):
+        from zetapoly import gaussian
+
+        return getattr(gaussian, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------
-# Generalized binomial coefficients
-# ---------------------------------------------------------------------
-
-def binom_poly_in_s_scaled(w: int, shift: int, slope: int) -> tuple[int, ...]:
-    """Integer coefficients (ascending in s) of w! * C(shift + slope*s, w).
-
-    Expands the falling factorial (shift + slope*s)(shift + slope*s - 1)
-    ... (shift + slope*s - w + 1) exactly, avoiding interpolation.
-    """
-    if w < 0:
-        raise ValueError("w must be non-negative")
-    coeffs = [1]
-    for t in range(w):
-        const = shift - t
-        nxt = [0] * (len(coeffs) + 1)
-        for d, c in enumerate(coeffs):
-            nxt[d] += c * const
-            nxt[d + 1] += c * slope
-        coeffs = nxt
-    return tuple(coeffs)
-
-
-def binom_poly_in_s(w: int, shift: int, slope: int) -> tuple[Fraction, ...]:
-    """Coefficients (ascending in s) of C(shift + slope*s, w) as a polynomial in s."""
-    fact = math.factorial(w)
-    return tuple(Fraction(c, fact) for c in binom_poly_in_s_scaled(w, shift, slope))
-
-
-def common_denominator(
-    coeffs: Sequence[GaussianRational],
-) -> tuple[int, list[tuple[int, int]]]:
-    """One positive denominator D and integer pairs (p, q) with each
-    coefficient equal to (p + q i)/D.  Lets hot loops run on plain ints."""
-    den = 1
-    for c in coeffs:
-        den = math.lcm(den, c.re.denominator, c.im.denominator)
-    pairs = [
-        (
-            c.re.numerator * (den // c.re.denominator),
-            c.im.numerator * (den // c.im.denominator),
-        )
-        for c in coeffs
-    ]
-    return den, pairs
-
-
-def from_pairs(den: int, pairs) -> tuple[GaussianRational, ...]:
-    """The Q(i) values (p + q i)/den: the inverse of ``common_denominator``."""
-    return tuple(GaussianRational(Fraction(p, den), Fraction(q, den)) for p, q in pairs)
-
-
-# ---------------------------------------------------------------------
-# Dense polynomials, over Z[i] as ascending (re, im) int pairs and over Q(i)
+# Dense polynomials over Q(i), as ascending Gaussian-integer pairs over one denominator
 # ---------------------------------------------------------------------
 
 
@@ -331,16 +199,17 @@ class DensePoly(Record):
 
     @classmethod
     def make(cls, w: int, values: Sequence):
-        """Build from any Q(i) coefficient sequence of length <= w+1 (zero-padded)."""
-        vals = [GaussianRational.coerce(v) for v in values]
-        if len(vals) > w + 1:
-            raise InputError(f"{len(vals)} coefficients exceed degree bound w={w}")
-        den, pairs = common_denominator(vals)
-        return cls(w, den, pairs + [(0, 0)] * (w + 1 - len(vals)))
+        """Build from at most w+1 coefficients (zero-padded), read by ``rational_parts``."""
+        den, pairs = common_denominator(values)
+        if len(pairs) > w + 1:
+            raise InputError(f"{len(pairs)} coefficients exceed degree bound w={w}")
+        return cls(w, den, pairs + [(0, 0)] * (w + 1 - len(pairs)))
 
     @cached_property
-    def coeffs(self) -> tuple[GaussianRational, ...]:
+    def coeffs(self) -> tuple:
         """The w+1 coefficients as Q(i) values, built on first read."""
+        from zetapoly.gaussian import from_pairs
+
         return from_pairs(self.den, self.pairs)
 
     # -- basic queries -----------------------------------------------------
@@ -369,12 +238,12 @@ class DensePoly(Record):
     # -- serialization -------------------------------------------------------
 
     def to_str_pairs(self) -> list[list[str]]:
-        """The coefficients as ["p/q", "r/s"] pairs in lowest terms, as
-        ``GaussianRational.to_str_pair`` writes them, straight from the pairs."""
-        def frac(x: int) -> str:
-            g = math.gcd(x, self.den)
-            return f"{decimal_str(x // g)}/{decimal_str(self.den // g)}"
-        return [[frac(x), frac(y)] for x, y in self.pairs]
+        """The coefficients as ["p/q", "r/s"] pairs (``str_pair``)."""
+        return [str_pair(self.den, p) for p in self.pairs]
+
+    def to_text(self) -> str:
+        """The coefficients as text, ascending, one space apart (``pair_text``)."""
+        return " ".join(pair_text(self.den, p) for p in self.pairs)
 
     def to_dict(self) -> dict:
         return {"w": self.w, "variable": self.VARIABLE, "coeffs": self.to_str_pairs()}
@@ -394,16 +263,14 @@ class DensePoly(Record):
             raise InputError(f"'w' must be an integer, got {w!r}")
         variable = data.get("variable")
         if variable is not None and variable != cls.VARIABLE:
-            raise InputError(
-                f"expected a polynomial in {cls.VARIABLE!r}, got variable={variable!r}"
-            )
+            raise InputError(f"expected a polynomial in {cls.VARIABLE!r}, got variable={variable!r}")
         if not isinstance(raw, list) or len(raw) != w + 1:
             raise InputError(f"'coeffs' must list exactly w+1 = {w + 1} entries")
         coeffs = []
         for entry in raw:
             if isinstance(entry, (list, tuple)) and len(entry) == 2:
                 try:
-                    coeffs.append(GaussianRational.from_str_pair(entry))
+                    coeffs.append((as_fraction(str(entry[0])), as_fraction(str(entry[1]))))
                 except (ValueError, ZeroDivisionError) as exc:
                     msg = f"bad coefficient entry {_clipped(repr(entry))}: {_clipped(str(exc))}"
                     raise InputError(msg) from exc
@@ -411,39 +278,3 @@ class DensePoly(Record):
                 entry = _clipped(repr(entry))
                 raise InputError(f"coefficient entries must be [re, im] pairs, got {entry}")
         return cls.make(w, coeffs)
-
-
-# ---------------------------------------------------------------------
-# Truncated power series over Q(i)
-# ---------------------------------------------------------------------
-
-class PowerSeries(Record):
-    """The first ``len(coeffs)`` terms of a power series sum_t coeffs[t] x^t
-    over Q(i)."""
-
-    coeffs: tuple[GaussianRational, ...]
-
-    def mul(self, other: "PowerSeries", order: int) -> "PowerSeries":
-        """The first ``order`` terms of the product."""
-        out = [ZERO] * order
-        for a, ca in enumerate(self.coeffs[:order]):
-            if ca.is_zero():
-                continue
-            for b, cb in enumerate(other.coeffs[: order - a]):
-                if not cb.is_zero():
-                    out[a + b] = out[a + b] + ca * cb
-        return PowerSeries(tuple(out))
-
-    def inverse(self, order: int) -> "PowerSeries":
-        """The first ``order`` terms of the multiplicative inverse; raises
-        ZeroDivisionError when the constant term is 0."""
-        c0inv = self.coeffs[0].inverse()
-        out = [c0inv] + [ZERO] * (order - 1)
-        for t in range(1, order):
-            acc = ZERO
-            for u in range(1, min(t, len(self.coeffs) - 1) + 1):
-                cu = self.coeffs[u]
-                if not cu.is_zero():
-                    acc = acc + cu * out[t - u]
-            out[t] = -c0inv * acc
-        return PowerSeries(tuple(out))

@@ -15,13 +15,7 @@ from __future__ import annotations
 import math
 
 from zetapoly.errors import InputError
-from zetapoly.exactnum import (
-    I,
-    DensePoly,
-    GaussianRational,
-    common_denominator,
-    require_even_w,
-)
+from zetapoly.exactnum import DensePoly, common_denominator, require_even_w
 
 # ---------------------------------------------------------------------
 # Dense polynomials in X over Q(i)
@@ -42,15 +36,15 @@ class PolyX(DensePoly):
 U_MAT = (1, -1, 1, 0)
 U2_MAT = (0, -1, 1, -1)  # U^2
 # Matrices realizing the rescaled three-term relation.
-_RES2_MAT_B = (1, -I, -I, 0)
-_RES2_MAT_C = (0, -I, -I, -1)
+_RES2_MAT_B = (1, (0, -1), (0, -1), 0)  # -i as a Gaussian-integer (re, im) pair
+_RES2_MAT_C = (0, (0, -1), (0, -1), -1)
 _UNITS = {(1, 0): 0, (0, 1): 1, (-1, 0): 2, (0, -1): 3}  # i^k -> k
 
 
 def slash(P: PolyX, g: tuple) -> PolyX:
     """The weight -w slash action det(g)^(-w/2) (cX+d)^w P((aX+b)/(cX+d))
-    of g = (a, b, c, d) with Gaussian-integer entries, det(g) a unit and c
-    zero or a unit; any other g raises InputError.
+    of g = (a, b, c, d) with Gaussian-integer entries (ints or (re, im)
+    pairs), det(g) a unit and c zero or a unit; any other g raises InputError.
 
     Such a g is [[a, 0], [0, d]] [[1, b/a], [0, 1]] for c = 0, and
     [[1, a/c], [0, 1]] [[0, -det/c], [c, 0]] [[1, d/c], [0, 1]] for c a
@@ -59,7 +53,7 @@ def slash(P: PolyX, g: tuple) -> PolyX:
     (-det/c^2)^j and a reversal), and a second Taylor shift: O(w^2)
     operations on P's Gaussian-integer numerators, over its denominator.
     """
-    e, (a, b, c, d) = common_denominator(tuple(GaussianRational.coerce(x) for x in g))
+    e, (a, b, c, d) = common_denominator(g)
     (ar, ai), (br, bi), (cr, ci), (dr, di) = a, b, c, d
     k_det = _UNITS.get((ar * dr - ai * di - br * cr + bi * ci, ar * di + ai * dr - br * ci - bi * cr))
     ka, kc, kd = _UNITS.get(a), _UNITS.get(c), _UNITS.get(d)

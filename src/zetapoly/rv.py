@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 
 from zetapoly.errors import InputError
-from zetapoly.exactnum import DensePoly, GaussianRational, from_pairs
+from zetapoly.exactnum import DensePoly
 from zetapoly.polyspace import PolyX
 
 
@@ -37,9 +37,9 @@ def rv_forward(R: PolyX) -> ZetaPoly:
 
     The map is real-linear, so the real and imaginary numerators of R
     each go through ``_scaled_forward`` on plain integers, over the
-    denominator w! times R's.
+    denominator w! times R's; a zero part maps to itself.
     """
-    re, im = (_scaled_forward(part) for part in zip(*R.pairs))
+    re, im = (_scaled_forward(part) if any(part) else part for part in zip(*R.pairs))
     return ZetaPoly(R.w, R.den * math.factorial(R.w), tuple(zip(re, im)))
 
 
@@ -65,9 +65,9 @@ def _scaled_forward(a: tuple[int, ...], sign: int = -1) -> list[int]:
     return acc
 
 
-def series_coeffs(Z: ZetaPoly, count: int) -> list[GaussianRational]:
-    """The generating-series values Z(0), Z(-1), ..., Z(-count+1), by
-    integer Horner evaluation over Z's denominator."""
+def series_coeffs(Z: ZetaPoly, count: int) -> list[tuple[int, int]]:
+    """The generating-series values Z(0), Z(-1), ..., Z(-count+1) as
+    Gaussian-integer pairs over Z.den, by integer Horner evaluation."""
     if count < 1:
         raise InputError("count must be >= 1")
     out = []
@@ -76,7 +76,7 @@ def series_coeffs(Z: ZetaPoly, count: int) -> list[GaussianRational]:
         for cr, cm in reversed(Z.pairs):
             r, m = r * x + cr, m * x + cm
         out.append((r, m))
-    return list(from_pairs(Z.den, out))
+    return out
 
 
 def rv_inverse(Z: ZetaPoly) -> PolyX:
@@ -92,11 +92,11 @@ def rv_inverse(Z: ZetaPoly) -> PolyX:
     parts = []
     for q in map(list, zip(*Z.pairs)):
         bern, fact = [], 1  # fact = (-1)^k k!
-        for k in range(Z.w + 1):  # q <- (q - d_k) / (s + k), d_k the remainder
+        for k in range(Z.w + 1 if any(q) else 0):  # q <- (q - d_k) / (s + k), d_k the remainder
             acc = 0
             for i in range(len(q) - 1, -1, -1):
                 acc = q[i] = q[i] - k * acc
             bern = [b - c for b, c in zip(bern + [fact * q.pop(0)], [0] + bern)]
             fact *= -(k + 1)
-        parts.append(bern)
+        parts.append(bern or q)  # a zero part maps to itself
     return PolyX(Z.w, Z.den, tuple(zip(*parts)))

@@ -23,7 +23,7 @@ from typing import Union
 
 from zetapoly.dyadic import INF, Dyadic, nstr, quotient, rounded, sqrt_rounded
 from zetapoly.errors import InputError, PrecisionError
-from zetapoly.exactnum import I, ZERO, GaussianRational, Record, as_fraction, common_denominator, from_pairs, qi, require_even_w
+from zetapoly.exactnum import Record, as_fraction, pair_text, require_even_w, str_pair
 from zetapoly.polyspace import PolyX, slash
 from zetapoly.rv import ZetaPoly, rv_inverse, series_coeffs
 
@@ -68,19 +68,25 @@ class LaurentCoeffs(Record):
 
         (1-x)^(w+1) (x+i)^n / ((x+i-ix)^(w+1) (ix)^(n+1))
 
-    expanded about x = 0.  The pole at 0 has exact order n+1."""
+    expanded about x = 0, as (re, im) int pairs.  The pole at 0 has exact order n+1."""
 
     w: int
     n: int
     M: int
-    coeffs: tuple[GaussianRational, ...]
+    pairs: tuple[tuple[int, int], ...]
 
-    def coeff(self, m: int) -> GaussianRational:
-        if m < -(self.n + 1):
-            return ZERO
+    def coeff(self, m: int):
+        """a_m as a Q(i) value, built on read."""
         if m > self.M:
             raise InputError(f"coefficient a_{m} beyond truncation order {self.M}")
-        return self.coeffs[m + self.n + 1]
+        return _qi(1, self.pairs[m + self.n + 1] if m >= -(self.n + 1) else (0, 0))
+
+
+def _qi(den: int, pair):
+    """(x + y i)/den as a Q(i) value, for the values that reports build on read."""
+    from zetapoly.gaussian import from_pairs
+
+    return from_pairs(den, [pair])[0]
 
 
 def laurent_coeffs(w: int, n: int, M: int) -> LaurentCoeffs:
@@ -104,7 +110,7 @@ def laurent_coeffs(w: int, n: int, M: int) -> LaurentCoeffs:
         series = [(a - c, b - d) for (a, b), (c, d) in zip(series, [(0, 0)] + series)]
     for _ in range(n):  # times (1 - ix)
         series = [(a + d, b - c) for (a, b), (c, d) in zip(series, [(0, 0)] + series)]
-    return LaurentCoeffs(w, n, M, tuple(GaussianRational(a, b) for a, b in series))
+    return LaurentCoeffs(w, n, M, tuple(series))
 
 
 # ---------------------------------------------------------------------
@@ -119,37 +125,51 @@ K_MAX_DEFAULT = 400
 class Thm2Report(Record):
     """Result of evaluating the identity value at a positive integer n.
 
-    ``exact_part`` is Z(-n) + (-i)^w sum_{m=1}^{n+1} a_{-m} Z(1-m);
-    ``partial_sums`` holds the exact per-k terms t_0 .. t_{k_stop}, built on
-    first read: t_k is ``term_numerators[k]`` over ``term_den`` 2^k.  The
-    reported ``total`` is their exact sum plus the exact part.  Under the
+    The exact per-k term t_k is ``term_numerators[k]`` over ``term_den`` 2^k.
+    The exact part Z(-n) + (-i)^w sum_{m=1}^{n+1} a_{-m} Z(1-m) and the
+    reported total (the exact part plus every term) are ``exact_numerator``
+    and ``total_numerator`` over one ``den``; ``exact_part``, ``total`` and
+    ``partial_sums`` are their Q(i) values, built on first read.  Under the
     geometric tail model with ratio RHO, |identity value - total| <=
     residual_bound whenever ``converged`` is set.
     """
 
     w: int
     n: int
-    exact_part: GaussianRational
     term_numerators: tuple[tuple[int, int], ...]
     term_den: int
-    total: GaussianRational
+    exact_numerator: tuple[int, int]
+    total_numerator: tuple[int, int]
+    den: int
     k_stop: int
     converged: bool
     residual_bound: Dyadic
     tol: Fraction
 
     @cached_property
-    def partial_sums(self) -> tuple[GaussianRational, ...]:
-        return tuple(from_pairs(self.term_den << k, [t])[0] for k, t in enumerate(self.term_numerators))
+    def exact_part(self):
+        return _qi(self.den, self.exact_numerator)
+
+    @cached_property
+    def total(self):
+        return _qi(self.den, self.total_numerator)
+
+    @cached_property
+    def partial_sums(self) -> tuple:
+        return tuple(_qi(self.term_den << k, t) for k, t in enumerate(self.term_numerators))
+
+    def _total_norm2(self) -> Fraction:
+        x, y = self.total_numerator
+        return Fraction(x * x + y * y, self.den * self.den)
 
     @property
     def abs_total(self) -> Dyadic:
-        return Dyadic(*_sqrt64(self.total.norm2()))
+        return Dyadic(*_sqrt64(self._total_norm2()))
 
     def total_below(self, bound: TolLike) -> bool:
         """Exact test |total| < bound."""
         b = as_tolerance(bound)
-        return self.total.norm2() < b * b
+        return self._total_norm2() < b * b
 
     def to_dict(self) -> dict:
         return {
@@ -159,7 +179,7 @@ class Thm2Report(Record):
             "converged": self.converged,
             "abs_total": nstr(self.abs_total, 12),
             "residual_bound": nstr(self.residual_bound, 12),
-            "total": list(self.total.to_str_pair()),
+            "total": str_pair(self.den, self.total_numerator),
             "tol": str(self.tol),
         }
 
@@ -210,15 +230,13 @@ def thm2_residual(
     tol_frac = as_tolerance(tol)
     theta2 = (tol_frac * (1 - RHO) / RHO) ** 2
 
-    zden, zs = common_denominator(series_coeffs(Z, n + 1))  # Z(-t) = zs[t] / zden
+    zs = series_coeffs(Z, n + 1)  # Z(-t) = zs[t] / Z.den
     s = (-1) ** (w // 2)  # (-i)^w
     er, ei = zs[n]
-    for a, (zr, zi) in zip(laurent_coeffs(w, n, -1).coeffs[::-1], zs):  # a_(-1), ..., a_(-(n+1))
-        ar, ai = s * a.re.numerator, s * a.im.numerator
-        er, ei = er + ar * zr - ai * zi, ei + ar * zi + ai * zr
+    for (ar, ai), (zr, zi) in zip(laurent_coeffs(w, n, -1).pairs[::-1], zs):  # a_(-1), ..., a_(-(n+1))
+        er, ei = er + s * (ar * zr - ai * zi), ei + s * (ar * zi + ai * zr)
     D, q0, B, grow, lock = _thm2_series(w, Z.den, Z.pairs)
-    u = -(I ** n)  # t_k = C(K, n) u B_K / (2^(K+w+1) D): u is ±1 or ±i
-    sign = u.re.numerator + u.im.numerator  # u = sign, or sign * i for odd n
+    sign = 1 if n % 4 > 1 else -1  # t_k = C(K, n) u B_K / (2^(K+w+1) D): u = -i^n is sign, or sign * i for odd n
     den = D << (n + w)  # 2^(K+w+1) D, here at K = n - 1
     tden, limit = theta2.denominator, theta2.numerator * den * den  # t passes iff |num|^2 tden < limit
     acc_r = acc_i = 0  # the terms so far, summed over den
@@ -242,8 +260,9 @@ def thm2_residual(
             converged = True
             break
     den <<= len(terms)
-    exact_part = qi(Fraction(er, zden), Fraction(ei, zden))
-    total = exact_part + from_pairs(den, [(acc_r, acc_i)])[0]
+    total_den = math.lcm(Z.den, den)
+    ez, et = total_den // Z.den, total_den // den  # the scales of the exact part and of the terms
+    exact, total = (ez * er, ez * ei), (ez * er + et * acc_r, ez * ei + et * acc_i)
     bound = INF
     if converged:  # max |t|^2 over the last three terms, as reduced Fractions
         worst = max(Fraction(a * a + b * b, (den >> j) ** 2)
@@ -254,10 +273,11 @@ def thm2_residual(
     return Thm2Report(
         w=w,
         n=n,
-        exact_part=exact_part,
         term_numerators=tuple(terms),
         term_den=D << (n + w + 1),
-        total=total,
+        exact_numerator=exact,
+        total_numerator=total,
+        den=total_den,
         k_stop=len(terms) - 1,
         converged=converged,
         residual_bound=bound,
@@ -437,8 +457,8 @@ def hilbert_hypotheses(Z: ZetaPoly) -> HilbertReport:
     else:
         reasons = []
         if not integral:
-            bad = next(c for c, (x, y) in zip(Z.coeffs, Z.pairs) if y or x % Z.den)
-            reasons.append(f"non-integer coefficient {bad}")
+            bad = next(p for p in Z.pairs if p[1] or p[0] % Z.den)
+            reasons.append(f"non-integer coefficient {pair_text(Z.den, bad)}")
         if not positive:
             reasons.append("leading term not a positive real")
         detail = "; ".join(reasons)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from zetapoly.dyadic import aligned
-from zetapoly.exactnum import ONE, ZERO, GaussianRational, I
+from zetapoly.exactnum import ONE, ZERO, GaussianRational, I, from_pairs
 from zetapoly.lvalues import NewformData, NumericPoly, required_nmax
 from zetapoly.polyspace import PolyX
 from zetapoly.rv import rv_forward, series_coeffs
@@ -308,7 +308,7 @@ def exact_identity_value(R: PolyX, n: int) -> GaussianRational:
     [z^n] of -R(z-i)/(1-z)^(w+1), an exact finite computation."""
     w = R.w
     Z = rv_forward(R)
-    zv = series_coeffs(Z, max(w, n) + 1)
+    zv = from_pairs(Z.den, series_coeffs(Z, max(w, n) + 1))
     princ = laurent_coeffs(w, n, -1)
     exact = zv[n] + ((-I) ** w) * sum(
         (princ.coeff(-m) * zv[m - 1] for m in range(1, n + 2)), ZERO

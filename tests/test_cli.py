@@ -16,7 +16,7 @@ import pytest
 from conftest import horner, modulus_27_poly
 from zetapoly.cli import EXIT_CHECK_FAILED, EXIT_INPUT, EXIT_OK, main
 from zetapoly.delta import golden_r_minus, golden_z_minus
-from zetapoly.exactnum import DensePoly, GaussianRational
+from zetapoly.exactnum import DensePoly
 from zetapoly.lvalues import delta_newform, required_nmax
 from zetapoly.polyspace import PolyX, wspace_basis
 from zetapoly.rv import ZetaPoly, rv_forward
@@ -245,7 +245,7 @@ class TestOnlyTheWrittenFormIsBuilt:
     def test_json_prints_no_text(self, argv, r_minus_file, capsys):
         if argv[0] == "check":
             argv = argv + [r_minus_file]
-        with mock.patch.object(GaussianRational, "__str__", side_effect=AssertionError):
+        with mock.patch.object(DensePoly, "to_text", side_effect=AssertionError):
             assert main(["--format", "json"] + argv) == EXIT_OK
         assert json.loads(capsys.readouterr().out)
 

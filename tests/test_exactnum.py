@@ -29,8 +29,10 @@ from zetapoly.exactnum import (
     binom_poly_in_s_scaled,
     common_denominator,
     from_pairs,
+    pair_text,
     qi,
     reduced,
+    str_pair,
 )
 from zetapoly.delta import run_delta
 from zetapoly.lvalues import NewformData, NumericPoly, build_r, delta_newform
@@ -104,14 +106,13 @@ class TestGaussianRational:
     def test_str_pair_serialization(self):
         v = qi(Fraction(36, 691), 0)
         assert v.to_str_pair() == ("36/691", "0/1")
-        assert GaussianRational.from_str_pair(["36/691", "0/1"]) == v
-        assert GaussianRational.from_str_pair(("-5", "1/3")) == qi(-5, Fraction(1, 3))
-        with pytest.raises(ValueError):
-            GaussianRational.from_str_pair(["1"])
+        assert qi(-5, Fraction(1, 3)).to_str_pair() == ("-5/1", "1/3")
 
     @given(qi_values)
     def test_serialization_roundtrip(self, a):
-        assert GaussianRational.from_str_pair(a.to_str_pair()) == a
+        # the polynomial parser reads the pair back
+        data = {"w": 2, "coeffs": [list(a.to_str_pair()), ["0", "0"], ["0", "0"]]}
+        assert PolyX.from_dict(data).coeffs[0] == a
 
     def test_common_denominator(self):
         den, pairs = common_denominator([qi(Fraction(1, 6), 2), qi(Fraction(3, 4))])
@@ -275,6 +276,32 @@ class TestStrPairs:
         digits = "1" + "0" * 4999 + "7"
         assert pairs[0][0] == f"-{digits}/3"
         assert pairs[1] == [f"2/{digits}", "0/1"]
+
+
+_BIG = st.integers(1, 999).map(lambda k: 10**4400 + k)  # past the 4300-digit int-to-str cap
+_PARTS = st.one_of(st.just(0), st.integers(-60, 60), _BIG, _BIG.map(lambda x: -x))
+_DENS = st.one_of(st.just(1), st.integers(1, 60), _BIG)
+
+
+class TestPairPrinters:
+    """The printers of the (den, pairs) form write the bytes of the Q(i)
+    value type's printers, which serve as the reference: ``pair_text`` those
+    of ``str(GaussianRational)``, ``str_pair`` those of ``to_str_pair``."""
+
+    @given(_DENS, _PARTS, _PARTS)
+    def test_match_the_value_printers(self, den, x, y):
+        cap = sys.get_int_max_str_digits()
+        value = GaussianRational(Fraction(x, den), Fraction(y, den))
+        assert pair_text(den, (x, y)) == str(value)
+        assert str_pair(den, (x, y)) == list(value.to_str_pair())
+        assert sys.get_int_max_str_digits() == cap
+
+    @pytest.mark.parametrize("den,pair,text", [
+        (1, (0, 0), "0"), (6, (-3, 0), "-1/2"), (6, (0, -4), "-2/3*i"), (1, (5, 1), "5+1*i"),
+        (4, (2, -6), "1/2-3/2*i"), (3, (-3, 3), "-1+1*i"),
+    ])
+    def test_zero_and_negative_parts(self, den, pair, text):
+        assert pair_text(den, pair) == text == str(from_pairs(den, [pair])[0])
 
 
 class TestPowerSeries:

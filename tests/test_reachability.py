@@ -28,21 +28,9 @@ ALLOWED = {
     "dyadic.Dyadic.__hash__": "defining __eq__ alone would make the values, and the frozen "
     "reports holding them, unhashable",
     "dyadic.Dyadic.__repr__": "the form that failing asserts and the REPL print",
+    "exactnum.DensePoly.coeffs": "acceptance criterion 01 reads the transform's coefficients "
+    "as Q(i) values",
     "exactnum.DensePoly.degree": "acceptance criterion 10, through hilbert_hypotheses",
-    "exactnum.GaussianRational.__eq__": "the asserts compare Q(i) values, in the tests and "
-    "the acceptance criteria",
-    "exactnum.GaussianRational.__hash__": "defining __eq__ alone would make Q(i) values, "
-    "and the frozen polynomials holding them, unhashable",
-    "exactnum.GaussianRational.__repr__": "the form that failing asserts and the REPL print",
-    "exactnum.GaussianRational.__truediv__": "the conftest gcd oracle, and through it the "
-    "Yun oracle, makes each remainder monic with it",
-    "exactnum.GaussianRational.inverse": "acceptance criterion 05's I ** (-w), through "
-    "__pow__; the conftest poly-division oracle divides by a leading coefficient with it",
-    "exactnum.GaussianRational.__sub__": "acceptance criterion 04, through "
-    "conftest.exact_identity_value; the Yun, poly-division and slash oracles subtract",
-    "exactnum.GaussianRational.is_zero": "acceptance criterion 05 tests the Laurent "
-    "coefficients with it; the slash oracle and the Yun oracle's helpers do too",
-    "exactnum.PowerSeries.inverse": "perfbench span target",
     "exactnum.Record.__delattr__": "refuses deletion, so records stay immutable; no command "
     "deletes a field",
     "exactnum.Record.__hash__": "equal records hash alike, as frozen dataclasses did; the "
@@ -52,14 +40,53 @@ ALLOWED = {
     "exactnum.Record.__repr__": "the form that failing asserts and the REPL print",
     "exactnum.Record.__setattr__": "refuses assignment, so records stay immutable; no command "
     "assigns to a field",
-    "exactnum.PowerSeries.mul": "perfbench span target",
-    "exactnum.binom_poly_in_s": "acceptance criterion 09 calls it",
-    "exactnum.binom_poly_in_s_scaled": "acceptance criterion 09, through binom_poly_in_s",
+    "gaussian.GaussianRational.__add__": "acceptance criteria 04 and 05 sum Q(i) values, "
+    "criterion 04 through conftest.exact_identity_value",
+    "gaussian.GaussianRational.__eq__": "the asserts compare Q(i) values, in the tests and "
+    "the acceptance criteria",
+    "gaussian.GaussianRational.__hash__": "defining __eq__ alone would make Q(i) values "
+    "unhashable",
+    "gaussian.GaussianRational.__init__": "every Q(i) value the tests and the acceptance "
+    "criteria build",
+    "gaussian.GaussianRational.__mul__": "acceptance criteria 04 and 05 multiply Q(i) values",
+    "gaussian.GaussianRational.__neg__": "acceptance criterion 05's -(I ** (-w))",
+    "gaussian.GaussianRational.__pow__": "acceptance criterion 05's I ** (-w) and I ** (n + 1)",
+    "gaussian.GaussianRational.__radd__": "test_exactnum's mixed-scalar test adds an int to "
+    "a Q(i) value",
+    "gaussian.GaussianRational.__repr__": "the form that failing asserts and the REPL print",
+    "gaussian.GaussianRational.__rmul__": "test_exactnum's mixed-scalar test multiplies a "
+    "Fraction by a Q(i) value",
+    "gaussian.GaussianRational.__str__": "the printer parity test holds exactnum.pair_text "
+    "to its bytes",
+    "gaussian.GaussianRational.__sub__": "acceptance criterion 04, through "
+    "conftest.exact_identity_value; the Yun, poly-division and slash oracles subtract",
+    "gaussian.GaussianRational.__truediv__": "the conftest gcd oracle, and through it the "
+    "Yun oracle, makes each remainder monic with it",
+    "gaussian.GaussianRational.coerce": "each operator reads its operand with it; the "
+    "conftest slash and matrix oracles read matrix entries with it",
+    "gaussian.GaussianRational.inverse": "acceptance criterion 05's I ** (-w), through "
+    "__pow__; the conftest poly-division oracle divides by a leading coefficient with it",
+    "gaussian.GaussianRational.is_zero": "acceptance criterion 05 tests the Laurent "
+    "coefficients with it; the slash oracle and the Yun oracle's helpers do too",
+    "gaussian.GaussianRational.norm2": "acceptance criterion 04 measures |total - limit| "
+    "with it",
+    "gaussian.GaussianRational.to_str_pair": "the printer parity test holds "
+    "exactnum.str_pair to its bytes",
+    "gaussian.PowerSeries.inverse": "perfbench span target",
+    "gaussian.PowerSeries.mul": "perfbench span target",
+    "gaussian.binom_poly_in_s": "acceptance criterion 09 calls it",
+    "gaussian.binom_poly_in_s_scaled": "acceptance criterion 09, through binom_poly_in_s",
+    "gaussian.from_pairs": "builds the Q(i) values read from DensePoly.coeffs, "
+    "LaurentCoeffs.coeff and Thm2Report (acceptance criteria 01, 04 and 05)",
+    "gaussian.qi": "acceptance criterion 05 builds 1 - i and -1 with it",
     "lvalues.build_r": "perfbench span target; acceptance criterion 08 calls it",
     "lvalues.completed_l": "perfbench span target",
     "zeta.LaurentCoeffs.coeff": "acceptance criteria 04 and 05 read the expansion with it",
+    "zeta.Thm2Report.exact_part": "acceptance criterion 04 reads it",
     "zeta.Thm2Report.partial_sums": "acceptance criterion 04 reads it; perfbench's thm2 "
     "span note counts it",
+    "zeta.Thm2Report.total": "acceptance criterion 04 reads it; perfbench's thm2 span "
+    "note reads its denominators",
     "zeta.functional_eq_residual": "acceptance criterion 02 calls it",
     "zeta.hilbert_hypotheses": "acceptance criterion 10 calls it",
 }

@@ -1,7 +1,8 @@
-"""What a start loads: ``import zetapoly.cli`` imports neither
-``dataclasses`` (with ``inspect``), nor mpmath, nor ``cmath``, nor the
-general root finder, no command but ``roots`` loads any of them, and
-``roots`` loads only the root finder.  Every start compiles each module it
+"""What a start loads: ``import zetapoly.cli`` loads exactly the package
+modules in ``AT_START`` and imports neither ``dataclasses`` (with
+``inspect``), nor mpmath, nor ``cmath``, nor the general root finder, nor
+the Q(i) value type of ``zetapoly.gaussian``; no command but ``roots``
+loads any of them, and ``roots`` loads only the root finder.  Every start compiles each module it
 imports, so a module that slips back onto the import path costs every
 command.  No module of the package imports mpmath or ``cmath`` at all: the
 tests read mpmath as an oracle only, and the Aberth seeds take math.cos and
@@ -17,16 +18,20 @@ from importlib import resources
 import pytest
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-WATCHED = ("cmath", "dataclasses", "inspect", "mpmath", "zetapoly.rootfind")
+WATCHED = ("cmath", "dataclasses", "inspect", "mpmath", "zetapoly.gaussian", "zetapoly.rootfind")
+AT_START = {
+    "zetapoly", "zetapoly.cli", "zetapoly.delta", "zetapoly.dyadic", "zetapoly.errors",
+    "zetapoly.exactnum", "zetapoly.lvalues", "zetapoly.polyspace", "zetapoly.rv", "zetapoly.zeta",
+}
 
 
 def _data(name: str) -> str:
     return str(resources.files("zetapoly.data").joinpath(name))
 
 
-def _loaded_by(argv=None) -> set:
-    """The WATCHED modules that ``import zetapoly.cli``, then ``cli.main(argv)``
-    when given, add to a fresh interpreter's ``sys.modules``."""
+def _loaded_by(argv=None, watched=WATCHED) -> set:
+    """The ``watched`` modules that ``import zetapoly.cli``, then
+    ``cli.main(argv)`` when given, add to a fresh interpreter's ``sys.modules``."""
     code = (
         "import contextlib, io, json, sys\n"
         "before = set(sys.modules)\n"
@@ -42,11 +47,17 @@ def _loaded_by(argv=None) -> set:
         env={**os.environ, "PYTHONPATH": SRC},
     )
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout)) & set(WATCHED)
+    loaded = set(json.loads(proc.stdout))
+    return loaded if watched is None else loaded & set(watched)
 
 
 def test_import_loads_no_watched_module():
     assert _loaded_by() == set()
+
+
+def test_import_loads_exactly_the_start_modules():
+    loaded = {m for m in _loaded_by(watched=None) if m.split(".")[0] == "zetapoly"}
+    assert loaded == AT_START
 
 
 def test_delta_does_not_load_the_root_finder():

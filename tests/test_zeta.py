@@ -258,7 +258,7 @@ class TestLaurent:
     def test_principal_part_only(self):
         lc = laurent_coeffs(10, 1, -1)
         assert lc.M == -1
-        assert len(lc.coeffs) == 2
+        assert len(lc.pairs) == 2
         with pytest.raises(InputError):
             lc.coeff(0)
 
@@ -286,8 +286,8 @@ class TestLaurent:
     def test_coefficients_are_gaussian_integers(self):
         for w, n, M in LAURENT_GRID:
             lc = laurent_coeffs(w, n, M)
-            assert len(lc.coeffs) == M + n + 2
-            assert all(c.re.denominator == c.im.denominator == 1 for c in lc.coeffs)
+            assert len(lc.pairs) == M + n + 2
+            assert all(type(x) is int for pair in lc.pairs for x in pair)
 
     def test_validation(self):
         with pytest.raises(InputError):
