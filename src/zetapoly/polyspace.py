@@ -80,13 +80,19 @@ def _taylor_shift(pairs: list, t: tuple[int, int]) -> list:
     apart: Q(X + s), then Q(X + u*i) = R(-iX + u) with R(Y) = Q(iY)."""
     for s, k in ((t[0], 0), (t[1], 1)):
         if s:
-            parts = [list(x) for x in zip(*(_turn(p, k * j) for j, p in enumerate(pairs)))]
-            for x in parts:
-                for i in range(len(x) - 1):
-                    for j in range(len(x) - 2, i - 1, -1):
-                        x[j] += s * x[j + 1]
-            pairs = [_turn(p, -k * j) for j, p in enumerate(zip(*parts))]
+            parts = zip(*(_turn(p, k * j) for j, p in enumerate(pairs)))
+            pairs = [_turn(p, -k * j) for j, p in enumerate(zip(*(_int_shift(x, s) for x in parts)))]
     return pairs
+
+
+def _int_shift(coeffs, s: int) -> list:
+    """Coefficients of q(X + s) for integer coefficients and an integer s."""
+    x = list(coeffs)
+    for i in range(len(x) - 1):
+        acc = x[-1]
+        for j in range(len(x) - 2, i - 1, -1):
+            acc = x[j] = x[j] + s * acc
+    return x
 
 
 # ---------------------------------------------------------------------

@@ -1,7 +1,7 @@
-"""The general root finder: Yun's squarefree split over Q(i), then roots
-certified by a proved residual bound, and the critical-line / unit-circle
-check on them.  Only the ``roots`` command runs it, so it is loaded on
-first use: there, or as ``zeta.roots`` / ``zeta.rh_check`` (PEP 562)."""
+"""The general root finder, loaded on first use by ``roots`` or as
+``zeta.roots`` / ``zeta.rh_check`` (PEP 562): Yun's squarefree split over
+Q(i), Aberth seeds in complex doubles and then in fixed point, roots
+certified by a proved residual bound, and the line / circle check on them."""
 
 from __future__ import annotations
 
@@ -13,10 +13,11 @@ from itertools import zip_longest
 from zetapoly.dyadic import Dyadic, aligned, nstr, quotient, sqrt_rounded
 from zetapoly.errors import InputError, PrecisionError
 from zetapoly.exactnum import DensePoly, reduced
-from zetapoly.zeta import (
-    _ABERTH_MAX_ITER, _ISOLATION_BITS, _SEED_ANGLE_OFFSET, RootCheckReport, _aberth, _sorted_roots, _sqrt64,
-    as_tolerance,
-)
+from zetapoly.zeta import RootCheckReport, _sorted_roots, _sqrt64, as_tolerance
+
+_ABERTH_MAX_ITER = 500
+_SEED_ANGLE_OFFSET = 0.4  # fixed phase offset; breaks symmetric stalls, deterministic
+_ISOLATION_BITS = 53  # the first Aberth rung runs on Python complex doubles
 
 
 def _trim(p: list) -> list:
@@ -243,6 +244,57 @@ def _refined_roots(g: tuple, bits: int, precision: int) -> list:
             fixed = _floored(g, rung + _GUARD_BITS)
             z = [_newton_step(fixed, x) for x in z]
     return z
+
+
+def _aberth(coeffs: list) -> list:
+    """Aberth-Ehrlich simultaneous iteration on a monic coefficient list, in
+    complex doubles (``_aberth_fixed`` runs it in fixed point).
+
+    Stops once every residual is below 2^(-_ISOLATION_BITS/2) times the sup
+    norm of the coefficients (at least 1), or once a sweep moves no root by
+    that much relative to max(|z|, 1): the residual rule alone cannot be met
+    when a large root amplifies rounding.  Raises PrecisionError, which
+    ``_certified_roots`` catches, on an iterate that is not finite or when
+    neither rule holds.
+    """
+    d = len(coeffs) - 1
+    norm = max(max(abs(c) for c in coeffs), 1.0)
+    step_tol = 2.0 ** -(_ISOLATION_BITS // 2)
+    target = step_tol * norm
+    radius = 2 * max(abs(coeffs[d - k]) ** (1.0 / k) for k in range(1, d + 1)) or 1.0
+    angles = (2 * math.pi * j / d + _SEED_ANGLE_OFFSET for j in range(d))
+    z = [radius * complex(math.cos(a), math.sin(a)) for a in angles]
+    for _ in range(_ABERTH_MAX_ITER):
+        residual = moved = 0.0
+        for j in range(d):
+            p, dp = _horner2(coeffs, z[j])
+            residual = max(residual, abs(p))
+            if p == 0:
+                continue
+            ssum = sum(1 / (z[j] - zl) for zl in z if zl != z[j])  # skips z[j] itself
+            denom = dp / p - ssum
+            if denom == 0:
+                continue
+            step = 1 / denom
+            z[j] = z[j] - step
+            size = abs(z[j])
+            if not size < math.inf:
+                raise PrecisionError("root isolation left the double range")
+            moved = max(moved, abs(step) / max(size, 1.0))
+        if residual < target or moved < step_tol:
+            return z
+    if max(abs(_horner2(coeffs, zj)[0]) for zj in z) < target:  # final certification pass
+        return z
+    raise PrecisionError("root isolation in doubles did not converge")
+
+
+def _horner2(coeffs: list, x):
+    """Evaluate p(x) and p'(x) together."""
+    p = dp = 0
+    for c in reversed(coeffs):
+        dp = dp * x + p
+        p = p * x + c
+    return p, dp
 
 
 def _aberth_fixed(g: tuple, bits: int) -> list:

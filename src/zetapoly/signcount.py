@@ -15,16 +15,17 @@ It is within sum_j e_j |s|^j <= sum_j e_j 2^-j (1 + v)^ceil(j/2) of F* on
 the line, sum_j e_j on the circle; a sign counts only where |2^E' F| is
 larger, compared on integers.  d changes give d roots of F*, each two roots
 (t and -t, X and 1/X) of the true polynomial: all w, simple, on the curve.
+The points come from F alone, on integers: Descartes' rule of signs with
+bisection (Collins and Akritas 1976) isolates its real roots, and Newton's
+method refines them.
 """
 
 from __future__ import annotations
 
-import math
-
 from zetapoly.dyadic import Dyadic, rounded, sqrt_rounded
-from zetapoly.errors import InputError, PrecisionError
-from zetapoly.polyspace import _taylor_shift
-from zetapoly.zeta import RootCheckReport, _aberth, _sorted_roots, as_tolerance
+from zetapoly.errors import InputError
+from zetapoly.polyspace import _int_shift
+from zetapoly.zeta import RootCheckReport, _sorted_roots, as_tolerance
 
 _SIGN_ROOT_BITS = 96  # significant bits of the roots a proved check returns
 
@@ -34,11 +35,17 @@ def sign_count_check(poly, mode: str, eps: int, tol="1e-8", precision: int = 128
     (``critical_line``) or |X| = 1 (``unit_circle``), or return None.
     ``poly`` is a NumericPoly, w even, with error bounds; ``eps`` is
     the symmetry's sign, from theory (-1 forces a root at 1/2 or X = 1: None),
-    and the data must match it within the errors.  Signs are taken at the
-    ends of the range and between the real parts of F's roots from Aberth
-    in doubles.  The roots returned are F's, refined by ``_real_newton`` in
-    their intervals, each square root in s or X rounded to 128 bits, and
-    sorted as ``roots`` sorts; max_deviation is 0.
+    and the data must match it within the errors.
+
+    Signs are taken at lo, at hi and between F's roots, each middle cut to
+    the bits its gap needs: (lo, hi) is (0, 2^k) on the line, 2^k a Fujiwara
+    bound from bit lengths, and (-2, 2) on the circle.  The roots are chosen
+    on G, F cut to its top 2 _SIGN_ROOT_BITS bits, or on F where the cut
+    merges or moves them; the signs are taken on F.  ``_isolated`` isolates
+    each real root in (lo, hi), one on a split point exactly, and
+    ``_real_newton`` refines it on F.  They must increase strictly, or None.
+    Those returned have each square root in s or X rounded to 128 bits and
+    are sorted as ``roots`` sorts; max_deviation is 0.
     """
     if mode not in ("critical_line", "unit_circle") or eps not in (1, -1):
         raise InputError(f"need a known mode and eps +1 or -1, got {mode!r}, {eps!r}")
@@ -46,32 +53,43 @@ def sign_count_check(poly, mode: str, eps: int, tol="1e-8", precision: int = 128
     if eps != 1 or emans is None or w % 2 or w < 2:
         return None
     if line:
-        a, ae = ([x for x, _ in _taylor_shift([(m << w - j, 0) for j, m in enumerate(ms)], (1, 0))]
-                 for ms in (mans, emans))
+        a, ae = (_int_shift([m << w - j for j, m in enumerate(ms)], 1) for ms in (mans, emans))
         odd = [(abs(a[k]), ae[k]) for k in range(1, w + 1, 2)]
-        F, lo = [(-1) ** k * a[2 * k] for k in range(d + 1)], 0.0
+        F = [(-1) ** k * a[2 * k] for k in range(d + 1)]
     else:
         odd = [(abs(mans[j] - mans[w - j]), emans[j] + emans[w - j]) for j in range(d)]
-        F, prev, cur, lo = [2 * mans[d]] + [0] * d, [2], [0, 1], -2.0
+        F, prev, cur = [2 * mans[d]] + [0] * d, [2], [0, 1]
         for k in range(1, d + 1):
             for i, v in enumerate(cur):
                 F[i] += (mans[d + k] + mans[d - k]) * v
             prev, cur = cur, [p - q for p, q in zip([0] + cur, prev + [0, 0])]
     if any(x > e for x, e in odd):
         return None
-    try:
-        seeds = sorted(z.real for z in _aberth([c / F[d] for c in F]))
-    except (ZeroDivisionError, OverflowError, PrecisionError):
+    cut = max(max(x.bit_length() for x in F) - 2 * _SIGN_ROOT_BITS, 0)
+    G = [x >> cut for x in F]  # chooses the roots only: the signs are taken on F
+    if line:  # roots < 2 max_j |G_j / G_d|^(1/(d-j)) <= 2^k, as |G_j / G_d| < 2^(len(G_j) - top)
+        top = G[d].bit_length() - 1
+        lo, k = 0, max([0] + [1 - (top - g.bit_length()) // (d - j) for j, g in enumerate(G[:d]) if g])
+    else:
+        lo, k = -2, 2
+    for H in (G, F) if cut else (G,):  # then F itself, where the cut merged or moved roots
+        seeds = _isolated([h << k * j for j, h in enumerate(_int_shift(H, lo))], 2 * _SIGN_ROOT_BITS)
+        ends = [(lo, 0), *(_real_newton(F, (lo << n) + (c << k), n) for c, n in seeds), (lo + (1 << k), 0)]
+        pairs = [(x << max(s, t) - s, y << max(s, t) - t, max(s, t))
+                 for (x, s), (y, t) in zip(ends, ends[1:])]
+        if len(seeds) == d and all(x < y for x, y, _ in pairs):  # the count needs rising points
+            break
+    else:
         return None
-    mids = [(x + y) / 2 for x, y in zip(seeds, seeds[1:])]
-    points = [lo] + mids + [2 * seeds[-1] + 1 if line else 2.0]
+    points = [ends[0]]
+    for x, y, T in pairs[1:-1]:
+        v = min(max((y - x).bit_length() - 2, 0), T + 1)  # moves the middle by less than (y - x) / 4
+        points.append(((x + y) >> v, T + 1 - v))
     signs = []
-    for x in points:
-        num, q = x.as_integer_ratio()  # x = num / 2^b
-        b = q.bit_length() - 1
-        val = 0
-        for k in range(d, -1, -1):  # 2^(bd) F(x)
-            val = val * num + (F[k] << b * (d - k))
+    for num, b in points + ends[-1:]:  # x = num / 2^b
+        q, val = 1 << b, 0
+        for i in range(d, -1, -1):  # 2^(bd) F(x)
+            val = val * num + (F[i] << b * (d - i))
         if line:  # 2^(bd + w - E) sum_j e_j 2^-j (1 + x)^ceil(j/2)
             bound = sum(e * (q + num) ** (j - j // 2) << w - j + b * (d - j + j // 2)
                         for j, e in enumerate(emans))
@@ -82,12 +100,8 @@ def sign_count_check(poly, mode: str, eps: int, tol="1e-8", precision: int = 128
         signs.append(val > 0)
     if sum(s != t for s, t in zip(signs, signs[1:])) < d:
         return None
-    found = []
-    bits = _SIGN_ROOT_BITS + 32
-    for x, left, right in zip(seeds, points, points[1:]):
-        X, t = _real_newton(F, x)
-        if not left < math.ldexp(X, -t) < right:  # so the points increase, as the count needs
-            return None
+    found, bits = [], _SIGN_ROOT_BITS + 32
+    for X, t in ends[1:-1]:
         if line:  # s = (1 +- i sqrt(v)) / 2 with v = X 2^-t
             (a, ea), (b, eb) = (1, 0), sqrt_rounded(X, -t, bits)
         else:  # X = (y +- i sqrt(4 - y^2)) / 2 with y = X 2^-t, y^2 and 4 - y^2 rounded
@@ -101,13 +115,72 @@ def sign_count_check(poly, mode: str, eps: int, tol="1e-8", precision: int = 128
     return RootCheckReport(mode, roots, Dyadic(0), as_tolerance(tol), True)
 
 
-def _real_newton(F: list, x: float) -> tuple[int, int]:
-    """A root X 2^-t of the integer polynomial F near x by Newton's method:
-    X is rescaled to _SIGN_ROOT_BITS bits (a root near 0 gets as many as
-    any), Horner gives N = 2^(td) F and D = 2^(t(d-1)) F', the step is N/D."""
+def _isolated(P: list, limit: int) -> list:
+    """One point per root of the integer polynomial P in (0, 1), in increasing
+    order: the root itself on a split point, else from ``_bracketed`` in an
+    interval that holds only it.  The interval (c, c + 1) 2^-n is (0, 1) for
+    an integer Q(x) with the roots of P((c + x) 2^-n) there, v of them or an
+    even number fewer (``_descartes``): 0 drops the interval, 1 isolates a
+    root, more halve it into 2^d Q(x/2) and that shifted by 1, whose root at
+    0 is divided out, or after ``limit`` halvings drop it, so that fewer
+    points than P's degree come back.  The halves' v and a root between
+    them add up to at most v: a left half with all v leaves none to the
+    right, which is then not built."""
+    found, todo, T = [], [(0, 0, P, _descartes(P))], _SIGN_ROOT_BITS + 8
+    while todo:
+        c, n, Q, v = todo.pop()
+        if v == 1:
+            found.append(((c << T) + _bracketed(Q, T), n + T))
+        elif v and n < limit:
+            left = [x << len(Q) - 1 - j for j, x in enumerate(Q)]
+            todo.append((2 * c, n + 1, left, _descartes(left)))
+            if todo[-1][3] < v:
+                right = _int_shift(left, 1)
+                if not right[0]:  # a root on the split point
+                    found.append((2 * c + 1 << T - 1, n + T))
+                    right = right[1:]
+                todo.append((2 * c + 1, n + 1, right, _descartes(right)))
+    return sorted(found, key=lambda p: p[0] << limit + T - p[1])
+
+
+def _descartes(Q: list) -> int:
+    """The sign changes of (1 + x)^d Q(1/(1 + x)), none when Q has none."""
+    signs = [x > 0 for x in _int_shift(Q[::-1], 1) if x] if min(Q) < 0 < max(Q) else []
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _bracketed(Q: list, T: int) -> int:
+    """The one root of the integer polynomial Q in (0, 1), simple, as about
+    X 2^-T: Newton's method from the chord point, each value narrowing the
+    bracket [A, B] where Q changes sign, and a step out of it to its middle."""
+    d = len(Q) - 1
+    C = [q << T * (d - k) for k, q in enumerate(Q[:d])][::-1]  # for Horner at X 2^-T, times 2^(Td)
+    A, B, qa, qb = 0, 1 << T, Q[0] << T * d, sum(Q) << T * d
+    X = min(max(B * qa // (qa - qb), 1), B - 1) if qa * qb < 0 else B // 2  # the chord point
+    for _ in range(4 * T):  # a cap
+        n, dn = Q[d], 0
+        for c in C:
+            dn = dn * X + n
+            n = n * X + c
+        if not n:
+            return X
+        A, qa, B, qb = (X, n, B, qb) if (n < 0) == (qa < 0) else (A, qa, X, n)
+        Y = X - n // dn if dn else A
+        if A < Y < B and abs(Y - X) <= 1 << T - 64:  # so Y is good to about 128 bits
+            return Y
+        if B - A <= 1:
+            return A
+        X = Y if A < Y < B else (A + B) // 2
+    return X
+
+
+def _real_newton(F: list, X: int, t: int) -> tuple[int, int]:
+    """A root X' 2^-t' of the integer polynomial F near X 2^-t by Newton's
+    method: X is rescaled to _SIGN_ROOT_BITS bits, Horner gives N = 2^(td) F
+    and D = 2^(t(d-1)) F', and the next X, X - N/D, is floored with as many
+    more bits as keep it at _SIGN_ROOT_BITS - 1 (a root near 0 gets as many
+    as any)."""
     d = len(F) - 1
-    X, q = x.as_integer_ratio()
-    t = q.bit_length() - 1
     for _ in range(64):  # a cap: a root near 0 takes about log2(precision) steps
         shift = max(_SIGN_ROOT_BITS - X.bit_length(), -t)
         X, t = X << shift if shift >= 0 else X >> -shift, t + shift
@@ -117,8 +190,10 @@ def _real_newton(F: list, x: float) -> tuple[int, int]:
             n = n * X + (F[k] << t * (d - k))
         if not n or not dn:
             break
-        step = n // dn
-        X -= step
-        if abs(step) <= 1 and X.bit_length() >= _SIGN_ROOT_BITS - 1:
-            break
+        num = n - X * dn  # the next X is -num / dn, taken with s more bits
+        s = max(_SIGN_ROOT_BITS - 1 - num.bit_length() + dn.bit_length(), 0)
+        Y = -((num << s) // dn)
+        if not s and abs(X - Y) <= 1:
+            return Y, t
+        X, t = Y, t + s
     return X, t

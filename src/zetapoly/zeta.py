@@ -2,8 +2,8 @@
 
 Covers the functional-equation residual Z(s) + eps i^w Z(1-s), the
 Laurent coefficients and the convergent triple-sum identity attached to
-a positive integer n, the Aberth iteration and root report shared by the
-root checks, and the integrality and positivity hypotheses under which Z
+a positive integer n, the root report and root order shared by the root
+checks, and the integrality and positivity hypotheses under which Z
 is a Hilbert polynomial.  The general root finder, ``roots`` and
 ``rh_check``, lives in ``rootfind`` and is loaded on first use.
 
@@ -22,7 +22,7 @@ from itertools import count
 from typing import Union
 
 from zetapoly.dyadic import INF, Dyadic, nstr, quotient, rounded, sqrt_rounded
-from zetapoly.errors import InputError, PrecisionError
+from zetapoly.errors import InputError
 from zetapoly.exactnum import Record, as_fraction, pair_text, require_even_w, str_pair
 from zetapoly.polyspace import PolyX, slash
 from zetapoly.rv import ZetaPoly, rv_inverse, series_coeffs
@@ -319,13 +319,8 @@ def _sqrt64(x: Fraction) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------
-# Root-finding parts shared with ``signcount``; the general root finder,
-# ``roots`` and ``rh_check``, is in ``rootfind``
+# The root report and order that ``signcount`` and ``rootfind`` share
 # ---------------------------------------------------------------------
-
-_ABERTH_MAX_ITER = 500
-_SEED_ANGLE_OFFSET = 0.4  # fixed phase offset; breaks symmetric stalls, deterministic
-_ISOLATION_BITS = 53  # the first Aberth rung runs on Python complex doubles
 
 
 def __getattr__(name: str):
@@ -352,56 +347,6 @@ def _sorted_roots(found: list, precision: int) -> list:
         return q + (r > half or (r == half and q & 1)), b << E - low
 
     return sorted(found, key=key)
-
-
-def _aberth(coeffs: list) -> list:
-    """Aberth-Ehrlich simultaneous iteration on a monic coefficient list, in
-    complex doubles (``rootfind._aberth_fixed`` runs it in fixed point).
-
-    Stops once every residual is below 2^(-_ISOLATION_BITS/2) times the sup
-    norm of the coefficients (at least 1), or once a sweep moves no root by
-    that much relative to max(|z|, 1): the residual rule alone cannot be met
-    when a large root amplifies rounding.  Raises PrecisionError, which both
-    callers catch, on an iterate that is not finite or when neither rule holds.
-    """
-    d = len(coeffs) - 1
-    norm = max(max(abs(c) for c in coeffs), 1.0)
-    step_tol = 2.0 ** -(_ISOLATION_BITS // 2)
-    target = step_tol * norm
-    radius = 2 * max(abs(coeffs[d - k]) ** (1.0 / k) for k in range(1, d + 1)) or 1.0
-    angles = (2 * math.pi * j / d + _SEED_ANGLE_OFFSET for j in range(d))
-    z = [radius * complex(math.cos(a), math.sin(a)) for a in angles]
-    for _ in range(_ABERTH_MAX_ITER):
-        residual = moved = 0.0
-        for j in range(d):
-            p, dp = _horner2(coeffs, z[j])
-            residual = max(residual, abs(p))
-            if p == 0:
-                continue
-            ssum = sum(1 / (z[j] - zl) for zl in z if zl != z[j])  # skips z[j] itself
-            denom = dp / p - ssum
-            if denom == 0:
-                continue
-            step = 1 / denom
-            z[j] = z[j] - step
-            size = abs(z[j])
-            if not size < math.inf:
-                raise PrecisionError("root isolation left the double range")
-            moved = max(moved, abs(step) / max(size, 1.0))
-        if residual < target or moved < step_tol:
-            return z
-    if max(abs(_horner2(coeffs, zj)[0]) for zj in z) < target:  # final certification pass
-        return z
-    raise PrecisionError("root isolation in doubles did not converge")
-
-
-def _horner2(coeffs: list, x):
-    """Evaluate p(x) and p'(x) together."""
-    p = dp = 0
-    for c in reversed(coeffs):
-        dp = dp * x + p
-        p = p * x + c
-    return p, dp
 
 
 class RootCheckReport(Record):

@@ -96,3 +96,42 @@ def test_no_module_imports_mpmath():
                     continue
                 for banned in ("cmath", "mpmath"):
                     assert not any(m == banned or m.startswith(banned + ".") for m in imported), (name, node.lineno)
+
+
+def _tree(module: str) -> ast.Module:
+    with open(os.path.join(SRC, "zetapoly", module + ".py")) as f:
+        return ast.parse(f.read(), module)
+
+
+def test_sign_counts_run_on_integers_and_the_aberth_stage_lives_in_rootfind():
+    """``signcount`` holds no float literal and calls none of ``float``,
+    ``ldexp`` and ``as_integer_ratio``; from ``zeta`` it imports only the
+    report, the root order and the tolerance parser.  The double-precision
+    Aberth stage and its constants are defined in ``rootfind`` and not in
+    ``zeta``, which every start compiles."""
+    imported = set()
+    for node in ast.walk(_tree("signcount")):
+        assert not (isinstance(node, ast.Constant) and isinstance(node.value, float)), node.lineno
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            assert name not in ("float", "ldexp", "as_integer_ratio"), node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module == "zetapoly.zeta":
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+            assert "zeta" not in names and "zetapoly.zeta" not in names, node.lineno
+    assert imported == {"RootCheckReport", "_sorted_roots", "as_tolerance"}
+
+    def defined(module):
+        names = set()
+        for node in _tree(module).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Assign):
+                names |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+        return names
+
+    aberth = {"_aberth", "_horner2", "_ABERTH_MAX_ITER", "_SEED_ANGLE_OFFSET", "_ISOLATION_BITS"}
+    assert not aberth & defined("zeta")
+    assert aberth <= defined("rootfind")

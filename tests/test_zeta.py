@@ -34,7 +34,7 @@ from zetapoly.lvalues import NumericPoly, build_r, delta_newform, numeric_rv
 from zetapoly.polyspace import PolyX
 from zetapoly.rv import ZetaPoly, rv_forward
 from zetapoly.signcount import sign_count_check
-from zetapoly import rootfind, zeta
+from zetapoly import rootfind, signcount, zeta
 from zetapoly.zeta import (
     K_MAX_DEFAULT,
     K_MIN,
@@ -1008,6 +1008,15 @@ OFF_LINE = {  # Z(1 - s) = Z(s), real coefficients, degree 10
 EDGE = [(Fraction(99, 100), True), (Fraction(101, 100), False)]  # just below / above a bound
 
 
+def close_pair(delta: Fraction, err: int) -> NumericPoly:
+    """Z = ((s - 1/2)^2 + 1)((s - 1/2)^2 + 1 + delta) at 512 bits, exact
+    dyadic coefficients over 2^-260 and every error bound err 2^-260: in
+    v = 4t^2 the roots 4 and 4 (1 + delta)."""
+    P = [1 + delta, 0, 2 + delta, 0, 1]  # in x = s - 1/2
+    Z = [sum(P[j] * math.comb(j, k) * Fraction(-1, 2) ** (j - k) for j in range(k, 5)) for k in range(5)]
+    return NumericPoly(w=4, exp=-260, mans=tuple(int(c * 2**260) for c in Z), prec=512, errs=(err,) * 5)
+
+
 class TestSignCountCheck:
     @pytest.mark.parametrize("prec", [64, 128])
     def test_roots_on_the_line_are_proved(self, prec):
@@ -1020,13 +1029,14 @@ class TestSignCountCheck:
 
     @pytest.mark.parametrize("factor,proved", EDGE)
     def test_line_bound_at_a_known_point(self, factor, proved):
-        """w = 2: Z = s^2 - s + 5/4 (roots 1/2 +- i) gives F linear in
-        v = 4t^2 with root 4, so the signs are taken at v = 0 and v = 9,
-        where Z(1/2 + 3i/2) = -5/4.  With all error on Z_1, the bound there
-        is e_1 2^-1 (1 + 9) = 5 e_1 (>= e_1 |s| = e_1 sqrt(5/2)): the count
-        holds just below e_1 = 1/4 and fails just above."""
+        """w = 2: Z = s^2 - s + 5/4 (roots 1/2 +- i) gives F = 16 - 4v in
+        v = 4t^2, with root 4 and Fujiwara bound 2 |16/-4| < 2^4 from bit
+        lengths, so the signs are taken at v = 0 and v = 16, where
+        Z(1/2 + 2i) = -3.  With all error on Z_1, the bound there is
+        e_1 2^-1 (1 + 16) = 17 e_1 / 2 (>= e_1 |s| = e_1 sqrt(17/4)): the
+        count holds just below e_1 = 6/17 and fails just above."""
         with mp.workprec(160):
-            zero, e1 = mpmath.mpf(0), mpmath.mpf(factor.numerator) / (4 * factor.denominator)
+            zero, e1 = mpmath.mpf(0), mpmath.mpf(6 * factor.numerator) / (17 * factor.denominator)
             Z = numeric_poly((mpmath.mpf(5) / 4, -1, 1), 128, (zero, e1, zero))
         assert (sign_count_check(Z, "critical_line", 1) is not None) is proved
 
@@ -1064,6 +1074,63 @@ class TestSignCountCheck:
         rep = sign_count_check(r, "unit_circle", 1, precision=64)
         assert rep is not None and rep.passed
         assert [mpc(z) for z in rep.roots] == [mpmath.mpc(0, -1), mpmath.mpc(0, 1)]
+
+    def test_roots_on_split_points_below_the_top_level(self):
+        """r = X^4 - X^3 + 2X^2 - X + 1 with zero errors gives F(y) = 2y(y - 1):
+        its roots sit on the first and the second split point of (-2, 2),
+        and each must be kept as a root.  The discriminant form's r has the
+        exact root F(0) = 0 at 136 and 249 bits, the case of
+        ``test_sign_counts_prove_every_precision_tried`` that only reaches
+        the top-level point."""
+        r = NumericPoly(w=4, exp=0, mans=(1, -1, 2, -1, 1), prec=64, errs=(0,) * 5)
+        rep = sign_count_check(r, "unit_circle", 1, precision=64)
+        assert rep is not None and rep.passed
+        roots = [mpc(z) for z in rep.roots]
+        assert roots[:2] == [mpmath.mpc(0, -1), mpmath.mpc(0, 1)]
+        with mp.workprec(160):
+            for z, sign in zip(roots[2:], (-1, 1)):  # e^(+-i pi/3)
+                assert z.real == mpmath.mpf(1) / 2
+                assert abs(z.imag - sign * mpmath.sqrt(3) / 2) < mpmath.mpf(2) ** -120
+
+    @pytest.mark.parametrize("log_delta", [0, 2, 10, 20, 30, 40])
+    def test_close_roots_are_proved(self, log_delta):
+        """Roots 2^-log_delta apart in v are separated on integers: each
+        returned root is within 2^-90 of the true one (they carry 96 bits)."""
+        delta = Fraction(1, 2**log_delta)
+        rep = sign_count_check(close_pair(delta, 1), "critical_line", 1, precision=512)
+        assert rep is not None and rep.passed
+        with mp.workprec(320):
+            t = mpmath.sqrt(1 + mpmath.ldexp(1, -log_delta))
+            want = [mpmath.mpc(0.5, y) for y in (-t, -1, 1, t)]
+            got = sorted((mpc(z) for z in rep.roots), key=lambda z: z.imag)
+            assert max(abs(a - b) for a, b in zip(got, want)) < mpmath.mpf(2) ** -90
+
+    def test_close_roots_with_wider_errors_are_not_proved(self):
+        """Between the roots 4 and 4 (1 + 2^-20) of F, |Z(1/2 + it)| is
+        2^-42 at most, below the error bound sum_j e_j 2^-j (1 + v)^ceil(j/2),
+        about 9.4 e, for e = 2^-40; e = 2^-50 is proved."""
+        delta = Fraction(1, 2**20)
+        assert sign_count_check(close_pair(delta, 1 << 220), "critical_line", 1, precision=512) is None
+        assert sign_count_check(close_pair(delta, 1 << 210), "critical_line", 1, precision=512) is not None
+
+    def test_cluster_that_the_cut_merges_is_isolated_on_f(self, monkeypatch):
+        """r = prod_j (X^2 - y_j X + 1) for eight doubles y_j near 0.4034,
+        the closest two 3.3e-13 apart, with zero errors: F has 291 bits and
+        its cut to 192 merges roots, so they are isolated on F itself.  The
+        refined roots are F's exactly: 2 Re X = y_j on |X| = 1."""
+        ys = [0.40339279174812503, 0.4033927917484519, 0.40339279175362464, 0.4033927954478713,
+              0.40339328441768885, 0.4033937081694603, 0.40348339080810547, 0.40349721908569336]
+        R = [Fraction(1)]
+        for y in map(Fraction, ys):
+            R = [a + b - y * c for a, b, c in zip(R + [0, 0], [0, 0] + R, [0] + R + [0])]
+        E = max(c.denominator for c in R).bit_length() - 1
+        r = NumericPoly(w=16, exp=-E, mans=tuple(int(c * 2**E) for c in R), prec=256, errs=(0,) * 17)
+        calls = []
+        isolated = signcount._isolated
+        monkeypatch.setattr(signcount, "_isolated", lambda P, limit: calls.append(P) or isolated(P, limit))
+        rep = sign_count_check(r, "unit_circle", 1, precision=256)
+        assert rep is not None and rep.passed and len(calls) == 2
+        assert sorted(2 * mpc(z).real for z in rep.roots) == sorted(ys * 2)
 
     def test_errors_too_large_to_certify_a_sign(self):
         Z = numeric_zeta((1, 2, 3, 4, 5), (1,), 128)
