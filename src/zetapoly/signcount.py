@@ -133,8 +133,9 @@ def _isolated(P: list, limit: int) -> list:
             found.append(((c << T) + _bracketed(Q, T), n + T))
         elif v and n < limit:
             left = [x << len(Q) - 1 - j for j, x in enumerate(Q)]
-            todo.append((2 * c, n + 1, left, _descartes(left)))
-            if todo[-1][3] < v:
+            v_left = _descartes(left)
+            todo.append((2 * c, n + 1, left, v_left))
+            if v_left < v:
                 right = _int_shift(left, 1)
                 if not right[0]:  # a root on the split point
                     found.append((2 * c + 1 << T - 1, n + T))
@@ -164,7 +165,10 @@ def _bracketed(Q: list, T: int) -> int:
             n = n * X + c
         if not n:
             return X
-        A, qa, B, qb = (X, n, B, qb) if (n < 0) == (qa < 0) else (A, qa, X, n)
+        if (n < 0) == (qa < 0):  # the root is right of X
+            A, qa = X, n
+        else:
+            B, qb = X, n
         Y = X - n // dn if dn else A
         if A < Y < B and abs(Y - X) <= 1 << T - 64:  # so Y is good to about 128 bits
             return Y
