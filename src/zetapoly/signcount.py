@@ -37,9 +37,9 @@ def sign_count_check(poly, mode: str, eps: int, tol="1e-8", precision: int = 128
     the symmetry's sign, from theory (-1 forces a root at 1/2 or X = 1: None),
     and the data must match it within the errors.
 
-    Signs are taken at lo, at hi and between F's roots, each middle cut to
-    the bits its gap needs: (lo, hi) is (0, 2^k) on the line, 2^k a Fujiwara
-    bound from bit lengths, and (-2, 2) on the circle.  The roots are chosen
+    Signs are taken at lo, at hi and at the exact dyadic middles between
+    F's roots: (lo, hi) is (0, 2^k) on the line, 2^k a Fujiwara bound from
+    bit lengths, and (-2, 2) on the circle.  The roots are chosen
     on G, F cut to its top 2 _SIGN_ROOT_BITS bits, or on F where the cut
     merges or moves them; the signs are taken on F.  ``_isolated`` isolates
     each real root in (lo, hi), one on a split point exactly, and
@@ -81,12 +81,8 @@ def sign_count_check(poly, mode: str, eps: int, tol="1e-8", precision: int = 128
             break
     else:
         return None
-    points = [ends[0]]
-    for x, y, T in pairs[1:-1]:
-        v = min(max((y - x).bit_length() - 2, 0), T + 1)  # moves the middle by less than (y - x) / 4
-        points.append(((x + y) >> v, T + 1 - v))
     signs = []
-    for num, b in points + ends[-1:]:  # x = num / 2^b
+    for num, b in [ends[0], *((x + y, T + 1) for x, y, T in pairs[1:-1]), ends[-1]]:  # x = num / 2^b
         q, val = 1 << b, 0
         for i in range(d, -1, -1):  # 2^(bd) F(x)
             val = val * num + (F[i] << b * (d - i))
