@@ -39,13 +39,13 @@ def sign_count_check(poly, mode: str, eps: int, tol="1e-8", precision: int = 128
 
     Signs are taken at lo, at hi and at the exact dyadic middles between
     F's roots: (lo, hi) is (0, 2^k) on the line, 2^k a Fujiwara bound from
-    bit lengths, and (-2, 2) on the circle.  The roots are chosen
-    on G, F cut to its top 2 _SIGN_ROOT_BITS bits, or on F where the cut
-    merges or moves them; the signs are taken on F.  ``_isolated`` isolates
-    each real root in (lo, hi), one on a split point exactly, and
-    ``_real_newton`` refines it on F.  They must increase strictly, or None.
-    Those returned have each square root in s or X rounded to 128 bits and
-    are sorted as ``roots`` sorts; max_deviation is 0.
+    bit lengths, and (-2, 2) on the circle.  The roots are chosen on G, F
+    cut to its top 2 _SIGN_ROOT_BITS bits, or on F where the cut merges or
+    moves them; the signs are taken on F.  ``_isolated`` isolates each real
+    root in (lo, hi), one on a split point exactly, and ``_real_newton``
+    refines it on F.  They must increase strictly, or None.  Those returned
+    have each square root in s or X rounded to 128 bits and are sorted as
+    ``roots`` sorts; max_deviation is 0.
     """
     if mode not in ("critical_line", "unit_circle") or eps not in (1, -1):
         raise InputError(f"need a known mode and eps +1 or -1, got {mode!r}, {eps!r}")
