@@ -21,7 +21,6 @@ from zetapoly.dyadic import INF, Dyadic, aligned, nstr, quotient, rounded
 from zetapoly.errors import InputError
 from zetapoly.exactnum import Record
 from zetapoly.lvalues import (
-    NumericPoly,
     _r_from_lambdas,
     critical_lambdas,
     delta_newform,
@@ -113,8 +112,6 @@ class DeltaReport(Record):
     r_roots: RootCheckReport
     r_minus_circle_deviation: Dyadic
     passed: bool
-    r_numeric: NumericPoly
-    z_numeric: NumericPoly
 
     def to_dict(self) -> dict:
         digits = printed_digits(self.prec)
@@ -238,6 +235,4 @@ def run_delta(prec: int = 128) -> DeltaReport:
         r_roots=r_roots,
         r_minus_circle_deviation=Dyadic(r_minus_circle),
         passed=passed,
-        r_numeric=rnum,
-        z_numeric=znum,
     )

@@ -1,12 +1,13 @@
 """The one exact form of every command: polynomials over Q(i) as
 Gaussian-integer numerator pairs over one positive denominator, (den, pairs).
 
-Parsing into that form, printing from it, ``DensePoly`` (the core shared by
-the period and zeta variables) and ``Record`` (the immutable base of every
-value class).  No floating point enters anywhere.  The Q(i) value type lives
-in ``gaussian``, which no command loads; its names are served from here on
-first use (PEP 562).  All values are immutable and all operations are pure,
-so they are safe for unrestricted concurrent use.
+Parsing into that form, printing from it at any length, ``DensePoly`` (the
+core shared by the period and zeta variables) and ``Record`` (the immutable
+base of every value class).  No floating point enters anywhere.  The Q(i)
+value type lives in ``gaussian``, which no command loads; its names are
+served from here on first use (PEP 562).  All values are immutable and all
+operations are pure, reading or writing no interpreter setting, so they are
+safe for unrestricted concurrent use.
 """
 
 from __future__ import annotations
@@ -50,19 +51,18 @@ def as_fraction(x: Rationalish) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
-def decimal_str(x: Union[int, Fraction]) -> str:
-    """str(x) for any size of x.  Python caps int-to-str conversions at
-    4300 digits to guard parsing; exact output may be longer, so past the
-    cap the conversion reruns with the cap lifted, and the cap is restored."""
+def decimal_str(n: int) -> str:
+    """str(n) for an int of any size.  Python caps int-to-str conversions at
+    4300 digits to guard parsing, and exact output may be longer; past the
+    cap, |n| splits at 10^k, k about half its digits, and both parts print
+    the same way, the low one zero-filled to k digits.  No interpreter
+    setting is read or written, so concurrent calls cannot disturb another."""
     try:
-        return str(x)
+        return str(n)
     except ValueError:
-        cap = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            return str(x)
-        finally:
-            sys.set_int_max_str_digits(cap)
+        k = n.bit_length() * 3 // 20  # log10(2) > 3/10, so 10^k has at most half of n's digits
+        hi, lo = divmod(abs(n), 10**k)
+        return "-" * (n < 0) + decimal_str(hi) + decimal_str(lo).zfill(k)
 
 
 class Record:

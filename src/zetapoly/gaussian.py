@@ -96,7 +96,7 @@ class GaussianRational:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self):
-        re, im = decimal_str(self.re), decimal_str(self.im)
+        re, im = (part.removesuffix("/1") for part in self.to_str_pair())
         if not self.im:
             return re
         if not self.re:

@@ -15,10 +15,8 @@ infinite sum and for the numeric pipeline.
 from __future__ import annotations
 
 import math
-from _thread import allocate_lock  # threading.Lock, without importing threading at start-up
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import count
 from typing import Union
 
 from zetapoly.dyadic import INF, Dyadic, nstr, quotient, rounded, sqrt_rounded
@@ -212,10 +210,11 @@ def thm2_residual(
     B_K depends on Z alone, so R and the B_K are built once for every n
     asked of one input: a memo of one entry, keyed on Z's fields (w, den,
     pairs), which equal polynomials share, holds D, the least q with
-    r_q != 0 and the B_K as int pairs, grown under a lock as far as any
-    call has reached.  Each step is then C(K, n), a rotation by i^n and the
-    stop test.  The exact part Z(-n) + (-i)^w sum_{m=1}^{n+1} a_{-m} Z(1-m)
-    runs on int pairs too, over one denominator.
+    r_q != 0, a pure b(K) = B_K as an int pair and a dict of the B_K that
+    calls have reached; two threads may each build one B_K, equal either
+    way.  Each step is then C(K, n), a rotation by i^n and the stop test.
+    The exact part Z(-n) + (-i)^w sum_{m=1}^{n+1} a_{-m} Z(1-m) runs on int
+    pairs too, over one denominator.
 
     Summation stops at the first k >= K_MIN + max(q0 - n, 0), q0 the least
     q with r_q != 0 (t_k = 0 while K < q0, so K_MIN counts from the first
@@ -235,7 +234,7 @@ def thm2_residual(
     er, ei = zs[n]
     for (ar, ai), (zr, zi) in zip(laurent_coeffs(w, n, -1).pairs[::-1], zs):  # a_(-1), ..., a_(-(n+1))
         er, ei = er + s * (ar * zr - ai * zi), ei + s * (ar * zi + ai * zr)
-    D, q0, B, grow, lock = _thm2_series(w, Z.den, Z.pairs)
+    D, q0, B, b = _thm2_series(w, Z.den, Z.pairs)
     sign = 1 if n % 4 > 1 else -1  # t_k = C(K, n) u B_K / (2^(K+w+1) D): u = -i^n is sign, or sign * i for odd n
     den = D << (n + w)  # 2^(K+w+1) D, here at K = n - 1
     tden, limit = theta2.denominator, theta2.numerator * den * den  # t passes iff |num|^2 tden < limit
@@ -245,11 +244,7 @@ def thm2_residual(
     terms: list[tuple[int, int]] = []
     converged = False
     for K in range(n, n + k_max + 1):
-        if len(B) <= K:
-            with lock:  # B grows in order, one caller at a time
-                while len(B) <= K:
-                    B.append(next(grow))
-        br, bi = B[K]
+        br, bi = B.get(K) or B.setdefault(K, b(K))
         c = sign * math.comb(K, n)
         tr, ti = (-c * bi, c * br) if n & 1 else (c * br, c * bi)
         limit <<= 2
@@ -287,10 +282,11 @@ def thm2_residual(
 
 @lru_cache(maxsize=1)
 def _thm2_series(w: int, den: int, pairs: tuple) -> tuple:
-    """(D, q0, B, grow, lock) for ``thm2_residual`` on Z = ZetaPoly(w, den,
-    pairs): R = rv_inverse(Z) has coefficients h_q / D and least nonzero
-    index q0 (0 when R = 0); B starts empty, and each next(grow) yields the
-    next B_K, from K = 0, for a caller holding the lock to append."""
+    """(D, q0, B, b) for ``thm2_residual`` on Z = ZetaPoly(w, den, pairs):
+    R = rv_inverse(Z) has coefficients h_q / D and least nonzero index q0
+    (0 when R = 0); b(K) is B_K as an int pair, by (1-i)^K (1+i)^(w+1) =
+    i^(h-K) 2^h (1+i)^(m-2h), m = K+w+1, h = floor(m/2), as 1-i = -i(1+i)
+    and (1+i)^2 = 2i; B starts as an empty dict of the B_K, keyed on K."""
     R = rv_inverse(ZetaPoly(w, den, pairs))
     g, fr, fi = [], 1, 0
     for q, (hr, hi) in enumerate(R.pairs):  # the nonzero g_q = (1-i)^q h_q
@@ -298,17 +294,20 @@ def _thm2_series(w: int, den: int, pairs: tuple) -> tuple:
             g.append((q, fr * hr - fi * hi, fr * hi + fi * hr))
         fr, fi = fr + fi, fi - fr  # times (1-i)
 
-    def grow(fr=fr, fi=-fi):  # (1+i)^(w+1), the conjugate of (1-i)^(w+1)
-        for K in count():
-            ar = ai = 0  # A_K
-            for q, gr, gi in g:
-                c = math.comb(K - q + w, w)
-                ar += c * gr
-                ai += c * gi
-            yield fr * ar - fi * ai, fr * ai + fi * ar
-            fr, fi = fr + fi, fi - fr  # times (1-i)
+    def b(K):
+        ar = ai = 0  # A_K
+        for q, gr, gi in g:
+            c = math.comb(K - q + w, w)
+            ar += c * gr
+            ai += c * gi
+        h, odd = divmod(K + w + 1, 2)
+        if odd:  # times (1+i)
+            ar, ai = ar - ai, ar + ai
+        for _ in range((h - K) % 4):  # times i
+            ar, ai = -ai, ar
+        return ar << h, ai << h
 
-    return R.den, g[0][0] if g else 0, [], grow(), allocate_lock()
+    return R.den, g[0][0] if g else 0, {}, b
 
 
 def _sqrt64(x: Fraction) -> tuple[int, int]:

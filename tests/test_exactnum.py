@@ -1,7 +1,9 @@
 import math
 import random
 import sys
+import threading
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -28,6 +30,7 @@ from zetapoly.exactnum import (
     binom_poly_in_s,
     binom_poly_in_s_scaled,
     common_denominator,
+    decimal_str,
     from_pairs,
     pair_text,
     qi,
@@ -276,6 +279,75 @@ class TestStrPairs:
         digits = "1" + "0" * 4999 + "7"
         assert pairs[0][0] == f"-{digits}/3"
         assert pairs[1] == [f"2/{digits}", "0/1"]
+
+
+def _lifted(x: int) -> str:
+    """str(x) with Python's int-to-str cap lifted: the reference printer."""
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(x)
+    finally:
+        sys.set_int_max_str_digits(cap)
+
+
+class TestDecimalStr:
+    """``decimal_str`` and the printers built on it write ints of any size as
+    ``str`` does with the cap lifted, and read or write no interpreter
+    setting: the cap is global, so lifting it for one call lifts it for every
+    thread, and restoring it can fail another thread's conversion."""
+
+    @pytest.mark.parametrize("cap", [None, 640])
+    def test_matches_str_without_touching_the_cap(self, cap):
+        rng = random.Random(131)
+        values = []
+        for digits in (4299, 4301, 10_000, 50_000):
+            for x in (rng.randrange(10 ** (digits - 1), 10**digits), 10 ** (digits - 1) + 7):
+                values += [x, -x]
+        text = {x: _lifted(x) for x in values}
+        saved = sys.get_int_max_str_digits()
+        try:
+            if cap:
+                sys.set_int_max_str_digits(cap)
+            with mock.patch.object(sys, "set_int_max_str_digits", side_effect=AssertionError), \
+                    mock.patch.object(sys, "get_int_max_str_digits", side_effect=AssertionError):
+                for x in values:
+                    whole, unit = [f"{text[x]}/1", f"{text[-x]}/1"], [f"1/{text[abs(x)]}", f"-1/{text[abs(x)]}"]
+                    assert decimal_str(x) == text[x] == str(qi(x))
+                    assert str_pair(1, (x, -x)) == whole and str_pair(abs(x), (1, -1)) == unit
+                    assert PolyX(2, 1, ((x, -x), (0, 0), (0, 0))).to_str_pairs()[0] == whole
+                    assert PolyX(2, abs(x), ((0, 0), (1, -1), (0, 0))).to_str_pairs()[1] == unit
+        finally:
+            sys.set_int_max_str_digits(saved)
+
+    def test_concurrent_prints_neither_fail_nor_move_the_cap(self):
+        # six threads print a 4,400-digit int at once, switching every
+        # microsecond, and read the cap after each print; a printer that
+        # lifts and restores the global cap shows it lifted to the others,
+        # and a restore that overtakes another's print fails that print
+        x = -(10**4399 + 12345)
+        text = _lifted(x)
+        cap, interval = sys.get_int_max_str_digits(), sys.getswitchinterval()
+        results = {}
+        start = threading.Barrier(6)
+
+        def work(i):
+            start.wait(timeout=60)
+            results[i] = all(decimal_str(x) == text and sys.get_int_max_str_digits() == cap
+                             for _ in range(500))
+
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+            assert results == dict.fromkeys(range(6), True)
+        finally:
+            sys.setswitchinterval(interval)
+            sys.set_int_max_str_digits(cap)
 
 
 _BIG = st.integers(1, 999).map(lambda k: 10**4400 + k)  # past the 4300-digit int-to-str cap

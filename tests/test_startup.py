@@ -6,7 +6,8 @@ loads any of them, and ``roots`` loads only the root finder.  Every start compil
 imports, so a module that slips back onto the import path costs every
 command.  No module of the package imports mpmath or ``cmath`` at all: the
 tests read mpmath as an oracle only, and the Aberth seeds take math.cos and
-math.sin."""
+math.sin.  No module imports ``_thread`` or ``threading`` or names the
+interpreter's int-to-str digit cap."""
 
 import ast
 import json
@@ -101,6 +102,26 @@ def test_no_module_imports_mpmath():
 def _tree(module: str) -> ast.Module:
     with open(os.path.join(SRC, "zetapoly", module + ".py")) as f:
         return ast.parse(f.read(), module)
+
+
+def test_no_module_uses_threads_or_the_digit_cap():
+    """Every module is pure by construction: none imports ``_thread`` or
+    ``threading``, and none names ``set_int_max_str_digits``, whose cap is
+    global to the interpreter, so lifting it for one call lifts it for
+    every thread."""
+    for name in sorted(os.listdir(os.path.join(SRC, "zetapoly"))):
+        if not name.endswith(".py"):
+            continue
+        for node in ast.walk(_tree(name[:-3])):
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imported = [node.module or ""] + [alias.name for alias in node.names]
+            else:
+                imported = []
+            assert not {"_thread", "threading"} & {m.split(".")[0] for m in imported}, (name, node.lineno)
+            named = {getattr(node, field, None) for field in ("attr", "id", "name")}
+            assert "set_int_max_str_digits" not in named, (name, getattr(node, "lineno", None))
 
 
 def test_sign_counts_run_on_integers_and_the_aberth_stage_lives_in_rootfind():

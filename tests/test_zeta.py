@@ -424,9 +424,9 @@ class TestThm2:
                 assert getattr(rep, field) == getattr(cold, field), (n, k_max, field)
 
     def test_shared_series_under_threads(self):
-        # six threads start together on a cold memo and grow its B_K at once,
-        # switching every microsecond; a lost or misplaced B_K, or a generator
-        # stepped by two threads at once, shows as a wrong or missing report
+        # six threads start together on a cold memo and fill its B_K at once,
+        # switching every microsecond; a lost, misplaced or half-built B_K
+        # shows as a wrong or missing report
         Z = rv_forward(mixed_den_polyx(random.Random(127), 40))
         ns = (5, 1, 4, 2, 3, 1)
         cold = {}
@@ -658,6 +658,20 @@ class TestRoots:
                 for k in range(4)
             ]
             assert max_root_error(got, expected) < mpmath.mpf("1e-100")
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the residual certificate passes roots of X^4 + 10^-400 whose moduli are "
+        "0.5-10 % off 10^-100; a certificate relative to |z| (ROADMAP direction 4) would not",
+    )
+    @pytest.mark.parametrize("prec", [64, 128, 256])
+    def test_tiny_roots_to_relative_precision(self, prec):
+        # the moduli come back 4.3-10.2 % off at 64 and 128 bits and up to
+        # 4.7 % off at 256 bits, inside the absolute 1e-100 bound above
+        got = roots(PolyX.make(4, [Fraction(1, 10**400), 0, 0, 0, 1]), precision=prec)
+        with mp.workprec(prec + 32):
+            modulus = mpmath.mpf(10) ** -100
+            assert all(abs(abs(mpc(z)) - modulus) < modulus * mpmath.mpf(2) ** -(prec // 2) for z in got)
 
     @pytest.mark.parametrize("prec", [64, 128, 1024])
     def test_roots_closer_than_doubles_separate(self, prec, monkeypatch):
