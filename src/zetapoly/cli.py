@@ -5,14 +5,19 @@ lvalues, roots.  Global flags: --prec <bits>, --tol <dec>, --kmax <int>,
 --format json|text, --out <path>.  Exit codes form a stable contract:
 0 = all checks pass, 1 = a mathematical check failed (or precision was
 unattainable), 2 = input or usage error.
+
+``_read_argv`` reads from ``COMMANDS`` the subcommand, its positionals and exact long
+options, as ``--opt VALUE`` (VALUE may be a negative number) or ``--opt=VALUE``, global
+flags on either side of the subcommand, the last one winning.  argparse, imported only
+for the rest, decides and prints it: help, abbreviations, ``--``, any usage error.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
+from types import SimpleNamespace
 
 from zetapoly.delta import REFERENCE_EVEN_SCALE, REFERENCE_ODD_SCALE, run_delta
 from zetapoly.dyadic import nstr
@@ -248,21 +253,6 @@ def _cmd_roots(args) -> int:
 # Parser
 # ---------------------------------------------------------------------
 
-
-def _add_global_flags(parser: argparse.ArgumentParser) -> None:
-    # SUPPRESS leaves a flag unset unless given, so a flag parsed on either
-    # side of the subcommand is never clobbered; build_parser sets the
-    # defaults once on the top-level parser.
-    for flag, kwargs in (
-        ("--prec", {"type": int, "help": "working precision in bits (>= 64)"}),
-        ("--tol", {"help": "decimal tolerance for numeric checks"}),
-        ("--kmax", {"type": int, "help": "series truncation cap"}),
-        ("--format", {"choices": ("json", "text")}),
-        ("--out", {"help": "write output to this path instead of stdout"}),
-    ):
-        parser.add_argument(flag, default=argparse.SUPPRESS, **kwargs)
-
-
 _INPUT = ("input", {})
 # name -> (help, handler, the command's own arguments as (name, options) pairs).
 COMMANDS = {
@@ -283,33 +273,90 @@ COMMANDS = {
     "roots": ("roots of a polynomial file, optionally with a line/circle check", _cmd_roots, [
         _INPUT, ("--mode", {"choices": ("critical_line", "unit_circle")})]),
 }
+# The flags every command takes, on either side of its name, and their values when not given.
+_GLOBAL_FLAGS = (
+    ("--prec", {"type": int, "help": "working precision in bits (>= 64)"}),
+    ("--tol", {"help": "decimal tolerance for numeric checks"}),
+    ("--kmax", {"type": int, "help": "series truncation cap"}),
+    ("--format", {"choices": ("json", "text")}),
+    ("--out", {"help": "write output to this path instead of stdout"}),
+)
+_GLOBAL_DEFAULTS = {"prec": 128, "tol": "1e-10", "kmax": K_MAX_DEFAULT, "format": "text", "out": None}
+# Whether argparse reads an argv entry as an option: it starts with "-" and is no negative number.
+_is_option = re.compile(r"-(?!\d+\Z|\d*\.\d+\Z)").match
 
 
-class _Subcommand(argparse.ArgumentParser):
-    """A subcommand's parser, built only when argparse hands it argv."""
-
-    def __init__(self, command, **kwargs):
-        self._pending = command, kwargs
-
-    def parse_known_args(self, args=None, namespace=None):
-        if self._pending:
-            (command, kwargs), self._pending = self._pending, None
-            super().__init__(**kwargs)
-            for name, options in COMMANDS[command][2]:
-                self.add_argument(name, **options)
-            _add_global_flags(self)  # last, so --help lists the command's own options first
-        return super().parse_known_args(args, namespace)
+def _value(options: dict, text: str):
+    """``text`` read as argparse reads it for these options; ValueError where it fails."""
+    value = options.get("type", str)(text)
+    if value not in options.get("choices", (value,)):
+        raise ValueError(f"invalid choice {value!r}")
+    return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _read_argv(argv):
+    """The namespace ``build_parser().parse_args(argv)`` returns, or None for a form not read here."""
+    options, given, command, texts = dict(_GLOBAL_FLAGS), {}, None, []
+    args = iter(argv)
+    try:
+        for arg in args:
+            if _is_option(arg):
+                flag, eq, text = arg.partition("=")
+                text = text if eq else next(args, "-")  # a missing value reads as an option
+                if flag not in options or text == "--" or not eq and _is_option(text):  # argparse drops "--"
+                    return None
+                given[flag.lstrip("-")] = _value(options[flag], text)
+            elif command is None:
+                if arg not in COMMANDS:
+                    return None
+                command = arg
+                options.update(spec for spec in COMMANDS[arg][2] if spec[0][0] == "-")
+            else:
+                texts.append(arg)
+        if command is None:
+            return None
+        specs = COMMANDS[command][2]
+        slots = [(name, opts) for name, opts in specs if name[0] != "-"]
+        if not sum(opts.get("nargs") != "?" for _, opts in slots) <= len(texts) <= len(slots):
+            return None
+        namespace = {**_GLOBAL_DEFAULTS, "command": command}
+        namespace.update((name.lstrip("-"), opts.get("default")) for name, opts in specs)
+        namespace.update((name, _value(opts, text)) for (name, opts), text in zip(slots, texts))
+    except ValueError:
+        return None
+    return SimpleNamespace(**{**namespace, **given})
+
+
+def build_parser():
+    import argparse  # only help, usage errors and the argv forms _read_argv leaves need it
+
+    # SUPPRESS leaves a flag unset unless given, so a flag on either side of the
+    # subcommand is never clobbered; the top-level parser holds the defaults.
+    global_flags = [(flag, {**options, "default": argparse.SUPPRESS}) for flag, options in _GLOBAL_FLAGS]
+
+    class _Subcommand(argparse.ArgumentParser):
+        """A subcommand's parser, built only when argparse hands it argv."""
+
+        def __init__(self, command, **kwargs):
+            self._pending = command, kwargs
+
+        def parse_known_args(self, args=None, namespace=None):
+            if self._pending:
+                (command, kwargs), self._pending = self._pending, None
+                super().__init__(**kwargs)
+                for name, options in COMMANDS[command][2] + global_flags:  # --help lists its own first
+                    self.add_argument(name, **options)
+            return super().parse_known_args(args, namespace)
+
     parser = argparse.ArgumentParser(
         prog="zetapoly",
         description="Zeta-polynomials from period polynomials: transforms, "
         "relation checks, identity verification, and the end-to-end "
         "weight-12 level-1 reproduction.",
     )
-    _add_global_flags(parser)
-    parser.set_defaults(prec=128, tol="1e-10", kmax=K_MAX_DEFAULT, format="text", out=None)
+    for flag, options in global_flags:
+        parser.add_argument(flag, **options)
+    parser.set_defaults(**_GLOBAL_DEFAULTS)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
     for command, (help_text, _, _) in COMMANDS.items():
         sub.add_parser(command, help=help_text, command=command)
@@ -321,7 +368,7 @@ def main(argv=None) -> int:
     for i in range(len(argv) - 2, -1, -1):  # argparse takes "-1e-10" for an option
         if argv[i] == "--tol" and re.fullmatch(r"-[\d.]+[eE][-+]?\d+", argv[i + 1]):
             argv[i : i + 2] = [f"--tol={argv[i + 1]}"]
-    args = build_parser().parse_args(argv)
+    args = _read_argv(argv) or build_parser().parse_args(argv)
     try:
         if args.prec < 64:
             raise InputError(f"--prec must be at least 64 bits, got {args.prec}")
@@ -329,15 +376,12 @@ def main(argv=None) -> int:
         if args.kmax < 1:
             raise InputError(f"--kmax must be positive, got {args.kmax}")
         return COMMANDS[args.command][1](args)
-    except InputError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except PrecisionError as exc:
         print(f"precision error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
 
 
 if __name__ == "__main__":

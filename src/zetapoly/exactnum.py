@@ -259,11 +259,12 @@ class DensePoly(Record):
             raw = data["coeffs"]
         except KeyError as exc:
             raise InputError(f"polynomial payload missing key {exc}") from exc
-        if not isinstance(w, int):
+        if not isinstance(w, int) or isinstance(w, bool):
             raise InputError(f"'w' must be an integer, got {w!r}")
         variable = data.get("variable")
         if variable is not None and variable != cls.VARIABLE:
             raise InputError(f"expected a polynomial in {cls.VARIABLE!r}, got variable={variable!r}")
+        require_even_w(w)
         if not isinstance(raw, list) or len(raw) != w + 1:
             raise InputError(f"'coeffs' must list exactly w+1 = {w + 1} entries")
         coeffs = []

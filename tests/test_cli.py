@@ -183,6 +183,16 @@ class TestTransformCommands:
         bad.write_text(json.dumps({"w": 4, "coeffs": [["1", "0"]]}))
         assert main(["rv-forward", str(bad)]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("data, message", [
+        ({"w": -2, "coeffs": []}, "w must be an even integer >= 2, got -2"),
+        ({"w": True, "coeffs": [["0", "0"], ["1", "0"]]}, "'w' must be an integer, got True"),
+    ], ids=["negative", "bool"])
+    def test_w_is_checked_before_the_coefficient_count(self, data, message, tmp_path, capsys):
+        bad = tmp_path / "bad_w.json"
+        bad.write_text(json.dumps(data))
+        assert main(["rv-forward", str(bad)]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 @pytest.mark.parametrize(
     "argv",

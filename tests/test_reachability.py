@@ -138,6 +138,7 @@ def _commands(tmp_path) -> list:
         (["thm2", r_plus, "--n", "1,2"], 0),
         (["--format", "json", "thm2", r_plus, "--n", "1"], 0),
         (["wspace", "10"], 0),
+        (["--form", "json", "wspace", "10"], 0),  # an abbreviation: argparse reads it
         (["rv-forward", r_minus, "--out", z_minus], 0),
         (["rv-inverse", z_minus], 0),
         (["thm2", z_minus], 0),

@@ -1,13 +1,16 @@
 """What a start loads: ``import zetapoly.cli`` loads exactly the package
 modules in ``AT_START`` and imports neither ``dataclasses`` (with
-``inspect``), nor mpmath, nor ``cmath``, nor the general root finder, nor
-the Q(i) value type of ``zetapoly.gaussian``; no command but ``roots``
-loads any of them, and ``roots`` loads only the root finder.  Every start compiles each module it
-imports, so a module that slips back onto the import path costs every
-command.  No module of the package imports mpmath or ``cmath`` at all: the
-tests read mpmath as an oracle only, and the Aberth seeds take math.cos and
-math.sin.  No module imports ``_thread`` or ``threading`` or names the
-interpreter's int-to-str digit cap."""
+``inspect``), nor mpmath, nor ``cmath``, nor argparse (with ``gettext``
+and ``locale``), nor the general root finder, nor the Q(i) value type of
+``zetapoly.gaussian``; no command but ``roots`` loads any of them, and
+``roots`` loads only the root finder.  argparse loads only for help, usage
+errors and the argv forms that ``cli._read_argv`` does not take.  Every
+start compiles each module it imports, so a module that slips back onto
+the import path costs every command.  No module of the package imports
+mpmath or ``cmath`` at all: the tests read mpmath as an oracle only, and
+the Aberth seeds take math.cos and math.sin.  No module imports
+``_thread`` or ``threading`` or names the interpreter's int-to-str digit
+cap."""
 
 import ast
 import json
@@ -19,7 +22,10 @@ from importlib import resources
 import pytest
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-WATCHED = ("cmath", "dataclasses", "inspect", "mpmath", "zetapoly.gaussian", "zetapoly.rootfind")
+WATCHED = (
+    "argparse", "cmath", "dataclasses", "gettext", "inspect", "locale", "mpmath",
+    "zetapoly.gaussian", "zetapoly.rootfind",
+)
 AT_START = {
     "zetapoly", "zetapoly.cli", "zetapoly.delta", "zetapoly.dyadic", "zetapoly.errors",
     "zetapoly.exactnum", "zetapoly.lvalues", "zetapoly.polyspace", "zetapoly.rv", "zetapoly.zeta",
@@ -32,15 +38,17 @@ def _data(name: str) -> str:
 
 def _loaded_by(argv=None, watched=WATCHED) -> set:
     """The ``watched`` modules that ``import zetapoly.cli``, then
-    ``cli.main(argv)`` when given, add to a fresh interpreter's ``sys.modules``."""
+    ``cli.main(argv)`` when given (help or a usage error included), add to
+    a fresh interpreter's ``sys.modules``."""
     code = (
         "import contextlib, io, json, sys\n"
         "before = set(sys.modules)\n"
         "import zetapoly.cli\n"
         f"argv = {argv!r}\n"
         "if argv is not None:\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        zetapoly.cli.main(argv)\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        with contextlib.suppress(SystemExit):\n"
+        "            zetapoly.cli.main(argv)\n"
         "print(json.dumps(sorted(set(sys.modules) - before)))\n"
     )
     proc = subprocess.run(
@@ -75,6 +83,22 @@ def test_delta_does_not_load_the_root_finder():
 ], ids=lambda argv: argv[0])
 def test_other_commands_load_no_watched_module(argv):
     assert _loaded_by(argv) == set()
+
+
+@pytest.mark.parametrize("argv", [
+    ["thm2", _data("r_delta_plus.json"), "--n", "1,2,3,4,5"],
+    ["check", "fricke", _data("r_delta_minus.json"), "--eps", "-1"],
+    ["delta", "--prec", "128"],
+], ids=lambda argv: argv[0])
+def test_benchmark_argv_forms_load_no_watched_module(argv):
+    """As perfbench/run.py spells them, with ``--format json --out FILE``."""
+    assert _loaded_by(argv + ["--format", "json", "--out", os.devnull]) == set()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["wspace", "--help"], ["--form", "json", "wspace", "4"]],
+                         ids=" ".join)
+def test_help_and_the_forms_the_reader_leaves_load_argparse(argv):
+    assert {"argparse", "gettext"} <= _loaded_by(argv)
 
 
 def test_roots_loads_the_root_finder():
