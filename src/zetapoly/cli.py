@@ -369,6 +369,9 @@ def main(argv=None) -> int:
         if argv[i] == "--tol" and re.fullmatch(r"-[\d.]+[eE][-+]?\d+", argv[i + 1]):
             argv[i : i + 2] = [f"--tol={argv[i + 1]}"]
     args = _read_argv(argv) or build_parser().parse_args(argv)
+    dropped = [name for name, value in vars(args).items() if isinstance(value, list)]
+    if dropped:  # argparse drops the "--" of "--opt=--" and leaves the option an empty list
+        build_parser().error(f"argument --{dropped[0]}: expected one argument")
     try:
         if args.prec < 64:
             raise InputError(f"--prec must be at least 64 bits, got {args.prec}")

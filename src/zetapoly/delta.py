@@ -13,13 +13,11 @@ exact distance 1 of the odd part's trivial zero X = 0 from the circle.
 from __future__ import annotations
 
 import json
-from decimal import Decimal
-from fractions import Fraction
 from importlib import resources
 
 from zetapoly.dyadic import INF, Dyadic, aligned, nstr, quotient, rounded
 from zetapoly.errors import InputError
-from zetapoly.exactnum import Record
+from zetapoly.exactnum import Record, as_ratio, parse_rational
 from zetapoly.lvalues import (
     _r_from_lambdas,
     critical_lambdas,
@@ -48,10 +46,10 @@ REFERENCE_Z_COEFFS = {
     1: "-0.0199",
     0: "0.00596",
 }
-EVEN_PATTERN = (Fraction(36, 691), 0, 1, 0, 3, 0, 3, 0, 1, 0, Fraction(36, 691))
+EVEN_PATTERN = ((36, 691), 0, 1, 0, 3, 0, 3, 0, 1, 0, (36, 691))  # ints and (num, den) pairs
 ODD_PATTERN = (0, 4, 0, 25, 0, 42, 0, 25, 0, 4, 0)
 
-SCALE_REL_TOL = Fraction(1, 100000)  # 5 significant digits
+SCALE_REL_TOL = (1, 100000)  # 5 significant digits, as (num, den)
 ROOT_TOL = "1e-8"  # tolerance of the two proved root checks; r_- must miss the circle by more
 
 
@@ -72,17 +70,23 @@ def golden_z_minus() -> ZetaPoly:
     return ZetaPoly.from_dict(_load_golden("z_delta_minus.json"))
 
 
-def decimal_ulp(printed: str) -> Fraction:
-    """One unit in the last printed decimal place of a reference string."""
-    return Fraction(10) ** Decimal(printed).as_tuple().exponent
+def decimal_ulp(printed: str) -> tuple[int, int]:
+    """One unit in the last printed decimal place of a reference string, as
+    (num, den): 10^-k for k digits after the point and the exponent e of the
+    text, k - e = 2 - (-7) = 9 for "5.11e-7"."""
+    mantissa, _, exp = printed.lower().partition("e")
+    k = len(mantissa.partition(".")[2]) - int(exp or 0)
+    return (1, 10**k) if k >= 0 else (10**-k, 1)
 
 
-def _excess(man: int, exp: int, ref: Fraction, bound: Fraction) -> int:
-    """|man 2^exp - ref| - bound times a positive integer, on integers: its
-    sign decides the comparison with no gcd of the long mantissa."""
+def _excess(man: int, exp: int, ref: tuple, bound: tuple) -> int:
+    """|man 2^exp - ref| - bound times a positive integer, for ref and bound
+    given as (num, den), on integers: its sign decides the comparison with no
+    gcd of the long mantissa."""
+    (rn, rd), (bn, bd) = ref, bound
     scale = 1 << max(-exp, 0)
-    off = abs((man << max(exp, 0)) * ref.denominator - ref.numerator * scale)
-    return off * bound.denominator - bound.numerator * ref.denominator * scale
+    off = abs((man << max(exp, 0)) * rd - rn * scale)
+    return off * bd - bn * rd * scale
 
 
 class DeltaReport(Record):
@@ -159,9 +163,10 @@ def run_delta(prec: int = 128) -> DeltaReport:
     m = rnum.mans
 
     scale_even, scale_odd = Dyadic(m[8], rnum.exp), Dyadic(m[9], rnum.exp - 2)
-    even_ref, odd_ref = Fraction(REFERENCE_EVEN_SCALE), Fraction(REFERENCE_ODD_SCALE)
-    scale_even_ok = _excess(m[8], rnum.exp, even_ref, SCALE_REL_TOL * even_ref) < 0
-    scale_odd_ok = _excess(m[9], rnum.exp - 2, odd_ref, SCALE_REL_TOL * odd_ref) < 0
+    tn, td = SCALE_REL_TOL
+    even_ref, odd_ref = parse_rational(REFERENCE_EVEN_SCALE), parse_rational(REFERENCE_ODD_SCALE)
+    scale_even_ok = _excess(m[8], rnum.exp, even_ref, (tn * even_ref[0], td * even_ref[1])) < 0
+    scale_odd_ok = _excess(m[9], rnum.exp - 2, odd_ref, (tn * odd_ref[0], td * odd_ref[1])) < 0
 
     # Every coefficient must follow scale * pattern; doubles as the
     # coefficientwise period-relation check.  Over the common 2^E,
@@ -169,10 +174,9 @@ def run_delta(prec: int = 128) -> DeltaReport:
     # (4 m_j - m_9 p) / (m_9 p) for odd j; the largest is kept as a ratio.
     max_dev = (0, 1)
     for j in range(11):
-        pattern = Fraction(EVEN_PATTERN[j] if j % 2 == 0 else ODD_PATTERN[j])
-        if pattern:
+        a, b = as_ratio(EVEN_PATTERN[j] if j % 2 == 0 else ODD_PATTERN[j])
+        if a:
             ms, mj = (m[8], m[j]) if j % 2 == 0 else (m[9], 4 * m[j])
-            a, b = pattern.numerator, pattern.denominator
             num, den = abs(mj * b - ms * a), abs(ms * a)
             if num * max_dev[1] > max_dev[0] * den:
                 max_dev = (num, den)
@@ -180,7 +184,8 @@ def run_delta(prec: int = 128) -> DeltaReport:
     z_checks = []
     for p in range(10, -1, -1):
         ref = REFERENCE_Z_COEFFS[p]
-        ok = _excess(znum.mans[p], znum.exp, Fraction(ref), Fraction(51, 100) * decimal_ulp(ref)) <= 0
+        un, ud = decimal_ulp(ref)
+        ok = _excess(znum.mans[p], znum.exp, parse_rational(ref), (51 * un, 100 * ud)) <= 0
         z_checks.append((p, ref, Dyadic(znum.mans[p], znum.exp), ok))
 
     r_minus = golden_r_minus()
@@ -202,9 +207,10 @@ def run_delta(prec: int = 128) -> DeltaReport:
 
     # Lambda(s) = eps Lambda(k - s) gives r_(w-n) = eps r_n, hence Z(1 - s) = eps Z(s).
     eps = nf.fricke * (-1) ** (nf.weight // 2)
+    root_tol = as_tolerance(ROOT_TOL)
     z_roots, r_roots = (
         sign_count_check(poly, mode, eps, tol=ROOT_TOL, precision=prec)
-        or RootCheckReport(mode, (), INF, as_tolerance(ROOT_TOL), False)
+        or RootCheckReport(mode, (), INF, root_tol, False)
         for poly, mode in ((znum, "critical_line"), (rnum, "unit_circle"))
     )
     r_minus_circle = 1 if r_minus.pairs[0] == (0, 0) else 0  # X = 0 lies 1 off |X| = 1
@@ -217,7 +223,7 @@ def run_delta(prec: int = 128) -> DeltaReport:
         and golden_relations_ok
         and z_roots.passed
         and r_roots.passed
-        and r_minus_circle > Fraction(ROOT_TOL)
+        and r_minus_circle * root_tol[1] > root_tol[0]
     )
     return DeltaReport(
         prec=prec,

@@ -14,14 +14,11 @@ from __future__ import annotations
 
 import math
 import sys
-from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from typing import ClassVar, Sequence, Union
+from typing import ClassVar, Sequence
 
 from zetapoly.errors import InputError
-
-Rationalish = Union[int, Fraction, str]
 
 
 def require_even_w(w: int) -> None:
@@ -35,20 +32,82 @@ def _clipped(text: str, limit: int = 80) -> str:
     return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} characters)"
 
 
-def as_fraction(x: Rationalish) -> Fraction:
-    """Coerce an int, Fraction, or fraction string ("36/691", "-5", "1e-10")
-    to Fraction.  Raises InputError when a decimal exponent exceeds Python's
-    cap on decimal digits (4300), where Fraction would build 10^exponent."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, str) and ("e" in x or "E" in x):
-        exp = x.strip().lower().rpartition("e")[2].lstrip("+-")
+def _grouped(text: str) -> bool:
+    """Whether ``text`` is decimal digits in groups joined by single
+    underscores, as ``int`` and ``fractions.Fraction`` read them."""
+    return text.isdecimal() or (
+        "__" not in text and text[:1] != "_" != text[-1:] and text.replace("_", "").isdecimal()
+    )
+
+
+def parse_rational(text: str) -> tuple[int, int]:
+    """Rational text ("36/691", "-5", "1e-10", "0.25") as integers (num, den),
+    den > 0, by the grammar of ``fractions.Fraction`` and with its errors:
+    ValueError for text it rejects, ZeroDivisionError "Fraction(p, 0)".
+    Surrounding whitespace is allowed, spaces around "/" are not, digits
+    may be any Unicode decimal digits joined by single underscores, and a
+    "d" after the point passes the grammar but fails ``int``, as there.
+    Raises InputError when a decimal exponent exceeds Python's cap on
+    decimal digits (4300), where 10^exponent would be built.  The pair is
+    not reduced: den is q as written, or the power of ten that scales the
+    digits of decimal text."""
+    head, slash, den = text.partition("/")
+    # "p/q" and "p" first: there int() reads what the grammar reads, once a
+    # digit stands on each side of the "/" (int() takes a space or a sign
+    # there too); whatever int() refuses is read the long way below, where
+    # a "/" form that passes the grammar fails int() again, so q = 0 stops here.
+    if not slash or head[-1:].isdecimal() and den[:1].isdecimal():
+        try:
+            num, den = int(head), int(den) if slash else 1
+        except ValueError:
+            pass
+        else:
+            if not den:
+                raise ZeroDivisionError(f"Fraction({num}, 0)")
+            return num, den
+    if "e" in text or "E" in text:
+        exp = text.strip().lower().rpartition("e")[2].lstrip("+-")
         cap = sys.int_info.default_max_str_digits
         if exp.replace("_", "").isdigit() and int(exp) > cap:  # past the cap, int() raises ValueError
-            raise InputError(f"the exponent of {_clipped(repr(x))} exceeds {cap} in magnitude")
-    if isinstance(x, (int, str)):
-        return Fraction(x)
-    raise TypeError(f"cannot interpret {x!r} as an exact rational")
+            raise InputError(f"the exponent of {_clipped(repr(text))} exceeds {cap} in magnitude")
+    core = text.strip()
+    body = core[1:] if core[:1] in ("-", "+") else core
+    head, slash, den = body.partition("/")
+    if slash:
+        exp = dec = ""
+        ok = _grouped(head) and _grouped(den)
+    else:
+        mantissa, e, exp = body.replace("E", "e").partition("e")
+        head, _, dec = mantissa.partition(".")
+        ok = (
+            (_grouped(head) if head else dec[:1].isdecimal())  # a digit, or "." and a digit, first
+            and (not dec.strip("dD") or _grouped(dec))  # the grammar's "d*" passes here, fails int()
+            and (not e or _grouped(exp[1:] if exp[:1] in ("-", "+") else exp))
+        )
+    if not ok:
+        raise ValueError(f"Invalid literal for Fraction: {text!r}")
+    num, den = int(head or "0"), int(den) if slash else 1
+    if dec:
+        dec = dec.replace("_", "")
+        num, den = num * 10 ** len(dec) + int(dec), den * 10 ** len(dec)
+    if exp:
+        exp = int(exp)
+        num, den = (num * 10**exp, den) if exp >= 0 else (num, den * 10**-exp)
+    return -num if core[:1] == "-" else num, den
+
+
+def as_ratio(x) -> tuple[int, int]:
+    """(num, den), den > 0, of an int or a Fraction (its numerator and
+    denominator), of rational text (``parse_rational``) or of a (num, den)
+    pair, as given."""
+    if isinstance(x, str):
+        return parse_rational(x)
+    if isinstance(x, tuple):
+        return x
+    try:
+        return x.numerator, x.denominator
+    except AttributeError:
+        raise TypeError(f"cannot interpret {x!r} as an exact rational") from None
 
 
 def decimal_str(n: int) -> str:
@@ -111,20 +170,19 @@ class Record:
 
 
 def rational_parts(x) -> tuple:
-    """The (re, im) parts of x: an (re, im) pair as given, the parts of a
-    Q(i) value, or an int, Fraction or fraction string with im = 0."""
+    """The (re, im) parts of x, each as (num, den) (``as_ratio``): those of
+    an (re, im) pair, of a Q(i) value, or of a real x with im = 0."""
     if isinstance(x, tuple):
-        return x
-    return (x.re, x.im) if hasattr(x, "im") else (as_fraction(x), 0)
+        return as_ratio(x[0]), as_ratio(x[1])
+    return (as_ratio(x.re), as_ratio(x.im)) if hasattr(x, "im") else (as_ratio(x), (0, 1))
 
 
 def common_denominator(values) -> tuple[int, list[tuple[int, int]]]:
     """One positive denominator D and integer pairs (p, q), one for each
     value, with (p/D, q/D) its ``rational_parts``."""
     parts = [rational_parts(v) for v in values]
-    den = math.lcm(1, *(x.denominator for pair in parts for x in pair))
-    return den, [(re.numerator * (den // re.denominator), im.numerator * (den // im.denominator))
-                 for re, im in parts]
+    den = math.lcm(1, *(d for pair in parts for _, d in pair))
+    return den, [(a * (den // b), c * (den // d)) for (a, b), (c, d) in parts]
 
 
 def str_pair(den: int, pair) -> list[str]:
@@ -271,7 +329,7 @@ class DensePoly(Record):
         for entry in raw:
             if isinstance(entry, (list, tuple)) and len(entry) == 2:
                 try:
-                    coeffs.append((as_fraction(str(entry[0])), as_fraction(str(entry[1]))))
+                    coeffs.append((parse_rational(str(entry[0])), parse_rational(str(entry[1]))))
                 except (ValueError, ZeroDivisionError) as exc:
                     msg = f"bad coefficient entry {_clipped(repr(entry))}: {_clipped(str(exc))}"
                     raise InputError(msg) from exc

@@ -11,8 +11,17 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Union
 
-from zetapoly.exactnum import Rationalish, Record, as_fraction, decimal_str, rational_parts
+from zetapoly.exactnum import Record, as_ratio, decimal_str, rational_parts
+
+Rationalish = Union[int, Fraction, str]
+
+
+def _as_fraction(x) -> Fraction:
+    """x itself if a Fraction, else the Fraction of what ``exactnum.as_ratio``
+    reads: an int, rational text or a (num, den) pair."""
+    return x if isinstance(x, Fraction) else Fraction(*as_ratio(x))
 
 
 class GaussianRational:
@@ -26,8 +35,8 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re: Rationalish = 0, im: Rationalish = 0):
-        self.re = as_fraction(re)
-        self.im = as_fraction(im)
+        self.re = _as_fraction(re)
+        self.im = _as_fraction(im)
 
     @classmethod
     def coerce(cls, x) -> "GaussianRational":

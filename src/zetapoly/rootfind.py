@@ -192,7 +192,7 @@ def roots(poly, precision: int = 128) -> list:
 
 def _not_certified(target2: Fraction) -> PrecisionError:
     """The error for residuals that stay above the target sqrt(target2)."""
-    target = nstr(Dyadic(*_sqrt64(target2)), 5)
+    target = nstr(Dyadic(*_sqrt64(target2.numerator, target2.denominator)), 5)
     return PrecisionError(f"root iteration failed to certify residuals below {target}")
 
 
@@ -493,7 +493,7 @@ def rh_check(poly, mode: str, tol="1e-8", precision: int = 128) -> RootCheckRepo
     |X| = 1 (``unit_circle``), up to ``tol``, at ``precision`` >= 64 bits."""
     if mode not in ("critical_line", "unit_circle"):
         raise InputError(f"unknown mode {mode!r}")
-    tol_frac = as_tolerance(tol)
+    tol_pair = as_tolerance(tol)
     rts = roots(poly, precision=precision)
     if mode == "critical_line":
         devs = [abs(x - Dyadic(1, -1)) for x, _ in rts]
@@ -503,4 +503,5 @@ def rh_check(poly, mode: str, tol="1e-8", precision: int = 128) -> RootCheckRepo
                 for E, (a, b) in norms]
     E, mans = aligned([x.man_exp for x in devs])
     m = max(mans, default=0)
-    return RootCheckReport(mode, tuple(rts), Dyadic(m, E), tol_frac, m * Fraction(2) ** E < tol_frac)
+    passed = m * Fraction(2) ** E * tol_pair[1] < tol_pair[0]
+    return RootCheckReport(mode, tuple(rts), Dyadic(m, E), tol_pair, passed)

@@ -15,28 +15,33 @@ infinite sum and for the numeric pipeline.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Union
 
 from zetapoly.dyadic import INF, Dyadic, nstr, quotient, rounded, sqrt_rounded
 from zetapoly.errors import InputError
-from zetapoly.exactnum import Record, as_fraction, pair_text, require_even_w, str_pair
+from zetapoly.exactnum import Record, as_ratio, pair_text, require_even_w, str_pair
 from zetapoly.polyspace import PolyX, slash
 from zetapoly.rv import ZetaPoly, rv_inverse, series_coeffs
 
-TolLike = Union[str, int, Fraction]
+TolLike = Union[str, int, tuple]
 
 
-def as_tolerance(tol: TolLike) -> Fraction:
-    """Exact positive rational from a decimal string, an int or a Fraction."""
+def as_tolerance(tol: TolLike) -> tuple[int, int]:
+    """Exact positive rational (num, den) from rational text, an int, a
+    Fraction or a (num, den) pair (``exactnum.as_ratio``)."""
     try:
-        out = as_fraction(tol)
+        num, den = as_ratio(tol)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"cannot parse tolerance {tol!r}") from exc
-    if out <= 0:
+    if num <= 0:
         raise InputError(f"tolerance must be positive, got {tol!r}")
-    return out
+    return num, den
+
+
+def _ratio_text(x: tuple) -> str:
+    """(num, den) as str(Fraction) writes it: "p/q" in lowest terms, or "p"."""
+    return pair_text(x[1], (x[0], 0))
 
 
 # ---------------------------------------------------------------------
@@ -115,7 +120,7 @@ def laurent_coeffs(w: int, n: int, M: int) -> LaurentCoeffs:
 # The convergent triple-sum identity
 # ---------------------------------------------------------------------
 
-RHO = Fraction(3, 4)  # documented tail ratio; asymptotic term ratio is 1/sqrt(2)
+RHO = (3, 4)  # documented tail ratio, as (num, den); asymptotic term ratio is 1/sqrt(2)
 K_MIN = 40
 K_MAX_DEFAULT = 400
 
@@ -142,7 +147,7 @@ class Thm2Report(Record):
     k_stop: int
     converged: bool
     residual_bound: Dyadic
-    tol: Fraction
+    tol: tuple  # (num, den)
 
     @cached_property
     def exact_part(self):
@@ -156,18 +161,18 @@ class Thm2Report(Record):
     def partial_sums(self) -> tuple:
         return tuple(_qi(self.term_den << k, t) for k, t in enumerate(self.term_numerators))
 
-    def _total_norm2(self) -> Fraction:
+    def _total_norm2(self) -> tuple[int, int]:
         x, y = self.total_numerator
-        return Fraction(x * x + y * y, self.den * self.den)
+        return x * x + y * y, self.den * self.den
 
     @property
     def abs_total(self) -> Dyadic:
-        return Dyadic(*_sqrt64(self._total_norm2()))
+        return Dyadic(*_sqrt64(*self._total_norm2()))
 
     def total_below(self, bound: TolLike) -> bool:
-        """Exact test |total| < bound."""
-        b = as_tolerance(bound)
-        return self._total_norm2() < b * b
+        """Exact test |total| < bound, by cross-multiplication."""
+        (bn, bd), (n2, d2) = as_tolerance(bound), self._total_norm2()
+        return n2 * bd * bd < bn * bn * d2
 
     def to_dict(self) -> dict:
         return {
@@ -178,7 +183,7 @@ class Thm2Report(Record):
             "abs_total": nstr(self.abs_total, 12),
             "residual_bound": nstr(self.residual_bound, 12),
             "total": str_pair(self.den, self.total_numerator),
-            "tol": str(self.tol),
+            "tol": _ratio_text(self.tol),
         }
 
 
@@ -189,6 +194,13 @@ def thm2_residual(
     k_max: int = K_MAX_DEFAULT,
 ) -> Thm2Report:
     """Evaluate the three-part identity value at n, with exact per-k terms.
+
+    R = rv_inverse(Z) is read in the rescaled normalization, whose
+    relations are ``polyspace.rescaled_es1_residual`` and
+    ``rescaled_es2_residual``; ``polyspace.wspace_basis`` gives W_w in the
+    classical one.  X -> iX maps the one into the other: a classical
+    vector b becomes R_j = i^j b_j.  The first w = 10 basis vector gives
+    |total| = 96.7 at n = 1 as it stands, and 1.7e-11 turned.
 
     The identity is stated as a triple sum over k, m and j of Z at the
     non-positive integers m+j-k-n.  With K = k+n, its j-sum is
@@ -220,14 +232,14 @@ def thm2_residual(
     q with r_q != 0 (t_k = 0 while K < q0, so K_MIN counts from the first
     term that can be nonzero), where the magnitudes of the last three
     terms all fall below theta = tol*(1-RHO)/RHO, or at k_max with
-    ``converged`` cleared.  The test is exact, in integers: a term (a + b i)/den
-    passes iff (a^2 + b^2) theta2.den < theta2.num den^2, where theta2 = theta^2.
+    ``converged`` cleared.  The test is exact, in integers: with theta =
+    p/q, a term (a + b i)/den passes iff (a^2 + b^2) q^2 < p^2 den^2.
     """
     if n < 1:
         raise InputError(f"n must be a positive integer, got {n}")
     w = Z.w
-    tol_frac = as_tolerance(tol)
-    theta2 = (tol_frac * (1 - RHO) / RHO) ** 2
+    tol_pair = as_tolerance(tol)
+    p, q = tol_pair[0] * (RHO[1] - RHO[0]), tol_pair[1] * RHO[0]  # theta = p/q
 
     zs = series_coeffs(Z, n + 1)  # Z(-t) = zs[t] / Z.den
     s = (-1) ** (w // 2)  # (-i)^w
@@ -237,7 +249,7 @@ def thm2_residual(
     D, q0, B, b = _thm2_series(w, Z.den, Z.pairs)
     sign = 1 if n % 4 > 1 else -1  # t_k = C(K, n) u B_K / (2^(K+w+1) D): u = -i^n is sign, or sign * i for odd n
     den = D << (n + w)  # 2^(K+w+1) D, here at K = n - 1
-    tden, limit = theta2.denominator, theta2.numerator * den * den  # t passes iff |num|^2 tden < limit
+    tden, limit = q * q, p * p * den * den  # t passes iff |num|^2 tden < limit
     acc_r = acc_i = 0  # the terms so far, summed over den
     below = 0  # how many of the latest terms are below theta
     K_stop = n + K_MIN + max(q0 - n, 0)  # the least K = k + n that may stop
@@ -259,12 +271,11 @@ def thm2_residual(
     ez, et = total_den // Z.den, total_den // den  # the scales of the exact part and of the terms
     exact, total = (ez * er, ez * ei), (ez * er + et * acc_r, ez * ei + et * acc_i)
     bound = INF
-    if converged:  # max |t|^2 over the last three terms, as reduced Fractions
-        worst = max(Fraction(a * a + b * b, (den >> j) ** 2)
-                    for j, (a, b) in enumerate(terms[:-4:-1]))
-        m, e = _sqrt64(worst)  # times RHO / (1 - RHO), each step rounded to 64 bits
-        m, e = rounded(m * RHO.numerator, e, 64)
-        bound = Dyadic(*quotient(m, RHO.denominator - RHO.numerator, e, 64))
+    if converged:  # max |t|^2 over the last three terms, |t_k|^2 = |num|^2 4^(k_stop-k) / den^2
+        worst = max((a * a + b * b) << 2 * j for j, (a, b) in enumerate(terms[:-4:-1]))
+        m, e = _sqrt64(worst, den * den)  # times RHO / (1 - RHO), each step rounded to 64 bits
+        m, e = rounded(m * RHO[0], e, 64)
+        bound = Dyadic(*quotient(m, RHO[1] - RHO[0], e, 64))
     return Thm2Report(
         w=w,
         n=n,
@@ -276,7 +287,7 @@ def thm2_residual(
         k_stop=len(terms) - 1,
         converged=converged,
         residual_bound=bound,
-        tol=tol_frac,
+        tol=tol_pair,
     )
 
 
@@ -310,10 +321,12 @@ def _thm2_series(w: int, den: int, pairs: tuple) -> tuple:
     return R.den, g[0][0] if g else 0, {}, b
 
 
-def _sqrt64(x: Fraction) -> tuple[int, int]:
-    """sqrt(x) to 64 bits in four correctly rounded steps: the numerator and
-    the denominator each to 64 bits, their quotient, then its square root."""
-    (a, ea), (b, eb) = rounded(x.numerator, 0, 64), rounded(x.denominator, 0, 64)
+def _sqrt64(num: int, den: int) -> tuple[int, int]:
+    """sqrt(num/den), num >= 0 < den, to 64 bits in four correctly rounded
+    steps: the numerator and the denominator in lowest terms each to 64
+    bits, their quotient, then its square root."""
+    g = math.gcd(num, den)
+    (a, ea), (b, eb) = rounded(num // g, 0, 64), rounded(den // g, 0, 64)
     return sqrt_rounded(*quotient(a, b, ea - eb, 64), 64)
 
 
@@ -356,7 +369,7 @@ class RootCheckReport(Record):
     mode: str
     roots: tuple
     max_deviation: Dyadic
-    tol: Fraction
+    tol: tuple  # (num, den)
     passed: bool
 
     def to_dict(self) -> dict:
@@ -364,7 +377,7 @@ class RootCheckReport(Record):
             "mode": self.mode,
             "passed": self.passed,
             "max_deviation": nstr(self.max_deviation, 12),
-            "tol": str(self.tol),
+            "tol": _ratio_text(self.tol),
             "roots": [[nstr(x, 20) for x in z] for z in self.roots],
         }
 

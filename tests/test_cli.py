@@ -369,6 +369,32 @@ class TestLvaluesCommand:
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
+@pytest.mark.parametrize("flag", ["n", "tol", "format", "out", "prec", "kmax"])
+def test_a_dropped_value_after_equals_is_a_usage_error(flag, capsys):
+    """argparse drops the "--" of "--opt=--", leaving [] where a value
+    belongs; that is a usage error (exit 2, no traceback), as a missing
+    value is."""
+    with pytest.raises(SystemExit) as exc:
+        main(["thm2", str(_data("r_delta_plus.json")), f"--{flag}=--"])
+    captured = capsys.readouterr()
+    assert exc.value.code == EXIT_INPUT
+    assert captured.out == ""
+    assert captured.err.startswith("usage: zetapoly ")
+    assert captured.err.endswith(f"zetapoly: error: argument --{flag}: expected one argument\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "fricke", str(_data("r_delta_plus.json")), "--eps=--"],
+    ["roots", str(_data("r_delta_plus.json")), "--mode=--"],
+], ids=["eps", "mode"])
+def test_a_dropped_command_option_value_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_INPUT
+    flag = argv[-1].partition("=")[0]
+    assert capsys.readouterr().err.endswith(f"zetapoly: error: argument {flag}: expected one argument\n")
+
+
 def _main_in_fresh_interpreter(argv) -> tuple:
     """(exit code, seconds spent in cli.main, stderr) of ``argv`` run in a
     fresh interpreter, which is killed after 30 s so that a regression

@@ -56,12 +56,12 @@ class TestGoldenData:
 
 class TestDecimalUlp:
     def test_scientific(self):
-        assert decimal_ulp("5.11e-7") == Fraction(1, 10**9)
-        assert decimal_ulp("-2.554e-6") == Fraction(1, 10**9)
+        assert Fraction(*decimal_ulp("5.11e-7")) == Fraction(1, 10**9)
+        assert Fraction(*decimal_ulp("-2.554e-6")) == Fraction(1, 10**9)
 
     def test_plain(self):
-        assert decimal_ulp("0.00180") == Fraction(1, 10**5)
-        assert decimal_ulp("0.0310") == Fraction(1, 10**4)
+        assert Fraction(*decimal_ulp("0.00180")) == Fraction(1, 10**5)
+        assert Fraction(*decimal_ulp("0.0310")) == Fraction(1, 10**4)
 
 
 class TestRunDelta:

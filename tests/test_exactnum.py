@@ -6,7 +6,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -30,19 +30,23 @@ from zetapoly.exactnum import (
     binom_poly_in_s,
     binom_poly_in_s_scaled,
     common_denominator,
+    _clipped,
     decimal_str,
     from_pairs,
     pair_text,
+    parse_rational,
     qi,
     reduced,
     str_pair,
 )
+from zetapoly.cli import main
 from zetapoly.delta import run_delta
+from zetapoly.errors import InputError
 from zetapoly.lvalues import NewformData, NumericPoly, build_r, delta_newform
 from zetapoly.polyspace import PolyX
 from zetapoly.rootfind import squarefree_parts
 from zetapoly.rv import ZetaPoly, rv_forward
-from zetapoly.zeta import HilbertReport, hilbert_hypotheses, laurent_coeffs, thm2_residual
+from zetapoly.zeta import HilbertReport, as_tolerance, hilbert_hypotheses, laurent_coeffs, thm2_residual
 
 
 def form(f) -> tuple:
@@ -121,6 +125,128 @@ class TestGaussianRational:
         den, pairs = common_denominator([qi(Fraction(1, 6), 2), qi(Fraction(3, 4))])
         assert den == 12
         assert pairs == [(2, 24), (9, 0)]
+
+
+def fraction_oracle(text: str) -> Fraction:
+    """The parser that ``parse_rational`` replaced: ``fractions.Fraction``
+    behind the decimal-exponent cap."""
+    if "e" in text or "E" in text:
+        exp = text.strip().lower().rpartition("e")[2].lstrip("+-")
+        cap = sys.int_info.default_max_str_digits
+        if exp.replace("_", "").isdigit() and int(exp) > cap:
+            raise InputError(f"the exponent of {_clipped(repr(text))} exceeds {cap} in magnitude")
+    return Fraction(text)
+
+
+def outcome(parse, text) -> tuple:
+    """("ok", the value) or (the exception type, its message)."""
+    try:
+        value = parse(text)
+    except (InputError, ValueError, ZeroDivisionError) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(value, tuple):
+        assert value[1] > 0 and all(type(x) is int for x in value), value
+        value = Fraction(*value)
+    return "ok", value
+
+
+def tolerance_oracle(text: str) -> Fraction:
+    """``as_tolerance`` on top of ``fraction_oracle``."""
+    try:
+        out = fraction_oracle(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"cannot parse tolerance {text!r}") from exc
+    if out <= 0:
+        raise InputError(f"tolerance must be positive, got {text!r}")
+    return out
+
+
+def entry_outcome(parse, entry) -> tuple:
+    """What ``PolyX.from_dict`` makes of the coefficient entry [entry, "0"],
+    as ``outcome`` reports it, with ``parse`` reading each part's str()."""
+    pair = [entry, "0"]
+    try:
+        value = parse(str(entry))
+    except (ValueError, ZeroDivisionError) as exc:
+        return "InputError", f"bad coefficient entry {_clipped(repr(pair))}: {_clipped(str(exc))}"
+    except InputError as exc:
+        return "InputError", str(exc)
+    return "ok", Fraction(*value) if isinstance(value, tuple) else value
+
+
+def poly_entry(entry) -> tuple:
+    data = {"w": 2, "coeffs": [[entry, "0"], ["0", "0"], ["0", "0"]]}
+    try:
+        return "ok", PolyX.from_dict(data).coeffs[0].re
+    except InputError as exc:
+        return "InputError", str(exc)
+
+
+# Strings the parser must read as Fraction does, or refuse with its words.
+EDGE_TEXTS = [
+    "\u0663", "\u0661\u0662/\u0663", "1_000", "1_000/3_0", "1__0", "_1", "1_", "1_/2",
+    " 1/2 ", "\t3/4\n", "\u00a07", "1 / 2", "1/ 2", "1 /2", "- 5", "5 e3",
+    "+5", "-5", "+.5", "-.5", ".5", "5.", "5.e3", "+-5", "1/-2", "1/+2", "-0/0",
+    "1e4300", "1e-4300", "-1E+4300", "1e4301", "1e-4301", "1E+4301", "1e4_301", "1e\u0664\u0663\u0660\u0661",
+    "1/0", "-1/0", "0/0", "nan", "inf", "-inf", "NaN", "infinity",
+    "1.d", "1.dd", "1.D", "1.de5", "1.d5", "1e\u00b2", "0x10", "1.2.3", "1/2/3", "1e5e5", "", ".", "-", "e5", "1e", "1/",
+    "1" * 4301, "-" + "1" * 4301, "1/" + "1" * 4301, "1" * 4301 + "/0", "1/" + "0" * 4301, "0." + "1" * 4301,
+    "1e" + "1" * 4301, "x" * 5000,
+]
+# Pieces of the grammar and of near misses, for the drawn strings.
+TOKENS = ["", " ", "\t", "+", "-", "/", ".", "e", "E", "d", "D", "_", "0", "7", "12", "1_0", "\u0663", "\u00b2",
+          "\u00a0", "x", "e4300", "e-4300", "e4301", "E-4301", "e+4_301", "nan", "inf"]
+grammar_text = st.lists(st.sampled_from(TOKENS), max_size=8).map("".join)
+free_text = st.text(st.sampled_from(list("0123456789_+-./eEdD \t") + ["\u0663", "\u00b2", "x"]), max_size=12)
+
+
+class TestParseRational:
+    """``parse_rational`` gives the value ``fractions.Fraction`` gives, or
+    raises the error it raises, with the same words, for rational text of
+    Fraction's grammar and for near misses; so do the coefficient reader
+    and the tolerance reader built on it."""
+
+    @pytest.mark.parametrize("text", EDGE_TEXTS, ids=lambda t: _clipped(repr(t), 20))
+    def test_edge_texts(self, text):
+        assert outcome(parse_rational, text) == outcome(fraction_oracle, text)
+
+    @settings(max_examples=400)
+    @given(st.one_of(grammar_text, free_text))
+    def test_drawn_texts(self, text):
+        assert outcome(parse_rational, text) == outcome(fraction_oracle, text)
+
+    def test_den_is_as_written(self):
+        assert parse_rational("6/4") == (6, 4)
+        assert parse_rational("-0.0310") == (-310, 10**4)
+        assert parse_rational("5.11e-7") == (511, 10**9)
+        assert parse_rational("2.5e3") == (25000, 10)
+
+    @pytest.mark.parametrize("entry", EDGE_TEXTS + [True, False, 1.5, -2, 10**30, 1e300, None],
+                             ids=lambda t: _clipped(repr(t), 20))
+    def test_coefficient_entries(self, entry):
+        """JSON true and 1.5 reach the reader as "True" and "1.5"."""
+        assert poly_entry(entry) == entry_outcome(parse_rational, entry) == entry_outcome(fraction_oracle, entry)
+
+    @settings(max_examples=200)
+    @given(grammar_text)
+    def test_drawn_coefficient_entries(self, text):
+        assert poly_entry(text) == entry_outcome(fraction_oracle, text)
+
+    @pytest.mark.parametrize("text", EDGE_TEXTS, ids=lambda t: _clipped(repr(t), 20))
+    def test_tolerances(self, text, capsys):
+        expected = outcome(tolerance_oracle, text)
+        assert outcome(as_tolerance, text) == expected
+        code = main([f"--tol={text}", "wspace", "2"])
+        captured = capsys.readouterr()
+        if expected[0] == "ok":
+            assert (code, captured.err) == (0, "")
+        else:
+            assert (code, captured.err) == (2, f"error: {expected[1]}\n")
+
+    @settings(max_examples=200)
+    @given(grammar_text)
+    def test_drawn_tolerances(self, text):
+        assert outcome(as_tolerance, text) == outcome(tolerance_oracle, text)
 
 
 class TestPolyDivision:

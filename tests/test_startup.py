@@ -101,6 +101,32 @@ def test_help_and_the_forms_the_reader_leaves_load_argparse(argv):
     assert {"argparse", "gettext"} <= _loaded_by(argv)
 
 
+# The second number type: no command but ``roots`` computes with Fraction or Decimal.
+NUMBER_TYPES = ("decimal", "fractions", "numbers")
+
+
+def test_import_loads_no_second_number_type():
+    assert _loaded_by(watched=NUMBER_TYPES) == set()
+
+
+@pytest.mark.parametrize("argv", [
+    ["delta", "--prec", "128"],
+    ["thm2", _data("r_delta_plus.json"), "--n", "1,2,3,4,5"],
+    ["thm2", _data("r_delta_minus.json"), "--n", "1,2,3,4,5"],
+    ["wspace", "10"],
+    ["wspace", "30"],
+    ["check", "fricke", _data("r_delta_minus.json"), "--eps", "1"],
+    ["check", "es1", _data("r_delta_plus.json")],
+    ["rv-forward", _data("r_delta_minus.json")],
+    ["rv-inverse", _data("z_delta_minus.json")],
+], ids=["delta", "thm2-plus", "thm2-minus", "wspace10", "wspace30", "check-fricke", "check-es1", "rv-forward",
+        "rv-inverse"])
+def test_benchmark_argv_forms_load_no_second_number_type(argv):
+    """Each perfbench argv form, with ``--format json --out FILE``, loads
+    none of ``fractions``, ``decimal`` and ``numbers``."""
+    assert _loaded_by(argv + ["--format", "json", "--out", os.devnull], watched=NUMBER_TYPES) == set()
+
+
 def test_roots_loads_the_root_finder():
     for mode in ([], ["--mode", "unit_circle"]):
         assert _loaded_by(["roots", _data("r_delta_minus.json"), *mode]) == {"zetapoly.rootfind"}

@@ -78,7 +78,7 @@ def literal_term(Z: ZetaPoly, n: int, k: int) -> GaussianRational:
 def fraction_stop_rule(terms, tol, k_max: int) -> tuple[int, bool]:
     """(k_stop, converged) of the documented stop rule, recomputed from the
     terms with Fraction norms."""
-    theta = as_tolerance(tol) * (1 - RHO) / RHO
+    theta = Fraction(*as_tolerance(tol)) * (1 - Fraction(*RHO)) / Fraction(*RHO)
     norms = [t.norm2() for t in terms]
     for k in range(K_MIN, len(norms)):
         if all(v < theta * theta for v in norms[k - 2 : k + 1]):
@@ -93,7 +93,7 @@ def tail_bound(terms) -> mpmath.mpf:
     with mp.workprec(64):
         return mpmath.sqrt(
             mpmath.mpf(worst.numerator) / mpmath.mpf(worst.denominator)
-        ) * mpmath.mpf(RHO.numerator) / mpmath.mpf(RHO.denominator - RHO.numerator)
+        ) * mpmath.mpf(RHO[0]) / mpmath.mpf(RHO[1] - RHO[0])
 
 
 def mixed_den_polyx(rng: random.Random, w: int) -> PolyX:
@@ -332,7 +332,7 @@ class TestThm2:
         assert (rep.k_stop, rep.converged) == (30, False) == fraction_stop_rule(
             rep.partial_sums, "1e9", 30
         )
-        theta = rep.tol * (1 - RHO) / RHO
+        theta = Fraction(*rep.tol) * (1 - Fraction(*RHO)) / Fraction(*RHO)
         assert all(t.norm2() < theta * theta for t in rep.partial_sums)
         assert list(rep.partial_sums) == [literal_term(Z, 2, k) for k in range(31)]
         assert rep.total == rep.exact_part + sum(rep.partial_sums, ZERO)
@@ -513,10 +513,10 @@ class TestThm2:
 
 class TestTolerance:
     def test_parsing(self):
-        assert as_tolerance("1e-10") == Fraction(1, 10**10)
-        assert as_tolerance("0.25") == Fraction(1, 4)
-        assert as_tolerance(Fraction(1, 3)) == Fraction(1, 3)
-        assert as_tolerance(2) == 2
+        assert Fraction(*as_tolerance("1e-10")) == Fraction(1, 10**10)
+        assert Fraction(*as_tolerance("0.25")) == Fraction(1, 4)
+        assert Fraction(*as_tolerance(Fraction(1, 3))) == Fraction(1, 3)
+        assert Fraction(*as_tolerance(2)) == 2
 
     def test_rejects_nonpositive_and_garbage(self):
         for bad in ("0", "-1", "abc", None):
