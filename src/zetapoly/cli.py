@@ -334,20 +334,6 @@ def build_parser():
     # subcommand is never clobbered; the top-level parser holds the defaults.
     global_flags = [(flag, {**options, "default": argparse.SUPPRESS}) for flag, options in _GLOBAL_FLAGS]
 
-    class _Subcommand(argparse.ArgumentParser):
-        """A subcommand's parser, built only when argparse hands it argv."""
-
-        def __init__(self, command, **kwargs):
-            self._pending = command, kwargs
-
-        def parse_known_args(self, args=None, namespace=None):
-            if self._pending:
-                (command, kwargs), self._pending = self._pending, None
-                super().__init__(**kwargs)
-                for name, options in COMMANDS[command][2] + global_flags:  # --help lists its own first
-                    self.add_argument(name, **options)
-            return super().parse_known_args(args, namespace)
-
     parser = argparse.ArgumentParser(
         prog="zetapoly",
         description="Zeta-polynomials from period polynomials: transforms, "
@@ -357,16 +343,18 @@ def build_parser():
     for flag, options in global_flags:
         parser.add_argument(flag, **options)
     parser.set_defaults(**_GLOBAL_DEFAULTS)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
-    for command, (help_text, _, _) in COMMANDS.items():
-        sub.add_parser(command, help=help_text, command=command)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (help_text, _, arguments) in COMMANDS.items():
+        subparser = sub.add_parser(command, help=help_text)
+        for name, options in arguments + global_flags:  # --help lists its own first
+            subparser.add_argument(name, **options)
     return parser
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    for i in range(len(argv) - 2, -1, -1):  # argparse takes "-1e-10" for an option
-        if argv[i] == "--tol" and re.fullmatch(r"-[\d.]+[eE][-+]?\d+", argv[i + 1]):
+    for i in range(len(argv) - 2, -1, -1):  # argparse takes "-1e-10" and "-1/3" for options
+        if argv[i] == "--tol" and re.match(r"-[\d.]", argv[i + 1]):
             argv[i : i + 2] = [f"--tol={argv[i + 1]}"]
     args = _read_argv(argv) or build_parser().parse_args(argv)
     dropped = [name for name, value in vars(args).items() if isinstance(value, list)]

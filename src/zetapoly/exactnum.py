@@ -13,6 +13,7 @@ safe for unrestricted concurrent use.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from functools import cached_property
 from itertools import chain
@@ -32,25 +33,20 @@ def _clipped(text: str, limit: int = 80) -> str:
     return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} characters)"
 
 
-def _grouped(text: str) -> bool:
-    """Whether ``text`` is decimal digits in groups joined by single
-    underscores, as ``int`` and ``fractions.Fraction`` read them."""
-    return text.isdecimal() or (
-        "__" not in text and text[:1] != "_" != text[-1:] and text.replace("_", "").isdecimal()
-    )
+# Plain ASCII decimal text: [sign] digits [. digits] [e|E [sign] digits], a digit in the mantissa.
+_decimal = re.compile(r"([-+]?)(?=\.?[0-9])([0-9]*)(?:\.([0-9]*))?(?:[eE]([-+]?[0-9]+))?").fullmatch
 
 
 def parse_rational(text: str) -> tuple[int, int]:
     """Rational text ("36/691", "-5", "1e-10", "0.25") as integers (num, den),
-    den > 0, by the grammar of ``fractions.Fraction`` and with its errors:
+    den > 0, with the value and the errors of ``fractions.Fraction``:
     ValueError for text it rejects, ZeroDivisionError "Fraction(p, 0)".
-    Surrounding whitespace is allowed, spaces around "/" are not, digits
-    may be any Unicode decimal digits joined by single underscores, and a
-    "d" after the point passes the grammar but fails ``int``, as there.
     Raises InputError when a decimal exponent exceeds Python's cap on
-    decimal digits (4300), where 10^exponent would be built.  The pair is
+    decimal digits (4300), where 10^exponent would be built.  "p/q",
+    integers and plain ASCII decimals are read with ``int``, and the pair is
     not reduced: den is q as written, or the power of ten that scales the
-    digits of decimal text."""
+    digits of decimal text.  Rarer text (surrounding whitespace,
+    underscores, other decimal digits) is Fraction's own to read or refuse."""
     head, slash, den = text.partition("/")
     # "p/q" and "p" first: there int() reads what the grammar reads, once a
     # digit stands on each side of the "/" (int() takes a space or a sign
@@ -70,30 +66,19 @@ def parse_rational(text: str) -> tuple[int, int]:
         cap = sys.int_info.default_max_str_digits
         if exp.replace("_", "").isdigit() and int(exp) > cap:  # past the cap, int() raises ValueError
             raise InputError(f"the exponent of {_clipped(repr(text))} exceeds {cap} in magnitude")
-    core = text.strip()
-    body = core[1:] if core[:1] in ("-", "+") else core
-    head, slash, den = body.partition("/")
-    if slash:
-        exp = dec = ""
-        ok = _grouped(head) and _grouped(den)
-    else:
-        mantissa, e, exp = body.replace("E", "e").partition("e")
-        head, _, dec = mantissa.partition(".")
-        ok = (
-            (_grouped(head) if head else dec[:1].isdecimal())  # a digit, or "." and a digit, first
-            and (not dec.strip("dD") or _grouped(dec))  # the grammar's "d*" passes here, fails int()
-            and (not e or _grouped(exp[1:] if exp[:1] in ("-", "+") else exp))
-        )
-    if not ok:
-        raise ValueError(f"Invalid literal for Fraction: {text!r}")
-    num, den = int(head or "0"), int(den) if slash else 1
-    if dec:
-        dec = dec.replace("_", "")
-        num, den = num * 10 ** len(dec) + int(dec), den * 10 ** len(dec)
+    match = _decimal(text)
+    if not match:
+        from fractions import Fraction  # loaded only for text rarer than any workload sends
+
+        value = Fraction(text)
+        return value.numerator, value.denominator
+    sign, whole, frac, exp = match.groups("")
+    den = 10 ** len(frac)
+    num = int(whole or "0") * den + int(frac or "0")  # field by field as Fraction reads them, so errors match
     if exp:
         exp = int(exp)
         num, den = (num * 10**exp, den) if exp >= 0 else (num, den * 10**-exp)
-    return -num if core[:1] == "-" else num, den
+    return -num if sign == "-" else num, den
 
 
 def as_ratio(x) -> tuple[int, int]:

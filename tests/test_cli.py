@@ -98,6 +98,18 @@ class TestGlobalFlags:
             captured = capsys.readouterr()
             assert (captured.out, captured.err) == ("", "error: tolerance must be positive, got '-1e-10'\n")
 
+    @pytest.mark.parametrize("value", ["-1/3", "-1e-10", "-.5"])
+    def test_a_negative_tolerance_reads_as_its_joined_form(self, side, value, w2_const_file, capsys):
+        """``--tol -1/3`` is the value -1/3, as ``--tol=-1/3`` is, not a missing value."""
+        outcomes = []
+        for flags in (["--tol", value], [f"--tol={value}"]):
+            try:
+                code = main(_either_side(side, flags, ["thm2", w2_const_file]))
+            except SystemExit as exc:
+                code = exc.code
+            outcomes.append((code, capsys.readouterr().err))
+        assert outcomes[0] == outcomes[1] == (EXIT_INPUT, f"error: tolerance must be positive, got {value!r}\n")
+
     def test_format_outside_choices_is_a_usage_error(self, side, capsys):
         with pytest.raises(SystemExit) as exc:
             main(_either_side(side, ["--format", "xml"], ["wspace", "4"]))

@@ -10,9 +10,12 @@ the import path costs every command.  No module of the package imports
 mpmath or ``cmath`` at all: the tests read mpmath as an oracle only, and
 the Aberth seeds take math.cos and math.sin.  No module imports
 ``_thread`` or ``threading`` or names the interpreter's int-to-str digit
-cap."""
+cap.  Outside ``gaussian`` and ``rootfind``, only ``exactnum.parse_rational``
+imports ``fractions``, inside the function."""
 
 import ast
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -101,7 +104,9 @@ def test_help_and_the_forms_the_reader_leaves_load_argparse(argv):
     assert {"argparse", "gettext"} <= _loaded_by(argv)
 
 
-# The second number type: no command but ``roots`` computes with Fraction or Decimal.
+# The second number type: no workload and no ASCII rational text ("p/q", integers,
+# plain decimals) loads ``fractions``; rarer text (whitespace, underscores, other
+# digits) does, at 2.5-4.2 ms of import.  Only ``roots`` computes with Fraction.
 NUMBER_TYPES = ("decimal", "fractions", "numbers")
 
 
@@ -125,6 +130,59 @@ def test_benchmark_argv_forms_load_no_second_number_type(argv):
     """Each perfbench argv form, with ``--format json --out FILE``, loads
     none of ``fractions``, ``decimal`` and ``numbers``."""
     assert _loaded_by(argv + ["--format", "json", "--out", os.devnull], watched=NUMBER_TYPES) == set()
+
+
+@pytest.mark.parametrize("argv", [
+    ["thm2", _data("r_delta_minus.json"), "--tol", "1e-8"],
+    ["thm2", _data("r_delta_minus.json"), "--tol=2.5E-12"],
+    ["thm2", _data("r_delta_minus.json"), "--tol", "0.0001"],
+    ["check", "es1", "DECIMALS"],
+], ids=["tol 1e-8", "tol=2.5E-12", "tol 0.0001", "check-decimal-entries"])
+def test_typed_decimal_forms_load_no_second_number_type(argv, tmp_path):
+    """Decimal tolerances and coefficient entries as a user types them
+    are read with ``int``: none loads ``fractions``, ``decimal`` or
+    ``numbers``.  DECIMALS names a file whose entries are "0.25",
+    "-1.5e3" and "7"."""
+    from zetapoly.cli import EXIT_INPUT, main
+
+    path = tmp_path / "decimals.json"
+    path.write_text(json.dumps({"w": 2, "coeffs": [["0.25", "-1.5e3"], ["7", "0"], ["0", "0"]]}))
+    argv = [str(path) if arg == "DECIMALS" else arg for arg in argv]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) != EXIT_INPUT  # every text was read
+    assert _loaded_by(argv, watched=NUMBER_TYPES) == set()
+
+
+def _scopes_importing(module: str, top: str) -> set:
+    """Where ``module`` imports the ``top`` package: "module" for code that
+    runs at import, "module.function" inside a function."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            else:
+                names = [child.module or ""] if isinstance(child, ast.ImportFrom) else []
+            if any(name.split(".")[0] == top for name in names):
+                found.add(scope)
+            deferred = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, f"{scope}.{child.name}" if deferred else scope)
+
+    visit(_tree(module), module)
+    return found
+
+
+def test_fractions_is_imported_at_module_level_only_by_modules_no_workload_loads():
+    """Only ``gaussian`` and ``rootfind`` import ``fractions`` at module
+    level; elsewhere only ``exactnum.parse_rational`` imports it, inside
+    the function, for text rarer than the ASCII forms it reads with ``int``."""
+    scopes = set()
+    for name in sorted(os.listdir(os.path.join(SRC, "zetapoly"))):
+        if name.endswith(".py"):
+            scopes |= _scopes_importing(name[:-3], "fractions")
+    assert {s for s in scopes if "." not in s} <= {"gaussian", "rootfind"}
+    assert {s for s in scopes if "." in s} <= {"exactnum.parse_rational"}
 
 
 def test_roots_loads_the_root_finder():
