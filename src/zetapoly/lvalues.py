@@ -157,20 +157,28 @@ def required_nmax(N: int, k: int, prec: int) -> int:
     Gamma(r, x) <= 2 x^(r-1) e^-x, so the n-th term is at most
     4 n^((k+1)/2) e^(-c n) with c = 2 pi / sqrt(N); the tail from m+1 is
     bounded by a geometric series once those estimates apply.
+    From m0 = max(1, ceil(2(k-1)/c), ceil(1/c)) on, p/(m+1) < c for
+    p = (k+1)/2, so the bound strictly decreases: a doubling search from m0,
+    then bisection, finds the least m > m0 in O(log m) steps.  The ratio
+    q = e^x of consecutive term bounds enters as log(1 - q) = log(-expm1(x)),
+    which stays finite where q rounds to 1 (levels from about 10^33 on).
     """
     c = 2 * math.pi / math.sqrt(N)
     p = (k + 1) / 2
     target = -(prec + GUARD_BITS) * math.log(2)
-    m = max(1, math.ceil(2 * (k - 1) / c), math.ceil(1 / c))
-    while True:
-        m += 1
-        # ratio of consecutive term bounds; < 1 from some m on since c > 0
-        q = math.exp(-c + p * math.log1p(1.0 / (m + 1)))
-        if q >= 1.0:
-            continue
-        log_tail = math.log(4) + p * math.log(m + 1) - c * (m + 1) - math.log(1 - q)
-        if log_tail <= target:
-            return m
+
+    def below(m):  # the tail bound from m + 1 is at most 2^-(prec+GUARD_BITS)
+        x = -c + p * math.log1p(1.0 / (m + 1))
+        return math.log(4) + p * math.log(m + 1) - c * (m + 1) - math.log(-math.expm1(x)) <= target
+
+    lo = max(1, math.ceil(2 * (k - 1) / c), math.ceil(1 / c))
+    hi = lo + 1
+    while not below(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if below(mid) else (mid, hi)
+    return hi
 
 
 def critical_lambdas(f: NewformData, prec: int = 128) -> list[Dyadic]:

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 import sys
-from fractions import Fraction
 from itertools import zip_longest
 
 from zetapoly.dyadic import Dyadic, aligned, nstr, quotient, sqrt_rounded
@@ -159,12 +158,14 @@ def roots(poly, precision: int = 128) -> list:
        dyadic value that is returned.  The kernel's roundings give an
        a-priori bound B on the error of that value, and the root passes
        only if |value| + B < 2^(-precision/2) max(||P||, 1), ||P|| the sup
-       norm of P's coefficients, compared as squares on integers.  A pass
-       therefore proves the residual of the returned root below that
-       target.  If a root fails, stages 2-4 rerun with the Aberth stage in
-       fixed point at double the bits; PrecisionError is raised when the stage
-       at full precision fails, or at once when a failing root's bound B
-       alone reaches the target, which no rerun near that root can lower.
+       norm of P's coefficients, compared as squares against the integer
+       pair (max(||P||, 1)^2 den^2, den^2 4^(precision/2)) by cross-
+       multiplication.  A pass therefore proves the residual of the
+       returned root below that target.  If a root fails, stages 2-4 rerun
+       with the Aberth stage in fixed point at double the bits;
+       PrecisionError is raised when the stage at full precision fails, or
+       at once when a failing root's bound B alone reaches the target,
+       which no rerun near that root can lower.
 
     The residual target does not scale with |root|, while Horner's
     rounding error grows like sum_k |c_k| |z|^k: at low precision an input
@@ -190,9 +191,15 @@ def roots(poly, precision: int = 128) -> list:
     return [(Dyadic(a, E), Dyadic(b, E)) for a, b, E in _sorted_roots(found, precision)]
 
 
-def _not_certified(target2: Fraction) -> PrecisionError:
-    """The error for residuals that stay above the target sqrt(target2)."""
-    target = nstr(Dyadic(*_sqrt64(target2.numerator, target2.denominator)), 5)
+def _below(x2: int, shift: int, target2: tuple) -> bool:
+    """Whether x2 4^shift < N / D for ``target2`` = (N, D), by cross-multiplication."""
+    N, D = target2
+    return x2 * D << 2 * shift < N if shift >= 0 else x2 * D < N << -2 * shift
+
+
+def _not_certified(target2: tuple) -> PrecisionError:
+    """The error for residuals that stay above the target sqrt(N / D), ``target2`` = (N, D)."""
+    target = nstr(Dyadic(*_sqrt64(*target2)), 5)
     return PrecisionError(f"root iteration failed to certify residuals below {target}")
 
 
@@ -203,7 +210,7 @@ def _certified_roots(monic: tuple, factors: list, precision: int) -> list:
     den, pairs = monic
     fixed = _floored(monic, precision + _GUARD_BITS)
     norm2 = max(max(p * p + q * q for p, q in pairs), den * den)  # max(||P||, 1)^2 den^2
-    target2 = Fraction(norm2, den * den << 2 * (precision // 2))
+    target2 = norm2, den * den << 2 * (precision // 2)
     bits = _ISOLATION_BITS
     while True:
         try:
@@ -213,9 +220,9 @@ def _certified_roots(monic: tuple, factors: list, precision: int) -> list:
                 raise
         else:
             checked = [([_residual_below(fixed, z, target2) for z in zs], k) for zs, k in found]
-            if all(ok for rows, _ in checked for ok, *_ in rows):
-                return [z for rows, k in checked for _, _, z, _ in rows * k]
-            if bits == precision or any(futile for rows, _ in checked for *_, futile in rows):
+            if all(ok for rows, _ in checked for ok, _, _ in rows):
+                return [z for rows, k in checked for _, z, _ in rows * k]
+            if bits == precision or any(futile for rows, _ in checked for _, _, futile in rows):
                 raise _not_certified(target2)
         bits = min(2 * bits, precision)
 
@@ -310,23 +317,21 @@ def _aberth_fixed(g: tuple, bits: int) -> list:
     den, pairs = g
     fixed = t, d, rows = _floored(g, bits + _GUARD_BITS)
     half, den2 = bits // 2, den * den
-    norm2 = max(max(p * p + q * q for p, q in pairs), den2)  # max(||g||, 1)^2 den^2
+    target2 = max(max(p * p + q * q for p, q in pairs), den2), den2 << 2 * half  # max(||g||, 1)^2 4^-half
     log_r = 1 + max(lc / (d - k) for k, *_, lc in rows if k < d)  # 2 max_k |c_(d-k)|^(1/k)
     unit = 2 ** (log_r % 1)
     angles = (2 * math.pi * j / d + _SEED_ANGLE_OFFSET for j in range(d))
     z = [_dyadic(unit * complex(math.cos(a), math.sin(a)), math.floor(log_r)) for a in angles]
 
-    def small(h):  # |P| < 2^-half max(||g||, 1), from the kernel's G and s, on integers
-        gr, gi, _, _, _, s, _ = h
-        x, k = (gr * gr + gi * gi) * den2, 2 * (s - t + half)
-        return x << k < norm2 if k >= 0 else x < norm2 << -k
+    def small(gr, gi, _dr, _di, _bound, s, _point):  # |P| < 2^-half max(||g||, 1), from G and s
+        return _below(gr * gr + gi * gi, s - t, target2)
 
     for _ in range(_ABERTH_MAX_ITER):
         settled, moved = True, False
         for j in range(d):
             h = _horner_fixed(fixed, z[j], derivative=True)
             gr, gi, dr, di, _, _, (yr, yi, E) = h
-            settled &= small(h)
+            settled &= small(*h)
             if not (gr or gi):
                 continue
             sr = si = 0  # S in units of 2^-(t + e), e = E + t
@@ -345,9 +350,9 @@ def _aberth_fixed(g: tuple, bits: int) -> list:
             moved |= x << 2 * half >= n and x.bit_length() > max(-2 * (half + E), 0)
         if settled or not moved:
             return z
-    if all(small(_horner_fixed(fixed, x)) for x in z):  # final certification pass
+    if all(small(*_horner_fixed(fixed, x)) for x in z):  # final certification pass
         return z
-    raise _not_certified(Fraction(norm2, den2 << 2 * half))
+    raise _not_certified(target2)
 
 
 def _dyadic(x: complex, exp: int = 0) -> tuple[int, int, int]:
@@ -392,8 +397,7 @@ def _horner_fixed(fixed: tuple, z: tuple, derivative: bool = False) -> tuple:
     rounded to the nearest unit, off by at most 1/2.  As |y| <= 1, no
     error grows in later steps, so the returned G is within
     B = ceil(sqrt(2) h / 2) units of 2^t Q(y), with h = d + 1 halves for
-    the products plus 2 per nonzero coefficient (2^(l+1) if it had to be
-    shifted left by l, which the margin of ``_floored`` rules out).
+    the products plus 2 per nonzero coefficient.
 
     Returns (G_re, G_im, D_re, D_im, B, s, point), ``point`` = (Y_re,
     Y_im, e - t) the dyadic 2^e y at which P was evaluated.  D is 2^t Q'(y)
@@ -414,14 +418,9 @@ def _horner_fixed(fixed: tuple, z: tuple, derivative: bool = False) -> tuple:
     log_z = E + math.log2(n) / 2 if n else E
     s = math.ceil(max(lc + k * log_z for k, _, _, _, lc in rows))
     ar, ai = [0] * (d + 1), [0] * (d + 1)
-    halves = d + 1
     for k, cr, ci, u, _ in rows:
         shift = u - (k * e + t - s)
-        if shift > 0:
-            ar[k], ai[k] = (cr + (1 << shift - 1)) >> shift, (ci + (1 << shift - 1)) >> shift
-        else:
-            ar[k], ai[k] = cr << -shift, ci << -shift
-        halves += 2 << -min(shift, 0)
+        ar[k], ai[k] = (cr + (1 << shift - 1)) >> shift, (ci + (1 << shift - 1)) >> shift
     half = 1 << t - 1
     ys, yd = yr + yi, yi - yr  # g y = (m - g_i ys) + (m + g_r yd) i, m = y_r (g_r + g_i)
     cut = max((t + 1) // 2 - 32, 0)  # D runs on t - cut = min(t, t // 2 + 32) bits
@@ -434,6 +433,7 @@ def _horner_fixed(fixed: tuple, z: tuple, derivative: bool = False) -> tuple:
             dr, di = ((m - di * hs) >> tp) + (gr >> cut), ((m + dr * hd) >> tp) + (gi >> cut)
         m = yr * (gr + gi)
         gr, gi = ((m - gi * ys + half) >> t) + ar[k], ((m + gr * yd + half) >> t) + ai[k]
+    halves = d + 1 + 2 * len(rows)
     return gr, gi, dr << cut, di << cut, (3 * halves + 3) // 4, s, (yr, yi, e - t)
 
 
@@ -453,21 +453,19 @@ def _ratio(nr: int, ni: int, dr: int, di: int, t: int) -> tuple[int, int]:
     return ((nr * dr + ni * di) << t) // dd, ((ni * dr - nr * di) << t) // dd
 
 
-def _residual_below(fixed: tuple, z: tuple, target2: Fraction) -> tuple:
-    """Whether |P(point)| < target is proved, ``target2`` = target^2 and
-    ``point`` the dyadic at which ``_horner_fixed`` evaluated P near z
-    (z itself when it has at most t bits below 2^e): with the kernel's G
-    and B it passes iff (isqrt(|G|^2) + 1 + B)^2 < target^2 in the
-    kernel's units, and then |P(point)| <= |G| + B < target.
+def _residual_below(fixed: tuple, z: tuple, target2: tuple) -> tuple:
+    """Whether |P(point)| < target is proved, ``target2`` = (N, D) with
+    target^2 = N / D and ``point`` the dyadic at which ``_horner_fixed``
+    evaluated P near z (z itself when it has at most t bits below 2^e):
+    with the kernel's G and B it passes iff (isqrt(|G|^2) + 1 + B)^2 <
+    target^2 in the kernel's units, and then |P(point)| <= |G| + B < target.
 
-    Returns (passed, band, point, futile); a failure means |P(point)| >=
-    target - band, band = (2B + 1) 2^(s - t), and ``futile`` that no G
-    could pass: (1 + B) 2^(s - t) >= target."""
+    Returns (passed, point, futile); a failure means |P(point)| >= target
+    - (2B + 1) 2^(s - t), and ``futile`` that no G could pass:
+    (1 + B) 2^(s - t) >= target."""
     gr, gi, _, _, bound, s, point = _horner_fixed(fixed, z)
-    units2 = target2 * Fraction(4) ** (fixed[0] - s)  # target^2 in the kernel's units
-    ok = (math.isqrt(gr * gr + gi * gi) + 1 + bound) ** 2 < units2
-    band = (2 * bound + 1) * Fraction(2) ** (s - fixed[0])
-    return ok, band, point, (1 + bound) ** 2 >= units2
+    ok = _below((math.isqrt(gr * gr + gi * gi) + 1 + bound) ** 2, s - fixed[0], target2)
+    return ok, point, not _below((1 + bound) ** 2, s - fixed[0], target2)
 
 
 def _doubles(g: tuple) -> list:
@@ -503,5 +501,5 @@ def rh_check(poly, mode: str, tol="1e-8", precision: int = 128) -> RootCheckRepo
                 for E, (a, b) in norms]
     E, mans = aligned([x.man_exp for x in devs])
     m = max(mans, default=0)
-    passed = m * Fraction(2) ** E * tol_pair[1] < tol_pair[0]
+    passed = (m * tol_pair[1]) << max(E, 0) < tol_pair[0] << max(-E, 0)
     return RootCheckReport(mode, tuple(rts), Dyadic(m, E), tol_pair, passed)

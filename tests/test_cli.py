@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from importlib import resources
 from unittest import mock
@@ -205,6 +206,19 @@ class TestTransformCommands:
         assert main(["rv-forward", str(bad)]) == EXIT_INPUT
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("argv", [["check", "es1"], ["rv-forward"]], ids=" ".join)
+    @pytest.mark.parametrize("data, key", [
+        ({"coeffs": [["1", "0"]]}, "w"),
+        ({"w": 2}, "coeffs"),
+    ], ids=["no-w", "no-coeffs"])
+    def test_missing_key_exits_2(self, argv, data, key, tmp_path, capsys):
+        bad = tmp_path / "missing_key.json"
+        bad.write_text(json.dumps(data))
+        assert main(argv + [str(bad)]) == EXIT_INPUT
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: polynomial payload missing key '{key}'\n"
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -376,6 +390,20 @@ class TestLvaluesCommand:
         path.write_text(json.dumps({"level": 1, "weight": 12, "fricke": 1, "an": "12"}))
         assert main(["lvalues", str(path)]) == EXIT_INPUT
         assert capsys.readouterr().err.startswith("error: 'an' must be a JSON list")
+
+    @pytest.mark.parametrize("level, need", [(10**20, 472919070768), (10**34, 6688908728295615999)])
+    def test_huge_level_needs_coefficients_at_once(self, level, need, tmp_path, capsys):
+        # required_nmax finds a_1..a_M in O(log M) steps, so a huge level fails
+        # its coefficient count without a scan that grows like sqrt(N); at
+        # 10^34 the ratio of consecutive term bounds rounds to 1
+        path = tmp_path / "huge_level.json"
+        path.write_text(json.dumps({"level": level, "weight": 12, "fricke": 1, "an": ["1"]}))
+        start = time.perf_counter()
+        assert main(["lvalues", str(path)]) == EXIT_CHECK_FAILED
+        assert time.perf_counter() - start < 1.0
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"precision error: need Fourier coefficients a_1..a_{need} for 128-bit work, got only 1\n"
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

@@ -11,6 +11,7 @@ from conftest import mpf, mpmath_loop_lambdas, numeric_poly, pentagonal_tau, pol
 from zetapoly.errors import InputError, PrecisionError
 from zetapoly.exactnum import binom_poly_in_s_scaled
 from zetapoly.lvalues import (
+    GUARD_BITS,
     NewformData,
     NumericPoly,
     _r_from_lambdas,
@@ -135,6 +136,28 @@ class TestCompletedL:
         # slow geometric ratio (c = 2 pi / sqrt(N) well below 0.1)
         need = required_nmax(10007, 4, 64)
         assert need > 1000
+
+    @staticmethod
+    def linear_nmax(N, k, prec):
+        """The one-step-at-a-time scan that ``required_nmax`` replaced."""
+        c = 2 * math.pi / math.sqrt(N)
+        p = (k + 1) / 2
+        target = -(prec + GUARD_BITS) * math.log(2)
+        m = max(1, math.ceil(2 * (k - 1) / c), math.ceil(1 / c))
+        while True:
+            m += 1
+            q = math.exp(-c + p * math.log1p(1.0 / (m + 1)))
+            if q >= 1.0:
+                continue
+            log_tail = math.log(4) + p * math.log(m + 1) - c * (m + 1) - math.log(1 - q)
+            if log_tail <= target:
+                return m
+
+    def test_required_nmax_search_agrees_with_the_linear_scan(self):
+        for N in [*range(1, 51), *(10**j for j in range(2, 7))]:
+            for k in range(4, 25, 2):
+                for prec in (64, 128, 1024, 4096):
+                    assert required_nmax(N, k, prec) == self.linear_nmax(N, k, prec), (N, k, prec)
 
     def test_insufficient_coefficients_flagged(self):
         short = NewformData(level=1, weight=12, fricke=1, an=(1, -24, 252))

@@ -10,8 +10,8 @@ the import path costs every command.  No module of the package imports
 mpmath or ``cmath`` at all: the tests read mpmath as an oracle only, and
 the Aberth seeds take math.cos and math.sin.  No module imports
 ``_thread`` or ``threading`` or names the interpreter's int-to-str digit
-cap.  Outside ``gaussian`` and ``rootfind``, only ``exactnum.parse_rational``
-imports ``fractions``, inside the function."""
+cap.  Outside ``gaussian``, only ``exactnum.parse_rational`` imports
+``fractions``, inside the function, and no command computes with Fraction."""
 
 import ast
 import contextlib
@@ -104,9 +104,9 @@ def test_help_and_the_forms_the_reader_leaves_load_argparse(argv):
     assert {"argparse", "gettext"} <= _loaded_by(argv)
 
 
-# The second number type: no workload and no ASCII rational text ("p/q", integers,
+# The second number type: no command and no ASCII rational text ("p/q", integers,
 # plain decimals) loads ``fractions``; rarer text (whitespace, underscores, other
-# digits) does, at 2.5-4.2 ms of import.  Only ``roots`` computes with Fraction.
+# digits) does, at 2.5-4.2 ms of import.  No command computes with Fraction.
 NUMBER_TYPES = ("decimal", "fractions", "numbers")
 
 
@@ -153,6 +153,15 @@ def test_typed_decimal_forms_load_no_second_number_type(argv, tmp_path):
     assert _loaded_by(argv, watched=NUMBER_TYPES) == set()
 
 
+@pytest.mark.parametrize("mode", [None, "critical_line", "unit_circle"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_roots_loads_no_second_number_type(mode, fmt):
+    """``roots`` on r_-, with and without ``--mode``, certifies its roots
+    and decides the line / circle check on integers alone."""
+    argv = ["--format", fmt, "roots", _data("r_delta_minus.json")] + (["--mode", mode] if mode else [])
+    assert _loaded_by(argv, watched=NUMBER_TYPES) == set()
+
+
 def _scopes_importing(module: str, top: str) -> set:
     """Where ``module`` imports the ``top`` package: "module" for code that
     runs at import, "module.function" inside a function."""
@@ -174,14 +183,14 @@ def _scopes_importing(module: str, top: str) -> set:
 
 
 def test_fractions_is_imported_at_module_level_only_by_modules_no_workload_loads():
-    """Only ``gaussian`` and ``rootfind`` import ``fractions`` at module
-    level; elsewhere only ``exactnum.parse_rational`` imports it, inside
-    the function, for text rarer than the ASCII forms it reads with ``int``."""
+    """Only ``gaussian`` imports ``fractions`` at module level; elsewhere
+    only ``exactnum.parse_rational`` imports it, inside the function, for
+    text rarer than the ASCII forms it reads with ``int``."""
     scopes = set()
     for name in sorted(os.listdir(os.path.join(SRC, "zetapoly"))):
         if name.endswith(".py"):
             scopes |= _scopes_importing(name[:-3], "fractions")
-    assert {s for s in scopes if "." not in s} <= {"gaussian", "rootfind"}
+    assert {s for s in scopes if "." not in s} <= {"gaussian"}
     assert {s for s in scopes if "." in s} <= {"exactnum.parse_rational"}
 
 

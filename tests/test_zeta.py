@@ -782,12 +782,14 @@ class TestResidualCertificate:
 
     @staticmethod
     def decide(monic, z, prec):
-        """(passed, band, target^2) for the dyadic z = (a + b i) 2^E."""
+        """(passed, band, target^2) for the dyadic z = (a + b i) 2^E, with
+        the failure band (2B + 1) 2^(s - t) from the kernel's B and s."""
         target2 = max(max(c.norm2() for c in monic), 1) / Fraction(4) ** (prec // 2)
         fixed = rootfind._floored(common_denominator(monic), prec + rootfind._GUARD_BITS)
-        ok, band, point, _ = rootfind._residual_below(fixed, z, target2)
+        ok, point, _ = rootfind._residual_below(fixed, z, (target2.numerator, target2.denominator))
         assert as_fraction(point) == as_fraction(z)  # the kernel evaluated z itself
-        return ok, band, target2
+        *_, bound, s, _ = rootfind._horner_fixed(fixed, z)
+        return ok, (2 * bound + 1) * Fraction(2) ** (s - fixed[0]), target2
 
     def check(self, monic, z, prec) -> bool:
         ok, band, target2 = self.decide(monic, z, prec)
