@@ -8,6 +8,8 @@ shipped with the package, and the root locations (critical line for the
 zeta-polynomial, unit circle for the period polynomial), proved by
 certified sign counts (``signcount.sign_count_check``) or failed, and the
 exact distance 1 of the odd part's trivial zero X = 0 from the circle.
+The parts of r are real multiples of the golden r_+ and r_- (Kohnen and
+Zagier, 1984): each coefficient must match its golden one within its proved error.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from importlib import resources
 
 from zetapoly.dyadic import INF, Dyadic, aligned, nstr, quotient, rounded
 from zetapoly.errors import InputError
-from zetapoly.exactnum import Record, as_ratio, parse_rational
+from zetapoly.exactnum import Record, parse_rational
 from zetapoly.lvalues import (
     _r_from_lambdas,
     critical_lambdas,
@@ -46,8 +48,6 @@ REFERENCE_Z_COEFFS = {
     1: "-0.0199",
     0: "0.00596",
 }
-EVEN_PATTERN = ((36, 691), 0, 1, 0, 3, 0, 3, 0, 1, 0, (36, 691))  # ints and (num, den) pairs
-ODD_PATTERN = (0, 4, 0, 25, 0, 42, 0, 25, 0, 4, 0)
 
 SCALE_REL_TOL = (1, 100000)  # 5 significant digits, as (num, den)
 ROOT_TOL = "1e-8"  # tolerance of the two proved root checks; r_- must miss the circle by more
@@ -99,7 +99,9 @@ class DeltaReport(Record):
     ``max_deviation`` 0, else fail with no roots and +inf.
     ``r_minus_circle_deviation`` is 1 if r_-(0) = 0 exactly, else 0: a
     proved lower bound on the largest distance of a root of r_- from
-    |X| = 1, and that distance (the roots are 0, +-i/2, +-i, +-i, +-2i)."""
+    |X| = 1, and that distance (the roots are 0, +-i/2, +-i, +-i, +-2i).
+    ``passed`` holds if every check does, and fails when a coefficient of r
+    leaves its proved allowance against the golden parts (see ``run_delta``)."""
 
     prec: int
     lambdas: tuple
@@ -168,18 +170,21 @@ def run_delta(prec: int = 128) -> DeltaReport:
     scale_even_ok = _excess(m[8], rnum.exp, even_ref, (tn * even_ref[0], td * even_ref[1])) < 0
     scale_odd_ok = _excess(m[9], rnum.exp - 2, odd_ref, (tn * odd_ref[0], td * odd_ref[1])) < 0
 
-    # Every coefficient must follow scale * pattern; doubles as the
-    # coefficientwise period-relation check.  Over the common 2^E,
-    # r_j / (scale p) - 1 = (m_j - m_8 p) / (m_8 p) for even j and
-    # (4 m_j - m_9 p) / (m_9 p) for odd j; the largest is kept as a ratio.
-    max_dev = (0, 1)
+    # Each coefficient follows the golden part of its parity (which doubles
+    # as the period-relation check): with a_j its golden numerator and i = 8
+    # for even j, 9 for odd j, the deviation over the common 2^E is |a_i m_j
+    # - m_i a_j| / |m_i a_j|, the largest kept as a ratio.  a_i r_j = a_j r_i
+    # exactly, so the proved errors e_j bound its numerator by |a_i| e_j + |a_j| e_i.
+    r_minus = golden_r_minus()
+    r_plus = golden_r_plus()
+    a = [(r_minus if j % 2 else r_plus).pairs[j][0] for j in range(11)]
+    max_dev, within = (0, 1), True
     for j in range(11):
-        a, b = as_ratio(EVEN_PATTERN[j] if j % 2 == 0 else ODD_PATTERN[j])
-        if a:
-            ms, mj = (m[8], m[j]) if j % 2 == 0 else (m[9], 4 * m[j])
-            num, den = abs(mj * b - ms * a), abs(ms * a)
-            if num * max_dev[1] > max_dev[0] * den:
-                max_dev = (num, den)
+        i = 8 + j % 2
+        num, den = abs(a[i] * m[j] - m[i] * a[j]), abs(m[i] * a[j])
+        within = within and num <= abs(a[i]) * rnum.errs[j] + abs(a[j]) * rnum.errs[i]
+        if num * max_dev[1] > max_dev[0] * den:
+            max_dev = (num, den)
 
     z_checks = []
     for p in range(10, -1, -1):
@@ -188,8 +193,6 @@ def run_delta(prec: int = 128) -> DeltaReport:
         ok = _excess(znum.mans[p], znum.exp, parse_rational(ref), (51 * un, 100 * ud)) <= 0
         z_checks.append((p, ref, Dyadic(znum.mans[p], znum.exp), ok))
 
-    r_minus = golden_r_minus()
-    r_plus = golden_r_plus()
     exact_z_match = rv_forward(r_minus) == golden_z_minus()
     golden_relations_ok = all(
         res.is_zero()
@@ -218,6 +221,7 @@ def run_delta(prec: int = 128) -> DeltaReport:
     passed = bool(
         scale_even_ok
         and scale_odd_ok
+        and within
         and all(ok for _, _, _, ok in z_checks)
         and exact_z_match
         and golden_relations_ok

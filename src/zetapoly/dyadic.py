@@ -8,7 +8,8 @@ rounds one to a number of significant bits, to nearest with ties to even
 it the truncated value with a sticky bit, as mpmath's ``mpf_div`` and
 ``mpf_sqrt`` do, so each agrees with mpmath bit for bit.  ``Dyadic``
 holds one value in mpmath's own raw form, and ``nstr`` prints that form
-as ``mpmath.nstr`` does, digit for digit.
+as ``mpmath.nstr`` does, digit for digit but for near ties past
+2^(+-3500) (see ``_digits``).
 """
 
 from __future__ import annotations
@@ -155,27 +156,12 @@ def _to_str(t: tuple, dps: int) -> str:
 def _digits(man: int, exp: int, bc: int, dps: int) -> tuple[str, int]:
     """mpmath's ``to_digits_exp`` on |value| = man 2^exp: at least dps
     leading decimal digits, truncated, and the decimal exponent of the
-    first.  Past 2^(+-3500) mpmath first divides by a power of ten rounded
-    to the working bits; this divides exactly, so there the digits can
-    differ from mpmath's in the last of the dps places."""
+    first, by mpmath's fixed-point path at every exponent.  Past 2^(+-3500)
+    mpmath first divides by a power of ten rounded to the working bits, so
+    there the digits can differ from mpmath's only at a near tie in digit dps."""
     bitprec = int(dps * _LOG2_10) + 10
-    exponent = 0
-    if abs(exp + bc) > 3500:
-        exponent = int(exp * math.log10(2))
-        num, den = man << max(exp, 0), 1 << max(-exp, 0)
-        if exponent > 0:
-            den *= 10**exponent
-        else:
-            num *= 10**-exponent
-        shift = max(bitprec + 1 + den.bit_length() - num.bit_length(), 0)
-        man, exp = (num << shift) // den, -shift  # truncated to bitprec bits, as mpmath does
-        drop = man.bit_length() - bitprec
-        man, exp = man >> drop, exp + drop
-        zeros = (man & -man).bit_length() - 1
-        man, exp = man >> zeros, exp + zeros
-        bc = man.bit_length()
     fixprec = max(bitprec - exp - bc, 0)
     fixdps = int(fixprec / _LOG2_10 + 0.5)
     fixed = man << exp + fixprec if exp + fixprec >= 0 else man >> -(exp + fixprec)
     digits = decimal_str(fixed * 10**fixdps >> fixprec)
-    return digits, exponent + len(digits) - fixdps - 1
+    return digits, len(digits) - fixdps - 1

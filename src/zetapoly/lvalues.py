@@ -162,10 +162,14 @@ def required_nmax(N: int, k: int, prec: int) -> int:
     then bisection, finds the least m > m0 in O(log m) steps.  The ratio
     q = e^x of consecutive term bounds enters as log(1 - q) = log(-expm1(x)),
     which stays finite where q rounds to 1 (levels from about 10^33 on).
+    Past 2^1000, N = N' 4^s and m = m' 2^s move the bound by (p + 1) s log 2
+    up to terms of relative size 2^-500, so the search runs on N' and m',
+    that much below the target, and nmax is a multiple of 2^s.
     """
-    c = 2 * math.pi / math.sqrt(N)
+    s = max(N.bit_length() - 1000, 0) // 2
+    c = 2 * math.pi / math.sqrt(N >> 2 * s)
     p = (k + 1) / 2
-    target = -(prec + GUARD_BITS) * math.log(2)
+    target = -(prec + GUARD_BITS + (p + 1) * s) * math.log(2)
 
     def below(m):  # the tail bound from m + 1 is at most 2^-(prec+GUARD_BITS)
         x = -c + p * math.log1p(1.0 / (m + 1))
@@ -178,7 +182,7 @@ def required_nmax(N: int, k: int, prec: int) -> int:
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if below(mid) else (mid, hi)
-    return hi
+    return hi << s
 
 
 def critical_lambdas(f: NewformData, prec: int = 128) -> list[Dyadic]:

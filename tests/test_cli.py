@@ -391,11 +391,17 @@ class TestLvaluesCommand:
         assert main(["lvalues", str(path)]) == EXIT_INPUT
         assert capsys.readouterr().err.startswith("error: 'an' must be a JSON list")
 
-    @pytest.mark.parametrize("level, need", [(10**20, 472919070768), (10**34, 6688908728295615999)])
+    @pytest.mark.parametrize(
+        "level, need",
+        [(10**20, 472919070768), (10**34, 6688908728295615999),
+         *(pytest.param(10**e, None, id=f"1e{e}") for e in (400, 700, 4000))],
+    )
     def test_huge_level_needs_coefficients_at_once(self, level, need, tmp_path, capsys):
         # required_nmax finds a_1..a_M in O(log M) steps, so a huge level fails
         # its coefficient count without a scan that grows like sqrt(N); at
-        # 10^34 the ratio of consecutive term bounds rounds to 1
+        # 10^34 the ratio of consecutive term bounds rounds to 1, and past
+        # the double range (10^308) the level is scaled down by 4^s
+        need = need or required_nmax(level, 12, 128)
         path = tmp_path / "huge_level.json"
         path.write_text(json.dumps({"level": level, "weight": 12, "fricke": 1, "an": ["1"]}))
         start = time.perf_counter()

@@ -85,6 +85,23 @@ class TestRunDelta:
         with mp.workprec(64):
             assert report128.pattern_max_rel_dev < mpmath.mpf("1e-30")
 
+    @pytest.mark.parametrize("prec", [128, 1024, 4096])
+    def test_l_values_off_by_a_relative_step_fail_the_run(self, prec, monkeypatch):
+        # Lambda(4) and Lambda(8) scaled together keep the functional equation,
+        # the scale factors, the printed Z digits and the sign counts; r_7 and
+        # r_3 then leave their proved allowance against the golden odd part.
+        honest = critical_lambdas
+        for shift in (20, prec - 8):
+            def scaled(f, p, shift=shift):
+                return [Dyadic(v.man_exp[0] * ((1 << shift) + 1), v.man_exp[1] - shift) if s in (4, 8) else v
+                        for s, v in enumerate(honest(f, p), start=1)]
+
+            monkeypatch.setattr(delta, "critical_lambdas", scaled)
+            report = run_delta(prec)
+            assert report.scale_even_ok and report.scale_odd_ok and report.golden_relations_ok, shift
+            assert report.z_roots.passed and report.r_roots.passed, shift
+            assert report.passed is False, shift
+
     def test_low_precision_still_passes(self):
         assert run_delta(64).passed
 

@@ -35,7 +35,10 @@ class TestPrinter:
         for _ in range(300 if dps < 100 else 30):
             bits = rng.choice([1, 2, 10, 53, 64, 128, 300, 4200])
             man = rng.getrandbits(bits) * rng.choice([1, -1])
-            x = Dyadic(man, rng.randint(-bits - 40, 40))
+            # a quarter of the exponents lie past 2^(+-3500), where mpmath
+            # first divides by a rounded power of ten
+            far = rng.choice([1, -1]) * rng.randint(3400, 20000)
+            x = Dyadic(man, far if rng.random() < 0.25 else rng.randint(-bits - 40, 40))
             assert nstr(x, dps) == _oracle(x, dps), (man, x)
 
     @pytest.mark.parametrize("dps", DPS)

@@ -159,6 +159,25 @@ class TestCompletedL:
                 for prec in (64, 128, 1024, 4096):
                     assert required_nmax(N, k, prec) == self.linear_nmax(N, k, prec), (N, k, prec)
 
+    @pytest.mark.parametrize("power", [300, 302, 400, 700, 4000, 4299])
+    def test_required_nmax_meets_the_tail_bound_past_the_double_range(self, power):
+        # the docstring's log tail bound in 60-digit mpmath: at the target
+        # at nmax, up to the rounding of doubles near (p + 1) s log 2 (about
+        # 10^-11 at s = 7000), and above it a relative 10^-10 lower; levels
+        # past 2^1000 are searched on N / 4^s
+        level, k, prec = 10**power, 12, 128
+        need = required_nmax(level, k, prec)
+        with mp.workdps(60):
+            c, p = 2 * mp.pi / mp.sqrt(level), mpmath.mpf(k + 1) / 2
+            target = -(prec + GUARD_BITS) * mp.log(2)
+
+            def log_tail(m):
+                q1 = -mp.expm1(-c + p * mp.log1p(1 / (m + 1)))  # 1 - q
+                return mp.log(4) + p * mp.log(m + 1) - c * (m + 1) - mp.log(q1)
+
+            assert log_tail(mpmath.mpf(need)) <= target + mpmath.mpf("1e-9")
+            assert log_tail(need * (1 - mpmath.mpf("1e-10"))) > target
+
     def test_insufficient_coefficients_flagged(self):
         short = NewformData(level=1, weight=12, fricke=1, an=(1, -24, 252))
         with pytest.raises(PrecisionError) as err:

@@ -27,7 +27,7 @@ from conftest import (
     violating_polyx,
 )
 from zetapoly.delta import golden_r_plus
-from zetapoly.dyadic import Dyadic
+from zetapoly.dyadic import Dyadic, aligned
 from zetapoly.errors import InputError, PrecisionError
 from zetapoly.exactnum import GaussianRational, I, ONE, ZERO, common_denominator, qi
 from zetapoly.lvalues import NumericPoly, build_r, delta_newform, numeric_rv
@@ -722,6 +722,27 @@ class TestRoots:
         with pytest.raises(PrecisionError):
             roots(modulus_27_poly(), precision=prec)
         assert kinds and all(kind == ("doubles", 53) for kind in kinds)
+
+    @pytest.mark.parametrize("prec", [64, 128, 1024])
+    @pytest.mark.parametrize("cap", [1, 2, 3, 15])
+    def test_a_capped_sweep_raises_or_returns_certified_roots(self, cap, prec, monkeypatch):
+        # With the sweep cap at 1-3 sweeps, both Aberth stages end in their
+        # final certification pass; roots may then raise PrecisionError, but
+        # every root it returns passes the residual certificate on the input
+        # (at 15 sweeps golden r_+ comes back and (X-1)...(X-10) still fails).
+        monkeypatch.setattr(rootfind, "_ABERTH_MAX_ITER", cap)
+        kinds = spy_aberth_rungs(monkeypatch)
+        for P in (golden_r_plus(), poly_with_roots(range(1, 11))):
+            try:
+                got = roots(P, precision=prec)
+            except PrecisionError as exc:
+                assert str(exc).startswith("root iteration failed to certify residuals below ")
+                continue
+            monic = [c / P.coeffs[P.degree()] for c in P.coeffs[: P.degree() + 1]]
+            for re, im in got:
+                E, (a, b) = aligned([re.man_exp, im.man_exp])
+                assert TestResidualCertificate.decide(monic, (a, b, E), prec)[0]
+        assert any(kind == "fixed" for kind, _ in kinds)  # the doubles stage handed off
 
     @pytest.mark.parametrize(
         "prec,rungs",
