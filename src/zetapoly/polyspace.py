@@ -6,8 +6,8 @@ that action exactly for the matrices every relation uses: Gaussian-integer
 entries, a unit determinant and c zero or a unit.  On top of it sit the
 residuals of the Fricke relation and of the Eichler-Shimura relations
 (both in the classical variable and in the rescaled variable), and the
-space W_w cut out by the classical relations, computed by integer
-elimination on its even and its odd part apart.
+space W_w cut out by the classical relations: integer elimination on
+each parity part, its unknowns folded by S and its rows by X -> 1/X.
 """
 
 from __future__ import annotations
@@ -155,44 +155,44 @@ def wspace_basis(w: int) -> tuple[list[PolyX], int, int]:
     """Primitive integer basis of W_w = {P : P|(1+S) = P|(1+U+U^2) = 0},
     together with the dimensions of its even and odd parity parts.
 
-    Fraction-free elimination on the even and on the odd columns of the
-    stacked integer system, pivots lowest first, gives the full basis:
-    P(X) -> P(-X) maps W_w to itself (Kohnen and Zagier), so kernel
-    vectors split into even and odd parts, and a column is free in the
-    full system exactly when free in its parity's.  The basis vector of
-    a free column c is the unique primitive kernel vector, first nonzero
-    entry positive, that is nonzero at c and zero at the other free
-    columns; the parity vector of c is one.
+    P(X) -> P(-X) maps W_w to itself (Kohnen and Zagier), so each parity
+    part is found apart, by fraction-free elimination with pivots lowest
+    first on its columns of the folded system (_relation_rows), each kernel
+    vector mirrored by a_(w-j) = -(-1)^j a_j = (2p-1) a_j for parity p.  Its
+    support is symmetric about h = w/2, so the stacked (1+S, 1+U+U^2)
+    system has the same free columns, all at j >= h: a free column c gives
+    the unique primitive kernel vector, first nonzero entry positive, that
+    is nonzero at c and zero at the other free columns.
     """
     require_even_w(w)
-    rows = _relation_rows(w)
-    parts = [_integer_nullspace(rows, list(range(p, w + 1, 2))) for p in (0, 1)]
-    basis = [[v[j // 2] if j % 2 == p else 0 for j in range(w + 1)] for p in (0, 1) for v in parts[p]]
-    basis.sort(key=lambda vec: max(j for j, x in enumerate(vec) if x))  # by free column
+    h, rows, parts = w // 2, _relation_rows(w), ([], [])
+    for p, part in enumerate(parts):
+        first, half = 2 - h % 2 - p, [0] * (h + 1)  # first folded column of parity p; a_h = 0 for even h
+        for v in _integer_nullspace(rows, range(first, h + 1, 2)):
+            half[first::2] = v  # the other entries of half stay 0
+            vec = [(2 * p - 1) * x for x in half[:0:-1]] + half
+            part.append(vec if next(filter(None, vec)) > 0 else [-x for x in vec])
+    basis = sorted(parts[0] + parts[1], key=lambda vec: max(j for j, x in enumerate(vec) if x))  # by free column
     return [PolyX(w, 1, tuple((x, 0) for x in vec)) for vec in basis], len(parts[0]), len(parts[1])
 
 
 def _relation_rows(w: int) -> list[list[int]]:
-    """Rows of the stacked (1+S, 1+U+U^2) system; column j is the image
-    of the monomial X^j.
+    """Rows t <= h = w/2 of 1+U+U^2 on the S-folded unknowns a_h..a_w:
+    column j > h is the image of X^j - (-1)^j X^(w-j), column h of X^h.
 
-    S, U and U^2 have determinant 1, so X^j|S = (-1)^j X^(w-j),
-    X^j|U = (X-1)^j X^(w-j) and X^j|U^2 = (-1)^j (X-1)^(w-j); as w is
-    even, the X^t coefficient of the last two is (-1)^t times a binomial.
+    X^j|S = (-1)^j X^(w-j), so P|(1+S) = 0 is a_(w-j) = -(-1)^j a_j (a_h = 0
+    for even h).  eps = [[0, 1], [1, 0]] has eps U eps = U^-1 = -U^2, so it
+    commutes with 1+U+U^2; as P|eps = +-P for such a P of one parity, its
+    residual has Q_(w-t) = +-Q_t.  The X^t coefficient of X^j|(U+U^2) =
+    (X-1)^j X^(w-j) + (-1)^j (X-1)^(w-j) is (-1)^t (C(j, w-t) + C(w-j, t)).
     """
-    rows_s = [[(t == j) + (-1) ** j * (t == w - j) for j in range(w + 1)] for t in range(w + 1)]
-    rows_u = [
-        [
-            (t == j)
-            + (-1) ** t * ((math.comb(j, t + j - w) if t + j >= w else 0) + math.comb(w - j, t))
-            for j in range(w + 1)
-        ]
-        for t in range(w + 1)
-    ]
-    return rows_s + rows_u
+    h = w // 2
+    u = [[(t == j) + (-1) ** t * (math.comb(j, w - t) + math.comb(w - j, t)) for j in range(w + 1)]
+         for t in range(h + 1)]  # u[t][j]: the X^t coefficient of X^j|(1+U+U^2)
+    return [[row[j] - (j > h) * (-1) ** j * row[w - j] for j in range(h, w + 1)] for row in u]
 
 
-def _integer_nullspace(rows: list[list[int]], cols: list[int]) -> list[list[int]]:
+def _integer_nullspace(rows: list[list[int]], cols: range | list[int]) -> list[list[int]]:
     """Nullspace basis of the columns ``cols`` of an integer matrix via
     fraction-free Gauss-Jordan elimination.
 

@@ -996,6 +996,71 @@ ROOTS_DIGEST = {
 }
 
 
+# sha256 of `zetapoly --format json wspace W` for every even W from 2 to 120.
+WSPACE_JSON_DIGEST = {
+    2: "db566912aa048f8ee7180ffdb3b7a7ec0a1af28e54253bbe5a96c00eb4296e0f",
+    4: "6df6a6dcc14c7873dea0fe253548942882c89b9c7d7736011faa0e99d0c5f038",
+    6: "c2865c7c9bd0518495308f4a863c293004432c663cb10ce6f34caf4529d8b809",
+    8: "3d4756028a9afa52eefc402e4f2e4606426cf76b51ad1a02e4f517656939c102",
+    10: "43667b4192c31dc691e39c46f1bd2740857382eb51b8b63022397f058b553e7e",
+    12: "e3b7f733a8285b68e319cfb810cd1dfc19996f5d2b38d40b9055846209ac865c",
+    14: "7daf9d1a06c76e63edc42e182b23b1008c12a14529b836acbf95425461462dfe",
+    16: "976fc0abe398a8d8869d939cec621ce6536f84903ed495d80de70caf7ab2ef72",
+    18: "ff4608abb14fd4b70f7d082581a1ddfe8b45cf63ef4e072169a050aed3a3f3d5",
+    20: "f8b2443306f01f47acb432e712ee1914a2293d9afce72eb334c971900bf33344",
+    22: "c25434ee78f49cfd5c3e8c64eaef8682d692dd1db5a21e1f9590c0d003d33c09",
+    24: "989183e3a9f863c2d9154aa39261201ff29d262d15777936cab7663de012ef9b",
+    26: "29d23f079e555024b877d2bda2d581c3464f678d62cb87cee750d7c731420ac8",
+    28: "717948fb01a02e5a6031c137072a8617755ea18e357aa1e058611cedbcc25bd0",
+    30: "5eed28958f92c50e06222c5a9a8230d0e55c242c91bac58aedd49d5f2e2778e3",
+    32: "b2ea7fc84242ef7673e15bbb9cadce68fa0fee6e6cc48cfa5fdf8aa0c4dd2545",
+    34: "ccd3ef4914b9933c50409a19bd0fe56b3f0e5cbea3ec7b755d8179edacfd52a6",
+    36: "3d9be26f1eda40ab7f9dfbc6f0eea9434158e493fbe06ab66db33cc16e5f874a",
+    38: "50ed9def7fec3d255341c8f5d0045349aabb1a0a776cdc2a664fc19205a9e695",
+    40: "9b7447841d67f8db126c4ee295bd60cc518efc7668342252d0772a646dc7d860",
+    42: "894280aee9c2def7b0f5214fe59e5c8396986deab8157b059eae5bdc524f6deb",
+    44: "b49a058ef9af57b2cdd12d05d7d35e331b7c8e57a44f1e6e2ffe85fb4e4cbd28",
+    46: "4312e0ac72c2dfdbd2f6aff6922da834ee2107430ca3a6418a2106aa9eeb457f",
+    48: "e9c637de0b318f86ff4fcfca8ed7046a5f3f9e5020fa1449e03858f9751ced49",
+    50: "19784e22b2e280b0ff119670fa028366192fc95f74ea45eb7aa0178b6fabdcc0",
+    52: "477c4efab051dff3106fd83bb2123336e0cca79eab17e04f15e7b891d7ff2c44",
+    54: "3b0722630a6abb3a57608748083452520972cec2c1889e5f3193b40d1c77751d",
+    56: "f69351b94b5ed0901c809561ce5a0fee67d01fef7befbf22daca019e466f1dd6",
+    58: "d26f785a38db52a55a628d77c32efa70e890aec0916cd87fee28956e11b84c1a",
+    60: "7ae59e01cfd1e89882bf0ec70ef4f76d19ad82acc2430c00dbc864b2a1c4c9dc",
+    62: "3b602f23f6e9e5819b91d9ef5a1560d4123066287256d53bae2f13d86d481b04",
+    64: "c74350c0e28c9caad38604e8b96c9b7b09818db1273c0b19608531c26ff8e594",
+    66: "a5605a0ce2f80e61308fe241f014e65bd94e6474bdb52d10fd6512fb7c8e6e79",
+    68: "bc4677ca5b4546e7717315ddc0db227ed35831a8a51adfab1cb61d133dc4d85d",
+    70: "6dfb44365020fe68d515b13881c686be689f92e9c6e2e9a7d659bdd9a66feb14",
+    72: "6704d0dca3fcfe72901b380c362a1e7ea746f20fecdf70911b25922cbef47c57",
+    74: "0165708094fe480ce1d3059ea98fc5d857b79d839632442fec5771da9df2cab3",
+    76: "65c7f5fd029a41f71315534aeff2af8bf08a00d0f5a40791a9aee882423187d4",
+    78: "236213a628d739e4c485c8b9da8d8d418c1856532545d908aa492446a56d8f41",
+    80: "248d86acbf03f58559e5ca2522b3813d63d0fd9807fa89964f768e0f111387d5",
+    82: "dacfe1f2d17d2249c97229a388b2505839be79e9f1b592353494eb6f8134f3c7",
+    84: "3b39a07264a0aced6da664000843f980bc48f742121c3592a8591e8cc17dece7",
+    86: "211efe07315c781dee3076a4deac7c10802164b4023f4f3399f31f9fe2ed9075",
+    88: "bc008f6a68fe098bbd7b7d3755cd9ad36c1bc2ea4755586b3722547432265d6a",
+    90: "cef847382d882cc04961d2516f4dbd1c8d4383befc773c57d23ef620317a9fdc",
+    92: "3818fc7688028d608ab6f5edff7c3a6c9144053fd28c5ead8511e673ede06f3e",
+    94: "15f799d155d33d791fa2d97baa0180363edc1a72eec6c8ab666b28ae268addd9",
+    96: "8ab497523c2afddc5ee07dca7fced77058ae1bfe61e904fbea6b8654237caa82",
+    98: "422e72a4ff1864d98f301d6a3182db2b633df4db577a47fc449f5627f7d4e273",
+    100: "8bfeb33f3488184bddad7e4be22b6e15c85ebcf0fa86f500cc5607e840686dc6",
+    102: "a7fca3e38876473bbb8995303c64c3e6b38c36c621746162b9ab647c79dcebd6",
+    104: "88c9bb9fab73fb7605c1f93a817d18dd598679ba7b96778e9f7694fe0b788c00",
+    106: "c906852b36c17a7506f5cb10c04031da230a882ea41dcc6111670f6505153545",
+    108: "4f951dedb2a9429ccfa0f341101f6b52476402b21b5cf54a231d6543d578e64b",
+    110: "566cb2192ff7e820781554c61ebb3524bacd0fc3cc04ce27ece74bdffbf56638",
+    112: "5857d730469bd7e49afc8883930b5379a780a708aa8c78c90cbb01fe9664d01a",
+    114: "87352e2485d746d23b9e451c337279190f30b6a781fc5f1ff1bcc8a5aa79cf5c",
+    116: "913c13ea0b140a8e0090bb2e65153732d3d7da80fa69cb118c00c7ea9239d970",
+    118: "26ee7204fd09a04c45acb151fc6e8b170e933b1c8fd594266f21292d9657bfda",
+    120: "b9ef661da0689e37c8f3ff3f3be36c3a2d82d51dd9639ea37925f11eed93ece4",
+}
+
+
 class TestOutputBytes:
     """The exact bytes written, not just their parsed content."""
 
@@ -1069,9 +1134,8 @@ class TestOutputBytes:
         "w,fmt,digest",
         [
             (30, "text", "61a23c8bf07ddbe4041cf87ce0536858d240fc8f45c75349be01e67c4ddbae9a"),
-            (30, "json", "5eed28958f92c50e06222c5a9a8230d0e55c242c91bac58aedd49d5f2e2778e3"),
             (60, "text", "88222ac3ab4f6c8395a09e79dc55e134971d0fff15a85b9b9ad7163f93e74900"),
-            (60, "json", "7ae59e01cfd1e89882bf0ec70ef4f76d19ad82acc2430c00dbc864b2a1c4c9dc"),
+            *((w, "json", digest) for w, digest in WSPACE_JSON_DIGEST.items()),
         ],
     )
     def test_wspace_digest(self, w, fmt, digest, capsys):

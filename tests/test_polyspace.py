@@ -15,6 +15,7 @@ from conftest import (
     rand_qi,
     scaled,
     slash_oracle,
+    small_fractions,
     symmetric_polyx,
     violating_polyx,
 )
@@ -37,7 +38,7 @@ from zetapoly.polyspace import (
     slash,
     wspace_basis,
 )
-from zetapoly.rv import ZetaPoly, rv_forward
+from zetapoly.rv import ZetaPoly, rv_forward, rv_inverse
 from zetapoly.zeta import functional_eq_residual
 
 R_DELTA_MINUS = PolyX.make(10, [0, 4, 0, 25, 0, 42, 0, 25, 0, 4, 0])
@@ -426,8 +427,8 @@ class TestWSpace:
 
     @pytest.mark.parametrize("w", [*range(2, 61, 2), 100])
     def test_parity_bases_merge_to_the_full_elimination(self, w):
-        # the oracle is the elimination on all w + 1 columns at once
-        full = _integer_nullspace(_relation_rows(w), list(range(w + 1)))
+        # the oracle is the elimination of the stacked system on all w + 1 columns at once
+        full = _integer_nullspace(stacked_relation_rows(w), list(range(w + 1)))
         with mock.patch.object(polyspace, "_integer_nullspace", wraps=_integer_nullspace) as solve:
             basis, _, _ = wspace_basis(w)
         assert solve.call_count == 2
@@ -435,15 +436,88 @@ class TestWSpace:
         assert all(not c.im for b in basis for c in b.coeffs)
 
 
+class TestTurnedBasis:
+    """X -> iX (R_j = i^j b_j) carries W_w, as wspace prints it, into the
+    rescaled normalization that thm2 reads: rational combinations of one
+    parity part keep both rescaled relations, the transform round trip
+    and the functional equation exactly."""
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_rational_combinations_of_one_parity(self, data):
+        w = data.draw(st.sampled_from(range(2, 31, 2)), label="w")
+        parts = ([], [])
+        for b in wspace_basis(w)[0]:
+            parts[next(j for j, c in enumerate(b.coeffs) if not c.is_zero()) % 2].append(b)
+        part = parts[data.draw(st.sampled_from([p for p in (0, 1) if parts[p]]), label="parity")]
+        cs = data.draw(st.lists(small_fractions, min_size=len(part), max_size=len(part)), label="c")
+        R = PolyX.make(w, [
+            sum((GaussianRational(c) * b.coeffs[j] for c, b in zip(cs, part)), ZERO) * I**j
+            for j in range(w + 1)
+        ])
+        assert rescaled_es1_residual(R).is_zero()
+        assert rescaled_es2_residual(R).is_zero()
+        Z = rv_forward(R)
+        assert rv_inverse(Z) == R
+        assert functional_eq_residual(Z, 1).is_zero()
+
+
 def cusp_form_dimension(k: int) -> int:
     """dim S_k for SL_2(Z) and even k >= 4."""
     return k // 12 - 1 if k % 12 == 2 else k // 12
 
 
+def stacked_relation_rows(w: int) -> list[list[int]]:
+    """Rows of the stacked (1+S, 1+U+U^2) system on all w + 1 unknowns,
+    column j the image of the monomial X^j: the system that
+    ``_relation_rows`` folds, kept here as its oracle."""
+    rows_s = [[(t == j) + (-1) ** j * (t == w - j) for j in range(w + 1)] for t in range(w + 1)]
+    rows_u = [
+        [
+            (t == j)
+            + (-1) ** t * ((math.comb(j, t + j - w) if t + j >= w else 0) + math.comb(w - j, t))
+            for j in range(w + 1)
+        ]
+        for t in range(w + 1)
+    ]
+    return rows_s + rows_u
+
+
+def folded_u_rows(w: int) -> list[list[int]]:
+    """All w + 1 rows of the stacked U block on the S-folded columns
+    j = h..w: U_j - (-1)^j U_(w-j) for j > h, and U_h."""
+    h = w // 2
+    return [
+        [row[j] - (j > h) * (-1) ** j * row[w - j] for j in range(h, w + 1)]
+        for row in stacked_relation_rows(w)[w + 1:]
+    ]
+
+
+def parity_columns(w: int, p: int) -> list[int]:
+    """Folded columns j - h of the unknowns a_j, j >= h, of parity p;
+    a_h is one only for odd h (S forces a_h = 0 for even h)."""
+    h = w // 2
+    return [j - h for j in range(h, w + 1) if j % 2 == p and (j > h or h % 2)]
+
+
 class TestRelationRows:
-    @pytest.mark.parametrize("w", [2, 10, 30])
+    @pytest.mark.parametrize("w", [2, 4, 10, 20, 30])
     def test_columns_are_slashed_monomials(self, w):
+        h = w // 2
         rows = _relation_rows(w)
+        assert len(rows) == h + 1
+        for j in range(h, w + 1):
+            coeffs = [0] * (w + 1)
+            coeffs[j] = 1
+            if j > h:
+                coeffs[w - j] = -((-1) ** j)
+            res_u = es_residuals(PolyX.make(w, coeffs))[1]
+            column = [GaussianRational(row[j - h]) for row in rows]
+            assert column == list(res_u.coeffs[: h + 1])
+
+    @pytest.mark.parametrize("w", [2, 10, 30])
+    def test_stacked_oracle_columns_are_slashed_monomials(self, w):
+        rows = stacked_relation_rows(w)
         assert len(rows) == 2 * (w + 1)
         for j in range(w + 1):
             monomial = PolyX.make(w, [0] * j + [1])
@@ -451,6 +525,34 @@ class TestRelationRows:
             res_u = es_residuals(monomial)[1]
             column = [GaussianRational(row[j]) for row in rows]
             assert column == list(res_s.coeffs) + list(res_u.coeffs)
+
+    @pytest.mark.parametrize("w", range(2, 121, 2))
+    def test_rows_past_h_repeat_rows_below_up_to_one_sign(self, w):
+        # eps = [[0, 1], [1, 0]] commutes with 1+U+U^2, so on the unknowns
+        # of one parity row w - t of the folded U block is +-row t
+        h = w // 2
+        rows = folded_u_rows(w)
+        assert _relation_rows(w) == rows[: h + 1]
+        for p in (0, 1):
+            cols = parity_columns(w, p)
+            top = [[rows[t][c] for c in cols] for t in range(w + 1)]
+            bottom = top[::-1]
+            assert bottom in (top, [[-x for x in row] for row in top])
+
+    def test_u_residual_of_one_parity_is_symmetric_or_antisymmetric(self):
+        rng = random.Random(43)
+        for w in range(2, 41, 2):
+            h = w // 2
+            for p in (0, 1):
+                for _ in range(3):
+                    coeffs = [ZERO] * (w + 1)
+                    for c in parity_columns(w, p):
+                        coeffs[h + c] = rand_qi(rng)
+                        coeffs[h - c] = -((-1) ** p) * coeffs[h + c]
+                    res_s, res_u = es_residuals(PolyX.make(w, coeffs))
+                    assert res_s.is_zero()
+                    q = list(res_u.coeffs)
+                    assert q[::-1] in (q, [-x for x in q])
 
 
 def fraction_nullspace(rows, cols):
@@ -503,6 +605,7 @@ class TestIntegerNullspace:
                 assert _integer_nullspace(rows, cols) == fraction_nullspace(rows, cols)
 
     def test_relation_rows_agree_with_fraction_rref(self):
-        rows = _relation_rows(20)
-        for cols in (list(range(21)), list(range(0, 21, 2)), list(range(1, 21, 2))):
-            assert _integer_nullspace(rows, cols) == fraction_nullspace(rows, cols)
+        for rows in (stacked_relation_rows(20), _relation_rows(20), _relation_rows(22)):
+            n = len(rows[0])
+            for cols in (list(range(n)), list(range(0, n, 2)), list(range(1, n, 2))):
+                assert _integer_nullspace(rows, cols) == fraction_nullspace(rows, cols)
