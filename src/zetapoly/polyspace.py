@@ -2,10 +2,11 @@
 
 The space V_w of polynomials of degree at most w carries a weight -w
 action of 2x2 matrices (the slash operator).  This module implements
-that action exactly for the matrices every relation uses: Gaussian-integer
-entries, a unit determinant and c zero or a unit.  On top of it sit the
+that action exactly for the matrices every relation uses: integer
+entries, determinant +-1 and c in {0, 1, -1}.  On top of it sit the
 residuals of the Fricke relation and of the Eichler-Shimura relations
-(both in the classical variable and in the rescaled variable), and the
+(both in the classical variable and in the rescaled variable, which is
+the classical one turned by X -> iX), and the
 space W_w cut out by the classical relations: integer elimination on
 each parity part, its unknowns folded by S and its rows by X -> 1/X.
 """
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 
 from zetapoly.errors import InputError
-from zetapoly.exactnum import DensePoly, common_denominator, require_even_w
+from zetapoly.exactnum import DensePoly, require_even_w
 
 # ---------------------------------------------------------------------
 # Dense polynomials in X over Q(i)
@@ -29,60 +30,45 @@ class PolyX(DensePoly):
 
 
 # ---------------------------------------------------------------------
-# The slash action of unimodular Gaussian-integer matrices
+# The slash action of integer matrices of determinant +-1
 # ---------------------------------------------------------------------
 
 # A matrix is a 4-tuple (a, b, c, d) standing for [[a, b], [c, d]].
 U_MAT = (1, -1, 1, 0)
 U2_MAT = (0, -1, 1, -1)  # U^2
-# Matrices realizing the rescaled three-term relation.
-_RES2_MAT_B = (1, (0, -1), (0, -1), 0)  # -i as a Gaussian-integer (re, im) pair
-_RES2_MAT_C = (0, (0, -1), (0, -1), -1)
-_UNITS = {(1, 0): 0, (0, 1): 1, (-1, 0): 2, (0, -1): 3}  # i^k -> k
 
 
 def slash(P: PolyX, g: tuple) -> PolyX:
     """The weight -w slash action det(g)^(-w/2) (cX+d)^w P((aX+b)/(cX+d))
-    of g = (a, b, c, d) with Gaussian-integer entries (ints or (re, im)
-    pairs), det(g) a unit and c zero or a unit; any other g raises InputError.
+    of g = (a, b, c, d) with integer entries, det(g) = +-1 and c in
+    {0, 1, -1}; any other g raises InputError.
 
-    Such a g is [[a, 0], [0, d]] [[1, b/a], [0, 1]] for c = 0, and
-    [[1, a/c], [0, 1]] [[0, -det/c], [c, 0]] [[1, d/c], [0, 1]] for c a
-    unit, all entries Gaussian integers.  So P|g is a Taylor shift, a turn
-    of coefficient j by a power of i (for c a unit, det^(-w/2) c^w
-    (-det/c^2)^j and a reversal), and a second Taylor shift: O(w^2)
-    operations on P's Gaussian-integer numerators, over its denominator.
+    Such a g is [[a, 0], [0, d]] [[1, ab], [0, 1]] for c = 0, and
+    [[1, ac], [0, 1]] [[0, -det c], [c, 0]] [[1, dc], [0, 1]] for c = +-1.
+    As det^(-w/2) = det^(w/2), P|g is a Taylor shift, a sign on coefficient
+    j (det^(w/2) det^j for c = 0, det^(w/2) (-det)^j and a reversal for
+    c = +-1), and a second Taylor shift: O(w^2) integer operations on P's
+    numerators, over its denominator.
     """
-    e, (a, b, c, d) = common_denominator(g)
-    (ar, ai), (br, bi), (cr, ci), (dr, di) = a, b, c, d
-    k_det = _UNITS.get((ar * dr - ai * di - br * cr + bi * ci, ar * di + ai * dr - br * ci - bi * cr))
-    ka, kc, kd = _UNITS.get(a), _UNITS.get(c), _UNITS.get(d)
-    if e != 1 or k_det is None or (kc is None and c != (0, 0)):
-        raise InputError(f"slash needs Gaussian-integer entries, a unit det and c 0 or a unit: {g!r}")
-    w = P.w
-    if kc is None:  # c = 0, so a and d are units
-        first, last, k0, step, order = (0, 0), _turn(b, -ka), kd * w, ka - kd, 1
-    else:
-        first, last, k0, step, order = _turn(a, -kc), _turn(d, -kc), kc * w, 2 + k_det - 2 * kc, -1
-    k0 -= k_det * (w // 2)
-    pairs = [_turn(p, k0 + step * j) for j, p in enumerate(_taylor_shift(P.pairs, first))]
-    return PolyX(w, P.den, tuple(_taylor_shift(pairs[::order], last)))
+    a, b, c, d = g
+    det = a * d - b * c if all(type(x) is int for x in g) else 0
+    if det not in (1, -1) or c not in (0, 1, -1):
+        raise InputError(f"slash needs integer entries, det +-1 and c in (0, 1, -1): {g!r}")
+    first, step, last = (a * c, -det, d * c) if c else (0, det, a * b)
+    signs = (det ** (P.w // 2), det ** (P.w // 2) * step)  # coefficient j gets signs[j % 2]
+    pairs = [(signs[j % 2] * x, signs[j % 2] * y) for j, (x, y) in enumerate(_pair_shift(P.pairs, first))]
+    return PolyX(P.w, P.den, tuple(_pair_shift(pairs[::-1] if c else pairs, last)))
 
 
-def _turn(z: tuple[int, int], k: int) -> tuple[int, int]:
-    """The Gaussian-integer pair z times i^k."""
-    r, m = z
-    return ((r, m), (-m, r), (-r, -m), (m, -r))[k % 4]
+def _pair_shift(pairs, s: int) -> list:
+    """Coefficient pairs of Q(X + s), on real and imaginary parts apart."""
+    return list(zip(*(_int_shift(x, s) for x in zip(*pairs)))) if s else list(pairs)
 
 
-def _taylor_shift(pairs: list, t: tuple[int, int]) -> list:
-    """Coefficients of Q(X + t) for t = s + u*i, on real and imaginary parts
-    apart: Q(X + s), then Q(X + u*i) = R(-iX + u) with R(Y) = Q(iY)."""
-    for s, k in ((t[0], 0), (t[1], 1)):
-        if s:
-            parts = zip(*(_turn(p, k * j) for j, p in enumerate(pairs)))
-            pairs = [_turn(p, -k * j) for j, p in enumerate(zip(*(_int_shift(x, s) for x in parts)))]
-    return pairs
+def _turned(R: PolyX, k: int) -> PolyX:
+    """R(i^k X): coefficient j times i^(kj)."""
+    pairs = (((x, y), (-y, x), (-x, -y), (y, -x))[k * j % 4] for j, (x, y) in enumerate(R.pairs))
+    return PolyX(R.w, R.den, tuple(pairs))
 
 
 def _int_shift(coeffs, s: int) -> list:
@@ -127,10 +113,11 @@ def rescaled_es2_residual(R: PolyX) -> PolyX:
     R(X) + (-iX)^w R((X-i)/(-iX)) + (-iX-1)^w R(-i/(-iX-1)).
 
     The two substitutions are the slashes by [[1, -i], [-i, 0]] and
-    [[0, -i], [-i, -1]]: determinant 1 and c = -i, so each is a Taylor
-    shift, a turned reversal and a Taylor shift on integer pairs.
+    [[0, -i], [-i, -1]], which are U and U^2 conjugated by diag(i, 1).  So
+    with (T R)(X) = R(iX) the residual is T^-1 of the classical one,
+    T^-1(T R + (T R)|U + (T R)|U^2), exactly and with no unit factor.
     """
-    return R + slash(R, _RES2_MAT_B) + slash(R, _RES2_MAT_C)
+    return _turned(_u_residual(_turned(R, 1)), -1)
 
 
 def es1_residual(r: PolyX) -> PolyX:
@@ -142,8 +129,12 @@ def es1_residual(r: PolyX) -> PolyX:
 
 def es_residuals(r: PolyX) -> tuple[PolyX, PolyX]:
     """Residuals of the classical relations r|(1+S) and r|(1+U+U^2)."""
-    res_u = r + slash(r, U_MAT) + slash(r, U2_MAT)
-    return es1_residual(r), res_u
+    return es1_residual(r), _u_residual(r)
+
+
+def _u_residual(r: PolyX) -> PolyX:
+    """r|(1+U+U^2)."""
+    return r + slash(r, U_MAT) + slash(r, U2_MAT)
 
 
 # ---------------------------------------------------------------------

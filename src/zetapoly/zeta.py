@@ -198,9 +198,12 @@ def thm2_residual(
     R = rv_inverse(Z) is read in the rescaled normalization, whose
     relations are ``polyspace.rescaled_es1_residual`` and
     ``rescaled_es2_residual``; ``polyspace.wspace_basis`` gives W_w in the
-    classical one.  X -> iX maps the one into the other: a classical
-    vector b becomes R_j = i^j b_j.  The first w = 10 basis vector gives
-    |total| = 96.7 at n = 1 as it stands, and 1.7e-11 turned.
+    classical one.  The bridge is the turn (T R)(X) = R(iX) that
+    ``rescaled_es2_residual`` is built on: R satisfies the rescaled
+    relations exactly when T R satisfies the classical ones.  W_w is closed
+    under X -> -X, so a classical vector b becomes R = T b, R_j = i^j b_j.
+    The first w = 10 basis vector gives |total| = 96.7 at n = 1 as it
+    stands, and 1.7e-11 turned.
 
     The identity is stated as a triple sum over k, m and j of Z at the
     non-positive integers m+j-k-n.  With K = k+n, its j-sum is

@@ -26,8 +26,6 @@ from zetapoly.polyspace import (
     U2_MAT,
     U_MAT,
     PolyX,
-    _RES2_MAT_B,
-    _RES2_MAT_C,
     _integer_nullspace,
     _relation_rows,
     es1_residual,
@@ -109,26 +107,33 @@ class TestPolyX:
 
 
 S_MAT = (0, -1, 1, 0)
-# the matrices the relations slash by: S, U, U^2, the two rescaled
-# three-term matrices and the functional equation's [[-1, 1], [0, 1]]
-RELATION_MATS = (S_MAT, U_MAT, U2_MAT, _RES2_MAT_B, _RES2_MAT_C, (-1, 1, 0, 1))
-# generators of the random words: [[1,1],[0,1]], [[1,i],[0,1]], S,
-# diag(i, 1) and [[1,0],[i,1]]
-WORD_GENS = ((1, 1, 0, 1), (1, I, 0, 1), S_MAT, (I, 0, 0, 1), (1, 0, I, 1))
+# the matrices the relations slash by: S, U, U^2 and the functional
+# equation's [[-1, 1], [0, 1]]
+RELATION_MATS = (S_MAT, U_MAT, U2_MAT, (-1, 1, 0, 1))
+# The rescaled three-term matrices [[1, -i], [-i, 0]] and [[0, -i], [-i, -1]],
+# U and U^2 conjugated by diag(i, 1): for the Q(i) slash oracle only.
+_RES2_MAT_B = (1, -I, -I, 0)
+_RES2_MAT_C = (0, -I, -I, -1)
+# generators of the random words: [[1,1],[0,1]], S, [[1,0],[1,1]] and the
+# det -1 matrix [[0,1],[1,0]]
+WORD_GENS = ((1, 1, 0, 1), S_MAT, (1, 0, 1, 1), (0, 1, 1, 0))
+
+
+def _int_mat_mul(g, h) -> tuple:
+    """The product of two integer matrices, with int entries."""
+    return tuple(int(x.re) for x in mat_mul(g, h))
 
 
 def _random_word(rng: random.Random) -> tuple:
     g = (1, 0, 0, 1)
     for _ in range(rng.randint(1, 6)):
-        g = mat_mul(g, rng.choice(WORD_GENS))
+        g = _int_mat_mul(g, rng.choice(WORD_GENS))
     return g
 
 
 def _in_domain(g) -> bool:
-    """c is zero or a unit; every word has Gaussian-integer entries and a
-    unit determinant."""
-    c = GaussianRational.coerce(g[2])
-    return c.is_zero() or c.norm2() == 1
+    """c is 0 or +-1; every word has integer entries and det +-1."""
+    return g[2] in (0, 1, -1)
 
 
 class TestSlash:
@@ -155,16 +160,18 @@ class TestSlash:
         checked = 0
         while checked < 40:
             g, h = _random_word(rng), _random_word(rng)
-            if not all(_in_domain(m) for m in (g, h, mat_mul(g, h))):
+            if not all(_in_domain(m) for m in (g, h, _int_mat_mul(g, h))):
                 continue
             p = rand_polyx(rng, rng.choice([2, 4, 6, 8]))
-            assert slash(slash(p, g), h) == slash(p, mat_mul(g, h))
+            assert slash(slash(p, g), h) == slash(p, _int_mat_mul(g, h))
             checked += 1
 
     @pytest.mark.parametrize(
         "g",
-        [(Fraction(1, 2), 0, 0, 2), (2, 0, 0, 1), (1, 2, 2, 4), (1, 0, 2, 1)],
-        ids=["non-integer-entry", "non-unit-det", "singular", "c-not-a-unit"],
+        [(Fraction(1, 2), 0, 0, 2), (2, 0, 0, 1), (1, 2, 2, 4), (1, 0, 2, 1),
+         (1, I, 0, 1), ((0, 1), 0, 0, 1), (1, (0, -1), (0, -1), 0)],
+        ids=["non-integer-entry", "non-unit-det", "singular", "c-not-a-unit",
+             "gaussian-entry", "gaussian-pair-entry", "rescaled-three-term-matrix"],
     )
     def test_outside_the_domain_rejected(self, g):
         with pytest.raises(InputError):
@@ -308,7 +315,7 @@ class TestRescaledRelations:
         rng = random.Random(3)
         for _ in range(25):
             R = rand_polyx(rng, rng.choice([2, 4, 6, 10, 30]))
-            assert R + slash(R, res1_mat) == fricke_residual(R, 1)
+            assert R + slash_oracle(R, res1_mat) == fricke_residual(R, 1)
             assert rescaled_es1_residual(R) == fricke_residual(R, 1)
 
     def test_three_term_by_pointwise_substitution(self):
