@@ -15,7 +15,7 @@ Zagier, 1984): each coefficient must match its golden one within its proved erro
 from __future__ import annotations
 
 import json
-from importlib import resources
+import os
 
 from zetapoly.dyadic import INF, Dyadic, aligned, nstr, quotient, rounded
 from zetapoly.errors import InputError
@@ -54,7 +54,7 @@ ROOT_TOL = "1e-8"  # tolerance of the two proved root checks; r_- must miss the 
 
 
 def _load_golden(name: str) -> dict:
-    with resources.files("zetapoly.data").joinpath(name).open() as fh:
+    with open(os.path.join(os.path.dirname(__file__), "data", name), "rb") as fh:
         return json.load(fh)
 
 

@@ -20,6 +20,9 @@ for bit.
 from __future__ import annotations
 
 import math
+from functools import partial
+from itertools import accumulate, repeat
+from operator import floordiv, mul
 
 from zetapoly.dyadic import Dyadic, aligned, quotient, rounded
 from zetapoly.errors import InputError, PrecisionError
@@ -103,39 +106,27 @@ class NewformData(Record):
 def delta_coefficients(nmax: int) -> list[int]:
     """tau(1), ..., tau(nmax): coefficients of q prod (1-q^n)^24, exact.
 
-    By Jacobi's identity prod (1-q^n)^3 = sum_k (-1)^k (2k+1) q^(k(k+1)/2),
-    so the product is that series to the 8th power: three squarings, each
-    one integer product by Kronecker substitution."""
+    By Jacobi's identity prod (1-q^n)^3 = J = sum_k (-1)^k (2k+1) q^(k(k+1)/2),
+    the product is J^8: J^2 from J's O(sqrt(nmax)) terms, then two squarings
+    of X = J^2(2^(8w)) mod 2^(8w nmax) (Kronecker substitution), unpacked once
+    into signed slots of w bytes.  They hold every |tau(n)| <= d(n) n^(11/2)
+    <= nmax^(13/2) (Deligne) and every |J^2_i| <= (4i+1)(sqrt(2i)+1)."""
     if nmax < 1:
         raise InputError(f"nmax must be >= 1, got {nmax}")
-    series = [0] * nmax
-    k = 0
-    while k * (k + 1) // 2 < nmax:
-        series[k * (k + 1) // 2] = (-1) ** k * (2 * k + 1)
-        k += 1
-    for _ in range(3):
-        series = _square_truncated(series)
-    return series
-
-
-def _square_truncated(a: list[int]) -> list[int]:
-    """The first len(a) coefficients of the square of the series a.
-
-    Each is at most bound = sum|a_i| * max|a_i| in size, so slots of w
-    bytes with 8w > bound.bit_length() hold them as signed digits of the
-    integer a(2^(8w)), packed and unpacked with to_bytes / from_bytes."""
-    n = len(a)
-    bound = sum(map(abs, a)) * max(map(abs, a))
-    w = bound.bit_length() // 8 + 1
-    pos = int.from_bytes(b"".join(max(c, 0).to_bytes(w, "little") for c in a), "little")
-    neg = int.from_bytes(b"".join(max(-c, 0).to_bytes(w, "little") for c in a), "little")
-    packed = ((pos - neg) ** 2 & ((1 << 8 * w * n) - 1)).to_bytes(w * n, "little")
-    out, carry, half, full = [], 0, 1 << 8 * w - 1, 1 << 8 * w
-    for i in range(0, w * n, w):
-        v = int.from_bytes(packed[i : i + w], "little") + carry
-        carry = v >= half
-        out.append(v - full if carry else v)
-    return out
+    terms = [(k * (k + 1) // 2, (-1) ** k * (2 * k + 1)) for k in range(math.isqrt(2 * nmax) + 1)]
+    square = [0] * nmax
+    for i, (t, c) in enumerate(terms):
+        for u, d in terms[i:]:
+            if t + u >= nmax:
+                break
+            square[t + u] += c * d << (u != t)
+    w = ((nmax**13).bit_length() + 17) // 16  # nmax^13 < 2^(16w-2)
+    half, mask = 1 << 8 * w - 1, (1 << 8 * w * nmax) - 1
+    bias = int.from_bytes(half.to_bytes(w, "little") * nmax, "little")  # half in every slot
+    x = int.from_bytes(b"".join((c + half).to_bytes(w, "little") for c in square), "little") - bias
+    x = (x * x & mask) ** 2 & mask  # J^4, then J^8
+    packed = (x + bias & mask).to_bytes(w * nmax, "little")
+    return [int.from_bytes(packed[i : i + w], "little") - half for i in range(0, w * nmax, w)]
 
 
 def delta_newform(prec: int = 128) -> NewformData:
@@ -194,10 +185,10 @@ def critical_lambdas(f: NewformData, prec: int = 128) -> list[Dyadic]:
     eps i^k A(k-s), so the functional equation holds exactly.
 
     In units of 2^-T: Q and C_j from ``_series_constants`` are within 2 of
-    q 2^T and c^-j 2^T; q_n = (q_(n-1) Q) >> T is within e = 5 + floor(3/c),
-    as its error d_n
+    q 2^T and c^-j 2^T; q_n = (q_(n-1) Q) >> T, exact from ``_mul_shift``'s
+    short product, is within e = 5 + floor(3/c), as its error d_n
     has |d_(n+1)| <= (q + 2^(1-T)) |d_n| + 3 and 1 - q >= c/(1+c); each floor
-    division of a_n q_n by n adds under 1, so sums[j] is within
+    in sums[j] = sum_n floor(a_n q_n / n^j) drops under 1, so sums[j] is within
     B = e sum|a_n| + (k-1) nmax of 2^T S_j, for any given a_n.  The integer
     sum_j (r-1)!/(r-j)! C_j sums[j] is then within 2^T M of 2^(2T) A(r): a
     term is off by 2 |sums[j]| + c^-j 2^T B <= 2^T B (1 + c^-j) <= 2^T B G^j
@@ -207,6 +198,9 @@ def critical_lambdas(f: NewformData, prec: int = 128) -> list[Dyadic]:
     nmax is below 2^-(prec+18) (``required_nmax``'s bound drops a factor
     1/(cn) < 1/(2(k-1))), so each value is within 2^-(prec+17) max(1, |Lambda|).
     Too few a_n raise PrecisionError.
+
+    One divmod per n: a_n q_n = y_n n^(k-1) + r_n gives floor(a_n q_n / n^j) =
+    n^(k-1-j) y_n + floor(r_n / n^j), the integer k-1 floor divisions by n give.
     """
     k = f.weight
     need = required_nmax(f.level, k, prec)
@@ -221,17 +215,37 @@ def critical_lambdas(f: NewformData, prec: int = 128) -> list[Dyadic]:
     m = bound * sum(math.perm(k - 2, j - 1) * g**j for j in range(1, k))
     t = prec + 32 + (2 * m).bit_length()
     q, cinv = _series_constants(f.level, k, t, g)
-    sums = [0] * k  # sums[j] ~ 2^t S_j for j = 1..k-1
-    qn = 1 << t
-    for n in range(1, need + 1):
-        qn = qn * q >> t
-        term = f.an[n - 1] * qn
-        for j in range(1, k):
-            term //= n
-            sums[j] += term
+    powers = accumulate(repeat(q, need - 1), partial(_mul_shift, t), initial=q)  # q_1, ..., q_need
+    ns = range(1, need + 1)
+    big, small = zip(*map(divmod, map(mul, f.an, powers), map(pow, ns, repeat(k - 1))))  # y_n, r_n
+    sums, acc, big = [0] * k, [], reversed(big)  # sums[j] ~ 2^t S_j for j = 1..k-1
+    for j in range(1, k):  # prefix sums over y_need, ..., y_1, j times, end in sum_n y_n C(n+j-2, j-1)
+        small = list(map(floordiv, small, ns))
+        sums[j] += sum(small)
+        big = list(accumulate(big))
+        acc.append(big[-1])
+    # After i turns acc[m] = sum_n y_n n^i C(n+m-1, m), as n C(n+m-1, m) = (m+1) C(n+m, m+1) - m C(n+m-1, m)
+    for j in range(k - 1, 0, -1):
+        sums[j] += acc[0]
+        acc = [(m + 1) * y - m * x for m, (x, y) in enumerate(zip(acc, acc[1:]))]
     scaled = [cinv[j] * sums[j] for j in range(k)]
     a = [sum(math.perm(r - 1, j - 1) * scaled[j] for j in range(1, r + 1)) for r in range(k)]
     return [Dyadic(*rounded(a[s] + sign * a[k - s], -2 * t, prec + 32)) for s in range(1, k)]
+
+
+def _mul_shift(t: int, a: int, b: int) -> int:
+    """a b >> t for a, b >= 0 (t first, for ``partial``), by a short product.
+
+    With n = bitlen(a) and s = t - 64 - n > 0, a b = (P + e) 2^s for P = a (b >> s)
+    and a real 0 <= e < 2^n, so a b >> t = (P + e) >> (n + 64): that is P >> (n + 64)
+    unless bits n .. n+63 of P are all ones.  There, and for s <= 0, the full product decides."""
+    n = a.bit_length()
+    s = t - 64 - n
+    if s > 0:
+        p = a * (b >> s)
+        if (p >> n) + 1 & (1 << 64) - 1:
+            return p >> n + 64
+    return a * b >> t
 
 
 def _pi_fixed(W: int) -> int:

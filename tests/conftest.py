@@ -6,9 +6,9 @@ import mpmath
 from hypothesis import strategies as st
 from mpmath import mp
 
-from zetapoly.dyadic import aligned
+from zetapoly.dyadic import Dyadic, aligned, rounded
 from zetapoly.exactnum import ONE, ZERO, GaussianRational, I, from_pairs
-from zetapoly.lvalues import NewformData, NumericPoly, required_nmax
+from zetapoly.lvalues import NewformData, NumericPoly, _series_constants, required_nmax
 from zetapoly.polyspace import PolyX
 from zetapoly.rv import rv_forward, series_coeffs
 from zetapoly.zeta import laurent_coeffs
@@ -83,6 +83,60 @@ def pentagonal_tau(nmax: int) -> list[int]:
     e6 = mul(e3, e3)
     e12 = mul(e6, e6)
     return mul(e12, e12)
+
+
+def square_truncated_tau(nmax: int) -> list[int]:
+    """tau(1), ..., tau(nmax) as Jacobi's cube series J to the 8th power,
+    by three rounds of pack, square and unpack (Kronecker substitution),
+    each with slots sized from the series it squares."""
+
+    def square(a: list[int]) -> list[int]:
+        n = len(a)
+        w = (sum(map(abs, a)) * max(map(abs, a))).bit_length() // 8 + 1
+        pos = int.from_bytes(b"".join(max(c, 0).to_bytes(w, "little") for c in a), "little")
+        neg = int.from_bytes(b"".join(max(-c, 0).to_bytes(w, "little") for c in a), "little")
+        packed = ((pos - neg) ** 2 & ((1 << 8 * w * n) - 1)).to_bytes(w * n, "little")
+        out, carry, half, full = [], 0, 1 << 8 * w - 1, 1 << 8 * w
+        for i in range(0, w * n, w):
+            v = int.from_bytes(packed[i : i + w], "little") + carry
+            carry = v >= half
+            out.append(v - full if carry else v)
+        return out
+
+    series = [0] * nmax
+    k = 0
+    while k * (k + 1) // 2 < nmax:
+        series[k * (k + 1) // 2] = (-1) ** k * (2 * k + 1)
+        k += 1
+    for _ in range(3):
+        series = square(series)
+    return series
+
+
+def loop_critical_lambdas(f: NewformData, prec: int) -> list[Dyadic]:
+    """critical_lambdas by the plain loop: q_n = (q_(n-1) Q) >> T from the
+    full product, and a_n q_n floored by n k-1 times, one after another,
+    into sums[j]; the same T, constants and final rounding."""
+    k = f.weight
+    need = required_nmax(f.level, k, prec)
+    sign = f.fricke * (-1) ** (k // 2)
+    inv_c = math.sqrt(f.level) / (2 * math.pi)
+    bound = (5 + int(3 * inv_c)) * sum(map(abs, f.an[:need])) + (k - 1) * need
+    g = int(inv_c) + 2
+    m = bound * sum(math.perm(k - 2, j - 1) * g**j for j in range(1, k))
+    t = prec + 32 + (2 * m).bit_length()
+    q, cinv = _series_constants(f.level, k, t, g)
+    sums = [0] * k
+    qn = 1 << t
+    for n in range(1, need + 1):
+        qn = qn * q >> t
+        term = f.an[n - 1] * qn
+        for j in range(1, k):
+            term //= n
+            sums[j] += term
+    scaled = [cinv[j] * sums[j] for j in range(k)]
+    a = [sum(math.perm(r - 1, j - 1) * scaled[j] for j in range(1, r + 1)) for r in range(k)]
+    return [Dyadic(*rounded(a[s] + sign * a[k - s], -2 * t, prec + 32)) for s in range(1, k)]
 
 
 # -- dyadic values as mpmath values, and back -------------------------

@@ -856,6 +856,8 @@ LVALUES_DIGEST = {
     ("builtin", 128, "json"): "5184a070fabd9f7c496d8fb268be911ad5868b7f766b04254b9679fdbeab624b",
     ("builtin", 1024, "text"): "319e9842e3c8982260c81fb7da73cea93f0ca1fb9f78a56f533196e3964f87f2",
     ("builtin", 1024, "json"): "626c45680093ae3b7a15c1d51a910b2a0a503ee209ca8cdd31c7f4dc211a864a",
+    ("builtin", 4096, "text"): "453bad93d88417244a1ff6077893302cf2cdd1d47fb0b47876e94fcdeede1f4f",
+    ("builtin", 4096, "json"): "04cfac20a1421638166def8b8683f2699fb80c2c713f02f031c7398abfa2872c",
     ("level11", 64, "text"): "127d237d50ba3c4c05e1c2cfd869c0618708b4ec5855e89b8622c6db896c1801",
     ("level11", 64, "json"): "dbaf446900fd68207a9f7bebe7fbfe58a1fdc95a428189073ea0d15dd3d25d3b",
     ("level11", 128, "text"): "aee7f522be473324b23cad72b1c7f5ce448fca8d4020f988a98f826f2cb6cf40",

@@ -1,19 +1,32 @@
+import inspect
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from mpmath import mp
 
-from conftest import mpf, mpmath_loop_lambdas, numeric_poly, pentagonal_tau, poly_values
+from conftest import (
+    loop_critical_lambdas,
+    mpf,
+    mpmath_loop_lambdas,
+    numeric_poly,
+    pentagonal_tau,
+    poly_values,
+    square_truncated_tau,
+)
 from zetapoly.errors import InputError, PrecisionError
 from zetapoly.exactnum import binom_poly_in_s_scaled
 from zetapoly.lvalues import (
     GUARD_BITS,
     NewformData,
     NumericPoly,
+    _mul_shift,
     _r_from_lambdas,
     build_r,
     completed_l,
@@ -54,6 +67,18 @@ class TestTau:
         for nmax in range(1, 601):
             assert delta_coefficients(nmax) == tau[:nmax]
         assert delta_coefficients(2000) == pentagonal_tau(2000)
+
+    def test_matches_the_three_round_oracle_up_to_the_8192_bit_need(self):
+        """Every nmax from 1 to 912, the 8192-bit need: each slot width the
+        one packed power picks, against three rounds of pack, square and
+        unpack with slots sized from the data.  A truncated product agrees
+        with every truncation of the longer one, so one oracle run serves."""
+        top = required_nmax(1, 12, 8192)
+        assert top == 912
+        tau = square_truncated_tau(top)
+        assert all(square_truncated_tau(n) == tau[:n] for n in (1, 2, 3, 11, 19, 119, 460))
+        for nmax in range(1, top + 1):
+            assert delta_coefficients(nmax) == tau[:nmax], nmax
 
     def test_known_values(self):
         tau = delta_coefficients(6)
@@ -240,6 +265,16 @@ def divisor_bound_newform(level: int, weight: int, fricke: int, seed: int, prec:
     return NewformData(level=level, weight=weight, fricke=fricke, an=tuple(an))
 
 
+def cap_newform(level: int, weight: int, seed: int, prec: int) -> NewformData:
+    """Seeded signs on |a_n| = floor(n^((k+1)/2)), the cap ``NewformData``
+    allows, for ``prec``-bit work; the Fricke sign is seeded too."""
+    rng = random.Random(seed)
+    nmax = required_nmax(level, weight, prec)
+    an = [rng.choice((-1, 1)) * math.isqrt(n ** (weight + 1)) for n in range(1, nmax + 1)]
+    an[0] = 1
+    return NewformData(level=level, weight=weight, fricke=rng.choice((-1, 1)), an=tuple(an))
+
+
 # Each builds its data for the given number of bits.
 FORMS = {
     "delta": delta_newform,
@@ -311,6 +346,22 @@ class TestCriticalLambdas:
                 assert abs(g - r) <= mpmath.mpf(2) ** -(prec + 30) * max(1, abs(r))
                 assert abs(g - t) <= mpmath.mpf(2) ** -(prec + 16) * max(1, abs(t))
 
+    @pytest.mark.parametrize("prec", [64, 128, 1024, 4096])
+    def test_delta_matches_the_plain_loop_bit_for_bit(self, prec):
+        nf = delta_newform(prec)
+        got = [v.man_exp for v in critical_lambdas(nf, prec)]
+        assert got == [v.man_exp for v in loop_critical_lambdas(nf, prec)]
+
+    @pytest.mark.parametrize(
+        "level,weight,prec",
+        [(11, k, p) for k in range(4, 25, 2) for p in (64, 1024)] + [(10**6, k, 64) for k in (4, 12, 24)],
+    )
+    def test_coefficients_at_the_cap_match_the_plain_loop_bit_for_bit(self, level, weight, prec):
+        nf = cap_newform(level, weight, seed=level + weight + prec, prec=prec)
+        assert {a > 0 for a in nf.an[1:]} == {True, False}
+        got = [v.man_exp for v in critical_lambdas(nf, prec)]
+        assert got == [v.man_exp for v in loop_critical_lambdas(nf, prec)]
+
     def test_4096_bits_in_one_fast_pass(self):
         nf = delta_newform(4096)
         start = time.perf_counter()
@@ -322,6 +373,87 @@ class TestCriticalLambdas:
         assert mpmath.nstr(R[8], 12) == "0.114379022439"
         with mp.workprec(4096 + 32):
             assert mpmath.nstr(R[9] / 4, 12) == "0.00926927616237"
+
+
+def all_ones_window(a: int, s: int, low: int, lift: int, tail: int) -> tuple[int, int, int]:
+    """(a, b, t) with t = s + 64 + n, n = bitlen(a), a odd and s >= 1, for
+    which ``_mul_shift``'s short product P = a (b >> s) has bits n .. n+63
+    all ones, so that the full product decides: P is low (< 2^n) plus those
+    ones modulo 2^(n+64).  ``tail`` (< 2^s), the dropped bits of b, decides
+    whether a b >> t carries past P >> (n + 64)."""
+    n = a.bit_length()
+    window = (1 << 64) - 1 << n | low
+    high = window * pow(a, -1, 1 << n + 64) % (1 << n + 64) + (lift << n + 64)
+    return a, high << s | tail, s + 64 + n
+
+
+@st.composite
+def all_ones_windows(draw):
+    n = draw(st.integers(1, 300))
+    a = draw(st.integers(1 << n - 1, (1 << n) - 1)) | 1
+    s = draw(st.integers(1, 300))
+    low, lift, tail = (draw(st.integers(0, (1 << m) - 1)) for m in (n, 40, s))
+    return all_ones_window(a, s, low, lift, tail)
+
+
+def _lines_run(func, *args) -> set:
+    """The stripped source lines of ``func`` that one call runs."""
+    code, seen = func.__code__, set()
+
+    def tracer(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        if event == "line":
+            seen.add(frame.f_lineno - code.co_firstlineno)
+        return tracer
+
+    sys.settrace(tracer)
+    try:
+        func(*args)
+    finally:
+        sys.settrace(None)
+    source = inspect.getsource(func).splitlines()
+    return {source[i].strip() for i in seen}
+
+
+class TestMulShift:
+    """``_mul_shift`` is the exact a b >> t that q_n = (q_(n-1) Q) >> T needs."""
+
+    @given(st.one_of(
+        st.tuples(st.integers(0, 1 << 700), st.integers(0, 1 << 700), st.integers(0, 1500)),
+        all_ones_windows(),
+    ))
+    def test_equals_the_full_product(self, abt):
+        a, b, t = abt
+        assert _mul_shift(t, a, b) == a * b >> t
+
+    def test_the_short_product_and_the_fallback_both_run(self):
+        rng = random.Random(42)
+        fast = {"p = a * (b >> s)", "return p >> n + 64"}
+        full = "return a * b >> t"
+        for _ in range(50):
+            a, b, t = rng.getrandbits(300) | 1 << 299, rng.getrandbits(4000), 4000
+            lines = _lines_run(_mul_shift, t, a, b)
+            assert fast <= lines and full not in lines
+            assert _mul_shift(t, a, b) == a * b >> t
+        carries = set()
+        for _ in range(200):
+            n, s = rng.randint(1, 300), rng.randint(1, 300)
+            a = rng.getrandbits(n) | 1 << n - 1 | 1
+            a, b, t = all_ones_window(a, s, rng.getrandbits(n), rng.getrandbits(40), rng.getrandbits(s))
+            lines = _lines_run(_mul_shift, t, a, b)
+            assert "p = a * (b >> s)" in lines and full in lines
+            assert "return p >> n + 64" not in lines
+            short = a * (b >> t - 64 - a.bit_length()) >> a.bit_length() + 64
+            carries.add(a * b >> t != short)
+            assert _mul_shift(t, a, b) == a * b >> t
+        assert carries == {True, False}
+
+    def test_short_operands_take_the_full_product(self):
+        for a, b, t in [(0, 5, 3), (1, 1 << 100, 64), ((1 << 200) - 1, (1 << 200) - 1, 264)]:
+            lines = _lines_run(_mul_shift, t, a, b)
+            assert "return a * b >> t" in lines and "p = a * (b >> s)" not in lines
+            assert _mul_shift(t, a, b) == a * b >> t
 
 
 class TestBuildR:

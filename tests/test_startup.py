@@ -76,6 +76,12 @@ def test_delta_does_not_load_the_root_finder():
     assert _loaded_by(["delta", "--prec", "64"]) == set()
 
 
+def test_delta_loads_only_the_sign_counts_beyond_the_start_modules():
+    """Not ``zetapoly.data`` either: the golden files are read by path."""
+    loaded = {m for m in _loaded_by(["delta", "--prec", "128"], watched=None) if m.split(".")[0] == "zetapoly"}
+    assert loaded - AT_START == {"zetapoly.signcount"}
+
+
 @pytest.mark.parametrize("argv", [
     ["thm2", _data("r_delta_minus.json")],
     ["wspace", "10"],
