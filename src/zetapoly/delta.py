@@ -94,9 +94,9 @@ class DeltaReport(Record):
 
     ``lambda_symmetry_max`` = max_s |Lambda(s) - eps Lambda(12-s)| is 0 by
     construction (the split series is symmetric term by term), so it does
-    not check the Fricke sign.  ``z_roots`` and ``r_roots`` come from
-    ``sign_count_check`` when it proves the locations, with
-    ``max_deviation`` 0, else fail with no roots and +inf.
+    not check the Fricke sign.  ``run_delta`` builds ``z_roots`` and
+    ``r_roots`` from the roots ``sign_count_check`` proves, with
+    ``max_deviation`` 0, else fails them with no roots and +inf.
     ``r_minus_circle_deviation`` is 1 if r_-(0) = 0 exactly, else 0: a
     proved lower bound on the largest distance of a root of r_- from
     |X| = 1, and that distance (the roots are 0, +-i/2, +-i, +-i, +-2i).
@@ -212,9 +212,10 @@ def run_delta(prec: int = 128) -> DeltaReport:
     eps = nf.fricke * (-1) ** (nf.weight // 2)
     root_tol = as_tolerance(ROOT_TOL)
     z_roots, r_roots = (
-        sign_count_check(poly, mode, eps, tol=ROOT_TOL, precision=prec)
-        or RootCheckReport(mode, (), INF, root_tol, False)
+        RootCheckReport(mode, roots, Dyadic(0), root_tol, True) if roots is not None
+        else RootCheckReport(mode, (), INF, root_tol, False)
         for poly, mode in ((znum, "critical_line"), (rnum, "unit_circle"))
+        for roots in [sign_count_check(poly, mode, eps)]
     )
     r_minus_circle = 1 if r_minus.pairs[0] == (0, 0) else 0  # X = 0 lies 1 off |X| = 1
 

@@ -343,25 +343,23 @@ def l_from_lambda(f: NewformData, s: int, lam: Dyadic, prec: int = 128) -> Dyadi
 class NumericPoly(Record):
     """The real polynomial sum_j m_j 2^E X^j, j <= w, at a stated
     precision: one exact dyadic form (``exp`` = E, ``mans``), as
-    ``DensePoly`` holds (den, pairs).  ``errs`` (optional) holds integers
-    n_j >= 0 over the same 2^E, each n_j 2^E a proved bound on the error
-    of coefficient j (see ``_r_from_lambdas`` and ``numeric_rv``)."""
+    ``DensePoly`` holds (den, pairs).  ``errs``, required, holds integers
+    n_j >= 0 over the same 2^E, each n_j 2^E a proved bound on the error of
+    coefficient j, 0 if exact (see ``_r_from_lambdas`` and ``numeric_rv``)."""
 
     w: int
     exp: int
     mans: tuple[int, ...]
     prec: int
-    errs: tuple[int, ...] | None = None
+    errs: tuple[int, ...]
 
     def __post_init__(self):
         for name, values in (("coefficients", self.mans), ("error bounds", self.errs)):
-            if values is None:
-                continue
             if len(values) != self.w + 1:
                 raise InputError(f"expected {self.w + 1} {name} for w={self.w}, got {len(values)}")
             if not all(isinstance(v, int) for v in values):
                 raise InputError(f"the {name} must be integer mantissas")
-        if self.errs is not None and min(self.errs) < 0:
+        if min(self.errs) < 0:
             raise InputError("error bounds must be >= 0")
 
 
@@ -396,7 +394,7 @@ def numeric_rv(Rnum: NumericPoly) -> NumericPoly:
     w, p, exp = Rnum.w, Rnum.prec + 32, Rnum.exp
     w_fact = math.factorial(w)
     coeffs, errs = [], []
-    for z, u in zip(_scaled_forward(Rnum.mans), _scaled_forward(Rnum.errs or (0,) * (w + 1), sign=1)):
+    for z, u in zip(_scaled_forward(Rnum.mans), _scaled_forward(Rnum.errs, sign=1)):
         coeffs.append(quotient(z, w_fact, exp, p))
         errs.append(quotient((u << p - 1) + abs(z), w_fact, exp + 1 - p, p, up=True))
     exp, mans = aligned(coeffs + errs)

@@ -25,17 +25,17 @@ from __future__ import annotations
 from zetapoly.dyadic import Dyadic, rounded, sqrt_rounded
 from zetapoly.errors import InputError
 from zetapoly.polyspace import _int_shift
-from zetapoly.zeta import RootCheckReport, _sorted_roots, as_tolerance
+from zetapoly.zeta import _sorted_roots
 
 _SIGN_ROOT_BITS = 96  # significant bits of the roots a proved check returns
 
 
-def sign_count_check(poly, mode: str, eps: int, tol="1e-8", precision: int = 128):
+def sign_count_check(poly, mode: str, eps: int) -> tuple | None:
     """Prove that all roots of the true polynomial lie on Re s = 1/2
-    (``critical_line``) or |X| = 1 (``unit_circle``), or return None.
-    ``poly`` is a NumericPoly, w even, with error bounds; ``eps`` is
-    the symmetry's sign, from theory (-1 forces a root at 1/2 or X = 1: None),
-    and the data must match it within the errors.
+    (``critical_line``) or |X| = 1 (``unit_circle``) and return them, or
+    return None.  ``poly`` is a NumericPoly, w even, whose ``errs`` bound
+    its errors; ``eps`` is the symmetry's sign, from theory (-1 forces a
+    root at 1/2 or X = 1: None), and the data must match it within the errors.
 
     Signs are taken at lo, at hi and at the exact dyadic middles between
     F's roots: (lo, hi) is (0, 2^k) on the line, 2^k a Fujiwara bound from
@@ -43,14 +43,14 @@ def sign_count_check(poly, mode: str, eps: int, tol="1e-8", precision: int = 128
     cut to its top 2 _SIGN_ROOT_BITS bits, or on F where the cut merges or
     moves them; the signs are taken on F.  ``_isolated`` isolates each real
     root in (lo, hi), one on a split point exactly, and ``_real_newton``
-    refines it on F.  They must increase strictly, or None.  Those returned
-    have each square root in s or X rounded to 128 bits and are sorted as
-    ``roots`` sorts; max_deviation is 0.
+    refines it on F.  They must increase strictly, or None.  The roots come
+    back as (real part, imaginary part) Dyadic pairs, each square root in s
+    or X rounded to 128 bits, sorted as ``roots`` sorts at ``poly.prec`` bits.
     """
     if mode not in ("critical_line", "unit_circle") or eps not in (1, -1):
         raise InputError(f"need a known mode and eps +1 or -1, got {mode!r}, {eps!r}")
     w, d, mans, emans, line = poly.w, poly.w // 2, poly.mans, poly.errs, mode == "critical_line"
-    if eps != 1 or emans is None or w % 2 or w < 2:
+    if eps != 1 or w % 2 or w < 2:
         return None
     if line:
         a, ae = (_int_shift([m << w - j for j, m in enumerate(ms)], 1) for ms in (mans, emans))
@@ -107,8 +107,7 @@ def sign_count_check(poly, mode: str, eps: int, tol="1e-8", precision: int = 128
             (a, ea), (b, eb) = (X, -t), sqrt_rounded(*rest, bits)
         E = min(ea, eb) - 1
         found += [(a << ea - 1 - E, s * b << eb - 1 - E, E) for s in (-1, 1)]
-    roots = tuple((Dyadic(a, E), Dyadic(b, E)) for a, b, E in _sorted_roots(found, precision))
-    return RootCheckReport(mode, roots, Dyadic(0), as_tolerance(tol), True)
+    return tuple((Dyadic(a, E), Dyadic(b, E)) for a, b, E in _sorted_roots(found, poly.prec))
 
 
 def _isolated(P: list, limit: int) -> list:

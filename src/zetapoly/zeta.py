@@ -365,9 +365,10 @@ def _sorted_roots(found: list, precision: int) -> list:
 
 
 class RootCheckReport(Record):
-    """Deviation of each root from the critical line or the unit circle
-    (0 when ``sign_count_check`` proved the locations).  ``roots`` holds
-    (real part, imaginary part) pairs and ``max_deviation`` one value, each a Dyadic."""
+    """Deviation of each root from the critical line or the unit circle:
+    ``rh_check`` measures it, and ``run_delta`` states 0 for the roots that
+    ``sign_count_check`` proves.  ``roots`` holds (real part, imaginary
+    part) pairs and ``max_deviation`` one value, each a Dyadic."""
 
     mode: str
     roots: tuple

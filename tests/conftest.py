@@ -154,11 +154,13 @@ def mpc(z) -> mpmath.mpc:
 
 def numeric_poly(values, prec: int, errs=None) -> NumericPoly:
     """The NumericPoly of degree <= len(values) - 1 holding the exact values
-    of the ints or mpf ``values`` and, if given, of the error bounds ``errs``."""
-    raw = [v._mpf_ if hasattr(v, "_mpf_") else mpmath.mpf(v)._mpf_ for v in [*values, *(errs or ())]]
+    of the ints or mpf ``values`` and of the error bounds ``errs``, zero
+    (exact dyadic values) if not given."""
+    errs = (0,) * len(values) if errs is None else errs
+    raw = [v._mpf_ if hasattr(v, "_mpf_") else mpmath.mpf(v)._mpf_ for v in [*values, *errs]]
     exp, mans = aligned([(-m if sign else m, e) for sign, m, e, _ in raw])
     n = len(values)
-    return NumericPoly(n - 1, exp, tuple(mans[:n]), prec, None if errs is None else tuple(mans[n:]))
+    return NumericPoly(n - 1, exp, tuple(mans[:n]), prec, tuple(mans[n:]))
 
 
 def poly_values(poly: NumericPoly, errs: bool = False) -> tuple:

@@ -34,7 +34,7 @@ from zetapoly.lvalues import (
 from zetapoly.polyspace import PolyX, fricke_residual
 from zetapoly.rv import rv_forward
 from zetapoly.signcount import sign_count_check
-from zetapoly.zeta import rh_check
+from zetapoly.zeta import RootCheckReport, as_tolerance, rh_check
 
 
 @pytest.fixture(scope="module")
@@ -203,20 +203,28 @@ class TestSignCountCheck:
     def test_five_plus_five_certified_changes(self, prec):
         znum, rnum = _delta_numeric(prec)
         for poly, mode in ((znum, "critical_line"), (rnum, "unit_circle")):
-            rep = sign_count_check(poly, mode, self.EPS, tol=ROOT_TOL, precision=prec)
-            assert rep is not None and rep.passed and rep.max_deviation == Dyadic(0)
-            assert len(rep.roots) == 10 and len(set(rep.roots)) == 10
+            roots = sign_count_check(poly, mode, self.EPS)
+            assert roots is not None and len(roots) == 10 and len(set(roots)) == 10
             with mp.workprec(128):
                 if mode == "critical_line":
-                    assert all(mpc(z).real == mpmath.mpf(1) / 2 for z in rep.roots)
+                    assert all(mpc(z).real == mpmath.mpf(1) / 2 for z in roots)
                 else:
-                    assert all(abs(abs(mpc(z)) - 1) < mpmath.mpf(2) ** -120 for z in rep.roots)
-            assert _oracle_sign_changes(poly, mode, rep.roots) == 5
+                    assert all(abs(abs(mpc(z)) - 1) < mpmath.mpf(2) ** -120 for z in roots)
+            assert _oracle_sign_changes(poly, mode, roots) == 5
+
+    @pytest.mark.parametrize("prec", [64, 128, 1024])
+    def test_run_delta_reports_the_proved_roots(self, prec):
+        """Each proved report holds the returned roots as they are, with
+        deviation 0 and ``ROOT_TOL``."""
+        report = run_delta(prec)
+        for poly, rep in zip(_delta_numeric(prec), (report.z_roots, report.r_roots)):
+            roots = sign_count_check(poly, rep.mode, self.EPS)
+            assert rep == RootCheckReport(rep.mode, roots, Dyadic(0), as_tolerance(ROOT_TOL), True)
 
     @pytest.mark.parametrize("prec", [128, 1024])
     def test_wrong_eps_is_not_proved(self, prec):
         for poly, mode in zip(_delta_numeric(prec), ("critical_line", "unit_circle")):
-            assert sign_count_check(poly, mode, -self.EPS, precision=prec) is None
+            assert sign_count_check(poly, mode, -self.EPS) is None
 
     def test_eps_must_be_a_sign(self):
         znum, _ = _delta_numeric(128)
@@ -224,11 +232,6 @@ class TestSignCountCheck:
             sign_count_check(znum, "critical_line", 0)
         with pytest.raises(InputError):
             sign_count_check(znum, "circle", 1)
-
-    def test_missing_error_bound_is_not_proved(self):
-        znum, _ = _delta_numeric(128)
-        bare = NumericPoly(w=znum.w, exp=znum.exp, mans=znum.mans, prec=znum.prec)
-        assert sign_count_check(bare, "critical_line", self.EPS) is None
 
     @pytest.mark.parametrize("prec", [128, 1024])
     def test_coefficient_moved_past_its_error_is_not_proved(self, prec):
@@ -244,7 +247,7 @@ class TestSignCountCheck:
                 mans = list(poly.mans)
                 mans[j] += step
                 moved = NumericPoly(w=10, exp=poly.exp, mans=tuple(mans), prec=prec, errs=poly.errs)
-                assert sign_count_check(moved, mode, self.EPS, precision=prec) is None, j
+                assert sign_count_check(moved, mode, self.EPS) is None, j
 
     @pytest.mark.parametrize("prec", [64, 128, 1024, 4096])
     def test_proved_roots_match_rh_check_to_20_digits(self, prec):
@@ -252,10 +255,10 @@ class TestSignCountCheck:
         size, which are rounding noise on both sides."""
         limit = mpmath.mpf(2) ** (16 - prec)
         for poly, mode in zip(_delta_numeric(prec), ("critical_line", "unit_circle")):
-            proved = sign_count_check(poly, mode, self.EPS, tol=ROOT_TOL, precision=prec)
+            proved = sign_count_check(poly, mode, self.EPS)
             general = rh_check(poly, mode, tol=ROOT_TOL, precision=prec)
             assert general.passed
-            for a, b in zip(_nstr20(proved.roots), _nstr20(general.roots)):
+            for a, b in zip(_nstr20(proved), _nstr20(general.roots)):
                 for x, y in zip(a, b):
                     assert x == y or max(abs(mpmath.mpf(x)), abs(mpmath.mpf(y))) < limit, (a, b)
 

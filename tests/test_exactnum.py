@@ -42,7 +42,7 @@ from zetapoly.exactnum import (
 from zetapoly.cli import main
 from zetapoly.delta import run_delta
 from zetapoly.errors import InputError
-from zetapoly.lvalues import NewformData, NumericPoly, build_r, delta_newform
+from zetapoly.lvalues import NewformData, build_r, delta_newform
 from zetapoly.polyspace import PolyX
 from zetapoly.rootfind import squarefree_parts
 from zetapoly.rv import ZetaPoly, rv_forward
@@ -578,7 +578,7 @@ class TestRecord:
         assert report.partial_sums is report.partial_sums and "partial_sums" in vars(report)
 
     def test_fields_are_taken_as_a_dataclass_takes_them(self):
-        assert NumericPoly(2, 0, (1, 2, 3), 64) == NumericPoly(w=2, prec=64, exp=0, mans=(1, 2, 3), errs=None)
+        assert NewformData(1, 12, 1, (1,)) == NewformData(an=(1,), fricke=1, weight=12, level=1, label="")
         assert NewformData(1, 12, 1, (1,)).label == ""
         for args, kwargs in [
             ((True, True, True, "", 0), {}),  # too many

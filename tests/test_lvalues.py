@@ -553,7 +553,7 @@ class TestNumericRv:
         R = build_r(FORMS[name](prec), prec)
         Z = numeric_rv(R)
         exact = rv_forward(PolyX.make(R.w, [m * Fraction(2) ** R.exp for m in R.mans]))
-        bare = numeric_rv(NumericPoly(w=R.w, exp=R.exp, mans=R.mans, prec=prec))
+        bare = numeric_rv(NumericPoly(w=R.w, exp=R.exp, mans=R.mans, prec=prec, errs=(0,) * (R.w + 1)))
         w_fact = math.factorial(R.w)
         r_err, z_err = poly_values(R, errs=True), poly_values(Z, errs=True)
         (bare_val, bare_err), z_val = (poly_values(bare, e) for e in (False, True)), poly_values(Z)
@@ -572,7 +572,7 @@ class TestNumericRv:
     def test_zero_beside_positive_exponents(self):
         # 4 = 2^2 and 8 = 2^3 over the common exponent 2; the transform's
         # zero coefficients take mantissa 0 in the common form, not a negative shift.
-        R = NumericPoly(w=2, exp=2, mans=(1, 0, 2), prec=64)
+        R = NumericPoly(w=2, exp=2, mans=(1, 0, 2), prec=64, errs=(0,) * 3)
         Z = numeric_rv(R)
         exact = rv_forward(PolyX.make(2, [4, 0, 8]))
         assert [mpmath.mpf(c.re.numerator) / c.re.denominator for c in exact.coeffs] == list(poly_values(Z))
@@ -587,7 +587,13 @@ class TestNumericRv:
 class TestNumericPoly:
     def test_length_validated(self):
         with pytest.raises(InputError):
-            NumericPoly(w=2, exp=0, mans=(1,), prec=64)
+            NumericPoly(w=2, exp=0, mans=(1,), prec=64, errs=(0,) * 3)
+
+    def test_error_bounds_are_required(self):
+        with pytest.raises(TypeError, match="NumericPoly"):
+            NumericPoly(w=2, exp=0, mans=(1, 0, 1), prec=64)
+        with pytest.raises(TypeError, match="NumericPoly"):
+            NumericPoly(2, 0, (1, 0, 1), 64)
 
     # Each of these once reached the numeric code: with w = 10, 10 error
     # bounds let a sign count drop the last coefficient's error, 12 raised

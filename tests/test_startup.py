@@ -250,9 +250,8 @@ def test_no_module_uses_threads_or_the_digit_cap():
 def test_sign_counts_run_on_integers_and_the_aberth_stage_lives_in_rootfind():
     """``signcount`` holds no float literal and calls none of ``float``,
     ``ldexp`` and ``as_integer_ratio``; from ``zeta`` it imports only the
-    report, the root order and the tolerance parser.  The double-precision
-    Aberth stage and its constants are defined in ``rootfind`` and not in
-    ``zeta``, which every start compiles."""
+    root order.  The double-precision Aberth stage and its constants are
+    defined in ``rootfind`` and not in ``zeta``, which every start compiles."""
     imported = set()
     for node in ast.walk(_tree("signcount")):
         assert not (isinstance(node, ast.Constant) and isinstance(node.value, float)), node.lineno
@@ -265,7 +264,7 @@ def test_sign_counts_run_on_integers_and_the_aberth_stage_lives_in_rootfind():
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             names = [node.module or ""] + [alias.name for alias in node.names]
             assert "zeta" not in names and "zetapoly.zeta" not in names, node.lineno
-    assert imported == {"RootCheckReport", "_sorted_roots", "as_tolerance"}
+    assert imported == {"_sorted_roots"}
 
     def defined(module):
         names = set()

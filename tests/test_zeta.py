@@ -27,7 +27,7 @@ from conftest import (
     violating_polyx,
 )
 from zetapoly.delta import golden_r_plus
-from zetapoly.dyadic import Dyadic, aligned
+from zetapoly.dyadic import aligned
 from zetapoly.errors import InputError, PrecisionError
 from zetapoly.exactnum import GaussianRational, I, ONE, ZERO, common_denominator, qi
 from zetapoly.lvalues import NumericPoly, build_r, delta_newform, numeric_rv
@@ -632,7 +632,7 @@ class TestRoots:
     def test_non_finite_numeric_coefficient_rejected(self, value):
         # a NumericPoly holds integer mantissas only, so it cannot hold these
         with pytest.raises(InputError):
-            roots(NumericPoly(w=2, exp=0, mans=(1, float(value), 1), prec=64), precision=64)
+            roots(NumericPoly(w=2, exp=0, mans=(1, float(value), 1), prec=64, errs=(0,) * 3), precision=64)
 
     # The first Aberth rung runs in complex doubles; each case below needs
     # its hand-off to the fixed-point rungs (or the Newton ladder past doubles).
@@ -1058,11 +1058,11 @@ class TestSignCountCheck:
     @pytest.mark.parametrize("prec", [64, 128])
     def test_roots_on_the_line_are_proved(self, prec):
         Z = numeric_zeta((1, 2, 3, 4, 5), (1,), prec)
-        rep = sign_count_check(Z, "critical_line", 1, precision=prec)
-        assert rep is not None and rep.passed and rep.max_deviation == Dyadic(0)
+        proved = sign_count_check(Z, "critical_line", 1)
+        assert proved is not None
         with mp.workprec(128):
             want = [mpmath.mpc(0.5, t) for t in range(-5, 6) if t]
-            assert max(abs(mpc(a) - b) for a, b in zip(rep.roots, want)) < 1e-25
+            assert max(abs(mpc(a) - b) for a, b in zip(proved, want)) < 1e-25
 
     @pytest.mark.parametrize("factor,proved", EDGE)
     def test_line_bound_at_a_known_point(self, factor, proved):
@@ -1085,11 +1085,11 @@ class TestSignCountCheck:
         with mp.workprec(160):
             total = mpmath.mpf(3) / 2 * factor.numerator / factor.denominator
             r = numeric_poly((1, mpmath.mpf(0.5), 1), 128, (total / 4, total / 2, total / 4))
-        rep = sign_count_check(r, "unit_circle", 1)
-        assert (rep is not None) is proved
+        found = sign_count_check(r, "unit_circle", 1)
+        assert (found is not None) is proved
         if proved:
             with mp.workprec(128):
-                assert all(abs(abs(mpc(z)) - 1) < 1e-30 for z in rep.roots)
+                assert all(abs(abs(mpc(z)) - 1) < 1e-30 for z in found)
 
     @pytest.mark.parametrize("where,value", [("coeffs", "inf"), ("coeffs", "nan"), ("coeff_err", "-1e10")])
     def test_non_finite_coefficients_or_negative_errors_are_not_proved(self, where, value):
@@ -1108,9 +1108,9 @@ class TestSignCountCheck:
         # r = 4 + 4X^2: the common exponent of 4 = 2^2 is 2, and the zero
         # coefficient and zero errors take mantissa 0.
         r = NumericPoly(w=2, exp=2, mans=(1, 0, 1), prec=64, errs=(0,) * 3)
-        rep = sign_count_check(r, "unit_circle", 1, precision=64)
-        assert rep is not None and rep.passed
-        assert [mpc(z) for z in rep.roots] == [mpmath.mpc(0, -1), mpmath.mpc(0, 1)]
+        proved = sign_count_check(r, "unit_circle", 1)
+        assert proved is not None
+        assert [mpc(z) for z in proved] == [mpmath.mpc(0, -1), mpmath.mpc(0, 1)]
 
     def test_roots_on_split_points_below_the_top_level(self):
         """r = X^4 - X^3 + 2X^2 - X + 1 with zero errors gives F(y) = 2y(y - 1):
@@ -1120,26 +1120,41 @@ class TestSignCountCheck:
         ``test_sign_counts_prove_every_precision_tried`` that only reaches
         the top-level point."""
         r = NumericPoly(w=4, exp=0, mans=(1, -1, 2, -1, 1), prec=64, errs=(0,) * 5)
-        rep = sign_count_check(r, "unit_circle", 1, precision=64)
-        assert rep is not None and rep.passed
-        roots = [mpc(z) for z in rep.roots]
-        assert roots[:2] == [mpmath.mpc(0, -1), mpmath.mpc(0, 1)]
+        proved = sign_count_check(r, "unit_circle", 1)
+        assert proved is not None
+        zs = [mpc(z) for z in proved]
+        assert zs[:2] == [mpmath.mpc(0, -1), mpmath.mpc(0, 1)]
         with mp.workprec(160):
-            for z, sign in zip(roots[2:], (-1, 1)):  # e^(+-i pi/3)
+            for z, sign in zip(zs[2:], (-1, 1)):  # e^(+-i pi/3)
                 assert z.real == mpmath.mpf(1) / 2
                 assert abs(z.imag - sign * mpmath.sqrt(3) / 2) < mpmath.mpf(2) ** -120
+
+    def test_roots_are_sorted_on_the_grid_of_the_polynomials_precision(self):
+        """r = (X^2 - X/2 + 1)(X^2 - (1/2 + 2^-80) X + 1) with zero errors at
+        256 bits: the real parts 1/4 and 1/4 + 2^-81 fall in different cells
+        of the 2^-128 grid, so the roots come back ordered by real part
+        first (on a 2^-64 grid they would share a cell and be ordered by
+        imaginary part)."""
+        y = Fraction(1, 2) + Fraction(1, 2**80)
+        R = [1, -(Fraction(1, 2) + y), 2 + y / 2, -(Fraction(1, 2) + y), 1]
+        r = NumericPoly(w=4, exp=-81, mans=tuple(int(c * 2**81) for c in R), prec=256, errs=(0,) * 5)
+        proved = sign_count_check(r, "unit_circle", 1)
+        assert proved is not None
+        reals = [m * Fraction(2) ** e for m, e in (x.man_exp for x, _ in proved)]
+        assert reals == [Fraction(1, 4)] * 2 + [y / 2] * 2
+        assert [im.man_exp[0] > 0 for _, im in proved] == [False, True] * 2
 
     @pytest.mark.parametrize("log_delta", [0, 2, 10, 20, 30, 40])
     def test_close_roots_are_proved(self, log_delta):
         """Roots 2^-log_delta apart in v are separated on integers: each
         returned root is within 2^-90 of the true one (they carry 96 bits)."""
         delta = Fraction(1, 2**log_delta)
-        rep = sign_count_check(close_pair(delta, 1), "critical_line", 1, precision=512)
-        assert rep is not None and rep.passed
+        proved = sign_count_check(close_pair(delta, 1), "critical_line", 1)
+        assert proved is not None
         with mp.workprec(320):
             t = mpmath.sqrt(1 + mpmath.ldexp(1, -log_delta))
             want = [mpmath.mpc(0.5, y) for y in (-t, -1, 1, t)]
-            got = sorted((mpc(z) for z in rep.roots), key=lambda z: z.imag)
+            got = sorted((mpc(z) for z in proved), key=lambda z: z.imag)
             assert max(abs(a - b) for a, b in zip(got, want)) < mpmath.mpf(2) ** -90
 
     def test_close_roots_with_wider_errors_are_not_proved(self):
@@ -1147,8 +1162,8 @@ class TestSignCountCheck:
         2^-42 at most, below the error bound sum_j e_j 2^-j (1 + v)^ceil(j/2),
         about 9.4 e, for e = 2^-40; e = 2^-50 is proved."""
         delta = Fraction(1, 2**20)
-        assert sign_count_check(close_pair(delta, 1 << 220), "critical_line", 1, precision=512) is None
-        assert sign_count_check(close_pair(delta, 1 << 210), "critical_line", 1, precision=512) is not None
+        assert sign_count_check(close_pair(delta, 1 << 220), "critical_line", 1) is None
+        assert sign_count_check(close_pair(delta, 1 << 210), "critical_line", 1) is not None
 
     def test_cluster_that_the_cut_merges_is_isolated_on_f(self, monkeypatch):
         """r = prod_j (X^2 - y_j X + 1) for eight doubles y_j near 0.4034,
@@ -1165,9 +1180,9 @@ class TestSignCountCheck:
         calls = []
         isolated = signcount._isolated
         monkeypatch.setattr(signcount, "_isolated", lambda P, limit: calls.append(P) or isolated(P, limit))
-        rep = sign_count_check(r, "unit_circle", 1, precision=256)
-        assert rep is not None and rep.passed and len(calls) == 2
-        assert sorted(2 * mpc(z).real for z in rep.roots) == sorted(ys * 2)
+        proved = sign_count_check(r, "unit_circle", 1)
+        assert proved is not None and len(calls) == 2
+        assert sorted(2 * mpc(z).real for z in proved) == sorted(ys * 2)
 
     def test_errors_too_large_to_certify_a_sign(self):
         Z = numeric_zeta((1, 2, 3, 4, 5), (1,), 128)
@@ -1179,7 +1194,7 @@ class TestSignCountCheck:
     @pytest.mark.parametrize("prec", [64, 128, 1024])
     def test_a_root_pair_off_the_line_is_never_proved(self, case, prec):
         Z = numeric_zeta(*OFF_LINE[case], prec)
-        assert sign_count_check(Z, "critical_line", 1, precision=prec) is None
+        assert sign_count_check(Z, "critical_line", 1) is None
         general = rh_check(Z, "critical_line", tol="1e-8", precision=prec)
         assert not general.passed
         with mp.workprec(64):
